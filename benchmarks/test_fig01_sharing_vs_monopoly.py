@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import emit, sharing_vs_monopoly_table
-from repro.sim.cpu import FairShareCpu
+from repro.sim.fair_share import FairShareCpu
 from repro.sim.kernel import Environment
 from repro.workload.durations import fib_duration_ms
 

@@ -68,7 +68,6 @@ from repro.baselines import (
 )
 from repro.obs import Observability
 from repro.platformsim.experiment import run_experiment
-from repro.sim.calendar_queue import DEFAULT_QUEUE, EVENT_QUEUES
 from repro.workload.azure import REPLAY_DURATION_MS, replay_minute_arrivals
 from repro.workload.durations import DurationSampler
 from repro.workload.generator import FIB_FUNCTION_ID, fib_family_specs
@@ -92,10 +91,9 @@ from repro.workload.trace import Trace, TraceRecord
 #: cells carrying the order-independent merge of every shard's counters,
 #: gauges and histogram buckets) and the optional per-cell ``slo`` block
 #: (:mod:`repro.obs.slo` evaluation results, attached by ``repro slo``).
-#: v7 added the ``config.queue`` knob (``repro bench --queue``): the event
-#: queue the kernel ran on ("calendar" or "heap"), recorded so A/B reports
-#: of the two implementations are distinguishable.  The queue is an engine
-#: knob, not a scenario knob — the baseline comparison ignores it.
+#: v7 reports recorded which of two event queues the kernel ran on as
+#: ``config.queue``.  The kernel has one queue now: new reports omit the
+#: key and the loader ignores it, so committed v7 artifacts still load.
 BENCH_SCHEMA = "faasbatch-bench/v7"
 
 #: Scheduler label of the observability-overhead run (tracing + sampling
@@ -147,10 +145,6 @@ class BenchConfig:
     seed: int = 13
     window_ms: float = 200.0
     tile_invocations: int = TILE_INVOCATIONS
-    #: Event-queue implementation the kernel runs on ("calendar" or
-    #: "heap"); an engine knob, not a scenario knob, so the baseline
-    #: comparison ignores it.
-    queue: str = DEFAULT_QUEUE
 
     def __post_init__(self) -> None:
         if self.invocations < 1:
@@ -161,17 +155,13 @@ class BenchConfig:
         if self.tile_invocations < 1:
             raise ValueError(f"tile_invocations must be >= 1, got "
                              f"{self.tile_invocations}")
-        if self.queue not in EVENT_QUEUES:
-            raise ValueError(f"unknown event queue {self.queue!r}; choose "
-                             f"from {sorted(EVENT_QUEUES)}")
 
     def to_dict(self) -> Dict[str, object]:
         return {"invocations": self.invocations,
                 "functions": self.functions,
                 "seed": self.seed,
                 "window_ms": self.window_ms,
-                "tile_invocations": self.tile_invocations,
-                "queue": self.queue}
+                "tile_invocations": self.tile_invocations}
 
 
 def bench_trace(config: BenchConfig) -> Trace:
@@ -319,21 +309,10 @@ def _run_cell_inline(spec: Dict[str, object]) -> Dict[str, object]:
         window_policy=str(spec.get("window_policy") or "fixed"))
     obs = (Observability(tracing=True, sampling=True)
            if spec.get("obs") else None)
-    # The queue knob reaches Environment() through the selection env var
-    # rather than a constructor argument, so every Environment the cell
-    # creates (platform, warm-up, nested sims) rides the same queue.
-    saved_queue = os.environ.get("REPRO_SIM_QUEUE")
-    os.environ["REPRO_SIM_QUEUE"] = config.queue
-    try:
-        result, row = _measure(factory, trace, specs, str(spec["engine"]),
-                               obs=obs,
-                               label=spec.get("label"),  # type: ignore[arg-type]
-                               profile_top=int(spec.get("profile") or 0))
-    finally:
-        if saved_queue is None:
-            del os.environ["REPRO_SIM_QUEUE"]
-        else:
-            os.environ["REPRO_SIM_QUEUE"] = saved_queue
+    result, row = _measure(factory, trace, specs, str(spec["engine"]),
+                           obs=obs,
+                           label=spec.get("label"),  # type: ignore[arg-type]
+                           profile_top=int(spec.get("profile") or 0))
     if spec.get("want_latency"):
         stats = result.latency_stats()
         row["latency_ms"] = {
@@ -596,15 +575,10 @@ def _baseline_table(runs: List[Dict[str, object]],
 
     Only cells present in the committed baseline participate (the obs cell
     postdates it), and only when the scenario matches the baseline's
-    exactly.  The ``queue`` knob is excluded from the match — it selects
-    the engine under test, not the workload, and an A/B heap run on the
-    baseline scenario is exactly the comparison this table exists for.
-    Profiled rows are excluded — their wall-clocks measure the profiler,
-    not the simulator.
+    exactly.  Profiled rows are excluded — their wall-clocks measure the
+    profiler, not the simulator.
     """
-    scenario = {key: value for key, value in config.to_dict().items()
-                if key != "queue"}
-    if scenario != BASELINE_CONFIG:
+    if config.to_dict() != BASELINE_CONFIG:
         return None
     per_cell: Dict[str, Dict[str, float]] = {}
     incremental_ratios: List[float] = []
@@ -999,10 +973,6 @@ def validate_report(report: Dict[str, object]) -> None:
     for key in ("invocations", "functions", "seed"):
         if not isinstance(config.get(key), (int, float)):
             raise ValueError(f"config.{key} must be a number")
-    if "queue" in config and config["queue"] not in EVENT_QUEUES:
-        raise ValueError(f"config.queue must be one of "
-                         f"{sorted(EVENT_QUEUES)} when present, "
-                         f"got {config['queue']!r}")
     schedulers = report.get("schedulers")
     if schedulers is not None:
         if not isinstance(schedulers, list) or not schedulers \
@@ -1030,9 +1000,6 @@ def validate_report(report: Dict[str, object]) -> None:
         return
     if not isinstance(config.get("window_ms"), (int, float)):
         raise ValueError("config.window_ms must be a number")
-    if "queue" not in config:
-        raise ValueError("config.queue required on scheduler-grid reports "
-                         "(schema v7)")
     if report.get("isolation") not in ("subprocess", "inline"):
         raise ValueError("isolation must be 'subprocess' or 'inline' "
                          "(schema v3)")

@@ -29,12 +29,12 @@ event ordering of the historical single-heap implementation:
   schedule_batch` / :meth:`Environment.process_batch`).
 * **Future events** — only normal-priority timeouts can carry a timestamp
   beyond ``now`` (urgent events are always scheduled at the current
-  instant) — live in a pluggable structure behind the ``EventQueue``
-  protocol (:mod:`repro.sim.calendar_queue`): a calendar queue by default
-  (O(1) amortized push/pop for the dense, near-uniform timestamp
-  distributions these workloads produce), with the classic binary heap
-  selectable for A/B benchmarking via ``Environment(queue="heap")`` or
-  ``REPRO_SIM_QUEUE=heap``.
+  instant) — live in one binary heap of flat ``(when, seq, event)``
+  triples (``_HeapQueue`` below).  *seq* is the environment's monotone
+  sequence number, so events scheduled for the same instant pop in
+  creation order.  A calendar queue was measured against the heap and did
+  not win end to end (``docs/performance.md``), so the heap is the only
+  future-event structure.
 * Dispatch order at one instant is: the urgent deque, then future-queue
   entries that have reached their time (they were created at earlier
   instants, hence earlier in FIFO terms), then the immediate deque —
@@ -42,7 +42,7 @@ event ordering of the historical single-heap implementation:
 * Timer cancellation stays lazy: a cancelled :class:`Timeout` becomes a
   tombstone wherever it sits and is dropped unprocessed when surfaced;
   once tombstones outnumber live entries past ``COMPACT_THRESHOLD`` they
-  are swept, bounding memory exactly as the old heap compaction did.
+  are swept, which bounds memory.
 * Every event class declares ``__slots__``; callback lists are allocated
   lazily (a shared empty sentinel, then a bare callable for a single
   waiter, a list only for several); :meth:`Environment.run` and
@@ -65,7 +65,7 @@ Example
 
 from __future__ import annotations
 
-import os
+import heapq
 from collections import deque
 from typing import (
     Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple,
@@ -76,7 +76,6 @@ from repro.common.errors import (
     ProcessInterrupted,
     SimulationError,
 )
-from repro.sim.calendar_queue import DEFAULT_QUEUE, make_queue
 
 #: Type of the generator a :class:`Process` drives.
 ProcessGenerator = Generator["Event", Any, Any]
@@ -87,9 +86,6 @@ ProcessGenerator = Generator["Event", Any, Any]
 #: a heap key, but the observable order is unchanged.)
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
-
-#: Environment variable consulted for the default future-event structure.
-QUEUE_ENV_VAR = "REPRO_SIM_QUEUE"
 
 #: Shared sentinel for "pending, no waiters attached yet" (``None`` still
 #: means processed).  Being falsy and immutable, one instance serves every
@@ -511,6 +507,123 @@ class AnyOf(Event):
         self._settle(child)
 
 
+class _HeapQueue:
+    """The future events: a binary heap of ``(when, seq, event)`` triples.
+
+    Pops ascend by ``(when, seq)``; *seq* is unique, so tuple comparison
+    never reaches the event object.  A cancelled :class:`Timeout` stays as
+    a tombstone until it surfaces at the head (dropped and accounted
+    against ``env._cancelled``) or :meth:`compact` sweeps it.
+    """
+
+    __slots__ = ("_heap",)
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, Event]] = []
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, when: float, seq: int, event: Event) -> None:
+        heapq.heappush(self._heap, (when, seq, event))
+
+    def push_batch(self, entries: List[Tuple[float, int, Event]]) -> None:
+        """Bulk push of entries sorted by ``(when, seq)`` ascending."""
+        heap = self._heap
+        if not heap:
+            # A sorted list satisfies the heap invariant as-is.
+            heap.extend(entries)
+            return
+        for entry in entries:
+            heapq.heappush(heap, entry)
+
+    def min_when(self) -> float:
+        """Time of the earliest live entry (+inf when empty)."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[2]
+            if not event.cancelled:
+                return entry[0]
+            heapq.heappop(heap)
+            event._callbacks = None
+            event.env._cancelled -= 1
+        return _INF
+
+    def pop(self) -> Event:
+        """Remove and return the earliest live event."""
+        heap = self._heap
+        while True:
+            event = heapq.heappop(heap)[2]
+            if not event.cancelled:
+                return event
+            event._callbacks = None
+            event.env._cancelled -= 1
+
+    def next_due(self, now: float) -> Any:
+        """Pop and return the earliest live event if due (``when <= now``);
+        otherwise return its firing time as a float (``inf`` when empty),
+        leaving it queued.
+
+        Fuses ``min_when`` + ``pop`` into one call on the dispatch hot
+        path; the caller type-switches on the result (``float`` means
+        "not yet").
+        """
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[2]
+            if event.cancelled:
+                heapq.heappop(heap)
+                event._callbacks = None
+                event.env._cancelled -= 1
+                continue
+            when = entry[0]
+            if when <= now:
+                heapq.heappop(heap)
+                return event
+            return when
+        return _INF
+
+    def pop_until(self, bound: float) -> Any:
+        """Pop and return the earliest live *entry* if ``when <= bound``;
+        otherwise return its firing time as a float (``inf`` when empty).
+
+        The hook-free kernel loop uses this to fuse "peek, advance the
+        clock, pop" into one call: the returned ``(when, seq, event)``
+        tuple carries the timestamp the clock must advance to, so an
+        advance-then-dispatch costs a single queue operation instead of
+        two ``next_due`` calls and an extra loop lap.
+        """
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[2]
+            if event.cancelled:
+                heapq.heappop(heap)
+                event._callbacks = None
+                event.env._cancelled -= 1
+                continue
+            if entry[0] <= bound:
+                heapq.heappop(heap)
+                return entry
+            return entry[0]
+        return _INF
+
+    def compact(self) -> int:
+        """Physically drop every tombstone; returns the number removed."""
+        heap = self._heap
+        retained = [entry for entry in heap if not entry[2].cancelled]
+        removed = len(heap) - len(retained)
+        if removed:
+            for entry in heap:
+                if entry[2].cancelled:
+                    entry[2]._callbacks = None
+            heap[:] = retained
+            heapq.heapify(heap)
+        return removed
+
+
 class Environment:
     """Holds simulated time and the event queues, and executes events."""
 
@@ -520,22 +633,17 @@ class Environment:
 
     __slots__ = ("_now", "_urgent", "_immediate", "_future", "_sequence",
                  "_cancelled", "events_processed", "active_process",
-                 "_time_hooks", "queue_name")
+                 "_time_hooks")
 
-    def __init__(self, initial_time: float = 0.0,
-                 queue: Optional[str] = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = initial_time
         #: Current-instant deques: urgent (process starts, interrupts,
         #: deferred callbacks) fires before immediate (normal triggers).
         self._urgent: deque = deque()
         self._immediate: deque = deque()
-        if queue is None:
-            queue = os.environ.get(QUEUE_ENV_VAR) or DEFAULT_QUEUE
-        #: Future-event structure (calendar queue or heap); holds only
-        #: normal-priority entries with ``when > now`` at creation.
-        self._future = make_queue(queue)
-        #: Which future-event structure this environment runs on.
-        self.queue_name = queue
+        #: Future events: only normal-priority entries with ``when > now``
+        #: at creation.
+        self._future = _HeapQueue()
         self._sequence = 0
         self._cancelled = 0
         #: Count of events actually processed (cancelled ones excluded);
@@ -549,15 +657,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in milliseconds."""
         return self._now
-
-    @property
-    def _queue(self) -> List[Tuple[float, int, Event]]:
-        """Snapshot of pending *future* entries (live + tombstones).
-
-        Kept for introspection and the historical tests that bound queue
-        growth; current-instant deques are not included.
-        """
-        return self._future.entries()
 
     # -- time observation -------------------------------------------------------
 
@@ -641,9 +740,15 @@ class Environment:
         that release a dispatch window of same-instant events (store put
         fan-out, window dispatch) use this to make the arrival burst O(1)
         per event with no ordered-structure traffic at all.
+
+        All or nothing: if any event is already triggered (or appears
+        twice in the batch) the call raises and triggers none of them.
         """
-        for event in events:
+        for index, event in enumerate(events):
             if event._ok is not None:
+                for marked in events[:index]:
+                    marked._ok = None
+                    marked._value = None
                 raise EventAlreadyTriggered(f"{event!r} already triggered")
             event._ok = True
             event._value = value
@@ -655,10 +760,11 @@ class Environment:
         """Create timeouts at non-decreasing absolute times in one bulk push.
 
         Equivalent to ``[timeout_at(w, value) for w in whens]`` — identical
-        events, identical ordering — but the future-queue insertion happens
-        once for the whole monotone run (one bucket append per entry in the
-        calendar queue, a single sorted-merge in the heap), which is what
-        makes replaying a pre-sorted arrival schedule cheap.
+        events, identical ordering — but the sequence numbers are allocated
+        and the future queue is entered once for the whole monotone run (an
+        empty heap takes the sorted run as-is, otherwise one ``heappush``
+        per entry), which is what makes replaying a pre-sorted arrival
+        schedule cheap.  A bad time raises before anything is scheduled.
         """
         now = self._now
         previous = now
@@ -683,9 +789,10 @@ class Environment:
             if when > now:
                 entries.append((when, seq, timeout))
                 seq += 1
-            else:
-                self._immediate.append(timeout)
             timeouts.append(timeout)
+        # Times are non-decreasing, so the ``when == now`` timeouts are the
+        # leading ones.
+        self._immediate.extend(timeouts[:len(timeouts) - len(entries)])
         self._sequence = seq
         if entries:
             self._future.push_batch(entries)

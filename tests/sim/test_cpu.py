@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
-from repro.sim.cpu import FairShareCpu, waterfill
+from repro.sim.engine import waterfill
+from repro.sim.fair_share import FairShareCpu
 from repro.sim.kernel import Environment
 
 

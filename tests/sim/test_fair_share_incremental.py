@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import cpu as cpu_shim
-from repro.sim.engine import CpuEngine, waterfill
+from repro.sim.engine import CpuEngine
 from repro.sim.fair_share import FairShareCpu
 from repro.sim.kernel import Environment
 from repro.sim.legacy_cpu import LegacyFairShareCpu
@@ -101,24 +100,14 @@ class TestHeapBounded:
         env.process(driver())
         max_heap = 0
         while env.peek() != float("inf"):
-            max_heap = max(max_heap, len(env._queue))
+            max_heap = max(max_heap, len(env._future))
             env.step()
         assert cpu.active_tasks == 0
         assert cpu.busy_core_ms() == pytest.approx(total * 1.5)
         assert max_heap <= 2 * Environment.COMPACT_THRESHOLD
 
 
-class TestCompatibilityShims:
-    def test_cpu_module_reexports_the_new_layout(self):
-        assert cpu_shim.FairShareCpu is FairShareCpu
-        assert cpu_shim.waterfill is waterfill
-
-    def test_shim_constructor_signature_unchanged(self):
-        env = Environment()
-        cpu = cpu_shim.FairShareCpu(env, cores=4)
-        assert cpu.cores == 4.0
-        assert cpu.HOST_GROUP == "host"
-
+class TestEngineProtocol:
     def test_all_engines_satisfy_the_protocol(self):
         env = Environment()
         assert isinstance(FairShareCpu(env, cores=2), CpuEngine)

@@ -197,12 +197,6 @@ class TestPublicApiSurface:
         assert callable(env.timeout_at)
         assert isinstance(env.events_processed, int)
 
-    def test_cpu_shim_still_exports_fair_share(self):
-        from repro.sim import cpu as cpu_shim
-        from repro.sim.fair_share import FairShareCpu
-        assert cpu_shim.FairShareCpu is FairShareCpu
-        assert callable(cpu_shim.waterfill)
-
     def test_defuse_suppresses_crash_propagation(self, env):
         event = env.event()
         event.defuse()

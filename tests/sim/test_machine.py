@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim.fair_share import FairShareCpu
 from repro.sim.machine import CpuDiscipline, Machine, build_cpu
-from repro.sim.cpu import FairShareCpu
 from repro.sim.sfs_cpu import SfsCpu
 
 

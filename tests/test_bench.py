@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -272,8 +273,14 @@ class TestAtomicWrites:
     def test_load_report_round_trips(self, tmp_path):
         path = tmp_path / "BENCH_sim.json"
         report = self._report()
+        assert "queue" not in report["config"]
         write_report(report, str(path))
         assert load_report(str(path)) == report
+
+    def test_committed_sim_artifact_still_loads(self):
+        # Recorded when v7 reports still carried ``config.queue``.
+        committed = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
+        assert load_report(str(committed))["config"]["queue"] == "calendar"
 
     def test_load_report_rejects_truncated_artifact(self, tmp_path):
         path = tmp_path / "BENCH_sim.json"
