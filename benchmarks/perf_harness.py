@@ -6,10 +6,11 @@ a single obvious entry point::
 
     PYTHONPATH=src python benchmarks/perf_harness.py
     PYTHONPATH=src python benchmarks/perf_harness.py --invocations 5000 \\
-        --skip-legacy --out /tmp/bench.json
+        --out /tmp/bench.json
 
-The full default scenario (50k invocations, both engines, four schedulers)
-takes a few minutes; see docs/performance.md for reading the report.
+The full default scenario (50k invocations, four schedulers plus the
+observability cell) takes a couple of minutes; see docs/performance.md for
+reading the report.
 """
 
 from __future__ import annotations

@@ -1,24 +1,20 @@
 """Perf-bench harness: the BENCH trajectory's measurement tool.
 
-Runs a large Azure-sampled scenario through every scheduler under both
-fair-share CPU engines — the incremental one (:mod:`repro.sim.fair_share`)
-and the frozen pre-refactor baseline (:mod:`repro.sim.legacy_cpu`) — and
+Runs a large Azure-sampled scenario through every selected scheduler and
 reports *simulator* performance: wall-clock seconds, kernel events/sec,
-invocations/sec and peak RSS.  Simulated results are byte-identical between
-the two engines (proven by ``tests/integration/test_engine_equivalence.py``),
-so any wall-clock difference is pure engine overhead.
+invocations/sec and peak RSS.
 
 The scenario tiles a bursty Azure-shaped replay minute end to end until the
 requested invocation count is reached, keeping peak concurrency at one
 minute's burst level no matter how large the total grows.  The default tile
 is dense (several thousand arrivals per minute): high burst concurrency is
 the regime FaaSBatch targets and the regime where per-event CPU-engine cost
-dominates the simulator, so it is where the engines' wall-clock behavior
-actually differs.  ``--tile-invocations`` dials the density up or down.
+dominates the simulator.  ``--tile-invocations`` dials the density up or
+down.
 
 Cell isolation (schema v3)
 --------------------------
-By default every (scheduler, engine) cell runs in a **fresh subprocess**
+By default every scheduler cell runs in a **fresh subprocess**
 (``sys.executable -m repro.bench`` with a JSON cell spec on stdin):
 
 * ``peak_rss_mb`` is honest — ``ru_maxrss`` is a process-wide high-water
@@ -37,10 +33,6 @@ Usage::
     python -m repro bench --invocations 50000 --out BENCH_sim.json
     python -m repro bench --profile            # embed cProfile hotspots
     python benchmarks/perf_harness.py          # same defaults
-
-SFS is measured under its own CPU discipline (per-core adaptive slices);
-the engine knob does not apply to it, so it appears once per report and is
-excluded from the legacy-vs-incremental speedup table.
 """
 
 from __future__ import annotations
@@ -94,20 +86,20 @@ from repro.workload.trace import Trace, TraceRecord
 #: v7 reports recorded which of two event queues the kernel ran on as
 #: ``config.queue``.  The kernel has one queue now: new reports omit the
 #: key and the loader ignores it, so committed v7 artifacts still load.
+#: v7 reports also carried a second, frozen fair-share engine: an
+#: ``engines`` list, an ``engine`` per run and a ``speedup`` table.  There
+#: is one engine now; new reports omit all three and the loader ignores
+#: them, the same way.
 BENCH_SCHEMA = "faasbatch-bench/v7"
 
 #: Scheduler label of the observability-overhead run (tracing + sampling
-#: on).  Distinct from "FaaSBatch" so the (scheduler, engine) cells stay
-#: unique and the speedup table is unaffected.
+#: on).  Distinct from "FaaSBatch" so cell labels stay unique.
 OBS_RUN_LABEL = "FaaSBatch+obs"
 
 #: Default arrivals per scenario tile (one simulated minute).  5x the
 #: paper's replay-minute volume: a dense burst keeps hundreds of containers
 #: concurrently runnable, which is where CPU-engine cost dominates.
 TILE_INVOCATIONS = 4000
-
-#: Schedulers whose execution rides the fair-share engine under test.
-FAIR_SHARE_SCHEDULERS = ("Vanilla", "Kraken", "FaaSBatch")
 
 #: Window-sizing policies a ``window_cells`` comparison measures, in row
 #: order: the paper's fixed window first, then the adaptive policy.
@@ -120,14 +112,11 @@ _RSS_TO_MB = (1024.0 * 1024.0) if sys.platform == "darwin" else 1024.0
 #: pass is measured against: ``(wall_clock_s, kernel_events)`` per cell on
 #: the default 50k-invocation scenario.  Frozen here so every future report
 #: on that scenario carries its speedup against the same yardstick.
-BASELINE_V1: Dict[Tuple[str, str], Tuple[float, int]] = {
-    ("Vanilla", "incremental"): (95.869, 1_286_690),
-    ("SFS", "incremental"): (37.118, 5_364_365),
-    ("Kraken", "incremental"): (69.707, 666_550),
-    ("FaaSBatch", "incremental"): (52.609, 598_004),
-    ("Vanilla", "legacy"): (503.2, 1_434_635),
-    ("Kraken", "legacy"): (153.066, 769_507),
-    ("FaaSBatch", "legacy"): (164.437, 660_113),
+BASELINE_V1: Dict[str, Tuple[float, int]] = {
+    "Vanilla": (95.869, 1_286_690),
+    "SFS": (37.118, 5_364_365),
+    "Kraken": (69.707, 666_550),
+    "FaaSBatch": (52.609, 598_004),
 }
 
 #: The scenario the committed baseline was measured on; the baseline table
@@ -216,9 +205,9 @@ def _profile_rows(profiler: cProfile.Profile,
 
 
 def _measure(scheduler_factory: Callable[[], object], trace: Trace, specs,
-             engine: str, obs: Optional["Observability"] = None,
+             obs: Optional["Observability"] = None,
              label: Optional[str] = None, profile_top: int = 0):
-    """Run one (scheduler, engine) cell; return (result, row).
+    """Run one scheduler cell; return (result, row).
 
     ``obs`` turns the run into an observability-overhead measurement;
     ``label`` overrides the row's scheduler name (the obs run reports as
@@ -235,14 +224,13 @@ def _measure(scheduler_factory: Callable[[], object], trace: Trace, specs,
     started = time.perf_counter()
     result = run_experiment(scheduler_factory(), trace, specs,  # type: ignore[arg-type]
                             workload_label="bench", strict_memory=False,
-                            cpu_engine=engine, obs=obs)
+                            obs=obs)
     wall_clock_s = time.perf_counter() - started
     if profiler is not None:
         profiler.disable()
     invocations = len(result.invocations)
     row: Dict[str, object] = {
         "scheduler": label if label is not None else result.scheduler_name,
-        "engine": engine,
         "invocations": invocations,
         "wall_clock_s": round(wall_clock_s, 3),
         "sim_completion_ms": result.completion_ms,
@@ -284,14 +272,14 @@ def _scheduler_factory(name: str, config: BenchConfig,
     return lambda: build_scheduler(info.name, build)
 
 
-def _cell_spec(config: BenchConfig, scheduler: str, engine: str,
+def _cell_spec(config: BenchConfig, scheduler: str,
                obs: bool = False, label: Optional[str] = None,
                kraken_params: Optional[Dict] = None, profile: int = 0,
                want_kraken_params: bool = False,
                window_policy: str = "fixed",
                want_latency: bool = False) -> Dict[str, object]:
     return {"config": config.to_dict(), "scheduler": scheduler,
-            "engine": engine, "obs": obs, "label": label,
+            "obs": obs, "label": label,
             "kraken_params": kraken_params, "profile": profile,
             "want_kraken_params": want_kraken_params,
             "window_policy": window_policy,
@@ -309,8 +297,7 @@ def _run_cell_inline(spec: Dict[str, object]) -> Dict[str, object]:
         window_policy=str(spec.get("window_policy") or "fixed"))
     obs = (Observability(tracing=True, sampling=True)
            if spec.get("obs") else None)
-    result, row = _measure(factory, trace, specs, str(spec["engine"]),
-                           obs=obs,
+    result, row = _measure(factory, trace, specs, obs=obs,
                            label=spec.get("label"),  # type: ignore[arg-type]
                            profile_top=int(spec.get("profile") or 0))
     if spec.get("want_latency"):
@@ -372,7 +359,7 @@ def _collect_cell(proc: "subprocess.Popen[str]",
     if code != 0:
         tail = "\n".join(stderr.strip().splitlines()[-12:])
         raise RuntimeError(
-            f"bench cell {spec['scheduler']}/{spec['engine']} failed "
+            f"bench cell {spec['label'] or spec['scheduler']} failed "
             f"(exit {code}):\n{tail}")
     return json.loads(stdout)
 
@@ -388,8 +375,7 @@ def _run_cells(cell_specs: List[Dict[str, object]], isolate: bool,
     results: List[Optional[Dict[str, object]]] = [None] * len(cell_specs)
     if not isolate:
         for index, spec in enumerate(cell_specs):
-            emit(f"[{spec['engine']}] {spec['label'] or spec['scheduler']} "
-                 "(inline) ...")
+            emit(f"{spec['label'] or spec['scheduler']} (inline) ...")
             results[index] = _run_cell_inline(spec)
         return results  # type: ignore[return-value]
     width = max(1, int(parallel))
@@ -397,8 +383,7 @@ def _run_cells(cell_specs: List[Dict[str, object]], isolate: bool,
         batch = cell_specs[start:start + width]
         procs = []
         for spec in batch:
-            emit(f"[{spec['engine']}] {spec['label'] or spec['scheduler']} "
-                 "...")
+            emit(f"{spec['label'] or spec['scheduler']} ...")
             procs.append(_spawn_cell(spec))
         for offset, (proc, spec) in enumerate(zip(procs, batch)):
             results[start + offset] = _collect_cell(proc, spec)
@@ -425,7 +410,7 @@ def _select_bench_policies(schedulers) -> List:
     return [info for info in registered_policies() if info.name in chosen]
 
 
-def run_bench(config: BenchConfig, skip_legacy: bool = False,
+def run_bench(config: BenchConfig,
               log: Optional[Callable[[str], None]] = None,
               isolate: bool = True, parallel: int = 1,
               profile_top: int = 0,
@@ -451,23 +436,14 @@ def run_bench(config: BenchConfig, skip_legacy: bool = False,
             f"{', '.join(profiled_labels)} learns its parameters from a "
             "Vanilla profiling cell; add vanilla to the selection")
     measure_obs = "FaaSBatch" in labels
-    # Only the classic fair-share trio exists in the frozen legacy engine.
-    legacy_labels = [label for label in labels
-                     if label in FAIR_SHARE_SCHEDULERS]
-    engines = ["incremental"]
-    if not skip_legacy and legacy_labels:
-        engines.append("legacy")
 
-    def spec(scheduler: str, engine: str, **kwargs) -> Dict[str, object]:
-        return _cell_spec(config, scheduler, engine,
-                          profile=profile_top, **kwargs)
+    def spec(scheduler: str, **kwargs) -> Dict[str, object]:
+        return _cell_spec(config, scheduler, profile=profile_top, **kwargs)
 
-    # Phase 1: every cell without a data dependency.  The incremental
-    # Vanilla cell additionally derives Kraken's learned parameters — the
-    # paper's porting procedure ("98-percentile latency of each function
-    # obtained by the Vanilla strategy as the function SLO"); both engines
-    # produce byte-identical invocations, so one derivation serves both
-    # Kraken cells.
+    # Phase 1: every cell without a data dependency.  The Vanilla cell
+    # additionally derives Kraken's learned parameters — the paper's
+    # porting procedure ("98-percentile latency of each function obtained
+    # by the Vanilla strategy as the function SLO").
     phase1: List[Dict[str, object]] = []
     for info in infos:
         if info.needs_vanilla_profile:
@@ -475,97 +451,52 @@ def run_bench(config: BenchConfig, skip_legacy: bool = False,
         kwargs = {}
         if info.label == "Vanilla" and profiled_labels:
             kwargs["want_kraken_params"] = True
-        phase1.append(spec(info.label, "incremental", **kwargs))
+        phase1.append(spec(info.label, **kwargs))
     if measure_obs:
-        phase1.append(spec("FaaSBatch", "incremental", obs=True,
-                           label=OBS_RUN_LABEL))
-    if "legacy" in engines:
-        for label in legacy_labels:
-            if label == "Kraken":
-                continue  # phase 2
-            phase1.append(spec(label, "legacy"))
+        phase1.append(spec("FaaSBatch", obs=True, label=OBS_RUN_LABEL))
     outputs = _run_cells(phase1, isolate, parallel, emit)
-    by_key: Dict[Tuple[str, str], Dict[str, object]] = {}
+    by_label: Dict[str, Dict[str, object]] = {}
     kraken_params = None
     for cell, out in zip(phase1, outputs):
-        key = (str(cell["label"] or cell["scheduler"]), str(cell["engine"]))
-        by_key[key] = out["row"]
+        by_label[str(cell["label"] or cell["scheduler"])] = out["row"]
         if cell.get("want_kraken_params"):
             kraken_params = out.get("kraken_params")
 
-    # Phase 2: the Kraken cells, parameterised by phase 1's derivation.
+    # Phase 2: the Kraken cell, parameterised by phase 1's derivation.
     if profiled_labels:
-        phase2 = [spec("Kraken", engine, kraken_params=kraken_params)
-                  for engine in engines]
-        for cell, out in zip(phase2, _run_cells(phase2, isolate, parallel,
-                                                emit)):
-            by_key[(str(cell["scheduler"]), str(cell["engine"]))] = \
-                out["row"]
+        phase2 = [spec("Kraken", kraken_params=kraken_params)]
+        (out,) = _run_cells(phase2, isolate, parallel, emit)
+        by_label["Kraken"] = out["row"]
 
     # Canonical row order (stable across isolation/parallel modes).
-    order: List[Tuple[str, str]] = [(label, "incremental")
-                                    for label in labels]
-    if measure_obs:
-        order.append((OBS_RUN_LABEL, "incremental"))
-    if "legacy" in engines:
-        order += [(label, "legacy") for label in legacy_labels]
     runs: List[Dict[str, object]] = []
-    for key in order:
-        row = by_key[key]
+    for label in labels + ([OBS_RUN_LABEL] if measure_obs else []):
+        row = by_label[label]
         row["rss_isolated"] = bool(isolate)
         runs.append(row)
 
     obs_overhead = None
     if measure_obs:
-        plain = by_key[("FaaSBatch", "incremental")]
-        obs_row = by_key[(OBS_RUN_LABEL, "incremental")]
+        plain = by_label["FaaSBatch"]
+        obs_row = by_label[OBS_RUN_LABEL]
         obs_overhead = {
-            "note": ("wall-clock(FaaSBatch+obs) / wall-clock(FaaSBatch), "
-                     "incremental engine; tracing + sampling are pure "
-                     "observers so simulated results are identical"),
+            "note": ("wall-clock(FaaSBatch+obs) / wall-clock(FaaSBatch); "
+                     "tracing + sampling are pure observers so simulated "
+                     "results are identical"),
             "plain_wall_clock_s": plain["wall_clock_s"],
             "obs_wall_clock_s": obs_row["wall_clock_s"],
             "wall_clock_ratio": round(
                 float(obs_row["wall_clock_s"])  # type: ignore[arg-type]
                 / max(float(plain["wall_clock_s"]), 1e-9), 3),  # type: ignore[arg-type]
         }
-    report: Dict[str, object] = {
+    return {
         "schema": BENCH_SCHEMA,
         "config": config.to_dict(),
         "schedulers": labels,
-        "engines": engines,
         "isolation": "subprocess" if isolate else "inline",
         "runs": runs,
         "obs_overhead": obs_overhead,
-        "speedup": (None if "legacy" not in engines
-                    else _speedup_table(runs)),
         "baseline": _baseline_table(runs, config),
-    }
-    return report
-
-
-def _speedup_table(runs: List[Dict[str, object]]) -> Dict[str, object]:
-    """Per-scheduler legacy/incremental wall-clock ratios (+ aggregate)."""
-    by_cell = {(r["scheduler"], r["engine"]): r for r in runs}
-    per_scheduler: Dict[str, float] = {}
-    incremental_total = 0.0
-    legacy_total = 0.0
-    for name in FAIR_SHARE_SCHEDULERS:
-        incremental_row = by_cell.get((name, "incremental"))
-        legacy_row = by_cell.get((name, "legacy"))
-        if incremental_row is None or legacy_row is None:
-            continue  # scheduler not in this run's selection
-        incremental = incremental_row["wall_clock_s"]
-        legacy = legacy_row["wall_clock_s"]
-        per_scheduler[name] = round(legacy / incremental, 2)
-        incremental_total += incremental
-        legacy_total += legacy
-    return {
-        "note": ("wall-clock(legacy) / wall-clock(incremental); SFS runs "
-                 "its own CPU discipline and is excluded"),
-        "per_scheduler": per_scheduler,
-        "overall_wall_clock": round(legacy_total / incremental_total, 2),
-        "max": max(per_scheduler.values()),
     }
 
 
@@ -581,44 +512,33 @@ def _baseline_table(runs: List[Dict[str, object]],
     if config.to_dict() != BASELINE_CONFIG:
         return None
     per_cell: Dict[str, Dict[str, float]] = {}
-    incremental_ratios: List[float] = []
-    all_ratios: List[float] = []
+    ratios: List[float] = []
     for row in runs:
-        key = (str(row["scheduler"]), str(row["engine"]))
-        baseline = BASELINE_V1.get(key)
+        baseline = BASELINE_V1.get(str(row["scheduler"]))
         if baseline is None or row.get("profiled"):
             continue
         base_wall_s, base_kernel_events = baseline
         wall = float(row["wall_clock_s"])  # type: ignore[arg-type]
         events = int(row["kernel_events"])  # type: ignore[arg-type]
         ratio = (events / wall) / (base_kernel_events / base_wall_s)
-        per_cell["/".join(key)] = {
+        per_cell[str(row["scheduler"])] = {
             "baseline_wall_clock_s": base_wall_s,
             "wall_clock_speedup": round(base_wall_s / wall, 2),
             "baseline_events_per_sec": round(
                 base_kernel_events / base_wall_s, 1),
             "events_per_sec_speedup": round(ratio, 2),
         }
-        all_ratios.append(ratio)
-        if key[1] == "incremental":
-            incremental_ratios.append(ratio)
+        ratios.append(ratio)
     if not per_cell:
         return None
     return {
         "note": ("vs the committed faasbatch-bench/v1 BENCH_sim.json "
                  "(pre-optimization) on the identical scenario; aggregate "
-                 "= arithmetic mean of the per-cell events/sec speedups. "
-                 "The headline covers the incremental-engine (default) "
-                 "cells — the legacy cells re-measure the frozen reference "
-                 "engine, where only the shared platform machinery can "
-                 "move, so they are reported separately in all_cells."),
+                 "= arithmetic mean of the per-cell events/sec speedups."),
         "per_cell": per_cell,
         "aggregate_events_per_sec": {
-            "speedup": round(
-                sum(incremental_ratios) / len(incremental_ratios), 2),
-            "all_cells_speedup": round(sum(all_ratios) / len(all_ratios), 2),
-            "cells": len(incremental_ratios),
-            "all_cells": len(all_ratios),
+            "speedup": round(sum(ratios) / len(ratios), 2),
+            "cells": len(ratios),
         },
     }
 
@@ -641,7 +561,7 @@ def run_window_cells(config: BenchConfig,
     """
     emit = log if log is not None else (lambda _msg: None)
     cell_specs = [
-        _cell_spec(config, "FaaSBatch", "incremental",
+        _cell_spec(config, "FaaSBatch",
                    label=f"FaaSBatch[{policy}-window]",
                    window_policy=policy, want_latency=True)
         for policy in WINDOW_CELL_POLICIES
@@ -958,8 +878,8 @@ def validate_report(report: Dict[str, object]) -> None:
     """Raise ``ValueError`` unless *report* is a well-formed bench report.
 
     Used by the CI smoke job (and the unit tests) to guard the format that
-    downstream BENCH tooling will parse.  A v5 report carries a ``runs``
-    section (the scheduler × engine grid), a ``cluster_cells`` section
+    downstream BENCH tooling will parse.  A report carries a ``runs``
+    section (one row per scheduler cell), a ``cluster_cells`` section
     (sharded cluster replays), a ``gateway_cells`` section (live-serving
     load cells), a ``window_cells`` section (fixed-vs-adaptive window
     sizing), or any combination.
@@ -1013,8 +933,6 @@ def validate_report(report: Dict[str, object]) -> None:
             raise ValueError("each run must be an object")
         if not isinstance(row.get("scheduler"), str):
             raise ValueError("run.scheduler must be a string")
-        if row.get("engine") not in ("incremental", "legacy"):
-            raise ValueError(f"bad run.engine: {row.get('engine')!r}")
         for key in numeric:
             value = row.get(key)
             if not isinstance(value, (int, float)) or value < 0:
@@ -1025,15 +943,10 @@ def validate_report(report: Dict[str, object]) -> None:
             raise ValueError("run.profile_top must be a list when present")
         _validate_slo_block(f"run {row.get('scheduler')!r}",
                             row.get("slo"))
-    engines = report.get("engines")
-    if not isinstance(engines, list) or "incremental" not in engines:
-        raise ValueError("engines must list at least 'incremental'")
     # The obs-overhead contract follows the FaaSBatch cell: measured runs
     # must carry the paired obs cell and ratio block; a selection without
     # FaaSBatch has neither (schema v5).
-    has_faasbatch = any(row.get("scheduler") == "FaaSBatch"
-                        and row.get("engine") == "incremental"
-                        for row in runs)
+    has_faasbatch = any(row.get("scheduler") == "FaaSBatch" for row in runs)
     obs_overhead = report.get("obs_overhead")
     if has_faasbatch:
         if not isinstance(obs_overhead, dict):
@@ -1050,21 +963,6 @@ def validate_report(report: Dict[str, object]) -> None:
     elif obs_overhead is not None:
         raise ValueError("obs_overhead must be null when FaaSBatch was "
                          "not measured")
-    speedup = report.get("speedup")
-    if "legacy" in engines:
-        if not isinstance(speedup, dict):
-            raise ValueError("speedup required when legacy was measured")
-        per_scheduler = speedup.get("per_scheduler")
-        if not isinstance(per_scheduler, dict) or not per_scheduler:
-            raise ValueError("speedup.per_scheduler must be non-empty")
-        for name, ratio in per_scheduler.items():
-            if not isinstance(ratio, (int, float)) or ratio <= 0:
-                raise ValueError(f"speedup.per_scheduler[{name!r}] must be "
-                                 "a positive number")
-        if not isinstance(speedup.get("overall_wall_clock"), (int, float)):
-            raise ValueError("speedup.overall_wall_clock must be a number")
-    elif speedup is not None:
-        raise ValueError("speedup must be null without a legacy column")
     if "baseline" not in report:
         raise ValueError("baseline key required (schema v3; null when the "
                          "scenario differs from the committed baseline's)")
@@ -1075,12 +973,10 @@ def validate_report(report: Dict[str, object]) -> None:
         aggregate = baseline.get("aggregate_events_per_sec")
         if not isinstance(aggregate, dict):
             raise ValueError("baseline.aggregate_events_per_sec required")
-        for key in ("speedup", "all_cells_speedup"):
-            value = aggregate.get(key)
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise ValueError(
-                    f"baseline.aggregate_events_per_sec.{key} must be a "
-                    "positive number")
+        value = aggregate.get("speedup")
+        if not isinstance(value, (int, float)) or value <= 0:
+            raise ValueError("baseline.aggregate_events_per_sec.speedup "
+                             "must be a positive number")
         if not isinstance(baseline.get("per_cell"), dict) \
                 or not baseline["per_cell"]:
             raise ValueError("baseline.per_cell must be non-empty")

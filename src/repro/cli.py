@@ -20,9 +20,8 @@ Subcommands
                   inline SVG charts.
 ``sample-azure``  write small sample files in the real Azure trace format.
 ``replay-azure``  replay real (or sample) Azure trace files.
-``bench``         measure simulator performance (incremental vs legacy
-                  CPU engine) on a large tiled scenario; write
-                  BENCH_sim.json.
+``bench``         measure simulator performance on a large tiled
+                  scenario; write BENCH_sim.json.
 ``serve``         run the live asyncio HTTP gateway (real FaaSBatch
                   dispatch windows, admission control, degradation
                   monitor) over the demo function set.
@@ -523,7 +522,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.window_cells:
         return _cmd_bench_windows(args, config)
     try:
-        report = run_bench(config, skip_legacy=args.skip_legacy, log=print,
+        report = run_bench(config, log=print,
                            isolate=not args.inline, parallel=args.parallel,
                            profile_top=(args.profile_top if args.profile
                                         else 0),
@@ -532,23 +531,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     write_report(report, args.out)
-    headers = ["scheduler", "engine", "wall_s", "events/s", "inv/s",
-               "peak_rss_MB"]
-    rows = [[r["scheduler"], r["engine"], r["wall_clock_s"],
-             r["events_per_sec"], r["invocations_per_sec"],
-             r["peak_rss_mb"]] for r in report["runs"]]
+    headers = ["scheduler", "wall_s", "events/s", "inv/s", "peak_rss_MB"]
+    rows = [[r["scheduler"], r["wall_clock_s"], r["events_per_sec"],
+             r["invocations_per_sec"], r["peak_rss_mb"]]
+            for r in report["runs"]]
     title = "Simulator performance"
     if report["isolation"] == "inline":
         title += " (inline: RSS is process-wide)"
     if args.profile:
         title += " (profiled: wall-clocks inflated)"
     print(render_table(headers, rows, title=title))
-    speedup = report["speedup"]
-    if speedup is not None:
-        pairs = ", ".join(f"{name} {ratio:g}x" for name, ratio
-                          in speedup["per_scheduler"].items())
-        print(f"Incremental-engine speedup: {pairs} "
-              f"(overall {speedup['overall_wall_clock']:g}x)")
     overhead = report.get("obs_overhead") or {}
     if overhead:
         print(f"Observability overhead: "
@@ -558,9 +550,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if baseline is not None:
         aggregate = baseline["aggregate_events_per_sec"]
         print(f"Vs committed baseline: {aggregate['speedup']:g}x mean "
-              f"events/sec over the {aggregate['cells']} incremental cells "
-              f"({aggregate['all_cells_speedup']:g}x over all "
-              f"{aggregate['all_cells']} shared cells)")
+              f"events/sec over {aggregate['cells']} cells")
     if args.profile:
         for row in report["runs"]:
             top = row.get("profile_top")
@@ -570,7 +560,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 ["function", "ncalls", "tottime_s", "cumtime_s"],
                 [[h["function"], h["ncalls"], h["tottime_s"],
                   h["cumtime_s"]] for h in top],
-                title=f"Hotspots: {row['scheduler']}/{row['engine']}"))
+                title=f"Hotspots: {row['scheduler']}"))
     print(f"Wrote {args.out}")
     return 0
 
@@ -1034,8 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the cell's global worker count")
     bench.add_argument("--out", default="BENCH_sim.json",
                        help="report path (JSON)")
-    bench.add_argument("--skip-legacy", action="store_true",
-                       help="measure only the incremental engine")
     bench.add_argument("--parallel", type=int, default=1, metavar="N",
                        help="run up to N isolated cells concurrently")
     bench.add_argument("--inline", action="store_true",

@@ -355,15 +355,17 @@ class LocalPlatform:
                     retry.append(invocation)
                 else:
                     final.append(invocation)
-            for invocation in final:
-                if invocation.error is not None:
-                    self.retries_exhausted += 1
-                invocation.resolve()
+            # Account, publish, then resolve: a client holding its response
+            # must never observe a platform that has not yet counted it.
             responded_at = time.monotonic()
             with self._completed_lock:
                 self.completed.extend(final)
             self._publish_group(group, final, container, cold_started,
                                 responded_at)
+            for invocation in final:
+                if invocation.error is not None:
+                    self.retries_exhausted += 1
+                invocation.resolve()
             with self._inflight_lock:
                 # Retried invocations never decrement here, so reaching
                 # zero means nothing is queued, running, or backing off.

@@ -147,7 +147,7 @@ def default_specs() -> List[SloSpec]:
 
     Floors and ceilings are set with comfortable headroom over the
     committed artifacts (gateway faasbatch: goodput 1.0 / p99 ~169 ms;
-    sim incremental cells: ≥ 9.5k events/s) so the gate trips on real
+    sim cells: ≥ 9.5k events/s) so the gate trips on real
     regressions, not measurement noise.  The vanilla gateway cell is the
     paper's deliberately-overloaded control arm — no spec matches it.
     """
@@ -157,7 +157,6 @@ def default_specs() -> List[SloSpec]:
                 goodput_floor=0.99, p99_ceiling_ms=1_000.0,
                 error_budget=0.01, burn_rate_ceiling=1.0, window_s=10.0),
         SloSpec(name="sim-throughput", applies_to="runs",
-                match={"engine": "incremental"},
                 events_per_sec_floor=2_000.0),
         SloSpec(name="cluster-goodput", applies_to="cluster_cells",
                 goodput_floor=0.999),
@@ -212,7 +211,7 @@ def _cell_p99(row: dict) -> Optional[float]:
 
 def _cell_label(section: str, row: dict) -> str:
     if section == "runs":
-        return f"runs[{row.get('scheduler')}/{row.get('engine')}]"
+        return f"runs[{row.get('scheduler')}]"
     return f"{section}[{row.get('cell')}]"
 
 

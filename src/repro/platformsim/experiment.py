@@ -41,8 +41,7 @@ def run_experiment(scheduler: "Scheduler",
                    obs: Optional[Observability] = None,
                    fault_plan: Optional[FaultPlan] = None,
                    resilience: Optional[ResiliencePolicy] = None,
-                   event_log: Optional[EventLog] = None,
-                   cpu_engine: str = "incremental"
+                   event_log: Optional[EventLog] = None
                    ) -> ExperimentResult:
     """Run *scheduler* over *trace* and return the measured result.
 
@@ -62,15 +61,11 @@ def run_experiment(scheduler: "Scheduler",
     an empty plan is bit-identical to no plan at all.  ``event_log``
     supplies the platform's decision log (construct it with
     ``enabled=True`` to capture the run's typed event stream).
-    ``cpu_engine`` selects the fair-share implementation ("incremental"
-    or the frozen pre-refactor "legacy"); both give identical results —
-    the knob exists for the perf bench and the equivalence tests.
     """
     if timeout_ms is None:
         timeout_ms = trace.end_ms + 2.0 * HOUR
     env = Environment()
-    cpu = build_cpu(env, scheduler.cpu_discipline, calibration.worker_cores,
-                    engine=cpu_engine)
+    cpu = build_cpu(env, scheduler.cpu_discipline, calibration.worker_cores)
     machine = Machine(env, cores=calibration.worker_cores,
                       memory_gb=calibration.worker_memory_gb,
                       cpu=cpu, strict_memory=strict_memory)

@@ -16,9 +16,7 @@ from repro.sim.kernel import (
     Process,
     Timeout,
 )
-from repro.sim.legacy_cpu import LegacyFairShareCpu
 from repro.sim.machine import (
-    CPU_ENGINES,
     CpuDiscipline,
     CpuService,
     Machine,
@@ -32,7 +30,6 @@ from repro.sim.sfs_cpu import SfsCpu, SfsTask
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CPU_ENGINES",
     "CpuDiscipline",
     "CpuEngine",
     "CpuEngineBase",
@@ -44,7 +41,6 @@ __all__ = [
     "Event",
     "FairShareCpu",
     "Gate",
-    "LegacyFairShareCpu",
     "Machine",
     "MemoryAccount",
     "MemorySample",

@@ -3,15 +3,12 @@
 A worker machine's CPU is modeled by a *CPU engine*: a service that accepts
 units of work (:class:`CpuTask`) grouped into container cgroups
 (:class:`CpuGroup`) and decides how fast each one runs.  The repo ships
-three engines with one interface (:class:`CpuEngine`):
+two engines with one interface (:class:`CpuEngine`):
 
 * :class:`repro.sim.fair_share.FairShareCpu` — two-level max-min fair
-  processor sharing with incremental reallocation (the default).
+  processor sharing on per-group service clocks (the default).
 * :class:`repro.sim.sfs_cpu.SfsCpu` — the SFS user-space discipline
   (per-core adaptive time slices).
-* :class:`repro.sim.legacy_cpu.LegacyFairShareCpu` — the pre-refactor
-  fair-share engine, kept verbatim as the perf-bench baseline and the
-  reference implementation for equivalence tests.
 
 :class:`CpuEngineBase` holds the scaffolding every engine repeats —
 group bookkeeping, validation, utilization accounting — so concrete
@@ -20,7 +17,7 @@ engines only implement their scheduling policy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, runtime_checkable
+from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.common.errors import SimulationError
 from repro.common.units import TIME_EPSILON
@@ -28,44 +25,47 @@ from repro.sim.kernel import Environment, Event
 
 
 class CpuTask:
-    """One unit of computation being serviced by the CPU."""
+    """One unit of computation being serviced by the CPU.
 
-    __slots__ = ("work_total", "remaining", "max_share", "group", "done",
-                 "rate", "started_at", "finished_at", "label", "seq")
+    A task carries no remaining-work or rate field: its group's service
+    clock and finish-tag heap do (see :class:`CpuGroup`).
+    """
+
+    __slots__ = ("work_total", "max_share", "group", "done", "started_at",
+                 "finished_at", "label", "seq")
 
     def __init__(self, work: float, max_share: float, group: "CpuGroup",
                  done: Event, started_at: float, label: str) -> None:
         self.work_total = work
-        self.remaining = work
         self.max_share = max_share
         self.group = group
         self.done = done
-        self.rate = 0.0
         self.started_at = started_at
         self.finished_at: Optional[float] = None
         self.label = label
-        #: Global submission rank, set by engines that complete tasks via
-        #: per-group scans: sorting candidates by ``seq`` reproduces the
-        #: all-tasks (submission-ordered) completion order exactly.
+        #: Global submission rank: same-instant completions fire in this
+        #: order no matter which group's heap they came off.
         self.seq = 0
 
     def __repr__(self) -> str:
-        return (f"<CpuTask {self.label} remaining={self.remaining:.3f} "
-                f"rate={self.rate:.3f}>")
+        return f"<CpuTask {self.label} work={self.work_total:.3f}>"
 
 
 class CpuGroup:
     """A set of tasks sharing a cap (a container, or the uncapped host).
 
-    The trailing underscore-prefixed slots are caches owned by the
-    incremental fair-share engine (invalidated on any membership, cap or
-    rate change); other engines simply never read them.
+    The fair-share engine runs one **service clock** per group: while every
+    member has the same ``max_share`` (``share``) they all run at one
+    ``rate``, so ``served`` — the work delivered to each member since the
+    group last became runnable — advances for all of them at once and the
+    earliest finisher is the top of ``heap``, a min-heap of
+    ``(finish tag, submission rank, task)``.  A group whose members'
+    shares differ falls back to ``per_task`` (task → ``[remaining, rate]``)
+    until it empties.  Other engines never read these fields.
     """
 
-    __slots__ = ("name", "cap", "tasks", "_seq",
-                 "_demand_cache", "_alloc_cache", "_sorted_cache",
-                 "_shares_cache", "_shares_sum", "_uniform_share",
-                 "_ttf_cache", "_min_rate_cache", "_ttf_epoch", "_ushare")
+    __slots__ = ("name", "cap", "tasks", "_seq", "share", "demand",
+                 "served", "rate", "heap", "per_task")
 
     def __init__(self, name: str, cap: Optional[float]) -> None:
         if cap is not None and cap <= 0:
@@ -76,35 +76,18 @@ class CpuGroup:
         # set's iteration order would vary run-to-run and leak into float
         # accumulation and same-instant completion order (nondeterminism).
         self.tasks: Dict[CpuTask, None] = {}
-        #: Creation rank within the owning engine; lets the incremental
-        #: engine visit its *runnable* groups in creation order (the order
-        #: the group-level waterfill is float-sensitive to) without
-        #: scanning every group ever created.
+        #: Creation rank within the owning engine: runnable groups are
+        #: visited in creation order (the group-level waterfill's float
+        #: results are order-sensitive).
         self._seq = 0
-        self._demand_cache: Optional[float] = None
-        self._alloc_cache: Optional[float] = None
-        self._sorted_cache: Optional[List[CpuTask]] = None
-        self._shares_cache: Optional[List[float]] = None
-        self._shares_sum = 0.0
-        self._uniform_share: Optional[float] = None
-        self._ttf_cache: Optional[float] = None
-        self._min_rate_cache: float = 0.0
-        self._ttf_epoch = -1
-        #: The common ``max_share`` of every current member, or ``None``
-        #: once a differing share joins (poisoned until the group empties).
-        #: Maintained by the incremental fair-share engine's mutation sites;
-        #: lets reallocation skip the label sort outright, since uniform
-        #: shares make the waterfill output uniform and therefore
-        #: assignment-order independent.
-        self._ushare: Optional[float] = None
-
-    @property
-    def demand(self) -> float:
-        """Aggregate core demand of this group's runnable tasks."""
-        total = sum(task.max_share for task in self.tasks)
-        if self.cap is not None:
-            total = min(total, self.cap)
-        return total
+        self.share = 1.0
+        #: Aggregate core demand of the runnable tasks, bounded by ``cap``;
+        #: kept current by the fair-share engine on every membership change.
+        self.demand = 0.0
+        self.served = 0.0
+        self.rate = 0.0
+        self.heap: List[Tuple[float, int, CpuTask]] = []
+        self.per_task: Optional[Dict[CpuTask, List[float]]] = None
 
     def __repr__(self) -> str:
         return f"<CpuGroup {self.name} cap={self.cap} tasks={len(self.tasks)}>"
@@ -127,7 +110,7 @@ def waterfill(capacity: float, demands: List[float]) -> List[float]:
         # so the result is the demand vector itself.
         return list(demands)
     first = demands[0]
-    if first > 0.0 and all(d == first for d in demands):
+    if first > 0.0 and demands.count(first) == n:
         # Uniform demands (the common case: n tasks of max_share 1.0)
         # resolve in one round; the results are float-identical to the
         # general loop below (same grant/equal-split expressions).
@@ -160,7 +143,7 @@ def waterfill(capacity: float, demands: List[float]) -> List[float]:
 class CpuEngine(Protocol):
     """The interface a worker machine requires of its CPU service.
 
-    All three engines (fair-share, SFS, legacy fair-share) satisfy it;
+    Both engines (fair-share, SFS) satisfy it;
     :func:`repro.sim.machine.build_cpu` returns one.
     """
 

@@ -1,10 +1,10 @@
-"""Incremental two-level max-min fair (water-filling) CPU engine.
+"""Two-level max-min fair (water-filling) CPU engine on per-group clocks.
 
 This is the substrate that makes the paper's latency effects emerge:
 
 * The worker VM has ``cores`` physical cores.
-* Every running computation is a :class:`CpuTask` with a remaining amount of
-  *work* in core-milliseconds and a per-task cap (``max_share``, normally 1.0
+* Every running computation is a :class:`CpuTask` with an amount of *work*
+  in core-milliseconds and a per-task cap (``max_share``, normally 1.0
   because one thread can use at most one core).
 * Tasks belong to a :class:`CpuGroup` (a container, or the host group for
   platform work).  A group can be capped (``cpuset_cpus`` / ``cpu_count`` in
@@ -23,60 +23,58 @@ containers would for the same work (Fig. 1's "Sharing ≈ Monopoly").
 The model is work-conserving: as long as total demand >= capacity, exactly
 ``cores`` core-ms of work complete per millisecond.
 
-Incremental reallocation
-------------------------
-The pre-refactor engine (kept verbatim in :mod:`repro.sim.legacy_cpu`)
-re-sorted and re-waterfilled *every* group's tasks on *every* submit and
-wake-up — O(total tasks) per event.  This engine produces bit-identical
-schedules with three structural savings:
+Service clocks
+--------------
+Tasks of one group with one ``max_share`` all run at one rate, so the engine
+keeps the processor-sharing state per *group*, not per task (the textbook
+formulation: a service clock per share class, a finish tag per task):
 
-1. **Dirty-group tracking.**  Group-level water-filling is cheap (one float
-   per group) and always recomputed, but the task-level sort + waterfill
-   inside a group is skipped whenever the group's membership is unchanged
-   *and* its group-level allocation came out exactly equal — ``waterfill``
-   is a deterministic pure function, so the cached task rates are the very
-   floats a recompute would produce.
-2. **Coalesced reallocation.**  The K same-timestamp submits produced by a
-   batch expansion each mark their group dirty and schedule a single
-   *urgent flush* event at the current instant (``Environment.defer``).
-   The kernel guarantees the flush runs before the clock advances and
-   before any normal-priority event at that instant, so one reallocation
-   pass replaces K — and nothing can observe the not-yet-filled rates
-   (synchronous readers go through :meth:`_flush_if_pending`).
-3. **Lazy wake-up timers.**  Re-arming cancels the superseded timer
-   (:meth:`repro.sim.kernel.Timeout.cancel`) instead of leaving it to fire
-   as a stale no-op, keeping the event heap proportional to live work.
-4. **Runnable-group index.**  Keep-alive containers accumulate thousands
-   of empty groups over a run; reallocation and wake-up arming visit only
-   the non-empty ones (tracked incrementally, iterated in creation order
-   because the group-level waterfill's float results are order-sensitive).
-5. **Persistent demand vector.**  The group-level demand vector is kept
-   alive across recomputes — rebuilt only when the runnable-group set
-   changes, patched in place for dirty groups otherwise — and a recompute
-   with no dirty groups returns immediately (the vector is unchanged and
-   waterfill is pure, so every group would hit its alloc-cache skip).
+* ``group.served`` is the work delivered to each member since the group
+  last became runnable.  It restarts at 0.0 on every empty → non-empty
+  transition, so tags never lose precision to a large clock reading.
+* A task's **finish tag** is ``work + served`` at submit and never changes;
+  ``tag - served`` is what is left of it.  Tags sit in a per-group min-heap
+  with the global submission rank as tie-break.
+* **Settle** advances each runnable group's clock by ``rate * dt``.  The
+  **finished scan** pops heap tops while the completion predicate holds (it
+  is monotone in the tag, so the popped prefix is exactly the finished set)
+  and fires them in submission order.  **Recompute** waterfills the group
+  demands in creation order and derives one rate per group.  **Arm** takes
+  the minimum ``(top tag - served) / rate``.
 
-The finished-task scan is also elided when provably empty, two ways:
+Every event therefore costs O(runnable groups) + O(log tasks of one group)
+where a per-task formulation pays O(running tasks): on the dense Vanilla
+minute that is 16 groups against 403 tasks on average.  A group that
+receives a differing ``max_share`` (no product code does) falls back to
+per-task remaining/rate pairs until it empties.
 
-* ``_needs_scan``: rates only ever *decrease* between scans on the submit
-  path (adding demand never raises a pre-existing task's rate), so a task
-  that survived the last scan cannot have crossed the completion threshold
-  until work is actually settled (``dt > 0``) or a
-  completion/cap-change/abort frees capacity.
-* Armed horizon: every rate change immediately re-arms the wake-up timer,
-  so rates are constant between armings and each task's time-to-finish
-  shrinks exactly with elapsed time.  The arming snapshots the minimum
-  time-to-finish; until elapsed time approaches it (minus a slack that
-  dominates the predicate thresholds and float drift) the scan cannot find
-  anything.  The wake-up itself fires exactly at that horizon, so real
-  completions always get a full scan.
+The kernel-event skeleton
+-------------------------
+Which kernel events the engine creates decides ``kernel_events``, which the
+macro-benchmark pins as an integer, so these mechanisms are held fixed:
+
+* **Coalesced reallocation.**  A submit that provably cannot complete
+  anything (``_needs_scan`` is false: rates only fall on the submit path,
+  so a task that survived the last scan cannot have finished until time is
+  settled or a completion/cap-change/abort frees capacity) defers one
+  reallocation to the end of the instant (``Environment.defer``); the K
+  same-timestamp submits of a batch expansion share it.  Synchronous
+  readers flush first; a full reallocation in the meantime supersedes the
+  deferred one (``_flush_token``).
+* **One wake-up timer.**  Every recompute cancels the armed ``Timeout`` and
+  arms exactly one at the new horizon, never below the clock's resolution.
+* **Armed-horizon scan elision.**  Rates are constant between armings, so
+  until elapsed time comes within a slack of the armed minimum
+  time-to-finish the finished scan cannot find anything and is skipped.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Dict, List, Optional, Set
+from heapq import heappop, heappush
+from operator import attrgetter, itemgetter
+from typing import List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.units import TIME_EPSILON
@@ -84,66 +82,33 @@ from repro.sim.engine import CpuEngineBase, CpuGroup, CpuTask, waterfill
 from repro.sim.kernel import Environment, Event, Timeout
 
 
-def _by_label(task: CpuTask) -> str:
-    return task.label
-
-
-#: Sentinel stored in ``_sorted_cache`` by the uniform-share fast path: a
-#: non-None marker meaning "shares-sum cache valid, no sorted order needed".
-#: Groups only leave the uniform path through a mutation that re-Nones the
-#: cache, so the marker is never read as a real task list.
-_UNIFORM: List[CpuTask] = []
+_by_label = attrgetter("label")
+_by_seq = attrgetter("seq")  # global submission rank of a task ...
+_by_rank = itemgetter(1)  # ... and of a (tag, rank, task) heap entry
 
 
 class FairShareCpu(CpuEngineBase):
     """The two-level processor-sharing CPU of one worker machine.
 
-    Public operations:
-
-    * :meth:`create_group` / :meth:`remove_group` — container cgroups.
-    * :meth:`submit` — run ``work`` core-ms in a group; returns an event that
-      triggers when the work completes.
-    * :attr:`utilization` / :meth:`busy_core_ms` — accounting for the paper's
-      CPU-cost figures (13c / 14c).
-
-    Scheduling decisions are bit-identical to the pre-refactor engine
-    (:class:`repro.sim.legacy_cpu.LegacyFairShareCpu`); see the module
-    docstring for how reallocation work is elided without changing them.
+    :meth:`create_group` / :meth:`remove_group` manage container cgroups,
+    :meth:`submit` runs work in one, and :meth:`utilization` /
+    :meth:`busy_core_ms` feed the paper's CPU-cost figures (13c / 14c).
     """
 
     def __init__(self, env: Environment, cores: float) -> None:
         if cores <= 0:
             raise ValueError(f"cores must be > 0, got {cores}")
         super().__init__(env, float(cores))
-        self._tasks: Dict[CpuTask, None] = {}
+        self._running = 0
         self._last_update = env.now
-        self._wake_version = 0
         self._wake_timer: Optional[Timeout] = None
-        #: Groups whose membership/cap changed since the last rate recompute.
-        self._dirty: Set[CpuGroup] = set()
-        #: Runnable (non-empty) groups in creation order — the only groups
-        #: reallocation and wake-up arming ever need to visit.  Keep-alive
-        #: containers leave thousands of *empty* groups in ``_groups``;
-        #: scanning them per event is the legacy engine's other O(all
-        #: groups) cost.
+        #: Runnable (non-empty) groups in creation order, creation ranks
+        #: alongside for bisection — the only groups any pass visits
+        #: (keep-alive containers leave thousands of empty ones behind).
         self._active: List[CpuGroup] = []
-        self._active_set: Set[CpuGroup] = set()
-        #: Creation ranks parallel to ``_active``; lets membership updates
-        #: and dirty-demand patching locate a group's slot by bisection
-        #: instead of an O(groups) identity scan.
         self._active_seqs: List[int] = []
-        #: Demand vector parallel to ``_active``, reused across recomputes;
-        #: rebuilt only when the runnable-group membership changes, patched
-        #: in place for dirty groups otherwise (no per-event list churn).
-        self._demands: List[float] = []
-        self._membership_changed = False
-        #: Copy of the last group-level allocation vector over an unchanged
-        #: ``_active``; when a recompute reproduces it exactly (C-level list
-        #: compare), every non-dirty group would hit its alloc-cache skip,
-        #: so only the dirty groups are visited.  ``None`` after any
-        #: membership change (slots shifted, the compare would be
-        #: meaningless).
-        self._prev_alloc: Optional[List[float]] = None
+        #: True when a demand changed since the last rate recompute.
+        self._stale = False
         #: True while a coalescing flush event is scheduled at `now`.
         self._flush_scheduled = False
         #: Invalidates in-flight flush events superseded by a full realloc.
@@ -151,11 +116,8 @@ class FairShareCpu(CpuEngineBase):
         #: True when the next submit must run the finished-task scan (work
         #: was settled, or rates may have risen since the last scan).
         self._needs_scan = True
-        #: Bumped on every dt>0 settle; versions the per-group ttf caches.
-        self._settle_epoch = 0
-        #: Snapshot of (time, min time-to-finish, min positive rate) taken
-        #: every time the wake-up is armed; lets the finished-task scan be
-        #: elided while provably empty (see _complete_finished).
+        #: (time, min time-to-finish, min positive rate) as of the last
+        #: arming; elides provably empty scans (see _complete_finished).
         self._armed_at = env.now
         self._armed_ttf = -math.inf
         self._armed_min_rate = math.inf
@@ -178,7 +140,7 @@ class FairShareCpu(CpuEngineBase):
         group = self.group(name)
         self._settle_elapsed()
         group.cap = cap
-        self._invalidate_group(group)
+        self._refresh_demand(group)
         # Raising a cap can raise rates, so the next scan cannot be elided.
         self._reallocate_and_arm(raises_rates=True)
 
@@ -190,19 +152,20 @@ class FairShareCpu(CpuEngineBase):
         *not* fire — the work simply vanishes.  Returns the number dropped.
         """
         group = self.group(name)
-        if not group.tasks:
+        dropped = len(group.tasks)
+        if not dropped:
             return 0
         self._settle_elapsed()
-        dropped = 0
-        for task in list(group.tasks):
-            self._tasks.pop(task, None)
-            group.tasks.pop(task, None)
-            task.rate = 0.0
-            dropped += 1
-        self._invalidate_group(group)
+        self._running -= dropped
+        group.tasks.clear()
+        group.heap.clear()
+        self._deactivate(group)
         # Freed capacity can raise surviving rates: keep the scan armed.
         self._reallocate_and_arm(raises_rates=True)
         return dropped
+
+    def runnable_group_count(self) -> int:
+        return len(self._active)
 
     # -- work submission ---------------------------------------------------------
 
@@ -220,25 +183,34 @@ class FairShareCpu(CpuEngineBase):
             return self._completed_event()
         self._settle_elapsed()
         self._task_sequence += 1
-        task = CpuTask(work=work, max_share=max_share,
-                       group=self.group(group), done=self.env.event(),
-                       started_at=self.env.now,
+        owner = self.group(group)
+        task = CpuTask(work=work, max_share=max_share, group=owner,
+                       done=self.env.event(), started_at=self.env.now,
                        label=label or f"task-{self._task_sequence}")
         task.seq = self._task_sequence
-        group_obj = task.group
-        gtasks = group_obj.tasks
-        gtasks[task] = None
-        if len(gtasks) == 1:
-            group_obj._ushare = max_share
-        elif max_share != group_obj._ushare:
-            group_obj._ushare = None
-        self._tasks[task] = None
-        self._invalidate_group(group_obj)
+        if not owner.tasks:
+            # (Re)activation restarts the group's service clock.
+            owner.share = max_share
+            owner.served = owner.rate = 0.0
+            pos = bisect.bisect_left(self._active_seqs, owner._seq)
+            self._active_seqs.insert(pos, owner._seq)
+            self._active.insert(pos, owner)
+        elif owner.per_task is None and max_share != owner.share:
+            # Mixed shares: one clock no longer fits; go per task.
+            owner.per_task = {
+                entry[2]: [entry[0] - owner.served, owner.rate]
+                for entry in sorted(owner.heap, key=_by_rank)}
+            owner.heap.clear()
+        owner.tasks[task] = None
+        if owner.per_task is None:
+            heappush(owner.heap, (work + owner.served, task.seq, task))
+        else:
+            owner.per_task[task] = [work, 0.0]
+        self._running += 1
+        self._refresh_demand(owner)
         if self._needs_scan or work <= TIME_EPSILON:
-            # The scan may complete tasks (or this sub-epsilon one): run the
-            # full reallocation eagerly, exactly like the legacy engine.
-            # A sub-epsilon task postdates the armed horizon, so the scan
-            # that must complete it cannot be elided.
+            # The scan may complete tasks (or this sub-epsilon one, which
+            # the armed horizon does not cover): reallocate eagerly.
             self._reallocate_and_arm(force_scan=work <= TIME_EPSILON)
         else:
             # Fast path: the scan is provably empty and rates only fall, so
@@ -250,7 +222,7 @@ class FairShareCpu(CpuEngineBase):
 
     @property
     def active_tasks(self) -> int:
-        return len(self._tasks)
+        return self._running
 
     def busy_core_ms(self) -> float:
         """Total core-milliseconds of work completed so far."""
@@ -260,92 +232,61 @@ class FairShareCpu(CpuEngineBase):
     def current_rate(self) -> float:
         """Aggregate core usage right now (cores being consumed)."""
         self._flush_if_pending()
-        return sum(task.rate for task in self._tasks)
-
-    def utilization(self) -> float:
-        """Instantaneous utilization in [0, 1]."""
-        return self.current_rate() / self.cores
+        return sum((group.rate * len(group.tasks) if group.per_task is None
+                    else sum(rate for _, rate in group.per_task.values())
+                    for group in self._active), 0.0)
 
     # -- internals ----------------------------------------------------------------
 
     def _settle_elapsed(self) -> None:
-        """Deduct work done since the last update at the current rates."""
+        """Advance every runnable group's clock to the current time."""
         now = self.env.now
         dt = now - self._last_update
+        self._last_update = now
         if dt <= 0:
-            self._last_update = now
             return
         busy = self._busy_core_ms
-        for task in self._tasks:
-            rate = task.rate
-            if rate != 0.0:
-                # Skipping the zero-rate write is exact: step would be 0.0
-                # and ``x - 0.0 == x`` for every float (rates are >= 0).
-                step = rate * dt
-                task.remaining -= step
-                busy += step
+        for group in self._active:
+            if group.per_task is None:
+                step = group.rate * dt
+                group.served += step
+                busy += step * len(group.tasks)
+            else:
+                for state in group.per_task.values():
+                    step = state[1] * dt
+                    state[0] -= step
+                    busy += step
         self._busy_core_ms = busy
-        self._last_update = now
-        # Remaining-work changed: finished-task scans and cached per-group
-        # time-to-finish minima are stale from here on.
+        # Work was delivered: the next submit cannot skip the finished scan.
         self._needs_scan = True
-        self._settle_epoch += 1
 
-    def _invalidate_group(self, group: CpuGroup) -> None:
-        group._demand_cache = None
-        group._sorted_cache = None
-        group._ttf_cache = None
-        self._dirty.add(group)
-        # Called on every membership change, so it also maintains the
-        # runnable-group index (sorted by creation rank to preserve the
-        # legacy engine's float-sensitive waterfill order).
-        if group.tasks:
-            if group not in self._active_set:
-                self._active_set.add(group)
-                seqs = self._active_seqs
-                pos = bisect.bisect_left(seqs, group._seq)
-                seqs.insert(pos, group._seq)
-                self._active.insert(pos, group)
-                # Open the matching demand slot in place (filled by the
-                # dirty patch — this group is always dirty here), so the
-                # recompute never rebuilds the whole vector.
-                self._demands.insert(pos, 0.0)
-                self._membership_changed = True
-        elif group in self._active_set:
-            self._active_set.discard(group)
-            seqs = self._active_seqs
-            pos = bisect.bisect_left(seqs, group._seq)
-            del seqs[pos]
-            del self._active[pos]
-            del self._demands[pos]
-            self._membership_changed = True
-
-    @staticmethod
-    def _group_demand(group: CpuGroup) -> float:
-        """``group.demand`` with the O(tasks) sum elided for uniform shares.
-
-        A sequential sum of *n* equal floats is reproduced exactly by
-        ``sum([u] * n)`` (same left-to-right chain), and for the common
-        ``max_share == 1.0`` case every partial sum is an exact small
-        integer, so ``float(n)`` is the identical result.
-        """
-        u = group._ushare
-        if u is None:
-            return group.demand
-        n = len(group.tasks)
-        total = float(n) if u == 1.0 else sum([u] * n)
+    def _refresh_demand(self, group: CpuGroup) -> None:
+        """Recompute *group*'s demand after a membership or cap change."""
+        self._stale = True
+        if group.per_task is None:
+            # A left-to-right sum of n equal floats; for max_share == 1.0
+            # every partial sum is an exact small integer, so no walk.
+            share, n = group.share, len(group.tasks)
+            total = float(n) if share == 1.0 else sum([share] * n)
+        else:
+            total = sum(task.max_share for task in group.tasks)
         cap = group.cap
-        if cap is not None and cap < total:
-            total = cap
-        return total
+        group.demand = total if cap is None or cap >= total else cap
+
+    def _deactivate(self, group: CpuGroup) -> None:
+        """Drop the now-empty *group* from the runnable index."""
+        self._stale = True
+        group.per_task = None
+        pos = bisect.bisect_left(self._active_seqs, group._seq)
+        del self._active_seqs[pos]
+        del self._active[pos]
 
     def _time_resolution(self) -> float:
-        """Smallest representable clock advance at the current sim time.
+        """Smallest clock advance the engine will arm at the current time.
 
-        At large clock values (hours of simulated milliseconds) a wake-up
-        delay below one ulp of ``now`` would not advance time at all and
-        the kernel would spin forever; any task whose time-to-finish is
-        below this resolution is complete for all observable purposes.
+        Hours into a run a wake-up delay below one ulp of ``now`` would not
+        advance time and the kernel would spin forever; a task whose
+        time-to-finish is below this resolution counts as complete.
         """
         return max(TIME_EPSILON, 4.0 * math.ulp(self.env.now))
 
@@ -355,12 +296,11 @@ class FairShareCpu(CpuEngineBase):
             return
         self._flush_scheduled = True
         token = self._flush_token
-        self.env.defer(lambda: self._on_flush(token))
 
-    def _on_flush(self, token: int) -> None:
-        if token != self._flush_token:
-            return  # superseded by a full reallocation in the meantime
-        self._flush_now()
+        def flush() -> None:
+            if token == self._flush_token:  # else a full realloc superseded it
+                self._flush_now()
+        self.env.defer(flush)
 
     def _flush_if_pending(self) -> None:
         """Recompute rates immediately for a synchronous observer."""
@@ -388,333 +328,121 @@ class FairShareCpu(CpuEngineBase):
         finished = self._complete_finished(force=force_scan)
         self._recompute_rates()
         self._arm_wakeup()
-        # Completions free capacity (rates may rise): keep scanning until a
-        # scan comes up empty after a rates-only-fall stretch.
-        self._needs_scan = bool(finished) or raises_rates
+        # Completions free capacity (rates may rise): scan again next time.
+        self._needs_scan = finished or raises_rates
 
-    def _complete_finished(self, force: bool = False) -> List[CpuTask]:
-        if not force:
-            # Rates are constant between wake-up armings (every rate change
-            # immediately re-arms), so each task's time-to-finish shrinks
-            # exactly with elapsed time.  Until the armed minimum is within
-            # ``slack`` of being reached, no surviving task can satisfy the
-            # completion predicate below and the O(tasks) scan is provably
-            # empty.  ``slack`` dominates both predicate thresholds — the
-            # clock resolution and the epsilon-remaining band (whose width
-            # in elapsed time is TIME_EPSILON / slowest rate) — plus an
-            # absolute margin orders of magnitude above float drift.
-            elapsed = self.env.now - self._armed_at
-            slack = max(self._time_resolution(),
-                        TIME_EPSILON / self._armed_min_rate) + 1e-6
-            if elapsed < self._armed_ttf - slack:
-                return []
-            # Per-group refinement of the same invariant: every active
-            # group's ttf/min-rate caches were refreshed by the arming and
-            # rates are unchanged since, so a group whose armed minimum
-            # time-to-finish exceeds elapsed by more than its own slack
-            # cannot contain a finishing task — only groups near the
-            # horizon are scanned.  Within one group rates are either all
-            # positive or all zero (waterfill grants every positive-demand
-            # task a positive share whenever the group's allocation is),
-            # so an infinite min-rate marks the all-zero case, which is
-            # scanned unconditionally.  Candidates are re-ordered by
-            # global submission rank, reproducing the all-tasks scan's
-            # completion order exactly.
-            resolution = self._time_resolution()
-            eps = TIME_EPSILON
-            finished = []
-            for group in self._active:
-                # The skip needs both caches valid as of the last arming: a
-                # None ttf (group invalidated since) or a non-positive /
-                # infinite min-rate (all-zero rates, or a cache never
-                # refreshed) disables it — scanning a group unnecessarily
-                # is always safe.
-                ttf = group._ttf_cache
-                min_rate = group._min_rate_cache
-                if ttf is not None and 0.0 < min_rate < math.inf:
-                    group_slack = max(resolution, eps / min_rate) + 1e-6
-                    if elapsed < ttf - group_slack:
-                        continue
-                for t in group.tasks:
-                    if t.remaining <= eps or (
-                            t.rate > 0.0
-                            and t.remaining / t.rate <= resolution):
-                        finished.append(t)
-            if len(finished) > 1:
-                finished.sort(key=lambda t: t.seq)
-            for task in finished:
-                self._tasks.pop(task, None)
-                task.group.tasks.pop(task, None)
-                self._invalidate_group(task.group)
-                task.rate = 0.0
-                task.remaining = 0.0
-                task.finished_at = self.env.now
-                task.done.succeed(self.env.now - task.started_at)
-            return finished
+    def _complete_finished(self, force: bool = False) -> bool:
+        """Fire every finished task, in submission order; True if any."""
+        now = self.env.now
         resolution = self._time_resolution()
         eps = TIME_EPSILON
-        finished = [t for t in self._tasks
-                    if t.remaining <= eps
-                    or (t.rate > 0.0 and t.remaining / t.rate <= resolution)]
+        if not force:
+            # Rates are constant between armings (every rate change re-arms),
+            # so each time-to-finish shrinks exactly with elapsed time: until
+            # the armed minimum is within ``slack`` of being reached the scan
+            # is provably empty.  ``slack`` dominates both predicate
+            # thresholds — the clock resolution and the epsilon-remaining
+            # band (TIME_EPSILON / slowest rate wide in elapsed time) — plus
+            # an absolute margin orders of magnitude above float drift.
+            slack = max(resolution, eps / self._armed_min_rate) + 1e-6
+            if now - self._armed_at < self._armed_ttf - slack:
+                return False
+        finished: List[CpuTask] = []
+        for group in self._active:
+            if group.per_task is not None:
+                finished += [
+                    task for task, (left, rate) in group.per_task.items()
+                    if left <= eps
+                    or (rate > 0.0 and left / rate <= resolution)]
+                continue
+            # The predicate is monotone in the tag, so the finished tasks
+            # are exactly a prefix of the heap order.
+            heap, served, rate = group.heap, group.served, group.rate
+            while heap:
+                left = heap[0][0] - served
+                if left > eps and not (rate > 0.0
+                                       and left / rate <= resolution):
+                    break
+                finished.append(heappop(heap)[2])
+        if len(finished) > 1:
+            finished.sort(key=_by_seq)
         for task in finished:
-            self._tasks.pop(task, None)
-            task.group.tasks.pop(task, None)
-            self._invalidate_group(task.group)
-            task.rate = 0.0
-            task.remaining = 0.0
-            task.finished_at = self.env.now
-            task.done.succeed(self.env.now - task.started_at)
-        return finished
+            group = task.group
+            del group.tasks[task]
+            self._running -= 1
+            if not group.tasks:
+                self._deactivate(group)
+            else:
+                if group.per_task is not None:
+                    del group.per_task[task]
+                self._refresh_demand(group)
+            task.finished_at = now
+            task.done.succeed(now - task.started_at)
+        return bool(finished)
 
     def _recompute_rates(self) -> None:
-        # Group-level water-filling always runs (one float per group, and
-        # float-identical allocations require the full demand vector in the
-        # groups' original creation order); the expensive per-group task
-        # sort + waterfill only runs for groups that changed.
-        dirty = self._dirty
-        if not dirty:
-            # No membership or cap change since the last recompute: the
-            # demand vector is unchanged, waterfill is a pure function, and
-            # every group below would hit its alloc-cache skip — the whole
-            # pass is a provable no-op (spurious wake-ups land here).
+        if not self._stale:
+            # No membership or cap change since the last recompute (a
+            # spurious wake-up): same demands, and waterfill is pure.
             return
-        groups = self._active  # non-empty groups, creation order
-        if self._membership_changed:
-            self._membership_changed = False
-            self._prev_alloc = None
-        # The demand vector tracks membership structurally (slots opened and
-        # closed by _invalidate_group), so only dirty groups can hold a
-        # stale value: patch them in place, located by bisecting the
-        # parallel creation-rank list.  Each patch writes an independent
-        # slot — the set's iteration order cannot affect the result.
-        demands = self._demands
-        seqs = self._active_seqs
-        active_set = self._active_set
-        for group in dirty:
-            if group._demand_cache is None and group in active_set:
-                demand = self._group_demand(group)
-                group._demand_cache = demand
-                demands[bisect.bisect_left(seqs, group._seq)] = demand
-        if demands:
-            first_demand = demands[0]
-            uniform = demands.count(first_demand) == len(demands)
-        else:
-            first_demand = 0.0
-            uniform = True
-        cores = self.cores
-        if uniform and demands and first_demand > 0.0 \
-                and cores > TIME_EPSILON:
-            # At saturation the demand vector is usually uniform (one
-            # 1.0-demand group per container).  Uniformity was tracked for
-            # free while building the vector, so replicate waterfill's
-            # under-subscribed and uniform branches here — byte-identical
-            # expressions — without its extra O(groups) uniformity pass.
-            if sum(demands) <= cores:
-                group_alloc = demands  # granted exactly (read-only alias)
-            else:
-                share = cores / len(demands)
-                if first_demand <= share:
-                    group_alloc = [first_demand] * len(demands)
-                else:
-                    group_alloc = [share] * len(demands)
-        else:
-            group_alloc = waterfill(cores, demands)
-        epoch = self._settle_epoch
-        prev_alloc = self._prev_alloc
-        if prev_alloc is not None and group_alloc == prev_alloc:
-            # Identical allocation vector over identical membership: every
-            # non-dirty group would skip below, so visit only the dirty
-            # ones (independent slots — the set's order cannot matter).
-            seqs = self._active_seqs
-            active_set = self._active_set
-            pairs = [(g, group_alloc[bisect.bisect_left(seqs, g._seq)])
-                     for g in dirty if g in active_set]
-        else:
-            self._prev_alloc = list(group_alloc)
-            pairs = zip(groups, group_alloc)
-        for group, alloc in pairs:
-            if group not in dirty and alloc == group._alloc_cache:
-                continue  # same inputs ⇒ waterfill would return the same rates
-            if len(group.tasks) == 1:
-                # One task (every Vanilla/Kraken container): the whole
-                # sort + waterfill collapses to ``waterfill(alloc, [d])``
-                # evaluated by hand — under-subscribed grants d, the
-                # over-subscribed single-entity share is alloc itself.
-                (task,) = group.tasks
-                d = task.max_share
-                if alloc > TIME_EPSILON:
-                    rate = d if d <= alloc else alloc
-                else:
-                    rate = 0.0
-                task.rate = rate
-                if rate > 0.0:
-                    ttf = task.remaining / rate
-                    group._min_rate_cache = rate
-                else:
-                    ttf = math.inf
-                    group._min_rate_cache = math.inf
-                group._alloc_cache = alloc
-                group._ttf_cache = ttf
-                group._ttf_epoch = epoch
+        self._stale = False
+        # Group level: float-sensitive, so always the full demand vector in
+        # the groups' creation order.
+        demands = [group.demand for group in self._active]
+        for group, alloc in zip(self._active,
+                                waterfill(self.cores, demands)):
+            if group.per_task is not None:
+                tasks = sorted(group.per_task, key=_by_label)
+                shares = [task.max_share for task in tasks]
+                for task, rate in zip(tasks, waterfill(alloc, shares)):
+                    group.per_task[task][1] = rate
                 continue
-            u = group._ushare
-            if u is not None:
-                # Uniform shares: the task-level waterfill output is one
-                # common rate, so the label-sorted assignment order is
-                # immaterial and the sort is skipped outright.  The branch
-                # mirrors the cached-uniform branch below expression for
-                # expression; ``min(remaining)/rate`` equals the per-task
-                # ``min(remaining/rate)`` exactly because division by a
-                # positive float is monotone.
-                gtasks = group.tasks
-                if group._sorted_cache is None:
-                    n = len(gtasks)
-                    ssum = float(n) if u == 1.0 else sum([u] * n)
-                    group._shares_sum = ssum
-                    group._sorted_cache = _UNIFORM
-                    group._shares_cache = None
-                    group._uniform_share = u
-                else:
-                    ssum = group._shares_sum
-                if alloc <= 0:
-                    rate = 0.0
-                elif alloc > TIME_EPSILON and ssum <= alloc:
-                    rate = u
-                elif alloc <= TIME_EPSILON:
-                    rate = 0.0
-                else:
-                    share = alloc / len(gtasks)
-                    rate = u if u <= share else share
-                if rate > 0.0:
-                    lowest = math.inf
-                    for task in gtasks:
-                        task.rate = rate
-                        remaining = task.remaining
-                        if remaining < lowest:
-                            lowest = remaining
-                    ttf = lowest / rate
-                    group._min_rate_cache = rate
-                else:
-                    for task in gtasks:
-                        task.rate = 0.0
-                    ttf = math.inf
-                    group._min_rate_cache = math.inf
-                group._alloc_cache = alloc
-                group._ttf_cache = ttf
-                group._ttf_epoch = epoch
-                continue
-            tasks = group._sorted_cache
-            if tasks is None:
-                # Rebuild the membership-keyed caches together: the task
-                # order, their shares vector, its sum, and (when the shares
-                # are uniform-positive, e.g. the host group's 1.0-share
-                # cold-start tasks) the common share — so repeat recomputes
-                # with a changed alloc skip waterfill's O(tasks) scans.
-                tasks = sorted(group.tasks, key=_by_label)
-                group._sorted_cache = tasks
-                shares = [t.max_share for t in tasks]
-                group._shares_cache = shares
-                group._shares_sum = sum(shares)
-                first_share = shares[0]
-                if first_share > 0.0 \
-                        and all(s == first_share for s in shares):
-                    group._uniform_share = first_share
-                else:
-                    group._uniform_share = None
+            # Task level, uniform shares: an equal split of the allocation,
+            # up to the share.  For share 1.0 that is waterfill's result bit
+            # for bit (an under-subscribed group has alloc == n exactly, and
+            # n / n == 1.0); for other shares, to within an ulp.
+            if alloc <= TIME_EPSILON:
+                group.rate = 0.0
             else:
-                shares = group._shares_cache
-            common = group._uniform_share
-            if common is None:
-                task_alloc = waterfill(alloc, shares)
-            elif alloc <= 0:
-                task_alloc = [0.0] * len(shares)
-            elif alloc > TIME_EPSILON and group._shares_sum <= alloc:
-                task_alloc = shares  # everyone granted (read-only alias)
-            elif alloc <= TIME_EPSILON:
-                task_alloc = [0.0] * len(shares)
-            else:
-                # waterfill's uniform over-subscribed branch, verbatim.
-                share = alloc / len(shares)
-                if common <= share:
-                    task_alloc = [common] * len(shares)
-                else:
-                    task_alloc = [share] * len(shares)
-            # Fused min-time-to-finish: the rates are final for this
-            # settle epoch, so computing the group's wake-up horizon here
-            # saves _arm_wakeup a second pass over the same tasks (min is
-            # order-independent, so the cached value is exact).
-            ttf = math.inf
-            slowest = math.inf
-            for task, rate in zip(tasks, task_alloc):
-                task.rate = rate
-                if rate > 0.0:
-                    if rate < slowest:
-                        slowest = rate
-                    candidate = task.remaining / rate
-                    if candidate < ttf:
-                        ttf = candidate
-            group._alloc_cache = alloc
-            group._ttf_cache = ttf
-            group._min_rate_cache = slowest
-            group._ttf_epoch = epoch
-        dirty.clear()
+                split = alloc / len(group.tasks)
+                group.rate = group.share if group.share <= split else split
 
     def _arm_wakeup(self) -> None:
-        self._wake_version += 1
-        version = self._wake_version
-        epoch = self._settle_epoch
-        horizon = math.inf
-        min_rate = math.inf
+        """Cancel the armed wake-up; arm one at the earliest completion."""
+        horizon = min_rate = math.inf
         for group in self._active:
-            if group._ttf_epoch != epoch:
-                ttf = math.inf
-                slowest = math.inf
-                for task in group.tasks:
-                    rate = task.rate
-                    if rate > 0:
-                        if rate < slowest:
-                            slowest = rate
-                        candidate = task.remaining / rate
-                        if candidate < ttf:
-                            ttf = candidate
-                group._ttf_cache = ttf
-                group._min_rate_cache = slowest
-                group._ttf_epoch = epoch
-            else:
-                ttf = group._ttf_cache
-            if ttf < horizon:
-                horizon = ttf
-            if group._min_rate_cache < min_rate:
-                min_rate = group._min_rate_cache
+            if group.per_task is not None:
+                for left, rate in group.per_task.values():
+                    if rate > 0.0:
+                        min_rate = min(min_rate, rate)
+                        horizon = min(horizon, left / rate)
+                continue
+            rate = group.rate
+            if rate > 0.0:
+                if rate < min_rate:
+                    min_rate = rate
+                ttf = (group.heap[0][0] - group.served) / rate
+                if ttf < horizon:
+                    horizon = ttf
         self._armed_at = self.env.now
         self._armed_ttf = horizon
         self._armed_min_rate = min_rate
+        if self._wake_timer is not None:
+            self._wake_timer.cancel()  # a cancelled timer never fires
+            self._wake_timer = None
         if math.isinf(horizon):
-            if self._tasks:
+            if self._running:
                 raise SimulationError(
                     "CPU starvation: runnable tasks but zero allocation")
-            self._cancel_wake_timer()
             return
         # Never arm below the clock's resolution: a delay smaller than one
         # ulp of `now` would not advance time (see _time_resolution).
-        horizon = max(horizon, self._time_resolution())
-        self._cancel_wake_timer()
-        timer = self.env.timeout(horizon)
+        timer = self.env.timeout(max(horizon, self._time_resolution()))
         self._wake_timer = timer
         assert timer.callbacks is not None
-        timer.callbacks.append(self._wake_callback(version))
+        timer.callbacks.append(self._on_wakeup)
 
-    def _wake_callback(self, version: int) -> Callable[[Event], None]:
-        return lambda _event: self._on_wakeup(version)
-
-    def _cancel_wake_timer(self) -> None:
-        if self._wake_timer is not None:
-            self._wake_timer.cancel()
-            self._wake_timer = None
-
-    def _on_wakeup(self, version: int) -> None:
-        if version != self._wake_version:
-            return  # superseded by a newer allocation
+    def _on_wakeup(self, _event: Event) -> None:
         self._wake_timer = None
         self._settle_elapsed()
         self._reallocate_and_arm()

@@ -17,21 +17,12 @@ from repro.common.units import SECOND, gigabytes
 from repro.sim.engine import CpuEngine
 from repro.sim.fair_share import FairShareCpu
 from repro.sim.kernel import Environment
-from repro.sim.legacy_cpu import LegacyFairShareCpu
 from repro.sim.memory import MemoryAccount
 from repro.sim.sfs_cpu import SfsCpu
 
 #: Anything satisfying the CpuEngine protocol (kept under the historical
 #: alias so annotations across platformsim/ and cluster/ stay valid).
 CpuService = CpuEngine
-
-#: Fair-share engine implementations selectable by name; "incremental" is
-#: the default, "legacy" is the frozen pre-refactor engine (bench baseline
-#: and equivalence oracle).
-CPU_ENGINES = {
-    "incremental": FairShareCpu,
-    "legacy": LegacyFairShareCpu,
-}
 
 
 class CpuDiscipline(enum.Enum):
@@ -46,22 +37,11 @@ class CpuDiscipline(enum.Enum):
 
 
 def build_cpu(env: Environment, discipline: "CpuDiscipline",
-              cores: int, engine: str = "incremental") -> CpuEngine:
-    """Construct the CPU service implementing *discipline*.
-
-    ``engine`` picks the fair-share implementation ("incremental" or
-    "legacy"); both produce bit-identical schedules.  SFS has a single
-    implementation, so the engine choice does not apply to it.
-    """
+              cores: int) -> CpuEngine:
+    """Construct the CPU service implementing *discipline*."""
     if discipline is CpuDiscipline.SFS:
         return SfsCpu(env, cores)
-    try:
-        factory = CPU_ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown CPU engine {engine!r}; "
-            f"expected one of {sorted(CPU_ENGINES)}") from None
-    return factory(env, cores)
+    return FairShareCpu(env, cores)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 from repro.local.runtime import LocalPlatform, LocalPlatformConfig
 from repro.obs import Observability
 
@@ -51,6 +53,37 @@ class TestLocalMetrics:
 
     def test_no_obs_is_fine(self):
         assert run_burst(obs=None, total=4) == list(range(4))
+
+    def test_accounted_and_published_before_the_future_resolves(self):
+        """A client holding its response never sees an uncounted platform.
+
+        The done-callback runs on the worker thread at the very instant the
+        future resolves; the handler blocks until the callback is attached,
+        so the observation is deterministic rather than a scrape race.
+        """
+        obs = Observability()
+        platform = LocalPlatform(LocalPlatformConfig(
+            window_seconds=0.0, cold_start_seconds=0.0), obs=obs)
+        release = threading.Event()
+        platform.register(
+            "gate", lambda payload, context: release.wait(10) and payload)
+        seen = {}
+
+        def at_resolution(_future):
+            with platform._completed_lock:
+                seen["completed"] = invocation in platform.completed
+            counter = obs.metrics.snapshot().get(
+                "local.invocations.completed", {"value": 0})
+            seen["counted"] = counter["value"]
+
+        try:
+            (invocation,) = platform.submit_group("gate", [7])
+            invocation.future.add_done_callback(at_resolution)
+            release.set()
+            assert invocation.future.result(timeout=10) == 7
+        finally:
+            platform.shutdown()
+        assert seen == {"completed": True, "counted": 1}
 
 
 class TestLocalTracing:

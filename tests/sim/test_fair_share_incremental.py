@@ -1,10 +1,11 @@
-"""Incremental-engine-specific behavior: coalescing, caching, heap bounds.
+"""The fair-share engine's kernel-event skeleton: coalescing, heap bounds.
 
-Byte-for-byte schedule equivalence with the legacy engine is proven by
-``tests/integration/test_engine_equivalence.py``; these tests pin the
-*mechanisms* that make the incremental engine fast — same-instant submit
-coalescing, flush-on-read for synchronous observers, lazy wake-up-timer
-cancellation — and the compatibility shims around it.
+What the engine computes is pinned by the golden digests
+(``tests/integration/test_engine_equivalence.py``) and the differential
+suite (``tests/sim/test_fair_share_differential.py``); these tests pin the
+*mechanisms* that decide how many kernel events it costs — same-instant
+submit coalescing, flush-on-read for synchronous observers, wake-up-timer
+cancellation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import pytest
 from repro.sim.engine import CpuEngine
 from repro.sim.fair_share import FairShareCpu
 from repro.sim.kernel import Environment
-from repro.sim.legacy_cpu import LegacyFairShareCpu
 from repro.sim.sfs_cpu import SfsCpu
 
 
@@ -111,5 +111,4 @@ class TestEngineProtocol:
     def test_all_engines_satisfy_the_protocol(self):
         env = Environment()
         assert isinstance(FairShareCpu(env, cores=2), CpuEngine)
-        assert isinstance(LegacyFairShareCpu(env, cores=2), CpuEngine)
         assert isinstance(SfsCpu(env, cores=2), CpuEngine)

@@ -75,14 +75,13 @@ class TestBenchReport:
         assert report["schema"] == BENCH_SCHEMA
 
     def test_all_cells_present(self, report):
-        cells = {(r["scheduler"], r["engine"]) for r in report["runs"]}
-        assert cells == {
-            ("Vanilla", "incremental"), ("Vanilla", "legacy"),
-            ("SFS", "incremental"),
-            ("Kraken", "incremental"), ("Kraken", "legacy"),
-            ("FaaSBatch", "incremental"), ("FaaSBatch", "legacy"),
-            (OBS_RUN_LABEL, "incremental"),
-        }
+        assert [r["scheduler"] for r in report["runs"]] == [
+            "Vanilla", "SFS", "Kraken", "FaaSBatch", OBS_RUN_LABEL]
+
+    def test_report_names_no_engine(self, report):
+        # One fair-share engine: nothing to select, compare or report.
+        assert not {"engines", "speedup"} & report.keys()
+        assert all("engine" not in row for row in report["runs"])
 
     def test_inline_mode_marks_rss_unisolated(self, report):
         assert report["isolation"] == "inline"
@@ -94,31 +93,22 @@ class TestBenchReport:
         assert overhead["plain_wall_clock_s"] > 0
         assert overhead["obs_wall_clock_s"] > 0
         # The obs run simulates the exact same scenario.
-        by_cell = {(r["scheduler"], r["engine"]): r for r in report["runs"]}
-        plain = by_cell[("FaaSBatch", "incremental")]
-        obs = by_cell[(OBS_RUN_LABEL, "incremental")]
+        by_cell = {r["scheduler"]: r for r in report["runs"]}
+        plain = by_cell["FaaSBatch"]
+        obs = by_cell[OBS_RUN_LABEL]
         assert obs["sim_completion_ms"] == plain["sim_completion_ms"]
         assert obs["invocations"] == plain["invocations"]
 
-    def test_obs_run_excluded_from_speedup(self, report):
-        assert OBS_RUN_LABEL not in report["speedup"]["per_scheduler"]
-
-    def test_engines_agree_on_simulated_results(self, report):
-        # The engines must differ only in wall-clock, never in outcome.
-        by_cell = {(r["scheduler"], r["engine"]): r for r in report["runs"]}
-        for name in ("Vanilla", "Kraken", "FaaSBatch"):
-            incremental = by_cell[(name, "incremental")]
-            legacy = by_cell[(name, "legacy")]
-            assert incremental["sim_completion_ms"] \
-                == legacy["sim_completion_ms"]
-            assert incremental["invocations"] == legacy["invocations"]
-
-    def test_speedup_table_covers_fair_share_schedulers(self, report):
-        speedup = report["speedup"]
-        assert set(speedup["per_scheduler"]) \
-            == {"Vanilla", "Kraken", "FaaSBatch"}
-        assert speedup["overall_wall_clock"] > 0
-        assert speedup["max"] == max(speedup["per_scheduler"].values())
+    def test_obs_run_excluded_from_speedup(self):
+        # The obs cell postdates the committed baseline: on the baseline
+        # scenario it is measured but never enters the speedup table.
+        runs = [{"scheduler": name, "wall_clock_s": wall,
+                 "kernel_events": events}
+                for name, (wall, events) in BASELINE_V1.items()]
+        runs.append(dict(runs[-1], scheduler=OBS_RUN_LABEL))
+        table = _baseline_table(runs, BenchConfig())
+        assert OBS_RUN_LABEL not in table["per_cell"]
+        assert table["aggregate_events_per_sec"]["cells"] == len(BASELINE_V1)
 
     def test_baseline_null_off_scenario(self, report):
         # The small test scenario differs from the committed baseline's,
@@ -132,19 +122,12 @@ class TestBenchReport:
         validate_report(loaded)
         assert loaded == report
 
-    def test_skip_legacy_omits_speedup(self):
-        report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
-        validate_report(report)
-        assert report["speedup"] is None
-        assert {r["engine"] for r in report["runs"]} == {"incremental"}
-
 
 class TestSubprocessIsolation:
     @pytest.fixture(scope="class")
     def report(self):
         return run_bench(BenchConfig(invocations=40, functions=2),
-                         skip_legacy=True, isolate=True, parallel=2)
+                         isolate=True, parallel=2)
 
     def test_schema_validates(self, report):
         validate_report(report)
@@ -153,11 +136,10 @@ class TestSubprocessIsolation:
 
     def test_matches_inline_simulated_results(self, report):
         inline = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
-        key = lambda r: (r["scheduler"], r["engine"])  # noqa: E731
-        sub_rows = {key(r): r for r in report["runs"]}
+                           isolate=False)
+        sub_rows = {r["scheduler"]: r for r in report["runs"]}
         for row in inline["runs"]:
-            other = sub_rows[key(row)]
+            other = sub_rows[row["scheduler"]]
             assert other["sim_completion_ms"] == row["sim_completion_ms"]
             assert other["kernel_events"] == row["kernel_events"]
             assert other["invocations"] == row["invocations"]
@@ -170,7 +152,7 @@ class TestSubprocessIsolation:
 class TestProfile:
     def test_profile_rows_embedded(self):
         report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False, profile_top=5)
+                           isolate=False, profile_top=5)
         validate_report(report)
         for row in report["runs"]:
             assert row["profiled"] is True
@@ -187,8 +169,8 @@ class TestProfile:
 class TestBaselineTable:
     def _synthetic_runs(self, factor=2.0):
         runs = []
-        for (scheduler, engine), (wall, events) in BASELINE_V1.items():
-            runs.append({"scheduler": scheduler, "engine": engine,
+        for scheduler, (wall, events) in BASELINE_V1.items():
+            runs.append({"scheduler": scheduler,
                          "wall_clock_s": wall / factor,
                          "kernel_events": events})
         return runs
@@ -197,11 +179,8 @@ class TestBaselineTable:
         table = _baseline_table(self._synthetic_runs(2.0), BenchConfig())
         aggregate = table["aggregate_events_per_sec"]
         assert aggregate["speedup"] == pytest.approx(2.0, abs=0.02)
-        assert aggregate["all_cells_speedup"] == pytest.approx(2.0, abs=0.02)
-        assert aggregate["cells"] == sum(
-            1 for (_, engine) in BASELINE_V1 if engine == "incremental")
-        assert aggregate["all_cells"] == len(BASELINE_V1)
-        assert len(table["per_cell"]) == len(BASELINE_V1)
+        assert aggregate["cells"] == len(BASELINE_V1)
+        assert set(table["per_cell"]) == set(BASELINE_V1)
         for cell in table["per_cell"].values():
             assert cell["wall_clock_speedup"] == pytest.approx(2.0,
                                                                abs=0.01)
@@ -224,30 +203,33 @@ class TestValidateReport:
         with pytest.raises(ValueError):
             validate_report({"schema": "something-else"})
 
-    def test_rejects_missing_speedup_with_legacy_column(self):
+    def test_ignores_the_retired_engine_keys(self):
+        # v7 artifacts recorded before the legacy engine was deleted carry
+        # an engines list, an engine per run and a speedup table.
         report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
+                           isolate=False)
         report["engines"] = ["incremental", "legacy"]
-        with pytest.raises(ValueError):
-            validate_report(report)
+        report["speedup"] = {"per_scheduler": {"Vanilla": 5.0}}
+        report["runs"].append(dict(report["runs"][0], engine="legacy"))
+        validate_report(report)
 
     def test_rejects_negative_metric(self):
         report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
+                           isolate=False)
         report["runs"][0]["wall_clock_s"] = -1.0
         with pytest.raises(ValueError):
             validate_report(report)
 
     def test_rejects_missing_rss_isolated(self):
         report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
+                           isolate=False)
         del report["runs"][0]["rss_isolated"]
         with pytest.raises(ValueError):
             validate_report(report)
 
     def test_rejects_missing_baseline_key(self):
         report = run_bench(BenchConfig(invocations=40, functions=2),
-                           skip_legacy=True, isolate=False)
+                           isolate=False)
         del report["baseline"]
         with pytest.raises(ValueError):
             validate_report(report)
@@ -256,7 +238,7 @@ class TestValidateReport:
 class TestAtomicWrites:
     def _report(self):
         return run_bench(BenchConfig(invocations=40, functions=2),
-                         skip_legacy=True, isolate=False)
+                         isolate=False)
 
     def test_failed_write_preserves_previous_artifact(self, tmp_path):
         path = tmp_path / "BENCH_sim.json"
@@ -271,16 +253,21 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_load_report_round_trips(self, tmp_path):
+        # A report without queue / engines / speedup keys is complete.
         path = tmp_path / "BENCH_sim.json"
         report = self._report()
         assert "queue" not in report["config"]
+        assert not {"engines", "speedup"} & report.keys()
         write_report(report, str(path))
         assert load_report(str(path)) == report
 
     def test_committed_sim_artifact_still_loads(self):
-        # Recorded when v7 reports still carried ``config.queue``.
         committed = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
-        assert load_report(str(committed))["config"]["queue"] == "calendar"
+        text = committed.read_text()
+        assert "legacy" not in text and "calendar" not in text
+        report = load_report(str(committed))
+        assert report["config"]["invocations"] == 50_000
+        assert "engine" not in report["runs"][0]
 
     def test_load_report_rejects_truncated_artifact(self, tmp_path):
         path = tmp_path / "BENCH_sim.json"
@@ -438,7 +425,7 @@ class TestSchedulerSelection:
     CONFIG = BenchConfig(invocations=40, functions=2)
 
     def test_selection_runs_only_selected(self):
-        report = run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+        report = run_bench(self.CONFIG, isolate=False,
                            schedulers="hiku,datadriven")
         validate_report(report)
         assert report["schedulers"] == ["Hiku", "DataDriven"]
@@ -447,12 +434,12 @@ class TestSchedulerSelection:
         assert report["obs_overhead"] is None
 
     def test_rows_follow_registry_order_not_selection_order(self):
-        report = run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+        report = run_bench(self.CONFIG, isolate=False,
                            schedulers="datadriven,vanilla")
         assert report["schedulers"] == ["Vanilla", "DataDriven"]
 
     def test_faasbatch_selection_keeps_obs_cell(self):
-        report = run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+        report = run_bench(self.CONFIG, isolate=False,
                            schedulers="faasbatch")
         validate_report(report)
         assert [r["scheduler"] for r in report["runs"]] \
@@ -461,36 +448,21 @@ class TestSchedulerSelection:
 
     def test_kraken_requires_vanilla(self):
         with pytest.raises(ValueError, match="add vanilla"):
-            run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+            run_bench(self.CONFIG, isolate=False,
                       schedulers="kraken,sfs")
 
     def test_unknown_scheduler_raises(self):
         with pytest.raises(ConfigurationError, match="unknown scheduler"):
-            run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+            run_bench(self.CONFIG, isolate=False,
                       schedulers="warp-drive")
 
-    def test_legacy_engine_skipped_without_fair_share_trio(self):
-        report = run_bench(self.CONFIG, isolate=False, schedulers="hiku")
-        validate_report(report)
-        assert report["engines"] == ["incremental"]
-        assert report["speedup"] is None
-
-    def test_partial_legacy_speedup_table(self):
-        report = run_bench(self.CONFIG, isolate=False,
-                           schedulers="vanilla,hiku")
-        validate_report(report)
-        assert set(report["speedup"]["per_scheduler"]) == {"Vanilla"}
-        # Hiku only exists in the incremental engine.
-        assert ("Hiku", "legacy") not in {
-            (r["scheduler"], r["engine"]) for r in report["runs"]}
-
     def test_default_selection_matches_classic_report(self):
-        report = run_bench(self.CONFIG, skip_legacy=True, isolate=False)
+        report = run_bench(self.CONFIG, isolate=False)
         assert report["schedulers"] == ["Vanilla", "SFS", "Kraken",
                                         "FaaSBatch"]
 
     def test_validator_rejects_obs_block_without_faasbatch(self):
-        report = run_bench(self.CONFIG, skip_legacy=True, isolate=False,
+        report = run_bench(self.CONFIG, isolate=False,
                            schedulers="vanilla")
         report["obs_overhead"] = {"plain_wall_clock_s": 1.0,
                                   "obs_wall_clock_s": 1.0,

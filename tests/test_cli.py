@@ -282,5 +282,5 @@ class TestSchedulerSelection:
 
     def test_bench_selection_error_exits_2(self, capsys):
         assert main(["bench", "--invocations", "40", "--inline",
-                     "--skip-legacy", "--schedulers", "kraken"]) == 2
+                     "--schedulers", "kraken"]) == 2
         assert "add vanilla" in capsys.readouterr().err
