@@ -9,8 +9,10 @@ a single obvious entry point::
         --out /tmp/bench.json
 
 The full default scenario (50k invocations, four schedulers plus the
-observability cell) takes a couple of minutes; see docs/performance.md for
-reading the report.
+observability cell) takes about a minute.  The report is a single-shot,
+host-specific record; a speed claim is judged by ``macrobench/run.py``
+(see "Record vs judge" in docs/performance.md, which also explains how to
+read the report).
 """
 
 from __future__ import annotations

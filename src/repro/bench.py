@@ -12,8 +12,12 @@ the regime FaaSBatch targets and the regime where per-event CPU-engine cost
 dominates the simulator.  ``--tile-invocations`` dials the density up or
 down.
 
-Cell isolation (schema v3)
---------------------------
+A report is a single-shot, host-specific *record*; whether a change made
+anything faster is judged by the repeatable ``macrobench/run.py``, never by
+comparing two reports (``docs/performance.md``, "Record vs judge").
+
+Cell isolation
+--------------
 By default every scheduler cell runs in a **fresh subprocess**
 (``sys.executable -m repro.bench`` with a JSON cell spec on stdin):
 
@@ -31,23 +35,19 @@ as a process-wide (contaminated) fallback.
 Usage::
 
     python -m repro bench --invocations 50000 --out BENCH_sim.json
-    python -m repro bench --profile            # embed cProfile hotspots
     python benchmarks/perf_harness.py          # same defaults
 """
 
 from __future__ import annotations
 
-import cProfile
 import gc
 import json
 import os
-import pstats
-import resource
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro.baselines import (
     DEFAULT_SCHEDULERS,
@@ -58,6 +58,11 @@ from repro.baselines import (
     policy_info,
     registered_policies,
 )
+from repro.cluster.sharded import (
+    ShardedClusterConfig,
+    peak_rss_mb,
+    run_sharded_cluster,
+)
 from repro.obs import Observability
 from repro.platformsim.experiment import run_experiment
 from repro.workload.azure import REPLAY_DURATION_MS, replay_minute_arrivals
@@ -65,31 +70,8 @@ from repro.workload.durations import DurationSampler
 from repro.workload.generator import FIB_FUNCTION_ID, fib_family_specs
 from repro.workload.trace import Trace, TraceRecord
 
-#: Report format version; bump on any structural change.
-#: v2 added the obs-enabled FaaSBatch run and the ``obs_overhead`` block.
-#: v3 added subprocess-per-cell isolation (honest per-cell RSS), optional
-#: per-cell cProfile hotspots, and the speedup-vs-committed-baseline table.
-#: v3.1 added the sharded-cluster ``cluster_cells`` section (a report may
-#: carry ``runs``, ``cluster_cells`` or both), atomic report writes and a
-#: loader that rejects partial artifacts.
-#: v4 added the live-serving ``gateway_cells`` section (seeded open-loop
-#: load cells against the asyncio gateway); a report now carries any
-#: non-empty combination of ``runs``, ``cluster_cells``, ``gateway_cells``.
-#: v5 made the scheduler grid registry-driven (``--schedulers`` selects a
-#: subset, recorded in the top-level ``schedulers`` list; obs/speedup
-#: blocks become conditional on the selection) and added the
-#: ``window_cells`` section (FaaSBatch fixed-vs-adaptive window sizing).
-#: v6 added shard-merged cluster telemetry (an ``obs`` block on cluster
-#: cells carrying the order-independent merge of every shard's counters,
-#: gauges and histogram buckets) and the optional per-cell ``slo`` block
-#: (:mod:`repro.obs.slo` evaluation results, attached by ``repro slo``).
-#: v7 reports recorded which of two event queues the kernel ran on as
-#: ``config.queue``.  The kernel has one queue now: new reports omit the
-#: key and the loader ignores it, so committed v7 artifacts still load.
-#: v7 reports also carried a second, frozen fair-share engine: an
-#: ``engines`` list, an ``engine`` per run and a ``speedup`` table.  There
-#: is one engine now; new reports omit all three and the loader ignores
-#: them, the same way.
+#: Report format version; bump on any structural change (CHANGES.md has the
+#: history).  Keys a retired feature once wrote are ignored when present.
 BENCH_SCHEMA = "faasbatch-bench/v7"
 
 #: Scheduler label of the observability-overhead run (tracing + sampling
@@ -104,25 +86,6 @@ TILE_INVOCATIONS = 4000
 #: Window-sizing policies a ``window_cells`` comparison measures, in row
 #: order: the paper's fixed window first, then the adaptive policy.
 WINDOW_CELL_POLICIES = ("fixed", "adaptive")
-
-#: ``ru_maxrss`` unit: bytes on macOS, kilobytes everywhere else.
-_RSS_TO_MB = (1024.0 * 1024.0) if sys.platform == "darwin" else 1024.0
-
-#: The committed ``BENCH_sim.json`` (schema v1, PR 3) this optimization
-#: pass is measured against: ``(wall_clock_s, kernel_events)`` per cell on
-#: the default 50k-invocation scenario.  Frozen here so every future report
-#: on that scenario carries its speedup against the same yardstick.
-BASELINE_V1: Dict[str, Tuple[float, int]] = {
-    "Vanilla": (95.869, 1_286_690),
-    "SFS": (37.118, 5_364_365),
-    "Kraken": (69.707, 666_550),
-    "FaaSBatch": (52.609, 598_004),
-}
-
-#: The scenario the committed baseline was measured on; the baseline table
-#: is emitted only when the current config matches it exactly.
-BASELINE_CONFIG = {"invocations": 50_000, "functions": 8, "seed": 13,
-                   "window_ms": 200.0, "tile_invocations": TILE_INVOCATIONS}
 
 
 @dataclass(frozen=True)
@@ -146,11 +109,7 @@ class BenchConfig:
                              f"{self.tile_invocations}")
 
     def to_dict(self) -> Dict[str, object]:
-        return {"invocations": self.invocations,
-                "functions": self.functions,
-                "seed": self.seed,
-                "window_ms": self.window_ms,
-                "tile_invocations": self.tile_invocations}
+        return asdict(self)
 
 
 def bench_trace(config: BenchConfig) -> Trace:
@@ -182,54 +141,23 @@ def bench_trace(config: BenchConfig) -> Trace:
     return Trace(records)
 
 
-def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _RSS_TO_MB
-
-
-def _profile_rows(profiler: cProfile.Profile,
-                  top: int) -> List[Dict[str, object]]:
-    """Top-*top* cumulative hotspots as JSON-friendly rows."""
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    rows: List[Dict[str, object]] = []
-    for func in stats.fcn_list[:top]:  # type: ignore[attr-defined]
-        filename, line, name = func
-        _cc, ncalls, tottime, cumtime, _callers = stats.stats[func]  # type: ignore[attr-defined]
-        location = (name if filename == "~"
-                    else f"{os.path.basename(filename)}:{line}({name})")
-        rows.append({"function": location,
-                     "ncalls": ncalls,
-                     "tottime_s": round(tottime, 3),
-                     "cumtime_s": round(cumtime, 3)})
-    return rows
-
-
 def _measure(scheduler_factory: Callable[[], object], trace: Trace, specs,
              obs: Optional["Observability"] = None,
-             label: Optional[str] = None, profile_top: int = 0):
+             label: Optional[str] = None):
     """Run one scheduler cell; return (result, row).
 
     ``obs`` turns the run into an observability-overhead measurement;
     ``label`` overrides the row's scheduler name (the obs run reports as
-    :data:`OBS_RUN_LABEL` so cell keys stay unique).  ``profile_top`` > 0
-    wraps the run in cProfile and embeds that many cumulative hotspots —
-    the profiler inflates wall-clock substantially, so profiled rows are
-    flagged and should not be compared against unprofiled ones.
+    :data:`OBS_RUN_LABEL` so cell keys stay unique).
     """
     gc.collect()
-    profiler: Optional[cProfile.Profile] = None
-    if profile_top > 0:
-        profiler = cProfile.Profile()
-        profiler.enable()
     started = time.perf_counter()
     result = run_experiment(scheduler_factory(), trace, specs,  # type: ignore[arg-type]
                             workload_label="bench", strict_memory=False,
                             obs=obs)
     wall_clock_s = time.perf_counter() - started
-    if profiler is not None:
-        profiler.disable()
     invocations = len(result.invocations)
-    row: Dict[str, object] = {
+    return result, {
         "scheduler": label if label is not None else result.scheduler_name,
         "invocations": invocations,
         "wall_clock_s": round(wall_clock_s, 3),
@@ -237,12 +165,8 @@ def _measure(scheduler_factory: Callable[[], object], trace: Trace, specs,
         "kernel_events": result.kernel_events,
         "events_per_sec": round(result.kernel_events / wall_clock_s, 1),
         "invocations_per_sec": round(invocations / wall_clock_s, 1),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
+        "peak_rss_mb": round(peak_rss_mb(), 1),
     }
-    if profiler is not None:
-        row["profiled"] = True
-        row["profile_top"] = _profile_rows(profiler, profile_top)
-    return result, row
 
 
 # -- subprocess-per-cell plumbing -------------------------------------------------
@@ -274,13 +198,13 @@ def _scheduler_factory(name: str, config: BenchConfig,
 
 def _cell_spec(config: BenchConfig, scheduler: str,
                obs: bool = False, label: Optional[str] = None,
-               kraken_params: Optional[Dict] = None, profile: int = 0,
+               kraken_params: Optional[Dict] = None,
                want_kraken_params: bool = False,
                window_policy: str = "fixed",
                want_latency: bool = False) -> Dict[str, object]:
     return {"config": config.to_dict(), "scheduler": scheduler,
             "obs": obs, "label": label,
-            "kraken_params": kraken_params, "profile": profile,
+            "kraken_params": kraken_params,
             "want_kraken_params": want_kraken_params,
             "window_policy": window_policy,
             "want_latency": want_latency}
@@ -298,8 +222,7 @@ def _run_cell_inline(spec: Dict[str, object]) -> Dict[str, object]:
     obs = (Observability(tracing=True, sampling=True)
            if spec.get("obs") else None)
     result, row = _measure(factory, trace, specs, obs=obs,
-                           label=spec.get("label"),  # type: ignore[arg-type]
-                           profile_top=int(spec.get("profile") or 0))
+                           label=spec.get("label"))  # type: ignore[arg-type]
     if spec.get("want_latency"):
         stats = result.latency_stats()
         row["latency_ms"] = {
@@ -372,12 +295,12 @@ def _run_cells(cell_specs: List[Dict[str, object]], isolate: bool,
     Results are returned in spec order regardless of completion order, so
     the report is deterministic under ``--parallel``.
     """
-    results: List[Optional[Dict[str, object]]] = [None] * len(cell_specs)
+    results: List[Dict[str, object]] = []
     if not isolate:
-        for index, spec in enumerate(cell_specs):
+        for spec in cell_specs:
             emit(f"{spec['label'] or spec['scheduler']} (inline) ...")
-            results[index] = _run_cell_inline(spec)
-        return results  # type: ignore[return-value]
+            results.append(_run_cell_inline(spec))
+        return results
     width = max(1, int(parallel))
     for start in range(0, len(cell_specs), width):
         batch = cell_specs[start:start + width]
@@ -385,27 +308,23 @@ def _run_cells(cell_specs: List[Dict[str, object]], isolate: bool,
         for spec in batch:
             emit(f"{spec['label'] or spec['scheduler']} ...")
             procs.append(_spawn_cell(spec))
-        for offset, (proc, spec) in enumerate(zip(procs, batch)):
-            results[start + offset] = _collect_cell(proc, spec)
-    return results  # type: ignore[return-value]
+        results.extend(_collect_cell(proc, spec)
+                       for proc, spec in zip(procs, batch))
+    return results
 
 
 # -- the full report --------------------------------------------------------------
 
 
-def _select_bench_policies(schedulers) -> List:
+def _select_bench_policies(schedulers: Optional[str]) -> List:
     """Resolve a ``--schedulers`` selection into registry-ordered infos.
 
-    Accepts ``None`` (the default four-scheduler matrix), a comma string,
-    or an iterable of names/labels; rows always come out in registration
-    (canonical report) order regardless of selection order.
+    Accepts ``None`` (the default four-scheduler matrix) or a comma string
+    of names/labels; rows always come out in registration (canonical
+    report) order regardless of selection order.
     """
-    if schedulers is None:
-        selected = DEFAULT_SCHEDULERS
-    elif isinstance(schedulers, str):
-        selected = parse_scheduler_names(schedulers)
-    else:
-        selected = parse_scheduler_names(",".join(schedulers))
+    selected = (DEFAULT_SCHEDULERS if schedulers is None
+                else parse_scheduler_names(schedulers))
     chosen = {policy_info(name).name for name in selected}
     return [info for info in registered_policies() if info.name in chosen]
 
@@ -413,17 +332,14 @@ def _select_bench_policies(schedulers) -> List:
 def run_bench(config: BenchConfig,
               log: Optional[Callable[[str], None]] = None,
               isolate: bool = True, parallel: int = 1,
-              profile_top: int = 0,
-              schedulers=None) -> Dict[str, object]:
+              schedulers: Optional[str] = None) -> Dict[str, object]:
     """Produce one complete bench report (the BENCH_sim.json payload).
 
     ``isolate`` runs each cell in a fresh subprocess (the default; see the
     module docstring); ``parallel`` bounds how many isolated cells run at
-    once.  ``profile_top`` > 0 embeds that many cProfile hotspots per cell
-    (wall-clocks are then profiler-inflated and flagged ``"profiled"``).
-    ``schedulers`` selects a subset of the registry (``None`` keeps the
-    classic four-scheduler matrix); selecting Kraken requires Vanilla in
-    the same selection, since Kraken's parameters are learned from the
+    once.  ``schedulers`` selects a subset of the registry (``None`` keeps
+    the classic four-scheduler matrix); selecting Kraken requires Vanilla
+    in the same selection, since Kraken's parameters are learned from the
     Vanilla profiling cell.
     """
     emit = log if log is not None else (lambda _msg: None)
@@ -437,9 +353,6 @@ def run_bench(config: BenchConfig,
             "Vanilla profiling cell; add vanilla to the selection")
     measure_obs = "FaaSBatch" in labels
 
-    def spec(scheduler: str, **kwargs) -> Dict[str, object]:
-        return _cell_spec(config, scheduler, profile=profile_top, **kwargs)
-
     # Phase 1: every cell without a data dependency.  The Vanilla cell
     # additionally derives Kraken's learned parameters — the paper's
     # porting procedure ("98-percentile latency of each function obtained
@@ -448,12 +361,12 @@ def run_bench(config: BenchConfig,
     for info in infos:
         if info.needs_vanilla_profile:
             continue  # phase 2: waits on the Vanilla derivation
-        kwargs = {}
-        if info.label == "Vanilla" and profiled_labels:
-            kwargs["want_kraken_params"] = True
-        phase1.append(spec(info.label, **kwargs))
+        phase1.append(_cell_spec(
+            config, info.label, want_kraken_params=(
+                info.label == "Vanilla" and bool(profiled_labels))))
     if measure_obs:
-        phase1.append(spec("FaaSBatch", obs=True, label=OBS_RUN_LABEL))
+        phase1.append(_cell_spec(config, "FaaSBatch", obs=True,
+                                 label=OBS_RUN_LABEL))
     outputs = _run_cells(phase1, isolate, parallel, emit)
     by_label: Dict[str, Dict[str, object]] = {}
     kraken_params = None
@@ -464,7 +377,7 @@ def run_bench(config: BenchConfig,
 
     # Phase 2: the Kraken cell, parameterised by phase 1's derivation.
     if profiled_labels:
-        phase2 = [spec("Kraken", kraken_params=kraken_params)]
+        phase2 = [_cell_spec(config, "Kraken", kraken_params=kraken_params)]
         (out,) = _run_cells(phase2, isolate, parallel, emit)
         by_label["Kraken"] = out["row"]
 
@@ -496,54 +409,10 @@ def run_bench(config: BenchConfig,
         "isolation": "subprocess" if isolate else "inline",
         "runs": runs,
         "obs_overhead": obs_overhead,
-        "baseline": _baseline_table(runs, config),
     }
 
 
-def _baseline_table(runs: List[Dict[str, object]],
-                    config: BenchConfig) -> Optional[Dict[str, object]]:
-    """Speedup vs the committed v1 baseline, or None off-scenario.
-
-    Only cells present in the committed baseline participate (the obs cell
-    postdates it), and only when the scenario matches the baseline's
-    exactly.  Profiled rows are excluded — their wall-clocks measure the
-    profiler, not the simulator.
-    """
-    if config.to_dict() != BASELINE_CONFIG:
-        return None
-    per_cell: Dict[str, Dict[str, float]] = {}
-    ratios: List[float] = []
-    for row in runs:
-        baseline = BASELINE_V1.get(str(row["scheduler"]))
-        if baseline is None or row.get("profiled"):
-            continue
-        base_wall_s, base_kernel_events = baseline
-        wall = float(row["wall_clock_s"])  # type: ignore[arg-type]
-        events = int(row["kernel_events"])  # type: ignore[arg-type]
-        ratio = (events / wall) / (base_kernel_events / base_wall_s)
-        per_cell[str(row["scheduler"])] = {
-            "baseline_wall_clock_s": base_wall_s,
-            "wall_clock_speedup": round(base_wall_s / wall, 2),
-            "baseline_events_per_sec": round(
-                base_kernel_events / base_wall_s, 1),
-            "events_per_sec_speedup": round(ratio, 2),
-        }
-        ratios.append(ratio)
-    if not per_cell:
-        return None
-    return {
-        "note": ("vs the committed faasbatch-bench/v1 BENCH_sim.json "
-                 "(pre-optimization) on the identical scenario; aggregate "
-                 "= arithmetic mean of the per-cell events/sec speedups."),
-        "per_cell": per_cell,
-        "aggregate_events_per_sec": {
-            "speedup": round(sum(ratios) / len(ratios), 2),
-            "cells": len(ratios),
-        },
-    }
-
-
-# -- window-sizing cells (schema v5) -----------------------------------------------
+# -- window-sizing cells ----------------------------------------------------------
 
 
 def run_window_cells(config: BenchConfig,
@@ -566,20 +435,15 @@ def run_window_cells(config: BenchConfig,
                    window_policy=policy, want_latency=True)
         for policy in WINDOW_CELL_POLICIES
     ]
-    rows: List[Dict[str, object]] = []
-    for cell, out in zip(cell_specs,
-                         _run_cells(cell_specs, isolate, parallel, emit)):
-        row = out["row"]
-        row["cell"] = str(cell["window_policy"])
-        row["window_policy"] = str(cell["window_policy"])
-        row["rss_isolated"] = bool(isolate)
-        rows.append(row)
-    return rows
+    outputs = _run_cells(cell_specs, isolate, parallel, emit)
+    return [dict(out["row"], cell=policy, window_policy=policy,  # type: ignore[call-overload]
+                 rss_isolated=bool(isolate))
+            for policy, out in zip(WINDOW_CELL_POLICIES, outputs)]
 
 
 def window_report(config: BenchConfig,
                   cell_rows: List[Dict[str, object]]) -> Dict[str, object]:
-    """Wrap window-sizing cells as a standalone v5 report."""
+    """Wrap window-sizing cells as a standalone report."""
     if not cell_rows:
         raise ValueError("need at least one window cell row")
     return {
@@ -589,10 +453,10 @@ def window_report(config: BenchConfig,
     }
 
 
-# -- sharded cluster cells (schema v3.1) -------------------------------------------
+# -- sharded cluster cells --------------------------------------------------------
 
 
-def cluster_cell_configs() -> Dict[str, object]:
+def cluster_cell_configs() -> Dict[str, ShardedClusterConfig]:
     """Named sharded-replay scenarios ``repro bench --cell`` can run.
 
     * ``azure-smoke`` — 20k invocations over 2 shards; finishes in under a
@@ -602,7 +466,6 @@ def cluster_cell_configs() -> Dict[str, object]:
       synthesised replay minutes, ~8.25 simulated hours) over 4 shards;
       the scale target the streaming/sharding machinery exists for.
     """
-    from repro.cluster.sharded import ShardedClusterConfig
     return {
         "azure-smoke": ShardedClusterConfig(
             invocations=20_000, functions=8, seed=13,
@@ -615,29 +478,13 @@ def cluster_cell_configs() -> Dict[str, object]:
 
 def run_cluster_cell(cell: str,
                      log: Optional[Callable[[str], None]] = None,
-                     isolate: bool = True,
-                     shards: Optional[int] = None,
-                     workers: Optional[int] = None) -> Dict[str, object]:
-    """Run one named sharded scenario; returns its ``cluster_cells`` row.
-
-    ``shards``/``workers`` override the named scenario's topology (the
-    CLI's ``--shards``/``--workers``) without changing its workload.
-    """
+                     isolate: bool = True) -> Dict[str, object]:
+    """Run one named sharded scenario; returns its ``cluster_cells`` row."""
     configs = cluster_cell_configs()
     if cell not in configs:
         raise ValueError(f"unknown cluster cell {cell!r}; choose from "
                          f"{sorted(configs)}")
-    from dataclasses import replace
-
-    from repro.cluster.sharded import run_sharded_cluster
     config = configs[cell]
-    overrides = {}
-    if workers is not None:
-        overrides["workers"] = workers
-    if shards is not None:
-        overrides["shards"] = shards
-    if overrides:
-        config = replace(config, **overrides)
     result = run_sharded_cluster(config, isolate=isolate, log=log)
     sink = result.sink
     per_shard = [{"shard": s.shard_index,
@@ -680,7 +527,7 @@ def cluster_report(cell_rows: List[Dict[str, object]]) -> Dict[str, object]:
 
 
 def gateway_report(cell_rows: List[Dict[str, object]]) -> Dict[str, object]:
-    """Wrap live-gateway load cells as a standalone v4 report.
+    """Wrap live-gateway load cells as a standalone report.
 
     Each row comes from :meth:`repro.gateway.LoadResult.cell`.  The
     top-level ``config`` block is synthesised from the first cell's load
@@ -707,279 +554,174 @@ def gateway_report(cell_rows: List[Dict[str, object]]) -> Dict[str, object]:
     }
 
 
-def _validate_slo_block(owner: str, block: object) -> None:
-    """Shape-check one per-cell ``slo`` block (schema v6, optional)."""
-    if block is None:
-        return
-    if not isinstance(block, dict):
-        raise ValueError(f"{owner}: slo must be an object when present")
-    if not isinstance(block.get("ok"), bool):
-        raise ValueError(f"{owner}: slo.ok must be a bool")
-    checks = block.get("checks")
-    if not isinstance(checks, list):
-        raise ValueError(f"{owner}: slo.checks must be a list")
-    for check in checks:
-        if not isinstance(check, dict) \
-                or not isinstance(check.get("check"), str) \
-                or not isinstance(check.get("ok"), bool):
-            raise ValueError(f"{owner}: each slo check needs a string "
-                             "'check' and a bool 'ok'")
+# -- one table-driven validator ----------------------------------------------------
+
+#: Scalar field kinds: what the error message asks for -> the test.
+_SCALARS: Dict[str, Callable[[object], bool]] = {
+    "a number": lambda v: isinstance(v, (int, float)),
+    "a non-negative number": lambda v: isinstance(v, (int, float)) and v >= 0,
+    "a number in [0, 1]": lambda v: (isinstance(v, (int, float))
+                                     and 0 <= v <= 1),
+    "a non-empty object": lambda v: isinstance(v, dict) and bool(v),
+}
+_NUMBER, _NON_NEGATIVE, _UNIT, _NON_EMPTY_OBJECT = _SCALARS
 
 
-def _validate_cluster_obs(owner: str, obs: object) -> None:
-    """Shape-check one cluster cell's merged telemetry (schema v6)."""
-    if obs is None:
-        return  # merged from pre-telemetry shard payloads
-    if not isinstance(obs, dict):
-        raise ValueError(f"{owner}: obs must be an object or null")
-    for section in ("counters", "gauges", "clocks", "histograms"):
-        if not isinstance(obs.get(section), dict):
-            raise ValueError(f"{owner}: obs.{section} must be an object")
-    for name, hist in obs["histograms"].items():
-        if not isinstance(hist, dict) \
-                or not isinstance(hist.get("edges"), list) \
-                or not isinstance(hist.get("counts"), list) \
-                or len(hist["counts"]) != len(hist["edges"]) + 1:
-            raise ValueError(
-                f"{owner}: obs histogram {name!r} needs edges plus "
-                "len(edges)+1 counts (underflow and unbounded tail)")
+def _non_negative(*keys: str) -> Dict[str, object]:
+    return dict.fromkeys(keys, _NON_NEGATIVE)
 
 
-def _validate_cluster_cells(cells: object) -> None:
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("cluster_cells must be a non-empty list when "
-                         "present")
-    numeric = ("invocations", "completed", "failed", "wall_clock_s",
-               "invocations_per_sec", "sim_completion_ms", "kernel_events",
-               "max_shard_rss_mb", "load_imbalance")
-    for row in cells:
-        if not isinstance(row, dict):
-            raise ValueError("each cluster cell must be an object")
-        if not isinstance(row.get("cell"), str):
-            raise ValueError("cluster cell needs a string 'cell' name")
-        if not isinstance(row.get("config"), dict):
-            raise ValueError("cluster cell needs a config object")
-        if row.get("isolation") not in ("subprocess", "inline"):
-            raise ValueError("cluster cell isolation must be 'subprocess' "
-                             "or 'inline'")
-        for key in numeric:
-            value = row.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"cluster cell {row.get('cell')!r}: {key} must be a "
-                    "non-negative number")
-        shards = row.get("per_shard")
-        if not isinstance(shards, list) or not shards:
-            raise ValueError("cluster cell needs a non-empty per_shard "
-                             "list")
-        for shard in shards:
-            if not isinstance(shard, dict):
-                raise ValueError("per_shard entries must be objects")
-            for key in ("shard", "submitted", "wall_clock_s",
-                        "peak_rss_mb"):
-                if not isinstance(shard.get(key), (int, float)):
-                    raise ValueError(f"per_shard.{key} must be a number")
-        latency = row.get("latency_ms")
-        if not isinstance(latency, dict):
-            raise ValueError("cluster cell needs a latency_ms summary")
-        for key in ("p50", "p95", "p99", "mean"):
-            if not isinstance(latency.get(key), (int, float)):
-                raise ValueError(f"latency_ms.{key} must be a number")
-        owner = f"cluster cell {row.get('cell')!r}"
-        _validate_cluster_obs(owner, row.get("obs"))
-        _validate_slo_block(owner, row.get("slo"))
+_ISOLATION = ("subprocess", "inline")
+_LATENCY = dict.fromkeys(("mean", "p50", "p95", "p99"), _NUMBER)
+#: The evaluation ``repro slo --annotate`` attaches to a cell.
+_SLO = {"ok": bool, "checks": [{"check": str, "ok": bool}]}
+
+#: What a well-formed report looks like.  A field's kind is a scalar kind
+#: above, a Python type (``isinstance``), a tuple (one of these values), a
+#: dict (an object with at least these fields) or a one-element list (a
+#: non-empty list of that kind).  Unknown keys are ignored.
+_REPORT: Dict[str, object] = {
+    "config": {"invocations": _NUMBER, "functions": _NUMBER,
+               "seed": _NUMBER},
+    "schedulers": [str],
+    "runs": [{
+        "scheduler": str,
+        **_non_negative("invocations", "wall_clock_s", "sim_completion_ms",
+                        "kernel_events", "events_per_sec",
+                        "invocations_per_sec", "peak_rss_mb"),
+        "rss_isolated": bool,
+        "slo": _SLO,
+    }],
+    "cluster_cells": [{
+        "cell": str,
+        "config": dict,
+        "isolation": _ISOLATION,
+        **_non_negative("invocations", "completed", "failed", "wall_clock_s",
+                        "invocations_per_sec", "sim_completion_ms",
+                        "kernel_events", "max_shard_rss_mb",
+                        "load_imbalance"),
+        "per_shard": [dict.fromkeys(("shard", "submitted", "wall_clock_s",
+                                     "peak_rss_mb"), _NUMBER)],
+        "latency_ms": _LATENCY,
+        # Null when merged from shard payloads that carried no telemetry.
+        "obs": dict.fromkeys(("counters", "gauges", "clocks", "histograms"),
+                             dict),
+        "slo": _SLO,
+    }],
+    "gateway_cells": [{
+        "cell": str,
+        "policy": ("faasbatch", "vanilla", "adaptive"),
+        "transport": ("inproc", "http"),
+        "config": {"rps": _NUMBER, "duration_s": _NUMBER, "seed": _NUMBER,
+                   "mix": _NON_EMPTY_OBJECT},
+        **_non_negative("offered_rps", "requests", "completed", "shed",
+                        "timeouts", "errors", "achieved_rps", "goodput_rps"),
+        "goodput_ratio": _UNIT,
+        "mode_flips": list,
+        "latency_ms": _LATENCY,
+        "slo": _SLO,
+    }],
+    "window_cells": [{
+        "cell": WINDOW_CELL_POLICIES,
+        "scheduler": str,
+        **_non_negative("invocations", "wall_clock_s", "sim_completion_ms",
+                        "kernel_events", "containers"),
+        "goodput": _UNIT,
+        "latency_ms": _LATENCY,
+        "slo": _SLO,
+    }],
+}
+#: The row sections; a report carries any non-empty combination of them.
+_SECTIONS = ("runs", "cluster_cells", "gateway_cells", "window_cells")
+#: Fields that may be absent or null wherever the table names them.
+_OPTIONAL = _SECTIONS + ("schedulers", "obs", "slo")
+#: Top-level fields a report with a ``runs`` section must also carry.
+_RUNS_REPORT = {"config": {"window_ms": _NUMBER}, "isolation": _ISOLATION}
+_OBS_OVERHEAD = _non_negative("plain_wall_clock_s", "obs_wall_clock_s",
+                              "wall_clock_ratio")
 
 
-def _validate_window_cells(cells: object) -> None:
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("window_cells must be a non-empty list when "
-                         "present")
-    numeric = ("invocations", "wall_clock_s", "sim_completion_ms",
-               "kernel_events", "containers")
-    for row in cells:
-        if not isinstance(row, dict):
-            raise ValueError("each window cell must be an object")
-        if row.get("cell") not in WINDOW_CELL_POLICIES:
-            raise ValueError("window cell 'cell' must be one of "
-                             f"{WINDOW_CELL_POLICIES}")
-        if row.get("window_policy") != row.get("cell"):
-            raise ValueError("window cell window_policy must match 'cell'")
-        if not isinstance(row.get("scheduler"), str):
-            raise ValueError("window cell scheduler must be a string")
-        for key in numeric:
-            value = row.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"window cell {row.get('cell')!r}: {key} must be a "
-                    "non-negative number")
-        goodput = row.get("goodput")
-        if not isinstance(goodput, (int, float)) or not 0 <= goodput <= 1:
-            raise ValueError("window cell goodput must be in [0, 1]")
-        latency = row.get("latency_ms")
-        if not isinstance(latency, dict):
-            raise ValueError("window cell needs a latency_ms summary")
-        for key in ("p50", "p95", "p99", "mean"):
-            if not isinstance(latency.get(key), (int, float)):
-                raise ValueError(f"latency_ms.{key} must be a number")
-        _validate_slo_block(f"window cell {row.get('cell')!r}",
-                            row.get("slo"))
+def _check(where: str, value: object, kind: object) -> None:
+    """Raise ``ValueError`` naming *where* unless *value* is of *kind*.
 
-
-def _validate_gateway_cells(cells: object) -> None:
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("gateway_cells must be a non-empty list when "
-                         "present")
-    numeric = ("offered_rps", "requests", "completed", "shed", "timeouts",
-               "errors", "achieved_rps", "goodput_rps")
-    for row in cells:
-        if not isinstance(row, dict):
-            raise ValueError("each gateway cell must be an object")
-        if not isinstance(row.get("cell"), str):
-            raise ValueError("gateway cell needs a string 'cell' name")
-        if row.get("policy") not in ("faasbatch", "vanilla", "adaptive"):
-            raise ValueError("gateway cell policy must be 'faasbatch', "
-                             "'vanilla' or 'adaptive'")
-        if row.get("transport") not in ("inproc", "http"):
-            raise ValueError("gateway cell transport must be 'inproc' or "
-                             "'http'")
-        config = row.get("config")
-        if not isinstance(config, dict):
-            raise ValueError("gateway cell needs a config object")
-        for key in ("rps", "duration_s", "seed"):
-            if not isinstance(config.get(key), (int, float)):
-                raise ValueError(f"gateway cell config.{key} must be a "
-                                 "number")
-        if not isinstance(config.get("mix"), dict) or not config["mix"]:
-            raise ValueError("gateway cell config.mix must be a non-empty "
-                             "object")
-        for key in numeric:
-            value = row.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"gateway cell {row.get('cell')!r}: {key} must be a "
-                    "non-negative number")
-        ratio = row.get("goodput_ratio")
-        if not isinstance(ratio, (int, float)) or not 0 <= ratio <= 1:
-            raise ValueError("gateway cell goodput_ratio must be in "
-                             "[0, 1]")
-        if not isinstance(row.get("mode_flips"), list):
-            raise ValueError("gateway cell mode_flips must be a list")
-        latency = row.get("latency_ms")
-        if not isinstance(latency, dict):
-            raise ValueError("gateway cell needs a latency_ms summary")
-        for key in ("p50", "p95", "p99", "mean"):
-            if not isinstance(latency.get(key), (int, float)):
-                raise ValueError(f"latency_ms.{key} must be a number")
-        _validate_slo_block(f"gateway cell {row.get('cell')!r}",
-                            row.get("slo"))
+    *where* is the path of the value inside the report, with rows named by
+    their cell (``gateway_cells['vanilla'].latency_ms.p99``), so a message
+    names section, cell and field.
+    """
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be an object")
+        for key, field_kind in kind.items():
+            if value.get(key) is not None or key not in _OPTIONAL:
+                _check(f"{where}.{key}" if where else key, value.get(key),
+                       field_kind)
+    elif isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{where} must be a non-empty list")
+        for label, entry in enumerate(value):
+            if isinstance(entry, dict):
+                label = entry.get("cell", entry.get("scheduler", label))
+            _check(f"{where}[{label!r}]", entry, kind[0])
+    else:
+        if isinstance(kind, type):
+            ok, kind = isinstance(value, kind), f"a {kind.__name__}"
+        elif isinstance(kind, tuple):
+            ok, kind = value in kind, f"one of {kind}"
+        else:
+            ok = _SCALARS[kind](value)  # type: ignore[index]
+        if not ok:
+            raise ValueError(f"{where} must be {kind}")
 
 
 def validate_report(report: Dict[str, object]) -> None:
     """Raise ``ValueError`` unless *report* is a well-formed bench report.
 
-    Used by the CI smoke job (and the unit tests) to guard the format that
-    downstream BENCH tooling will parse.  A report carries a ``runs``
-    section (one row per scheduler cell), a ``cluster_cells`` section
-    (sharded cluster replays), a ``gateway_cells`` section (live-serving
-    load cells), a ``window_cells`` section (fixed-vs-adaptive window
-    sizing), or any combination.
+    Every reader and writer goes through this (:func:`load_report`,
+    :func:`write_report`).  A report carries ``runs`` (one row per scheduler
+    cell), ``cluster_cells`` (sharded replays), ``gateway_cells``
+    (live-serving load cells), ``window_cells`` (fixed-vs-adaptive window
+    sizing), or any combination.  Shapes are the :data:`_REPORT` table; the
+    code below adds the rules that relate two fields to each other.
     """
     if report.get("schema") != BENCH_SCHEMA:
         raise ValueError(f"schema must be {BENCH_SCHEMA!r}, "
                          f"got {report.get('schema')!r}")
-    config = report.get("config")
-    if not isinstance(config, dict):
-        raise ValueError("missing config object")
-    for key in ("invocations", "functions", "seed"):
-        if not isinstance(config.get(key), (int, float)):
-            raise ValueError(f"config.{key} must be a number")
-    schedulers = report.get("schedulers")
-    if schedulers is not None:
-        if not isinstance(schedulers, list) or not schedulers \
-                or not all(isinstance(name, str) for name in schedulers):
-            raise ValueError("schedulers must be a non-empty list of "
-                             "labels when present")
-    runs = report.get("runs")
-    cluster_cells = report.get("cluster_cells")
-    gateway_cells = report.get("gateway_cells")
-    window_cells = report.get("window_cells")
-    if not (isinstance(runs, list) and runs) \
-            and not (isinstance(cluster_cells, list) and cluster_cells) \
-            and not (isinstance(gateway_cells, list) and gateway_cells) \
-            and not (isinstance(window_cells, list) and window_cells):
+    _check("", report, _REPORT)
+    if not any(report.get(section) for section in _SECTIONS):
         raise ValueError("report needs a non-empty 'runs', "
                          "'cluster_cells', 'gateway_cells' or "
                          "'window_cells' section")
-    if cluster_cells is not None:
-        _validate_cluster_cells(cluster_cells)
-    if gateway_cells is not None:
-        _validate_gateway_cells(gateway_cells)
-    if window_cells is not None:
-        _validate_window_cells(window_cells)
+    for row in report.get("window_cells") or ():  # type: ignore[attr-defined]
+        if row.get("window_policy") != row["cell"]:
+            raise ValueError(f"window_cells[{row['cell']!r}].window_policy "
+                             "must match cell")
+    for row in report.get("cluster_cells") or ():  # type: ignore[attr-defined]
+        histograms = (row.get("obs") or {}).get("histograms", {})
+        for name, hist in histograms.items():
+            if not isinstance(hist, dict) \
+                    or not isinstance(hist.get("edges"), list) \
+                    or not isinstance(hist.get("counts"), list) \
+                    or len(hist["counts"]) != len(hist["edges"]) + 1:
+                raise ValueError(
+                    f"cluster_cells[{row['cell']!r}].obs.histograms"
+                    f"[{name!r}] needs edges plus len(edges)+1 counts "
+                    "(underflow and unbounded tail)")
+    runs = report.get("runs")
     if runs is None:
         return
-    if not isinstance(config.get("window_ms"), (int, float)):
-        raise ValueError("config.window_ms must be a number")
-    if report.get("isolation") not in ("subprocess", "inline"):
-        raise ValueError("isolation must be 'subprocess' or 'inline' "
-                         "(schema v3)")
-    if not isinstance(runs, list) or not runs:
-        raise ValueError("runs must be a non-empty list when present")
-    numeric = ("invocations", "wall_clock_s", "sim_completion_ms",
-               "kernel_events", "events_per_sec", "invocations_per_sec",
-               "peak_rss_mb")
-    for row in runs:
-        if not isinstance(row, dict):
-            raise ValueError("each run must be an object")
-        if not isinstance(row.get("scheduler"), str):
-            raise ValueError("run.scheduler must be a string")
-        for key in numeric:
-            value = row.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(f"run.{key} must be a non-negative number")
-        if not isinstance(row.get("rss_isolated"), bool):
-            raise ValueError("run.rss_isolated must be a bool (schema v3)")
-        if "profile_top" in row and not isinstance(row["profile_top"], list):
-            raise ValueError("run.profile_top must be a list when present")
-        _validate_slo_block(f"run {row.get('scheduler')!r}",
-                            row.get("slo"))
+    _check("", report, _RUNS_REPORT)
     # The obs-overhead contract follows the FaaSBatch cell: measured runs
     # must carry the paired obs cell and ratio block; a selection without
-    # FaaSBatch has neither (schema v5).
-    has_faasbatch = any(row.get("scheduler") == "FaaSBatch" for row in runs)
-    obs_overhead = report.get("obs_overhead")
-    if has_faasbatch:
-        if not isinstance(obs_overhead, dict):
-            raise ValueError("obs_overhead object required (schema v2)")
-        for key in ("plain_wall_clock_s", "obs_wall_clock_s",
-                    "wall_clock_ratio"):
-            value = obs_overhead.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(f"obs_overhead.{key} must be a "
-                                 "non-negative number")
-        if not any(row.get("scheduler") == OBS_RUN_LABEL for row in runs):
+    # FaaSBatch has neither.
+    schedulers = {row["scheduler"] for row in runs}  # type: ignore[attr-defined]
+    if "FaaSBatch" in schedulers:
+        _check("obs_overhead", report.get("obs_overhead"), _OBS_OVERHEAD)
+        if OBS_RUN_LABEL not in schedulers:
             raise ValueError(f"runs must include the {OBS_RUN_LABEL!r} "
                              "cell")
-    elif obs_overhead is not None:
+    elif report.get("obs_overhead") is not None:
         raise ValueError("obs_overhead must be null when FaaSBatch was "
                          "not measured")
-    if "baseline" not in report:
-        raise ValueError("baseline key required (schema v3; null when the "
-                         "scenario differs from the committed baseline's)")
-    baseline = report["baseline"]
-    if baseline is not None:
-        if not isinstance(baseline, dict):
-            raise ValueError("baseline must be an object or null")
-        aggregate = baseline.get("aggregate_events_per_sec")
-        if not isinstance(aggregate, dict):
-            raise ValueError("baseline.aggregate_events_per_sec required")
-        value = aggregate.get("speedup")
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ValueError("baseline.aggregate_events_per_sec.speedup "
-                             "must be a positive number")
-        if not isinstance(baseline.get("per_cell"), dict) \
-                or not baseline["per_cell"]:
-            raise ValueError("baseline.per_cell must be non-empty")
 
 
 def write_report(report: Dict[str, object], path: str) -> None:
@@ -1034,7 +776,6 @@ def load_report(path: str) -> Dict[str, object]:
 
 
 __all__ = [
-    "BASELINE_V1",
     "BENCH_SCHEMA",
     "OBS_RUN_LABEL",
     "WINDOW_CELL_POLICIES",

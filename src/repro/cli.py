@@ -453,9 +453,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _cmd_bench_cell(args: argparse.Namespace) -> int:
     """``repro bench --cell NAME``: one sharded cluster replay."""
     from repro.bench import cluster_report, run_cluster_cell, write_report
-    row = run_cluster_cell(args.cell, log=print,
-                           isolate=not args.inline,
-                           shards=args.shards, workers=args.workers)
+    row = run_cluster_cell(args.cell, log=print, isolate=not args.inline)
     write_report(cluster_report([row]), args.out)
     config = row["config"]
     latency = row["latency_ms"]
@@ -524,8 +522,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         report = run_bench(config, log=print,
                            isolate=not args.inline, parallel=args.parallel,
-                           profile_top=(args.profile_top if args.profile
-                                        else 0),
                            schedulers=args.schedulers)
     except (ConfigurationError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -538,29 +534,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     title = "Simulator performance"
     if report["isolation"] == "inline":
         title += " (inline: RSS is process-wide)"
-    if args.profile:
-        title += " (profiled: wall-clocks inflated)"
     print(render_table(headers, rows, title=title))
     overhead = report.get("obs_overhead") or {}
     if overhead:
         print(f"Observability overhead: "
               f"{overhead['wall_clock_ratio']:g}x wall clock "
               f"(tracing + sampling on)")
-    baseline = report.get("baseline")
-    if baseline is not None:
-        aggregate = baseline["aggregate_events_per_sec"]
-        print(f"Vs committed baseline: {aggregate['speedup']:g}x mean "
-              f"events/sec over {aggregate['cells']} cells")
-    if args.profile:
-        for row in report["runs"]:
-            top = row.get("profile_top")
-            if not top:
-                continue
-            print(render_table(
-                ["function", "ncalls", "tottime_s", "cumtime_s"],
-                [[h["function"], h["ncalls"], h["tottime_s"],
-                  h["cumtime_s"]] for h in top],
-                title=f"Hotspots: {row['scheduler']}"))
     print(f"Wrote {args.out}")
     return 0
 
@@ -778,10 +757,10 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 def cmd_slo(args: argparse.Namespace) -> int:
     """``repro slo``: evaluate SLO specs; ``--check`` gates on the result."""
-    import json
-
+    from repro.bench import load_report, write_report
     from repro.common.errors import ConfigurationError
     from repro.obs.slo import (
+        annotate_report,
         default_specs,
         evaluate_artifact,
         evaluate_records,
@@ -803,22 +782,14 @@ def cmd_slo(args: argparse.Namespace) -> int:
     results = []
     for path in args.artifacts:
         try:
-            with open(path) as handle:
-                report = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"error: {path}: {error}", file=sys.stderr)
-            return 2
-        if not isinstance(report, dict):
-            print(f"error: {path} is not a report object", file=sys.stderr)
+            report = load_report(path)
+        except (OSError, ValueError) as error:
+            print(f"error: {error}", file=sys.stderr)
             return 2
         results.extend(evaluate_artifact(report, specs,
                                          target_prefix=f"{path}:"))
         if args.annotate:
-            from repro.obs.slo import annotate_report
-            annotate_report(report, specs)
-            with open(path, "w") as handle:
-                json.dump(report, handle, indent=1)
-                handle.write("\n")
+            write_report(annotate_report(report, specs), path)
             print(f"Annotated {path} with per-cell slo blocks")
     for path in args.records:
         try:
@@ -1018,10 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a named sharded cluster cell "
                             "(azure-smoke, azure-full) instead of the "
                             "scheduler grid")
-    bench.add_argument("--shards", type=int, default=None,
-                       help="override the cell's shard count")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="override the cell's global worker count")
     bench.add_argument("--out", default="BENCH_sim.json",
                        help="report path (JSON)")
     bench.add_argument("--parallel", type=int, default=1, metavar="N",
@@ -1029,12 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--inline", action="store_true",
                        help="run cells in-process (RSS becomes a "
                             "process-wide high-water mark)")
-    bench.add_argument("--profile", action="store_true",
-                       help="cProfile each cell and embed/print top "
-                            "hotspots (inflates wall-clocks)")
-    bench.add_argument("--profile-top", type=int, default=15,
-                       metavar="N", help="hotspot rows per cell with "
-                                         "--profile (default: 15)")
     bench.add_argument("--window-cells", action="store_true",
                        help="measure FaaSBatch fixed-vs-adaptive window "
                             "sizing instead of the scheduler grid")
@@ -1098,7 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="http transport: keep-alive pool size")
     loadgen.add_argument("--out", default=None, metavar="PATH",
                          help="write a gateway_cells bench artifact "
-                              "(schema v4 JSON)")
+                              "(JSON)")
     loadgen.add_argument("--records", default=None, metavar="PATH",
                          help="write the gateway record stream as JSONL")
     loadgen.add_argument("--report", default=None, metavar="PATH",
@@ -1114,7 +1075,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate SLO specs against bench artifacts and gateway "
              "records")
     slo.add_argument("artifacts", nargs="*", metavar="ARTIFACT",
-                     help="bench artifact JSON files (any schema vintage)")
+                     help="bench artifact JSON files (must pass "
+                          "repro.bench.load_report)")
     slo.add_argument("--spec", default=None, metavar="PATH",
                      help="SLO spec file ({'slos': [...]}; default: the "
                           "built-in gate)")
@@ -1124,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "checks (repeatable)")
     slo.add_argument("--annotate", action="store_true",
                      help="rewrite each artifact with per-cell slo blocks "
-                          "(schema v6)")
+                          "(validated, atomic)")
     slo.add_argument("--check", action="store_true",
                      help="exit nonzero if any check fails")
     slo.set_defaults(func=cmd_slo)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.windowing import FixedWindow, WindowPolicy
 from repro.model.function import FunctionSpec, Invocation
-from repro.platformsim.windows import collect_window_policy
+from repro.platformsim.windows import collect_window
 from repro.sim.kernel import Environment
 from repro.sim.primitives import Store
 
@@ -87,7 +87,7 @@ class InvokeMapper:
         ``on_open``/``on_close`` are forwarded to the window collector —
         pure observers of the window boundaries (telemetry only).
         """
-        batch, window_start = yield from collect_window_policy(
+        batch, window_start = yield from collect_window(
             env, queue, self.policy, on_open=on_open, on_close=on_close)
         groups = self.group_invocations(batch, window_start_ms=window_start,
                                         window_end_ms=env.now)

@@ -2,14 +2,11 @@
 
 Both FaaSBatch's Invoke Mapper and the ported Kraken gather "all invocation
 requests within this time interval" (§III-B) from the platform's request
-queue and treat them as concurrent.  :func:`collect_window_policy` implements
-that once, with careful handling of the race between the window timer and a
+queue and treat them as concurrent.  :func:`collect_window` implements that
+once, with careful handling of the race between the window timer and a
 request arriving at the very same simulated instant.  How long the window
-stays open is delegated to a :class:`~repro.core.windowing.WindowPolicy`;
-the fixed-width helpers below wrap the policy path with a
-:class:`~repro.core.windowing.FixedWindow`, so the historical constant-window
-behaviour runs through the exact same drain loop (bit-identical, pinned by
-the engine goldens).
+stays open is decided by a :class:`~repro.core.windowing.WindowPolicy` (the
+paper's constant window is a :class:`~repro.core.windowing.FixedWindow`).
 
 ``on_open`` / ``on_close`` are optional *pure observer* callbacks fired when
 the window opens (first item taken) and when its batch is returned; the
@@ -33,53 +30,18 @@ T = TypeVar("T")
 WindowObserver = Callable[[float], None]
 
 
-def collect_window(env: Environment, queue: Store[T], window_ms: float,
+def collect_window(env: Environment, queue: Store[T], policy: WindowPolicy,
+                   key: Optional[str] = None,
                    on_open: Optional[WindowObserver] = None,
                    on_close: Optional[WindowObserver] = None):
-    """Generator: wait for the first item, then drain the window.
+    """Generator: wait for the first item, then drain one dispatch window.
 
-    Blocks until one item arrives, then keeps collecting items until
-    ``window_ms`` has elapsed *since the first arrival*.  Returns the list
-    of items (at least one).  Use as ``batch = yield from collect_window(...)``.
-    """
-    batch, _opened = yield from collect_window_timed(
-        env, queue, window_ms, on_open=on_open, on_close=on_close)
-    return batch
-
-
-def collect_window_timed(env: Environment, queue: Store[T],
-                         window_ms: float,
-                         on_open: Optional[WindowObserver] = None,
-                         on_close: Optional[WindowObserver] = None):
-    """Like :func:`collect_window` but returns ``(batch, window_open_ms)``.
-
-    ``window_open_ms`` is the simulated time the *first item* was taken —
-    the true start of the dispatch window.  The wait for that first arrival
-    (arbitrarily long on sparse workloads) is *not* part of the window.
-    """
-    # Imported lazily: repro.core.__init__ pulls in the mapper, which pulls
-    # in this module — a module-level import here would close that cycle.
-    from repro.core.windowing import FixedWindow
-
-    if window_ms < 0:
-        raise ValueError(f"negative window: {window_ms}")
-    result = yield from collect_window_policy(
-        env, queue, FixedWindow(window_ms),
-        on_open=on_open, on_close=on_close)
-    return result
-
-
-def collect_window_policy(env: Environment, queue: Store[T],
-                          policy: WindowPolicy,
-                          key: Optional[str] = None,
-                          on_open: Optional[WindowObserver] = None,
-                          on_close: Optional[WindowObserver] = None):
-    """Drain one dispatch window whose length ``policy`` decides at open.
-
-    Every arrival (the opener and each drained item) is reported to
-    ``policy.observe_arrival(key, now)`` so adaptive policies can track the
-    arrival rate; the policy's ``window_ms(key)`` is read exactly once, when
-    the window opens.  Returns ``(batch, window_open_ms)``.
+    The window opens when the first item is taken — the wait for it,
+    arbitrarily long on sparse workloads, is not part of the window — and
+    closes ``policy.window_ms(key)`` later, read exactly once at open.
+    Every arrival is reported to ``policy.observe_arrival(key, now)`` so
+    adaptive policies can track the arrival rate.  Returns ``(batch,
+    window_open_ms)``, the batch holding at least one item.
     """
     first: T = yield queue.get()
     window_open = env.now

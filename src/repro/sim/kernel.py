@@ -25,8 +25,8 @@ event ordering of the historical single-heap implementation:
   ``_urgent`` and ``_immediate``: appends and pops are O(1) with no key
   composition and no sequence-number allocation, because deque order *is*
   creation order.  This is the batch-arrival fast path: a dispatch window
-  of same-instant events costs one ``extend`` (:meth:`Environment.
-  schedule_batch` / :meth:`Environment.process_batch`).
+  of same-instant process starts costs one ``extend``
+  (:meth:`Environment.process_batch`).
 * **Future events** — only normal-priority timeouts can carry a timestamp
   beyond ``now`` (urgent events are always scheduled at the current
   instant) — live in one binary heap of flat ``(when, seq, event)``
@@ -48,8 +48,7 @@ event ordering of the historical single-heap implementation:
   waiter, a list only for several); :meth:`Environment.run` and
   :meth:`Environment.run_process` inline the pop/advance/dispatch sequence
   with bound locals (``step()`` remains the single-event reference
-  implementation); timeout-heavy services recycle processed
-  :class:`Timeout` objects with :meth:`Timeout.reset`.
+  implementation).
 
 Example
 -------
@@ -268,42 +267,6 @@ class Timeout(Event):
             return
         self.cancelled = True
         self.env._note_cancelled()
-
-    def reset(self, delay: float, value: Any = None,
-              at: Optional[float] = None) -> "Timeout":
-        """Re-arm an already-processed timeout instead of allocating a new one.
-
-        Only the owner of a timeout that has been fully processed (its
-        callbacks ran and nobody else holds it as a pending event) may
-        recycle it; resetting a pending or cancelled timeout raises.  With
-        ``at`` the timeout fires at that exact absolute time — callers that
-        accumulate boundary times sequentially use it to avoid re-deriving
-        the firing time from a delay (which would round differently).
-        Timeout-per-slice services (the SFS discipline) use this to elide
-        one event allocation per slice.
-        """
-        if self._callbacks is not None or self.cancelled:
-            raise SimulationError("reset() of a pending or cancelled timeout")
-        env = self.env
-        if at is None:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay}")
-            when = env._now + delay
-        else:
-            if at < env._now:
-                raise ValueError(f"timeout at={at} is in the past "
-                                 f"(now={env._now})")
-            when = at
-        self._callbacks = _NO_WAITERS
-        self._value = value
-        self._defused = False
-        self.delay = when - env._now
-        if when > env._now:
-            env._future.push(when, env._sequence, self)
-            env._sequence += 1
-        else:
-            env._immediate.append(self)
-        return self
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover - guard
         raise SimulationError("Timeout events trigger themselves")
@@ -527,16 +490,6 @@ class _HeapQueue:
     def push(self, when: float, seq: int, event: Event) -> None:
         heapq.heappush(self._heap, (when, seq, event))
 
-    def push_batch(self, entries: List[Tuple[float, int, Event]]) -> None:
-        """Bulk push of entries sorted by ``(when, seq)`` ascending."""
-        heap = self._heap
-        if not heap:
-            # A sorted list satisfies the heap invariant as-is.
-            heap.extend(entries)
-            return
-        for entry in entries:
-            heapq.heappush(heap, entry)
-
     def min_when(self) -> float:
         """Time of the earliest live entry (+inf when empty)."""
         heap = self._heap
@@ -729,74 +682,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- batch-arrival fast path -------------------------------------------------
-
-    def schedule_batch(self, events: Sequence[Event],
-                       value: Any = None) -> Sequence[Event]:
-        """Trigger *events* successfully at the current instant in one append.
-
-        Equivalent to calling ``event.succeed(value)`` on each in order —
-        FIFO dispatch order is preserved — but the whole batch costs a
-        single deque ``extend`` instead of N scheduling calls.  Producers
-        that release a dispatch window of same-instant events (store put
-        fan-out, window dispatch) use this to make the arrival burst O(1)
-        per event with no ordered-structure traffic at all.
-
-        All or nothing: if any event is already triggered (or appears
-        twice in the batch) the call raises and triggers none of them.
-        """
-        for index, event in enumerate(events):
-            if event._ok is not None:
-                for marked in events[:index]:
-                    marked._ok = None
-                    marked._value = None
-                raise EventAlreadyTriggered(f"{event!r} already triggered")
-            event._ok = True
-            event._value = value
-        self._immediate.extend(events)
-        return events
-
-    def timeout_batch(self, whens: Sequence[float],
-                      value: Any = None) -> List[Timeout]:
-        """Create timeouts at non-decreasing absolute times in one bulk push.
-
-        Equivalent to ``[timeout_at(w, value) for w in whens]`` — identical
-        events, identical ordering — but the sequence numbers are allocated
-        and the future queue is entered once for the whole monotone run (an
-        empty heap takes the sorted run as-is, otherwise one ``heappush``
-        per entry), which is what makes replaying a pre-sorted arrival
-        schedule cheap.  A bad time raises before anything is scheduled.
-        """
-        now = self._now
-        previous = now
-        timeouts: List[Timeout] = []
-        entries: List[Tuple[float, int, Timeout]] = []
-        seq = self._sequence
-        for when in whens:
-            if when < now:
-                raise ValueError(f"timeout at={when} is in the past "
-                                 f"(now={now})")
-            if when < previous:
-                raise ValueError("timeout_batch times must be non-decreasing")
-            previous = when
-            timeout = Timeout.__new__(Timeout)
-            timeout.env = self
-            timeout._callbacks = _NO_WAITERS
-            timeout._value = value
-            timeout._ok = True
-            timeout._defused = False
-            timeout.delay = when - now
-            timeout.cancelled = False
-            if when > now:
-                entries.append((when, seq, timeout))
-                seq += 1
-            timeouts.append(timeout)
-        # Times are non-decreasing, so the ``when == now`` timeouts are the
-        # leading ones.
-        self._immediate.extend(timeouts[:len(timeouts) - len(entries)])
-        self._sequence = seq
-        if entries:
-            self._future.push_batch(entries)
-        return timeouts
 
     def process_batch(self, generators: Sequence[ProcessGenerator],
                       names: Optional[Sequence[str]] = None) -> List[Process]:

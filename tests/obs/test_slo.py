@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import copy
+import glob
 import json
 import os
+import re
 
 import pytest
 
-from repro.bench import validate_report
+from repro.bench import BENCH_SCHEMA, load_report, validate_report
 from repro.common.errors import ConfigurationError
 from repro.obs.slo import (
     SloSpec,
@@ -23,11 +25,23 @@ from repro.obs.slo import (
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+COMMITTED = ("BENCH_sim.json", "BENCH_gateway.json", "BENCH_cluster.json",
+             "BENCH_windows.json")
+#: Keys only retired features ever wrote (and anything the deleted
+#: ``--profile`` mode embedded); a re-recorded artifact has none.
+RETIRED_KEYS = {"engine", "engines", "speedup", "baseline", "queue"}
 
 
 def committed_artifact(name: str) -> dict:
-    with open(os.path.join(REPO_ROOT, name)) as handle:
-        return json.load(handle)
+    return load_report(os.path.join(REPO_ROOT, name))
+
+
+def all_keys(node) -> set:
+    if isinstance(node, dict):
+        return set(node).union(*(all_keys(v) for v in node.values()))
+    if isinstance(node, list):
+        return set().union(*(all_keys(v) for v in node))
+    return set()
 
 
 class TestSloSpec:
@@ -153,15 +167,22 @@ class TestCommittedArtifacts:
     """The acceptance gate: pass on what's committed, fail on a doctored copy."""
 
     def test_default_gate_passes_on_committed_artifacts(self):
-        results = []
-        for name in ("BENCH_sim.json", "BENCH_gateway.json",
-                     "BENCH_cluster.json", "BENCH_windows.json"):
-            results.extend(evaluate_artifact(
-                committed_artifact(name), default_specs(),
-                target_prefix=f"{name}:"))
-        assert results, "the gate must actually evaluate something"
-        assert all(result.ok for result in results), \
-            [r.to_dict() for r in results if not r.ok]
+        # Every BENCH_*.json at the root, unmodified, through the one
+        # strict loader, on the one schema.
+        found = {os.path.basename(path) for path in
+                 glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))}
+        assert set(COMMITTED) <= found
+        for name in sorted(found):
+            report = committed_artifact(name)
+            assert report["schema"] == BENCH_SCHEMA, name
+            keys = all_keys(report)
+            assert not RETIRED_KEYS & keys, name
+            assert not [key for key in keys if key.startswith("profile")]
+            results = evaluate_artifact(report, default_specs(),
+                                        target_prefix=f"{name}:")
+            assert results, f"the gate must evaluate something in {name}"
+            assert all(result.ok for result in results), \
+                [r.to_dict() for r in results if not r.ok]
 
     def test_doctored_gateway_artifact_fails(self):
         report = committed_artifact("BENCH_gateway.json")
@@ -220,9 +241,7 @@ class TestAnnotateReport:
         cells = {row["cell"]: row for row in annotated["gateway_cells"]}
         assert cells["faasbatch"]["slo"]["ok"] is True
         assert "slo" not in cells["vanilla"]  # control arm stays ungated
-        # The v6 validator accepts the attached blocks.
-        annotated["schema"] = "faasbatch-bench/v7"
-        validate_report(annotated)
+        validate_report(annotated)  # the attached blocks are schema-valid
 
     def test_slo_table_shape(self):
         results = evaluate_artifact(
@@ -239,8 +258,8 @@ class TestCli:
 
     def test_check_passes_on_committed_artifacts(self, capsys):
         code = self.run_cli(
-            "slo", os.path.join(REPO_ROOT, "BENCH_sim.json"),
-            os.path.join(REPO_ROOT, "BENCH_gateway.json"), "--check")
+            "slo", *(os.path.join(REPO_ROOT, name) for name in COMMITTED),
+            "--check")
         out = capsys.readouterr().out
         assert code == 0
         assert "pass" in out and "FAIL" not in out
@@ -256,10 +275,54 @@ class TestCli:
         assert "FAIL" in capsys.readouterr().out
 
     def test_check_fails_when_nothing_evaluates(self, tmp_path, capsys):
-        empty = tmp_path / "BENCH_empty.json"
-        empty.write_text(json.dumps({"schema": "x"}))
-        assert self.run_cli("slo", str(empty), "--check") == 1
+        # A valid report no spec matches: only the ungated control arm.
+        report = committed_artifact("BENCH_gateway.json")
+        report["gateway_cells"] = [row for row in report["gateway_cells"]
+                                   if row["policy"] == "vanilla"]
+        unmatched = tmp_path / "BENCH_unmatched.json"
+        unmatched.write_text(json.dumps(report))
+        assert self.run_cli("slo", str(unmatched), "--check") == 1
+        assert "No SLO specs matched" in capsys.readouterr().out
 
     def test_unreadable_artifact_is_an_input_error(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert self.run_cli("slo", str(missing), "--check") == 2
+
+    @pytest.mark.parametrize("doctor,field", [
+        (lambda report: report.update(schema="faasbatch-bench/v4"),
+         "schema"),
+        (lambda report: report["gateway_cells"][0].update(goodput_ratio=7),
+         r"gateway_cells\['faasbatch'\]\.goodput_ratio"),
+    ])
+    def test_artifact_that_fails_validation_is_an_input_error(
+            self, doctor, field, tmp_path, capsys):
+        report = committed_artifact("BENCH_gateway.json")
+        doctor(report)
+        invalid = tmp_path / "BENCH_invalid.json"
+        invalid.write_text(json.dumps(report))
+        assert self.run_cli("slo", str(invalid)) == 2
+        captured = capsys.readouterr()
+        assert "SLO evaluation" not in captured.out
+        assert str(invalid) in captured.err
+        assert re.search(field, captured.err)
+
+    def test_annotate_is_atomic(self, tmp_path, monkeypatch):
+        path = tmp_path / "BENCH_gateway.json"
+        path.write_text(json.dumps(committed_artifact("BENCH_gateway.json")))
+        assert self.run_cli("slo", str(path), "--annotate") == 0
+        annotated = load_report(str(path))
+        assert any("slo" in row for row in annotated["gateway_cells"])
+        assert list(tmp_path.iterdir()) == [path]
+
+        # A write that dies midway leaves the previous file intact.
+        before = path.read_bytes()
+
+        def dying_dump(report, handle, **kwargs):
+            handle.write('{"schema": "faasbatch-be')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dying_dump)
+        with pytest.raises(OSError, match="disk full"):
+            self.run_cli("slo", str(path), "--annotate")
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

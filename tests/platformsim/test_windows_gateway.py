@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.windowing import FixedWindow, WindowPolicy
 from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.model.function import FunctionKind, FunctionSpec
 from repro.model.workprofile import cpu_profile
@@ -12,6 +13,9 @@ from repro.platformsim.platform import ServerlessPlatform
 from repro.platformsim.windows import collect_window
 from repro.sim.primitives import Store
 from repro.workload.trace import Trace, TraceRecord
+
+
+WINDOW = FixedWindow(100.0)
 
 
 class TestCollectWindow:
@@ -27,8 +31,10 @@ class TestCollectWindow:
                 queue.put(item)
 
         def collector():
-            batch = yield from collect_window(env, queue, window_ms)
+            batch, opened = yield from collect_window(
+                env, queue, FixedWindow(window_ms))
             results.append((env.now, batch))
+            assert opened == env.now - window_ms
 
         env.process(feeder())
         env.process(collector())
@@ -54,9 +60,9 @@ class TestCollectWindow:
             queue.put("late")
 
         def collector():
-            batch = yield from collect_window(env, queue, 100.0)
+            batch, _ = yield from collect_window(env, queue, WINDOW)
             batches.append(batch)
-            batch = yield from collect_window(env, queue, 100.0)
+            batch, _ = yield from collect_window(env, queue, WINDOW)
             batches.append(batch)
 
         env.process(feeder())
@@ -75,11 +81,11 @@ class TestCollectWindow:
             queue.put("boundary")
 
         def collector():
-            batch = yield from collect_window(env, queue, 100.0)
+            batch, _ = yield from collect_window(env, queue, WINDOW)
             batches.append(batch)
             if len(queue) or queue.waiting_getters == 0:
                 # Anything left is picked up by a following window.
-                more = yield from collect_window(env, queue, 100.0)
+                more, _ = yield from collect_window(env, queue, WINDOW)
                 batches.append(more)
 
         env.process(feeder())
@@ -89,9 +95,19 @@ class TestCollectWindow:
         assert sorted(flattened) == ["a", "boundary"]
 
     def test_negative_window_rejected(self, env):
-        queue: Store[str] = Store(env)
         with pytest.raises(ValueError):
-            list(collect_window(env, queue, -1.0))
+            FixedWindow(-1.0)
+
+        class Negative(WindowPolicy):
+            def window_ms(self, key=None):
+                return -1.0
+
+        # A policy's answer is checked too, when the window opens.
+        queue: Store[str] = Store(env)
+        queue.put("a")
+        env.process(collect_window(env, queue, Negative()))
+        with pytest.raises(ValueError, match="negative window"):
+            env.run()
 
 
 class TestGateway:

@@ -1,7 +1,7 @@
 """The kernel's future-event heap against a plain sorted-list model.
 
-Random operation sequences (push, push_batch, pop, next_due, pop_until,
-min_when, cancel, compact) drive ``_HeapQueue`` and a sorted list side by
+Random operation sequences (push, pop, next_due, pop_until, min_when,
+cancel, compact) drive ``_HeapQueue`` and a sorted list side by
 side; after every step the two must agree on what came out, on how many
 entries are held, and on the tombstone accounting against the owning
 environment's cancellation counter.  The contract regressions (same-instant
@@ -78,13 +78,6 @@ class _Checked:
         entry = self._entry(when)
         self.queue.push(*entry)
         insort(self.model, entry)
-        self._agree()
-
-    def push_batch(self, whens: list[float]) -> None:
-        entries = [self._entry(when) for when in sorted(whens)]
-        self.queue.push_batch(entries)
-        for entry in entries:
-            insort(self.model, entry)
         self._agree()
 
     def cancel(self, choice: int) -> None:
@@ -172,8 +165,6 @@ _WHENS = st.one_of(
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), _WHENS),
-        st.tuples(st.just("push_batch"),
-                  st.lists(_WHENS, min_size=1, max_size=8)),
         st.tuples(st.just("pop"), st.none()),
         st.tuples(st.just("next_due"), _WHENS),
         st.tuples(st.just("pop_until"), _WHENS),
@@ -195,8 +186,6 @@ _REGRESSIONS = {
         + [("min_when", None), ("push", 3.25)],
     "pop_until returns the entry, then the empty-queue float":
         [("push", 2.5), ("pop_until", 2.5), ("pop_until", 100.0)],
-    "batch push into a non-empty heap":
-        [("push", 4.0), ("push_batch", [9.0, 1.0, 4.0]), ("next_due", 4.0)],
 }
 
 
@@ -235,7 +224,8 @@ class TestKernelFiringOrder:
         for tag in range(workers):
             env.process(worker(tag), name=f"w{tag}")
         background = sorted(rng.uniform(0.0, 50.0) for _ in range(40))
-        env.timeout_batch(background)
+        for when in background:
+            env.timeout_at(when)
         env.run()
         assert fired == [value for _when, _index, value in sorted(created)]
         # One start and one completion per worker, plus every live timeout.

@@ -398,45 +398,3 @@ class TestDefer:
         env.process(proc())
         env.run()
         assert stamps == [3.0]
-
-
-class TestBatchSchedulingIsAllOrNothing:
-    def test_schedule_batch_with_a_triggered_event_triggers_none(self, env):
-        first = env.event()
-        second = env.event().succeed("earlier")
-        woken = []
-
-        def waiter():
-            woken.append((yield first))
-
-        env.process(waiter())
-        with pytest.raises(EventAlreadyTriggered):
-            env.schedule_batch([first, second], value="batch")
-        assert not first.triggered
-        assert list(env._immediate) == [second]
-        first.succeed("later")
-        env.run()
-        assert woken == ["later"]
-
-    def test_schedule_batch_with_a_duplicate_triggers_none(self, env):
-        event = env.event()
-        with pytest.raises(EventAlreadyTriggered):
-            env.schedule_batch([event, event])
-        assert not event.triggered
-        assert not env._immediate
-
-    def test_timeout_batch_with_a_bad_time_schedules_nothing(self, env):
-        env.run(until=2.0)
-        for whens in ([2.0, 5.0, 3.0], [2.0, 1.0]):
-            with pytest.raises(ValueError):
-                env.timeout_batch(whens)
-            assert not env._immediate
-            assert len(env._future) == 0
-            assert env._sequence == 0
-
-    def test_timeout_batch_fires_now_and_later_entries_in_order(self, env):
-        fired = []
-        for timeout in env.timeout_batch([0.0, 0.0, 3.0, 3.0, 5.0]):
-            timeout.callbacks.append(lambda _e: fired.append(env.now))
-        env.run()
-        assert fired == [0.0, 0.0, 3.0, 3.0, 5.0]

@@ -1,14 +1,13 @@
-"""PR-5 kernel hot-path guarantees: tie-break order, timer reuse, API surface.
+"""PR-5 kernel hot-path guarantees: tie-break order, exact timers, API surface.
 
 The kernel optimization pass (slotted events, pre-composed heap keys, lazy
-callback storage, timeout pooling) must not disturb any observable ordering
+callback storage) must not disturb any observable ordering
 contract.  These tests pin the contracts down directly:
 
 * the heap key composes ``(when, priority, sequence)`` — at equal
   timestamps every URGENT event beats every NORMAL event, and each class
   fires in FIFO (creation) order, with cancelled timeouts silently skipped;
-* ``Timeout.reset`` / ``Environment.timeout_at`` recycle timer objects
-  without perturbing schedules;
+* ``Environment.timeout_at`` fires at the exact absolute time it is given;
 * the public kernel API relied on by services and perf harnesses stays
   importable and attached.
 """
@@ -19,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import SimulationError
 from repro.sim.kernel import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
@@ -102,66 +100,6 @@ class TestPriorityKeyComposition:
             env.defer(lambda index=index: fired.append(index))
         env.run()
         assert fired == list(range(500))
-
-
-class TestTimeoutReset:
-    def test_reset_reschedules_processed_timeout(self, env):
-        timer = env.timeout(5.0, value="first")
-        env.run()
-        assert env.now == 5.0 and timer.processed
-        timer.reset(3.0, value="second")
-        assert not timer.processed
-        env.run()
-        assert env.now == 8.0
-        assert timer.value == "second"
-
-    def test_reset_at_fires_at_exact_absolute_time(self):
-        env = Environment()
-        timer = env.timeout(1.0)
-        env.run()
-        boundary = 1.0 + 0.1 + 0.2  # accumulated, not representable as
-        timer.reset(0.0, at=boundary)  # now + round-tripped delay
-        env.run()
-        assert env.now == boundary
-
-    def test_reset_of_pending_timeout_rejected(self, env):
-        timer = env.timeout(5.0)
-        with pytest.raises(SimulationError):
-            timer.reset(1.0)
-
-    def test_reset_of_cancelled_timeout_rejected(self, env):
-        timer = env.timeout(5.0)
-        timer.cancel()
-        with pytest.raises(SimulationError):
-            timer.reset(1.0)
-
-    def test_reset_rejects_negative_delay(self):
-        env = Environment()
-        timer = env.timeout(1.0)
-        env.run()
-        with pytest.raises(ValueError):
-            timer.reset(-1.0)
-
-    def test_reset_rejects_past_absolute_time(self):
-        env = Environment()
-        timer = env.timeout(5.0)
-        env.run()
-        with pytest.raises(ValueError):
-            timer.reset(0.0, at=1.0)
-
-    def test_reset_timer_waitable_again(self):
-        env = Environment()
-        timer = env.timeout(1.0)
-        env.run()
-        waited = []
-
-        def waiter():
-            value = yield timer.reset(2.0, value="again")
-            waited.append((env.now, value))
-
-        env.process(waiter())
-        env.run()
-        assert waited == [(3.0, "again")]
 
 
 class TestTimeoutAt:
