@@ -4,18 +4,19 @@
 per-function :class:`~repro.gateway.batching.FunctionBatcher` windows,
 the :class:`~repro.gateway.admission.AdmissionController`, and the
 :class:`~repro.gateway.degradation.DegradationMonitor`, and bridges
-asyncio request futures onto :class:`~repro.local.LocalPlatform` thread
-containers via ``submit_group`` + ``call_soon_threadsafe``.  The in-proc
-load generator drives it directly as coroutines (tens of thousands of
-RPS, no socket overhead); :class:`GatewayServer` adds a hand-rolled
-HTTP/1.1 layer over ``asyncio.start_server`` — stdlib only, keep-alive
-connections, bounded request sizes.
+asyncio request futures onto :class:`~repro.local.LocalPlatform` runner
+threads via ``submit_group(on_resolved=...)`` + ``call_soon_threadsafe``.
+The in-proc load generator drives it directly as coroutines (tens of
+thousands of RPS, no socket overhead); :class:`GatewayServer` adds a
+hand-rolled HTTP/1.1 layer over ``asyncio.start_server`` — stdlib only,
+keep-alive connections, bounded request sizes.
 
 Routes::
 
     POST /invoke/<function>   body = JSON payload (empty body -> null)
     GET  /healthz             liveness, uptime + current dispatch mode
-    GET  /stats               gateway counters, admission + flip history
+    GET  /stats               gateway counters, admission + flip history,
+                              the per-request stage split (``stages``)
     GET  /metrics             platform metrics registry snapshot (JSON by
                               default; Prometheus text exposition under
                               ``Accept: text/plain`` or
@@ -35,7 +36,6 @@ stopped · 504 gateway deadline exceeded.
 from __future__ import annotations
 
 import asyncio
-import functools
 import itertools
 import json
 import threading
@@ -65,7 +65,8 @@ from repro.gateway.degradation import (
     DegradationConfig,
     DegradationMonitor,
 )
-from repro.local import LocalPlatform
+from repro.local import LocalInvocation, LocalPlatform
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import (
     PROMETHEUS_CONTENT_TYPE,
     render_gateway_stats,
@@ -86,6 +87,15 @@ _REASONS = {
 MAX_HEADER_LINES = 64
 MAX_LINE_BYTES = 8192
 MAX_BODY_BYTES = 1 << 20
+
+#: Where a served request's latency went, in pipeline order: held in its
+#: dispatch window, waiting on the ready queue for a runner, inside the
+#: handler (slot wait excluded), and on the way back to the event loop.
+STAGES = ("window_wait", "queue_for_runner", "execute", "respond")
+#: Stage histogram edges (ms): an echo's stages are tens of microseconds,
+#: a loaded window tens of milliseconds.
+STAGE_EDGES_MS = (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0,
+                  50.0, 100.0, 200.0, 500.0, 1_000.0, 5_000.0)
 
 
 @dataclass(frozen=True)
@@ -171,6 +181,15 @@ class Gateway:
         #: and /stats; uptime is measured on the loop's monotonic clock.
         self.started_at = time.time()
         self._started_loop = self.loop.time()
+        #: The stage split of every request answered from a platform
+        #: outcome, built from timestamps both tiers take anyway.  Loop
+        #: confined (observed in :meth:`_drain_done`), so it needs no lock
+        #: and stays apart from the platform's lock-guarded registry.
+        self.stage_metrics = MetricsRegistry()
+        self._stage_histograms = tuple(
+            self.stage_metrics.histogram(f"gateway.stage.{stage}_ms",
+                                         STAGE_EDGES_MS)
+            for stage in STAGES)
         self._request_ids = itertools.count()
         self._id_prefix = f"req-{self.config.seed:x}"
         self._batchers: Dict[str, FunctionBatcher] = {}
@@ -182,7 +201,7 @@ class Gateway:
             max_ms = self.config.window_seconds * 1000.0
             self._window_policy = AdaptiveWindow(
                 min_ms=max_ms / 20.0, max_ms=max_ms, slo_budget_ms=max_ms)
-        # Completions arrive on platform worker threads; they are buffered
+        # Completions arrive on platform runner threads; they are buffered
         # and drained with ONE call_soon_threadsafe per wakeup instead of
         # one per invocation — at 10k+ RPS the per-request loop wakeups
         # were a measurable share of the single core this serves on.
@@ -316,28 +335,30 @@ class Gateway:
         now = self.loop.time()
         for request in requests:
             request.dispatched_at = now
+
+        def on_resolved(position: int, invocation: LocalInvocation) -> None:
+            self._on_platform_done(requests[position], invocation)
+
         try:
-            invocations = self.platform.submit_group(
-                function, [request.payload for request in requests])
+            self.platform.submit_group(
+                function, [request.payload for request in requests],
+                on_resolved)
         except Exception as error:
             for request in requests:
                 if not request.future.done():
                     request.future.set_exception(error)
             return
         self.batches_dispatched += 1
-        for request, invocation in zip(requests, invocations):
-            invocation.future.add_done_callback(
-                functools.partial(self._on_platform_done, request))
 
     def _expire(self, request: PendingRequest) -> None:
         if not request.future.done():
             request.future.set_exception(asyncio.TimeoutError())
 
     def _on_platform_done(self, request: PendingRequest,
-                          platform_future) -> None:
-        # Runs on a platform worker thread: buffer, wake the loop once.
+                          invocation: LocalInvocation) -> None:
+        # Runs on a platform thread: buffer, wake the loop once.
         with self._done_lock:
-            self._done_buffer.append((request, platform_future))
+            self._done_buffer.append((request, invocation))
             schedule = not self._drain_scheduled
             if schedule:
                 self._drain_scheduled = True
@@ -351,17 +372,30 @@ class Gateway:
         with self._done_lock:
             buffer, self._done_buffer = self._done_buffer, []
             self._drain_scheduled = False
-        for request, platform_future in buffer:
-            self._complete(request, platform_future)
+        now = self.loop.time()
+        for request, invocation in buffer:
+            self._complete(request, invocation, now)
 
-    def _complete(self, request: PendingRequest, platform_future) -> None:
+    def _complete(self, request: PendingRequest,
+                  invocation: LocalInvocation, now: float) -> None:
         if request.future.done():
             return  # deadline or eviction already answered the caller
-        error = platform_future.exception()
-        if error is not None:
-            request.future.set_exception(error)
+        if invocation.error is not None:
+            request.future.set_exception(invocation.error)
         else:
-            request.future.set_result(platform_future.result())
+            request.future.set_result(invocation.result)
+        if invocation.started_at is None:
+            return  # failed before any handler ran: no stages to split
+        # ``loop.time()`` and the platform's ``time.monotonic()`` are one
+        # clock.  Of a retried request these are the final attempt's
+        # stages; its earlier attempts show up as runner-queue time.
+        window, runner, execute, respond = self._stage_histograms
+        window.observe((request.dispatched_at - request.enqueued_at) * 1e3)
+        runner.observe(
+            (invocation.dispatched_at - request.dispatched_at) * 1e3)
+        execute.observe(
+            (invocation.completed_at - invocation.started_at) * 1e3)
+        respond.observe((now - invocation.completed_at) * 1e3)
 
     def _finish(self, start: float,
                 response: GatewayResponse) -> GatewayResponse:
@@ -395,6 +429,9 @@ class Gateway:
             "admission": self.admission.stats(),
             "degradation": degradation,
             "platform_state": self.platform.state,
+            "runners_started": self.platform.runners_started,
+            "runners_idle": self.platform.runners_idle,
+            "stages": self.stage_metrics.snapshot(),
         }
 
     def close(self) -> None:

@@ -6,22 +6,29 @@ execute as parallel threads inside it (the paper's inline parallelism),
 optionally gated to a fixed concurrency, and share the container's
 :class:`~repro.local.multiplexer.ResourceMultiplexer`.
 
-The executing threads come from a grow-on-demand pool owned by the
-container: a worker is created when a batch needs more concurrency than
-the pool has seen, parks itself when its invocation finishes, and is
-reused by later batches.  Steady-state serving therefore creates zero
-threads per request — at gateway rates (tens of thousands of RPS)
-per-invocation ``Thread()`` construction was the throughput ceiling.
+Every thread that runs a handler is a parked thread of a
+:class:`WorkerPool` — the one parked-thread implementation of
+``repro.local``.  A container owns a pool for the members a batch expands
+into; :class:`~repro.local.runtime.LocalPlatform` owns another whose
+*runners* pull ready groups and run each group's last member themselves.
+A pool starts a thread only when none is parked, so once the pools have
+seen their peak concurrency, serving constructs no thread: not per
+request, not per group, and not per timeout — the per-handler budget is
+enforced by one :class:`DeadlineWatcher` thread, not by a second thread
+per call.  (At gateway rates per-request ``Thread()`` construction was
+the throughput ceiling, twice.)
 """
 
 from __future__ import annotations
 
+import collections
 import queue
+import sys
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.common.errors import ContainerStateError, InvocationTimeout
 from repro.local.multiplexer import ResourceMultiplexer
@@ -29,21 +36,26 @@ from repro.local.multiplexer import ResourceMultiplexer
 #: A function handler: ``handler(payload, context) -> result``.
 Handler = Callable[[Any, "InvocationContext"], Any]
 
+#: Two first readers of :attr:`LocalInvocation.future` must get the same
+#: object.  Module-wide because only that first read ever takes it (the
+#: gateway's ``on_resolved`` path never does), and never held while a
+#: future is settled — done-callbacks run there.
+_FUTURE_LOCK = threading.Lock()
 
-@dataclass
+
+@dataclass(slots=True)
 class LocalInvocation:
     """One request flowing through the local runtime."""
 
     invocation_id: str
     function_name: str
     payload: Any
-    future: Future = field(default_factory=Future)
     submitted_at: float = field(default_factory=time.monotonic)
     dispatched_at: Optional[float] = None
     started_at: Optional[float] = None
     completed_at: Optional[float] = None
-    #: Outcome of the latest attempt, recorded before the future resolves
-    #: so the platform's retry layer can intercept failures.
+    #: Outcome of the latest attempt, recorded before the invocation
+    #: resolves so the platform's retry layer can intercept failures.
     result: Any = None
     error: Optional[BaseException] = None
     attempts: int = 1
@@ -55,9 +67,67 @@ class LocalInvocation:
     #: and land in a strictly later window — the re-batching tests assert
     #: monotonicity across :attr:`attempt_history`.
     window_seq: Optional[int] = None
-    #: One record per finished attempt: attempt number, window sequence,
-    #: container id and error type (``None`` for a success).
-    attempt_history: List[dict] = field(default_factory=list)
+    #: Container the latest attempt ran in (stamped by the platform; None
+    #: for an attempt that failed before it got one).
+    container_id: Optional[str] = None
+    #: Called once with the invocation when it resolves, then dropped —
+    #: a completed invocation must not pin its caller's request state.
+    on_resolved: Optional[Callable[["LocalInvocation"], None]] = None
+    resolved: bool = field(default=False, init=False)
+    #: Records of the attempts :meth:`reset_for_retry` archived; None
+    #: until there is a retry — most invocations never allocate one.
+    _failed_attempts: Optional[List[dict]] = field(
+        default=None, init=False, repr=False)
+    _future: Optional[Future] = field(default=None, init=False, repr=False)
+
+    @property
+    def future(self) -> Future:
+        """The caller-facing future, built on first use.
+
+        A ``concurrent.futures.Future`` costs 1.3 KB (its ``Condition``)
+        and every completed invocation is retained for the metrics, so
+        only callers that ask for one pay for it.  Reading it after the
+        invocation resolved returns an already-settled future.
+        """
+        future = self._future
+        if future is None:
+            with _FUTURE_LOCK:
+                future = self._future
+                if future is None:
+                    future = self._future = Future()
+            if self.resolved:
+                self._copy_outcome(future)
+        return future
+
+    def _copy_outcome(self, future: Future) -> None:
+        """Copy the outcome into *future*; a late first reader and
+        :meth:`resolve` may both get here, and the first one wins."""
+        try:
+            if self.error is not None:
+                future.set_exception(self.error)
+            else:
+                future.set_result(self.result)
+        except InvalidStateError:
+            pass
+
+    @property
+    def attempt_history(self) -> List[dict]:
+        """One record per finished attempt, oldest first: attempt number,
+        window sequence, container id and error type (``None`` for a
+        success).  Built on request from the archived failures plus the
+        latest attempt's own fields, so the common single-attempt
+        invocation carries no list and no dict.
+        """
+        history = list(self._failed_attempts or ())
+        if self.completed_at is not None:
+            history.append({
+                "attempt": self.attempts,
+                "window_seq": self.window_seq,
+                "container_id": self.container_id,
+                "error": (type(self.error).__name__
+                          if self.error is not None else None),
+            })
+        return history
 
     @property
     def latency_seconds(self) -> float:
@@ -84,14 +154,22 @@ class LocalInvocation:
                   else self.submitted_at)
         return self.completed_at - origin
 
+    def record(self, result: Any, error: Optional[BaseException]) -> None:
+        """Record this attempt's outcome; ``completed_at`` marks it settled."""
+        self.result = result
+        self.error = error
+        self.completed_at = time.monotonic()
+
     def resolve(self) -> None:
-        """Resolve the caller's future from the recorded outcome."""
-        if self.future.done():
+        """Publish the recorded outcome to the caller (idempotent)."""
+        if self.resolved:
             return
-        if self.error is not None:
-            self.future.set_exception(self.error)
-        else:
-            self.future.set_result(self.result)
+        self.resolved = True  # before reading _future: see ``future``
+        if self._future is not None:
+            self._copy_outcome(self._future)
+        callback, self.on_resolved = self.on_resolved, None
+        if callback is not None:
+            callback(self)
 
     def reset_for_retry(self) -> None:
         """Re-arm for another attempt (caller re-enqueues afterwards)."""
@@ -100,11 +178,15 @@ class LocalInvocation:
                 f"{self.invocation_id} retried without a failure")
         if self.first_submitted_at is None:
             self.first_submitted_at = self.submitted_at
+        self._failed_attempts = self.attempt_history
+        # ``attempts`` moves first: a handler abandoned by a timeout
+        # compares it before ``completed_at`` when it finally returns.
         self.attempts += 1
         self.submitted_at = time.monotonic()
         self.dispatched_at = None
         self.started_at = None
         self.completed_at = None
+        self.container_id = None
         self.result = None
         self.error = None
 
@@ -130,42 +212,151 @@ class InvocationContext:
         return self.multiplexer.get_or_create(factory, *args, **kwargs)
 
 
-class _PooledWorker:
-    """One reusable execution thread of a container's worker pool.
+def _report_thread_error() -> None:
+    """Report the exception being handled as a dying thread's would be."""
+    threading.excepthook(threading.ExceptHookArgs(
+        (*sys.exc_info(), threading.current_thread())))
 
-    The worker blocks on its own task box; ``submit`` hands it exactly
-    one callable.  After the callable returns the worker parks itself
-    back in the container's idle pool — so a worker abandoned by a
-    timed-out handler is simply unavailable until that handler finally
-    returns, and is then reused instead of leaked.
+
+class WorkerPool:
+    """Grow-on-demand parked threads pulling work from one ready queue.
+
+    ``submit(*args)`` queues one ``run(*args)`` call.  It claims a parked
+    thread when there is one and starts a thread only when there is none,
+    so queued work never waits behind a busy thread: concurrency is
+    unbounded, and steady state constructs no thread.  A thread stuck in
+    ``run`` (a handler abandoned by its timeout) is simply not parked
+    until ``run`` returns; it is reused afterwards, not leaked.
     """
 
-    __slots__ = ("_box", "thread")
-
-    def __init__(self, container_id: str, index: int,
-                 park: Callable[["_PooledWorker"], None]) -> None:
-        self._box: "queue.SimpleQueue[Optional[Callable[[], None]]]" = (
+    def __init__(self, name: str, run: Callable[..., None]) -> None:
+        self._name = name
+        self._run = run
+        self._ready: "queue.SimpleQueue[Optional[tuple]]" = (
             queue.SimpleQueue())
-        self.thread = threading.Thread(
-            target=self._loop, args=(park,), daemon=True,
-            name=f"{container_id}:worker-{index}")
-        self.thread.start()
+        self._lock = threading.Lock()
+        self._parked = 0
+        self._threads: List[threading.Thread] = []
+        self._closed = False
 
-    def submit(self, task: Callable[[], None]) -> None:
-        self._box.put(task)
+    @property
+    def started(self) -> int:
+        """Threads this pool has ever started."""
+        return len(self._threads)
 
-    def retire(self) -> None:
-        self._box.put(None)
+    @property
+    def idle(self) -> int:
+        """Threads parked on the ready queue with no work claimed."""
+        return self._parked
 
-    def _loop(self, park: Callable[["_PooledWorker"], None]) -> None:
+    def submit(self, *args: Any) -> None:
+        thread = None
+        with self._lock:
+            if self._closed:
+                raise ContainerStateError(f"{self._name} pool is closed")
+            if self._parked:
+                self._parked -= 1
+            else:
+                thread = threading.Thread(
+                    target=self._loop, daemon=True,
+                    name=f"{self._name}-{len(self._threads)}")
+                self._threads.append(thread)
+        if thread is not None:
+            try:
+                thread.start()
+            except BaseException:  # nothing queued, nothing claimed
+                with self._lock:
+                    self._threads.remove(thread)
+                raise
+        self._ready.put(args)
+
+    def close(self) -> List[threading.Thread]:
+        """Tell every thread to exit once the queue is empty; returns them.
+
+        A parked thread exits at once; one still inside ``run`` exits when
+        ``run`` returns.
+        """
+        with self._lock:
+            if self._closed:
+                return []
+            self._closed = True
+            threads = list(self._threads)
+        for _ in threads:
+            self._ready.put(None)
+        return threads
+
+    def _loop(self) -> None:
         while True:
-            task = self._box.get()
-            if task is None:
+            args = self._ready.get()
+            if args is None:
                 return
             try:
-                task()
-            finally:
-                park(self)
+                self._run(*args)
+            except Exception:
+                # A bug in one call must not cost the pool a thread.
+                _report_thread_error()
+            with self._lock:
+                self._parked += 1
+
+
+class DeadlineWatcher:
+    """One thread that expires calls which outlive a constant budget.
+
+    Every watched call has the same budget, so deadlines arrive (near
+    enough) in order and a FIFO replaces a heap: ``watch`` is one
+    ``deque.append`` — no lock, no wake-up.  The thread sweeps the due
+    head of the FIFO at most ``SWEEPS_PER_BUDGET`` times per budget (an
+    overrun is noticed within budget/20 of its deadline, whatever the
+    request rate), and sleeps a whole budget when nothing is pending:
+    nothing appended meanwhile can be due sooner.  Calls that finish in
+    time are not cancelled: ``expire(*args)`` runs for every entry once
+    its deadline passed and must be a no-op for a call that has settled.
+    """
+
+    SWEEPS_PER_BUDGET = 20
+
+    def __init__(self, budget_seconds: float, name: str) -> None:
+        self.budget_seconds = budget_seconds
+        self._pending: Deque[Tuple[float, Callable[..., None], tuple]] = (
+            collections.deque())
+        self._stopped = threading.Event()
+        self.thread = threading.Thread(target=self._loop, name=name,
+                                       daemon=True)
+        self.thread.start()
+
+    def watch(self, started_at: float, expire: Callable[..., None],
+              *args: Any) -> None:
+        self._pending.append((started_at + self.budget_seconds, expire, args))
+
+    def stop(self) -> None:
+        self._stopped.set()
+
+    def _loop(self) -> None:
+        pending = self._pending
+        shortest_nap = self.budget_seconds / self.SWEEPS_PER_BUDGET
+        nap = self.budget_seconds
+        while not self._stopped.wait(nap):
+            nap = self.budget_seconds
+            while pending:
+                remaining = pending[0][0] - time.monotonic()
+                if remaining > 0:
+                    nap = max(remaining, shortest_nap)
+                    break
+                _, expire, args = pending.popleft()
+                try:
+                    expire(*args)
+                except Exception:  # one bad entry must not end all timeouts
+                    _report_thread_error()
+
+
+class _Batch:
+    """Countdown of one ``execute_batch`` call's unsettled members."""
+
+    __slots__ = ("remaining", "on_done")
+
+    def __init__(self, remaining: int, on_done: Callable[[], None]) -> None:
+        self.remaining = remaining
+        self.on_done: Optional[Callable[[], None]] = on_done
 
 
 class LocalContainer:
@@ -177,7 +368,8 @@ class LocalContainer:
                  use_multiplexer: bool = True,
                  cold_start_seconds: float = 0.0,
                  timeout_seconds: Optional[float] = None,
-                 defer_resolution: bool = False) -> None:
+                 defer_resolution: bool = False,
+                 watcher: Optional[DeadlineWatcher] = None) -> None:
         if concurrency is not None and concurrency < 1:
             raise ValueError(
                 f"concurrency must be >= 1 or None, got {concurrency}")
@@ -189,22 +381,29 @@ class LocalContainer:
         self.handler = handler
         self.multiplexer = ResourceMultiplexer() if use_multiplexer else None
         #: Wall-clock budget per handler call.  A handler that overruns is
-        #: abandoned on its (daemon) worker thread and the invocation fails
+        #: abandoned on its (daemon) pooled thread and the invocation fails
         #: with :class:`InvocationTimeout` — Python threads cannot be
-        #: killed, so the overrunning call leaks until process exit.
+        #: killed, so the thread is unavailable until the call returns.
         self.timeout_seconds = timeout_seconds
         #: When True the container only *records* each outcome on the
-        #: invocation; the platform's retry layer decides when the caller's
-        #: future resolves.  Direct/standalone use keeps the default
-        #: (futures resolve as each invocation finishes).
+        #: invocation; the platform's retry layer decides when the caller
+        #: hears of it.  Direct/standalone use keeps the default
+        #: (invocations resolve as each one finishes).
         self.defer_resolution = defer_resolution
+        #: The platform shares one watcher across its containers (they all
+        #: have the same budget); a standalone container starts its own.
+        self._owns_watcher = timeout_seconds is not None and watcher is None
+        self._watcher = (DeadlineWatcher(timeout_seconds,
+                                         f"{container_id}:deadlines")
+                         if self._owns_watcher else watcher)
+        self._context = InvocationContext(
+            container_id=container_id, function_name=function_name,
+            multiplexer=self.multiplexer)
         self._slots = (threading.Semaphore(concurrency)
                        if concurrency is not None else None)
         self._active = 0
         self._lock = threading.Lock()
-        self._idle_workers: List[_PooledWorker] = []
-        self._worker_counter = 0
-        self.workers_created = 0
+        self._workers = WorkerPool(f"{container_id}:worker", self._run_one)
         self.invocations_served = 0
         self.invocations_timed_out = 0
         self.stopped = False
@@ -215,6 +414,7 @@ class LocalContainer:
 
     @property
     def active_invocations(self) -> int:
+        """Members accepted by ``execute_batch`` and not yet settled."""
         with self._lock:
             return self._active
 
@@ -228,114 +428,107 @@ class LocalContainer:
                 f"{self.container_id} is busy ({self.active_invocations})")
         with self._lock:
             self.stopped = True
-            idle, self._idle_workers = self._idle_workers, []
-        for worker in idle:
-            worker.retire()
-
-    # -- worker pool --------------------------------------------------------------
-
-    def _checkout(self) -> _PooledWorker:
-        with self._lock:
-            if self._idle_workers:
-                return self._idle_workers.pop()
-            self._worker_counter += 1
-            self.workers_created += 1
-            index = self._worker_counter
-        return _PooledWorker(self.container_id, index, self._park)
-
-    def _park(self, worker: _PooledWorker) -> None:
-        with self._lock:
-            if not self.stopped:
-                self._idle_workers.append(worker)
-                return
-        worker.retire()
+        self._workers.close()
+        if self._owns_watcher:
+            self._watcher.stop()
 
     # -- execution ---------------------------------------------------------------
 
-    def execute_batch(self, invocations: List[LocalInvocation]) -> None:
-        """Run *invocations* inside this container; blocks until all done.
+    def execute_batch(self, invocations: List[LocalInvocation],
+                      on_done: Optional[Callable[[], None]] = None) -> None:
+        """Run *invocations* inside this container.
 
         Mirrors §III-C step 3: one request expands the whole batch as
-        threads and returns when every invocation completed.
+        threads.  Without *on_done* every member runs on a pooled worker
+        and the call blocks until all of them settled.  With *on_done* the
+        caller says it is itself a pooled thread that a timeout may
+        abandon: it runs the batch's last member (for a single-member
+        batch there is no hand-off at all), the call returns when that
+        member's handler does, and ``on_done()`` fires exactly once, on
+        whichever thread settles the batch's last unsettled member.
         """
         if self.stopped:
             raise ContainerStateError(f"{self.container_id} is stopped")
         if not invocations:
             raise ValueError("empty batch")
-        done = threading.Event()
-        remaining = [len(invocations)]
-
-        def run(invocation: LocalInvocation) -> None:
-            try:
-                self._run_one(invocation)
-            finally:
-                with self._lock:
-                    remaining[0] -= 1
-                    finished = remaining[0] == 0
-                if finished:
-                    done.set()
-
-        for invocation in invocations:
-            invocation.dispatched_at = time.monotonic()
-            worker = self._checkout()
-            worker.submit(lambda invocation=invocation: run(invocation))
-        done.wait()
-
-    def _run_one(self, invocation: LocalInvocation) -> None:
+        done = None
+        if on_done is None:
+            done = threading.Event()
+            on_done = done.set
+            handed, inline = invocations, None
+        else:
+            handed, inline = invocations[:-1], invocations[-1]
+        batch = _Batch(len(invocations), on_done)
         with self._lock:
-            self._active += 1
+            self._active += len(invocations)
+        for invocation in handed:
+            invocation.dispatched_at = time.monotonic()
+            try:
+                self._workers.submit(invocation, batch)
+            except Exception as error:  # "can't start new thread"
+                self._settle(invocation, invocation.attempts, batch,
+                             None, error)
+        if inline is not None:
+            inline.dispatched_at = time.monotonic()
+            self._run_one(inline, batch)
+        else:
+            done.wait()
+
+    def _run_one(self, invocation: LocalInvocation, batch: _Batch) -> None:
+        attempt = invocation.attempts
         if self._slots is not None:
             self._slots.acquire()
-        context = InvocationContext(
-            container_id=self.container_id,
-            function_name=self.function_name,
-            multiplexer=self.multiplexer)
-        invocation.started_at = time.monotonic()
+        invocation.started_at = started = time.monotonic()
+        if self._watcher is not None:
+            self._watcher.watch(started, self._expire, invocation, attempt,
+                                batch)
         try:
-            invocation.result, invocation.error = self._call_handler(
-                invocation, context)
-            invocation.completed_at = time.monotonic()
-            if not self.defer_resolution:
-                invocation.resolve()
-        finally:
-            if self._slots is not None:
-                self._slots.release()
-            with self._lock:
-                self._active -= 1
-                self.invocations_served += 1
+            result, error = self.handler(invocation.payload,
+                                         self._context), None
+        except BaseException as failure:  # handler failure -> recorded
+            result, error = None, failure
+        self._settle(invocation, attempt, batch, result, error)
 
-    def _call_handler(self, invocation: LocalInvocation,
-                      context: InvocationContext):
-        """Run the handler, enforcing the per-invocation timeout if set.
+    def _expire(self, invocation: LocalInvocation, attempt: int,
+                batch: _Batch) -> None:
+        """Deadline of one handler call (runs on the watcher thread)."""
+        if invocation.completed_at is not None \
+                or invocation.attempts != attempt:
+            return  # the common case: it finished within its budget
+        self._settle(invocation, attempt, batch, None, InvocationTimeout(
+            f"{invocation.invocation_id} exceeded "
+            f"{self.timeout_seconds}s on {self.container_id} "
+            f"(attempt {attempt})"), timed_out=True)
 
-        Returns ``(result, error)`` — exactly one is meaningful.  Timeouts
-        run the handler on a second pooled worker and abandon it when the
-        budget elapses (the thread itself cannot be cancelled); the
-        abandoned worker re-parks itself whenever the handler finally
-        returns, so it is stalled rather than leaked.
+    def _settle(self, invocation: LocalInvocation, attempt: int,
+                batch: _Batch, result: Any,
+                error: Optional[BaseException],
+                timed_out: bool = False) -> None:
+        """Record one member's outcome — once.
+
+        A handler's own thread and the deadline watcher race to settle a
+        member.  The first wins; the loser (an overrunning handler that
+        finally returned, or a deadline that found the call finished) is
+        dropped, also when the invocation has since moved on to a later
+        attempt.  Whoever settles a batch's last member runs ``on_done``.
         """
-        if self.timeout_seconds is None:
-            try:
-                return self.handler(invocation.payload, context), None
-            except BaseException as error:  # handler failure -> recorded
-                return None, error
-        outcome: dict = {}
-        finished = threading.Event()
-
-        def call() -> None:
-            try:
-                outcome["result"] = self.handler(invocation.payload, context)
-            except BaseException as error:
-                outcome["error"] = error
-            finally:
-                finished.set()
-
-        self._checkout().submit(call)
-        if not finished.wait(self.timeout_seconds):
-            with self._lock:
-                self.invocations_timed_out += 1
-            return None, InvocationTimeout(
-                f"{invocation.invocation_id} exceeded "
-                f"{self.timeout_seconds}s on {self.container_id} "
-                f"(attempt {invocation.attempts})")
-        return outcome.get("result"), outcome.get("error")
+        with self._lock:
+            if invocation.attempts != attempt \
+                    or invocation.completed_at is not None:
+                return
+            started = invocation.started_at is not None
+            invocation.record(result, error)
+            self._active -= 1
+            self.invocations_served += 1
+            self.invocations_timed_out += timed_out
+            batch.remaining -= 1
+            last = batch.remaining == 0
+        if started and self._slots is not None:
+            self._slots.release()
+        if not self.defer_resolution:
+            invocation.resolve()
+        if last:
+            # Deadline entries outlive the batch by up to one budget: do
+            # not let them pin the group through its callback.
+            on_done, batch.on_done = batch.on_done, None
+            on_done()

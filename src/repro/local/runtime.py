@@ -4,8 +4,10 @@ A miniature serverless platform that actually runs Python handlers:
 
 * requests enter a queue; a dispatcher thread gathers them in **dispatch
   windows** and groups them per function (Invoke Mapper);
-* each group is mapped onto a single warm-or-new container and expanded as
-  parallel threads (Inline-Parallel Producer);
+* each ready group is pulled by a parked **runner** thread, mapped onto a
+  single warm-or-new container and expanded as parallel threads
+  (Inline-Parallel Producer) — the runner itself runs the group's last
+  member, so a single-request group costs one thread hop, not three;
 * each container owns a real :class:`ResourceMultiplexer`, so handlers that
   build storage clients via ``context.create_resource`` share them.
 
@@ -17,13 +19,14 @@ effects on a laptop in milliseconds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import queue
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import (
     ConfigurationError,
@@ -31,7 +34,13 @@ from repro.common.errors import (
     PlatformDraining,
     PlatformStopped,
 )
-from repro.local.container import Handler, LocalContainer, LocalInvocation
+from repro.local.container import (
+    DeadlineWatcher,
+    Handler,
+    LocalContainer,
+    LocalInvocation,
+    WorkerPool,
+)
 from repro.obs import DEFAULT_SIZE_EDGES, Observability
 
 _POLICIES = ("faasbatch", "vanilla")
@@ -43,6 +52,15 @@ _POLICIES = ("faasbatch", "vanilla")
 STATE_ACCEPTING = "accepting"
 STATE_DRAINING = "draining"
 STATE_STOPPED = "stopped"
+
+#: ``submit_group``'s per-member completion hook: ``(position in the
+#: submitted group, the resolved invocation)``.
+OnResolved = Callable[[int, LocalInvocation], None]
+
+#: How long ``shutdown`` waits for runner threads to exit once everything
+#: has drained.  Parked runners leave at once; only one still inside a
+#: handler its timeout abandoned can outlast this (it is a daemon thread).
+_RUNNER_EXIT_GRACE_SECONDS = 0.25
 
 
 @dataclass(frozen=True)
@@ -108,13 +126,24 @@ class LocalPlatform:
         #: Observability bundle.  Metrics counters/histograms and (when
         #: tracing is on) per-invocation span timelines are published at
         #: resolution time under :attr:`_obs_lock` — the registry and
-        #: tracer are not thread-safe and group workers are concurrent.
+        #: tracer are not thread-safe and groups finish concurrently.
         self.obs = obs
         self._obs_lock = threading.Lock()
         self._epoch = time.monotonic()
         self._handlers: Dict[str, Handler] = {}
-        self._queue: "queue.Queue[LocalInvocation]" = queue.Queue()
-        self._idle: Dict[str, List[LocalContainer]] = {}
+        #: Invocations waiting for a dispatch window; ``None`` stops the
+        #: dispatcher.
+        self._queue: "queue.Queue[Optional[LocalInvocation]]" = queue.Queue()
+        #: Ready groups wait here for a runner: every thread that executes
+        #: a group is a parked thread of this pool, never a new one.
+        self._runners = WorkerPool("local-runner", self._run_group)
+        timeout = self.config.request_timeout_seconds
+        self._watcher = (DeadlineWatcher(timeout, "local-deadlines")
+                         if timeout is not None else None)
+        #: Warm pool: per function, ``(released_at, container)`` pairs.
+        self._idle: Dict[str, List[Tuple[float, LocalContainer]]] = {}
+        #: Every container not yet expired, busy ones included.
+        self._containers: Set[LocalContainer] = set()
         self._pool_lock = threading.Lock()
         self._counter = itertools.count()
         self._container_counter = itertools.count()
@@ -129,7 +158,6 @@ class LocalPlatform:
         self.containers_expired = 0
         self.retries_scheduled = 0
         self.retries_exhausted = 0
-        self._released_at: Dict[str, float] = {}
         self.completed: List[LocalInvocation] = []
         self._completed_lock = threading.Lock()
         self._dispatcher = threading.Thread(
@@ -175,10 +203,20 @@ class LocalPlatform:
         """The lock guarding ``self.obs`` publication.
 
         Concurrent readers (e.g. a live trace streamer polling the
-        tracer while group workers publish timelines) must hold it to
-        see a consistent prefix.
+        tracer while groups publish timelines) must hold it to see a
+        consistent prefix.
         """
         return self._obs_lock
+
+    @property
+    def runners_started(self) -> int:
+        """Runner threads ever started: the peak group concurrency seen."""
+        return self._runners.started
+
+    @property
+    def runners_idle(self) -> int:
+        """Runner threads parked right now, waiting for a ready group."""
+        return self._runners.idle
 
     def has_function(self, name: str) -> bool:
         return name in self._handlers
@@ -186,68 +224,69 @@ class LocalPlatform:
     def registered_functions(self) -> List[str]:
         return sorted(self._handlers)
 
-    def _check_accepting(self) -> None:
-        """Raise the typed lifecycle error if submissions are closed.
-
-        Caller holds ``_inflight_lock`` — the state check and the
-        in-flight increment must be atomic so a submission can never race
-        past a concurrent :meth:`shutdown`.
+    def _admit(self, count: int) -> None:
+        """Count *count* new invocations in flight, or raise the typed
+        lifecycle error.  The state check and the increment are one
+        critical section so a submission can never race past a concurrent
+        :meth:`shutdown`.
         """
-        if self._state == STATE_DRAINING:
-            raise PlatformDraining("platform is draining; no new work")
-        if self._state == STATE_STOPPED:
-            raise PlatformStopped("platform is stopped")
+        with self._inflight_lock:
+            if self._state == STATE_DRAINING:
+                raise PlatformDraining("platform is draining; no new work")
+            if self._state == STATE_STOPPED:
+                raise PlatformStopped("platform is stopped")
+            self._inflight += count
+            self._inflight_zero.clear()
+
+    def _new_invocation(self, name: str, payload: Any) -> LocalInvocation:
+        return LocalInvocation(
+            invocation_id=f"inv-{next(self._counter)}",
+            function_name=name, payload=payload)
 
     def invoke(self, name: str, payload: Any = None) -> Future:
         """Fire one invocation; returns a Future with the handler's result."""
         if name not in self._handlers:
             raise FunctionNotRegistered(name)
-        invocation = LocalInvocation(
-            invocation_id=f"inv-{next(self._counter)}",
-            function_name=name, payload=payload)
-        with self._inflight_lock:
-            self._check_accepting()
-            self._inflight += 1
-            self._inflight_zero.clear()
+        invocation = self._new_invocation(name, payload)
+        future = invocation.future  # built before any thread can resolve it
+        self._admit(1)
         self._queue.put(invocation)
-        return invocation.future
+        return future
 
     def invoke_many(self, name: str, payloads: List[Any]) -> List[Future]:
         """Fire a burst of invocations."""
         return [self.invoke(name, payload) for payload in payloads]
 
-    def submit_group(self, name: str,
-                     payloads: List[Any]) -> List[LocalInvocation]:
+    def submit_group(self, name: str, payloads: List[Any],
+                     on_resolved: Optional[OnResolved] = None
+                     ) -> List[LocalInvocation]:
         """Submit a pre-batched group of one function, bypassing the window.
 
         The async-bridge hook for the gateway: its event loop already
         collected these requests in a dispatch window, so the group goes
-        straight to a worker thread (fresh window sequence number) and
-        shares the warm pool, retry, timeout and accounting machinery with
-        queued traffic.  Returns the live :class:`LocalInvocation` objects
-        so the caller can bridge each ``invocation.future``
-        (``asyncio.wrap_future`` / ``add_done_callback``) back onto its
-        event loop.  Retried attempts re-enter the normal dispatcher
-        queue and re-batch there.
+        straight onto the ready queue (fresh window sequence number) and
+        shares the runners, warm pool, retry, timeout and accounting
+        machinery with queued traffic.  ``on_resolved(position,
+        invocation)`` is called once per member, after it has been
+        accounted and published, on the platform thread that resolved it
+        — read ``invocation.result`` / ``.error`` there and hop back onto
+        the event loop; no ``Future`` is built for such a member.  Callers
+        that would rather block can still read ``invocation.future`` on
+        the returned :class:`LocalInvocation` objects at any time.
+        Retried attempts re-enter the normal dispatcher queue and
+        re-batch there.
         """
         if not payloads:
             raise ValueError("empty group")
         if name not in self._handlers:
             raise FunctionNotRegistered(name)
-        group = [LocalInvocation(
-            invocation_id=f"inv-{next(self._counter)}",
-            function_name=name, payload=payload) for payload in payloads]
-        with self._inflight_lock:
-            self._check_accepting()
-            self._inflight += len(group)
-            self._inflight_zero.clear()
-        seq = next(self._window_counter)
-        for invocation in group:
-            invocation.window_seq = seq
-        worker = threading.Thread(
-            target=self._run_group, args=(group,),
-            name=f"group:{name}", daemon=True)
-        worker.start()
+        group = [self._new_invocation(name, payload) for payload in payloads]
+        if on_resolved is not None:
+            for position, invocation in enumerate(group):
+                invocation.on_resolved = functools.partial(on_resolved,
+                                                           position)
+        self._admit(len(group))
+        self._start_groups([group])
         return group
 
     def drain(self, timeout: float = 30.0) -> None:
@@ -262,17 +301,36 @@ class LocalPlatform:
         Idempotent.  Submissions that arrive while draining raise
         :class:`~repro.common.errors.PlatformDraining`; after the
         dispatcher stops they raise
-        :class:`~repro.common.errors.PlatformStopped`.
+        :class:`~repro.common.errors.PlatformStopped`.  Every platform
+        thread is woken rather than left to notice: an idle platform
+        stops in well under a millisecond per thread.
         """
         with self._inflight_lock:
             if self._state == STATE_STOPPED:
                 return
             self._state = STATE_DRAINING
         self.drain(timeout)
-        self._shutdown.set()
-        self._dispatcher.join(timeout)
+        # Wake everything first, then join.
+        self._shutdown.set()  # the janitor waits on it
+        self._queue.put(None)
+        runners = self._runners.close()
+        stopping = [self._dispatcher]
         if self._janitor is not None:
-            self._janitor.join(timeout)
+            stopping.append(self._janitor)
+        if self._watcher is not None:
+            self._watcher.stop()
+            stopping.append(self._watcher.thread)
+        with self._pool_lock:
+            containers, self._idle = list(self._containers), {}
+        for container in containers:
+            if container.is_idle:
+                container.stop()  # retires its parked workers
+        for thread in stopping:
+            thread.join(timeout)
+        grace_ends = time.monotonic() + min(timeout,
+                                            _RUNNER_EXIT_GRACE_SECONDS)
+        for runner in runners:
+            runner.join(max(0.0, grace_ends - time.monotonic()))
         with self._inflight_lock:
             self._state = STATE_STOPPED
 
@@ -283,46 +341,45 @@ class LocalPlatform:
             return [inv.latency_seconds for inv in self.completed]
 
     def multiplexer_reuse_ratio(self) -> float:
-        """Aggregate reuse ratio over all containers (0 when unused)."""
+        """Aggregate reuse ratio over all live containers (0 when unused)."""
         lookups = 0
         reused = 0
-        for containers in self._idle.values():
-            for container in containers:
-                if container.multiplexer is None:
-                    continue
-                metrics = container.multiplexer.metrics
-                lookups += metrics.lookups
-                reused += metrics.hits + metrics.in_flight_waits
+        with self._pool_lock:
+            containers = list(self._containers)
+        for container in containers:
+            if container.multiplexer is None:
+                continue
+            metrics = container.multiplexer.metrics
+            lookups += metrics.lookups
+            reused += metrics.hits + metrics.in_flight_waits
         return reused / lookups if lookups else 0.0
 
     # -- dispatcher ------------------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        while not self._shutdown.is_set():
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                continue
+        windowed = (self.config.policy == "faasbatch"
+                    and self.config.window_seconds > 0)
+        running = True
+        while running:
+            first = self._queue.get()
+            if first is None:
+                return
             batch = [first]
-            if self.config.policy == "faasbatch" and \
-                    self.config.window_seconds > 0:
+            if windowed:
                 deadline = time.monotonic() + self.config.window_seconds
                 while True:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
                     try:
-                        batch.append(self._queue.get(timeout=remaining))
+                        late = self._queue.get(timeout=remaining)
                     except queue.Empty:
                         break
-            seq = next(self._window_counter)
-            for invocation in batch:
-                invocation.window_seq = seq
-            for group in self._form_groups(batch):
-                worker = threading.Thread(
-                    target=self._run_group, args=(group,),
-                    name=f"group:{group[0].function_name}", daemon=True)
-                worker.start()
+                    if late is None:  # stop, once this window is served
+                        running = False
+                        break
+                    batch.append(late)
+            self._start_groups(self._form_groups(batch))
 
     def _form_groups(self, batch: List[LocalInvocation]
                      ) -> List[List[LocalInvocation]]:
@@ -334,46 +391,87 @@ class LocalPlatform:
                                    []).append(invocation)
         return list(by_function.values())
 
-    def _run_group(self, group: List[LocalInvocation]) -> None:
-        name = group[0].function_name
-        container, cold_started = self._acquire(name)
-        try:
-            container.execute_batch(group)
-        finally:
-            self._release(container)
-            final, retry = [], []
+    def _start_groups(self, groups: List[List[LocalInvocation]]) -> None:
+        """Stamp one window's groups and put them on the ready queue."""
+        seq = next(self._window_counter)
+        for group in groups:
             for invocation in group:
-                invocation.attempt_history.append({
-                    "attempt": invocation.attempts,
-                    "window_seq": invocation.window_seq,
-                    "container_id": container.container_id,
-                    "error": (type(invocation.error).__name__
-                              if invocation.error is not None else None),
-                })
-                if invocation.error is not None \
-                        and invocation.attempts < self.config.max_attempts:
-                    retry.append(invocation)
-                else:
-                    final.append(invocation)
-            # Account, publish, then resolve: a client holding its response
-            # must never observe a platform that has not yet counted it.
-            responded_at = time.monotonic()
-            with self._completed_lock:
-                self.completed.extend(final)
-            self._publish_group(group, final, container, cold_started,
-                                responded_at)
-            for invocation in final:
-                if invocation.error is not None:
-                    self.retries_exhausted += 1
-                invocation.resolve()
-            with self._inflight_lock:
-                # Retried invocations never decrement here, so reaching
-                # zero means nothing is queued, running, or backing off.
-                self._inflight -= len(final)
-                if self._inflight == 0:
-                    self._inflight_zero.set()
-            for invocation in retry:
-                self._schedule_retry(invocation)
+                invocation.window_seq = seq
+            try:
+                self._runners.submit(group)
+            except Exception as error:  # "can't start new thread"
+                self._fail_group(group, None, False, error)
+
+    def _run_group(self, group: List[LocalInvocation]) -> None:
+        """Body of a runner thread: serve one ready group.
+
+        The container reports back through ``_finish_group`` from whichever
+        thread settles the group's last member — this one, unless a
+        timeout abandoned it inside a handler.
+        """
+        container, cold_started = None, False
+        try:
+            container, cold_started = self._acquire(group[0].function_name)
+            container.execute_batch(group, functools.partial(
+                self._finish_group, group, container, cold_started))
+        except Exception as error:
+            self._fail_group(group, container, cold_started, error)
+
+    def _fail_group(self, group: List[LocalInvocation],
+                    container: Optional[LocalContainer],
+                    cold_started: bool, error: Exception) -> None:
+        """A group failed outside any handler (no thread, no container).
+
+        Every member without a recorded outcome fails with *error* and the
+        group takes the normal retry/final path.  A group whose members
+        all have outcomes has already been finished: the error came from
+        finishing it and is reported, not accounted twice.
+        """
+        unsettled = [invocation for invocation in group
+                     if invocation.completed_at is None]
+        if not unsettled:
+            raise error
+        for invocation in unsettled:
+            invocation.record(None, error)
+        self._finish_group(group, container, cold_started)
+
+    def _finish_group(self, group: List[LocalInvocation],
+                      container: Optional[LocalContainer],
+                      cold_started: bool) -> None:
+        """Every member of *group* has an outcome: release, account,
+        publish, resolve — and re-enqueue what may be retried."""
+        container_id = None
+        if container is not None:
+            self._release(container)
+            container_id = container.container_id
+        final, retry = [], []
+        for invocation in group:
+            invocation.container_id = container_id
+            if invocation.error is not None \
+                    and invocation.attempts < self.config.max_attempts:
+                retry.append(invocation)
+            else:
+                final.append(invocation)
+        # Account, publish, then resolve: a client holding its response
+        # must never observe a platform that has not yet counted it.
+        responded_at = time.monotonic()
+        with self._completed_lock:
+            self.completed.extend(final)
+            self.retries_scheduled += len(retry)
+            self.retries_exhausted += sum(
+                1 for invocation in final if invocation.error is not None)
+        self._publish_group(group, final, len(retry), container_id,
+                            cold_started, responded_at)
+        for invocation in final:
+            invocation.resolve()
+        with self._inflight_lock:
+            # Retried invocations never decrement here, so reaching
+            # zero means nothing is queued, running, or backing off.
+            self._inflight -= len(final)
+            if self._inflight == 0:
+                self._inflight_zero.set()
+        for invocation in retry:
+            self._schedule_retry(invocation)
 
     # -- observability ---------------------------------------------------------------
 
@@ -382,17 +480,18 @@ class LocalPlatform:
         return (monotonic_seconds - self._epoch) * 1000.0
 
     def _publish_group(self, group: List[LocalInvocation],
-                       final: List[LocalInvocation],
-                       container: LocalContainer,
+                       final: List[LocalInvocation], retried: int,
+                       container_id: Optional[str],
                        cold_started: bool,
                        responded_at: float) -> None:
         """Publish the group's spans and counters into ``self.obs``.
 
-        Called once per executed group from its worker thread; the shared
-        tracer/registry are guarded by ``_obs_lock``.  Spans are emitted
-        only for *final* invocations (the attempt that resolved the
-        future), using the current attempt's timestamps — so one timeline
-        per invocation, never a duplicate-arrival error on retries.
+        Called once per executed group from the thread that finished it;
+        the shared tracer/registry are guarded by ``_obs_lock``.  Spans
+        are emitted only for *final* invocations (the attempt that
+        resolved the caller), using the current attempt's timestamps — so
+        one timeline per invocation, never a duplicate-arrival error on
+        retries.
         """
         if self.obs is None:
             return
@@ -405,6 +504,8 @@ class LocalPlatform:
                               DEFAULT_SIZE_EDGES).observe(len(group))
             if cold_started:
                 metrics.counter("local.cold_starts").inc()
+            if retried:
+                metrics.counter("local.retries.scheduled").inc(retried)
             latency_hist = metrics.histogram("local.latency_ms")
             for invocation in final:
                 if invocation.error is not None:
@@ -419,11 +520,11 @@ class LocalPlatform:
             if not tracer.enabled:
                 return
             for invocation in final:
-                self._publish_timeline(tracer, invocation, container,
+                self._publish_timeline(tracer, invocation, container_id,
                                        cold_ms, responded_at)
 
     def _publish_timeline(self, tracer, invocation: LocalInvocation,
-                          container: LocalContainer, cold_ms: float,
+                          container_id: Optional[str], cold_ms: float,
                           responded_at: float) -> None:
         if invocation.dispatched_at is None \
                 or invocation.started_at is None \
@@ -436,10 +537,10 @@ class LocalPlatform:
             invocation.invocation_id, self._ms(invocation.dispatched_at),
             min(cold_ms, self._ms(invocation.dispatched_at)
                 - self._ms(invocation.submitted_at)),
-            container.container_id)
+            container_id)
         tracer.execution_started(
             invocation.invocation_id, self._ms(invocation.started_at),
-            container.container_id)
+            container_id)
         if invocation.error is not None:
             tracer.execution_failed(
                 invocation.invocation_id,
@@ -459,10 +560,6 @@ class LocalPlatform:
         traffic is in the window when it lands.
         """
         invocation.reset_for_retry()
-        self.retries_scheduled += 1
-        if self.obs is not None:
-            with self._obs_lock:
-                self.obs.metrics.counter("local.retries.scheduled").inc()
         retry_number = invocation.attempts - 1  # 1 for the first retry
         delay = self.config.retry_backoff_seconds * 2 ** (retry_number - 1)
         if delay > 0:
@@ -482,9 +579,9 @@ class LocalPlatform:
         cold-start cost to the invocations that waited on it.
         """
         with self._pool_lock:
-            idle = self._idle.get(name, [])
+            idle = self._idle.get(name)
             if idle:
-                return idle.pop(), False
+                return idle.pop()[1], False
         container = LocalContainer(
             container_id=f"container-{next(self._container_counter)}",
             function_name=name,
@@ -493,16 +590,17 @@ class LocalPlatform:
             use_multiplexer=self.config.use_multiplexer,
             cold_start_seconds=self.config.cold_start_seconds,
             timeout_seconds=self.config.request_timeout_seconds,
-            defer_resolution=True)
+            defer_resolution=True,
+            watcher=self._watcher)
         with self._pool_lock:
             self.containers_created += 1
+            self._containers.add(container)
         return container, True
 
     def _release(self, container: LocalContainer) -> None:
         with self._pool_lock:
-            self._idle.setdefault(container.function_name,
-                                  []).append(container)
-            self._released_at[container.container_id] = time.monotonic()
+            self._idle.setdefault(container.function_name, []).append(
+                (time.monotonic(), container))
 
     def _janitor_loop(self) -> None:
         """Reclaim idle warm containers past their keep-alive window."""
@@ -513,12 +611,11 @@ class LocalPlatform:
             with self._pool_lock:
                 for name, idle in self._idle.items():
                     survivors = []
-                    for container in idle:
-                        released = self._released_at.get(
-                            container.container_id, 0.0)
-                        if released < deadline and container.is_idle:
+                    for released_at, container in idle:
+                        if released_at < deadline and container.is_idle:
                             container.stop()
+                            self._containers.remove(container)
                             self.containers_expired += 1
                         else:
-                            survivors.append(container)
+                            survivors.append((released_at, container))
                     self._idle[name] = survivors

@@ -183,7 +183,9 @@ def render_gateway_stats(stats: Mapping[str, object]) -> str:
 
     String-valued facts (policy, window policy, platform state, dispatch
     mode) collapse into one ``gateway_info`` series with value 1, the
-    standard Prometheus idiom for build/config metadata.
+    standard Prometheus idiom for build/config metadata.  The page ends
+    with the runner-pool gauges and the per-request stage histograms
+    (``stats["stages"]``, a registry snapshot).
     """
     lines: List[str] = []
     info = {
@@ -261,4 +263,11 @@ def render_gateway_stats(stats: Mapping[str, object]) -> str:
     _scalar(lines, "gateway_vanilla_p99_ms", "gauge",
             "sliding-window p99 in vanilla mode",
             degradation.get("vanilla_p99_ms"))
-    return "\n".join(lines) + "\n"
+    _scalar(lines, "gateway_runners_started", "gauge",
+            "platform runner threads ever started",
+            stats.get("runners_started"))
+    _scalar(lines, "gateway_runners_idle", "gauge",
+            "platform runner threads parked",
+            stats.get("runners_idle"))
+    return "\n".join(lines) + "\n" + render_snapshot(
+        stats.get("stages") or {})

@@ -101,6 +101,31 @@ class TestFormatInvariants:
         assert "weird_name_with_slash 1" in page
 
 
+#: Snapshot-rendered histograms emit only observed edges (cumulative
+#: values stay exact at each); the unbounded tail folds into ``+Inf``.
+GOLDEN_TAIL = """\
+# HELP gateway_runners_started platform runner threads ever started
+# TYPE gateway_runners_started gauge
+gateway_runners_started 3
+# HELP gateway_runners_idle platform runner threads parked
+# TYPE gateway_runners_idle gauge
+gateway_runners_idle 2
+# HELP gateway_stage_execute_ms histogram gateway.stage.execute_ms
+# TYPE gateway_stage_execute_ms histogram
+gateway_stage_execute_ms_bucket{le="0.05"} 1
+gateway_stage_execute_ms_bucket{le="0.1"} 3
+gateway_stage_execute_ms_bucket{le="10"} 4
+gateway_stage_execute_ms_bucket{le="+Inf"} 4
+gateway_stage_execute_ms_sum 3.17
+gateway_stage_execute_ms_count 4
+# HELP gateway_stage_window_wait_ms histogram gateway.stage.window_wait_ms
+# TYPE gateway_stage_window_wait_ms histogram
+gateway_stage_window_wait_ms_bucket{le="+Inf"} 1
+gateway_stage_window_wait_ms_sum 12
+gateway_stage_window_wait_ms_count 1
+"""
+
+
 class TestGatewayStats:
     def stats(self) -> dict:
         return {
@@ -135,6 +160,22 @@ class TestGatewayStats:
         info_labels = next(iter(samples["gateway_info"]))
         assert 'mode="batch"' in info_labels
         assert 'policy="faasbatch"' in info_labels
+
+    def test_stage_histograms_and_runner_gauges_are_pinned(self):
+        """The tail of the page: runner gauges, then the stage split."""
+        stages = MetricsRegistry()
+        for stage, samples in (("execute", (0.03, 0.07, 0.07, 3.0)),
+                               ("window_wait", (12.0,))):
+            histogram = stages.histogram(f"gateway.stage.{stage}_ms",
+                                         edges=(0.05, 0.1, 1.0, 10.0))
+            for value in samples:
+                histogram.observe(value)
+        stats = self.stats()
+        stats.update(runners_started=3, runners_idle=2,
+                     stages=stages.snapshot())
+        page = render_gateway_stats(stats)
+        assert page.startswith(render_gateway_stats(self.stats())[:-1])
+        assert page[len(render_gateway_stats(self.stats())):] == GOLDEN_TAIL
 
     def test_label_escaping(self):
         stats = self.stats()
