@@ -488,6 +488,7 @@ def run_cluster_cell(cell: str,
     result = run_sharded_cluster(config, isolate=isolate, log=log)
     sink = result.sink
     per_shard = [{"shard": s.shard_index,
+                  "workers": s.worker_indices,
                   "submitted": s.submitted,
                   "wall_clock_s": s.wall_clock_s,
                   "peak_rss_mb": s.peak_rss_mb,
@@ -563,8 +564,10 @@ _SCALARS: Dict[str, Callable[[object], bool]] = {
     "a number in [0, 1]": lambda v: (isinstance(v, (int, float))
                                      and 0 <= v <= 1),
     "a non-empty object": lambda v: isinstance(v, dict) and bool(v),
+    "a list of non-negative integers": lambda v: isinstance(v, list) and all(
+        type(i) is int and i >= 0 for i in v),
 }
-_NUMBER, _NON_NEGATIVE, _UNIT, _NON_EMPTY_OBJECT = _SCALARS
+_NUMBER, _NON_NEGATIVE, _UNIT, _NON_EMPTY_OBJECT, _INDICES = _SCALARS
 
 
 def _non_negative(*keys: str) -> Dict[str, object]:
@@ -600,8 +603,9 @@ _REPORT: Dict[str, object] = {
                         "invocations_per_sec", "sim_completion_ms",
                         "kernel_events", "max_shard_rss_mb",
                         "load_imbalance"),
-        "per_shard": [dict.fromkeys(("shard", "submitted", "wall_clock_s",
-                                     "peak_rss_mb"), _NUMBER)],
+        "per_shard": [{**dict.fromkeys(("shard", "submitted", "wall_clock_s",
+                                        "peak_rss_mb"), _NUMBER),
+                       "workers": _INDICES}],
         "latency_ms": _LATENCY,
         # Null when merged from shard payloads that carried no telemetry.
         "obs": dict.fromkeys(("counters", "gauges", "clocks", "histograms"),

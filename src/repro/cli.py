@@ -95,6 +95,7 @@ from repro.obs.export import (
     dump_chrome_trace,
     validate_chrome_trace,
 )
+from repro.obs.report import straggler_line
 from repro.obs.report import write_report as write_html_report
 from repro.platformsim import ExperimentResult, run_experiment
 from repro.workload import (
@@ -465,9 +466,11 @@ def _cmd_bench_cell(args: argparse.Namespace) -> int:
                  latency["p50"], latency["p99"], row["load_imbalance"]]
     print(render_table(headers, [table_row], title="Sharded cluster replay"))
     for shard in row["per_shard"]:
-        print(f"  shard {shard['shard']}: {shard['submitted']} invocations, "
+        print(f"  shard {shard['shard']}: workers {shard['workers']}, "
+              f"{shard['submitted']} invocations, "
               f"{shard['wall_clock_s']} s, peak rss "
               f"{shard['peak_rss_mb']} MB")
+    print(straggler_line(row["per_shard"], row["wall_clock_s"]))
     exact = "exact" if latency.get("exact") else "histogram-approximated"
     print(f"Merged latency sample: {exact}; report written to {args.out}")
     if row.get("obs") is not None:
@@ -476,7 +479,9 @@ def _cmd_bench_cell(args: argparse.Namespace) -> int:
               "independent shard merge)")
     if getattr(args, "report", None):
         record = {"type": "cluster-obs", "cell": row["cell"],
-                  "shards": config["shards"], "obs": row.get("obs")}
+                  "shards": config["shards"], "obs": row.get("obs"),
+                  "per_shard": row["per_shard"],
+                  "wall_clock_s": row["wall_clock_s"]}
         byte_count = write_html_report(
             args.report, [record],
             title=f"FaaSBatch sharded cluster — {row['cell']} cell")

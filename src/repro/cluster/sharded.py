@@ -1,41 +1,48 @@
-"""Sharded cluster simulation: one subprocess per worker slice.
+"""Sharded cluster simulation: one subprocess per group of workers.
 
 A single simulator process replaying millions of invocations across many
 workers is bounded by one interpreter's heap and one core.  This runner
 splits a cluster run into ``shards`` subprocesses, each simulating a
-*stripe* of the global worker set (shard ``s`` owns global worker ``w``
-iff ``w % shards == s``) against the same streamed trace, and merges the
-results.
+subset of the global worker set against the same streamed trace, and
+merges the results.  Workers are packed onto shards by load
+(:meth:`ShardedClusterConfig.worker_indices`: longest-processing-time
+first over the closed-form per-worker invocation counts), so the slowest
+shard — which sets the wall clock — carries as little as the hash allows.
 
 Why this is exact, not approximate: the sharded mode requires the
 ``hash-partition`` balancer, whose routing is a pure function of
 ``(function_id, global worker count)`` — never of load.  Workers on a
 shared simulation environment are causally independent (each owns its
 machine, CPU, pool and scheduler), so simulating a subset of them with
-the other stripes absent yields byte-identical per-worker results.  Each
-shard streams its slice of the trace (skipping records routed to workers
-it does not own), publishes completions into a
-:class:`~repro.common.streaming.StreamingResultSink`, and ships the
-serialised sink — mergeable in any order — plus per-worker summaries over
-a pipe as JSON.  No per-invocation record ever crosses a process
-boundary or outlives its completion callback.
+the other workers absent yields byte-identical per-worker results,
+whichever subset a shard owns.  Each shard streams its slice of the trace
+(skipping records routed to workers it does not own), publishes
+completions into a :class:`~repro.common.streaming.StreamingResultSink`,
+and ships the serialised sink — mergeable in any order, its reservoirs as
+packed float arrays — plus per-worker summaries over a pipe as JSON.  No
+per-invocation record ever crosses a process boundary or outlives its
+completion callback.
 
 Protocol (modeled on the perf bench's cell subprocesses): the child
 (``python -m repro.cluster.sharded``) reads one JSON spec from stdin and
 writes JSONL to stdout — ``{"type": "progress", ...}`` heartbeats while
-replaying, then a single ``{"type": "result", ...}`` payload.
+replaying, then a single ``{"type": "result", ...}`` payload.  The
+coordinator drains every child's stdout and stderr while it runs, and on
+the first failure kills and reaps every other child.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import queue
 import resource
 import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.baselines import (
@@ -58,13 +65,21 @@ from repro.platformsim.gateway import ReplayInjector
 from repro.platformsim.platform import ServerlessPlatform
 from repro.sim.kernel import Environment
 from repro.sim.machine import Machine, build_cpu
-from repro.workload.generator import fib_family_specs, tiled_fib_stream
+from repro.workload.generator import (
+    fib_family_specs,
+    tiled_fib_function_counts,
+    tiled_fib_stream,
+)
 
 #: ``ru_maxrss`` unit: bytes on macOS, kilobytes everywhere else.
 _RSS_TO_MB = (1024.0 * 1024.0) if sys.platform == "darwin" else 1024.0
 
 #: Completions between progress heartbeats on the child's stdout.
 PROGRESS_EVERY = 10_000
+
+#: How much of a failed shard's stderr the coordinator's error carries.
+_STDERR_TAIL_LINES = 12
+_STDERR_TAIL_CHARS = 4000
 
 #: Schedulers a shard can reconstruct from its JSON spec — every registry
 #: policy whose factory is self-contained.  (Kraken is excluded
@@ -124,13 +139,41 @@ class ShardedClusterConfig:
                 "window_ms": self.window_ms,
                 "reservoir_capacity": self.reservoir_capacity}
 
+    def worker_loads(self) -> List[int]:
+        """Invocations each global worker receives under hash-partition.
+
+        Computed from the closed-form per-function counts, never by
+        walking the trace.
+        """
+        loads = [0] * self.workers
+        for function_id, count in tiled_fib_function_counts(
+                self.invocations, self.functions).items():
+            loads[stable_hash(function_id) % self.workers] += count
+        return loads
+
     def worker_indices(self, shard_index: int) -> List[int]:
-        """Global worker indices shard *shard_index* owns (striped)."""
+        """Global worker indices shard *shard_index* owns, ascending.
+
+        Longest-processing-time packing: workers in descending load (ties
+        to the lower index) each go to the least-loaded shard (ties to the
+        shard with fewer workers, so none is left empty, then to the lower
+        shard).  The heaviest shard is within Graham's 4/3 of the best
+        possible split.
+        """
         if not 0 <= shard_index < self.shards:
             raise ConfigurationError(
                 f"shard_index must be in [0, {self.shards}), "
                 f"got {shard_index}")
-        return list(range(shard_index, self.workers, self.shards))
+        loads = self.worker_loads()
+        totals = [0] * self.shards
+        members: List[List[int]] = [[] for _ in range(self.shards)]
+        for worker in sorted(range(self.workers),
+                             key=lambda w: (-loads[w], w)):
+            shard = min(range(self.shards),
+                        key=lambda s: (totals[s], len(members[s]), s))
+            totals[shard] += loads[worker]
+            members[shard].append(worker)
+        return sorted(members[shard_index])
 
     def scheduler_factory(self) -> Callable[[], object]:
         build = SchedulerBuild(window_ms=self.window_ms)
@@ -257,7 +300,7 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
               progress: Optional[Callable[[int], None]] = None,
               machine_sizes: Optional[Sequence[WorkerSize]] = None,
               ) -> ShardResult:
-    """Simulate shard *shard_index*'s worker stripe over the full stream.
+    """Simulate shard *shard_index*'s workers over the full stream.
 
     Every trace record is routed with the global hash partition; records
     owned by other shards are skipped without being realised.  Runs in
@@ -277,7 +320,7 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
                                seed=config.seed + shard_index)
     env = Environment()
     # One shared Observability per shard: every worker platform on this
-    # stripe publishes into the same registry (as a single-process run
+    # shard publishes into the same registry (as a single-process run
     # would), so shard-final counter/gauge values sum exactly across
     # shards and the coordinator can reconstruct the one-process picture.
     obs = Observability()
@@ -381,7 +424,7 @@ def merge_shard_results(config: ShardedClusterConfig,
     if total != config.invocations:
         raise SimulationError(
             f"shards submitted {total} invocations in total, trace has "
-            f"{config.invocations} — worker stripes overlap or leak")
+            f"{config.invocations} — shard worker sets overlap or leak")
     sink = StreamingResultSink.merged([s.sink for s in ordered])
     obs = (TelemetrySnapshot.merged([s.obs for s in ordered])
            if all(s.obs is not None for s in ordered) else None)
@@ -433,20 +476,39 @@ def _spawn_shard(config: ShardedClusterConfig,
 
 
 class _ShardReader(threading.Thread):
-    """Drains one shard's stdout so no shard ever blocks on a full pipe."""
+    """Drains one shard's stdout and stderr so it never blocks on a pipe.
+
+    Stdout is parsed as the JSONL protocol; stderr is drained by a second
+    thread that keeps only the last lines.  When stdout closes (the child
+    exited, or its output stopped parsing) the reader posts its shard
+    index to *finished*.
+    """
 
     def __init__(self, proc: "subprocess.Popen[str]", shard_index: int,
-                 on_progress: Callable[[Dict[str, object]], None]) -> None:
+                 on_progress: Callable[[Dict[str, object]], None],
+                 finished: "queue.Queue[int]") -> None:
         super().__init__(daemon=True)
         self.proc = proc
         self.shard_index = shard_index
         self.on_progress = on_progress
+        self.finished = finished
         self.result_payload: Optional[Dict[str, object]] = None
         self.error: Optional[str] = None
+        self._tail: "deque[str]" = deque(maxlen=_STDERR_TAIL_LINES)
+        self._stderr = threading.Thread(target=self._drain_stderr,
+                                        daemon=True)
+
+    def start(self) -> None:
+        self._stderr.start()
+        super().start()
+
+    def _drain_stderr(self) -> None:
+        if self.proc.stderr is not None:
+            self._tail.extend(self.proc.stderr)
 
     def run(self) -> None:
-        assert self.proc.stdout is not None
         try:
+            assert self.proc.stdout is not None
             for line in self.proc.stdout:
                 line = line.strip()
                 if not line:
@@ -458,6 +520,21 @@ class _ShardReader(threading.Thread):
                     self.result_payload = message["payload"]
         except Exception as exc:  # surfaced by the coordinator
             self.error = f"{type(exc).__name__}: {exc}"
+        finally:
+            self.finished.put(self.shard_index)
+
+    def stderr_tail(self) -> str:
+        """The child's last stderr lines; call once the child has exited."""
+        self._stderr.join()
+        return "".join(self._tail).strip()[-_STDERR_TAIL_CHARS:]
+
+    def close(self) -> None:
+        """Join both drain threads and close the child's pipes."""
+        self.join()
+        self._stderr.join()
+        for stream in (self.proc.stdout, self.proc.stderr):
+            if stream is not None:
+                stream.close()
 
 
 def run_sharded_cluster(config: ShardedClusterConfig,
@@ -468,7 +545,10 @@ def run_sharded_cluster(config: ShardedClusterConfig,
 
     ``isolate=False`` runs the shards sequentially in this process —
     deterministic and convenient for tests, but per-shard RSS is then the
-    process-wide high-water mark.
+    process-wide high-water mark.  Subprocess shards are collected in the
+    order they finish; the first failure (or any exception, ``Ctrl-C``
+    included) kills and reaps every child still running before it
+    propagates.
     """
     emit = log if log is not None else (lambda _msg: None)
     started = time.perf_counter()
@@ -482,26 +562,34 @@ def run_sharded_cluster(config: ShardedClusterConfig,
         emit(f"shard {message['shard']}: {message['completed']} done, "
              f"rss {message['rss_mb']} MB")
 
-    procs = [_spawn_shard(config, index) for index in range(config.shards)]
-    readers = [_ShardReader(proc, index, on_progress)
-               for index, proc in enumerate(procs)]
-    for reader in readers:
-        reader.start()
+    finished: "queue.Queue[int]" = queue.Queue()
+    procs: List["subprocess.Popen[str]"] = []
+    readers: List[_ShardReader] = []
     results: List[ShardResult] = []
-    failures: List[str] = []
-    for index, (proc, reader) in enumerate(zip(procs, readers)):
-        code = proc.wait()
-        reader.join()
-        assert proc.stderr is not None
-        stderr = proc.stderr.read()
-        if code != 0 or reader.result_payload is None:
-            tail = "\n".join(stderr.strip().splitlines()[-12:])
-            detail = reader.error or f"exit {code}"
-            failures.append(f"shard {index} failed ({detail}):\n{tail}")
-            continue
-        results.append(ShardResult.from_payload(reader.result_payload))
-    if failures:
-        raise SimulationError("; ".join(failures))
+    try:
+        for index in range(config.shards):
+            procs.append(_spawn_shard(config, index))
+            readers.append(_ShardReader(procs[index], index, on_progress,
+                                        finished))
+            readers[index].start()
+        for _ in procs:
+            index = finished.get()
+            proc, reader = procs[index], readers[index]
+            if reader.error is not None:
+                proc.kill()  # its stdout is no longer drained
+            code = proc.wait()
+            if code != 0 or reader.result_payload is None:
+                detail = reader.error or f"exit {code}"
+                raise SimulationError(f"shard {index} failed ({detail}):\n"
+                                      f"{reader.stderr_tail()}")
+            results.append(ShardResult.from_payload(reader.result_payload))
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+        for reader in readers:
+            reader.close()
     return merge_shard_results(
         config, results, round(time.perf_counter() - started, 3))
 

@@ -30,10 +30,13 @@ maxima, histogram counts and reservoir contents never do.
 
 from __future__ import annotations
 
+import base64
 import heapq
 import math
 import random
+import sys
 import zlib
+from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.stats import SampleStats
@@ -260,13 +263,21 @@ class BoundedReservoir:
         if other.capacity != self.capacity:
             raise ValueError("cannot merge reservoirs of different capacity")
         self.seen += other.seen
+        if len(self._heap) + len(other._heap) <= self.capacity:
+            # Nothing is evicted: the union is the result, one heapify.
+            self._heap.extend(other._heap)
+            heapq.heapify(self._heap)
+            return
         for neg_priority, value in other._heap:
             self._insert(-neg_priority, value)
 
     def to_dict(self) -> Dict[str, object]:
+        """``priorities`` / ``values``: base64 of little-endian float64
+        arrays, sorted by (priority, value) — bit-exact and compact."""
+        items = sorted((-neg, value) for neg, value in self._heap)
         return {"capacity": self.capacity, "seen": self.seen,
-                "items": sorted([-neg, value]
-                                for neg, value in self._heap)}
+                "priorities": _pack_floats(p for p, _value in items),
+                "values": _pack_floats(value for _p, value in items)}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object],
@@ -274,9 +285,38 @@ class BoundedReservoir:
         reservoir = cls(capacity=int(payload["capacity"]),  # type: ignore[arg-type]
                         seed=seed)
         reservoir.seen = int(payload["seen"])  # type: ignore[arg-type]
-        for priority, value in payload["items"]:  # type: ignore[union-attr]
-            reservoir._insert(float(priority), float(value))
+        priorities = _unpack_floats(payload["priorities"])  # type: ignore[arg-type]
+        values = _unpack_floats(payload["values"])  # type: ignore[arg-type]
+        if len(priorities) != len(values):
+            raise ValueError(
+                f"reservoir payload has {len(priorities)} priorities but "
+                f"{len(values)} values")
+        if len(values) > reservoir.capacity:
+            raise ValueError(
+                f"reservoir payload holds {len(values)} samples, over its "
+                f"capacity of {reservoir.capacity}")
+        reservoir._heap = [(-priority, value)
+                           for priority, value in zip(priorities, values)]
+        heapq.heapify(reservoir._heap)
         return reservoir
+
+
+def _pack_floats(values: Iterable[float]) -> str:
+    """Base64 of a little-endian float64 array."""
+    packed = array("d", values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return base64.b64encode(packed.tobytes()).decode("ascii")
+
+
+def _unpack_floats(encoded: str) -> "array[float]":
+    """Inverse of :func:`_pack_floats`; ``ValueError`` on bad base64 or a
+    byte count that is not a whole number of float64s."""
+    unpacked = array("d")
+    unpacked.frombytes(base64.b64decode(encoded, validate=True))
+    if sys.byteorder == "big":
+        unpacked.byteswap()
+    return unpacked
 
 
 class ChannelStats:

@@ -335,12 +335,29 @@ def _render_gateway_section(records: Sequence[Mapping[str, object]]) -> str:
     return "\n".join(parts)
 
 
+def straggler_line(per_shard: Sequence[Mapping[str, object]],
+                   wall_clock_s: float) -> str:
+    """One line naming the shard that set a sharded replay's wall clock.
+
+    *per_shard* and *wall_clock_s* are the ``cluster_cells`` row fields
+    of the same names.
+    """
+    slowest = max(per_shard, key=lambda shard: float(
+        shard["wall_clock_s"]))  # type: ignore[arg-type]
+    shard_wall = float(slowest["wall_clock_s"])  # type: ignore[arg-type]
+    share = shard_wall / wall_clock_s if wall_clock_s > 0 else 0.0
+    return (f"slowest shard {slowest['shard']}: {shard_wall:g} s of "
+            f"{wall_clock_s:g} s wall clock ({share:.1%}), workers "
+            f"{slowest['workers']}, {slowest['submitted']} submitted")
+
+
 def _render_cluster_section(records: Sequence[Mapping[str, object]]) -> str:
     """The sharded-cluster telemetry panel, or ``""`` without records.
 
     Consumes ``cluster-obs`` records (one per replay cell, carrying the
     shard-merged :class:`~repro.common.streaming.TelemetrySnapshot`
-    payload).  Returning the empty string keeps simulation-only reports
+    payload and the cell's ``per_shard`` rows and ``wall_clock_s``).
+    Returning the empty string keeps simulation-only reports
     byte-identical to the pre-cluster renderer.
     """
     cluster = [record for record in records
@@ -356,6 +373,11 @@ def _render_cluster_section(records: Sequence[Mapping[str, object]]) -> str:
         caption = (f"{cell} — merged over {shards} shards"
                    if shards is not None else cell)
         parts.append(f"<h3>{html.escape(caption)}</h3>")
+        per_shard = record.get("per_shard")
+        if per_shard:
+            line = straggler_line(
+                per_shard, float(record["wall_clock_s"]))  # type: ignore
+            parts.append(f'<p class="straggler">{html.escape(line)}</p>')
         scalar_rows = []
         for section in ("counters", "gauges", "clocks"):
             for name, value in sorted(obs.get(section, {}).items()):
@@ -519,5 +541,6 @@ __all__ = [
     "line_chart",
     "render_report",
     "stacked_bar_chart",
+    "straggler_line",
     "write_report",
 ]

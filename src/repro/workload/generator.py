@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.model.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.model.function import FunctionKind, FunctionSpec
@@ -202,6 +202,20 @@ def tiled_fib_stream(invocations: int,
     tiles = tiled_replay_tile_count(invocations, tile_invocations)
     return TraceStream(records, count=invocations,
                        end_ms=tiles * REPLAY_DURATION_MS)
+
+
+def tiled_fib_function_counts(invocations: int,
+                              functions: int) -> Dict[str, int]:
+    """Invocations per function id in :func:`tiled_fib_stream`.
+
+    Closed form, O(*functions*): ids are round-robined by global arrival
+    rank, so neither the seed nor the tile size changes the counts.
+    """
+    if functions < 1:
+        raise ValueError(f"functions must be >= 1, got {functions}")
+    base, extra = divmod(invocations, functions)
+    return {f"{FIB_FUNCTION_ID}-{index}": base + (index < extra)
+            for index in range(functions)}
 
 
 def fib_family_specs(functions: int,

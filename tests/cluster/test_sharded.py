@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import run_cluster_experiment
+from repro.cluster import run_cluster_experiment, sharded
 from repro.cluster.sharded import (
     SHARD_SCHEDULERS,
     ShardResult,
@@ -22,6 +29,29 @@ SMALL = ShardedClusterConfig(invocations=3000, functions=8, seed=13,
                              tile_invocations=1000, workers=4, shards=2)
 
 
+def _optimal_makespan(loads, shards, upper):
+    """Smallest heaviest-shard load over every split of *loads*
+    (exact branch and bound; *upper* is any achievable value)."""
+    jobs = sorted((load for load in loads if load), reverse=True)
+    best = [upper]
+
+    def place(index, totals):
+        if index == len(jobs):
+            best[0] = min(best[0], max(totals))
+            return
+        tried = set()
+        for shard, total in enumerate(totals):
+            if total in tried or total + jobs[index] >= best[0]:
+                continue
+            tried.add(total)
+            totals[shard] += jobs[index]
+            place(index + 1, totals)
+            totals[shard] -= jobs[index]
+
+    place(0, [0] * shards)
+    return best[0]
+
+
 class TestShardedClusterConfig:
     def test_rejects_more_shards_than_workers(self):
         with pytest.raises(ConfigurationError, match="shards"):
@@ -35,11 +65,51 @@ class TestShardedClusterConfig:
             ShardedClusterConfig(scheduler="Kraken")
 
     def test_worker_indices_stripe_and_partition(self):
+        # Packed by load, not striped: the stripe would give 7 500 and
+        # 12 500 here; LPT splits the 20 000 invocations evenly.
         config = ShardedClusterConfig(workers=5, shards=2)
-        assert config.worker_indices(0) == [0, 2, 4]
-        assert config.worker_indices(1) == [1, 3]
+        assert config.worker_loads() == [0, 7500, 5000, 5000, 2500]
+        assert config.worker_indices(0) == [0, 1, 4]
+        assert config.worker_indices(1) == [2, 3]
+        smoke = ShardedClusterConfig(workers=4, shards=2)
+        assert smoke.worker_loads() == [2500, 2500, 5000, 10000]
+        assert smoke.worker_indices(0) == [3]
+        assert smoke.worker_indices(1) == [0, 1, 2]
         with pytest.raises(ConfigurationError):
             config.worker_indices(2)
+
+    def test_zero_load_workers_leave_no_shard_empty(self):
+        # One function: a single loaded worker; the idle ones still
+        # spread so every shard (and subprocess) owns a worker.
+        config = ShardedClusterConfig(invocations=100, functions=1,
+                                      workers=4, shards=3)
+        owned = [config.worker_indices(s) for s in range(3)]
+        assert sorted(sum(owned, [])) == [0, 1, 2, 3]
+        assert all(owned)
+
+    @settings(max_examples=200, deadline=None)
+    @given(invocations=st.integers(1, 10**7), functions=st.integers(1, 64),
+           workers=st.integers(1, 12), data=st.data())
+    def test_lpt_packing_partitions_and_meets_graham_bound(
+            self, invocations, functions, workers, data):
+        shards = data.draw(st.integers(1, workers), label="shards")
+        config = ShardedClusterConfig(invocations=invocations,
+                                      functions=functions,
+                                      workers=workers, shards=shards)
+        owned = [config.worker_indices(s) for s in range(shards)]
+        assert sorted(sum(owned, [])) == list(range(workers))
+        assert all(part == sorted(part) for part in owned)
+        assert owned == [config.worker_indices(s) for s in range(shards)]
+        loads = config.worker_loads()
+        assert sum(loads) == invocations
+        heaviest = max(sum(loads[w] for w in part) for part in owned)
+        # Graham: LPT <= (4/3 - 1/(3m)) x the best split.  The best split
+        # is solved exactly: max(largest, total/m) is not a valid
+        # stand-in — 74 invocations, 57 functions, 8 workers, 6 shards
+        # packs to 17, which is optimal, against 4/3 x 12.33.
+        best = _optimal_makespan(loads, shards, upper=heaviest)
+        assert max(max(loads), invocations / shards) <= best <= heaviest
+        assert 3 * shards * heaviest <= (4 * shards - 1) * best
 
     def test_round_trips_through_dict(self):
         assert ShardedClusterConfig(**SMALL.to_dict()) == SMALL
@@ -90,6 +160,107 @@ class TestShardIdentity:
         result = run_sharded_cluster(solo, isolate=False)
         assert result.completed == 1000
         assert sum(result.per_worker_invocations()) == 1000
+
+
+class TestPackedPartition:
+    """The partition cannot move a simulated number (the macrobench pin)."""
+
+    CONFIG = ShardedClusterConfig(invocations=20_000, functions=8, seed=13,
+                                  tile_invocations=4000, workers=4, shards=2,
+                                  scheduler="FaaSBatch", window_ms=200.0)
+
+    @pytest.fixture(scope="class")
+    def packed(self):
+        return run_sharded_cluster(self.CONFIG, isolate=False)
+
+    @pytest.fixture(scope="class")
+    def striped(self):
+        def stripe(config, shard_index):
+            return list(range(shard_index, config.workers, config.shards))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ShardedClusterConfig, "worker_indices", stripe)
+            return run_sharded_cluster(self.CONFIG, isolate=False)
+
+    def test_partitions_differ(self, packed, striped):
+        assert [s.worker_indices for s in packed.shard_results] \
+            == [[3], [0, 1, 2]]
+        assert [s.worker_indices for s in striped.shard_results] \
+            == [[0, 2], [1, 3]]
+        assert [s.submitted for s in packed.shard_results] \
+            == [10_000, 10_000]
+
+    def test_simulated_outputs_identical(self, packed, striped):
+        assert packed.kernel_events == striped.kernel_events == 231_216
+        assert packed.sink.summary() == striped.sink.summary()
+        assert packed.per_worker_invocations() \
+            == striped.per_worker_invocations() \
+            == self.CONFIG.worker_loads()
+        assert packed.completion_ms == striped.completion_ms
+        assert packed.to_cluster_result().per_worker_containers \
+            == striped.to_cluster_result().per_worker_containers
+
+
+def _fake_spawner(scripts, spawned):
+    """A ``_spawn_shard`` stand-in: shard *i* runs Python source
+    ``scripts[i]`` with the real coordinator's pipes."""
+    def spawn(_config, shard_index):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", scripts[shard_index]],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        proc.stdin.close()
+        spawned.append(proc)
+        return proc
+    return spawn
+
+
+def _run_with_deadline(config, seconds):
+    """Run the coordinator on a thread; return (error, elapsed, alive)."""
+    outcome = {}
+
+    def target():
+        try:
+            run_sharded_cluster(config)
+        except Exception as exc:  # the caller's assertions inspect it
+            outcome["error"] = exc
+
+    started = time.monotonic()
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    return outcome.get("error"), time.monotonic() - started, \
+        thread.is_alive()
+
+
+class TestSubprocessFailures:
+    CONFIG = ShardedClusterConfig(invocations=100, workers=2, shards=2)
+
+    def test_stderr_flood_does_not_hang_the_coordinator(self, monkeypatch):
+        flood = ("import sys; sys.stderr.write('x' * 1_000_000 + "
+                 "'\\nshard exploded\\n'); sys.exit(3)")
+        spawned = []
+        monkeypatch.setattr(sharded, "_spawn_shard",
+                            _fake_spawner([flood, flood], spawned))
+        error, elapsed, alive = _run_with_deadline(self.CONFIG, 10.0)
+        assert not alive, "coordinator hung on a full stderr pipe"
+        assert isinstance(error, SimulationError)
+        assert re.search(r"shard [01] failed \(exit 3\)", str(error))
+        assert "shard exploded" in str(error)
+        assert elapsed < 10.0
+        assert all(proc.poll() is not None for proc in spawned)
+
+    def test_first_failure_kills_and_reaps_the_rest(self, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(sharded, "_spawn_shard", _fake_spawner(
+            ["import sys; sys.exit(1)", "import time; time.sleep(60)"],
+            spawned))
+        error, elapsed, alive = _run_with_deadline(self.CONFIG, 20.0)
+        assert not alive
+        assert isinstance(error, SimulationError)
+        assert "shard 0 failed (exit 1)" in str(error)
+        assert elapsed < 5.0
+        assert len(spawned) == 2
+        assert all(proc.poll() is not None for proc in spawned)
 
 
 class TestSubprocessCoordinator:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import random
+import struct
 
 import pytest
 
@@ -153,6 +155,80 @@ class TestBoundedReservoir:
             json.loads(json.dumps(reservoir.to_dict())), seed=3)
         assert clone.seen == reservoir.seen
         assert clone.values() == reservoir.values()
+
+
+def _packed(*floats):
+    """Base64 of little-endian float64s — the wire format, spelled out."""
+    return base64.b64encode(
+        struct.pack(f"<{len(floats)}d", *floats)).decode("ascii")
+
+
+def _bits(reservoir):
+    """Kept (priority, value) pairs as raw float64 bit patterns."""
+    return sorted((struct.pack("<d", -neg), struct.pack("<d", value))
+                  for neg, value in reservoir._heap)
+
+
+class TestReservoirPayload:
+    EDGES = (-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0)
+
+    def test_round_trips_bit_exactly(self):
+        payload = {"capacity": 16, "seen": 20,
+                   "priorities": _packed(*self.EDGES),
+                   "values": _packed(*reversed(self.EDGES))}
+        reservoir = BoundedReservoir.from_dict(payload)
+        assert _bits(reservoir) == sorted(
+            (struct.pack("<d", p), struct.pack("<d", v))
+            for p, v in zip(self.EDGES, reversed(self.EDGES)))
+        wire = json.loads(json.dumps(reservoir.to_dict()))
+        clone = BoundedReservoir.from_dict(wire)
+        assert _bits(clone) == _bits(reservoir)
+        assert clone.seen == 20 and not clone.exact
+
+    def test_payload_is_packed_and_sorted_by_priority(self):
+        reservoir = BoundedReservoir(capacity=50, seed=4)
+        for value in _values(40, 30):
+            reservoir.observe(value)
+        payload = reservoir.to_dict()
+        assert set(payload) == {"capacity", "seen", "priorities", "values"}
+        raw = base64.b64decode(payload["priorities"])
+        priorities = struct.unpack(f"<{len(raw) // 8}d", raw)
+        assert list(priorities) == sorted(priorities)
+        assert len(priorities) == 30
+
+    @pytest.mark.parametrize("priorities,values,match", [
+        (_packed(0.1, 0.2), _packed(1.0), "2 priorities but 1 values"),
+        (_packed(0.1), _packed(1.0, 2.0), "1 priorities but 2 values"),
+        (_packed(*[0.5] * 5), _packed(*[1.0] * 5), "over its capacity"),
+        ("not base64!", _packed(1.0), None),
+        (_packed(0.1)[:-4], _packed(1.0), None),
+        (base64.b64encode(b"\x00" * 7).decode(), _packed(1.0), None),
+    ])
+    def test_malformed_payloads_raise(self, priorities, values, match):
+        payload = {"capacity": 4, "seen": 9, "priorities": priorities,
+                   "values": values}
+        with pytest.raises(ValueError, match=match):
+            BoundedReservoir.from_dict(payload)
+
+    @pytest.mark.parametrize("union", [-1, 0, 1])
+    def test_fast_merge_equals_insert_loop(self, union):
+        capacity = 64
+        left, right = (BoundedReservoir(capacity=capacity, seed=seed)
+                       for seed in (1, 2))
+        for value in _values(41, 40):
+            left.observe(value)
+        for value in _values(42, capacity + union - 40):
+            right.observe(value)
+        fast = BoundedReservoir.from_dict(left.to_dict())
+        fast.merge(right)
+        slow = BoundedReservoir.from_dict(left.to_dict())
+        slow.seen += right.seen
+        for neg, value in right._heap:
+            slow._insert(-neg, value)
+        assert fast.seen == slow.seen == capacity + union
+        assert _bits(fast) == _bits(slow)
+        assert len(fast._heap) == min(capacity, capacity + union)
+        assert fast._heap[0] == min(fast._heap)  # still a heap
 
 
 class TestChannelStats:

@@ -9,6 +9,7 @@ from repro.obs.report import (
     line_chart,
     render_report,
     stacked_bar_chart,
+    straggler_line,
     write_report,
 )
 
@@ -158,6 +159,37 @@ class TestGatewayPanel:
         document = render_report(records)
         assert "chart-gateway-shed" not in document
         assert "chart-gateway-goodput" in document
+
+
+#: A four-shard azure-full split whose straggler carries half the load.
+_PER_SHARD = [
+    {"shard": 0, "workers": [0, 4], "submitted": 247500,
+     "wall_clock_s": 60.461},
+    {"shard": 1, "workers": [1, 5], "submitted": 247500,
+     "wall_clock_s": 60.63},
+    {"shard": 2, "workers": [2, 6], "submitted": 495000,
+     "wall_clock_s": 88.486},
+    {"shard": 3, "workers": [3, 7], "submitted": 990000,
+     "wall_clock_s": 134.771},
+]
+_STRAGGLER = ("slowest shard 3: 134.771 s of 140.163 s wall clock (96.2%), "
+              "workers [3, 7], 990000 submitted")
+
+
+class TestClusterPanel:
+    def test_straggler_line_names_the_slowest_shard(self):
+        assert straggler_line(_PER_SHARD, 140.163) == _STRAGGLER
+
+    def test_panel_renders_the_straggler_line(self):
+        record = {"type": "cluster-obs", "cell": "azure-full", "shards": 4,
+                  "obs": {"counters": {"platform.completed": 1.0}},
+                  "per_shard": _PER_SHARD, "wall_clock_s": 140.163}
+        document = render_report([record])
+        assert "Cluster telemetry (shard-merged)" in document
+        assert f'<p class="straggler">{_STRAGGLER}</p>' in document
+
+    def test_absent_without_cluster_records(self):
+        assert "straggler" not in render_report(_records())
 
 
 class TestCharts:

@@ -236,6 +236,8 @@ class TestClusterCells:
         assert row["failed"] == 0
         assert row["isolation"] == "inline"
         assert len(row["per_shard"]) == 2
+        assert [s["workers"] for s in row["per_shard"]] == [[3], [0, 1, 2]]
+        assert [s["submitted"] for s in row["per_shard"]] == [10_000, 10_000]
         assert row["latency_ms"]["count"] == 20_000
         assert row["invocations_per_sec"] > 0
 
@@ -261,6 +263,13 @@ class TestClusterCells:
         report = cluster_report([dict(row, per_shard=[{"shard": 0}])])
         with pytest.raises(ValueError, match=r"per_shard\[0\]\.submitted"):
             validate_report(report)
+        for workers in (None, [0, -1], [0.0], [True], "0,1"):
+            shard = dict(row["per_shard"][0], workers=workers)
+            report = cluster_report([dict(row, per_shard=[shard])])
+            with pytest.raises(ValueError,
+                               match=r"per_shard\[0\]\.workers must be a "
+                                     "list of non-negative integers"):
+                validate_report(report)
         obs = dict(row["obs"], histograms={"h": {"edges": [1.0],
                                                  "counts": [1]}})
         with pytest.raises(ValueError, match=r"obs\.histograms\['h'\]"):
@@ -351,8 +360,9 @@ class TestGatewayCells:
             "invocations_per_sec": 100.0, "sim_completion_ms": 1000.0,
             "kernel_events": 500, "max_shard_rss_mb": 10.0,
             "load_imbalance": 0.1,
-            "per_shard": [{"shard": 0, "submitted": 50,
-                           "wall_clock_s": 1.0, "peak_rss_mb": 10.0}],
+            "per_shard": [{"shard": 0, "workers": [0, 1, 2, 3],
+                           "submitted": 50, "wall_clock_s": 1.0,
+                           "peak_rss_mb": 10.0}],
             "latency_ms": {"count": 100, "mean": 5.0, "p50": 4.0,
                            "p95": 9.0, "p99": 10.0},
         }

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.bench import BenchConfig, bench_trace
@@ -19,6 +21,7 @@ from repro.workload.generator import (
     io_workload_trace,
     multi_function_stream,
     multi_function_trace,
+    tiled_fib_function_counts,
     tiled_fib_stream,
 )
 from repro.workload.trace import TraceRecord, TraceStream
@@ -167,6 +170,20 @@ class TestStreamEquivalence:
         stream = tiled_fib_stream(invocations=500, functions=4, seed=3,
                                   tile_invocations=200)
         assert _triples(stream) == _triples(stream)
+
+    @pytest.mark.parametrize("invocations,functions,tile", [
+        (1, 1, 1), (5, 8, 2), (7, 3, 2), (1_000, 8, 4000), (2_503, 8, 500),
+        (3_001, 5, 999), (999, 13, 1)])
+    def test_tiled_fib_function_counts_match_a_walk(self, invocations,
+                                                    functions, tile):
+        walked = Counter(record.function_id for record in tiled_fib_stream(
+            invocations=invocations, functions=functions, seed=5,
+            tile_invocations=tile))
+        counts = tiled_fib_function_counts(invocations, functions)
+        assert counts == {fid: walked[fid] for fid in counts}
+        assert sum(counts.values()) == invocations
+        with pytest.raises(ValueError):
+            tiled_fib_function_counts(10, 0)
 
     def test_streams_are_seed_stable(self):
         first = multi_function_stream(seed=11, total=90, functions=2)
