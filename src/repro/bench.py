@@ -28,6 +28,11 @@ By default every scheduler cell runs in a **fresh subprocess**
   cannot bleed performance into each other;
 * cells without a data dependency can run concurrently (``--parallel N``).
 
+Cells are deliberately *not* forked from this process the way sharded
+replay shards are (:mod:`repro.cluster.sharded`): each cell's peak RSS is
+a recorded figure, and a forked cell would start with this process's heap
+resident and count it in its own ``ru_maxrss``.
+
 ``isolate=False`` keeps the old in-process mode for unit tests and
 debugging; its rows carry ``"rss_isolated": false`` to mark the RSS column
 as a process-wide (contaminated) fallback.

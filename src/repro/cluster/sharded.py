@@ -1,8 +1,8 @@
-"""Sharded cluster simulation: one subprocess per group of workers.
+"""Sharded cluster simulation: one child process per group of workers.
 
 A single simulator process replaying millions of invocations across many
 workers is bounded by one interpreter's heap and one core.  This runner
-splits a cluster run into ``shards`` subprocesses, each simulating a
+splits a cluster run into ``shards`` child processes, each simulating a
 subset of the global worker set against the same streamed trace, and
 merges the results.  Workers are packed onto shards by load
 (:meth:`ShardedClusterConfig.worker_indices`: longest-processing-time
@@ -23,12 +23,17 @@ packed float arrays — plus per-worker summaries over a pipe as JSON.  No
 per-invocation record ever crosses a process boundary or outlives its
 completion callback.
 
-Protocol (modeled on the perf bench's cell subprocesses): the child
-(``python -m repro.cluster.sharded``) reads one JSON spec from stdin and
-writes JSONL to stdout — ``{"type": "progress", ...}`` heartbeats while
-replaying, then a single ``{"type": "result", ...}`` payload.  The
-coordinator drains every child's stdout and stderr while it runs, and on
-the first failure kills and reaps every other child.
+Children are ``os.fork()``-ed from the coordinator, which has already
+imported everything a shard runs, so no shard boots an interpreter or
+re-imports the package; the config and shard index reach the child in
+its copy of the parent's memory.  (POSIX only, as ``resource`` already
+is.)  Each child writes JSONL to its stdout pipe —
+``{"type": "progress", ...}`` heartbeats while replaying, then a single
+``{"type": "result", ...}`` payload — and any traceback to its stderr
+pipe.  The coordinator drains every child's stdout and stderr while it
+runs, and on the first failure kills and reaps every other child.
+Per-shard ``peak_rss_mb`` therefore includes the coordinator pages
+resident at the fork.
 """
 
 from __future__ import annotations
@@ -37,13 +42,14 @@ import json
 import os
 import queue
 import resource
-import subprocess
+import signal
 import sys
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import IO, Callable, Dict, List, Optional, Sequence
 
 from repro.baselines import (
     SchedulerBuild,
@@ -81,7 +87,7 @@ PROGRESS_EVERY = 10_000
 _STDERR_TAIL_LINES = 12
 _STDERR_TAIL_CHARS = 4000
 
-#: Schedulers a shard can reconstruct from its JSON spec — every registry
+#: Schedulers a shard can reconstruct from its config alone — every registry
 #: policy whose factory is self-contained.  (Kraken is excluded
 #: mechanically via ``needs_vanilla_profile``: its parameters are learned
 #: from a prior Vanilla run and the shard protocol deliberately has no
@@ -304,8 +310,8 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
 
     Every trace record is routed with the global hash partition; records
     owned by other shards are skipped without being realised.  Runs in
-    the calling process — the subprocess entry point and the in-process
-    test path both land here.
+    the calling process — the forked child and the in-process test path
+    both land here.
     """
     started = time.perf_counter()
     calibration = DEFAULT_CALIBRATION
@@ -433,46 +439,79 @@ def merge_shard_results(config: ShardedClusterConfig,
                                 obs=obs)
 
 
-# -- subprocess plumbing ----------------------------------------------------------
+# -- forked-child plumbing --------------------------------------------------------
 
 
-def _shard_main() -> int:
-    """Child entry (``python -m repro.cluster.sharded``): spec on stdin."""
-    spec = json.load(sys.stdin)
-    config = ShardedClusterConfig(**spec["config"])
-    shard_index = int(spec["shard_index"])
+class _ForkedShard:
+    """A Popen-shaped handle on one forked shard: two pipes and its pid."""
 
-    def emit_progress(count: int) -> None:
-        json.dump({"type": "progress", "shard": shard_index,
-                   "completed": count, "rss_mb": round(peak_rss_mb(), 1)},
-                  sys.stdout)
-        sys.stdout.write("\n")
-        sys.stdout.flush()
+    def __init__(self, pid: int, stdout: IO[str], stderr: IO[str]) -> None:
+        self.pid = pid
+        self.stdout = stdout
+        self.stderr = stderr
+        self.returncode: Optional[int] = None
 
-    result = run_shard(config, shard_index, progress=emit_progress)
-    json.dump({"type": "result", "payload": result.to_payload()},
-              sys.stdout)
-    sys.stdout.write("\n")
-    return 0
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self) -> int:
+        if self.returncode is None:
+            _, status = os.waitpid(self.pid, 0)
+            self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def kill(self) -> None:
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
 
 
 def _spawn_shard(config: ShardedClusterConfig,
-                 shard_index: int) -> "subprocess.Popen[str]":
-    import repro
-    src_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(repro.__file__)))
-    env = os.environ.copy()
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (src_root if not existing
-                         else src_root + os.pathsep + existing)
-    proc = subprocess.Popen([sys.executable, "-m", "repro.cluster.sharded"],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env, text=True)
-    assert proc.stdin is not None
-    proc.stdin.write(json.dumps({"config": config.to_dict(),
-                                 "shard_index": shard_index}))
-    proc.stdin.close()
-    return proc
+                 shard_index: int) -> _ForkedShard:
+    """Fork a child that runs shard *shard_index* and speaks the protocol.
+
+    The child already holds every imported module, so it starts in
+    microseconds.  It never returns into the caller's stack: whatever
+    happens it leaves through ``os._exit`` (0 once the result is written).
+    """
+    out_read, out_write = os.pipe()
+    err_read, err_write = os.pipe()
+    # Unflushed parent output would otherwise be written twice.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        code = 1
+        try:
+            os.close(out_read)
+            os.close(err_read)
+            os.dup2(err_write, 2)
+            with open(out_write, "w", encoding="utf-8") as out:
+                def emit(message: Dict[str, object]) -> None:
+                    json.dump(message, out)
+                    out.write("\n")
+                    out.flush()
+
+                def emit_progress(count: int) -> None:
+                    emit({"type": "progress", "shard": shard_index,
+                          "completed": count,
+                          "rss_mb": round(peak_rss_mb(), 1)})
+
+                result = run_shard(config, shard_index,
+                                   progress=emit_progress)
+                emit({"type": "result", "payload": result.to_payload()})
+            code = 0
+        except BaseException:
+            os.write(2, traceback.format_exc().encode("utf-8", "replace"))
+        finally:
+            os._exit(code)
+    os.close(out_write)
+    os.close(err_write)
+    return _ForkedShard(pid, open(out_read, encoding="utf-8"),
+                        open(err_read, encoding="utf-8", errors="replace"))
 
 
 class _ShardReader(threading.Thread):
@@ -484,7 +523,7 @@ class _ShardReader(threading.Thread):
     index to *finished*.
     """
 
-    def __init__(self, proc: "subprocess.Popen[str]", shard_index: int,
+    def __init__(self, proc: _ForkedShard, shard_index: int,
                  on_progress: Callable[[Dict[str, object]], None],
                  finished: "queue.Queue[int]") -> None:
         super().__init__(daemon=True)
@@ -541,11 +580,11 @@ def run_sharded_cluster(config: ShardedClusterConfig,
                         isolate: bool = True,
                         log: Optional[Callable[[str], None]] = None,
                         ) -> ShardedClusterResult:
-    """Run every shard (subprocesses by default) and merge the results.
+    """Run every shard (forked children by default) and merge the results.
 
     ``isolate=False`` runs the shards sequentially in this process —
     deterministic and convenient for tests, but per-shard RSS is then the
-    process-wide high-water mark.  Subprocess shards are collected in the
+    process-wide high-water mark.  Child shards are collected in the
     order they finish; the first failure (or any exception, ``Ctrl-C``
     included) kills and reaps every child still running before it
     propagates.
@@ -563,14 +602,16 @@ def run_sharded_cluster(config: ShardedClusterConfig,
              f"rss {message['rss_mb']} MB")
 
     finished: "queue.Queue[int]" = queue.Queue()
-    procs: List["subprocess.Popen[str]"] = []
+    procs: List[_ForkedShard] = []
     readers: List[_ShardReader] = []
     results: List[ShardResult] = []
     try:
+        # Every fork happens before any reader thread exists: forking a
+        # process that runs other threads can hand the child held locks.
         for index in range(config.shards):
             procs.append(_spawn_shard(config, index))
-            readers.append(_ShardReader(procs[index], index, on_progress,
-                                        finished))
+        for index, proc in enumerate(procs):
+            readers.append(_ShardReader(proc, index, on_progress, finished))
             readers[index].start()
         for _ in procs:
             index = finished.get()
@@ -605,7 +646,3 @@ __all__ = [
     "run_shard",
     "run_sharded_cluster",
 ]
-
-
-if __name__ == "__main__":
-    sys.exit(_shard_main())

@@ -28,9 +28,9 @@ the same id to the same request every time (the inproc harness relies on
 this for reproducible traces).
 
 Status mapping: 200 ok · 400 malformed · 404 unknown function ·
-408 request timeout (client read) · 413 body too large · 429 shed
-(with ``Retry-After``) · 500 handler error · 503 platform draining or
-stopped · 504 gateway deadline exceeded.
+413 body too large (then the connection closes) · 429 shed (with
+``Retry-After``) · 500 handler error · 503 platform draining or stopped ·
+504 gateway deadline exceeded.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ _GATEWAY_POLICIES = ("faasbatch", "vanilla")
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 408: "Request Timeout",
-    413: "Payload Too Large", 429: "Too Many Requests",
+    405: "Method Not Allowed", 413: "Payload Too Large",
+    429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -87,6 +87,11 @@ _REASONS = {
 MAX_HEADER_LINES = 64
 MAX_LINE_BYTES = 8192
 MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(ValueError):
+    """A declared ``Content-Length`` above :data:`MAX_BODY_BYTES`."""
+
 
 #: Where a served request's latency went, in pipeline order: held in its
 #: dispatch window, waiting on the ready queue for a runner, inside the
@@ -478,10 +483,13 @@ class GatewayServer:
                 try:
                     request = await self._read_request(reader)
                 except ValueError as error:
+                    status, reason = ((413, "body too large")
+                                      if isinstance(error, _BodyTooLarge)
+                                      else (400, "malformed request"))
                     await self._write_response(
                         writer, GatewayResponse(
-                            400, {"error": "malformed request",
-                                  "detail": str(error)}), {}, False)
+                            status, {"error": reason,
+                                     "detail": str(error)}), {}, False)
                     break
                 if request is None:
                     break
@@ -503,7 +511,8 @@ class GatewayServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one request; None on clean EOF; raises ValueError → 400."""
+        """Parse one request; None on clean EOF; raises ValueError → 400
+        (:class:`_BodyTooLarge` → 413)."""
         try:
             request_line = await reader.readline()
         except ValueError:  # line longer than the stream limit
@@ -526,8 +535,11 @@ class GatewayServer:
         else:
             raise ValueError("too many header lines")
         length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > MAX_BODY_BYTES:
+        if length < 0:
             raise ValueError(f"bad content length {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"content length {length} exceeds {MAX_BODY_BYTES}")
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cluster import run_cluster_experiment, sharded
 from repro.cluster.sharded import (
     SHARD_SCHEDULERS,
@@ -24,6 +26,8 @@ from repro.cluster.sharded import (
 )
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.workload.generator import fib_family_specs, tiled_fib_stream
+
+SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 SMALL = ShardedClusterConfig(invocations=3000, functions=8, seed=13,
                              tile_invocations=1000, workers=4, shards=2)
@@ -263,6 +267,91 @@ class TestSubprocessFailures:
         assert all(proc.poll() is not None for proc in spawned)
 
 
+class TestForkedShards:
+    """The real spawn path: children forked from the coordinator."""
+
+    CONFIG = dataclasses.replace(SMALL, invocations=1000,
+                                 tile_invocations=500)
+
+    def test_raise_in_child_fails_fast_and_reaps(self, monkeypatch):
+        real_run_shard, real_spawn = sharded.run_shard, sharded._spawn_shard
+
+        def flaky_run_shard(config, shard_index, **kwargs):
+            if shard_index == 0:
+                raise RuntimeError("shard zero exploded on purpose")
+            time.sleep(60)  # killed by the coordinator, never finishes
+            return real_run_shard(config, shard_index, **kwargs)
+
+        spawned = []
+
+        def recording_spawn(config, shard_index):
+            spawned.append(real_spawn(config, shard_index))
+            return spawned[-1]
+
+        # Patched in the parent, so every forked child inherits it.
+        monkeypatch.setattr(sharded, "run_shard", flaky_run_shard)
+        monkeypatch.setattr(sharded, "_spawn_shard", recording_spawn)
+        started = time.monotonic()
+        with pytest.raises(SimulationError) as caught:
+            run_sharded_cluster(self.CONFIG)
+        assert time.monotonic() - started < 10.0
+        message = str(caught.value)
+        assert "shard 0 failed (exit 1)" in message
+        assert "RuntimeError: shard zero exploded on purpose" in message
+        assert len(spawned) == 2
+        assert all(proc.poll() is not None for proc in spawned)
+
+    def test_buffered_parent_stdout_is_written_once(self):
+        # A piped stdout is block-buffered, so "before" is still in the
+        # parent's buffer at fork time.  A shard that prints flushes its
+        # inherited copy of that buffer; only the pre-fork flush keeps
+        # "before" from reaching fd 1 once per child as well.
+        script = ("import sys\n"
+                  "from repro.cluster import sharded\n"
+                  "real = sharded.run_shard\n"
+                  "def noisy(*args, **kwargs):\n"
+                  "    print('child', flush=True)\n"
+                  "    return real(*args, **kwargs)\n"
+                  "sharded.run_shard = noisy\n"
+                  "sys.stdout.write('before\\n')\n"
+                  "sharded.run_sharded_cluster("
+                  "sharded.ShardedClusterConfig(**%r))\n"
+                  "sys.stdout.write('after\\n')\n"
+                  % self.CONFIG.to_dict())
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC_ROOT] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env.pop("PYTHONUNBUFFERED", None)  # it would hide the buffer
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        # The two children's lines may interleave; the counts may not.
+        assert done.stdout.count("before") == 1
+        assert done.stdout.count("child") == 2
+        assert done.stdout.endswith("after\n")
+
+    def test_forked_run_equals_in_process(self):
+        forked = run_sharded_cluster(self.CONFIG)
+        inline = run_sharded_cluster(self.CONFIG, isolate=False)
+        assert forked.sink.summary() == inline.sink.summary()
+        assert forked.kernel_events == inline.kernel_events
+        assert forked.completion_ms == inline.completion_ms
+        assert forked.per_worker_invocations() \
+            == inline.per_worker_invocations()
+        assert [s.submitted for s in forked.shard_results] \
+            == [s.submitted for s in inline.shard_results]
+        forked_view = forked.to_cluster_result()
+        inline_view = inline.to_cluster_result()
+        assert forked_view.per_worker_containers \
+            == inline_view.per_worker_containers
+        assert forked_view.per_worker_memory_mb \
+            == inline_view.per_worker_memory_mb
+        assert forked.obs is not None and inline.obs is not None
+        assert forked.obs.counters == inline.obs.counters
+        assert forked.obs.clocks == inline.obs.clocks
+        assert comparable_histograms(forked.obs) \
+            == comparable_histograms(inline.obs)
+
+
 class TestSubprocessCoordinator:
     def test_subprocess_run_matches_in_process(self):
         config = dataclasses.replace(SMALL, invocations=1000,
@@ -277,7 +366,7 @@ class TestSubprocessCoordinator:
         for q in (50.0, 99.0):
             assert isolated.sink.latency_percentile(q) \
                 == inline.sink.latency_percentile(q)
-        # Subprocess shards report their own (small) RSS, not the parent's.
+        # Each child reports its own ru_maxrss over the protocol.
         assert 0 < isolated.max_shard_rss_mb
 
 

@@ -15,6 +15,7 @@ from repro.gateway import (
     GatewayServer,
     demo_platform,
 )
+from repro.gateway.server import MAX_BODY_BYTES
 from repro.local import LocalPlatform, LocalPlatformConfig
 
 
@@ -254,6 +255,28 @@ class TestGatewayServer:
                 writer.close()
 
         assert self.run_with_server(scenario) == 400
+
+    def test_oversized_body_413_then_close(self):
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            try:
+                # Only the head is sent: the declared length alone must
+                # be refused, without the server reading a byte of body.
+                writer.write((f"POST /invoke/echo HTTP/1.1\r\nHost: x\r\n"
+                              f"Content-Length: {MAX_BODY_BYTES + 1}"
+                              f"\r\n\r\n").encode())
+                await writer.drain()
+                response = await asyncio.wait_for(reader.read(), 5.0)
+            finally:
+                writer.close()
+            head, _, body = response.partition(b"\r\n\r\n")
+            return head.decode().split("\r\n"), json.loads(body)
+
+        head, body = self.run_with_server(scenario)
+        assert head[0] == "HTTP/1.1 413 Payload Too Large"
+        assert "Connection: close" in head
+        assert body["error"] == "body too large"
 
 
 class TestAdaptiveGateway:
