@@ -28,7 +28,9 @@ class PendingRequest:
     request_id: str
     function: str
     payload: Any
-    future: "asyncio.Future[Any]"
+    #: Receives the request's one ``GatewayResponse``; cleared once it has,
+    #: so ``None`` marks a settled request.
+    on_response: Optional[Callable[[Any], None]]
     enqueued_at: float
     #: Dispatch mode the degradation monitor chose ("batch" | "vanilla").
     mode: str = "batch"

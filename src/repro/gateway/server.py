@@ -3,13 +3,29 @@
 :class:`Gateway` is the transport-independent serving brain: it owns the
 per-function :class:`~repro.gateway.batching.FunctionBatcher` windows,
 the :class:`~repro.gateway.admission.AdmissionController`, and the
-:class:`~repro.gateway.degradation.DegradationMonitor`, and bridges
-asyncio request futures onto :class:`~repro.local.LocalPlatform` runner
-threads via ``submit_group(on_resolved=...)`` + ``call_soon_threadsafe``.
-The in-proc load generator drives it directly as coroutines (tens of
-thousands of RPS, no socket overhead); :class:`GatewayServer` adds a
-hand-rolled HTTP/1.1 layer over ``asyncio.start_server`` — stdlib only,
-keep-alive connections, bounded request sizes.
+:class:`~repro.gateway.degradation.DegradationMonitor`.  Its one request
+path is ``submit(function, payload, on_response)``: admission, dispatch
+onto :class:`~repro.local.LocalPlatform` runner threads via
+``submit_group(on_resolved=...)`` + ``call_soon_threadsafe``, and a
+settle step that calls ``on_response`` exactly once, on the event loop.
+``invoke`` awaits that core (the in-proc load generator's path).  Every
+request has the same deadline budget, so deadlines fall due in arrival
+order: one FIFO and one ``call_at`` timer for its head answer 504.
+
+:class:`GatewayServer` is one :class:`asyncio.Protocol` per connection,
+stdlib only: it parses HTTP/1.1 from a ``bytearray`` in ``data_received``,
+answers pipelined requests in order, and answers ``/invoke`` from the
+gateway's callback with one ``transport.write`` (no task per request).
+A connection has at most one request in flight: reading pauses while
+bytes wait behind it or behind a full write buffer, and resumes once it
+is answered.  So a connection holds its own request, at most one socket
+read ahead and the transport's write high-water mark; the kernel's socket
+buffers hold the rest.  400 and a close: a malformed head, a line over
+``MAX_LINE_BYTES``, more than ``MAX_HEADER_LINES`` lines, or any
+``Transfer-Encoding`` (bodies are ``Content-Length`` only).  413 and a
+close: a declared body over ``MAX_BODY_BYTES``.  HTTP/1.1 keeps the
+connection open unless ``Connection: close``; HTTP/1.0 closes it unless
+``Connection: keep-alive`` (tokens are case-insensitive).
 
 Routes::
 
@@ -36,12 +52,15 @@ Status mapping: 200 ok · 400 malformed · 404 unknown function ·
 from __future__ import annotations
 
 import asyncio
+import collections
+import contextlib
+import functools
 import itertools
 import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.common.errors import (
     ConfigurationError,
@@ -213,6 +232,10 @@ class Gateway:
         self._done_buffer: List[tuple] = []
         self._done_lock = threading.Lock()
         self._drain_scheduled = False
+        #: Admitted requests in arrival (= deadline) order; settled ones
+        #: are popped off the head as they settle.
+        self._deadlines: Deque[PendingRequest] = collections.deque()
+        self._deadline_timer: Optional[asyncio.TimerHandle] = None
 
     # -- request path ------------------------------------------------------------
 
@@ -224,72 +247,49 @@ class Gateway:
     def uptime_s(self) -> float:
         return self.loop.time() - self._started_loop
 
-    async def invoke(self, function: str,
-                     payload: Any = None) -> GatewayResponse:
-        """Serve one request end to end; never raises."""
+    def submit(self, function: str, payload: Any,
+               on_response: Callable[[GatewayResponse], None]) -> None:
+        """Serve one request; *on_response* gets its answer exactly once.
+
+        The answer comes on the event loop: at once for a 404 or a shed,
+        otherwise from the completion drain, the deadline sweep or an
+        eviction.  Never raises for anything the request itself did.
+        """
         start = self.loop.time()
         self.requests_total += 1
         request_id = self.next_request_id()
         if not self.platform.has_function(function):
-            return self._finish(start, GatewayResponse(
+            on_response(self._finish(start, GatewayResponse(
                 404, {"error": "unknown function", "function": function},
-                request_id=request_id))
+                request_id=request_id)))
+            return
         mode = self._choose_mode()
         shed = self._admit(function, mode)
         if shed is not None:
             shed.request_id = request_id
-            return self._finish(start, shed)
+            on_response(self._finish(start, shed))
+            return
         request = PendingRequest(
-            request_id=request_id,
-            function=function, payload=payload,
-            future=self.loop.create_future(),
-            enqueued_at=start, mode=mode)
+            request_id=request_id, function=function, payload=payload,
+            on_response=on_response, enqueued_at=start, mode=mode)
+        # Every request has the same budget, so deadlines fall due in
+        # arrival order: one FIFO and one timer for its head.
+        self._deadlines.append(request)
+        if self._deadline_timer is None:
+            self._deadline_timer = self.loop.call_at(
+                start + self.config.deadline_seconds, self._expire_due)
         if mode == MODE_BATCH and self.config.window_seconds > 0:
             self._batcher(function).enqueue(request)
             self.batched_requests += 1
         else:
             self._dispatch(function, [request])
-        # A plain timer + bare await instead of asyncio.wait_for: wait_for
-        # wraps the future in a Task per request, which is real money at
-        # five-digit RPS on one core.
-        deadline = self.loop.call_later(
-            self.config.deadline_seconds, self._expire, request)
-        try:
-            result = await request.future
-            response = GatewayResponse(200, {"result": result}, mode=mode)
-        except asyncio.TimeoutError:
-            response = GatewayResponse(
-                504, {"error": "deadline exceeded",
-                      "deadline_s": self.config.deadline_seconds},
-                mode=mode)
-        except GatewayOverloaded as error:
-            self.admission.record_shed(SHED_QUEUE_DEPTH)
-            response = GatewayResponse(
-                429, {"error": "shed", "cause": SHED_QUEUE_DEPTH},
-                mode=mode,
-                retry_after_seconds=error.retry_after_seconds)
-        except PlatformStateError as error:
-            response = GatewayResponse(
-                503, {"error": type(error).__name__}, mode=mode)
-        except InvocationTimeout as error:
-            response = GatewayResponse(
-                504, {"error": "invocation timeout",
-                      "detail": str(error)}, mode=mode)
-        except FunctionNotRegistered:
-            response = GatewayResponse(
-                404, {"error": "unknown function", "function": function},
-                mode=mode)
-        except Exception as error:
-            response = GatewayResponse(
-                500, {"error": type(error).__name__,
-                      "detail": str(error)}, mode=mode)
-        finally:
-            deadline.cancel()
-            self.admission.release()
-        response.request_id = request_id
-        if response.ok:
-            self.monitor.record(mode, (self.loop.time() - start) * 1000.0)
-        return self._finish(start, response)
+
+    async def invoke(self, function: str,
+                     payload: Any = None) -> GatewayResponse:
+        """Serve one request end to end; never raises."""
+        future = self.loop.create_future()
+        self.submit(function, payload, functools.partial(_answer, future))
+        return await future
 
     def _choose_mode(self) -> str:
         if self.config.policy == "vanilla":
@@ -316,10 +316,11 @@ class Gateway:
                         429, {"error": "shed", "cause": SHED_QUEUE_DEPTH},
                         mode=mode, retry_after_seconds=retry_after)
                 victim = batcher.evict_oldest()
-                if not victim.future.done():
-                    victim.future.set_exception(GatewayOverloaded(
-                        f"{victim.request_id} evicted (oldest-first shed)",
-                        retry_after_seconds=retry_after))
+                # Answered on the next turn, not inside this admission:
+                # the victim's connection may go on to its next request.
+                self.loop.call_soon(self._fail, victim, GatewayOverloaded(
+                    f"{victim.request_id} evicted (oldest-first shed)",
+                    retry_after_seconds=retry_after))
         self.admission.admit()
         return None
 
@@ -350,14 +351,69 @@ class Gateway:
                 on_resolved)
         except Exception as error:
             for request in requests:
-                if not request.future.done():
-                    request.future.set_exception(error)
+                self._fail(request, error)
             return
         self.batches_dispatched += 1
 
-    def _expire(self, request: PendingRequest) -> None:
-        if not request.future.done():
-            request.future.set_exception(asyncio.TimeoutError())
+    def _expire_due(self) -> None:
+        """Answer 504 to every request whose budget ran out; re-arm."""
+        deadlines, budget = self._deadlines, self.config.deadline_seconds
+        now = self.loop.time()
+        # The head is never a settled request: settling pops those.
+        while deadlines and deadlines[0].enqueued_at + budget <= now:
+            self._settle(deadlines[0], GatewayResponse(
+                504, {"error": "deadline exceeded", "deadline_s": budget}))
+        self._deadline_timer = self.loop.call_at(
+            deadlines[0].enqueued_at + budget,
+            self._expire_due) if deadlines else None
+
+    def _fail(self, request: PendingRequest, error: BaseException) -> None:
+        """Settle *request* with the status its error maps to."""
+        if isinstance(error, GatewayOverloaded):
+            self.admission.record_shed(SHED_QUEUE_DEPTH)
+            response = GatewayResponse(
+                429, {"error": "shed", "cause": SHED_QUEUE_DEPTH},
+                retry_after_seconds=error.retry_after_seconds)
+        elif isinstance(error, PlatformStateError):
+            response = GatewayResponse(503, {"error": type(error).__name__})
+        elif isinstance(error, InvocationTimeout):
+            response = GatewayResponse(
+                504, {"error": "invocation timeout", "detail": str(error)})
+        elif isinstance(error, FunctionNotRegistered):
+            response = GatewayResponse(
+                404, {"error": "unknown function",
+                      "function": request.function})
+        else:
+            response = GatewayResponse(
+                500, {"error": type(error).__name__, "detail": str(error)})
+        self._settle(request, response)
+
+    def _settle(self, request: PendingRequest,
+                response: GatewayResponse) -> None:
+        """Hand an admitted request its answer, unless it already has one."""
+        on_response = request.on_response
+        if on_response is None:
+            return
+        request.on_response = None
+        self.admission.release()
+        response.request_id = request.request_id
+        response.mode = request.mode
+        self._finish(request.enqueued_at, response)
+        if response.ok:
+            self.monitor.record(request.mode, response.latency_ms)
+        # Settled heads leave now, so the FIFO holds about the in-flight
+        # set rather than one entry per request of the last budget.
+        deadlines = self._deadlines
+        while deadlines and deadlines[0].on_response is None:
+            deadlines.popleft()
+        try:
+            on_response(response)
+        except Exception as error:
+            # It runs inside the completion drain or the deadline sweep,
+            # which must go on for every other request.
+            self.loop.call_exception_handler({
+                "message": f"answering {request.request_id} raised",
+                "exception": error})
 
     def _on_platform_done(self, request: PendingRequest,
                           invocation: LocalInvocation) -> None:
@@ -383,14 +439,18 @@ class Gateway:
 
     def _complete(self, request: PendingRequest,
                   invocation: LocalInvocation, now: float) -> None:
-        if request.future.done():
-            return  # deadline or eviction already answered the caller
-        if invocation.error is not None:
-            request.future.set_exception(invocation.error)
-        else:
-            request.future.set_result(invocation.result)
-        if invocation.started_at is None:
-            return  # failed before any handler ran: no stages to split
+        answered = request.on_response is None  # by a deadline or eviction
+        if not answered:
+            if invocation.error is not None:
+                self._fail(request, invocation.error)
+            else:
+                self._settle(request, GatewayResponse(
+                    200, {"result": invocation.result}))
+        # The caller has its answer: a retained invocation must not pin
+        # the decoded request or the handler's result.
+        invocation.payload = invocation.result = None
+        if answered or invocation.started_at is None:
+            return  # answered elsewhere, or no handler ran: no stages
         # ``loop.time()`` and the platform's ``time.monotonic()`` are one
         # clock.  Of a retried request these are the final attempt's
         # stages; its earlier attempts show up as runner-queue time.
@@ -445,8 +505,206 @@ class Gateway:
             batcher.close()
 
 
+def _answer(future: "asyncio.Future[GatewayResponse]",
+            response: GatewayResponse) -> None:
+    if not future.done():  # the awaiting task may have been cancelled
+        future.set_result(response)
+
+
+_ENCODE_JSON = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _head(status: int, content_type: str) -> str:
+    """The part of a response head that depends on nothing else."""
+    return (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+            f"Content-Type: {content_type}\r\nContent-Length: ")
+
+
+#: Built once per status: every answer but the Prometheus page is JSON.
+_JSON_HEADS = {status: _head(status, "application/json")
+               for status in _REASONS}
+
+
+def _encode_response(response: GatewayResponse, keep_alive: bool) -> bytes:
+    """Status line, headers and body of *response* as one buffer."""
+    if response.text is not None:
+        payload = response.text.encode("utf-8")
+        head = _head(response.status, response.content_type or "text/plain")
+    else:
+        payload = _ENCODE_JSON(response.body).encode("utf-8")
+        head = (_JSON_HEADS.get(response.status)
+                or _head(response.status, "application/json"))
+    lines = [head, str(len(payload)),
+             "\r\nConnection: keep-alive\r\n" if keep_alive
+             else "\r\nConnection: close\r\n"]
+    if response.request_id is not None:
+        lines.append(f"X-Request-Id: {response.request_id}\r\n")
+    if response.mode is not None:
+        lines.append(f"X-Dispatch-Mode: {response.mode}\r\n")
+    if response.retry_after_seconds is not None:
+        lines.append(f"Retry-After: "
+                     f"{max(response.retry_after_seconds, 0.001):.3f}\r\n")
+    lines.append("\r\n")
+    return "".join(lines).encode("latin-1") + payload
+
+
+def _parse_request(buffer: bytearray):
+    """Take one whole request off the front of *buffer*.
+
+    Returns ``(method, path, headers, body, keep_alive)``, or ``None`` while
+    the request is still incomplete; raises ValueError → 400
+    (:class:`_BodyTooLarge` → 413).
+    """
+    end = buffer.find(b"\n\r\n")
+    bare = buffer.find(b"\n\n", 0, end if end >= 0 else len(buffer))
+    if bare >= 0:
+        end, body_at = bare, bare + 2
+    elif end >= 0:
+        body_at = end + 3
+    elif len(buffer) > MAX_LINE_BYTES * (MAX_HEADER_LINES + 1):
+        raise ValueError("request head too long")
+    else:
+        return None
+    lines = buffer[:end].decode("latin-1").split("\n")
+    if len(lines) > MAX_HEADER_LINES + 1:
+        raise ValueError("too many header lines")
+    if end > MAX_LINE_BYTES and max(map(len, lines)) > MAX_LINE_BYTES:
+        raise ValueError("header line too long")
+    parts = lines[0].rstrip("\r").split(" ")
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise ValueError(f"malformed request line: {parts!r}")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        key, _, value = line.partition(":")
+        headers[key.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        # Without chunked decoding the chunks would be read as requests.
+        raise ValueError("Transfer-Encoding is not supported")
+    length = int(headers.get("content-length", "0") or "0")
+    if length < 0:
+        raise ValueError(f"bad content length {length}")
+    if length > MAX_BODY_BYTES:
+        raise _BodyTooLarge(
+            f"content length {length} exceeds {MAX_BODY_BYTES}")
+    if len(buffer) < body_at + length:
+        return None
+    body = bytes(buffer[body_at:body_at + length])
+    del buffer[:body_at + length]
+    tokens = {token.strip()
+              for token in headers.get("connection", "").lower().split(",")}
+    keep_alive = ("keep-alive" in tokens if parts[2] == "HTTP/1.0"
+                  else "close" not in tokens)
+    return parts[0], parts[1], headers, body, keep_alive
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: parse, answer in order, push back."""
+
+    def __init__(self, server: "GatewayServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.buffer = bytearray()
+        self.owed = False          # a request is waiting for its answer
+        self.keep_alive = True     # of the request being answered
+        self.write_paused = self.read_paused = False
+        self.eof = False           # no more requests will be read
+        self.closing = False
+        self._serving = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.server._connections.add(self)
+        self.server._no_connections.clear()
+        self.server.connections_served += 1
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.closing = True
+        self.buffer.clear()
+        self.server._connections.discard(self)
+        if not self.server._connections:
+            self.server._no_connections.set()
+
+    def data_received(self, data: bytes) -> None:
+        if not self.eof:  # once stopping, what is buffered is all
+            self.buffer += data
+            self._serve()
+
+    def eof_received(self) -> bool:
+        self.finish()
+        return True  # keep the write side open for the answers owed
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._serve()
+
+    def finish(self) -> None:
+        """Read no more: answer the requests already buffered, then close."""
+        self.eof = True
+        self._serve()
+
+    def _serve(self) -> None:
+        """Answer buffered requests in order until one must wait."""
+        if self._serving or self.closing:
+            return  # re-entered by an answer given inside the loop below
+        self._serving = True
+        try:
+            while self.buffer and not (self.owed or self.write_paused
+                                       or self.closing):
+                try:
+                    request = _parse_request(self.buffer)
+                except ValueError as error:
+                    status, reason = ((413, "body too large")
+                                      if isinstance(error, _BodyTooLarge)
+                                      else (400, "malformed request"))
+                    self.keep_alive = False
+                    self._write(GatewayResponse(
+                        status, {"error": reason, "detail": str(error)}))
+                    return
+                if request is None:
+                    break
+                method, path, headers, body, self.keep_alive = request
+                self.owed = True
+                response = self.server._route(method, path, headers, body,
+                                              self._answer)
+                if response is not None:
+                    self._answer(response)
+        finally:
+            self._serving = False
+        if self.closing:
+            return
+        blocked = self.owed or self.write_paused
+        if self.eof and not blocked:
+            self._close()
+        elif blocked and self.buffer and not self.read_paused:
+            self.read_paused = True
+            self.transport.pause_reading()
+        elif not blocked and self.read_paused:
+            self.read_paused = False
+            self.transport.resume_reading()
+
+    def _answer(self, response: GatewayResponse) -> None:
+        """Write the owed answer; go on with the next buffered request."""
+        self.owed = False
+        if not self.closing:  # else the client left while it ran
+            self._write(response)
+            self._serve()
+
+    def _write(self, response: GatewayResponse) -> None:
+        self.transport.write(_encode_response(response, self.keep_alive))
+        if not self.keep_alive:
+            self._close()
+
+    def _close(self) -> None:
+        self.closing = True
+        self.transport.close()
+
+
 class GatewayServer:
-    """Hand-rolled HTTP/1.1 keep-alive server over asyncio streams."""
+    """Hand-rolled HTTP/1.1 keep-alive server: one ``asyncio.Protocol``
+    per connection, answered from the gateway's completion callback."""
 
     def __init__(self, gateway: Gateway, host: str = "127.0.0.1",
                  port: int = 8080) -> None:
@@ -455,93 +713,39 @@ class GatewayServer:
         self.port = port
         self.connections_served = 0
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[_Connection] = set()
+        self._no_connections = asyncio.Event()
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
+        self._server = await self.gateway.loop.create_server(
+            functools.partial(_Connection, self), self.host, self.port)
         # Port 0 asks the OS for an ephemeral port; reflect the real one.
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Stop listening and flush the windows.  Each connection closes
+        once its buffered requests are answered; one still open a deadline
+        budget later (its client stopped reading) is aborted."""
         if self._server is not None:
             self._server.close()
+        self.gateway.close()
+        for connection in list(self._connections):
+            connection.finish()
+        if self._connections:
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._no_connections.wait(),
+                                       self.gateway.config.deadline_seconds)
+        for connection in list(self._connections):
+            connection.transport.abort()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        self.gateway.close()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
         await self._server.serve_forever()
 
-    # -- connection handling -----------------------------------------------------
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        self.connections_served += 1
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except ValueError as error:
-                    status, reason = ((413, "body too large")
-                                      if isinstance(error, _BodyTooLarge)
-                                      else (400, "malformed request"))
-                    await self._write_response(
-                        writer, GatewayResponse(
-                            status, {"error": reason,
-                                     "detail": str(error)}), {}, False)
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                response, extra = await self._route(method, path, headers,
-                                                    body)
-                keep_alive = headers.get("connection", "") != "close"
-                await self._write_response(writer, response, extra,
-                                           keep_alive)
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one request; None on clean EOF; raises ValueError → 400
-        (:class:`_BodyTooLarge` → 413)."""
-        try:
-            request_line = await reader.readline()
-        except ValueError:  # line longer than the stream limit
-            raise
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").rstrip("\r\n").split(" ")
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise ValueError(f"malformed request line: {parts!r}")
-        method, path, _version = parts
-        headers: Dict[str, str] = {}
-        for _ in range(MAX_HEADER_LINES):
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if len(line) > MAX_LINE_BYTES:
-                raise ValueError("header line too long")
-            key, _, value = line.decode("latin-1").partition(":")
-            headers[key.strip().lower()] = value.strip()
-        else:
-            raise ValueError("too many header lines")
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0:
-            raise ValueError(f"bad content length {length}")
-        if length > MAX_BODY_BYTES:
-            raise _BodyTooLarge(
-                f"content length {length} exceeds {MAX_BODY_BYTES}")
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+    # -- routing -------------------------------------------------------------
 
     def _render_metrics(self, prometheus: bool) -> GatewayResponse:
         """The /metrics body: JSON snapshot or Prometheus exposition."""
@@ -557,31 +761,24 @@ class GatewayServer:
             return GatewayResponse(200, {"obs": "disabled"})
         return GatewayResponse(200, obs.metrics.snapshot())
 
-    async def _route(self, method: str, path: str,
-                     headers: Dict[str, str], body: bytes):
-        """Dispatch to a handler; returns (GatewayResponse, extra headers)."""
+    def _route(self, method: str, path: str, headers: Dict[str, str],
+               body: bytes, on_response: Callable[[GatewayResponse], None]
+               ) -> Optional[GatewayResponse]:
+        """Answer an ops route or a bad request now (the response); hand
+        ``/invoke`` to the gateway, which answers *on_response* (None)."""
         path, _, query = path.partition("?")
         if method == "POST" and path.startswith("/invoke/"):
-            function = path[len("/invoke/"):]
             if body:
                 try:
                     payload = json.loads(body)
-                except json.JSONDecodeError as error:
+                except (ValueError, RecursionError) as error:
                     return GatewayResponse(
                         400, {"error": "invalid JSON body",
-                              "detail": str(error)}), {}
+                              "detail": str(error)})
             else:
                 payload = None
-            response = await self.gateway.invoke(function, payload)
-            extra = {}
-            if response.request_id is not None:
-                extra["X-Request-Id"] = response.request_id
-            if response.mode is not None:
-                extra["X-Dispatch-Mode"] = response.mode
-            if response.retry_after_seconds is not None:
-                extra["Retry-After"] = format(
-                    max(response.retry_after_seconds, 0.001), ".3f")
-            return response, extra
+            self.gateway.submit(path[len("/invoke/"):], payload, on_response)
+            return None
         if method == "GET" and path == "/healthz":
             response = GatewayResponse(200, {
                 "status": "ok",
@@ -601,34 +798,10 @@ class GatewayServer:
                      or path in ("/healthz", "/stats", "/metrics"))
             if known or method not in ("GET", "POST", "HEAD"):
                 return GatewayResponse(
-                    405, {"error": "method not allowed",
-                          "method": method}), {}
+                    405, {"error": "method not allowed", "method": method})
             return GatewayResponse(404, {"error": "no such route",
-                                         "path": path}), {}
+                                         "path": path})
         # Ops endpoints get request ids from the same seeded stream, so
         # "every response carries X-Request-Id" holds on every route.
         response.request_id = self.gateway.next_request_id()
-        return response, {"X-Request-Id": response.request_id}
-
-    async def _write_response(self, writer: asyncio.StreamWriter,
-                              response: GatewayResponse,
-                              extra: Dict[str, str],
-                              keep_alive: bool) -> None:
-        if response.text is not None:
-            payload = response.text.encode("utf-8")
-            content_type = response.content_type or "text/plain"
-        else:
-            payload = json.dumps(response.body,
-                                 separators=(",", ":")).encode("utf-8")
-            content_type = "application/json"
-        reason = _REASONS.get(response.status, "Unknown")
-        headers = [
-            f"HTTP/1.1 {response.status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(payload)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        headers.extend(f"{key}: {value}" for key, value in extra.items())
-        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1"))
-        writer.write(payload)
-        await writer.drain()
+        return response

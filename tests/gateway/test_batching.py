@@ -10,7 +10,7 @@ from repro.gateway.batching import FunctionBatcher, PendingRequest
 def make_request(loop: asyncio.AbstractEventLoop,
                  index: int) -> PendingRequest:
     return PendingRequest(request_id=f"req-{index}", function="echo",
-                          payload=index, future=loop.create_future(),
+                          payload=index, on_response=None,
                           enqueued_at=loop.time())
 
 

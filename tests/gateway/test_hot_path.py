@@ -71,10 +71,12 @@ class TestRetainedPerRequest:
             return (after - before) / requests
 
         per_request = run_echo_stack(scenario, request_timeout_seconds=0.1)
-        # ~570 B here.  It was ~3 KB when every invocation owned a Future
-        # (1.3 KB), its done callback pinned the request/response chain,
-        # and every attempt stored a history dict in a per-invocation list.
-        assert per_request <= 900, per_request
+        # ~358 B here (~570 B while a completed invocation still held its
+        # payload and result), bounded with a 25 % margin.  It was ~3 KB
+        # when every invocation owned a Future (1.3 KB), its done callback
+        # pinned the request/response chain, and every attempt stored a
+        # history dict in a per-invocation list.
+        assert per_request <= 450, per_request
 
     def test_nothing_of_the_callers_request_is_pinned(self):
         async def scenario(platform, gateway):
@@ -86,6 +88,9 @@ class TestRetainedPerRequest:
         completed = run_echo_stack(scenario)
         assert len(completed) == 50
         assert all(inv.on_resolved is None and inv._future is None
+                   for inv in completed)
+        # The caller has its answer, so neither side of it is kept.
+        assert all(inv.payload is None and inv.result is None
                    for inv in completed)
 
 
