@@ -74,7 +74,6 @@ from repro.common.eventlog import EventKind, EventLog
 from repro.platformsim import (
     ExperimentResult,
     ServerlessPlatform,
-    run_comparison,
     run_experiment,
 )
 from repro.workload.azurefile import AzureTraceBuilder
@@ -128,6 +127,5 @@ __all__ = [
     "io_function_spec",
     "io_workload_trace",
     "registered_policies",
-    "run_comparison",
     "run_experiment",
 ]

@@ -1,10 +1,9 @@
 """Analysis: comparisons, figure renderers, report emission."""
 
-from repro.analysis.asciiplot import render_bar_chart, render_cdf_plot
+from repro.analysis.asciiplot import render_cdf_plot
 from repro.analysis.breakdown import (
     ComponentSummary,
     breakdown_table,
-    dominant_component,
     summarize_components,
 )
 from repro.analysis.compare import (
@@ -30,8 +29,6 @@ __all__ = [
     "CDF_PROBABILITIES",
     "ComponentSummary",
     "breakdown_table",
-    "dominant_component",
-    "render_bar_chart",
     "render_cdf_plot",
     "summarize_components",
     "DEFAULT_OUTPUT_DIR",

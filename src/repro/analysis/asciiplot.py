@@ -1,15 +1,14 @@
-"""Terminal plotting: CDF curves and bar charts without matplotlib.
+"""Terminal plotting: CDF curves without matplotlib.
 
 The examples and benchmarks run in environments without plotting
-libraries; these renderers draw the paper's figure *shapes* directly in the
-terminal — a log-x CDF panel for Figs. 3/11/12 and horizontal bar charts
-for the resource-cost panels of Figs. 13/14.
+libraries; this renderer draws the paper's CDF figure *shapes* (Figs.
+3/11/12) directly in the terminal as a log-x panel.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 from repro.common.cdf import EmpiricalCdf
 from repro.common.errors import ReproError
@@ -91,26 +90,4 @@ def render_cdf_plot(cdfs: Dict[str, EmpiricalCdf],
     legend = "   ".join(f"{SERIES_MARKS[i]} {name}"
                         for i, name in enumerate(cdfs))
     lines.append("     legend: " + legend)
-    return "\n".join(lines) + "\n"
-
-
-def render_bar_chart(rows: Sequence[Tuple[str, float]],
-                     width: int = 50,
-                     unit: str = "",
-                     title: str = "") -> str:
-    """Horizontal bars, scaled to the largest value."""
-    if not rows:
-        raise ReproError("no bars to draw")
-    peak = max(value for _label, value in rows)
-    if peak <= 0:
-        raise ReproError("all values non-positive")
-    label_width = max(len(label) for label, _value in rows)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for label, value in rows:
-        bar = "#" * max(1, int(round(value / peak * width))) \
-            if value > 0 else ""
-        lines.append(f"{label.rjust(label_width)} |{bar} "
-                     f"{value:g}{unit}")
     return "\n".join(lines) + "\n"

@@ -145,12 +145,6 @@ def breakdown_table(results: Sequence[ExperimentResult]):
     return headers, rows
 
 
-def dominant_component(result: ExperimentResult) -> str:
-    """The component contributing the most mean latency."""
-    summaries = summarize_components(result)
-    return max(summaries, key=lambda s: s.mean_ms).component
-
-
 # -- resilience view (runs with retries enabled) --------------------------------
 
 

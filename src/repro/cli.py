@@ -572,30 +572,28 @@ def _gateway_cell_specs(args: argparse.Namespace) -> list:
     load = LoadgenConfig(rps=args.rps, duration_seconds=args.duration,
                          seed=args.seed, mix=mix,
                          max_connections=args.connections)
-    specs = []
-    for policy in args.policies.split(","):
-        policy = policy.strip()
-        phases = ()
-        if policy == "adaptive":
-            # Shape-shifting traffic so the degradation monitor has
-            # something to react to: io-heavy (batching wins), echo-only
-            # (the window is pure tax), io-heavy again (recovery).
-            third = args.duration / 3.0
-            phases = tuple(
-                LoadgenConfig(rps=args.rps, duration_seconds=third,
-                              seed=args.seed + index, mix=phase_mix,
-                              max_connections=args.connections)
-                for index, phase_mix in enumerate(
-                    ({"io": 0.7, "echo": 0.3}, {"echo": 1.0},
-                     {"io": 0.7, "echo": 0.3})))
-        specs.append(CellSpec(
-            label=policy, policy=policy, load=load, phases=phases,
-            transport=args.transport,
-            window_seconds=args.window_ms / 1000.0,
-            deadline_seconds=args.deadline,
-            admission=admission,
-            request_timeout_seconds=timeout))
-    return specs
+    policies = [policy.strip() for policy in args.policies.split(",")]
+    phases = ()
+    if "adaptive" in policies:
+        # Shape-shifting traffic so the degradation monitor has something
+        # to react to: io-heavy (batching wins), echo-only (the window is
+        # pure tax), io-heavy again (recovery).  Every cell of the run
+        # serves it, so the printed table compares the same traffic.
+        third = args.duration / 3.0
+        phases = tuple(
+            LoadgenConfig(rps=args.rps, duration_seconds=third,
+                          seed=args.seed + index, mix=phase_mix,
+                          max_connections=args.connections)
+            for index, phase_mix in enumerate(
+                ({"io": 0.7, "echo": 0.3}, {"echo": 1.0},
+                 {"io": 0.7, "echo": 0.3})))
+    return [CellSpec(label=policy, policy=policy, load=load, phases=phases,
+                     transport=args.transport,
+                     window_seconds=args.window_ms / 1000.0,
+                     deadline_seconds=args.deadline,
+                     admission=admission,
+                     request_timeout_seconds=timeout)
+            for policy in policies]
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

@@ -1,10 +1,5 @@
 """Cluster extension: multiple workers + routing policies (beyond §IV's scope)."""
 
-from repro.cluster.autoscale import (
-    Autoscaler,
-    NullAutoscaler,
-    ThresholdAutoscaler,
-)
 from repro.cluster.balancer import (
     BALANCERS,
     Balancer,
@@ -17,23 +12,18 @@ from repro.cluster.balancer import (
 )
 from repro.cluster.experiment import (
     ClusterResult,
-    WorkerSize,
     compare_balancers,
     run_cluster_experiment,
 )
 
 __all__ = [
     "BALANCERS",
-    "Autoscaler",
     "Balancer",
     "ClusterResult",
     "FunctionAffinityBalancer",
     "HashPartitionBalancer",
     "LeastLoadedBalancer",
-    "NullAutoscaler",
     "RoundRobinBalancer",
-    "ThresholdAutoscaler",
-    "WorkerSize",
     "compare_balancers",
     "make_balancer",
     "run_cluster_experiment",

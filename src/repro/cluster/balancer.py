@@ -48,11 +48,6 @@ class Balancer(abc.ABC):
     """Chooses a worker platform for each arriving request."""
 
     name: str = "abstract"
-    #: Whether :meth:`add_worker` keeps this policy's routing meaningful.
-    #: Hash-keyed policies remap function homes when the worker count
-    #: changes; they still *work* after a scale-up, but a function's burst
-    #: may split across its old and new home.
-    supports_scaling: bool = True
 
     def __init__(self, workers: Sequence[ServerlessPlatform]) -> None:
         if not workers:
@@ -62,12 +57,6 @@ class Balancer(abc.ABC):
     @abc.abstractmethod
     def pick(self, function_id: str) -> ServerlessPlatform:
         """Return the worker that should serve the next request."""
-
-    def add_worker(self, worker: ServerlessPlatform) -> None:
-        """Autoscaling hook: start routing to *worker* from now on."""
-        if worker in self.workers:
-            raise ConfigurationError("worker already registered")
-        self.workers.append(worker)
 
     # -- shared helpers ---------------------------------------------------------
 

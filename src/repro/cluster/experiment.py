@@ -11,24 +11,23 @@ Scale notes.  The runner accepts a :data:`~repro.workload.trace.TraceLike`
 :class:`~repro.common.streaming.StreamingResultSink` and, with
 ``retain_invocations=False``, drops the per-invocation records — the
 regime the million-invocation sharded replay (``repro.cluster.sharded``)
-runs in.  Workers may be heterogeneous (``machine_sizes``) and a cluster
-can grow mid-run via an :class:`~repro.cluster.autoscale.Autoscaler`.
+runs in.  Every worker has the calibration's machine shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.baselines.base import Scheduler
 from repro.common.errors import ConfigurationError
 from repro.common.stats import SampleStats
 from repro.common.streaming import StreamingResultSink
 from repro.common.units import HOUR
-from repro.cluster.autoscale import Autoscaler
-from repro.cluster.balancer import Balancer, make_balancer
+from repro.cluster.balancer import make_balancer
 from repro.model.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.model.function import FunctionSpec, Invocation
+from repro.obs import Observability
 from repro.platformsim.platform import ServerlessPlatform
 from repro.sim.kernel import Environment
 from repro.sim.machine import Machine, build_cpu
@@ -38,19 +37,27 @@ from repro.workload.trace import TraceLike
 SchedulerFactory = Callable[[], Scheduler]
 
 
-@dataclass(frozen=True)
-class WorkerSize:
-    """Machine shape of one worker (heterogeneous clusters mix these)."""
+def _build_worker(env: Environment, scheduler: Scheduler,
+                  functions: Sequence[FunctionSpec],
+                  calibration: Calibration, sink: StreamingResultSink,
+                  retain: bool,
+                  obs: Optional[Observability] = None) -> ServerlessPlatform:
+    """One started worker platform of the calibration's machine shape.
 
-    cores: int
-    memory_gb: float
-
-    def __post_init__(self) -> None:
-        if self.cores < 1:
-            raise ConfigurationError(f"cores must be >= 1, got {self.cores}")
-        if self.memory_gb <= 0:
-            raise ConfigurationError(
-                f"memory_gb must be > 0, got {self.memory_gb}")
+    ``retain=False`` keeps neither the memory series nor the completed
+    invocation records: the regime of runs too long to hold them.
+    """
+    cores = calibration.worker_cores
+    machine = Machine(env, cores=cores, memory_gb=calibration.worker_memory_gb,
+                      cpu=build_cpu(env, scheduler.cpu_discipline, cores),
+                      retain_memory_series=retain)
+    platform = ServerlessPlatform(env, machine, calibration, obs=obs,
+                                  retain_completed=retain)
+    for spec in functions:
+        platform.register_function(spec)
+    platform.result_sink = sink
+    scheduler.start(platform)
+    return platform
 
 
 @dataclass
@@ -67,8 +74,6 @@ class ClusterResult:
     #: Online accounting (always populated by :func:`run_cluster_experiment`;
     #: the only latency record when ``retain_invocations=False``).
     sink: Optional[StreamingResultSink] = None
-    #: ``(sim_ms, new_worker_count)`` for each autoscale growth step.
-    scale_events: List[Tuple[float, int]] = field(default_factory=list)
 
     @property
     def total_containers(self) -> int:
@@ -124,18 +129,12 @@ def run_cluster_experiment(scheduler_factory: SchedulerFactory,
                            balancer: str = "function-affinity",
                            calibration: Calibration = DEFAULT_CALIBRATION,
                            timeout_ms: Optional[float] = None,
-                           machine_sizes: Optional[Sequence[WorkerSize]] = None,
-                           autoscaler: Optional[Autoscaler] = None,
                            retain_invocations: bool = True,
                            sink: Optional[StreamingResultSink] = None,
                            ) -> ClusterResult:
     """Run *trace* over a cluster of *workers* machines.
 
-    ``machine_sizes`` (cycled over worker index) makes the cluster
-    heterogeneous; omitted, every worker gets the calibration shape.
-    ``autoscaler`` is polled every ``check_interval_ms`` of simulated time
-    and may grow the cluster mid-run (scale-up only).  With
-    ``retain_invocations=False`` no per-invocation record survives the
+    With ``retain_invocations=False`` no per-invocation record survives the
     run: all accounting flows through *sink* (one is created when not
     supplied) and ``result.invocations`` is empty.
     """
@@ -146,8 +145,6 @@ def run_cluster_experiment(scheduler_factory: SchedulerFactory,
     if sink is None:
         sink = StreamingResultSink()
     env = Environment()
-    platforms: List[ServerlessPlatform] = []
-    schedulers: List[Scheduler] = []
     completed: List[Invocation] = []
     done_total = [0]
     all_done = env.event()
@@ -160,35 +157,12 @@ def run_cluster_experiment(scheduler_factory: SchedulerFactory,
         if done_total[0] == expected:
             all_done.succeed(done_total[0])
 
-    def size_of(index: int) -> WorkerSize:
-        if machine_sizes:
-            return machine_sizes[index % len(machine_sizes)]
-        return WorkerSize(cores=calibration.worker_cores,
-                          memory_gb=calibration.worker_memory_gb)
-
-    def spawn_worker() -> ServerlessPlatform:
-        size = size_of(len(platforms))
-        scheduler = scheduler_factory()
-        cpu = build_cpu(env, scheduler.cpu_discipline, size.cores)
-        machine = Machine(env, cores=size.cores, memory_gb=size.memory_gb,
-                          cpu=cpu,
-                          retain_memory_series=retain_invocations)
-        platform = ServerlessPlatform(env, machine, calibration,
-                                      retain_completed=retain_invocations)
-        for spec in functions:
-            platform.register_function(spec)
-        platform.result_sink = sink
+    platforms = [_build_worker(env, scheduler_factory(), functions,
+                               calibration, sink, retain_invocations)
+                 for _ in range(workers)]
+    for platform in platforms:
         platform.completion_listeners.append(on_complete)
-        scheduler.start(platform)
-        platforms.append(platform)
-        schedulers.append(scheduler)
-        return platform
-
-    for _ in range(workers):
-        spawn_worker()
-
-    router: Balancer = make_balancer(balancer, platforms)
-    scale_events: List[Tuple[float, int]] = []
+    router = make_balancer(balancer, platforms)
 
     def replay():
         for record in trace:
@@ -198,19 +172,6 @@ def run_cluster_experiment(scheduler_factory: SchedulerFactory,
             router.pick(record.function_id).submit(record)
 
     env.process(replay(), name="cluster-gateway")
-
-    if autoscaler is not None:
-        def autoscale_loop():
-            while True:
-                yield env.timeout(autoscaler.check_interval_ms)
-                loads = [Balancer.load_of(p) for p in platforms]
-                depths = [len(p.request_queue) for p in platforms]
-                grow = autoscaler.workers_to_add(loads, depths)
-                for _ in range(max(0, grow)):
-                    router.add_worker(spawn_worker())
-                    scale_events.append((env.now, len(platforms)))
-
-        env.process(autoscale_loop(), name="cluster-autoscaler")
 
     def waiter():
         yield all_done
@@ -227,8 +188,7 @@ def run_cluster_experiment(scheduler_factory: SchedulerFactory,
                                for p in platforms],
         per_worker_memory_mb=[p.machine.memory.peak_mb for p in platforms],
         completion_ms=env.now,
-        sink=sink,
-        scale_events=scale_events)
+        sink=sink)
 
 
 def compare_balancers(scheduler_factory: SchedulerFactory,

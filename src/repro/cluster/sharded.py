@@ -64,13 +64,11 @@ from repro.common.streaming import (
 )
 from repro.common.units import HOUR
 from repro.cluster.balancer import stable_hash
-from repro.cluster.experiment import ClusterResult, WorkerSize
+from repro.cluster.experiment import ClusterResult, _build_worker
 from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.obs import Observability
 from repro.platformsim.gateway import ReplayInjector
-from repro.platformsim.platform import ServerlessPlatform
 from repro.sim.kernel import Environment
-from repro.sim.machine import Machine, build_cpu
 from repro.workload.generator import (
     fib_family_specs,
     tiled_fib_function_counts,
@@ -304,7 +302,6 @@ class ShardedClusterResult:
 
 def run_shard(config: ShardedClusterConfig, shard_index: int,
               progress: Optional[Callable[[int], None]] = None,
-              machine_sizes: Optional[Sequence[WorkerSize]] = None,
               ) -> ShardResult:
     """Simulate shard *shard_index*'s workers over the full stream.
 
@@ -314,7 +311,6 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
     both land here.
     """
     started = time.perf_counter()
-    calibration = DEFAULT_CALIBRATION
     owned = config.worker_indices(shard_index)
     stream = tiled_fib_stream(invocations=config.invocations,
                               functions=config.functions,
@@ -330,23 +326,10 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
     # would), so shard-final counter/gauge values sum exactly across
     # shards and the coordinator can reconstruct the one-process picture.
     obs = Observability()
-    platforms: Dict[int, ServerlessPlatform] = {}
-    for global_index in owned:
-        size = (machine_sizes[global_index % len(machine_sizes)]
-                if machine_sizes else
-                WorkerSize(cores=calibration.worker_cores,
-                           memory_gb=calibration.worker_memory_gb))
-        scheduler = factory()
-        cpu = build_cpu(env, scheduler.cpu_discipline, size.cores)
-        machine = Machine(env, cores=size.cores, memory_gb=size.memory_gb,
-                          cpu=cpu, retain_memory_series=False)
-        platform = ServerlessPlatform(env, machine, calibration,
-                                      obs=obs, retain_completed=False)
-        for spec in specs:
-            platform.register_function(spec)
-        platform.result_sink = sink
-        scheduler.start(platform)
-        platforms[global_index] = platform
+    platforms = {global_index: _build_worker(env, factory(), specs,
+                                             DEFAULT_CALIBRATION, sink,
+                                             retain=False, obs=obs)
+                 for global_index in owned}
 
     submitted = [0]
     done_submitting = [False]

@@ -1,6 +1,6 @@
 """Shared primitives: errors, units, ids, statistics, tables."""
 
-from repro.common.cdf import CdfPoint, EmpiricalCdf, describe_cdf
+from repro.common.cdf import CdfPoint, EmpiricalCdf
 from repro.common.errors import (
     CapacityExceeded,
     ConfigurationError,
@@ -14,7 +14,6 @@ from repro.common.errors import (
     ReproError,
     SchedulingError,
     SimulationError,
-    StopSimulation,
     WorkloadError,
 )
 from repro.common.ids import IdFactory
@@ -39,9 +38,7 @@ __all__ = [
     "SampleStats",
     "SchedulingError",
     "SimulationError",
-    "StopSimulation",
     "WorkloadError",
-    "describe_cdf",
     "mean",
     "percentile",
     "render_table",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,3 @@ class EmpiricalCdf:
     def samples(self) -> Sequence[float]:
         """Sorted samples (read-only view)."""
         return tuple(self._samples)
-
-
-def describe_cdf(cdf: EmpiricalCdf,
-                 quantiles: Sequence[float] = (0.5, 0.9, 0.96, 0.98, 0.99, 1.0),
-                 ) -> List[Tuple[float, float]]:
-    """Return ``(quantile, value)`` rows for the standard report quantiles."""
-    return [(q, cdf.quantile(q)) for q in quantiles]

@@ -22,10 +22,6 @@ class SimulationError(ReproError):
     """Base class for faults raised by the discrete-event kernel."""
 
 
-class StopSimulation(SimulationError):
-    """Raised internally to abort :meth:`Environment.run` early."""
-
-
 class EventAlreadyTriggered(SimulationError):
     """An event was triggered (succeeded or failed) more than once."""
 

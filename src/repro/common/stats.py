@@ -157,6 +157,12 @@ def mean(values: Sequence[float]) -> float:
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """One-shot exact percentile of a non-empty sequence."""
+    """One-shot exact percentile of a non-empty sequence.
+
+    The repository's one percentile rule, for the simulator and the live
+    gateway alike: :meth:`SampleStats.percentile`'s linear interpolation
+    between the closest ranks (rank ``q/100 * (n - 1)`` of the sorted
+    sample), the rule every figure CSV and ``macrobench/expected`` use.
+    """
     stats = SampleStats(values)
     return stats.percentile(q)

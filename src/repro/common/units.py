@@ -20,11 +20,9 @@ from __future__ import annotations
 # Time
 # ---------------------------------------------------------------------------
 
-MS: float = 1.0
 SECOND: float = 1000.0
 MINUTE: float = 60.0 * SECOND
 HOUR: float = 60.0 * MINUTE
-DAY: float = 24.0 * HOUR
 
 
 def seconds(value: float) -> float:
@@ -32,37 +30,16 @@ def seconds(value: float) -> float:
     return value * SECOND
 
 
-def minutes(value: float) -> float:
-    """Convert *value* minutes into milliseconds."""
-    return value * MINUTE
-
-
-def hours(value: float) -> float:
-    """Convert *value* hours into milliseconds."""
-    return value * HOUR
-
-
-def ms_to_seconds(value_ms: float) -> float:
-    """Convert milliseconds back to seconds (for reporting)."""
-    return value_ms / SECOND
-
-
 # ---------------------------------------------------------------------------
 # Memory
 # ---------------------------------------------------------------------------
 
-MB: float = 1.0
 GB: float = 1024.0
 
 
 def gigabytes(value: float) -> float:
     """Convert *value* GiB into the library's MB memory unit."""
     return value * GB
-
-
-def mb_to_gb(value_mb: float) -> float:
-    """Convert MB back to GiB (for reporting)."""
-    return value_mb / GB
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +50,6 @@ def mb_to_gb(value_mb: float) -> float:
 #: kernel performs floating-point arithmetic on times; comparisons must be
 #: tolerant to representation error but tight enough not to mask real bugs.
 TIME_EPSILON: float = 1e-9
-
-
-def approximately(a: float, b: float, eps: float = 1e-6) -> bool:
-    """Return True when *a* and *b* differ by at most *eps* (absolute)."""
-    return abs(a - b) <= eps
 
 
 def clamp(value: float, lo: float, hi: float) -> float:

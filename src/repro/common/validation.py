@@ -35,8 +35,3 @@ def require_in_range(name: str, value: float, lo: float, hi: float) -> float:
         raise ConfigurationError(
             f"{name} must be in [{lo}, {hi}], got {value!r}")
     return value
-
-
-def require_fraction(name: str, value: float) -> float:
-    """Return *value* if within [0, 1]."""
-    return require_in_range(name, value, 0.0, 1.0)

@@ -21,7 +21,6 @@ from repro.gateway.degradation import (
     MODE_VANILLA,
     DegradationConfig,
     DegradationMonitor,
-    percentile,
 )
 from repro.gateway.functions import (
     DEFAULT_CLIENT_COST_SECONDS,
@@ -33,7 +32,6 @@ from repro.gateway.harness import (
     POLICY_CELLS,
     CellSpec,
     build_stack,
-    default_cells,
     platform_config_for,
     run_cell,
 )
@@ -82,10 +80,8 @@ __all__ = [
     "build_phased_schedule",
     "build_schedule",
     "build_stack",
-    "default_cells",
     "demo_platform",
     "make_handlers",
-    "percentile",
     "platform_config_for",
     "run_cell",
     "run_http",

@@ -25,18 +25,10 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
+from repro.common.stats import percentile
 
 MODE_BATCH = "batch"
 MODE_VANILLA = "vanilla"
-
-
-def percentile(samples: List[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]) of a non-empty sample set."""
-    if not samples:
-        raise ValueError("no samples")
-    ordered = sorted(samples)
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil without floats
-    return ordered[int(rank) - 1]
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,7 @@ class DegradationMonitor:
         samples = self._window[mode]
         if len(samples) < self.config.min_samples:
             return None
-        return percentile(list(samples), 99.0)
+        return percentile(samples, 99.0)
 
     def stats(self) -> dict:
         return {

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.gateway.degradation import DegradationConfig
@@ -148,17 +148,3 @@ async def run_cell(spec: CellSpec,
             await server.stop()
         await asyncio.get_event_loop().run_in_executor(
             None, platform.shutdown)
-
-
-def default_cells(policies: List[str], load: LoadgenConfig,
-                  transport: str = "inproc",
-                  window_seconds: float = 0.02,
-                  admission: Optional[AdmissionConfig] = None,
-                  deadline_seconds: float = 5.0) -> List[CellSpec]:
-    """The standard comparison cells over one shared load config."""
-    admission = admission if admission is not None else AdmissionConfig()
-    return [CellSpec(label=policy, policy=policy, load=load,
-                     transport=transport, window_seconds=window_seconds,
-                     admission=admission,
-                     deadline_seconds=deadline_seconds)
-            for policy in policies]

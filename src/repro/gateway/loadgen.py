@@ -28,21 +28,20 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.common.stats import percentile
 from repro.gateway.server import Gateway, GatewayServer
-
-_ARRIVALS = ("poisson", "uniform")
 
 DEFAULT_MIX: Mapping[str, float] = {"io": 0.6, "echo": 0.3, "fib": 0.1}
 
 
 @dataclass(frozen=True)
 class LoadgenConfig:
-    """One load cell: rate, duration, mix — all derived from one seed."""
+    """One load cell: Poisson arrivals at a rate, for a duration, over a
+    mix — all derived from one seed."""
 
     rps: float
     duration_seconds: float
     seed: int = 13
-    arrival: str = "poisson"
     mix: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_MIX))
     #: Goodput-over-time bucketing for the report series.
@@ -56,9 +55,6 @@ class LoadgenConfig:
         if self.duration_seconds <= 0:
             raise ConfigurationError(
                 f"duration_seconds must be > 0, got {self.duration_seconds}")
-        if self.arrival not in _ARRIVALS:
-            raise ConfigurationError(
-                f"arrival must be one of {_ARRIVALS}, got {self.arrival!r}")
         if not self.mix or any(w <= 0 for w in self.mix.values()):
             raise ConfigurationError("mix needs positive weights")
         if self.bucket_seconds <= 0:
@@ -96,14 +92,10 @@ def build_schedule(config: LoadgenConfig,
     rng = random.Random(config.seed)
     functions = sorted(config.mix)
     weights = [config.mix[name] for name in functions]
-    mean_gap = 1.0 / config.rps
     arrivals: List[Arrival] = []
     now = 0.0
     while True:
-        if config.arrival == "poisson":
-            now += rng.expovariate(config.rps)
-        else:
-            now += mean_gap
+        now += rng.expovariate(config.rps)
         if now >= config.duration_seconds:
             break
         [function] = rng.choices(functions, weights=weights)
@@ -167,17 +159,12 @@ class LoadResult:
         if not latencies:
             return {"count": 0}
         ordered = sorted(latencies)
-
-        def pct(q: float) -> float:
-            rank = max(1, -(-len(ordered) * q // 100))
-            return round(ordered[int(rank) - 1], 3)
-
-        return {
-            "count": len(ordered),
-            "mean": round(sum(ordered) / len(ordered), 3),
-            "p50": pct(50), "p95": pct(95), "p99": pct(99),
-            "max": round(ordered[-1], 3),
-        }
+        summary = {"count": len(ordered),
+                   "mean": round(sum(ordered) / len(ordered), 3)}
+        for q in (50, 95, 99):
+            summary[f"p{q}"] = round(percentile(ordered, q), 3)
+        summary["max"] = round(ordered[-1], 3)
+        return summary
 
     def cell(self) -> dict:
         """The ``gateway_cells`` bench row for this run."""
@@ -199,7 +186,6 @@ class LoadResult:
                 "rps": self.config.rps,
                 "duration_s": self.config.duration_seconds,
                 "seed": self.config.seed,
-                "arrival": self.config.arrival,
                 "mix": dict(sorted(self.config.mix.items())),
             },
             "offered_rps": round(self.config.rps, 3),

@@ -2,10 +2,8 @@
 
 from repro.local.clients import (
     DEFAULT_STORE,
-    FakeBlobServiceClient,
     FakeS3Client,
     InMemoryBucketStore,
-    live_client_count,
 )
 from repro.local.container import (
     Handler,
@@ -22,7 +20,6 @@ from repro.local.runtime import LocalPlatform, LocalPlatformConfig
 
 __all__ = [
     "DEFAULT_STORE",
-    "FakeBlobServiceClient",
     "FakeS3Client",
     "Handler",
     "InMemoryBucketStore",
@@ -34,5 +31,4 @@ __all__ = [
     "MultiplexerMetrics",
     "ResourceMultiplexer",
     "hash_arguments",
-    "live_client_count",
 ]

@@ -1,10 +1,10 @@
 """Fake cloud-storage clients with calibrated construction costs.
 
-Stand-ins for the boto3 / azure-storage clients of Listing 1: constructing
-one burns real wall-clock time (configurable, default a scaled-down version
-of the paper's 66 ms) and allocates a payload buffer standing in for the
-client's resident memory, so the multiplexer's effect is *observable* in the
-examples and tests — in time, in object identity and in live instances.
+Stand-ins for the boto3 client of Listing 1: constructing one burns real
+wall-clock time (configurable, default a scaled-down version of the
+paper's 66 ms) and allocates a payload buffer standing in for the client's
+resident memory, so the multiplexer's effect is *observable* in the
+examples and tests — in time and in object identity.
 """
 
 from __future__ import annotations
@@ -18,16 +18,6 @@ from repro.common.errors import ReproError
 #: Scaled-down default construction cost so tests stay fast (the paper's
 #: measured cost at concurrency 1 is 66 ms).
 DEFAULT_CONSTRUCTION_SECONDS = 0.01
-
-#: Tracks live client instances (for asserting the multiplexer's savings).
-_LIVE_CLIENTS = 0
-_LIVE_LOCK = threading.Lock()
-
-
-def live_client_count() -> int:
-    """Number of fake client instances currently alive (global)."""
-    with _LIVE_LOCK:
-        return _LIVE_CLIENTS
 
 
 class InMemoryBucketStore:
@@ -69,7 +59,6 @@ class FakeS3Client:
                  store: Optional[InMemoryBucketStore] = None,
                  construction_seconds: float = DEFAULT_CONSTRUCTION_SECONDS,
                  ) -> None:
-        global _LIVE_CLIENTS
         if not access_key or not secret_key:
             raise ReproError("access_key and secret_key are required")
         # The expensive part: TLS handshakes, endpoint discovery, botocore
@@ -79,13 +68,6 @@ class FakeS3Client:
         self.access_key = access_key
         self._store = store if store is not None else DEFAULT_STORE
         self.created_at = time.monotonic()
-        with _LIVE_LOCK:
-            _LIVE_CLIENTS += 1
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        global _LIVE_CLIENTS
-        with _LIVE_LOCK:
-            _LIVE_CLIENTS -= 1
 
     # -- the CRUD surface of Listing 1 ------------------------------------------
 
@@ -97,32 +79,3 @@ class FakeS3Client:
 
     def delete_object(self, Bucket: str, Key: str) -> None:  # noqa: N803
         self._store.delete(f"{Bucket}/{Key}")
-
-
-class FakeBlobServiceClient:
-    """An azure-storage-like client; same cost model, different surface."""
-
-    def __init__(self, account_url: str, credential: str,
-                 store: Optional[InMemoryBucketStore] = None,
-                 construction_seconds: float = DEFAULT_CONSTRUCTION_SECONDS,
-                 ) -> None:
-        global _LIVE_CLIENTS
-        if not account_url:
-            raise ReproError("account_url is required")
-        time.sleep(construction_seconds)
-        self._payload = bytearray(256 * 1024)
-        self.account_url = account_url
-        self._store = store if store is not None else DEFAULT_STORE
-        with _LIVE_LOCK:
-            _LIVE_CLIENTS += 1
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        global _LIVE_CLIENTS
-        with _LIVE_LOCK:
-            _LIVE_CLIENTS -= 1
-
-    def upload_blob(self, container: str, name: str, data: bytes) -> None:
-        self._store.put(f"{container}/{name}", data)
-
-    def download_blob(self, container: str, name: str) -> bytes:
-        return self._store.get(f"{container}/{name}")

@@ -11,11 +11,7 @@ from repro.model.function import (
     LatencyBreakdown,
 )
 from repro.model.pool import ContainerPool
-from repro.model.storage import (
-    ClientInstance,
-    ObjectStore,
-    StorageClientCostModel,
-)
+from repro.model.storage import ClientInstance, StorageClientCostModel
 from repro.model.workprofile import (
     ClientCreation,
     CpuWork,
@@ -40,7 +36,6 @@ __all__ = [
     "InvocationState",
     "IoWait",
     "LatencyBreakdown",
-    "ObjectStore",
     "SimContainer",
     "SimDockerClient",
     "StorageClientCostModel",

@@ -19,7 +19,6 @@ calibrated by two published points (c=1 and c=9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.model.calibration import Calibration
 
@@ -71,37 +70,3 @@ class ClientInstance:
     def __repr__(self) -> str:
         return (f"<ClientInstance {self.factory}#{self.args_hash:x} "
                 f"{self.memory_mb:.1f}MB>")
-
-
-class ObjectStore:
-    """A minimal simulated object store (blob CRUD with fixed RTT).
-
-    Used by examples and tests to give I/O profiles something concrete to
-    talk to; latency is modelled in the profile's :class:`IoWait` segment, so
-    this class only tracks object state.
-    """
-
-    def __init__(self) -> None:
-        self._blobs: Dict[str, bytes] = {}
-        self.reads = 0
-        self.writes = 0
-
-    def put(self, key: str, data: bytes) -> None:
-        self._blobs[key] = data
-        self.writes += 1
-
-    def get(self, key: str) -> bytes:
-        self.reads += 1
-        try:
-            return self._blobs[key]
-        except KeyError:
-            raise KeyError(f"no blob named {key!r}") from None
-
-    def delete(self, key: str) -> None:
-        self._blobs.pop(key, None)
-
-    def exists(self, key: str) -> bool:
-        return key in self._blobs
-
-    def __len__(self) -> int:
-        return len(self._blobs)

@@ -40,7 +40,6 @@ from repro.obs.timeseries import (
     DEFAULT_INTERVAL_MS,
     Series,
     TimeSeriesSampler,
-    series_from_records,
     series_records,
     write_series_jsonl,
 )
@@ -163,7 +162,6 @@ __all__ = [
     "render_gateway_stats",
     "render_registry",
     "render_snapshot",
-    "series_from_records",
     "series_records",
     "span_records",
     "tracer_records",

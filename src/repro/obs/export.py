@@ -191,9 +191,6 @@ def dump_chrome_trace(path, payload: Mapping[str, object]) -> int:
     return len(payload["traceEvents"])  # type: ignore[arg-type]
 
 
-def write_chrome_trace(path, records: Iterable[Mapping[str, object]]) -> int:
-    """Build and write the Chrome trace for *records*; returns event count."""
-    return dump_chrome_trace(path, chrome_trace(records))
 
 
 def validate_chrome_trace(payload: Mapping[str, object]) -> List[str]:
@@ -260,5 +257,4 @@ __all__ = [
     "chrome_trace",
     "dump_chrome_trace",
     "validate_chrome_trace",
-    "write_chrome_trace",
 ]

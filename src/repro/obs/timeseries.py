@@ -251,9 +251,6 @@ def write_series_jsonl(handle, sampler: Optional[TimeSeriesSampler],
     return written
 
 
-def series_from_records(records) -> List[Dict[str, object]]:
-    """Filter a JSONL record stream down to the series records."""
-    return [r for r in records if r.get("type") == "series"]
 
 
 __all__ = [
@@ -261,7 +258,6 @@ __all__ = [
     "DEFAULT_MAX_POINTS",
     "Series",
     "TimeSeriesSampler",
-    "series_from_records",
     "series_records",
     "write_series_jsonl",
 ]

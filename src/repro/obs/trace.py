@@ -551,12 +551,6 @@ def span_records(records: Iterable[Mapping[str, object]]
     return [r for r in records if r.get("type") == "span"]
 
 
-def annotation_records(records: Iterable[Mapping[str, object]]
-                       ) -> List[Mapping[str, object]]:
-    """Filter a JSONL record stream down to fault/recovery annotations."""
-    return [r for r in records if r.get("type") == "annotation"]
-
-
 #: Default rotation threshold for live trace files (bytes).
 DEFAULT_TRACE_MAX_BYTES = 32 * 1024 * 1024
 

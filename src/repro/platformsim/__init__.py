@@ -1,7 +1,7 @@
 """Platform harness: gateway, platform, windows, experiment runner, results."""
 
 from repro.common.eventlog import EventKind, EventLog, LogRecord
-from repro.platformsim.experiment import run_comparison, run_experiment
+from repro.platformsim.experiment import run_experiment
 from repro.platformsim.gateway import ReplayInjector, start_replay
 from repro.platformsim.platform import ServerlessPlatform
 from repro.platformsim.results import ExperimentResult
@@ -15,7 +15,6 @@ __all__ = [
     "ReplayInjector",
     "ServerlessPlatform",
     "collect_window",
-    "run_comparison",
     "run_experiment",
     "start_replay",
 ]

@@ -8,7 +8,7 @@ Runs are deterministic: identical inputs produce identical results.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.common.errors import SimulationError
 from repro.common.eventlog import EventLog
@@ -110,24 +110,3 @@ def run_experiment(scheduler: "Scheduler",
         trace=platform.obs.tracer,
         metrics=platform.obs.metrics,
         sampler=platform.obs.sampler)
-
-
-def run_comparison(schedulers: Sequence["Scheduler"],
-                   trace: Trace,
-                   functions: Sequence[FunctionSpec],
-                   calibration: Calibration = DEFAULT_CALIBRATION,
-                   workload_label: str = "workload",
-                   fault_plan: Optional[FaultPlan] = None,
-                   resilience: Optional[ResiliencePolicy] = None
-                   ) -> List[ExperimentResult]:
-    """Run several schedulers over the same trace (fresh platform each).
-
-    The same *fault_plan* data is replayed against every scheduler, each
-    with its own fresh injector — the chaos benchmark's comparison setup.
-    """
-    return [run_experiment(scheduler, trace, functions,
-                           calibration=calibration,
-                           workload_label=workload_label,
-                           fault_plan=fault_plan,
-                           resilience=resilience)
-            for scheduler in schedulers]

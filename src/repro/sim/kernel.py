@@ -79,13 +79,6 @@ from repro.common.errors import (
 #: Type of the generator a :class:`Process` drives.
 ProcessGenerator = Generator["Event", Any, Any]
 
-#: Scheduling priorities; URGENT fires before NORMAL at equal times.  Used by
-#: the kernel to ensure interrupts pre-empt normal resumptions.  (With the
-#: split queue these name the two current-instant deques rather than bits of
-#: a heap key, but the observable order is unchanged.)
-PRIORITY_URGENT = 0
-PRIORITY_NORMAL = 1
-
 #: Shared sentinel for "pending, no waiters attached yet" (``None`` still
 #: means processed).  Being falsy and immutable, one instance serves every
 #: event that never acquires a waiter.

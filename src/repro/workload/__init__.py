@@ -3,16 +3,13 @@
 from repro.workload.arrivals import (
     Burst,
     bursty_arrivals,
-    iter_bursty_arrivals,
     iter_poisson_arrivals,
     per_second_counts,
-    poisson_arrivals,
 )
 from repro.workload.azure import (
     IO_REPLAY_INVOCATIONS,
     REPLAY_TOTAL_INVOCATIONS,
     DailyPatternGenerator,
-    iter_replay_minute_arrivals,
     iter_tiled_replay_arrivals,
     replay_minute_arrivals,
     tiled_replay_tile_count,
@@ -35,14 +32,11 @@ from repro.workload.durations import (
 from repro.workload.generator import (
     FIB_FUNCTION_ID,
     IO_FUNCTION_ID,
-    cpu_workload_stream,
     cpu_workload_trace,
     fib_family_specs,
     fib_function_spec,
     io_function_spec,
-    io_workload_stream,
     io_workload_trace,
-    multi_function_stream,
     multi_function_trace,
     tiled_fib_stream,
 )
@@ -66,7 +60,6 @@ __all__ = [
     "bucket_probabilities",
     "bursty_arrivals",
     "combined_model",
-    "cpu_workload_stream",
     "cpu_workload_trace",
     "day_model",
     "duration_bucket_index",
@@ -76,16 +69,11 @@ __all__ = [
     "fib_function_spec",
     "iat_cdf",
     "io_function_spec",
-    "io_workload_stream",
     "io_workload_trace",
-    "iter_bursty_arrivals",
     "iter_poisson_arrivals",
-    "iter_replay_minute_arrivals",
     "iter_tiled_replay_arrivals",
-    "multi_function_stream",
     "multi_function_trace",
     "per_second_counts",
-    "poisson_arrivals",
     "replay_minute_arrivals",
     "tiled_fib_stream",
     "tiled_replay_tile_count",

@@ -84,23 +84,6 @@ def bursty_arrivals(duration_ms: float,
     return arrivals
 
 
-def iter_bursty_arrivals(duration_ms: float,
-                         total: int,
-                         bursts: Sequence[Burst],
-                         rng: random.Random,
-                         start_ms: float = 0.0) -> Iterator[float]:
-    """Streaming view of :func:`bursty_arrivals`.
-
-    A bursty window must be globally sorted before it can be replayed, so
-    one window's arrivals are still realized internally — memory is
-    bounded by the *window* volume (hundreds to a few thousand points),
-    never by the number of windows a long replay tiles together.  Yields
-    exactly the sequence :func:`bursty_arrivals` returns for the same RNG.
-    """
-    yield from bursty_arrivals(duration_ms=duration_ms, total=total,
-                               bursts=bursts, rng=rng, start_ms=start_ms)
-
-
 def per_second_counts(arrivals_ms: Sequence[float],
                       duration_ms: float,
                       start_ms: float = 0.0) -> List[int]:

@@ -61,23 +61,6 @@ def replay_minute_arrivals(seed: int = 13,
                            bursts=bursts, rng=rng)
 
 
-def iter_replay_minute_arrivals(seed: int = 13,
-                                total: int = REPLAY_TOTAL_INVOCATIONS,
-                                duration_ms: float = REPLAY_DURATION_MS,
-                                ) -> Iterator[float]:
-    """Streaming view of :func:`replay_minute_arrivals`.
-
-    One minute's burst pattern needs a global sort, so memory stays
-    bounded by the minute volume; the yielded sequence is byte-identical
-    to the materialized list for the same seed.  NOTE the stateful-RNG
-    contract shared by every synthesiser here: a generator is single-use,
-    so rewindable consumers must call this factory again (fresh RNG)
-    rather than re-iterate an exhausted generator.
-    """
-    yield from replay_minute_arrivals(seed=seed, total=total,
-                                      duration_ms=duration_ms)
-
-
 def iter_tiled_replay_arrivals(total: int,
                                tile_invocations: int,
                                seed: int = 13,

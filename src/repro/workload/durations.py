@@ -45,10 +45,6 @@ DURATION_BUCKETS: Tuple[Tuple[float, float, float, Tuple[int, ...]], ...] = (
     (1550.0, float("inf"), 0.1013, (34, 35, 36)),
 )
 
-#: Bucket edges for histogram reproduction (Fig. 9's x axis).
-DURATION_EDGES: Tuple[float, ...] = (0.0, 50.0, 100.0, 200.0, 400.0, 1550.0)
-
-
 def fib_duration_ms(n: int) -> float:
     """Modelled runtime of ``fib(n)`` on one dedicated core."""
     try:

@@ -112,61 +112,10 @@ def multi_function_trace(seed: int = 13,
 
 # -- streaming synthesis -----------------------------------------------------
 #
-# Each stream builds its RNG-bearing state (arrival synthesiser, duration
+# The stream builds its RNG-bearing state (arrival synthesiser, duration
 # sampler) *inside* the generator factory, so every iteration pass starts
 # from the seed and replays the byte-identical sequence — the
-# deterministic-rewind contract TraceStream enforces.  Equivalence to the
-# materialized constructors above is pinned by
-# ``tests/workload/test_streaming.py``.
-
-
-def cpu_workload_stream(seed: int = 13,
-                        total: int = REPLAY_TOTAL_INVOCATIONS
-                        ) -> TraceStream:
-    """Streaming equivalent of :func:`cpu_workload_trace`."""
-
-    def records() -> Iterator[TraceRecord]:
-        sampler = DurationSampler(seed=seed + 1)
-        for arrival in replay_minute_arrivals(seed=seed, total=total):
-            yield TraceRecord(arrival_ms=arrival,
-                              function_id=FIB_FUNCTION_ID,
-                              payload=sampler.sample_fib_n())
-
-    return TraceStream(records, count=total, end_ms=REPLAY_DURATION_MS)
-
-
-def io_workload_stream(seed: int = 13,
-                       total: int = IO_REPLAY_INVOCATIONS) -> TraceStream:
-    """Streaming equivalent of :func:`io_workload_trace`."""
-
-    def records() -> Iterator[TraceRecord]:
-        full = replay_minute_arrivals(seed=seed,
-                                      total=REPLAY_TOTAL_INVOCATIONS)
-        for index, arrival in enumerate(full[:total]):
-            yield TraceRecord(arrival_ms=arrival,
-                              function_id=IO_FUNCTION_ID,
-                              payload=index)
-
-    return TraceStream(records, count=total, end_ms=REPLAY_DURATION_MS)
-
-
-def multi_function_stream(seed: int = 13,
-                          total: int = REPLAY_TOTAL_INVOCATIONS,
-                          functions: int = 4) -> TraceStream:
-    """Streaming equivalent of :func:`multi_function_trace`."""
-    if functions < 1:
-        raise ValueError(f"functions must be >= 1, got {functions}")
-
-    def records() -> Iterator[TraceRecord]:
-        sampler = DurationSampler(seed=seed + 1)
-        for index, arrival in enumerate(
-                replay_minute_arrivals(seed=seed, total=total)):
-            yield TraceRecord(arrival_ms=arrival,
-                              function_id=f"{FIB_FUNCTION_ID}-"
-                                          f"{index % functions}",
-                              payload=sampler.sample_fib_n())
-
-    return TraceStream(records, count=total, end_ms=REPLAY_DURATION_MS)
+# deterministic-rewind contract TraceStream enforces.
 
 
 def tiled_fib_stream(invocations: int,

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.asciiplot import (
-    SERIES_MARKS,
-    render_bar_chart,
-    render_cdf_plot,
-)
+from repro.analysis.asciiplot import SERIES_MARKS, render_cdf_plot
 from repro.analysis.breakdown import (
     breakdown_table,
-    dominant_component,
     summarize_components,
 )
 from repro.baselines import VanillaScheduler
@@ -58,25 +53,6 @@ class TestCdfPlot:
         assert "*" in text  # renders despite non-positive samples
 
 
-class TestBarChart:
-    def test_scaling(self):
-        text = render_bar_chart([("a", 10.0), ("bb", 5.0)], width=20,
-                                unit=" MB", title="memory")
-        lines = text.splitlines()
-        assert lines[0] == "memory"
-        assert lines[1].count("#") == 20
-        assert lines[2].count("#") == 10
-        assert lines[1].startswith(" a |")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            render_bar_chart([])
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ReproError):
-            render_bar_chart([("a", 0.0)])
-
-
 class TestBreakdown:
     @pytest.fixture(scope="class")
     def results(self):
@@ -100,8 +76,3 @@ class TestBreakdown:
         headers, rows = breakdown_table(results)
         assert len(rows) == 2 * 4
         assert headers[0] == "scheduler"
-
-    def test_dominant_component_is_sane(self, results):
-        for result in results:
-            assert dominant_component(result) in (
-                "scheduling", "cold_start", "queuing", "execution")

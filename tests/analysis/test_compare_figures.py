@@ -24,15 +24,15 @@ from repro.baselines.vanilla import VanillaScheduler
 from repro.common.cdf import EmpiricalCdf
 from repro.common.errors import ReproError
 from repro.core.scheduler import FaaSBatchScheduler
-from repro.platformsim.experiment import run_comparison
+from repro.platformsim.experiment import run_experiment
 from repro.workload.generator import cpu_workload_trace, fib_function_spec
 
 
 @pytest.fixture(scope="module")
 def results():
     trace = cpu_workload_trace(total=60)
-    return run_comparison([VanillaScheduler(), FaaSBatchScheduler()],
-                          trace, [fib_function_spec()])
+    return [run_experiment(scheduler, trace, [fib_function_spec()])
+            for scheduler in (VanillaScheduler(), FaaSBatchScheduler())]
 
 
 class TestReduction:

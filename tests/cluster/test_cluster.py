@@ -9,10 +9,7 @@ from repro.cluster import (
     FunctionAffinityBalancer,
     HashPartitionBalancer,
     LeastLoadedBalancer,
-    NullAutoscaler,
     RoundRobinBalancer,
-    ThresholdAutoscaler,
-    WorkerSize,
     compare_balancers,
     make_balancer,
     run_cluster_experiment,
@@ -121,58 +118,6 @@ class TestBalancers:
         for i in range(12):
             assert before[i] is workers[stable_hash(f"fn-{i}") % 4]
 
-    def test_add_worker_extends_routing(self, env):
-        workers = make_workers(env, 2)
-        balancer = RoundRobinBalancer(workers)
-        extra = make_workers(env, 1)[0]
-        balancer.add_worker(extra)
-        picks = [balancer.pick("f") for _ in range(3)]
-        assert extra in picks
-        with pytest.raises(ConfigurationError):
-            balancer.add_worker(extra)
-
-
-class TestAutoscaler:
-    def test_threshold_requests_one_worker_under_pressure(self):
-        scaler = ThresholdAutoscaler(max_workers=4, load_threshold=2.0)
-        assert scaler.workers_to_add([1, 1], [0, 0]) == 0
-        assert scaler.workers_to_add([3, 3], [2, 0]) == 1
-
-    def test_threshold_respects_max_workers(self):
-        scaler = ThresholdAutoscaler(max_workers=2, load_threshold=1.0)
-        assert scaler.workers_to_add([50, 50], [10, 10]) == 0
-
-    def test_threshold_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            ThresholdAutoscaler(max_workers=0)
-        with pytest.raises(ConfigurationError):
-            ThresholdAutoscaler(max_workers=2, load_threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            ThresholdAutoscaler(max_workers=2, check_interval_ms=0.0)
-
-    def test_experiment_grows_cluster_under_load(self):
-        trace = multi_function_trace(total=150, functions=4)
-        scaler = ThresholdAutoscaler(max_workers=4, load_threshold=0.5,
-                                     check_interval_ms=50.0)
-        result = run_cluster_experiment(
-            FaaSBatchScheduler, trace, fib_family_specs(4), workers=1,
-            balancer="round-robin", autoscaler=scaler)
-        assert result.workers > 1
-        assert result.scale_events
-        times = [t for t, _count in result.scale_events]
-        counts = [count for _t, count in result.scale_events]
-        assert times == sorted(times)
-        assert counts == sorted(counts)
-        assert sum(result.per_worker_invocations) == 150
-
-    def test_null_autoscaler_holds_steady(self):
-        trace = cpu_workload_trace(total=40)
-        result = run_cluster_experiment(
-            VanillaScheduler, trace, [fib_function_spec()], workers=2,
-            autoscaler=NullAutoscaler())
-        assert result.workers == 2
-        assert result.scale_events == []
-
 
 class TestScaleFeatures:
     def test_load_imbalance_zero_when_all_idle(self):
@@ -207,21 +152,6 @@ class TestScaleFeatures:
         assert result.sink is not None
         assert result.sink.channel(result.sink.E2E).reservoir.values() \
             == materialized
-
-    def test_heterogeneous_machine_sizes_cycle(self):
-        trace = multi_function_trace(total=60, functions=3)
-        sizes = [WorkerSize(cores=2, memory_gb=4.0),
-                 WorkerSize(cores=8, memory_gb=16.0)]
-        result = run_cluster_experiment(
-            FaaSBatchScheduler, trace, fib_family_specs(3), workers=3,
-            machine_sizes=sizes)
-        assert sum(result.per_worker_invocations) == 60
-
-    def test_worker_size_validation(self):
-        with pytest.raises(ConfigurationError):
-            WorkerSize(cores=0, memory_gb=4.0)
-        with pytest.raises(ConfigurationError):
-            WorkerSize(cores=2, memory_gb=0.0)
 
 
 class TestClusterExperiment:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.cdf import EmpiricalCdf, describe_cdf
+from repro.common.cdf import EmpiricalCdf
 
 
 class TestEmpiricalCdf:
@@ -53,12 +53,6 @@ class TestEmpiricalCdf:
     def test_series_needs_two_points(self):
         with pytest.raises(ValueError):
             EmpiricalCdf([1.0]).series(points=1)
-
-    def test_describe_cdf(self):
-        cdf = EmpiricalCdf(range(1, 101))
-        rows = describe_cdf(cdf)
-        assert rows[0] == (0.5, 50)
-        assert rows[-1] == (1.0, 100)
 
     @settings(max_examples=150, deadline=None)
     @given(samples=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),

@@ -8,21 +8,14 @@ from repro.common import errors
 from repro.common.ids import IdFactory
 from repro.common.tables import format_cell, render_table, to_csv
 from repro.common.units import (
-    DAY,
     HOUR,
     MINUTE,
     SECOND,
-    approximately,
     clamp,
     gigabytes,
-    hours,
-    mb_to_gb,
-    minutes,
-    ms_to_seconds,
     seconds,
 )
 from repro.common.validation import (
-    require_fraction,
     require_in_range,
     require_non_negative,
     require_positive,
@@ -34,18 +27,10 @@ class TestUnits:
         assert SECOND == 1000.0
         assert MINUTE == 60_000.0
         assert HOUR == 3_600_000.0
-        assert DAY == 24 * HOUR
 
     def test_converters_round_trip(self):
         assert seconds(2.5) == 2500.0
-        assert minutes(2.0) == 120_000.0
-        assert hours(1.0) == HOUR
-        assert ms_to_seconds(seconds(3.0)) == 3.0
-        assert mb_to_gb(gigabytes(4.0)) == 4.0
-
-    def test_approximately(self):
-        assert approximately(1.0, 1.0 + 1e-9)
-        assert not approximately(1.0, 1.1)
+        assert gigabytes(4.0) == 4096.0
 
     def test_clamp(self):
         assert clamp(5.0, 0.0, 10.0) == 5.0
@@ -116,10 +101,6 @@ class TestValidation:
         with pytest.raises(errors.ConfigurationError):
             require_in_range("x", 2.0, 0.0, 1.0)
 
-    def test_require_fraction(self):
-        assert require_fraction("x", 1.0) == 1.0
-        with pytest.raises(errors.ConfigurationError):
-            require_fraction("x", -0.1)
 
 
 class TestErrorHierarchy:
@@ -127,7 +108,6 @@ class TestErrorHierarchy:
         leaf_errors = [
             errors.ConfigurationError,
             errors.SimulationError,
-            errors.StopSimulation,
             errors.EventAlreadyTriggered,
             errors.ProcessInterrupted,
             errors.SchedulingError,

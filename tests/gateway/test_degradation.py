@@ -10,15 +10,17 @@ from repro.gateway.degradation import (
     MODE_VANILLA,
     DegradationConfig,
     DegradationMonitor,
-    percentile,
 )
+from repro.common.stats import percentile
 
 
 class TestPercentile:
-    def test_nearest_rank(self):
+    """The monitor's p99 uses the one percentile rule of common.stats."""
+
+    def test_interpolates_between_closest_ranks(self):
         samples = list(range(1, 101))
-        assert percentile(samples, 50) == 50
-        assert percentile(samples, 99) == 99
+        assert percentile(samples, 50) == pytest.approx(50.5)
+        assert percentile(samples, 99) == pytest.approx(99.01)
         assert percentile(samples, 100) == 100
 
     def test_single_sample(self):

@@ -11,7 +11,6 @@ from repro.gateway import (
     CellSpec,
     LoadgenConfig,
     build_stack,
-    default_cells,
     platform_config_for,
     run_cell,
 )
@@ -59,10 +58,6 @@ class TestCellSpec:
         assert policy == "faasbatch"
         assert enabled
 
-    def test_default_cells_one_per_policy(self):
-        cells = default_cells(["faasbatch", "vanilla"], SMALL_LOAD)
-        assert [c.policy for c in cells] == ["faasbatch", "vanilla"]
-        assert all(c.load is SMALL_LOAD for c in cells)
 
 
 class TestRunCell:

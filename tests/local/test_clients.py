@@ -8,7 +8,6 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.local.clients import (
-    FakeBlobServiceClient,
     FakeS3Client,
     InMemoryBucketStore,
 )
@@ -63,15 +62,3 @@ class TestFakeS3Client:
         writer.put_object(Bucket="b", Key="k", Body=b"shared")
         assert reader.get_object(Bucket="b", Key="k") == b"shared"
 
-
-class TestFakeBlobClient:
-    def test_upload_download(self):
-        store = InMemoryBucketStore()
-        client = FakeBlobServiceClient("https://acct", "cred", store=store,
-                                       construction_seconds=0.0)
-        client.upload_blob("c", "n", b"blob")
-        assert client.download_blob("c", "n") == b"blob"
-
-    def test_requires_account_url(self):
-        with pytest.raises(ReproError):
-            FakeBlobServiceClient("", "cred", construction_seconds=0.0)

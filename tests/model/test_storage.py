@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.model.calibration import DEFAULT_CALIBRATION
-from repro.model.storage import (
-    ClientInstance,
-    ObjectStore,
-    StorageClientCostModel,
-)
+from repro.model.storage import ClientInstance, StorageClientCostModel
 
 
 @pytest.fixture
@@ -65,25 +61,3 @@ class TestClientInstance:
         assert instance.factory == "boto3"
         assert "15.0MB" in repr(instance)
 
-
-class TestObjectStore:
-    def test_put_get_round_trip(self):
-        store = ObjectStore()
-        store.put("k", b"value")
-        assert store.get("k") == b"value"
-        assert store.reads == 1
-        assert store.writes == 1
-
-    def test_get_missing_raises(self):
-        store = ObjectStore()
-        with pytest.raises(KeyError):
-            store.get("missing")
-
-    def test_delete_and_exists(self):
-        store = ObjectStore()
-        store.put("k", b"v")
-        assert store.exists("k")
-        store.delete("k")
-        assert not store.exists("k")
-        store.delete("k")  # idempotent
-        assert len(store) == 0

@@ -15,7 +15,6 @@ from repro.obs.export import (
     chrome_trace,
     dump_chrome_trace,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "chrome_trace_golden.json"
@@ -100,13 +99,13 @@ class TestChromeTrace:
     def test_write_is_byte_deterministic(self, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
-        write_chrome_trace(first, _fixture_records())
-        write_chrome_trace(second, _fixture_records())
+        dump_chrome_trace(first, chrome_trace(_fixture_records()))
+        dump_chrome_trace(second, chrome_trace(_fixture_records()))
         assert first.read_bytes() == second.read_bytes()
 
     def test_matches_golden_file(self, tmp_path):
         out = tmp_path / "trace.json"
-        write_chrome_trace(out, _fixture_records())
+        dump_chrome_trace(out, chrome_trace(_fixture_records()))
         assert out.read_bytes() == GOLDEN_PATH.read_bytes(), (
             "chrome export format changed; regenerate the golden with "
             "`PYTHONPATH=src python tests/obs/test_export.py` if intended")

@@ -11,7 +11,6 @@ from repro.obs.timeseries import (
     DEFAULT_INTERVAL_MS,
     Series,
     TimeSeriesSampler,
-    series_from_records,
     series_records,
 )
 from repro.sim.kernel import Environment
@@ -172,8 +171,6 @@ class TestSeriesRecords:
         records = series_records(sampler, extra={"scheduler": "X"})
         assert [r["name"] for r in records] == ["busy", "idle"]
         assert all(r["scheduler"] == "X" for r in records)
-        mixed = records + [{"type": "span"}]
-        assert series_from_records(mixed) == records
 
     def test_none_sampler_yields_no_records(self):
         assert series_records(None) == []

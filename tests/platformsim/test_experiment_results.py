@@ -7,7 +7,7 @@ import pytest
 from repro.baselines.vanilla import VanillaScheduler
 from repro.common.errors import SimulationError
 from repro.core.scheduler import FaaSBatchScheduler
-from repro.platformsim.experiment import run_comparison, run_experiment
+from repro.platformsim.experiment import run_experiment
 from repro.workload.generator import (
     cpu_workload_trace,
     fib_function_spec,
@@ -51,15 +51,6 @@ class TestRunner:
             run_experiment(VanillaScheduler(), trace, [fib_function_spec()],
                            timeout_ms=10.0)
 
-    def test_run_comparison_runs_each_fresh(self):
-        trace = cpu_workload_trace(total=40)
-        results = run_comparison(
-            [VanillaScheduler(), FaaSBatchScheduler()], trace,
-            [fib_function_spec()])
-        assert [r.scheduler_name for r in results] == \
-            ["Vanilla", "FaaSBatch"]
-        for result in results:
-            assert len(result.invocations) == 40
 
 
 class TestResultMetrics:

@@ -19,8 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import (
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
     Environment,
     Event,
     Timeout,
@@ -89,9 +87,6 @@ class TestHeapTieBreakProperty:
 
 
 class TestPriorityKeyComposition:
-    def test_priority_constants_are_ordered(self):
-        assert PRIORITY_URGENT < PRIORITY_NORMAL
-
     def test_sequence_survives_priority_packing(self, env):
         # Many same-instant events: the packed (priority | sequence) key
         # must never let sequence bits bleed into the priority bits.

@@ -221,6 +221,17 @@ class TestLoadgen:
         assert "Live gateway" in html
         assert "chart-gateway-cdf" in html
 
+    def test_adaptive_run_gives_every_cell_the_same_phases(self):
+        from repro.cli import _gateway_cell_specs, build_parser
+        args = build_parser().parse_args(
+            ["loadgen", "--rps", "100", "--duration", "3",
+             "--policies", "faasbatch,vanilla,adaptive"])
+        specs = _gateway_cell_specs(args)
+        assert [spec.policy for spec in specs] == \
+            ["faasbatch", "vanilla", "adaptive"]
+        assert len(specs[0].phases) == 3
+        assert all(spec.phases == specs[0].phases for spec in specs)
+
     def test_loadgen_rejects_bad_mix(self, capsys):
         assert main(["loadgen", "--rps", "10", "--duration", "0.1",
                      "--mix", "echo"]) == 2

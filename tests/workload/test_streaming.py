@@ -9,18 +9,11 @@ import pytest
 from repro.bench import BenchConfig, bench_trace
 from repro.common.errors import WorkloadError
 from repro.workload.azure import (
-    iter_replay_minute_arrivals,
     iter_tiled_replay_arrivals,
     replay_minute_arrivals,
     tiled_replay_tile_count,
 )
 from repro.workload.generator import (
-    cpu_workload_stream,
-    cpu_workload_trace,
-    io_workload_stream,
-    io_workload_trace,
-    multi_function_stream,
-    multi_function_trace,
     tiled_fib_function_counts,
     tiled_fib_stream,
 )
@@ -100,10 +93,6 @@ class TestTraceStreamContract:
 
 
 class TestArrivalIterators:
-    def test_replay_minute_iterator_matches_list(self):
-        assert list(iter_replay_minute_arrivals(seed=21, total=120)) \
-            == replay_minute_arrivals(seed=21, total=120)
-
     def test_tiled_arrivals_match_manual_tiling(self):
         tiled = list(iter_tiled_replay_arrivals(total=250,
                                                 tile_invocations=100,
@@ -137,28 +126,6 @@ class TestArrivalIterators:
 class TestStreamEquivalence:
     """Streaming synthesis is byte-identical to the materialized path."""
 
-    # The golden-scenario workload configs pinned by
-    # tests/integration/test_engine_equivalence.py: every scenario there
-    # draws from multi_function_trace with one of these shapes.
-    GOLDEN_CONFIGS = [(42, 240, 3), (7, 160, 3)]
-
-    @pytest.mark.parametrize("seed,total,functions", GOLDEN_CONFIGS)
-    def test_multi_function_stream_matches(self, seed, total, functions):
-        stream = multi_function_stream(seed=seed, total=total,
-                                       functions=functions)
-        trace = multi_function_trace(seed=seed, total=total,
-                                     functions=functions)
-        assert _triples(stream) == _triples(trace.records())
-        assert len(stream) == len(trace)
-
-    def test_cpu_stream_matches(self):
-        assert _triples(cpu_workload_stream(seed=13, total=300)) \
-            == _triples(cpu_workload_trace(seed=13, total=300).records())
-
-    def test_io_stream_matches(self):
-        assert _triples(io_workload_stream(seed=13, total=150)) \
-            == _triples(io_workload_trace(seed=13, total=150).records())
-
     def test_tiled_fib_stream_matches_bench_trace(self):
         config = BenchConfig(invocations=9_500, functions=8, seed=13,
                              tile_invocations=4000)
@@ -186,8 +153,11 @@ class TestStreamEquivalence:
             tiled_fib_function_counts(10, 0)
 
     def test_streams_are_seed_stable(self):
-        first = multi_function_stream(seed=11, total=90, functions=2)
-        second = multi_function_stream(seed=11, total=90, functions=2)
+        first = tiled_fib_stream(invocations=90, functions=2, seed=11,
+                                 tile_invocations=40)
+        second = tiled_fib_stream(invocations=90, functions=2, seed=11,
+                                  tile_invocations=40)
         assert _triples(first) == _triples(second)
-        different = multi_function_stream(seed=12, total=90, functions=2)
+        different = tiled_fib_stream(invocations=90, functions=2, seed=12,
+                                     tile_invocations=40)
         assert _triples(first) != _triples(different)
