@@ -17,6 +17,8 @@ engines only implement their scheduling policy.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.common.errors import SimulationError
@@ -64,8 +66,8 @@ class CpuGroup:
     until it empties.  Other engines never read these fields.
     """
 
-    __slots__ = ("name", "cap", "tasks", "_seq", "share", "demand",
-                 "served", "rate", "heap", "per_task")
+    __slots__ = ("name", "cap", "tasks", "_seq", "share", "size", "demand",
+                 "full_rate", "served", "rate", "heap", "per_task")
 
     def __init__(self, name: str, cap: Optional[float]) -> None:
         if cap is not None and cap <= 0:
@@ -81,9 +83,12 @@ class CpuGroup:
         #: results are order-sensitive).
         self._seq = 0
         self.share = 1.0
-        #: Aggregate core demand of the runnable tasks, bounded by ``cap``;
-        #: kept current by the fair-share engine on every membership change.
+        #: Task count, aggregate core demand bounded by ``cap``, and the
+        #: member rate when all of that is granted; kept current by the
+        #: fair-share engine on every membership change.
+        self.size = 0
         self.demand = 0.0
+        self.full_rate = 0.0
         self.served = 0.0
         self.rate = 0.0
         self.heap: List[Tuple[float, int, CpuTask]] = []
@@ -93,50 +98,44 @@ class CpuGroup:
         return f"<CpuGroup {self.name} cap={self.cap} tasks={len(self.tasks)}>"
 
 
-def waterfill(capacity: float, demands: List[float]) -> List[float]:
-    """Max-min fair allocation of *capacity* across entities with caps.
+def water_level(capacity: float,
+                demands: List[float]) -> Tuple[float, float]:
+    """Max-min fair allocation of *capacity* across capped entities.
 
-    Each entity i receives at most ``demands[i]``; leftover capacity is
-    shared equally among unsatisfied entities (classic progressive filling).
-    Returns the per-entity allocation; sums to min(capacity, sum(demands)).
+    Entity ``i`` receives ``demands[i]`` when ``demands[i] <= bound`` and
+    ``level`` otherwise (demands are non-negative).  These are progressive
+    filling's numbers, bit for bit: each round is one ``bisect_right`` of
+    the equal share over the sorted demands, and the demands it bounds are
+    subtracted from what remains *in index order*, the float chain of
+    progressive filling's grants (``d - 0.0 == d``).  ``bound`` is the
+    largest bounded demand, so an entity is classified by its position in
+    the sorted order, never against the final level, and rounding cannot
+    misplace a bounded entity.
     """
-    n = len(demands)
-    allocation = [0.0] * n
-    if n == 0 or capacity <= 0:
-        return allocation
     if capacity > TIME_EPSILON and sum(demands) <= capacity:
-        # Under-subscribed: every entity is granted exactly its demand (the
-        # general loop bounds each entity with a grant of ``demands[i]``),
-        # so the result is the demand vector itself.
-        return list(demands)
-    first = demands[0]
-    if first > 0.0 and demands.count(first) == n:
-        # Uniform demands (the common case: n tasks of max_share 1.0)
-        # resolve in one round; the results are float-identical to the
-        # general loop below (same grant/equal-split expressions).
-        if capacity <= TIME_EPSILON:
-            return allocation
-        share = capacity / n
-        if first <= share:
-            return [first] * n
-        return [share] * n
+        return math.inf, capacity  # under-subscribed: every demand is met
+    ordered = sorted(demands)
+    count = len(ordered)
+    bound = 0.0
     remaining = capacity
-    active = [i for i in range(n) if demands[i] > 0]
-    while active and remaining > TIME_EPSILON:
-        share = remaining / len(active)
-        bounded = [i for i in active if demands[i] - allocation[i] <= share]
-        if bounded:
-            bounded_set = set(bounded)
-            for i in bounded:
-                grant = demands[i] - allocation[i]
-                allocation[i] = demands[i]
-                remaining -= grant
-            active = [i for i in active if i not in bounded_set]
-        else:
-            for i in active:
-                allocation[i] += share
-            remaining = 0.0
-    return allocation
+    k = bisect_right(ordered, 0.0)  # zero demands never take part
+    while k < count and remaining > TIME_EPSILON:
+        share = remaining / (count - k)
+        j = bisect_right(ordered, share, k)
+        if j == k:
+            return bound, share
+        low, bound = ordered[k], ordered[j - 1]
+        for demand in demands:
+            if low <= demand <= bound:
+                remaining -= demand
+        k = j
+    return bound, 0.0
+
+
+def waterfill(capacity: float, demands: List[float]) -> List[float]:
+    """Per-entity allocation of :func:`water_level`."""
+    bound, level = water_level(capacity, demands)
+    return [d if d <= bound else level for d in demands]
 
 
 @runtime_checkable
@@ -256,7 +255,3 @@ class CpuEngineBase:
     def utilization(self) -> float:
         """Instantaneous utilization in [0, 1]."""
         return self.current_rate() / self.cores
-
-    def runnable_group_count(self) -> int:
-        """Groups with at least one runnable task (a telemetry probe)."""
-        return sum(1 for group in self._groups.values() if group.tasks)

@@ -38,15 +38,21 @@ formulation: a service clock per share class, a finish tag per task):
 * **Settle** advances each runnable group's clock by ``rate * dt``.  The
   **finished scan** pops heap tops while the completion predicate holds (it
   is monotone in the tag, so the popped prefix is exactly the finished set)
-  and fires them in submission order.  **Recompute** waterfills the group
-  demands in creation order and derives one rate per group.  **Arm** takes
-  the minimum ``(top tag - served) / rate``.
+  and fires them in submission order.  A wake-up settles and scans in one
+  walk (``_settle_elapsed(scan=True)``).
+* **Recompute and arm** (``_recompute_and_arm``) is one walk too: one
+  :func:`repro.sim.engine.water_level` solve over the demands in creation
+  order gives each stale group its rate (``full_rate`` when its whole demand
+  is granted, an equal split of the level otherwise), and the same loop
+  arms the minimum ``(top tag - served) / rate`` as the next wake-up.
 
 Every event therefore costs O(runnable groups) + O(log tasks of one group)
-where a per-task formulation pays O(running tasks): on the dense Vanilla
-minute that is 16 groups against 403 tasks on average.  A group that
-receives a differing ``max_share`` (no product code does) falls back to
-per-task remaining/rate pairs until it empties.
+where a per-task formulation pays O(running tasks): a reallocation on the
+dense Vanilla minute sees 15.1 runnable groups and 391 tasks on average,
+under FaaSBatch 32.0 groups.  At those sizes the constant factor per group
+is the cost, not the O(groups) bound, so a reallocation walks them twice.
+A group that receives a differing ``max_share`` (no product code does)
+falls back to per-task remaining/rate pairs until it empties.
 
 The kernel-event skeleton
 -------------------------
@@ -78,13 +84,29 @@ from typing import List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.units import TIME_EPSILON
-from repro.sim.engine import CpuEngineBase, CpuGroup, CpuTask, waterfill
+from repro.sim.engine import (CpuEngineBase, CpuGroup, CpuTask, water_level,
+                              waterfill)
 from repro.sim.kernel import Environment, Event, Timeout
 
 
+_FINE_CLOCK = 2.0 ** 21  # ms; below it four ulps of the clock < TIME_EPSILON
+
+_by_demand = attrgetter("demand")
 _by_label = attrgetter("label")
 _by_seq = attrgetter("seq")  # global submission rank of a task ...
 _by_rank = itemgetter(1)  # ... and of a (tag, rank, task) heap entry
+
+
+def _member_rate(group: CpuGroup, alloc: float) -> float:
+    """A uniform group's member rate: *alloc* split equally, up to the share.
+
+    For share 1.0 that is waterfill's result bit for bit (an uncapped
+    group's demand is n exactly, and n / n == 1.0); else within an ulp.
+    """
+    if alloc <= TIME_EPSILON:
+        return 0.0
+    split = alloc / group.size
+    return group.share if group.share <= split else split
 
 
 class FairShareCpu(CpuEngineBase):
@@ -142,7 +164,7 @@ class FairShareCpu(CpuEngineBase):
         group.cap = cap
         self._refresh_demand(group)
         # Raising a cap can raise rates, so the next scan cannot be elided.
-        self._reallocate_and_arm(raises_rates=True)
+        self._reallocate_and_arm(self._complete_finished(), raises_rates=True)
 
     def abort_group_tasks(self, name: str) -> int:
         """Drop every runnable task of *name* without firing its done event.
@@ -161,7 +183,7 @@ class FairShareCpu(CpuEngineBase):
         group.heap.clear()
         self._deactivate(group)
         # Freed capacity can raise surviving rates: keep the scan armed.
-        self._reallocate_and_arm(raises_rates=True)
+        self._reallocate_and_arm(self._complete_finished(), raises_rates=True)
         return dropped
 
     def runnable_group_count(self) -> int:
@@ -211,7 +233,8 @@ class FairShareCpu(CpuEngineBase):
         if self._needs_scan or work <= TIME_EPSILON:
             # The scan may complete tasks (or this sub-epsilon one, which
             # the armed horizon does not cover): reallocate eagerly.
-            self._reallocate_and_arm(force_scan=work <= TIME_EPSILON)
+            self._reallocate_and_arm(
+                self._complete_finished(force=work <= TIME_EPSILON))
         else:
             # Fast path: the scan is provably empty and rates only fall, so
             # defer one coalesced recompute to the end of this instant.
@@ -238,27 +261,68 @@ class FairShareCpu(CpuEngineBase):
 
     # -- internals ----------------------------------------------------------------
 
-    def _settle_elapsed(self) -> None:
-        """Advance every runnable group's clock to the current time."""
+    def _settle_elapsed(self, scan: bool = False) -> bool:
+        """Advance every runnable group's clock to the current time.
+
+        With *scan*, the same walk pops each group's finished heap prefix
+        (the completion predicate is monotone in the tag) and fires what it
+        popped in submission order; returns True if any fired.  Settling a
+        settled clock leaves it bit for bit as it was.
+        """
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0:
-            return
+        if dt > 0:
+            # Work was delivered: the next submit cannot skip the scan.
+            self._needs_scan = True
+        elif not scan:
+            return False
+        resolution = self._time_resolution() if scan else 0.0
+        eps = TIME_EPSILON
         busy = self._busy_core_ms
+        finished: List[CpuTask] = []
         for group in self._active:
-            if group.per_task is None:
-                step = group.rate * dt
-                group.served += step
-                busy += step * len(group.tasks)
-            else:
-                for state in group.per_task.values():
+            per_task = group.per_task
+            if per_task is not None:
+                for state in per_task.values():
                     step = state[1] * dt
                     state[0] -= step
                     busy += step
+                if scan:
+                    finished += [
+                        task for task, (left, rate) in per_task.items()
+                        if left <= eps
+                        or (rate > 0.0 and left / rate <= resolution)]
+                continue
+            rate = group.rate
+            step = rate * dt
+            served = group.served + step
+            group.served = served
+            busy += step * group.size
+            if scan:
+                heap = group.heap
+                while heap:
+                    left = heap[0][0] - served
+                    if left > eps and (rate <= 0.0
+                                       or left / rate > resolution):
+                        break
+                    finished.append(heappop(heap)[2])
         self._busy_core_ms = busy
-        # Work was delivered: the next submit cannot skip the finished scan.
-        self._needs_scan = True
+        if len(finished) > 1:
+            finished.sort(key=_by_seq)
+        for task in finished:
+            group = task.group
+            del group.tasks[task]
+            self._running -= 1
+            if not group.tasks:
+                self._deactivate(group)
+            else:
+                if group.per_task is not None:
+                    del group.per_task[task]
+                self._refresh_demand(group)
+            task.finished_at = now
+            task.done.succeed(now - task.started_at)
+        return bool(finished)
 
     def _refresh_demand(self, group: CpuGroup) -> None:
         """Recompute *group*'s demand after a membership or cap change."""
@@ -266,12 +330,15 @@ class FairShareCpu(CpuEngineBase):
         if group.per_task is None:
             # A left-to-right sum of n equal floats; for max_share == 1.0
             # every partial sum is an exact small integer, so no walk.
-            share, n = group.share, len(group.tasks)
+            share = group.share
+            group.size = n = len(group.tasks)
             total = float(n) if share == 1.0 else sum([share] * n)
         else:
             total = sum(task.max_share for task in group.tasks)
         cap = group.cap
         group.demand = total if cap is None or cap >= total else cap
+        if group.per_task is None:
+            group.full_rate = _member_rate(group, group.demand)
 
     def _deactivate(self, group: CpuGroup) -> None:
         """Drop the now-empty *group* from the runnable index."""
@@ -288,7 +355,10 @@ class FairShareCpu(CpuEngineBase):
         advance time and the kernel would spin forever; a task whose
         time-to-finish is below this resolution counts as complete.
         """
-        return max(TIME_EPSILON, 4.0 * math.ulp(self.env.now))
+        now = self.env.now
+        if now < _FINE_CLOCK:
+            return TIME_EPSILON
+        return max(TIME_EPSILON, 4.0 * math.ulp(now))
 
     def _schedule_flush(self) -> None:
         """Arrange one reallocation at the end of the current instant."""
@@ -310,32 +380,27 @@ class FairShareCpu(CpuEngineBase):
     def _flush_now(self) -> None:
         self._flush_token += 1
         self._flush_scheduled = False
-        self._recompute_rates()
-        self._arm_wakeup()
+        self._recompute_and_arm()
 
-    def _reallocate_and_arm(self, raises_rates: bool = False,
-                            force_scan: bool = False) -> None:
-        """Scan for finished tasks, recompute rates, arm the next wake-up.
+    def _reallocate_and_arm(self, finished: bool,
+                            raises_rates: bool = False) -> None:
+        """Recompute rates and arm the next wake-up after a finished scan.
 
-        ``raises_rates`` marks triggers (cap raise, abort) after which task
-        rates may *increase*, so the elided-scan invariant does not hold and
-        the next submit must scan again.  ``force_scan`` disables the
-        armed-horizon scan elision (needed when a task was added that the
-        armed snapshot does not cover).
+        *finished* is the scan's result.  ``raises_rates`` marks triggers
+        (cap raise, abort) after which task rates may *increase*, so the
+        elided-scan invariant does not hold and the next submit must scan
+        again.
         """
-        self._flush_token += 1  # absorb any pending coalesced flush
-        self._flush_scheduled = False
-        finished = self._complete_finished(force=force_scan)
-        self._recompute_rates()
-        self._arm_wakeup()
+        self._flush_now()  # absorbs any pending coalesced flush
         # Completions free capacity (rates may rise): scan again next time.
         self._needs_scan = finished or raises_rates
 
     def _complete_finished(self, force: bool = False) -> bool:
-        """Fire every finished task, in submission order; True if any."""
-        now = self.env.now
-        resolution = self._time_resolution()
-        eps = TIME_EPSILON
+        """Fire every finished task, in submission order; True if any.
+
+        ``force`` disables the armed-horizon scan elision (needed when a
+        task was added that the armed snapshot does not cover).
+        """
         if not force:
             # Rates are constant between armings (every rate change re-arms),
             # so each time-to-finish shrinks exactly with elapsed time: until
@@ -344,86 +409,56 @@ class FairShareCpu(CpuEngineBase):
             # thresholds — the clock resolution and the epsilon-remaining
             # band (TIME_EPSILON / slowest rate wide in elapsed time) — plus
             # an absolute margin orders of magnitude above float drift.
-            slack = max(resolution, eps / self._armed_min_rate) + 1e-6
-            if now - self._armed_at < self._armed_ttf - slack:
+            slack = max(self._time_resolution(),
+                        TIME_EPSILON / self._armed_min_rate) + 1e-6
+            if self.env.now - self._armed_at < self._armed_ttf - slack:
                 return False
-        finished: List[CpuTask] = []
-        for group in self._active:
-            if group.per_task is not None:
-                finished += [
-                    task for task, (left, rate) in group.per_task.items()
-                    if left <= eps
-                    or (rate > 0.0 and left / rate <= resolution)]
-                continue
-            # The predicate is monotone in the tag, so the finished tasks
-            # are exactly a prefix of the heap order.
-            heap, served, rate = group.heap, group.served, group.rate
-            while heap:
-                left = heap[0][0] - served
-                if left > eps and not (rate > 0.0
-                                       and left / rate <= resolution):
-                    break
-                finished.append(heappop(heap)[2])
-        if len(finished) > 1:
-            finished.sort(key=_by_seq)
-        for task in finished:
-            group = task.group
-            del group.tasks[task]
-            self._running -= 1
-            if not group.tasks:
-                self._deactivate(group)
-            else:
-                if group.per_task is not None:
-                    del group.per_task[task]
-                self._refresh_demand(group)
-            task.finished_at = now
-            task.done.succeed(now - task.started_at)
-        return bool(finished)
+        return self._settle_elapsed(scan=True)
 
-    def _recompute_rates(self) -> None:
-        if not self._stale:
-            # No membership or cap change since the last recompute (a
-            # spurious wake-up): same demands, and waterfill is pure.
-            return
-        self._stale = False
-        # Group level: float-sensitive, so always the full demand vector in
-        # the groups' creation order.
-        demands = [group.demand for group in self._active]
-        for group, alloc in zip(self._active,
-                                waterfill(self.cores, demands)):
-            if group.per_task is not None:
-                tasks = sorted(group.per_task, key=_by_label)
-                shares = [task.max_share for task in tasks]
-                for task, rate in zip(tasks, waterfill(alloc, shares)):
-                    group.per_task[task][1] = rate
-                continue
-            # Task level, uniform shares: an equal split of the allocation,
-            # up to the share.  For share 1.0 that is waterfill's result bit
-            # for bit (an under-subscribed group has alloc == n exactly, and
-            # n / n == 1.0); for other shares, to within an ulp.
-            if alloc <= TIME_EPSILON:
-                group.rate = 0.0
-            else:
-                split = alloc / len(group.tasks)
-                group.rate = group.share if group.share <= split else split
+    def _recompute_and_arm(self) -> None:
+        """Re-derive stale rates and arm one wake-up at the earliest finish.
 
-    def _arm_wakeup(self) -> None:
-        """Cancel the armed wake-up; arm one at the earliest completion."""
+        One walk over the runnable groups: when a demand changed since the
+        last pass, each group's rate comes from the group-level water level
+        (creation order: the float results are order-sensitive); in the
+        same loop the minimum time-to-finish becomes the new horizon.
+        """
+        active = self._active
+        stale = self._stale
+        if stale:
+            # No membership or cap change (a spurious wake-up) leaves the
+            # demands, and so the rates, as they are: only the horizon.
+            self._stale = False
+            bound, level = water_level(
+                self.cores, list(map(_by_demand, active)))
         horizon = min_rate = math.inf
-        for group in self._active:
-            if group.per_task is not None:
-                for left, rate in group.per_task.values():
+        for group in active:
+            per_task = group.per_task
+            if per_task is not None:
+                if stale:
+                    alloc = group.demand
+                    tasks = sorted(per_task, key=_by_label)
+                    shares = [task.max_share for task in tasks]
+                    for task, rate in zip(tasks, waterfill(
+                            alloc if alloc <= bound else level, shares)):
+                        per_task[task][1] = rate
+                for left, rate in per_task.values():
                     if rate > 0.0:
                         min_rate = min(min_rate, rate)
                         horizon = min(horizon, left / rate)
                 continue
-            rate = group.rate
-            if rate > 0.0:
-                if rate < min_rate:
-                    min_rate = rate
-                ttf = (group.heap[0][0] - group.served) / rate
-                if ttf < horizon:
-                    horizon = ttf
+            if stale:
+                group.rate = rate = (group.full_rate if group.demand <= bound
+                                     else _member_rate(group, level))
+            else:
+                rate = group.rate
+            if rate <= 0.0:
+                continue
+            if rate < min_rate:
+                min_rate = rate
+            ttf = (group.heap[0][0] - group.served) / rate
+            if ttf < horizon:
+                horizon = ttf
         self._armed_at = self.env.now
         self._armed_ttf = horizon
         self._armed_min_rate = min_rate
@@ -438,11 +473,14 @@ class FairShareCpu(CpuEngineBase):
         # Never arm below the clock's resolution: a delay smaller than one
         # ulp of `now` would not advance time (see _time_resolution).
         timer = self.env.timeout(max(horizon, self._time_resolution()))
+        timer._callbacks = self._on_wakeup  # fresh: no other waiter
         self._wake_timer = timer
-        assert timer.callbacks is not None
-        timer.callbacks.append(self._on_wakeup)
 
     def _on_wakeup(self, _event: Event) -> None:
+        """Settle and scan in one walk, then reallocate.
+
+        The scan is never elided here, and need not be: where the armed
+        horizon would call it provably empty it finds nothing.
+        """
         self._wake_timer = None
-        self._settle_elapsed()
-        self._reallocate_and_arm()
+        self._reallocate_and_arm(self._settle_elapsed(scan=True))

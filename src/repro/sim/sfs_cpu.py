@@ -168,6 +168,12 @@ class SfsCpu(CpuEngineBase):
                       if core.task is not None)
         return len(self._foreground) + len(self._background) + running
 
+    def runnable_group_count(self) -> int:
+        """Distinct groups with a queued or running task."""
+        tasks = [*self._foreground, *self._background,
+                 *(core.task for core in self._core_machines)]
+        return len({task.group_name for task in tasks if task is not None})
+
     def busy_core_ms(self) -> float:
         """Completed core-ms (whole slices; running slices charge at end)."""
         return self._busy_core_ms

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
-from repro.sim.engine import waterfill
+from repro.common.units import TIME_EPSILON
+from repro.sim.engine import water_level, waterfill
 from repro.sim.fair_share import FairShareCpu
 from repro.sim.kernel import Environment
 
@@ -26,6 +27,83 @@ def run_tasks(env, cpu, specs):
         env.process(worker(f"t{index}", work, group, max_share))
     env.run()
     return finished
+
+
+def progressive_filling(capacity, demands):
+    """The progressive-filling loop ``water_level`` replaced, kept verbatim.
+
+    ``waterfill`` must reproduce it bit for bit: the engine's float results
+    (and with them every golden digest) were recorded through it.
+    """
+    n = len(demands)
+    allocation = [0.0] * n
+    if n == 0 or capacity <= 0:
+        return allocation
+    if capacity > TIME_EPSILON and sum(demands) <= capacity:
+        return list(demands)
+    first = demands[0]
+    if first > 0.0 and demands.count(first) == n:
+        if capacity <= TIME_EPSILON:
+            return allocation
+        share = capacity / n
+        if first <= share:
+            return [first] * n
+        return [share] * n
+    remaining = capacity
+    active = [i for i in range(n) if demands[i] > 0]
+    while active and remaining > TIME_EPSILON:
+        share = remaining / len(active)
+        bounded = [i for i in active if demands[i] - allocation[i] <= share]
+        if bounded:
+            bounded_set = set(bounded)
+            for i in bounded:
+                grant = demands[i] - allocation[i]
+                allocation[i] = demands[i]
+                remaining -= grant
+            active = [i for i in active if i not in bounded_set]
+        else:
+            for i in active:
+                allocation[i] += share
+            remaining = 0.0
+    return allocation
+
+
+#: Ties, zeros, sub-epsilon and non-dyadic values, plus arbitrary ones.
+_DEMANDS = st.one_of(
+    st.sampled_from([0.0, 1e-10, 5e-10, TIME_EPSILON, 1 / 3, 0.1 + 0.2,
+                     0.5, 1.0, 2.0, 3.0]),
+    st.floats(0.0, 8.0))
+
+
+@st.composite
+def allocation_problems(draw):
+    """(capacity, demands): uniform or mixed, over- or under-subscribed."""
+    if draw(st.booleans()):
+        demands = [draw(_DEMANDS)] * draw(st.integers(0, 12))
+    else:
+        demands = draw(st.lists(_DEMANDS, max_size=12))
+    total = sum(demands)
+    capacity = draw(st.one_of(
+        st.sampled_from([0.0, 1e-10, TIME_EPSILON, 2e-9, 1 / 3, 0.1 + 0.2,
+                         1.0, 4.0, total, 3 * total]),
+        st.floats(0.0, 64.0)))
+    return capacity, demands
+
+
+class TestWaterLevel:
+    def test_bound_and_level(self):
+        # 0.5 fits under the first round's share; the others split 3.5.
+        assert water_level(4.0, [0.5, 10.0, 10.0]) == (0.5, 1.75)
+
+    def test_under_subscribed_meets_every_demand(self):
+        assert water_level(10.0, [1.0, 2.0, 3.0])[0] == math.inf
+
+    @settings(max_examples=500, deadline=None)
+    @given(allocation_problems())
+    def test_bit_identical_to_progressive_filling(self, problem):
+        capacity, demands = problem
+        assert ([a.hex() for a in waterfill(capacity, demands)]
+                == [a.hex() for a in progressive_filling(capacity, demands)])
 
 
 class TestWaterfill:

@@ -19,16 +19,22 @@ from repro.sim.sfs_cpu import SfsCpu
 
 
 def _count_recomputes(cpu: FairShareCpu) -> list:
-    """Wrap ``_recompute_rates`` to record every invocation."""
+    """Wrap ``_recompute_and_arm`` to record every invocation."""
     calls = []
-    original = cpu._recompute_rates
+    original = cpu._recompute_and_arm
 
     def counting() -> None:
         calls.append(cpu.env.now)
         original()
 
-    cpu._recompute_rates = counting  # type: ignore[method-assign]
+    cpu._recompute_and_arm = counting  # type: ignore[method-assign]
     return calls
+
+
+def _live_wakeups(env: Environment, cpu: FairShareCpu) -> int:
+    """Wake-up timers of *cpu* still queued and not cancelled."""
+    return sum(1 for _, _, event in env._future._heap
+               if not event.cancelled and event._callbacks == cpu._on_wakeup)
 
 
 class TestCoalescing:
@@ -45,6 +51,7 @@ class TestCoalescing:
         cpu.current_rate()  # a synchronous reader forces the flush ...
         assert len(calls) == 2
         assert not cpu._flush_scheduled
+        assert _live_wakeups(env, cpu) == 1
         cpu.current_rate()  # ... and further reads don't recompute again
         assert len(calls) == 2
 

@@ -58,6 +58,22 @@ class TestBasics:
         submit_and_run(env, cpu, [("a", 30.0, 0.0), ("b", 50.0, 0.0)])
         assert cpu.busy_core_ms() == pytest.approx(80.0)
 
+    def test_runnable_group_count_counts_queued_and_running_groups(
+            self, env):
+        cpu = SfsCpu(env, cores=2)
+        cpu.create_group("g1", cap=None)
+        cpu.create_group("g2", cap=None)
+        for group in ("g1", "g1", "g2"):
+            cpu.submit(40.0, group=group)
+        assert cpu.active_tasks == 3
+        assert cpu.runnable_group_count() == 2  # all three queued
+        env.run(until=1.0)  # two on cores, one queued
+        assert cpu.runnable_group_count() == 2
+        cpu.abort_group_tasks("g2")
+        env.run(until=200.0)
+        assert cpu.active_tasks == 0
+        assert cpu.runnable_group_count() == 0
+
 
 class TestDiscipline:
     def test_short_task_preempts_long_via_slicing(self, env):
