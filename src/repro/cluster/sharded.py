@@ -15,8 +15,8 @@ Why this is exact, not approximate: the sharded mode requires the
 shared simulation environment are causally independent (each owns its
 machine, CPU, pool and scheduler), so simulating a subset of them with
 the other workers absent yields byte-identical per-worker results,
-whichever subset a shard owns.  Each shard streams its slice of the trace
-(skipping records routed to workers it does not own), publishes
+whichever subset a shard owns.  Each shard streams only the records
+routed to workers it owns (the others are never built), publishes
 completions into a :class:`~repro.common.streaming.StreamingResultSink`,
 and ships the serialised sink — mergeable in any order, its reservoirs as
 packed float arrays — plus per-worker summaries over a pipe as JSON.  No
@@ -49,6 +49,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Callable, Dict, List, Optional, Sequence
 
 from repro.baselines import (
@@ -74,6 +75,7 @@ from repro.workload.generator import (
     tiled_fib_function_counts,
     tiled_fib_stream,
 )
+from repro.workload.trace import TraceStream
 
 #: ``ru_maxrss`` unit: bytes on macOS, kilobytes everywhere else.
 _RSS_TO_MB = (1024.0 * 1024.0) if sys.platform == "darwin" else 1024.0
@@ -143,6 +145,13 @@ class ShardedClusterConfig:
                 "window_ms": self.window_ms,
                 "reservoir_capacity": self.reservoir_capacity}
 
+    @cached_property
+    def routes(self) -> Dict[str, int]:
+        """``{function_id: global worker}`` under hash-partition."""
+        return {function_id: stable_hash(function_id) % self.workers
+                for function_id in tiled_fib_function_counts(
+                    self.invocations, self.functions)}
+
     def worker_loads(self) -> List[int]:
         """Invocations each global worker receives under hash-partition.
 
@@ -152,7 +161,7 @@ class ShardedClusterConfig:
         loads = [0] * self.workers
         for function_id, count in tiled_fib_function_counts(
                 self.invocations, self.functions).items():
-            loads[stable_hash(function_id) % self.workers] += count
+            loads[self.routes[function_id]] += count
         return loads
 
     def worker_indices(self, shard_index: int) -> List[int]:
@@ -178,6 +187,19 @@ class ShardedClusterConfig:
             totals[shard] += loads[worker]
             members[shard].append(worker)
         return sorted(members[shard_index])
+
+    def shard_stream(self, shard_index: int) -> Optional[TraceStream]:
+        """The records shard *shard_index*'s workers receive, in trace
+        order; ``None`` when they receive none."""
+        owned = self.worker_indices(shard_index)
+        loads = self.worker_loads()
+        if not any(loads[worker] for worker in owned):
+            return None
+        return tiled_fib_stream(
+            invocations=self.invocations, functions=self.functions,
+            seed=self.seed, tile_invocations=self.tile_invocations,
+            function_ids={function_id for function_id, worker
+                          in self.routes.items() if worker in owned})
 
     def scheduler_factory(self) -> Callable[[], object]:
         build = SchedulerBuild(window_ms=self.window_ms)
@@ -303,19 +325,17 @@ class ShardedClusterResult:
 def run_shard(config: ShardedClusterConfig, shard_index: int,
               progress: Optional[Callable[[int], None]] = None,
               ) -> ShardResult:
-    """Simulate shard *shard_index*'s workers over the full stream.
+    """Simulate shard *shard_index*'s workers over their slice of the stream.
 
-    Every trace record is routed with the global hash partition; records
-    owned by other shards are skipped without being realised.  Runs in
-    the calling process — the forked child and the in-process test path
-    both land here.
+    Every function is routed with the global hash partition; records owned
+    by other shards are skipped without being realised.  Runs in the
+    calling process — the forked child and the in-process test path both
+    land here.
     """
     started = time.perf_counter()
     owned = config.worker_indices(shard_index)
-    stream = tiled_fib_stream(invocations=config.invocations,
-                              functions=config.functions,
-                              seed=config.seed,
-                              tile_invocations=config.tile_invocations)
+    routes = config.routes
+    stream = config.shard_stream(shard_index)
     specs = fib_family_specs(config.functions)
     factory = config.scheduler_factory()
     sink = StreamingResultSink(reservoir_capacity=config.reservoir_capacity,
@@ -350,30 +370,24 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
     for platform in platforms.values():
         platform.completion_listeners.append(on_complete)
 
-    owned_set = set(owned)
-
-    def owned_records():
-        for record in stream:
-            if stable_hash(record.function_id) % config.workers in owned_set:
-                yield record
-
     def submit_owned(record) -> None:
         submitted[0] += 1
-        platforms[stable_hash(record.function_id) % config.workers].submit(
-            record)
+        platforms[routes[record.function_id]].submit(record)
 
     def finished_submitting() -> None:
         done_submitting[0] = True
         maybe_finish()
 
-    ReplayInjector(env, owned_records(), submit_owned, finished_submitting)
+    ReplayInjector(env, () if stream is None else stream, submit_owned,
+                   finished_submitting)
 
     def waiter():
         yield all_done
 
     env.run_process(env.process(waiter(),
                                 name=f"shard-{shard_index}-waiter"),
-                    until=stream.end_ms + 2.0 * HOUR)
+                    until=None if stream is None
+                    else stream.end_ms + 2.0 * HOUR)
     if completed[0] != submitted[0]:
         raise SimulationError(
             f"shard {shard_index} timed out: {completed[0]} of "

@@ -7,19 +7,26 @@ provides the *online* alternative: experiments publish each completion
 into a :class:`StreamingResultSink` and drop the record, so memory stays
 flat no matter how long the replay runs.
 
-Three mergeable primitives back the sink:
+Three mergeable primitives back the sink, each folding a float column
+in order (``observe(v)`` is a one-element fold):
 
 * :class:`OnlineStats` — count / total / min / max / sum-of-squares.
-* :class:`LogBucketHistogram` — geometric buckets with O(1) insertion;
-  merging sums integer counts, so merged percentiles are *exactly*
-  order-independent.
+* :class:`LogBucketHistogram` — geometric buckets found by bisecting
+  precomputed edges; merging sums integer counts, so merged percentiles
+  are *exactly* order-independent.
 * :class:`BoundedReservoir` — a bottom-k sketch: every sample draws a
   deterministic pseudo-random priority and the reservoir keeps the k
   smallest.  "k smallest of a union" is associative and commutative, so
   shard reservoirs merge in any order to the identical sample set.  While
   fewer than ``capacity`` samples have been seen the reservoir holds the
-  *entire* population and percentile queries are exact — the property the
-  figures pipeline and the CI shard-equivalence check rely on.
+  *entire* population, as two ``array('d')`` columns (16 bytes a sample),
+  and percentile queries are exact — the property the figures pipeline
+  and the CI shard-equivalence check rely on.
+
+The sink buffers each completion's six latencies and folds them per
+chunk and before any read, in observation order: every field is
+bit-identical to observing one sample at a time (sums and squares
+accumulate left to right; each channel's RNG draws in the same order).
 
 Merge semantics (the sharded cluster contract): for any sinks a, b, c
 ``merge`` is associative and commutative in every field the percentile and
@@ -37,7 +44,11 @@ import random
 import sys
 import zlib
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from functools import lru_cache, reduce
+from itertools import chain, repeat, starmap
+from operator import add, mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.stats import SampleStats
 
@@ -67,16 +78,18 @@ class OnlineStats:
         self.maximum = -math.inf
 
     def observe(self, value: float) -> None:
-        if math.isnan(value):
+        self.fold(array("d", (value,)))
+
+    def fold(self, values: Sequence[float]) -> None:
+        """One :meth:`observe` per value, in order (one float chain)."""
+        if any(map(math.isnan, values)):
             raise ValueError("NaN samples are not allowed")
-        value = float(value)
-        self.count += 1
-        self.total += value
-        self.sum_squares += value * value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
+        self.count += len(values)
+        self.total = reduce(add, values, self.total)
+        self.sum_squares = reduce(add, map(mul, values, values),
+                                  self.sum_squares)
+        self.minimum = min(self.minimum, min(values, default=math.inf))
+        self.maximum = max(self.maximum, max(values, default=-math.inf))
 
     @property
     def mean(self) -> float:
@@ -119,6 +132,11 @@ class OnlineStats:
         return stats
 
 
+@lru_cache(maxsize=8)
+def _bucket_edges(minimum: float, growth: float, buckets: int) -> tuple:
+    return tuple(minimum * growth ** index for index in range(buckets))
+
+
 class LogBucketHistogram:
     """Sparse geometric-bucket histogram with order-independent merge.
 
@@ -128,7 +146,7 @@ class LogBucketHistogram:
     integers, so merged quantiles are bit-identical under any merge order.
     """
 
-    __slots__ = ("minimum", "growth", "buckets", "_log_growth", "counts",
+    __slots__ = ("minimum", "growth", "buckets", "_edges", "counts",
                  "underflow", "total")
 
     def __init__(self, minimum: float = HISTOGRAM_MIN,
@@ -141,29 +159,33 @@ class LogBucketHistogram:
         self.minimum = minimum
         self.growth = growth
         self.buckets = buckets
-        self._log_growth = math.log(growth)
+        self._edges = _bucket_edges(minimum, growth, buckets)
         self.counts: Dict[int, int] = {}
         self.underflow = 0
         self.total = 0
 
-    def _index(self, value: float) -> int:
-        index = int(math.log(value / self.minimum) / self._log_growth)
-        if index >= self.buckets:
-            return self.buckets - 1
-        # Guard the floor against log rounding right at a bucket edge.
-        if value < self.minimum * self.growth ** index:
-            index -= 1
-        return max(index, 0)
-
     def observe(self, value: float) -> None:
-        if value < 0 or math.isnan(value):
-            raise ValueError(f"histogram samples must be >= 0, got {value}")
-        self.total += 1
-        if value < self.minimum:
-            self.underflow += 1
-            return
-        index = self._index(value)
-        self.counts[index] = self.counts.get(index, 0) + 1
+        self.fold(array("d", (value,)))
+
+    def fold(self, values: Sequence[float]) -> None:
+        """Count each value in the last bucket with ``lower_edge <= v``:
+        sorted, one ``bisect_right`` per occupied bucket."""
+        ordered = sorted(values)
+        if any(map(math.isnan, ordered)) or ordered and ordered[0] < 0:
+            bad = next(v for v in ordered if not v >= 0)
+            raise ValueError(f"histogram samples must be >= 0, got {bad}")
+        self.total += len(ordered)
+        edges, counts = self._edges, self.counts
+        start = 0
+        while start < len(ordered):
+            slot = bisect_right(edges, ordered[start])
+            stop = (bisect_left(ordered, edges[slot], start)
+                    if slot < len(edges) else len(ordered))
+            if slot:
+                counts[slot - 1] = counts.get(slot - 1, 0) + stop - start
+            else:
+                self.underflow += stop - start
+            start = stop
 
     def lower_edge(self, index: int) -> float:
         return self.minimum * self.growth ** index
@@ -223,10 +245,12 @@ class BoundedReservoir:
     of a union is independent of insertion or merge order, so shard
     reservoirs always merge to the identical sample multiset.  Until
     ``seen`` exceeds ``capacity`` nothing has been evicted and
-    :meth:`values` is the exact population.
+    :meth:`values` is the exact population, kept as two ``array('d')``
+    columns; the first eviction moves it onto a ``(-priority, value)``
+    max-heap.
     """
 
-    __slots__ = ("capacity", "seen", "_heap", "_rng")
+    __slots__ = ("capacity", "seen", "_priorities", "_values", "_heap", "_rng")
 
     def __init__(self, capacity: int = DEFAULT_RESERVOIR_CAPACITY,
                  seed: int = 0) -> None:
@@ -234,9 +258,11 @@ class BoundedReservoir:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.seen = 0
-        # Max-heap on priority via negation: the root is the eviction
-        # candidate (largest priority currently kept).
-        self._heap: List[Tuple[float, float]] = []
+        self._priorities = array("d")
+        self._values = array("d")
+        # ``None`` while columnar.  Once set, the root is the eviction
+        # candidate (largest priority kept) and the columns stay empty.
+        self._heap: Optional[List[Tuple[float, float]]] = None
         self._rng = random.Random(seed)
 
     @property
@@ -245,36 +271,63 @@ class BoundedReservoir:
         return self.seen <= self.capacity
 
     def observe(self, value: float) -> None:
-        self.seen += 1
-        self._insert(self._rng.random(), float(value))
+        self.fold(array("d", (value,)))
 
-    def _insert(self, priority: float, value: float) -> None:
-        item = (-priority, value)
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, item)
-        elif item > self._heap[0]:
-            heapq.heapreplace(self._heap, item)
+    def fold(self, values: Sequence[float]) -> None:
+        """Offer *values* in order, one priority draw each."""
+        draw = self._rng.random
+        self.seen += len(values)
+        if self._heap is None:
+            room = self.capacity - len(self._values)
+            self._priorities.extend(
+                starmap(draw, repeat((), min(room, len(values)))))
+            self._values.extend(values[:room])
+            if len(values) <= room:
+                return
+            values = values[room:]
+            self._keep(zip(self._priorities, self._values))
+        heap = self._heap
+        for value in values:  # the heap is full: each kept item evicts one
+            item = (-draw(), value)
+            if item > heap[0]:
+                heapq.heapreplace(heap, item)
+
+    def _keep(self, pairs: Iterable[Tuple[float, float]]) -> None:
+        """Move onto the heap, keeping the ``capacity`` largest
+        ``(-priority, value)`` of *pairs* — what eviction keeps."""
+        self._heap = heapq.nlargest(self.capacity,
+                                    ((-p, value) for p, value in pairs))
+        heapq.heapify(self._heap)
+        self._priorities, self._values = array("d"), array("d")
+
+    def _columns(self) -> Tuple[Sequence[float], Sequence[float]]:
+        """Kept ``(priorities, values)``, in storage order."""
+        if self._heap is None:
+            return self._priorities, self._values
+        return ([-neg for neg, _value in self._heap],
+                [value for _neg, value in self._heap])
 
     def values(self) -> List[float]:
         """Kept samples, sorted by value (deterministic)."""
-        return sorted(value for _neg, value in self._heap)
+        return sorted(self._columns()[1])
 
     def merge(self, other: "BoundedReservoir") -> None:
         if other.capacity != self.capacity:
             raise ValueError("cannot merge reservoirs of different capacity")
         self.seen += other.seen
-        if len(self._heap) + len(other._heap) <= self.capacity:
-            # Nothing is evicted: the union is the result, one heapify.
-            self._heap.extend(other._heap)
-            heapq.heapify(self._heap)
+        priorities, values = other._columns()
+        if self._heap is None \
+                and len(self._values) + len(values) <= self.capacity:
+            # Nothing is evicted: the union is the result.
+            self._priorities.extend(priorities)
+            self._values.extend(values)
             return
-        for neg_priority, value in other._heap:
-            self._insert(-neg_priority, value)
+        self._keep(chain(zip(*self._columns()), zip(priorities, values)))
 
     def to_dict(self) -> Dict[str, object]:
         """``priorities`` / ``values``: base64 of little-endian float64
         arrays, sorted by (priority, value) — bit-exact and compact."""
-        items = sorted((-neg, value) for neg, value in self._heap)
+        items = sorted(zip(*self._columns()))
         return {"capacity": self.capacity, "seen": self.seen,
                 "priorities": _pack_floats(p for p, _value in items),
                 "values": _pack_floats(value for _p, value in items)}
@@ -295,9 +348,7 @@ class BoundedReservoir:
             raise ValueError(
                 f"reservoir payload holds {len(values)} samples, over its "
                 f"capacity of {reservoir.capacity}")
-        reservoir._heap = [(-priority, value)
-                           for priority, value in zip(priorities, values)]
-        heapq.heapify(reservoir._heap)
+        reservoir._priorities, reservoir._values = priorities, values
         return reservoir
 
 
@@ -332,9 +383,14 @@ class ChannelStats:
                                           seed=seed)
 
     def observe(self, value: float) -> None:
-        self.stats.observe(value)
-        self.histogram.observe(value)
-        self.reservoir.observe(value)
+        self.fold(array("d", (value,)))
+
+    def fold(self, values: Sequence[float]) -> None:
+        """Observe *values* in order, bit-identically to one at a time."""
+        # First: the histogram rejects NaN and negatives before any count.
+        self.histogram.fold(values)
+        self.stats.fold(values)
+        self.reservoir.fold(values)
 
     @property
     def count(self) -> int:
@@ -401,6 +457,8 @@ class StreamingResultSink:
     COLD_START = "cold_start_ms"
     QUEUING = "queuing_ms"
     EXECUTION = "execution_ms"
+    _BUFFERED = (E2E, RESPONSE, SCHEDULING, COLD_START, QUEUING, EXECUTION)
+    _CHUNK = 1024  # completions buffered between folds
 
     def __init__(self, reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY,
                  seed: int = 0) -> None:
@@ -411,10 +469,21 @@ class StreamingResultSink:
         self.seed = seed
         self.channels: Dict[str, ChannelStats] = {}
         self.counters: Dict[str, int] = {}
+        # Unfolded completions' :data:`_BUFFERED` latencies, interleaved;
+        # ``channels`` is current only after a fold (:meth:`channel`).
+        self._pending = array("d")
 
     # -- accumulation -----------------------------------------------------
 
+    def _fold_pending(self) -> None:
+        pending, self._pending = self._pending, array("d")
+        if pending:
+            stride = len(self._BUFFERED)
+            for offset, name in enumerate(self._BUFFERED):
+                self.channel(name).fold(pending[offset::stride])
+
     def channel(self, name: str) -> ChannelStats:
+        self._fold_pending()
         channel = self.channels.get(name)
         if channel is None:
             channel = self.channels[name] = ChannelStats(
@@ -422,29 +491,24 @@ class StreamingResultSink:
                 seed=_channel_seed(self.seed, name))
         return channel
 
-    def observe(self, name: str, value: float) -> None:
-        self.channel(name).observe(value)
-
-    def increment(self, name: str, by: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + by
-
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
 
     def observe_invocation(self, invocation) -> None:
         """Publish one completed invocation's latency breakdown and drop it."""
-        failed = getattr(invocation, "error", None) is not None
-        if failed:
-            self.increment("failed")
+        counters = self.counters
+        if getattr(invocation, "error", None) is not None:
+            counters["failed"] = counters.get("failed", 0) + 1
             return
-        self.increment("completed")
-        self.observe(self.E2E, invocation.end_to_end_ms)
-        self.observe(self.RESPONSE, invocation.response_latency_ms)
+        counters["completed"] = counters.get("completed", 0) + 1
         latency = invocation.latency
-        self.observe(self.SCHEDULING, latency.scheduling_ms)
-        self.observe(self.COLD_START, latency.cold_start_ms)
-        self.observe(self.QUEUING, latency.queuing_ms)
-        self.observe(self.EXECUTION, latency.execution_ms)
+        pending = self._pending
+        pending.extend((
+            invocation.end_to_end_ms, invocation.response_latency_ms,
+            latency.scheduling_ms, latency.cold_start_ms,
+            latency.queuing_ms, latency.execution_ms))
+        if len(pending) >= self._CHUNK * len(self._BUFFERED):
+            self._fold_pending()
 
     # -- merge / serialisation -------------------------------------------
 
@@ -452,6 +516,8 @@ class StreamingResultSink:
         if other.reservoir_capacity != self.reservoir_capacity:
             raise ValueError("cannot merge sinks with different reservoir "
                              "capacities")
+        self._fold_pending()
+        other._fold_pending()
         for name, channel in other.channels.items():
             mine = self.channels.get(name)
             if mine is None:
@@ -479,6 +545,7 @@ class StreamingResultSink:
         return result
 
     def to_dict(self) -> Dict[str, object]:
+        self._fold_pending()
         return {
             "reservoir_capacity": self.reservoir_capacity,
             "seed": self.seed,

@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Collection, Dict, Iterator, Optional
 
 from repro.model.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.model.function import FunctionKind, FunctionSpec
@@ -121,7 +121,9 @@ def multi_function_trace(seed: int = 13,
 def tiled_fib_stream(invocations: int,
                      functions: int,
                      seed: int = 13,
-                     tile_invocations: int = 4000) -> TraceStream:
+                     tile_invocations: int = 4000,
+                     function_ids: Optional[Collection[str]] = None,
+                     ) -> TraceStream:
     """The scale scenario: bursty replay minutes tiled to *invocations*.
 
     Byte-identical to the perf bench's pre-streaming ``bench_trace``
@@ -130,9 +132,15 @@ def tiled_fib_stream(invocations: int,
     robined by global arrival rank), but O(one tile) in memory — this is
     what lets the 1.98 M-invocation Azure replay stream through a shard
     without ever existing as a list.
+
+    With *function_ids* it yields only those functions' records, byte-
+    identical to the full stream's; the others still draw their payload
+    (keeping the sampler's sequence) but are never built.
     """
-    if functions < 1:
-        raise ValueError(f"functions must be >= 1, got {functions}")
+    counts = tiled_fib_function_counts(invocations, functions)
+    kept = [function_id if function_ids is None
+            or function_id in function_ids else None
+            for function_id in counts]
 
     def records() -> Iterator[TraceRecord]:
         sampler: Optional[DurationSampler] = None
@@ -143,13 +151,15 @@ def tiled_fib_stream(invocations: int,
                 tile = index // tile_invocations
                 sampler = DurationSampler(seed=seed + 7919 * (tile + 1))
             assert sampler is not None
-            yield TraceRecord(
-                arrival_ms=arrival,
-                function_id=f"{FIB_FUNCTION_ID}-{index % functions}",
-                payload=sampler.sample_fib_n())
+            payload = sampler.sample_fib_n()
+            function_id = kept[index % functions]
+            if function_id is not None:
+                yield TraceRecord(arrival_ms=arrival,
+                                  function_id=function_id, payload=payload)
 
     tiles = tiled_replay_tile_count(invocations, tile_invocations)
-    return TraceStream(records, count=invocations,
+    return TraceStream(records,
+                       count=sum(counts[f] for f in kept if f is not None),
                        end_ms=tiles * REPLAY_DURATION_MS)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cluster import run_cluster_experiment, sharded
+from repro.cluster.balancer import stable_hash
 from repro.cluster.sharded import (
     SHARD_SCHEDULERS,
     ShardResult,
@@ -118,6 +121,34 @@ class TestShardedClusterConfig:
     def test_round_trips_through_dict(self):
         assert ShardedClusterConfig(**SMALL.to_dict()) == SMALL
 
+    @settings(max_examples=40, deadline=None)
+    @given(invocations=st.integers(1, 1500), functions=st.integers(1, 12),
+           workers=st.integers(1, 6), tile=st.integers(50, 600),
+           seed=st.integers(0, 99), data=st.data())
+    def test_shard_streams_are_the_full_stream_routed(
+            self, invocations, functions, workers, tile, seed, data):
+        shards = data.draw(st.integers(1, workers), label="shards")
+        config = ShardedClusterConfig(
+            invocations=invocations, functions=functions, seed=seed,
+            tile_invocations=tile, workers=workers, shards=shards)
+        full = [(r.arrival_ms, r.function_id, r.payload)
+                for r in tiled_fib_stream(invocations=invocations,
+                                          functions=functions, seed=seed,
+                                          tile_invocations=tile)]
+        loads = config.worker_loads()
+        streamed = 0
+        for shard in range(shards):
+            owned = config.worker_indices(shard)
+            stream = config.shard_stream(shard)
+            mine = [(r.arrival_ms, r.function_id, r.payload)
+                    for r in (stream or ())]
+            assert mine == [record for record in full
+                            if stable_hash(record[1]) % workers in owned]
+            assert (len(stream) if stream else 0) \
+                == sum(loads[worker] for worker in owned)
+            streamed += len(mine)
+        assert streamed == invocations
+
 
 class TestShardIdentity:
     """The headline claim: sharded == single-process, exactly."""
@@ -192,6 +223,19 @@ class TestPackedPartition:
             == [[0, 2], [1, 3]]
         assert [s.submitted for s in packed.shard_results] \
             == [10_000, 10_000]
+
+    #: sha256 of ``json.dumps(shard.sink.to_dict())`` for each shard of
+    #: CONFIG, recorded with the one-sample-at-a-time accounting that the
+    #: columnar fold replaced: the fold must not move a bit.
+    SINK_SHA256 = [
+        "16d4bc7e00fce2f45b91a8b8d966b8b64d6dcbd8ac49e47271f9c586e3d69d9b",
+        "0ee8ad6e8c5933a5b0bb7d547eeae46f1022e04edb4d88025f3502fc5d6d3f67",
+    ]
+
+    def test_shard_sink_payloads_are_pinned(self, packed):
+        assert [hashlib.sha256(json.dumps(shard.sink.to_dict()).encode())
+                .hexdigest() for shard in packed.shard_results] \
+            == self.SINK_SHA256
 
     def test_simulated_outputs_identical(self, packed, striped):
         assert packed.kernel_events == striped.kernel_events == 231_216

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import base64
+import heapq
 import itertools
 import json
+import math
 import random
 import struct
+import zlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.stats import SampleStats
 from repro.common.streaming import (
     BoundedReservoir,
     ChannelStats,
@@ -104,6 +111,28 @@ class TestLogBucketHistogram:
         with pytest.raises(ValueError):
             LogBucketHistogram().merge(LogBucketHistogram(growth=1.1))
 
+    def test_every_bucket_edge_counts_in_its_own_bucket(self):
+        # A value on lower_edge(k) belongs to bucket k, the float just
+        # below it to bucket k - 1 (the underflow bucket for k = 0).
+        shape = LogBucketHistogram()
+        wrong = []
+        for k in range(shape.buckets):
+            edge = shape.lower_edge(k)
+            on, below = LogBucketHistogram(), LogBucketHistogram()
+            on.observe(edge)
+            below.observe(math.nextafter(edge, 0.0))
+            if on.counts != {k: 1}:
+                wrong.append(("on", k, on.counts))
+            if (below.counts, below.underflow) != (
+                    ({k - 1: 1}, 0) if k else ({}, 1)):
+                wrong.append(("below", k, below.counts))
+        assert wrong == []
+
+    def test_values_past_the_last_edge_overflow_into_the_last_bucket(self):
+        histogram = LogBucketHistogram()
+        histogram.fold([histogram.lower_edge(histogram.buckets) * 10, 1e300])
+        assert histogram.counts == {histogram.buckets - 1: 2}
+
     def test_round_trips_through_json(self):
         histogram = LogBucketHistogram()
         for value in _values(8, 100):
@@ -163,10 +192,22 @@ def _packed(*floats):
         struct.pack(f"<{len(floats)}d", *floats)).decode("ascii")
 
 
+def _words(encoded):
+    """A packed float64 column as its raw 8-byte words."""
+    raw = base64.b64decode(encoded)
+    return [raw[i:i + 8] for i in range(0, len(raw), 8)]
+
+
 def _bits(reservoir):
     """Kept (priority, value) pairs as raw float64 bit patterns."""
-    return sorted((struct.pack("<d", -neg), struct.pack("<d", value))
-                  for neg, value in reservoir._heap)
+    payload = reservoir.to_dict()
+    return sorted(zip(_words(payload["priorities"]),
+                      _words(payload["values"])))
+
+
+def _pairs(reservoir):
+    """Kept (priority, value) pairs as floats."""
+    return sorted(struct.unpack("<dd", p + v) for p, v in _bits(reservoir))
 
 
 class TestReservoirPayload:
@@ -221,14 +262,14 @@ class TestReservoirPayload:
             right.observe(value)
         fast = BoundedReservoir.from_dict(left.to_dict())
         fast.merge(right)
-        slow = BoundedReservoir.from_dict(left.to_dict())
-        slow.seen += right.seen
-        for neg, value in right._heap:
-            slow._insert(-neg, value)
-        assert fast.seen == slow.seen == capacity + union
-        assert _bits(fast) == _bits(slow)
-        assert len(fast._heap) == min(capacity, capacity + union)
-        assert fast._heap[0] == min(fast._heap)  # still a heap
+        # The insert loop keeps the *capacity* largest (-priority, value)
+        # items of the union.
+        offered = _pairs(left) + _pairs(right)
+        kept = sorted(offered, key=lambda pair: (-pair[0], pair[1]))
+        kept = kept[max(0, len(offered) - capacity):]
+        assert fast.seen == capacity + union
+        assert _pairs(fast) == sorted(kept)
+        assert len(fast.values()) == min(capacity, capacity + union)
 
 
 class TestChannelStats:
@@ -341,3 +382,272 @@ class TestStreamingResultSink:
         assert summary["exact"] is True
         for key in ("mean", "min", "max", "p50", "p95", "p98", "p99"):
             assert isinstance(summary[key], float)
+
+
+# -- the per-sample accounting, frozen --------------------------------------
+#
+# A copy of the one-sample-at-a-time sink (tuple heap, one observe per
+# channel per completion), with only the bucket-edge fix applied.  The
+# columnar sink must serialise to exactly the same bytes.
+
+
+class _RefHistogram:
+    def __init__(self):
+        self.minimum, self.growth, self.buckets = 0.01, 1.05, 426
+        self.counts = {}
+        self.underflow = 0
+        self.total = 0
+
+    def observe(self, value):
+        if value < 0 or math.isnan(value):
+            raise ValueError(value)
+        self.total += 1
+        if value < self.minimum:
+            self.underflow += 1
+            return
+        index = min(int(math.log(value / self.minimum)
+                        / math.log(self.growth)), self.buckets - 1)
+        while index > 0 and value < self.minimum * self.growth ** index:
+            index -= 1
+        while (index + 1 < self.buckets
+               and value >= self.minimum * self.growth ** (index + 1)):
+            index += 1
+        self.counts[index] = self.counts.get(index, 0) + 1
+
+    def merge(self, other):
+        self.underflow += other.underflow
+        self.total += other.total
+        for index, count in other.counts.items():
+            self.counts[index] = self.counts.get(index, 0) + count
+
+    def quantile(self, q):
+        rank = q * (self.total - 1)
+        seen = self.underflow
+        if rank < seen:
+            return 0.0
+        for index in sorted(self.counts):
+            seen += self.counts[index]
+            if rank < seen:
+                return (self.minimum * self.growth ** index
+                        * math.sqrt(self.growth))
+
+    def to_dict(self):
+        return {"min": self.minimum, "growth": self.growth,
+                "buckets": self.buckets, "underflow": self.underflow,
+                "counts": {str(k): v for k, v in sorted(self.counts.items())}}
+
+
+class _RefReservoir:
+    def __init__(self, capacity, seed):
+        self.capacity = capacity
+        self.seen = 0
+        self.heap = []
+        self.rng = random.Random(seed)
+
+    def observe(self, value):
+        self.seen += 1
+        self.insert(self.rng.random(), float(value))
+
+    def insert(self, priority, value):
+        item = (-priority, value)
+        if len(self.heap) < self.capacity:
+            heapq.heappush(self.heap, item)
+        elif item > self.heap[0]:
+            heapq.heapreplace(self.heap, item)
+
+    def merge(self, other):
+        self.seen += other.seen
+        for neg, value in other.heap:
+            self.insert(-neg, value)
+
+    def to_dict(self):
+        items = sorted((-neg, value) for neg, value in self.heap)
+        return {"capacity": self.capacity, "seen": self.seen,
+                "priorities": _packed(*(p for p, _v in items)),
+                "values": _packed(*(v for _p, v in items))}
+
+
+class _RefChannel:
+    def __init__(self, capacity, seed):
+        self.count, self.total, self.squares = 0, 0.0, 0.0
+        self.minimum, self.maximum = math.inf, -math.inf
+        self.histogram = _RefHistogram()
+        self.reservoir = _RefReservoir(capacity, seed)
+
+    def observe(self, value):
+        if math.isnan(value):
+            raise ValueError(value)
+        value = float(value)
+        self.count += 1
+        self.total += value
+        self.squares += value * value
+        self.minimum = min(self.minimum, value)
+        self.maximum = max(self.maximum, value)
+        self.histogram.observe(value)
+        self.reservoir.observe(value)
+
+    def merge(self, other):
+        self.count += other.count
+        self.total += other.total
+        self.squares += other.squares
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
+        self.histogram.merge(other.histogram)
+        self.reservoir.merge(other.reservoir)
+
+    def percentile(self, q):
+        if self.reservoir.seen <= self.reservoir.capacity:
+            return SampleStats(sorted(
+                v for _n, v in self.reservoir.heap)).percentile(q)
+        return self.histogram.quantile(q / 100.0)
+
+    def to_dict(self):
+        empty = self.count == 0
+        return {"stats": {"count": self.count, "total": self.total,
+                          "sum_squares": self.squares,
+                          "min": None if empty else self.minimum,
+                          "max": None if empty else self.maximum},
+                "histogram": self.histogram.to_dict(),
+                "reservoir": self.reservoir.to_dict()}
+
+
+class _RefSink:
+    NAMES = ("e2e_ms", "response_ms", "scheduling_ms", "cold_start_ms",
+             "queuing_ms", "execution_ms")
+
+    def __init__(self, capacity, seed):
+        self.capacity, self.seed = capacity, seed
+        self.channels = {}
+        self.counters = {}
+
+    def channel(self, name):
+        if name not in self.channels:
+            self.channels[name] = _RefChannel(
+                self.capacity, self.seed ^ zlib.crc32(name.encode()))
+        return self.channels[name]
+
+    def observe_invocation(self, invocation):
+        key = "failed" if invocation.error is not None else "completed"
+        self.counters[key] = self.counters.get(key, 0) + 1
+        if invocation.error is None:
+            latency = invocation.latency
+            for name, value in zip(self.NAMES, (
+                    invocation.end_to_end_ms,
+                    invocation.response_latency_ms, latency.scheduling_ms,
+                    latency.cold_start_ms, latency.queuing_ms,
+                    latency.execution_ms)):
+                self.channel(name).observe(value)
+
+    def merge(self, other):
+        for name, channel in other.channels.items():
+            self.channel(name).merge(channel)
+        for name, value in other.counters.items():
+            self.counters[name] = self.counters.get(name, 0) + value
+
+    def summary(self):
+        channel = self.channel("e2e_ms")
+        if channel.count == 0:
+            return {"count": 0}
+        return {"count": channel.count,
+                "exact": channel.reservoir.seen <= self.capacity,
+                "mean": round(channel.total / channel.count, 3),
+                "min": round(channel.minimum, 3),
+                "max": round(channel.maximum, 3),
+                **{f"p{q}": round(channel.percentile(float(q)), 3)
+                   for q in (50, 95, 98, 99)}}
+
+    def to_dict(self):
+        return {"reservoir_capacity": self.capacity, "seed": self.seed,
+                "counters": dict(sorted(self.counters.items())),
+                "channels": {name: channel.to_dict() for name, channel
+                             in sorted(self.channels.items())}}
+
+
+class _Completion:
+    def __init__(self, values, failed):
+        self.error = RuntimeError("boom") if failed else None
+        self.end_to_end_ms, self.response_latency_ms = values[:2]
+        self.latency = _FakeLatency()
+        (self.latency.scheduling_ms, self.latency.cold_start_ms,
+         self.latency.queuing_ms, self.latency.execution_ms) = values[2:]
+
+
+_LATENCY = st.one_of(
+    st.integers(0, 10**6),
+    st.floats(0.0, 1e7, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 0.01, 0.0105, 1.05 ** 40 * 0.01, 2.0, 1e9]))
+_COMPLETION = st.tuples(st.tuples(*[_LATENCY] * 6),
+                        st.sampled_from([False, False, False, True]))
+_COMPLETIONS = st.lists(_COMPLETION, max_size=40)
+_OP = st.one_of(
+    st.tuples(st.just("observe"), _COMPLETIONS),
+    st.tuples(st.just("read"), st.sampled_from(
+        ["summary", "to_dict", "e2e_ms", "queuing_ms", "unknown_ms"])),
+    st.tuples(st.just("direct"), st.sampled_from(["e2e_ms", "extra_ms"]),
+              _LATENCY),
+    st.tuples(st.just("merge"), st.integers(0, 1000), _COMPLETIONS,
+              st.booleans()))
+
+
+class TestColumnarSinkMatchesPerSample:
+    """The chunked, columnar sink serialises to the per-sample bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(1, 20), seed=st.integers(0, 2**16),
+           chunk=st.integers(1, 9), ops=st.lists(_OP, max_size=8))
+    def test_byte_identical_to_the_per_sample_sink(self, capacity, seed,
+                                                   chunk, ops):
+        def feed(sinks, completions):
+            for values, failed in completions:
+                for target in sinks:
+                    target.observe_invocation(_Completion(values, failed))
+                assert len(sink._pending) <= 6 * chunk
+
+        with mock.patch.object(StreamingResultSink, "_CHUNK", chunk):
+            sink = StreamingResultSink(reservoir_capacity=capacity,
+                                       seed=seed)
+            ref = _RefSink(capacity, seed)
+            for op in ops:
+                if op[0] == "observe":
+                    feed((sink, ref), op[1])
+                elif op[0] == "direct":
+                    sink.channel(op[1]).observe(op[2])
+                    ref.channel(op[1]).observe(op[2])
+                elif op[0] == "merge":
+                    _, other_seed, completions, wire = op
+                    other = StreamingResultSink(capacity, other_seed)
+                    ref_other = _RefSink(capacity, other_seed)
+                    feed((other, ref_other), completions)
+                    if wire:
+                        other = StreamingResultSink.from_dict(
+                            json.loads(json.dumps(other.to_dict())))
+                    sink.merge(other)
+                    ref.merge(ref_other)
+                elif op[1] == "summary":
+                    assert sink.summary() == ref.summary()
+                elif op[1] == "to_dict":
+                    assert json.dumps(sink.to_dict()) \
+                        == json.dumps(ref.to_dict())
+                else:
+                    assert json.dumps(sink.channel(op[1]).to_dict()) \
+                        == json.dumps(ref.channel(op[1]).to_dict())
+            assert json.dumps(sink.to_dict()) == json.dumps(ref.to_dict())
+            assert sink.summary() == ref.summary()
+
+    def test_pending_buffer_is_folded_at_one_chunk(self):
+        sink = StreamingResultSink(reservoir_capacity=8)
+        for value in range(3 * sink._CHUNK + 5):
+            sink.observe_invocation(_FakeInvocation(float(value)))
+            assert len(sink._pending) < 6 * sink._CHUNK
+        assert len(sink._pending) == 6 * 5
+        assert sink.channel(sink.E2E).count == 3 * sink._CHUNK + 5
+        assert len(sink._pending) == 0
+
+    def test_bad_latency_raises_at_the_fold(self):
+        sink = StreamingResultSink()
+        sink.observe_invocation(_FakeInvocation(float("nan")))
+        with pytest.raises(ValueError):
+            sink.to_dict()
+        sink.observe_invocation(_FakeInvocation(-1.0))
+        with pytest.raises(ValueError):
+            sink.summary()
