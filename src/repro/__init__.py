@@ -30,61 +30,67 @@ Quickstart::
     print(ours.provisioned_containers, "vs", base.provisioned_containers)
 """
 
-from repro.cluster import (
-    ClusterResult,
-    compare_balancers,
-    run_cluster_experiment,
-)
-from repro.baselines import (
-    DEFAULT_SCHEDULERS,
-    DataDrivenScheduler,
-    HikuScheduler,
-    KrakenConfig,
-    KrakenMode,
-    KrakenParameters,
-    KrakenScheduler,
-    Scheduler,
-    SchedulerBuild,
-    SfsScheduler,
-    VanillaScheduler,
-    build_scheduler,
-    registered_policies,
-)
-from repro.core import (
-    FaaSBatchConfig,
-    FaaSBatchScheduler,
-    FunctionGroup,
-    InlineParallelProducer,
-    InvokeMapper,
-    SimResourceMultiplexer,
-)
-from repro.local import (
-    LocalPlatform,
-    LocalPlatformConfig,
-    ResourceMultiplexer,
-)
-from repro.model import (
-    Calibration,
-    DEFAULT_CALIBRATION,
-    FunctionKind,
-    FunctionSpec,
-    Invocation,
-)
-from repro.common.eventlog import EventKind, EventLog
-from repro.platformsim import (
-    ExperimentResult,
-    ServerlessPlatform,
-    run_experiment,
-)
-from repro.workload.azurefile import AzureTraceBuilder
-from repro.workload import (
-    cpu_workload_trace,
-    fib_function_spec,
-    io_function_spec,
-    io_workload_trace,
-)
+from typing import Any, Callable, Dict, List, Tuple
 
 __version__ = "1.0.0"
+
+
+def _lazy_exports(namespace: Dict[str, Any],
+                  exports: Dict[str, Tuple[str, ...]]
+                  ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package facade.
+
+    *exports* maps each defining module to the names the package
+    re-exports from it.  A name's module is imported on its first read and
+    the value is cached in *namespace* (the package's globals), so later
+    reads never come back here.  Importing a package therefore costs only
+    the modules its caller actually uses: the live gateway never loads the
+    simulator, and ``import repro`` loads nothing else.
+    """
+    package = namespace["__name__"]
+    origin = {name: module for module, names in exports.items()
+              for name in names}
+
+    def __getattr__(name: str) -> Any:
+        if name not in origin:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        # ``__import__``, not ``importlib.import_module``: only the former
+        # shows up in ``python -X importtime``.
+        module = __import__(origin[name], fromlist=(name,))
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(namespace.keys() | origin.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.baselines": (
+        "DEFAULT_SCHEDULERS", "DataDrivenScheduler", "HikuScheduler",
+        "KrakenConfig", "KrakenMode", "KrakenParameters", "KrakenScheduler",
+        "Scheduler", "SchedulerBuild", "SfsScheduler", "VanillaScheduler",
+        "build_scheduler", "registered_policies"),
+    "repro.cluster": (
+        "ClusterResult", "compare_balancers", "run_cluster_experiment"),
+    "repro.common.eventlog": ("EventKind", "EventLog"),
+    "repro.core": (
+        "FaaSBatchConfig", "FaaSBatchScheduler", "FunctionGroup",
+        "InlineParallelProducer", "InvokeMapper", "SimResourceMultiplexer"),
+    "repro.local": (
+        "LocalPlatform", "LocalPlatformConfig", "ResourceMultiplexer"),
+    "repro.model": (
+        "Calibration", "DEFAULT_CALIBRATION", "FunctionKind", "FunctionSpec",
+        "Invocation"),
+    "repro.platformsim": (
+        "ExperimentResult", "ServerlessPlatform", "run_experiment"),
+    "repro.workload": (
+        "cpu_workload_trace", "fib_function_spec", "io_function_spec",
+        "io_workload_trace"),
+    "repro.workload.azurefile": ("AzureTraceBuilder",),
+})
 
 __all__ = [
     "AzureTraceBuilder",

@@ -1,27 +1,20 @@
 """Baseline schedulers (§IV) and the scheduling-policy registry."""
 
-from repro.baselines.base import CpuDiscipline, Scheduler
-from repro.baselines.datadriven import DataDrivenScheduler
-from repro.baselines.hiku import HikuScheduler
-from repro.baselines.kraken import (
-    KrakenConfig,
-    KrakenMode,
-    KrakenParameters,
-    KrakenScheduler,
-)
-from repro.baselines.registry import (
-    DEFAULT_SCHEDULERS,
-    PolicyInfo,
-    SchedulerBuild,
-    build_scheduler,
-    parse_scheduler_names,
-    policy_info,
-    register_policy,
-    registered_policies,
-    scheduler_labels,
-)
-from repro.baselines.sfs import SfsScheduler
-from repro.baselines.vanilla import VanillaScheduler
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.baselines.base": ("CpuDiscipline", "Scheduler"),
+    "repro.baselines.datadriven": ("DataDrivenScheduler",),
+    "repro.baselines.hiku": ("HikuScheduler",),
+    "repro.baselines.kraken": (
+        "KrakenConfig", "KrakenMode", "KrakenParameters", "KrakenScheduler"),
+    "repro.baselines.registry": (
+        "DEFAULT_SCHEDULERS", "PolicyInfo", "SchedulerBuild",
+        "build_scheduler", "parse_scheduler_names", "policy_info",
+        "register_policy", "registered_policies", "scheduler_labels"),
+    "repro.baselines.sfs": ("SfsScheduler",),
+    "repro.baselines.vanilla": ("VanillaScheduler",),
+})
 
 __all__ = [
     "CpuDiscipline",

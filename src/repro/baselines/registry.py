@@ -38,6 +38,7 @@ from repro.baselines.sfs import SfsScheduler
 from repro.baselines.vanilla import VanillaScheduler
 from repro.common.errors import ConfigurationError
 from repro.core.config import DEFAULT_WINDOW_MS, FaaSBatchConfig
+from repro.core.scheduler import FaaSBatchScheduler
 
 __all__ = [
     "DEFAULT_SCHEDULERS",
@@ -168,11 +169,6 @@ def _build_kraken(build: SchedulerBuild) -> Scheduler:
 
 
 def _build_faasbatch(build: SchedulerBuild) -> Scheduler:
-    # Imported lazily: repro.core.scheduler imports the baselines package
-    # for its Scheduler base class, so a module-level import here would
-    # close that cycle when repro.core loads first.
-    from repro.core.scheduler import FaaSBatchScheduler
-
     return FaaSBatchScheduler(FaaSBatchConfig(
         window_ms=build.window_ms, window_policy=build.window_policy))
 

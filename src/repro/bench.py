@@ -52,7 +52,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.baselines import (
     DEFAULT_SCHEDULERS,
@@ -63,17 +63,16 @@ from repro.baselines import (
     policy_info,
     registered_policies,
 )
-from repro.cluster.sharded import (
-    ShardedClusterConfig,
-    peak_rss_mb,
-    run_sharded_cluster,
-)
+from repro.common.units import peak_rss_mb
 from repro.obs import Observability
 from repro.platformsim.experiment import run_experiment
 from repro.workload.azure import REPLAY_DURATION_MS, replay_minute_arrivals
 from repro.workload.durations import DurationSampler
 from repro.workload.generator import FIB_FUNCTION_ID, fib_family_specs
 from repro.workload.trace import Trace, TraceRecord
+
+if TYPE_CHECKING:  # the sharded runner loads only for cluster cells
+    from repro.cluster.sharded import ShardedClusterConfig
 
 #: Report format version; bump on any structural change (CHANGES.md has the
 #: history).  Keys a retired feature once wrote are ignored when present.
@@ -471,6 +470,8 @@ def cluster_cell_configs() -> Dict[str, ShardedClusterConfig]:
       synthesised replay minutes, ~8.25 simulated hours) over 4 shards;
       the scale target the streaming/sharding machinery exists for.
     """
+    from repro.cluster.sharded import ShardedClusterConfig
+
     return {
         "azure-smoke": ShardedClusterConfig(
             invocations=20_000, functions=8, seed=13,
@@ -485,6 +486,8 @@ def run_cluster_cell(cell: str,
                      log: Optional[Callable[[str], None]] = None,
                      isolate: bool = True) -> Dict[str, object]:
     """Run one named sharded scenario; returns its ``cluster_cells`` row."""
+    from repro.cluster.sharded import run_sharded_cluster
+
     configs = cluster_cell_configs()
     if cell not in configs:
         raise ValueError(f"unknown cluster cell {cell!r}; choose from "

@@ -58,63 +58,27 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import SchedulerComparison, latency_cdf_tables
-from repro.analysis.breakdown import (
-    attempt_latency_table,
-    check_trace_invariants,
-)
-from repro.baselines import (
-    DEFAULT_SCHEDULERS,
-    KrakenParameters,
-    SchedulerBuild,
-    build_scheduler,
-    parse_scheduler_names,
-    policy_info,
-)
-from repro.common.errors import ConfigurationError
-from repro.common.stats import SampleStats
-from repro.common.tables import render_table
-from repro.core import FaaSBatchConfig, FaaSBatchScheduler
-from repro.faults import FaultPlan, ResiliencePolicy, reference_plan
-from repro.obs import (
-    Observability,
-    InvocationTracer,
-    TimeSeriesSampler,
-    load_jsonl,
-    series_records,
-    span_records,
-    tracer_records,
-    write_jsonl,
-    write_series_jsonl,
-)
-from repro.obs.critical_path import analyze, critical_path_table
-from repro.obs.export import (
-    chrome_trace,
-    dump_chrome_trace,
-    validate_chrome_trace,
-)
-from repro.obs.report import straggler_line
-from repro.obs.report import write_report as write_html_report
-from repro.platformsim import ExperimentResult, run_experiment
-from repro.workload import (
-    cpu_workload_trace,
-    fib_function_spec,
-    io_function_spec,
-    io_workload_trace,
-)
-from repro.workload.azurefile import (
-    MINUTES_PER_DAY,
-    AzureTraceBuilder,
-    write_sample_files,
-)
+# Each command imports the layer it runs, so ``repro --help`` and a
+# gateway command never load the simulator (and vice versa).
+if TYPE_CHECKING:
+    from repro.faults import FaultPlan, ResiliencePolicy
+    from repro.obs import InvocationTracer, Observability, TimeSeriesSampler
+    from repro.platformsim import ExperimentResult
 
 DEFAULT_TOTALS = {"cpu": 800, "io": 400}
 
 
 def _workload(name: str, total: Optional[int], seed: int):
     """Return (trace, [spec]) for the named paper workload."""
+    from repro.workload import (
+        cpu_workload_trace,
+        fib_function_spec,
+        io_function_spec,
+        io_workload_trace,
+    )
+
     size = total if total is not None else DEFAULT_TOTALS[name]
     if name == "cpu":
         return cpu_workload_trace(seed=seed, total=size), \
@@ -126,6 +90,8 @@ def _obs(tracing: bool) -> Optional[Observability]:
     # Tracing runs export JSONL containing spans AND the sampled telemetry
     # series, so a --trace file feeds every downstream consumer (summarize,
     # export, critical-path, report) without a second run.
+    from repro.obs import Observability
+
     return Observability(tracing=True, sampling=True) if tracing else None
 
 
@@ -135,6 +101,8 @@ def _selected_schedulers(args: argparse.Namespace) -> Tuple[str, ...]:
     Raises :class:`ConfigurationError` (one line, listing the registered
     policies) on an unknown name; commands catch it and exit 2.
     """
+    from repro.baselines import DEFAULT_SCHEDULERS, parse_scheduler_names
+
     text = getattr(args, "schedulers", None)
     if text is None:
         return DEFAULT_SCHEDULERS
@@ -155,6 +123,14 @@ def _run_schedulers(names: Sequence[str], trace, specs, window_ms: float,
     selected without Vanilla, a hidden Vanilla profiling run supplies them
     without appearing in the results.
     """
+    from repro.baselines import (
+        KrakenParameters,
+        SchedulerBuild,
+        build_scheduler,
+        policy_info,
+    )
+    from repro.platformsim import run_experiment
+
     def run(scheduler):
         return run_experiment(scheduler, trace, specs, workload_label=label,
                               obs=_obs(tracing), fault_plan=fault_plan,
@@ -183,11 +159,14 @@ def _run_schedulers(names: Sequence[str], trace, specs, window_ms: float,
     return results
 
 
-LabeledRun = Tuple[str, InvocationTracer, Optional[TimeSeriesSampler]]
+LabeledRun = Tuple[str, "InvocationTracer", Optional["TimeSeriesSampler"]]
 
 
 def _export_span_traces(path, labeled: Sequence[LabeledRun]) -> int:
     """Validate and write every run's spans + series to one JSONL file."""
+    from repro.analysis.breakdown import check_trace_invariants
+    from repro.obs import write_jsonl, write_series_jsonl
+
     total = 0
     with open(path, "w") as handle:
         for name, tracer, sampler in labeled:
@@ -205,6 +184,9 @@ def _labeled_runs(results: Sequence[ExperimentResult]) -> List[LabeledRun]:
 
 def _run_records(labeled: Sequence[LabeledRun]) -> List[Dict[str, object]]:
     """The in-memory record stream a --trace export would have written."""
+    from repro.analysis.breakdown import check_trace_invariants
+    from repro.obs import series_records, tracer_records
+
     records: List[Dict[str, object]] = []
     for name, tracer, sampler in labeled:
         check_trace_invariants(tracer)
@@ -217,6 +199,8 @@ def _run_records(labeled: Sequence[LabeledRun]) -> List[Dict[str, object]]:
 
 def _read_trace_records(path) -> Optional[List[Dict[str, object]]]:
     """Load a JSONL trace for a subcommand; prints errors, None on failure."""
+    from repro.obs import load_jsonl
+
     try:
         records, skipped = load_jsonl(path)
     except (OSError, ValueError) as error:
@@ -229,6 +213,11 @@ def _read_trace_records(path) -> Optional[List[Dict[str, object]]]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis import SchedulerComparison, latency_cdf_tables
+    from repro.common.errors import ConfigurationError
+    from repro.common.tables import render_table
+    from repro.platformsim import ExperimentResult
+
     try:
         names = _selected_schedulers(args)
     except ConfigurationError as error:
@@ -264,6 +253,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.analysis.breakdown import attempt_latency_table
+    from repro.common.errors import ConfigurationError
+    from repro.common.tables import render_table
+    from repro.faults import FaultPlan, ResiliencePolicy, reference_plan
+
     if args.plan is not None:
         try:
             plan = FaultPlan.load(args.plan)
@@ -304,6 +298,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.common.tables import render_table
+    from repro.core import FaaSBatchConfig, FaaSBatchScheduler
+    from repro.platformsim import run_experiment
+
     trace, specs = _workload(args.workload, args.total, args.seed)
     windows = [float(w) for w in args.windows.split(",")]
     rows = []
@@ -343,6 +341,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_summarize(args: argparse.Namespace) -> int:
+    from repro.common.stats import SampleStats
+    from repro.common.tables import render_table
+    from repro.obs import span_records
+
     records = _read_trace_records(args.input)
     if records is None:
         return 2
@@ -379,6 +381,12 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_export(args: argparse.Namespace) -> int:
+    from repro.obs.export import (
+        chrome_trace,
+        dump_chrome_trace,
+        validate_chrome_trace,
+    )
+
     records = _read_trace_records(args.input)
     if records is None:
         return 2
@@ -398,6 +406,9 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_critical_path(args: argparse.Namespace) -> int:
+    from repro.common.tables import render_table
+    from repro.obs.critical_path import analyze, critical_path_table
+
     records = _read_trace_records(args.input)
     if records is None:
         return 2
@@ -421,6 +432,10 @@ def cmd_trace_critical_path(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from repro.common.errors import ConfigurationError
+    from repro.obs.export import chrome_trace, dump_chrome_trace
+    from repro.obs.report import write_report as write_html_report
+
     if args.input is not None:
         records = _read_trace_records(args.input)
         if records is None:
@@ -454,6 +469,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _cmd_bench_cell(args: argparse.Namespace) -> int:
     """``repro bench --cell NAME``: one sharded cluster replay."""
     from repro.bench import cluster_report, run_cluster_cell, write_report
+    from repro.common.tables import render_table
+    from repro.obs.report import straggler_line
+    from repro.obs.report import write_report as write_html_report
+
     row = run_cluster_cell(args.cell, log=print, isolate=not args.inline)
     write_report(cluster_report([row]), args.out)
     config = row["config"]
@@ -492,6 +511,8 @@ def _cmd_bench_cell(args: argparse.Namespace) -> int:
 def _cmd_bench_windows(args: argparse.Namespace, config) -> int:
     """``repro bench --window-cells``: fixed-vs-adaptive FaaSBatch cells."""
     from repro.bench import run_window_cells, window_report, write_report
+    from repro.common.tables import render_table
+
     rows = run_window_cells(config, log=print, isolate=not args.inline,
                             parallel=args.parallel)
     write_report(window_report(config, rows), args.out)
@@ -516,6 +537,9 @@ def _cmd_bench_windows(args: argparse.Namespace, config) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import BenchConfig, run_bench, write_report
+    from repro.common.errors import ConfigurationError
+    from repro.common.tables import render_table
+
     if args.cell:
         return _cmd_bench_cell(args)
     config = BenchConfig(invocations=args.invocations,
@@ -680,7 +704,9 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     """``repro loadgen``: drive seeded open-loop load cells, write artifacts."""
     import asyncio
 
+    from repro.common.tables import render_table
     from repro.gateway import run_cell
+    from repro.obs.report import write_report as write_html_report
 
     try:
         specs = _gateway_cell_specs(args)
@@ -762,6 +788,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
     """``repro slo``: evaluate SLO specs; ``--check`` gates on the result."""
     from repro.bench import load_report, write_report
     from repro.common.errors import ConfigurationError
+    from repro.common.tables import render_table
     from repro.obs.slo import (
         annotate_report,
         default_specs,
@@ -817,6 +844,8 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_azure(args: argparse.Namespace) -> int:
+    from repro.workload.azurefile import write_sample_files
+
     invocations_path, durations_path = write_sample_files(
         args.dir, functions=args.functions, seed=args.seed)
     print(f"Wrote {invocations_path}")
@@ -825,6 +854,11 @@ def cmd_sample_azure(args: argparse.Namespace) -> int:
 
 
 def cmd_replay_azure(args: argparse.Namespace) -> int:
+    from repro.common.errors import ConfigurationError
+    from repro.common.tables import render_table
+    from repro.platformsim import ExperimentResult
+    from repro.workload.azurefile import MINUTES_PER_DAY, AzureTraceBuilder
+
     directory = Path(args.dir)
     invocations = args.invocations or next(
         iter(sorted(directory.glob("invocations_per_function*.csv"))), None)
@@ -837,7 +871,8 @@ def cmd_replay_azure(args: argparse.Namespace) -> int:
     builder = AzureTraceBuilder.from_files(invocations, durations,
                                            seed=args.seed)
     keys = builder.hottest_functions(args.top)
-    start, end = args.start_minute, args.end_minute
+    start = args.start_minute
+    end = MINUTES_PER_DAY if args.end_minute is None else args.end_minute
     trace = builder.build_trace(keys, start_minute=start, end_minute=end)
     specs = builder.build_specs(keys)
     try:
@@ -876,8 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_schedulers(p):
         p.add_argument("--schedulers", default=None, metavar="NAMES",
                        help="comma-separated registry names to run "
-                            "(default: "
-                            f"{','.join(DEFAULT_SCHEDULERS)}; see "
+                            "(default: the paper's four; see "
                             "docs/schedulers.md)")
 
     compare = sub.add_parser("compare",
@@ -1110,7 +1144,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--top", type=int, default=3,
                         help="replay the K hottest functions")
     replay.add_argument("--start-minute", type=int, default=0)
-    replay.add_argument("--end-minute", type=int, default=MINUTES_PER_DAY)
+    replay.add_argument("--end-minute", type=int, default=None,
+                        help="(default: the end of the day)")
     replay.add_argument("--window", type=float, default=200.0)
     add_common(replay)
     add_tracing(replay)

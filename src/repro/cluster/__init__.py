@@ -1,20 +1,15 @@
 """Cluster extension: multiple workers + routing policies (beyond §IV's scope)."""
 
-from repro.cluster.balancer import (
-    BALANCERS,
-    Balancer,
-    FunctionAffinityBalancer,
-    HashPartitionBalancer,
-    LeastLoadedBalancer,
-    RoundRobinBalancer,
-    make_balancer,
-    stable_hash,
-)
-from repro.cluster.experiment import (
-    ClusterResult,
-    compare_balancers,
-    run_cluster_experiment,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.cluster.balancer": (
+        "BALANCERS", "Balancer", "FunctionAffinityBalancer",
+        "HashPartitionBalancer", "LeastLoadedBalancer", "RoundRobinBalancer",
+        "make_balancer", "stable_hash"),
+    "repro.cluster.experiment": (
+        "ClusterResult", "compare_balancers", "run_cluster_experiment"),
+})
 
 __all__ = [
     "BALANCERS",

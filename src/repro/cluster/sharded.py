@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import os
 import queue
-import resource
 import signal
 import sys
 import threading
@@ -63,7 +62,7 @@ from repro.common.streaming import (
     StreamingResultSink,
     TelemetrySnapshot,
 )
-from repro.common.units import HOUR
+from repro.common.units import HOUR, peak_rss_mb
 from repro.cluster.balancer import stable_hash
 from repro.cluster.experiment import ClusterResult, _build_worker
 from repro.model.calibration import DEFAULT_CALIBRATION
@@ -77,8 +76,10 @@ from repro.workload.generator import (
 )
 from repro.workload.trace import TraceStream
 
-#: ``ru_maxrss`` unit: bytes on macOS, kilobytes everywhere else.
-_RSS_TO_MB = (1024.0 * 1024.0) if sys.platform == "darwin" else 1024.0
+# An Observability loads its tracer and sampler when it is built, and each
+# shard builds one after the fork: import them here, before any fork.
+import repro.obs.timeseries  # noqa: F401
+import repro.obs.trace  # noqa: F401
 
 #: Completions between progress heartbeats on the child's stdout.
 PROGRESS_EVERY = 10_000
@@ -94,11 +95,6 @@ _STDERR_TAIL_CHARS = 4000
 #: side channel for them.)
 SHARD_SCHEDULERS = tuple(info.label for info in registered_policies()
                          if not info.needs_vanilla_profile)
-
-
-def peak_rss_mb() -> float:
-    """This process's lifetime peak RSS in MB (honest per shard)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _RSS_TO_MB
 
 
 @dataclass(frozen=True)

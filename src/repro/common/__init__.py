@@ -1,24 +1,18 @@
 """Shared primitives: errors, units, ids, statistics, tables."""
 
-from repro.common.cdf import CdfPoint, EmpiricalCdf
-from repro.common.errors import (
-    CapacityExceeded,
-    ConfigurationError,
-    ContainerError,
-    ContainerNotFound,
-    ContainerStateError,
-    EventAlreadyTriggered,
-    FunctionNotRegistered,
-    MultiplexerError,
-    ProcessInterrupted,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    WorkloadError,
-)
-from repro.common.ids import IdFactory
-from repro.common.stats import Ewma, SampleStats, mean, percentile
-from repro.common.tables import render_table, to_csv
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.common.cdf": ("CdfPoint", "EmpiricalCdf"),
+    "repro.common.errors": (
+        "CapacityExceeded", "ConfigurationError", "ContainerError",
+        "ContainerNotFound", "ContainerStateError", "EventAlreadyTriggered",
+        "FunctionNotRegistered", "MultiplexerError", "ProcessInterrupted",
+        "ReproError", "SchedulingError", "SimulationError", "WorkloadError"),
+    "repro.common.ids": ("IdFactory",),
+    "repro.common.stats": ("Ewma", "SampleStats", "mean", "percentile"),
+    "repro.common.tables": ("render_table", "to_csv"),
+})
 
 __all__ = [
     "CapacityExceeded",

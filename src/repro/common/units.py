@@ -16,6 +16,9 @@ bare magic numbers like ``0.2 * 1000``.
 
 from __future__ import annotations
 
+import resource
+import sys
+
 # ---------------------------------------------------------------------------
 # Time
 # ---------------------------------------------------------------------------
@@ -40,6 +43,15 @@ GB: float = 1024.0
 def gigabytes(value: float) -> float:
     """Convert *value* GiB into the library's MB memory unit."""
     return value * GB
+
+
+#: ``ru_maxrss`` unit: bytes on macOS, kilobytes everywhere else.
+_RSS_TO_MB = (1024.0 * 1024.0) if sys.platform == "darwin" else 1024.0
+
+
+def peak_rss_mb() -> float:
+    """This process's lifetime peak RSS in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _RSS_TO_MB
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,19 @@
 """FaaSBatch core: Invoke Mapper, Inline-Parallel Producer, Resource Multiplexer."""
 
-from repro.core.config import (
-    DEFAULT_WINDOW_MS,
-    SWEEP_WINDOWS_MS,
-    WINDOW_POLICIES,
-    FaaSBatchConfig,
-)
-from repro.core.mapper import FunctionGroup, InvokeMapper
-from repro.core.windowing import AdaptiveWindow, FixedWindow, WindowPolicy
-from repro.core.multiplexer import (
-    Lookup,
-    LookupOutcome,
-    MultiplexerStats,
-    SimResourceMultiplexer,
-)
-from repro.core.producer import InlineParallelProducer
-from repro.core.scheduler import FaaSBatchScheduler
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.core.config": (
+        "DEFAULT_WINDOW_MS", "SWEEP_WINDOWS_MS", "WINDOW_POLICIES",
+        "FaaSBatchConfig"),
+    "repro.core.mapper": ("FunctionGroup", "InvokeMapper"),
+    "repro.core.multiplexer": (
+        "Lookup", "LookupOutcome", "MultiplexerStats",
+        "SimResourceMultiplexer"),
+    "repro.core.producer": ("InlineParallelProducer",),
+    "repro.core.scheduler": ("FaaSBatchScheduler",),
+    "repro.core.windowing": ("AdaptiveWindow", "FixedWindow", "WindowPolicy"),
+})
 
 __all__ = [
     "AdaptiveWindow",

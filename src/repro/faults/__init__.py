@@ -17,23 +17,17 @@ bit-identically to a build without this package (the zero-overhead-off
 invariant, enforced by tests).
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    ColdStartFailureFault,
-    ContainerCrashFault,
-    DispatchErrorFault,
-    FaultPlan,
-    OomKillFault,
-    StragglerFault,
-    reference_plan,
-)
-from repro.faults.resilience import (
-    BackoffSchedule,
-    BreakerState,
-    CircuitBreaker,
-    ResilienceManager,
-    ResiliencePolicy,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.faults.injector": ("FaultInjector",),
+    "repro.faults.plan": (
+        "ColdStartFailureFault", "ContainerCrashFault", "DispatchErrorFault",
+        "FaultPlan", "OomKillFault", "StragglerFault", "reference_plan"),
+    "repro.faults.resilience": (
+        "BackoffSchedule", "BreakerState", "CircuitBreaker",
+        "ResilienceManager", "ResiliencePolicy"),
+})
 
 __all__ = [
     "BackoffSchedule",

@@ -9,49 +9,28 @@ open-loop load generator (``repro loadgen``) publishes results into the
 bench artifact (``gateway_cells``, schema v4) and the HTML report.
 """
 
-from repro.gateway.admission import (
-    SHED_INFLIGHT,
-    SHED_QUEUE_DEPTH,
-    AdmissionConfig,
-    AdmissionController,
-)
-from repro.gateway.batching import FunctionBatcher, PendingRequest
-from repro.gateway.degradation import (
-    MODE_BATCH,
-    MODE_VANILLA,
-    DegradationConfig,
-    DegradationMonitor,
-)
-from repro.gateway.functions import (
-    DEFAULT_CLIENT_COST_SECONDS,
-    DEMO_FUNCTIONS,
-    demo_platform,
-    make_handlers,
-)
-from repro.gateway.harness import (
-    POLICY_CELLS,
-    CellSpec,
-    build_stack,
-    platform_config_for,
-    run_cell,
-)
-from repro.gateway.loadgen import (
-    Arrival,
-    HttpPool,
-    LoadgenConfig,
-    LoadResult,
-    RequestSample,
-    build_phased_schedule,
-    build_schedule,
-    run_http,
-    run_inproc,
-)
-from repro.gateway.server import (
-    Gateway,
-    GatewayConfig,
-    GatewayResponse,
-    GatewayServer,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.gateway.admission": (
+        "SHED_INFLIGHT", "SHED_QUEUE_DEPTH", "AdmissionConfig",
+        "AdmissionController"),
+    "repro.gateway.batching": ("FunctionBatcher", "PendingRequest"),
+    "repro.gateway.degradation": (
+        "MODE_BATCH", "MODE_VANILLA", "DegradationConfig",
+        "DegradationMonitor"),
+    "repro.gateway.functions": (
+        "DEFAULT_CLIENT_COST_SECONDS", "DEMO_FUNCTIONS", "demo_platform",
+        "make_handlers"),
+    "repro.gateway.harness": (
+        "POLICY_CELLS", "CellSpec", "build_stack", "platform_config_for",
+        "run_cell"),
+    "repro.gateway.loadgen": (
+        "Arrival", "HttpPool", "LoadgenConfig", "LoadResult", "RequestSample",
+        "build_phased_schedule", "build_schedule", "run_http", "run_inproc"),
+    "repro.gateway.server": (
+        "Gateway", "GatewayConfig", "GatewayResponse", "GatewayServer"),
+})
 
 __all__ = [
     "AdmissionConfig",

@@ -337,6 +337,10 @@ async def _pace(loop: asyncio.AbstractEventLoop, schedule: List[Arrival],
         await asyncio.gather(*tasks)
 
 
+#: One keep-alive connection of an :class:`HttpPool`.
+_Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
 class HttpPool:
     """A fixed pool of keep-alive HTTP/1.1 connections (stdlib only)."""
 
@@ -344,30 +348,38 @@ class HttpPool:
         self.host = host
         self.port = port
         self.size = size
-        self._free: "asyncio.Queue[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]" = (
-            asyncio.Queue())
+        #: Idle connections; ``None`` is a slot whose connection dropped.
+        self._free: "asyncio.Queue[Optional[_Connection]]" = asyncio.Queue()
         self._all: List[asyncio.StreamWriter] = []
 
     async def start(self) -> None:
         for _ in range(self.size):
-            reader, writer = await asyncio.open_connection(
-                self.host, self.port)
-            self._all.append(writer)
-            self._free.put_nowait((reader, writer))
+            self._free.put_nowait(await self._connect())
+
+    async def _connect(self) -> _Connection:
+        reader, writer = await asyncio.open_connection(self.host, self.port)
+        self._all.append(writer)
+        return reader, writer
+
+    async def _discard(self, writer: asyncio.StreamWriter) -> None:
+        self._all.remove(writer)
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except OSError:  # the peer already reset it
+            pass
 
     async def close(self) -> None:
-        for writer in self._all:
-            writer.close()
-        for writer in self._all:
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-        self._all.clear()
+        for writer in list(self._all):
+            await self._discard(writer)
 
     async def request(self, path: str, payload: Any
                       ) -> Tuple[int, Dict[str, str], bytes]:
-        """POST *payload* as JSON; returns (status, headers, body)."""
+        """POST *payload* as JSON; returns (status, headers, body).
+
+        A dropped or refused connection is a transport-level 503; the slot
+        reconnects on its next request.
+        """
         body = b"" if payload is None else json.dumps(
             payload, separators=(",", ":")).encode("utf-8")
         head = (f"POST {path} HTTP/1.1\r\n"
@@ -375,23 +387,21 @@ class HttpPool:
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"Connection: keep-alive\r\n\r\n").encode("latin-1")
-        reader, writer = await self._free.get()
+        connection = await self._free.get()
         try:
+            if connection is None:
+                connection = await self._connect()
+            reader, writer = connection
             writer.write(head + body)
             await writer.drain()
-            status, headers, response_body = await self._read_response(
-                reader)
-        except (ConnectionResetError, asyncio.IncompleteReadError,
-                BrokenPipeError):
-            # The server dropped the connection; replace it in the pool
-            # and report the request as a transport-level 503.
-            writer.close()
-            reader, writer = await asyncio.open_connection(
-                self.host, self.port)
+            return await self._read_response(reader)
+        except (OSError, asyncio.IncompleteReadError):
+            if connection is not None:
+                await self._discard(connection[1])
+                connection = None
             return 503, {}, b""
         finally:
-            self._free.put_nowait((reader, writer))
-        return status, headers, response_body
+            self._free.put_nowait(connection)
 
     @staticmethod
     async def _read_response(reader: asyncio.StreamReader

@@ -1,22 +1,16 @@
 """Real in-process FaaSBatch runtime: threads, genuine resource multiplexing."""
 
-from repro.local.clients import (
-    DEFAULT_STORE,
-    FakeS3Client,
-    InMemoryBucketStore,
-)
-from repro.local.container import (
-    Handler,
-    InvocationContext,
-    LocalContainer,
-    LocalInvocation,
-)
-from repro.local.multiplexer import (
-    MultiplexerMetrics,
-    ResourceMultiplexer,
-    hash_arguments,
-)
-from repro.local.runtime import LocalPlatform, LocalPlatformConfig
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.local.clients": (
+        "DEFAULT_STORE", "FakeS3Client", "InMemoryBucketStore"),
+    "repro.local.container": (
+        "Handler", "InvocationContext", "LocalContainer", "LocalInvocation"),
+    "repro.local.multiplexer": (
+        "MultiplexerMetrics", "ResourceMultiplexer", "hash_arguments"),
+    "repro.local.runtime": ("LocalPlatform", "LocalPlatformConfig"),
+})
 
 __all__ = [
     "DEFAULT_STORE",

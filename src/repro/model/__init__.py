@@ -1,25 +1,20 @@
 """Platform model: calibration, functions, containers, pool, docker, storage."""
 
-from repro.model.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.model.container import ContainerState, SimContainer
-from repro.model.docker import ContainerHandle, SimDockerClient
-from repro.model.function import (
-    FunctionKind,
-    FunctionSpec,
-    Invocation,
-    InvocationState,
-    LatencyBreakdown,
-)
-from repro.model.pool import ContainerPool
-from repro.model.storage import ClientInstance, StorageClientCostModel
-from repro.model.workprofile import (
-    ClientCreation,
-    CpuWork,
-    IoWait,
-    WorkProfile,
-    cpu_profile,
-    io_profile,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.model.calibration": ("Calibration", "DEFAULT_CALIBRATION"),
+    "repro.model.container": ("ContainerState", "SimContainer"),
+    "repro.model.docker": ("ContainerHandle", "SimDockerClient"),
+    "repro.model.function": (
+        "FunctionKind", "FunctionSpec", "Invocation", "InvocationState",
+        "LatencyBreakdown"),
+    "repro.model.pool": ("ContainerPool",),
+    "repro.model.storage": ("ClientInstance", "StorageClientCostModel"),
+    "repro.model.workprofile": (
+        "ClientCreation", "CpuWork", "IoWait", "WorkProfile", "cpu_profile",
+        "io_profile"),
+})
 
 __all__ = [
     "Calibration",

@@ -23,50 +23,34 @@ assert this).  Downstream, the sampled/traced run feeds the export layer:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.common.streaming import TelemetrySnapshot
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_EDGES_MS,
-    DEFAULT_SIZE_EDGES,
-    ClockGauge,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    telemetry_snapshot,
-)
-from repro.obs.timeseries import (
-    DEFAULT_INTERVAL_MS,
-    Series,
-    TimeSeriesSampler,
-    series_records,
-    write_series_jsonl,
-)
-from repro.obs.prom import (
-    render_gateway_stats,
-    render_registry,
-    render_snapshot,
-)
-from repro.obs.trace import (
-    STAGE_ORDER,
-    STAGE_TO_COMPONENT,
-    TIME_TOLERANCE_MS,
-    WALL_TIME_TOLERANCE_MS,
-    ContainerEvent,
-    InvocationTimeline,
-    InvocationTracer,
-    RotatingJsonlWriter,
-    Span,
-    Stage,
-    TraceStreamer,
-    load_jsonl,
-    read_jsonl,
-    span_records,
-    tracer_records,
-    write_jsonl,
-)
-from repro.sim.kernel import Environment
+from repro import _lazy_exports
+from repro.obs.metrics import ClockGauge, MetricsRegistry, telemetry_snapshot
+
+if TYPE_CHECKING:
+    from repro.common.streaming import TelemetrySnapshot
+    from repro.obs.timeseries import TimeSeriesSampler
+    from repro.obs.trace import InvocationTracer
+    from repro.sim.kernel import Environment
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.common.streaming": ("TelemetrySnapshot",),
+    "repro.obs.metrics": (
+        "DEFAULT_LATENCY_EDGES_MS", "DEFAULT_SIZE_EDGES", "Counter", "Gauge",
+        "Histogram"),
+    "repro.obs.prom": (
+        "render_gateway_stats", "render_registry", "render_snapshot"),
+    "repro.obs.timeseries": (
+        "DEFAULT_INTERVAL_MS", "Series", "TimeSeriesSampler",
+        "series_records", "write_series_jsonl"),
+    "repro.obs.trace": (
+        "STAGE_ORDER", "STAGE_TO_COMPONENT", "TIME_TOLERANCE_MS",
+        "WALL_TIME_TOLERANCE_MS", "ContainerEvent", "InvocationTimeline",
+        "InvocationTracer", "RotatingJsonlWriter", "Span", "Stage",
+        "TraceStreamer", "load_jsonl", "read_jsonl", "span_records",
+        "tracer_records", "write_jsonl"),
+})
 
 
 class Observability:
@@ -82,16 +66,18 @@ class Observability:
                  sampling: bool = False,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[InvocationTracer] = None,
-                 sampler: Optional[TimeSeriesSampler] = None,
-                 sample_interval_ms: float = DEFAULT_INTERVAL_MS) -> None:
+                 sampler: Optional[TimeSeriesSampler] = None) -> None:
+        # The span tracer and the sampler load only when a bundle is built,
+        # so a process that never builds one never loads them.
+        from repro.obs import timeseries, trace
+
         self.tracer = tracer if tracer is not None \
-            else InvocationTracer(enabled=tracing)
+            else trace.InvocationTracer(enabled=tracing)
         if tracing:
             self.tracer.enable()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.sampler = sampler if sampler is not None \
-            else TimeSeriesSampler(interval_ms=sample_interval_ms,
-                                   enabled=sampling)
+            else timeseries.TimeSeriesSampler(enabled=sampling)
         if sampling:
             self.sampler.enable()
         self._bound_env: Optional[Environment] = None

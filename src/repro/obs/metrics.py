@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
-from repro.common.streaming import TelemetrySnapshot
+if TYPE_CHECKING:
+    from repro.common.streaming import TelemetrySnapshot
 
 #: Default histogram edges: a 1-2-5 decade ladder from 1 ms to 5 minutes.
 #: Chosen once and fixed so breakdown histograms are comparable across runs.
@@ -330,6 +333,9 @@ def telemetry_snapshot(registry: MetricsRegistry) -> TelemetrySnapshot:
     bucket-for-bucket — full fidelity, not the labelled ``bucket_rows()``
     digest — so merged buckets stay integer-exact.
     """
+    # Only a shard ships a snapshot: the live tier never loads the sinks.
+    from repro.common.streaming import TelemetrySnapshot
+
     snap = TelemetrySnapshot()
     for name in registry.names():
         metric = registry._metrics[name]

@@ -28,9 +28,12 @@ produce byte-identical series snapshots at any length.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple,
+)
 
-from repro.sim.kernel import Environment
+if TYPE_CHECKING:
+    from repro.sim.kernel import Environment
 
 #: Default sampling cadence: 1 s of simulated time, matching the paper's
 #: (and ``sim/machine.py``'s) once-per-second host sampling.

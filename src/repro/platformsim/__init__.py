@@ -1,11 +1,15 @@
 """Platform harness: gateway, platform, windows, experiment runner, results."""
 
-from repro.common.eventlog import EventKind, EventLog, LogRecord
-from repro.platformsim.experiment import run_experiment
-from repro.platformsim.gateway import ReplayInjector, start_replay
-from repro.platformsim.platform import ServerlessPlatform
-from repro.platformsim.results import ExperimentResult
-from repro.platformsim.windows import collect_window
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.common.eventlog": ("EventKind", "EventLog", "LogRecord"),
+    "repro.platformsim.experiment": ("run_experiment",),
+    "repro.platformsim.gateway": ("ReplayInjector", "start_replay"),
+    "repro.platformsim.platform": ("ServerlessPlatform",),
+    "repro.platformsim.results": ("ExperimentResult",),
+    "repro.platformsim.windows": ("collect_window",),
+})
 
 __all__ = [
     "EventKind",

@@ -1,31 +1,20 @@
 """Discrete-event simulation substrate: kernel, primitives, CPU, memory."""
 
-from repro.sim.engine import (
-    CpuEngine,
-    CpuEngineBase,
-    CpuGroup,
-    CpuTask,
-    waterfill,
-)
-from repro.sim.fair_share import FairShareCpu
-from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Process,
-    Timeout,
-)
-from repro.sim.machine import (
-    CpuDiscipline,
-    CpuService,
-    Machine,
-    ResourceSample,
-    build_cpu,
-)
-from repro.sim.memory import MemoryAccount, MemorySample
-from repro.sim.primitives import Gate, Request, Resource, Store
-from repro.sim.sfs_cpu import SfsCpu, SfsTask
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.sim.engine": (
+        "CpuEngine", "CpuEngineBase", "CpuGroup", "CpuTask", "waterfill"),
+    "repro.sim.fair_share": ("FairShareCpu",),
+    "repro.sim.kernel": (
+        "AllOf", "AnyOf", "Environment", "Event", "Process", "Timeout"),
+    "repro.sim.machine": (
+        "CpuDiscipline", "CpuService", "Machine", "ResourceSample",
+        "build_cpu"),
+    "repro.sim.memory": ("MemoryAccount", "MemorySample"),
+    "repro.sim.primitives": ("Gate", "Request", "Resource", "Store"),
+    "repro.sim.sfs_cpu": ("SfsCpu", "SfsTask"),
+})
 
 __all__ = [
     "AllOf",

@@ -1,46 +1,28 @@
 """Workload synthesis from the paper's published Azure-trace characteristics."""
 
-from repro.workload.arrivals import (
-    Burst,
-    bursty_arrivals,
-    iter_poisson_arrivals,
-    per_second_counts,
-)
-from repro.workload.azure import (
-    IO_REPLAY_INVOCATIONS,
-    REPLAY_TOTAL_INVOCATIONS,
-    DailyPatternGenerator,
-    iter_tiled_replay_arrivals,
-    replay_minute_arrivals,
-    tiled_replay_tile_count,
-)
-from repro.workload.blob import (
-    BlobIatModel,
-    combined_model,
-    day_model,
-    iat_cdf,
-)
-from repro.workload.durations import (
-    DURATION_BUCKETS,
-    FIB_DURATION_MS,
-    DurationSampler,
-    bucket_probabilities,
-    duration_bucket_index,
-    empirical_bucket_fractions,
-    fib_duration_ms,
-)
-from repro.workload.generator import (
-    FIB_FUNCTION_ID,
-    IO_FUNCTION_ID,
-    cpu_workload_trace,
-    fib_family_specs,
-    fib_function_spec,
-    io_function_spec,
-    io_workload_trace,
-    multi_function_trace,
-    tiled_fib_stream,
-)
-from repro.workload.trace import Trace, TraceLike, TraceRecord, TraceStream
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.workload.arrivals": (
+        "Burst", "bursty_arrivals", "iter_poisson_arrivals",
+        "per_second_counts"),
+    "repro.workload.azure": (
+        "IO_REPLAY_INVOCATIONS", "REPLAY_TOTAL_INVOCATIONS",
+        "DailyPatternGenerator", "iter_tiled_replay_arrivals",
+        "replay_minute_arrivals", "tiled_replay_tile_count"),
+    "repro.workload.blob": (
+        "BlobIatModel", "combined_model", "day_model", "iat_cdf"),
+    "repro.workload.durations": (
+        "DURATION_BUCKETS", "FIB_DURATION_MS", "DurationSampler",
+        "bucket_probabilities", "duration_bucket_index",
+        "empirical_bucket_fractions", "fib_duration_ms"),
+    "repro.workload.generator": (
+        "FIB_FUNCTION_ID", "IO_FUNCTION_ID", "cpu_workload_trace",
+        "fib_family_specs", "fib_function_spec", "io_function_spec",
+        "io_workload_trace", "multi_function_trace", "tiled_fib_stream"),
+    "repro.workload.trace": (
+        "Trace", "TraceLike", "TraceRecord", "TraceStream"),
+})
 
 __all__ = [
     "Burst",

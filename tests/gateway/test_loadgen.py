@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import hashlib
 import json
+import warnings
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.gateway.loadgen import (
+    HttpPool,
     LoadgenConfig,
     LoadResult,
     RequestSample,
@@ -168,3 +171,50 @@ class TestRunInproc:
         assert cell["goodput_ratio"] == 1.0
         assert cell["latency_ms"]["count"] == cell["requests"]
         assert result.gateway_stats["platform_state"] == "accepting"
+
+
+class TestHttpPoolReconnect:
+    """A dropped or refused keep-alive connection is a 503 and leaks nothing."""
+
+    @staticmethod
+    async def statuses():
+        served = []  # server-side writers, one per accepted connection
+
+        async def handle(reader, writer):
+            served.append(writer)
+            try:
+                while True:
+                    await reader.readuntil(b"\r\n\r\n")
+                    if len(served) == 1:
+                        break  # drop the pool's first connection unanswered
+                    writer.write(b"HTTP/1.1 200 OK\r\n"
+                                 b"Content-Length: 2\r\n\r\n{}")
+                    await writer.drain()
+            except (asyncio.IncompleteReadError, ConnectionError):
+                pass
+            writer.close()
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        pool = HttpPool("127.0.0.1", server.sockets[0].getsockname()[1],
+                        size=1)
+        await pool.start()
+        statuses = [(await pool.request("/invoke/echo", None))[0]
+                    for _ in range(2)]
+        server.close()  # now every reconnect is refused
+        for writer in served:
+            writer.transport.abort()
+        await server.wait_closed()
+        statuses += [(await pool.request("/invoke/echo", None))[0]
+                     for _ in range(2)]
+        await pool.close()
+        return statuses
+
+    def test_drop_then_reconnect_then_refused(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            statuses = asyncio.run(self.statuses())
+            gc.collect()
+        assert statuses == [503, 200, 503, 503]
+        leaks = [str(w.message) for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
