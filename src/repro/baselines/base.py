@@ -41,8 +41,6 @@ from typing import List, Optional, TYPE_CHECKING
 from repro.model.container import SimContainer
 from repro.model.function import FunctionSpec, Invocation
 from repro.common.errors import ColdStartError
-from repro.common.eventlog import EventKind
-from repro.obs.metrics import DEFAULT_SIZE_EDGES as SIZE_EDGES
 from repro.sim.machine import CpuDiscipline
 
 if TYPE_CHECKING:
@@ -151,25 +149,14 @@ def execute_on_container(platform: "ServerlessPlatform",
     faults and resilience watchdogs apply uniformly to every policy.
     Returns the number of invocations that completed via the container.
     """
-    now = platform.env.now
     invocations = platform.begin_dispatch(
         container, invocations, cold_start_ms)
     if not invocations:
         platform.release_container(container)
         return 0
-    extra = {}
-    if plan.batch_event_function_id is not None:
-        extra["function_id"] = plan.batch_event_function_id
-    platform.event_log.record(now, EventKind.BATCH_STARTED,
-                              container_id=container.container_id,
-                              batch_size=len(invocations), **extra)
-    platform.obs.tracer.container_event(
-        container.container_id, "batch-started", now,
-        batch_size=len(invocations), **extra)
-    if plan.record_batch_size_metric:
-        platform.obs.metrics.histogram(
-            "scheduler.batch_size", edges=SIZE_EDGES).observe(
-                len(invocations))
+    platform.note_batch_started(container, len(invocations),
+                                plan.batch_event_function_id,
+                                plan.record_batch_size_metric)
     if plan.early_return:
         # Future-work extension: each caller gets its response the
         # moment its own invocation finishes.

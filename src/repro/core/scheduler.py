@@ -25,7 +25,7 @@ from repro.core.config import FaaSBatchConfig
 from repro.core.mapper import FunctionGroup, InvokeMapper
 from repro.core.producer import InlineParallelProducer
 from repro.core.windowing import AdaptiveWindow, WindowPolicy
-from repro.obs.metrics import DEFAULT_SIZE_EDGES as SIZE_EDGES
+from repro.obs.metrics import DEFAULT_SIZE_EDGES as SIZE_EDGES, LazyMetrics
 
 if TYPE_CHECKING:
     from repro.platformsim.platform import ServerlessPlatform
@@ -67,16 +67,18 @@ class FaaSBatchScheduler(Scheduler):
         platform.env.process(self._serve(platform), name="faasbatch-loop")
 
     def _serve(self, platform: "ServerlessPlatform"):
-        metrics = platform.obs.metrics
+        metrics = LazyMetrics(
+            platform.obs.metrics, windows=("counter", "faasbatch.windows"),
+            groups=("counter", "faasbatch.groups"),
+            group_size=("histogram", "faasbatch.group_size", SIZE_EDGES))
         while True:
             groups = yield from self.mapper.collect_groups(
                 platform.env, platform.request_queue,
                 on_open=platform.window_opened,
                 on_close=platform.window_closed)
-            metrics.counter("faasbatch.windows").inc()
-            metrics.counter("faasbatch.groups").inc(len(groups))
-            size_histogram = metrics.histogram("faasbatch.group_size",
-                                               edges=SIZE_EDGES)
+            metrics.windows.inc()
+            metrics.groups.inc(len(groups))
+            size_histogram = metrics.group_size
             for group in groups:
                 size_histogram.observe(group.size)
             # Batch-arrival fast path: every group of the closed window

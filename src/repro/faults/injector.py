@@ -109,25 +109,29 @@ class FaultInjector:
         if container.state not in (ContainerState.WARM,
                                    ContainerState.ACTIVE):
             self.crashes_skipped += 1
-            self.platform.obs.tracer.annotation(
-                "fault-crash-skipped", now,
-                container_id=container.container_id,
-                state=container.state.value)
+            if self.platform.obs.tracer.enabled:
+                self.platform.obs.tracer.annotation(
+                    "fault-crash-skipped", now,
+                    container_id=container.container_id,
+                    state=container.state.value)
             return
         error = ContainerCrashed(
             f"injected crash of {container.container_id}")
         victims = container.crash(error)
         self.crashes_fired += 1
         self.platform.obs.metrics.counter("faults.crashes").inc()
-        self.platform.obs.tracer.annotation(
-            "fault-container-crashed", now,
-            container_id=container.container_id, victims=victims)
-        self.platform.obs.tracer.container_event(
-            container.container_id, "crashed", now, victims=victims)
-        self.platform.event_log.record(
-            now, EventKind.CONTAINER_CRASHED,
-            container_id=container.container_id, victims=victims,
-            cause="injected-crash")
+        tracer = self.platform.obs.tracer
+        if tracer.enabled:
+            tracer.annotation(
+                "fault-container-crashed", now,
+                container_id=container.container_id, victims=victims)
+            tracer.container_event(
+                container.container_id, "crashed", now, victims=victims)
+        if self.platform.event_log.enabled:
+            self.platform.event_log.record(
+                now, EventKind.CONTAINER_CRASHED,
+                container_id=container.container_id, victims=victims,
+                cause="injected-crash")
 
     def _slow_later(self, container: SimContainer, fault: StragglerFault):
         assert self.platform is not None
@@ -144,25 +148,29 @@ class FaultInjector:
         cpu.set_group_cap(group, throttled)
         self.stragglers_fired += 1
         self.platform.obs.metrics.counter("faults.stragglers").inc()
-        self.platform.obs.tracer.annotation(
-            "fault-straggler-began", env.now,
-            container_id=container.container_id,
-            cap=throttled, duration_ms=fault.duration_ms)
-        self.platform.obs.tracer.container_event(
-            container.container_id, "straggler-began", env.now,
-            cap=throttled)
-        self.platform.event_log.record(
-            env.now, EventKind.FAULT_INJECTED,
-            fault="straggler", container_id=container.container_id,
-            cap=throttled, duration_ms=fault.duration_ms)
+        tracer = self.platform.obs.tracer
+        if tracer.enabled:
+            tracer.annotation(
+                "fault-straggler-began", env.now,
+                container_id=container.container_id,
+                cap=throttled, duration_ms=fault.duration_ms)
+            tracer.container_event(
+                container.container_id, "straggler-began", env.now,
+                cap=throttled)
+        if self.platform.event_log.enabled:
+            self.platform.event_log.record(
+                env.now, EventKind.FAULT_INJECTED,
+                fault="straggler", container_id=container.container_id,
+                cap=throttled, duration_ms=fault.duration_ms)
         yield env.timeout(fault.duration_ms)
         if cpu.has_group(group):  # it may have crashed/expired meanwhile
             cpu.set_group_cap(group, original_cap)
-            self.platform.obs.tracer.annotation(
-                "fault-straggler-ended", env.now,
-                container_id=container.container_id)
-            self.platform.obs.tracer.container_event(
-                container.container_id, "straggler-ended", env.now)
+            if tracer.enabled:
+                tracer.annotation(
+                    "fault-straggler-ended", env.now,
+                    container_id=container.container_id)
+                tracer.container_event(
+                    container.container_id, "straggler-ended", env.now)
 
     # -- hook: cold start completed --------------------------------------------------
 
@@ -181,13 +189,15 @@ class FaultInjector:
                 now = self.platform.env.now
                 self.platform.obs.metrics.counter(
                     "faults.cold_start_failures").inc()
-                self.platform.obs.tracer.annotation(
-                    "fault-cold-start-failed", now,
-                    function_id=function_id, ordinal=fault.ordinal)
-                self.platform.event_log.record(
-                    now, EventKind.FAULT_INJECTED,
-                    fault="cold-start-failure", function_id=function_id,
-                    ordinal=fault.ordinal)
+                if self.platform.obs.tracer.enabled:
+                    self.platform.obs.tracer.annotation(
+                        "fault-cold-start-failed", now,
+                        function_id=function_id, ordinal=fault.ordinal)
+                if self.platform.event_log.enabled:
+                    self.platform.event_log.record(
+                        now, EventKind.FAULT_INJECTED,
+                        fault="cold-start-failure", function_id=function_id,
+                        ordinal=fault.ordinal)
                 return True
         return False
 
@@ -209,15 +219,17 @@ class FaultInjector:
                 now = self.platform.env.now
                 self.platform.obs.metrics.counter(
                     "faults.dispatch_errors").inc()
-                self.platform.obs.tracer.annotation(
-                    "fault-dispatch-error", now,
-                    invocation_id=invocation.invocation_id,
-                    ordinal=fault.ordinal)
-                self.platform.event_log.record(
-                    now, EventKind.FAULT_INJECTED,
-                    fault="dispatch-error",
-                    invocation_id=invocation.invocation_id,
-                    ordinal=fault.ordinal)
+                if self.platform.obs.tracer.enabled:
+                    self.platform.obs.tracer.annotation(
+                        "fault-dispatch-error", now,
+                        invocation_id=invocation.invocation_id,
+                        ordinal=fault.ordinal)
+                if self.platform.event_log.enabled:
+                    self.platform.event_log.record(
+                        now, EventKind.FAULT_INJECTED,
+                        fault="dispatch-error",
+                        invocation_id=invocation.invocation_id,
+                        ordinal=fault.ordinal)
                 return TransientDispatchError(
                     f"injected dispatch failure for "
                     f"{invocation.invocation_id}")
@@ -271,13 +283,16 @@ class FaultInjector:
         self.oom_kills_fired += 1
         self._oom_armed = False
         self.platform.obs.metrics.counter("faults.oom_kills").inc()
-        self.platform.obs.tracer.annotation(
-            "fault-oom-kill", env.now,
-            container_id=victim.container_id, victims=victims,
-            used_mb=memory.used_mb, threshold_mb=fault.threshold_mb)
-        self.platform.obs.tracer.container_event(
-            victim.container_id, "oom-killed", env.now, victims=victims)
-        self.platform.event_log.record(
-            env.now, EventKind.CONTAINER_CRASHED,
-            container_id=victim.container_id, victims=victims,
-            cause="oom-kill")
+        tracer = self.platform.obs.tracer
+        if tracer.enabled:
+            tracer.annotation(
+                "fault-oom-kill", env.now,
+                container_id=victim.container_id, victims=victims,
+                used_mb=memory.used_mb, threshold_mb=fault.threshold_mb)
+            tracer.container_event(
+                victim.container_id, "oom-killed", env.now, victims=victims)
+        if self.platform.event_log.enabled:
+            self.platform.event_log.record(
+                env.now, EventKind.CONTAINER_CRASHED,
+                container_id=victim.container_id, victims=victims,
+                cause="oom-kill")

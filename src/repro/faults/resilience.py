@@ -213,11 +213,12 @@ class ResilienceManager:
             self.retries_exhausted += 1
             self.platform.obs.metrics.counter(
                 "resilience.retries_exhausted").inc()
-            self.platform.obs.tracer.annotation(
-                "retries-exhausted", self.env.now,
-                invocation_id=invocation.invocation_id,
-                attempts=invocation.attempts,
-                error=type(error).__name__)
+            if self.platform.obs.tracer.enabled:
+                self.platform.obs.tracer.annotation(
+                    "retries-exhausted", self.env.now,
+                    invocation_id=invocation.invocation_id,
+                    attempts=invocation.attempts,
+                    error=type(error).__name__)
             return False
         return True
 
@@ -231,23 +232,25 @@ class ResilienceManager:
         error = invocation.error
         assert error is not None
         now = self.env.now
-        # Close the failed attempt's span timeline before its ids reset.
-        self.platform.obs.tracer.invocation_responded(
-            invocation.trace_id, now)
+        tracer = self.platform.obs.tracer
         delay = self.backoff.delay_ms(invocation.attempts, self.rng)
         self.retries_scheduled += 1
         self.platform.obs.metrics.counter("resilience.retries").inc()
-        self.platform.obs.tracer.annotation(
-            "retry-scheduled", now,
-            invocation_id=invocation.invocation_id,
-            failed_attempt=invocation.attempts,
-            delay_ms=delay,
-            error=type(error).__name__)
-        self.platform.event_log.record(
-            now, EventKind.INVOCATION_RETRIED,
-            invocation_id=invocation.invocation_id,
-            failed_attempt=invocation.attempts,
-            delay_ms=delay, error=type(error).__name__)
+        if tracer.enabled:
+            # Close the failed attempt's span timeline before its ids reset.
+            tracer.invocation_responded(invocation.trace_id, now)
+            tracer.annotation(
+                "retry-scheduled", now,
+                invocation_id=invocation.invocation_id,
+                failed_attempt=invocation.attempts,
+                delay_ms=delay,
+                error=type(error).__name__)
+        if self.platform.event_log.enabled:
+            self.platform.event_log.record(
+                now, EventKind.INVOCATION_RETRIED,
+                invocation_id=invocation.invocation_id,
+                failed_attempt=invocation.attempts,
+                delay_ms=delay, error=type(error).__name__)
         self.env.process(self._requeue_after(invocation, delay),
                          name=f"retry:{invocation.invocation_id}"
                               f"#a{invocation.attempts + 1}")
@@ -289,11 +292,12 @@ class ResilienceManager:
         if container.abort_invocation(invocation.invocation_id, error):
             self.timeouts_fired += 1
             self.platform.obs.metrics.counter("resilience.timeouts").inc()
-            self.platform.obs.tracer.annotation(
-                "invocation-timeout", self.env.now,
-                invocation_id=invocation.invocation_id, attempt=attempt,
-                timeout_ms=self.policy.timeout_ms,
-                container_id=container.container_id)
+            if self.platform.obs.tracer.enabled:
+                self.platform.obs.tracer.annotation(
+                    "invocation-timeout", self.env.now,
+                    invocation_id=invocation.invocation_id, attempt=attempt,
+                    timeout_ms=self.policy.timeout_ms,
+                    container_id=container.container_id)
 
     def _hedger(self, invocation: Invocation, container: "SimContainer",
                 attempt: int):
@@ -316,14 +320,17 @@ class ResilienceManager:
             arrival_ms=now)
         self.hedges_launched += 1
         self.platform.obs.metrics.counter("resilience.hedges").inc()
-        self.platform.obs.tracer.annotation(
-            "hedge-launched", now,
-            invocation_id=invocation.invocation_id, attempt=attempt,
-            shadow_id=shadow.invocation_id)
-        self.platform.event_log.record(
-            now, EventKind.INVOCATION_HEDGED,
-            invocation_id=invocation.invocation_id,
-            shadow_id=shadow.invocation_id)
+        tracer = self.platform.obs.tracer
+        if tracer.enabled:
+            tracer.annotation(
+                "hedge-launched", now,
+                invocation_id=invocation.invocation_id, attempt=attempt,
+                shadow_id=shadow.invocation_id)
+        if self.platform.event_log.enabled:
+            self.platform.event_log.record(
+                now, EventKind.INVOCATION_HEDGED,
+                invocation_id=invocation.invocation_id,
+                shadow_id=shadow.invocation_id)
         try:
             hedge_container, cold_ms = yield from \
                 self.platform.acquire_container(
@@ -331,13 +338,14 @@ class ResilienceManager:
                     with_multiplexer=False)
         except TransientError:
             return  # no spare capacity for the hedge; primary carries on
-        self.platform.obs.tracer.invocation_arrived(
-            shadow.invocation_id, invocation.function.function_id,
-            shadow.arrival_ms)
         shadow.mark_dispatched(self.env.now, cold_ms)
-        self.platform.obs.tracer.invocation_dispatched(
-            shadow.trace_id, self.env.now, cold_ms,
-            hedge_container.container_id)
+        if tracer.enabled:
+            tracer.invocation_arrived(
+                shadow.invocation_id, invocation.function.function_id,
+                shadow.arrival_ms)
+            tracer.invocation_dispatched(
+                shadow.trace_id, self.env.now, cold_ms,
+                hedge_container.container_id)
         shadow_proc = hedge_container.execute_invocations([shadow])[0]
         if primary.is_alive:
             winner, _value = yield self.env.any_of([primary, shadow_proc])
@@ -354,10 +362,11 @@ class ResilienceManager:
                     f"{invocation.invocation_id} attempt {attempt}"))
             self.hedges_won += 1
             self.platform.obs.metrics.counter("resilience.hedge_wins").inc()
-            self.platform.obs.tracer.annotation(
-                "hedge-won", self.env.now,
-                invocation_id=invocation.invocation_id,
-                shadow_id=shadow.invocation_id)
+            if tracer.enabled:
+                tracer.annotation(
+                    "hedge-won", self.env.now,
+                    invocation_id=invocation.invocation_id,
+                    shadow_id=shadow.invocation_id)
         elif shadow_proc.is_alive:
             hedge_container.abort_invocation(
                 shadow.invocation_id,
@@ -366,8 +375,8 @@ class ResilienceManager:
                     f"finished first"))
         if shadow_proc.is_alive:
             yield shadow_proc
-        self.platform.obs.tracer.invocation_responded(
-            shadow.trace_id, self.env.now)
+        if tracer.enabled:
+            tracer.invocation_responded(shadow.trace_id, self.env.now)
         if hedge_container.is_idle:
             self.platform.release_container(hedge_container)
 
@@ -416,11 +425,13 @@ class ResilienceManager:
             return
         self.platform.obs.metrics.counter(
             "resilience.breaker_transitions").inc()
-        self.platform.obs.tracer.annotation(
-            "breaker-transition", self.env.now,
-            function_id=function_id,
-            from_state=before.value, to_state=after.value)
-        self.platform.event_log.record(
-            self.env.now, EventKind.BREAKER_TRANSITION,
-            function_id=function_id,
-            from_state=before.value, to_state=after.value)
+        if self.platform.obs.tracer.enabled:
+            self.platform.obs.tracer.annotation(
+                "breaker-transition", self.env.now,
+                function_id=function_id,
+                from_state=before.value, to_state=after.value)
+        if self.platform.event_log.enabled:
+            self.platform.event_log.record(
+                self.env.now, EventKind.BREAKER_TRANSITION,
+                function_id=function_id,
+                from_state=before.value, to_state=after.value)

@@ -53,6 +53,12 @@ class ContainerState(enum.Enum):
     CRASHED = "crashed"   # killed by a fault; in-flight work was aborted
 
 
+#: The states in which a container is up (``is_warm``).  A tuple, not a
+#: frozenset: membership tests identity first, and hashing an enum member
+#: is a Python-level call.
+WARM_STATES = (ContainerState.WARM, ContainerState.ACTIVE)
+
+
 class SimContainer:
     """One container instance on the worker machine."""
 
@@ -166,7 +172,7 @@ class SimContainer:
 
     @property
     def is_warm(self) -> bool:
-        return self.state in (ContainerState.WARM, ContainerState.ACTIVE)
+        return self.state in WARM_STATES
 
     @property
     def client_memory_mb(self) -> float:
@@ -302,8 +308,9 @@ class SimContainer:
                 yield slot
             invocation.mark_execution_start(self.env.now)
             invocation.container_id = self.container_id
-            if self.tracer is not None:
-                self.tracer.execution_started(
+            tracer = self.tracer
+            if tracer is not None and tracer.enabled:
+                tracer.execution_started(
                     invocation.trace_id, self.env.now,
                     self.container_id)
             self.machine.memory.allocate(
@@ -316,8 +323,9 @@ class SimContainer:
                     self._memory_owner, self.calibration.invocation_memory_mb)
             invocation.mark_completed(self.env.now)
             self.invocations_served += 1
-            if self.tracer is not None:
-                self.tracer.execution_completed(
+            tracer = self.tracer
+            if tracer is not None and tracer.enabled:
+                tracer.execution_completed(
                     invocation.trace_id, self.env.now)
         except BaseException as error:
             # An interrupt (crash / timeout / hedge cancel) arrives wrapped;
@@ -333,8 +341,9 @@ class SimContainer:
             else:
                 invocation.mark_failed(self.env.now, cause)
                 self.invocations_failed += 1
-                if self.tracer is not None:
-                    self.tracer.execution_failed(
+                tracer = self.tracer
+                if tracer is not None and tracer.enabled:
+                    tracer.execution_failed(
                         invocation.trace_id, self.env.now, cause)
             if not self.isolate_failures:
                 raise

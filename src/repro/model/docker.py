@@ -17,8 +17,9 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.common.errors import ContainerNotFound
 from repro.common.ids import IdFactory
 from repro.model.calibration import Calibration
-from repro.model.container import ContainerState, SimContainer
+from repro.model.container import WARM_STATES, ContainerState, SimContainer
 from repro.model.function import FunctionSpec
+from repro.obs.metrics import LazyMetrics
 from repro.sim.kernel import Environment, Process
 from repro.sim.machine import Machine
 
@@ -94,10 +95,9 @@ class _ContainerCollection:
                                    name=f"start:{container.container_id}")
         client._register(container)
         if client.obs is not None:
-            client.obs.metrics.counter("docker.containers_created").inc()
+            client._m.created.inc()
             if multiplexer is not None:
-                client.obs.metrics.counter(
-                    "docker.multiplexed_containers").inc()
+                client._m.multiplexed.inc()
         return ContainerHandle(container, start)
 
     def get(self, container_id: str) -> ContainerHandle:
@@ -110,7 +110,7 @@ class _ContainerCollection:
         containers = self._client._containers.values()
         if all:
             return list(containers)
-        return [c for c in containers if c.is_warm]
+        return [c for c in containers if c.state in WARM_STATES]
 
 
 class SimDockerClient:
@@ -127,6 +127,11 @@ class SimDockerClient:
         self.obs = obs
         self._containers: Dict[str, SimContainer] = {}
         self.containers = _ContainerCollection(self)
+        if obs is not None:  # handles created on first publish (see the pool)
+            self._m = LazyMetrics(
+                obs.metrics,
+                created=("counter", "docker.containers_created"),
+                multiplexed=("counter", "docker.multiplexed_containers"))
 
     def _register(self, container: SimContainer) -> None:
         self._containers[container.container_id] = container
@@ -136,4 +141,10 @@ class SimDockerClient:
         return len(self._containers)
 
     def running_count(self) -> int:
-        return sum(1 for c in self._containers.values() if c.is_warm)
+        return len([c for c in self._containers.values()
+                    if c.state in WARM_STATES])
+
+    def busy_count(self) -> int:
+        """Running containers executing at least one invocation."""
+        return len([c for c in self._containers.values()
+                    if c.active_invocations and c.state in WARM_STATES])

@@ -20,7 +20,7 @@ from typing import Callable, DefaultDict, Dict, List, Optional
 
 from repro.common.errors import ContainerStateError
 from repro.model.container import ContainerState, SimContainer
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.metrics import LazyMetrics, MetricsRegistry
 from repro.sim.kernel import Environment
 
 
@@ -49,13 +49,19 @@ class ContainerPool:
         #: list and is handed out as a "warm" container later.
         self.rejected_releases = 0
         self._on_expire: Optional[Callable[[SimContainer], None]] = None
-        # Hot-path metric handles, filled lazily on first publish so the
-        # registry snapshot only ever contains metrics that actually fired
-        # (pre-creating them would add zero-valued rows to pinned digests).
-        self._m_warm_hits: Optional[Counter] = None
-        self._m_cold_misses: Optional[Counter] = None
-        self._m_releases: Optional[Counter] = None
-        self._m_idle: Optional[Gauge] = None
+        # Metric handles, created on first publish so the registry snapshot
+        # only ever contains metrics that actually fired (pre-creating them
+        # would add zero-valued rows to pinned digests).
+        self._m = LazyMetrics(
+            self.metrics,
+            warm_hits=("counter", "pool.warm_hits"),
+            cold_misses=("counter", "pool.cold_misses"),
+            provisioned=("counter", "pool.provisioned"),
+            releases=("counter", "pool.releases"),
+            rejected_releases=("counter", "pool.rejected_releases"),
+            stale_evictions=("counter", "pool.stale_evictions"),
+            expired=("counter", "pool.expired"),
+            idle=("gauge", "pool.idle"))
 
     # -- acquisition ------------------------------------------------------------
 
@@ -69,26 +75,18 @@ class ContainerPool:
             if container.is_idle:
                 self._bump(container)
                 self.warm_hits += 1
-                metric = self._m_warm_hits
-                if metric is None:
-                    metric = self._m_warm_hits = \
-                        self.metrics.counter("pool.warm_hits")
-                metric.inc()
+                self._m.warm_hits.inc()
                 self._publish_idle_gauge()
                 return container
             self._evict_stale(container)
         self.cold_misses += 1
-        metric = self._m_cold_misses
-        if metric is None:
-            metric = self._m_cold_misses = \
-                self.metrics.counter("pool.cold_misses")
-        metric.inc()
+        self._m.cold_misses.inc()
         return None
 
     def register_started(self, container: SimContainer) -> None:
         """Count a freshly cold-started container as provisioned."""
         self.provisioned_total += 1
-        self.metrics.counter("pool.provisioned").inc()
+        self._m.provisioned.inc()
         self._bump(container)
 
     def release(self, container: SimContainer) -> bool:
@@ -106,16 +104,13 @@ class ContainerPool:
                     and not container.active_invocations:
                 self._bump(container)  # stand down any pending expiry
                 self.rejected_releases += 1
-                self.metrics.counter("pool.rejected_releases").inc()
+                self._m.rejected_releases.inc()
                 return False
             raise ContainerStateError(
                 f"{container.container_id} returned to pool while not idle")
         self._idle[container.function.function_id].append(container)
         version = self._bump(container)
-        metric = self._m_releases
-        if metric is None:
-            metric = self._m_releases = self.metrics.counter("pool.releases")
-        metric.inc()
+        self._m.releases.inc()
         self._publish_idle_gauge()
         self.env.process(self._expire_later(container, version),
                          name=f"expire:{container.container_id}")
@@ -172,14 +167,11 @@ class ContainerPool:
                 and container.state is not ContainerState.STARTING:
             container.stop()
         self.stale_evictions += 1
-        self.metrics.counter("pool.stale_evictions").inc()
+        self._m.stale_evictions.inc()
         self._publish_idle_gauge()
 
     def _publish_idle_gauge(self) -> None:
-        gauge = self._m_idle
-        if gauge is None:
-            gauge = self._m_idle = self.metrics.gauge("pool.idle")
-        gauge.value = self.idle_count()
+        self._m.idle.value = self.idle_count()
 
     def _expire_later(self, container: SimContainer, version: int):
         yield self.env.timeout(self.keep_alive_ms)
@@ -192,12 +184,12 @@ class ContainerPool:
                 # Crashed while parked: teardown already ran, just retire it
                 # from the pool's books.
                 self.stale_evictions += 1
-                self.metrics.counter("pool.stale_evictions").inc()
+                self._m.stale_evictions.inc()
                 self._publish_idle_gauge()
                 return
             container.stop()
             self.expired_total += 1
-            self.metrics.counter("pool.expired").inc()
+            self._m.expired.inc()
             self._publish_idle_gauge()
             if self._on_expire is not None:
                 self._on_expire(container)

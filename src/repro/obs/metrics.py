@@ -124,8 +124,12 @@ class Histogram:
         self.counts[bisect.bisect_right(self.edges, value)] += 1
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        low = self.min
+        if low is None or value < low:
+            self.min = value
+        high = self.max
+        if high is None or value > high:
+            self.max = value
 
     @property
     def mean(self) -> float:
@@ -321,6 +325,30 @@ class MetricsRegistry:
     def merge_rows(self) -> List[List[object]]:
         """``[name, kind, value]`` rows for :func:`repro.common.tables`."""
         return [[r.name, r.kind, round(r.value, 4)] for r in self.rows()]
+
+
+class LazyMetrics:
+    """Named metric handles, each created in its registry on first use.
+
+    ``LazyMetrics(registry, hits=("counter", "pool.warm_hits"))`` creates
+    the counter the first time ``handles.hits`` is read and caches it as a
+    plain attribute, so a hot path pays one attribute lookup per publish
+    and no registry call.  Creating on first use keeps a metric that never
+    fires out of snapshots (and so out of pinned digests).
+    """
+
+    def __init__(self, registry: MetricsRegistry, **specs: Tuple) -> None:
+        self._registry = registry
+        self._specs = specs
+
+    def __getattr__(self, attr: str) -> Metric:
+        spec = self.__dict__.get("_specs", {}).get(attr)
+        if spec is None:
+            raise AttributeError(attr)
+        kind, *args = spec
+        metric = getattr(self._registry, kind)(*args)
+        setattr(self, attr, metric)
+        return metric
 
 
 def telemetry_snapshot(registry: MetricsRegistry) -> TelemetrySnapshot:

@@ -106,9 +106,11 @@ class Series:
             index += 2
         if index < count:
             # Odd leftover point: re-open it as the pending accumulator so
-            # the next raw sample pairs with it at the new stride.
+            # the next raw sample pairs with it at the new stride.  It
+            # stands for ``_stride`` raw samples, so its sum is its mean
+            # times that many.
             self._pending_time = self._times[index]
-            self._pending_sum = self._values[index]
+            self._pending_sum = self._values[index] * self._stride
             self._pending_count = self._stride
         self._times = times
         self._values = values
@@ -157,6 +159,7 @@ class TimeSeriesSampler:
         self._env: Optional[Environment] = None
         self._origin_ms = 0.0
         self._next_tick = 1  # boundary index: origin + tick * interval
+        self._boundary_ms = self.interval_ms  # origin + next_tick * interval
 
     def enable(self) -> "TimeSeriesSampler":
         self.enabled = True
@@ -195,15 +198,19 @@ class TimeSeriesSampler:
         self._env = env
         self._origin_ms = env.now
         self._next_tick = 1
+        self._boundary_ms = self._origin_ms + self.interval_ms
         self._sample(env.now)
         env.add_time_hook(self._on_advance)
 
     def _on_advance(self, _old_ms: float, new_ms: float) -> None:
-        boundary = self._origin_ms + self._next_tick * self.interval_ms
+        boundary = self._boundary_ms
+        if boundary > new_ms:  # most advances cross no boundary
+            return
         while boundary <= new_ms:
             self._sample(boundary)
             self._next_tick += 1
             boundary = self._origin_ms + self._next_tick * self.interval_ms
+        self._boundary_ms = boundary
 
     def _sample(self, time_ms: float) -> None:
         for name, probe in self._probes.items():

@@ -26,7 +26,8 @@ start, release, expiry, stale eviction) so a per-container timeline can be
 reconstructed with :meth:`InvocationTracer.container_timeline`.
 
 Tracing is purely observational: recording never creates simulation events,
-so a run with tracing enabled is byte-identical to one without.
+so a run with tracing enabled is byte-identical to one without.  Recording
+stores plain stamps; the span objects are built when first read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
 
@@ -258,14 +259,18 @@ class InvocationTimeline:
 class _OpenTrace:
     """Mutable per-invocation state while the invocation is in flight."""
 
-    __slots__ = ("function_id", "arrival_ms", "spans", "dispatched_ms",
+    __slots__ = ("function_id", "arrival_ms", "stamps", "dispatched_ms",
                  "execution_start_ms", "completed_ms", "container_id",
                  "failed")
 
     def __init__(self, function_id: str, arrival_ms: float) -> None:
         self.function_id = function_id
         self.arrival_ms = arrival_ms
-        self.spans: List[Span] = []
+        #: Five stamps per closed stage, flat: ``stage, start_ms, end_ms,
+        #: container_id, attrs`` — the positional fields of :class:`Span`
+        #: after its id.  One flat list, not a tuple per stage, keeps a
+        #: filed invocation to two objects.
+        self.stamps: List[object] = []
         self.dispatched_ms: Optional[float] = None
         self.execution_start_ms: Optional[float] = None
         self.completed_ms: Optional[float] = None
@@ -273,21 +278,52 @@ class _OpenTrace:
         self.failed = False
 
 
+def _build_timeline(invocation_id: str,
+                    record: _OpenTrace) -> InvocationTimeline:
+    """The span objects of one filed record (built once, on first read)."""
+    fields = iter(record.stamps)
+    return InvocationTimeline(
+        invocation_id, record.function_id, record.arrival_ms,
+        tuple([Span(invocation_id, *stage)
+               for stage in zip(fields, fields, fields, fields, fields)]),
+        record.failed)
+
+
+def _built(raw: List[tuple], built: List, factory) -> List:
+    """Extend *built* with ``factory(*stamp)`` for every new raw stamp."""
+    if len(built) < len(raw):
+        built.extend([factory(*stamp) for stamp in raw[len(built):]])
+    return built
+
+
 class InvocationTracer:
     """Records typed stage transitions for every traced invocation.
 
     Disabled by default: every recording method returns immediately, so the
-    platform can call into the tracer unconditionally.  Recording is pure
+    platform can call into the tracer unconditionally (its own hot paths
+    test ``enabled`` first and skip the call).  Recording is pure
     observation — it never touches the simulation environment.
+
+    Recording is cheap by construction: a stage is five plain stamps on
+    the invocation's open record and a container event or annotation one
+    tuple on a list.  The :class:`Span`, :class:`InvocationTimeline`,
+    :class:`ContainerEvent` and :class:`Annotation` objects are built the
+    first time a reader asks for them, then cached.  In the live tier the
+    reader must hold the lock the recorders hold (``TraceStreamer`` takes
+    it).
     """
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self._open: Dict[str, _OpenTrace] = {}
-        self._timelines: Dict[str, InvocationTimeline] = {}
+        #: Responded invocations: the filed record until first read, then
+        #: the timeline built from it.
+        self._closed: Dict[str, Union[_OpenTrace, InvocationTimeline]] = {}
         self._order: List[str] = []  # completion order, deterministic
-        self.container_events: List[ContainerEvent] = []
-        self.annotations: List[Annotation] = []
+        self._events: List[tuple] = []
+        self._event_objects: List[ContainerEvent] = []
+        self._annotations: List[tuple] = []
+        self._annotation_objects: List[Annotation] = []
 
     def enable(self) -> "InvocationTracer":
         self.enabled = True
@@ -304,7 +340,7 @@ class InvocationTracer:
         """The request hit the platform; opens the QUEUED stage."""
         if not self.enabled:
             return
-        if invocation_id in self._open or invocation_id in self._timelines:
+        if invocation_id in self._open or invocation_id in self._closed:
             raise SimulationError(
                 f"{invocation_id} arrived twice in the tracer")
         self._open[invocation_id] = _OpenTrace(function_id, time_ms)
@@ -324,11 +360,10 @@ class InvocationTracer:
         if trace is None or trace.dispatched_ms is not None:
             return
         scheduling_end = time_ms - cold_start_ms
-        trace.spans.append(Span(invocation_id, Stage.QUEUED,
-                                trace.arrival_ms, scheduling_end))
-        trace.spans.append(Span(invocation_id, Stage.COLD_START,
-                                scheduling_end, time_ms,
-                                container_id=container_id))
+        trace.stamps += (
+            Stage.QUEUED, trace.arrival_ms, scheduling_end, None, _EMPTY_ATTRS,
+            Stage.COLD_START, scheduling_end, time_ms, container_id,
+            _EMPTY_ATTRS)
         trace.dispatched_ms = time_ms
         trace.container_id = container_id
 
@@ -340,9 +375,8 @@ class InvocationTracer:
         trace = self._open.get(invocation_id)
         if trace is None or trace.dispatched_ms is None:
             return
-        trace.spans.append(Span(invocation_id, Stage.DISPATCHED,
-                                trace.dispatched_ms, time_ms,
-                                container_id=container_id))
+        trace.stamps += (Stage.DISPATCHED, trace.dispatched_ms, time_ms,
+                         container_id, _EMPTY_ATTRS)
         trace.execution_start_ms = time_ms
         trace.container_id = container_id
 
@@ -362,66 +396,78 @@ class InvocationTracer:
             return
         attrs = _EMPTY_ATTRS if error is None \
             else {"error": type(error).__name__}
-        trace.spans.append(Span(invocation_id, Stage.EXECUTING,
-                                trace.execution_start_ms, time_ms,
-                                container_id=trace.container_id,
-                                attrs=attrs))
+        trace.stamps += (Stage.EXECUTING, trace.execution_start_ms, time_ms,
+                         trace.container_id, attrs)
         trace.completed_ms = time_ms
         trace.failed = error is not None
 
     def invocation_responded(self, invocation_id: str,
                              time_ms: float) -> None:
-        """The caller got its response; closes RESPONDING and the timeline."""
+        """The caller got its response; closes RESPONDING and files the record."""
         if not self.enabled:
             return
         trace = self._open.pop(invocation_id, None)
         if trace is None or trace.completed_ms is None:
             return
-        trace.spans.append(Span(invocation_id, Stage.RESPONDING,
-                                trace.completed_ms, time_ms,
-                                container_id=trace.container_id))
-        timeline = InvocationTimeline(
-            invocation_id=invocation_id,
-            function_id=trace.function_id,
-            arrival_ms=trace.arrival_ms,
-            spans=tuple(trace.spans),
-            failed=trace.failed)
-        self._timelines[invocation_id] = timeline
+        trace.stamps += (Stage.RESPONDING, trace.completed_ms, time_ms,
+                         trace.container_id, _EMPTY_ATTRS)
+        self._closed[invocation_id] = trace
         self._order.append(invocation_id)
 
     def container_event(self, container_id: str, kind: str, time_ms: float,
                         **attrs: object) -> None:
         if not self.enabled:
             return
-        self.container_events.append(
-            ContainerEvent(container_id, kind, time_ms, attrs))
+        self._events.append((container_id, kind, time_ms, attrs))
 
     def annotation(self, kind: str, time_ms: float,
                    **attrs: object) -> None:
         """Record a point event outside any single invocation's timeline."""
         if not self.enabled:
             return
-        self.annotations.append(Annotation(kind, time_ms, attrs))
+        self._annotations.append((kind, time_ms, attrs))
 
     # -- reconstruction ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._timelines)
+        return len(self._closed)
 
     @property
     def open_count(self) -> int:
         """Invocations arrived but not yet responded (0 after a clean run)."""
         return len(self._open)
 
+    @property
+    def container_events(self) -> List[ContainerEvent]:
+        """Every container event in recording order (read-only)."""
+        return _built(self._events, self._event_objects, ContainerEvent)
+
+    @property
+    def annotations(self) -> List[Annotation]:
+        """Every annotation in recording order (read-only)."""
+        return _built(self._annotations, self._annotation_objects,
+                      Annotation)
+
+    def _timeline(self, invocation_id: str) -> InvocationTimeline:
+        entry = self._closed[invocation_id]
+        if type(entry) is _OpenTrace:
+            entry = self._closed[invocation_id] = \
+                _build_timeline(invocation_id, entry)
+        return entry  # type: ignore[return-value]
+
     def timeline(self, invocation_id: str) -> InvocationTimeline:
-        timeline = self._timelines.get(invocation_id)
-        if timeline is None:
+        if invocation_id not in self._closed:
             raise KeyError(f"no completed timeline for {invocation_id!r}")
-        return timeline
+        return self._timeline(invocation_id)
 
     def timelines(self) -> List[InvocationTimeline]:
         """All completed timelines, in completion order (deterministic)."""
-        return [self._timelines[i] for i in self._order]
+        return self._timelines_from(0)
+
+    def _timelines_from(self, start: int) -> List[InvocationTimeline]:
+        """Completed timelines from the *start*-th completion on."""
+        timeline = self._timeline
+        return [timeline(i) for i in self._order[start:]]
 
     def spans(self) -> List[Span]:
         return [span for timeline in self.timelines()
@@ -479,20 +525,23 @@ def tracer_records(tracer: InvocationTracer,
     form that :func:`write_jsonl` serialises and the export/report layers
     consume directly.
     """
-    decoration = dict(extra) if extra else {}
+    return _records(tracer.timelines(), tracer.container_events,
+                    tracer.annotations, dict(extra) if extra else {})
+
+
+def _records(timelines: Iterable[InvocationTimeline],
+             events: Iterable[ContainerEvent],
+             annotations: Iterable[Annotation],
+             decoration: Mapping[str, object]) -> List[Dict[str, object]]:
     records: List[Dict[str, object]] = []
-    for timeline in tracer.timelines():
+    for timeline in timelines:
         for span in timeline.spans:
             record = span.to_dict()
             record["function_id"] = timeline.function_id
             record.update(decoration)
             records.append(record)
-    for event in tracer.container_events:
-        record = event.to_dict()
-        record.update(decoration)
-        records.append(record)
-    for annotation in tracer.annotations:
-        record = annotation.to_dict()
+    for point in (*events, *annotations):
+        record = point.to_dict()
         record.update(decoration)
         records.append(record)
     return records
@@ -626,8 +675,9 @@ class TraceStreamer:
     The tracer's completed-timeline list, container-event list and
     annotation list are append-only, so each :meth:`poll` writes exactly
     the records that appeared since the previous poll.  The gateway's
-    platform publishes timelines from worker threads under its obs lock;
-    pass that lock so polls snapshot a consistent prefix.
+    platform records from worker threads under its obs lock; pass that
+    lock so polls snapshot a consistent prefix and build the new span
+    objects under it.
     """
 
     def __init__(self, tracer: InvocationTracer, writer: RotatingJsonlWriter,
@@ -642,33 +692,22 @@ class TraceStreamer:
         self._annotations_seen = 0
 
     def poll(self) -> int:
-        """Stream everything newly completed; returns records written."""
+        """Stream everything newly completed; returns records written.
+
+        Only the timelines completed since the previous poll are built.
+        """
+        tracer = self.tracer
         with self._lock:
-            timelines = self.tracer.timelines()[self._timelines_seen:]
-            events = self.tracer.container_events[self._events_seen:]
-            annotations = self.tracer.annotations[self._annotations_seen:]
+            timelines = tracer._timelines_from(self._timelines_seen)
+            events = tracer.container_events[self._events_seen:]
+            annotations = tracer.annotations[self._annotations_seen:]
             self._timelines_seen += len(timelines)
             self._events_seen += len(events)
             self._annotations_seen += len(annotations)
-        written = 0
-        for timeline in timelines:
-            for span in timeline.spans:
-                record = span.to_dict()
-                record["function_id"] = timeline.function_id
-                record.update(self._extra)
-                self.writer.write(record)
-                written += 1
-        for event in events:
-            record = event.to_dict()
-            record.update(self._extra)
+        records = _records(timelines, events, annotations, self._extra)
+        for record in records:
             self.writer.write(record)
-            written += 1
-        for annotation in annotations:
-            record = annotation.to_dict()
-            record.update(self._extra)
-            self.writer.write(record)
-            written += 1
-        return written
+        return len(records)
 
     def close(self) -> int:
         """Final drain, then close the underlying writer."""

@@ -27,6 +27,7 @@ from repro.faults.resilience import ResilienceManager, ResiliencePolicy
 from repro.core.multiplexer import SimResourceMultiplexer
 from repro.common.eventlog import EventKind, EventLog
 from repro.obs import DEFAULT_SIZE_EDGES, Observability
+from repro.obs.metrics import LazyMetrics
 from repro.model.calibration import Calibration
 from repro.model.container import SimContainer
 from repro.model.docker import SimDockerClient
@@ -105,14 +106,24 @@ class ServerlessPlatform:
         #: (FaaSBatch's mapper, Kraken); maintained via the pure-observer
         #: window callbacks and sampled into ``scheduler.open_windows``.
         self._open_windows = self.obs.metrics.gauge("scheduler.open_windows")
-        # Hot-path metric handles, filled lazily on first publish: eager
-        # creation would add zero-valued rows to snapshot digests pinned
-        # by the golden tests (the registry only snapshots what exists).
-        self._m_requests = None
-        self._m_dispatch_decisions = None
-        self._m_dispatch_batch = None
-        self._m_completed = None
-        self._m_e2e = None
+        # Metric handles, created on first publish: eager creation would
+        # add zero-valued rows to snapshot digests pinned by the golden
+        # tests (the registry only snapshots what exists).
+        self._m = LazyMetrics(
+            self.obs.metrics,
+            requests=("counter", "platform.requests"),
+            requeued=("counter", "platform.requeued"),
+            windows_opened=("counter", "scheduler.windows_opened"),
+            dispatch_decisions=("counter", "platform.dispatch_decisions"),
+            dispatch_batch=("histogram", "platform.dispatch_batch_size",
+                            DEFAULT_SIZE_EDGES),
+            launch_decisions=("counter", "platform.launch_decisions"),
+            cold_start=("histogram", "platform.cold_start_ms"),
+            batch_size=("histogram", "scheduler.batch_size",
+                        DEFAULT_SIZE_EDGES),
+            completed=("counter", "platform.completed"),
+            failed=("counter", "platform.failed"),
+            e2e=("histogram", "platform.e2e_latency_ms"))
         self._register_telemetry_probes()
         self.obs.bind(env)
 
@@ -134,12 +145,9 @@ class ServerlessPlatform:
             "pool.idle_containers",
             lambda: float(self.pool.idle_count()))
         sampler.register_probe(
-            "containers.live",
-            lambda: float(len(self.docker.containers.list())))
+            "containers.live", lambda: float(self.docker.running_count()))
         sampler.register_probe(
-            "containers.busy",
-            lambda: float(sum(1 for c in self.docker.containers.list()
-                              if c.active_invocations)))
+            "containers.busy", lambda: float(self.docker.busy_count()))
         sampler.register_probe("cpu.utilization",
                                self.machine.cpu.utilization)
         sampler.register_probe(
@@ -152,16 +160,18 @@ class ServerlessPlatform:
 
     def window_opened(self, _time_ms: float) -> None:
         self._open_windows.inc()
-        self.obs.metrics.counter("scheduler.windows_opened").inc()
+        self._m.windows_opened.inc()
 
     def window_closed(self, _time_ms: float) -> None:
         self._open_windows.dec()
 
     def _on_container_expired(self, container: SimContainer) -> None:
-        self.event_log.record(self.env.now, EventKind.CONTAINER_EXPIRED,
-                              container_id=container.container_id)
-        self.obs.tracer.container_event(container.container_id, "expired",
-                                        self.env.now)
+        if self.event_log.enabled:
+            self.event_log.record(self.env.now, EventKind.CONTAINER_EXPIRED,
+                                  container_id=container.container_id)
+        if self.obs.tracer.enabled:
+            self.obs.tracer.container_event(container.container_id,
+                                            "expired", self.env.now)
 
     # -- registration / arrival ----------------------------------------------------
 
@@ -189,16 +199,14 @@ class ServerlessPlatform:
             payload=record.payload,
             arrival_ms=self.env.now)
         self.request_queue.put(invocation)
-        self.event_log.record(self.env.now, EventKind.REQUEST_ARRIVED,
-                              invocation_id=invocation.invocation_id,
-                              function_id=record.function_id)
-        self.obs.tracer.invocation_arrived(
-            invocation.invocation_id, record.function_id, self.env.now)
-        metric = self._m_requests
-        if metric is None:
-            metric = self._m_requests = \
-                self.obs.metrics.counter("platform.requests")
-        metric.inc()
+        if self.event_log.enabled:
+            self.event_log.record(self.env.now, EventKind.REQUEST_ARRIVED,
+                                  invocation_id=invocation.invocation_id,
+                                  function_id=record.function_id)
+        if self.obs.tracer.enabled:
+            self.obs.tracer.invocation_arrived(
+                invocation.invocation_id, record.function_id, self.env.now)
+        self._m.requests.inc()
         return invocation
 
     def requeue(self, invocation: Invocation) -> None:
@@ -210,14 +218,16 @@ class ServerlessPlatform:
         queue — under FaaSBatch/Kraken it groups with other queued work.
         """
         self.request_queue.put(invocation)
-        self.event_log.record(self.env.now, EventKind.REQUEST_ARRIVED,
-                              invocation_id=invocation.invocation_id,
-                              function_id=invocation.function.function_id,
-                              attempt=invocation.attempts)
-        self.obs.tracer.invocation_arrived(
-            invocation.trace_id, invocation.function.function_id,
-            self.env.now)
-        self.obs.metrics.counter("platform.requeued").inc()
+        if self.event_log.enabled:
+            self.event_log.record(self.env.now, EventKind.REQUEST_ARRIVED,
+                                  invocation_id=invocation.invocation_id,
+                                  function_id=invocation.function.function_id,
+                                  attempt=invocation.attempts)
+        if self.obs.tracer.enabled:
+            self.obs.tracer.invocation_arrived(
+                invocation.trace_id, invocation.function.function_id,
+                self.env.now)
+        self._m.requeued.inc()
 
     # -- scheduler primitives ---------------------------------------------------------
 
@@ -233,22 +243,18 @@ class ServerlessPlatform:
         work = (self.calibration.scheduling_cpu_work_per_decision_ms
                 + self.calibration.scheduling_cpu_work_per_invocation_ms
                 * invocation_count)
-        self.event_log.record(self.env.now, EventKind.DISPATCH_DECISION,
-                              invocation_count=invocation_count)
-        counter = self._m_dispatch_decisions
-        if counter is None:
-            counter = self._m_dispatch_decisions = \
-                self.obs.metrics.counter("platform.dispatch_decisions")
-            self._m_dispatch_batch = self.obs.metrics.histogram(
-                "platform.dispatch_batch_size", edges=DEFAULT_SIZE_EDGES)
-        counter.inc()
-        self._m_dispatch_batch.observe(invocation_count)
+        if self.event_log.enabled:
+            self.event_log.record(self.env.now, EventKind.DISPATCH_DECISION,
+                                  invocation_count=invocation_count)
+        self._m.dispatch_decisions.inc()
+        self._m.dispatch_batch.observe(invocation_count)
         return self._platform_work(work, label="dispatch")
 
     def launch_work(self) -> Event:
         """Platform CPU work of one container-launch decision (docker API)."""
-        self.event_log.record(self.env.now, EventKind.LAUNCH_DECISION)
-        self.obs.metrics.counter("platform.launch_decisions").inc()
+        if self.event_log.enabled:
+            self.event_log.record(self.env.now, EventKind.LAUNCH_DECISION)
+        self._m.launch_decisions.inc()
         return self._platform_work(
             self.calibration.scheduling_cpu_work_per_launch_ms,
             label="launch")
@@ -276,7 +282,7 @@ class ServerlessPlatform:
         provisioning hundreds of containers (§V-B2).
         """
         container = self.pool.acquire(function.function_id)
-        if container is not None:
+        if container is not None and self.event_log.enabled:
             self.event_log.record(self.env.now, EventKind.WARM_HIT,
                                   container_id=container.container_id,
                                   function_id=function.function_id)
@@ -301,40 +307,45 @@ class ServerlessPlatform:
         handle = self.docker.containers.run(
             function, concurrency_limit=concurrency_limit,
             multiplexer=multiplexer)
-        self.event_log.record(self.env.now, EventKind.COLD_START_BEGAN,
-                              container_id=handle.id,
-                              function_id=function.function_id)
-        self.obs.tracer.container_event(handle.id, "cold-start-began",
-                                        self.env.now,
-                                        function_id=function.function_id)
+        tracer = self.obs.tracer
+        if self.event_log.enabled:
+            self.event_log.record(self.env.now, EventKind.COLD_START_BEGAN,
+                                  container_id=handle.id,
+                                  function_id=function.function_id)
+        if tracer.enabled:
+            tracer.container_event(handle.id, "cold-start-began",
+                                   self.env.now,
+                                   function_id=function.function_id)
         cold_start_ms = yield handle.started
         if self.faults is not None \
                 and self.faults.take_cold_start_fault(function):
             # The provisioning latency was paid, then the container died
             # before serving anything.  It never enters the pool's books.
             handle.sim.stop()
-            self.obs.tracer.container_event(
-                handle.id, "cold-start-failed", self.env.now,
-                function_id=function.function_id)
+            if tracer.enabled:
+                tracer.container_event(
+                    handle.id, "cold-start-failed", self.env.now,
+                    function_id=function.function_id)
             if self.resilience is not None:
                 self.resilience.record_cold_start_failure(
                     function.function_id)
             raise ColdStartFailed(
                 f"{handle.id} died starting {function.function_id!r}")
         self.pool.register_started(handle.sim)
-        self.event_log.record(self.env.now, EventKind.COLD_START_ENDED,
-                              container_id=handle.id,
-                              cold_start_ms=float(cold_start_ms))
-        self.obs.tracer.container_event(handle.id, "cold-start-ended",
-                                        self.env.now,
-                                        cold_start_ms=float(cold_start_ms))
-        self.obs.metrics.histogram("platform.cold_start_ms").observe(
-            float(cold_start_ms))
+        cold_start_ms = float(cold_start_ms)
+        if self.event_log.enabled:
+            self.event_log.record(self.env.now, EventKind.COLD_START_ENDED,
+                                  container_id=handle.id,
+                                  cold_start_ms=cold_start_ms)
+        if tracer.enabled:
+            tracer.container_event(handle.id, "cold-start-ended",
+                                   self.env.now, cold_start_ms=cold_start_ms)
+        self._m.cold_start.observe(cold_start_ms)
         if self.resilience is not None:
             self.resilience.record_cold_start_success(function.function_id)
         if self.faults is not None:
             self.faults.on_container_started(handle.sim)
-        return handle.sim, float(cold_start_ms)
+        return handle.sim, cold_start_ms
 
     def acquire_container(self, function: FunctionSpec,
                           concurrency_limit: Optional[int],
@@ -353,15 +364,19 @@ class ServerlessPlatform:
         return container, cold_start_ms
 
     def release_container(self, container: SimContainer) -> None:
+        tracer = self.obs.tracer
         if not self.pool.release(container):
             # Crashed/stopped out of band: the pool refused to re-park it.
-            self.obs.tracer.container_event(
-                container.container_id, "release-rejected", self.env.now)
+            if tracer.enabled:
+                tracer.container_event(container.container_id,
+                                       "release-rejected", self.env.now)
             return
-        self.event_log.record(self.env.now, EventKind.CONTAINER_RELEASED,
-                              container_id=container.container_id)
-        self.obs.tracer.container_event(container.container_id, "released",
-                                        self.env.now)
+        if self.event_log.enabled:
+            self.event_log.record(self.env.now, EventKind.CONTAINER_RELEASED,
+                                  container_id=container.container_id)
+        if tracer.enabled:
+            tracer.container_event(container.container_id, "released",
+                                   self.env.now)
 
     # -- dispatch ------------------------------------------------------------------
 
@@ -378,6 +393,7 @@ class ServerlessPlatform:
         ``mark_dispatched`` + tracer loop.
         """
         now = self.env.now
+        tracer = self.obs.tracer
         accepted: List[Invocation] = []
         for invocation in invocations:
             if self.faults is not None:
@@ -387,13 +403,34 @@ class ServerlessPlatform:
                     self.note_completed(invocation)
                     continue
             invocation.mark_dispatched(now, cold_start_ms)
-            self.obs.tracer.invocation_dispatched(
-                invocation.trace_id, now, cold_start_ms,
-                container.container_id)
+            if tracer.enabled:
+                tracer.invocation_dispatched(
+                    invocation.trace_id, now, cold_start_ms,
+                    container.container_id)
             if self.resilience is not None:
                 self.resilience.watch(invocation, container)
             accepted.append(invocation)
         return accepted
+
+    def note_batch_started(self, container: SimContainer, batch_size: int,
+                           function_id: Optional[str],
+                           record_size: bool) -> None:
+        """Record a batch handed to *container*: log, trace, batch size."""
+        log, tracer = self.event_log, self.obs.tracer
+        if log.enabled or tracer.enabled:
+            now = self.env.now
+            extra = {} if function_id is None \
+                else {"function_id": function_id}
+            if log.enabled:
+                log.record(now, EventKind.BATCH_STARTED,
+                           container_id=container.container_id,
+                           batch_size=batch_size, **extra)
+            if tracer.enabled:
+                tracer.container_event(container.container_id,
+                                       "batch-started", now,
+                                       batch_size=batch_size, **extra)
+        if record_size:
+            self._m.batch_size.observe(batch_size)
 
     def fail_undispatched(self, invocations: List[Invocation],
                           error: BaseException) -> None:
@@ -424,29 +461,24 @@ class ServerlessPlatform:
             self.result_sink.observe_invocation(invocation)
         if self.retain_completed:
             self.completed.append(invocation)
-        kind = (EventKind.INVOCATION_FAILED if failed
-                else EventKind.INVOCATION_COMPLETED)
-        self.event_log.record(self.env.now, kind,
-                              invocation_id=invocation.invocation_id,
-                              container_id=invocation.container_id)
-        responded = (invocation.responded_ms
-                     if invocation.responded_ms is not None else self.env.now)
-        self.obs.tracer.invocation_responded(invocation.trace_id,
-                                             responded)
+        if self.event_log.enabled:
+            self.event_log.record(
+                self.env.now,
+                EventKind.INVOCATION_FAILED if failed
+                else EventKind.INVOCATION_COMPLETED,
+                invocation_id=invocation.invocation_id,
+                container_id=invocation.container_id)
+        if self.obs.tracer.enabled:
+            responded = invocation.responded_ms
+            self.obs.tracer.invocation_responded(
+                invocation.trace_id,
+                self.env.now if responded is None else responded)
         if failed:
-            self.obs.metrics.counter("platform.failed").inc()
+            self._m.failed.inc()
         else:
-            metric = self._m_completed
-            if metric is None:
-                metric = self._m_completed = \
-                    self.obs.metrics.counter("platform.completed")
-            metric.inc()
+            self._m.completed.inc()
             if invocation.completed_ms is not None:
-                histo = self._m_e2e
-                if histo is None:
-                    histo = self._m_e2e = self.obs.metrics.histogram(
-                        "platform.e2e_latency_ms")
-                histo.observe(invocation.end_to_end_ms)
+                self._m.e2e.observe(invocation.end_to_end_ms)
         for listener in self.completion_listeners:
             listener(invocation)
         if (self.expected_invocations is not None

@@ -49,6 +49,11 @@ event ordering of the historical single-heap implementation:
   :meth:`Environment.run_process` inline the pop/advance/dispatch sequence
   with bound locals (``step()`` remains the single-event reference
   implementation).
+* Time hooks (:meth:`Environment.add_time_hook`) ride the same fused path:
+  when the popped entry moves the clock and a hook is installed, the loop
+  calls ``_advance`` instead of assigning ``_now``.  That is sound only
+  because hooks are pure observers that never schedule events — the hook
+  contract.
 
 Example
 -------
@@ -535,11 +540,11 @@ class _HeapQueue:
         """Pop and return the earliest live *entry* if ``when <= bound``;
         otherwise return its firing time as a float (``inf`` when empty).
 
-        The hook-free kernel loop uses this to fuse "peek, advance the
-        clock, pop" into one call: the returned ``(when, seq, event)``
-        tuple carries the timestamp the clock must advance to, so an
-        advance-then-dispatch costs a single queue operation instead of
-        two ``next_due`` calls and an extra loop lap.
+        The kernel loop uses this to fuse "peek, advance the clock, pop"
+        into one call: the returned ``(when, seq, event)`` tuple carries
+        the timestamp the clock must advance to, so an advance-then-dispatch
+        costs a single queue operation instead of two ``next_due`` calls
+        and an extra loop lap.
         """
         heap = self._heap
         while heap:
@@ -609,9 +614,14 @@ class Environment:
     def add_time_hook(self, hook: Callable[[float, float], None]) -> None:
         """Register ``hook(old_ms, new_ms)``, called whenever time advances.
 
-        Hooks are pure observers (metrics gauges, trace clocks): they run
-        after the clock moves and before the events at the new time are
-        processed, and must not schedule or trigger events.
+        The hook contract: hooks are pure observers (the time-series
+        sampler, trace clocks).  Each advance is reported exactly once, as
+        ``(old, new)``, after the clock moves and before any event at the
+        new instant fires — in :meth:`step`, :meth:`run` (including the
+        final advance to ``until``) and :meth:`run_process` alike.  A hook
+        must not schedule, trigger or cancel events: the fused dispatch
+        loop has already taken the next event off the queue when it calls
+        the hooks, so an event created by a hook would fire out of order.
         """
         self._time_hooks.append(hook)
 
@@ -823,17 +833,6 @@ class Environment:
                             event._callbacks = None
                             self._cancelled -= 1
                             continue
-                elif hooks:
-                    # Hooks may schedule events while the clock advances, so
-                    # keep the two-phase peek/advance/re-pop sequence.
-                    event = future_next(now)
-                    if type(event) is float:
-                        when = event
-                        if when == _INF or when > limit:
-                            break
-                        self._advance(when)
-                        now = when
-                        event = future_next(now)
                 else:
                     # Fused peek/advance/pop: the returned entry carries the
                     # timestamp the clock must advance to.
@@ -842,7 +841,10 @@ class Environment:
                         break
                     when = entry[0]
                     if when > now:
-                        self._now = when
+                        if hooks:
+                            self._advance(when)
+                        else:
+                            self._now = when
                         now = when
                     event = entry[2]
                 callbacks = event._callbacks
@@ -895,24 +897,6 @@ class Environment:
                             event._callbacks = None
                             self._cancelled -= 1
                             continue
-                elif hooks:
-                    # Hooks may schedule events while the clock advances, so
-                    # keep the two-phase peek/advance/re-pop sequence.
-                    event = future_next(now)
-                    if type(event) is float:
-                        if draining:
-                            break
-                        when = event
-                        if when == _INF:
-                            raise SimulationError(
-                                f"deadlock: {process!r} cannot complete, "
-                                "queue empty")
-                        if when > limit:
-                            raise SimulationError(
-                                f"{process!r} did not finish by t={until}")
-                        self._advance(when)
-                        now = when
-                        event = future_next(now)
                 else:
                     # Fused peek/advance/pop: the returned entry carries the
                     # timestamp the clock must advance to.  While draining,
@@ -929,7 +913,10 @@ class Environment:
                             f"{process!r} did not finish by t={until}")
                     when = entry[0]
                     if when > now:
-                        self._now = when
+                        if hooks:
+                            self._advance(when)
+                        else:
+                            self._now = when
                         now = when
                     event = entry[2]
                 callbacks = event._callbacks

@@ -37,7 +37,9 @@ from repro.core.scheduler import FaaSBatchScheduler
 from repro.faults import ResiliencePolicy, reference_plan
 from repro.obs import Observability
 from repro.obs.trace import write_jsonl
+from repro.platformsim import experiment
 from repro.platformsim.experiment import run_experiment
+from repro.sim.kernel import Environment
 from repro.workload.generator import fib_family_specs, multi_function_trace
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "engine_goldens.json"
@@ -102,6 +104,7 @@ def _run_artifacts(key: str, kraken_parameters):
         "metrics": json.dumps(result.metrics.snapshot(), sort_keys=True),
         "completion_ms": result.completion_ms,
         "invocations": len(result.invocations),
+        "kernel_events": result.kernel_events,
     }
 
 
@@ -134,6 +137,33 @@ def test_engines_byte_identical(key, kraken_parameters, goldens):
     """The run's artifacts are byte-identical to the recorded ones."""
     assert _digest(_run_artifacts(key, kraken_parameters)) == goldens[key], (
         f"{key}: run no longer matches the golden digests")
+
+
+class _HookedEnvironment(Environment):
+    """An environment carrying a no-op time hook from its first instant."""
+
+    __slots__ = ()
+
+    def __init__(self, initial_time: float = 0.0) -> None:
+        super().__init__(initial_time)
+        self.add_time_hook(lambda _old, _new: None)
+
+
+@pytest.mark.parametrize("key", [k for k, *_ in SCENARIOS])
+def test_noop_time_hook_changes_nothing(key, kraken_parameters, goldens,
+                                        monkeypatch):
+    """Hooks ride the fused dispatch loop: same goldens, same event count.
+
+    SFS is the one exception to the count: it stops merging time slices
+    while a hook is installed, so that the hook sees every slice boundary.
+    Its artifacts must still match.
+    """
+    plain = _run_artifacts(key, kraken_parameters)
+    monkeypatch.setattr(experiment, "Environment", _HookedEnvironment)
+    hooked = _run_artifacts(key, kraken_parameters)
+    assert _digest(hooked) == goldens[key]
+    if key != "sfs":
+        assert hooked["kernel_events"] == plain["kernel_events"]
 
 
 def main() -> None:

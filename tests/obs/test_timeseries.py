@@ -56,6 +56,27 @@ class TestSeries:
         series.append(5000.0, 6.0)
         assert series.points()[-1] == (4000.0, 5.0)  # avg(4, 6)
 
+    def test_constant_series_stays_constant_through_coalesces(self):
+        series = Series("x", 1.0, max_points=4)
+        for tick in range(40):
+            series.append(float(tick), 10.0)
+        assert series.interval_ms >= 8.0  # three coalesces or more
+        assert [value for _time, value in series.points()] == \
+            [10.0] * len(series.points())
+
+    @pytest.mark.parametrize("samples", [40, 100, 257])
+    def test_each_coalesced_point_is_the_mean_of_its_samples(self, samples):
+        series = Series("ramp", 1.0, max_points=4)
+        raw = [(float(tick), float(tick * 3 % 17)) for tick in range(samples)]
+        for time_ms, value in raw:
+            series.append(time_ms, value)
+        assert series.interval_ms >= 8.0
+        points = series.points()
+        starts = [time_ms for time_ms, _value in points] + [float(samples)]
+        for (start, value), end in zip(points, starts[1:]):
+            covered = [v for t, v in raw if start <= t < end]
+            assert value == sum(covered) / len(covered), (start, end)
+
     def test_length_stays_bounded(self):
         series = Series("s", interval_ms=1.0, max_points=8)
         for tick in range(1000):

@@ -132,6 +132,29 @@ class TestTraceStreamer:
         assert span_ids == ["inv-0"] * 5 + ["inv-1"] * 5
         assert records[-1]["type"] == "annotation"
 
+    def test_poll_builds_only_the_new_timelines(self, tmp_path,
+                                                monkeypatch):
+        visited = []
+        timeline = InvocationTracer._timeline
+
+        def counting_timeline(tracer, invocation_id):
+            visited.append(invocation_id)
+            return timeline(tracer, invocation_id)
+
+        monkeypatch.setattr(InvocationTracer, "_timeline", counting_timeline)
+        tracer = InvocationTracer(enabled=True)
+        streamer = TraceStreamer(
+            tracer, RotatingJsonlWriter(tmp_path / "trace.jsonl"))
+        for index in range(3):
+            drive_one_invocation(tracer, f"inv-{index}", float(index))
+        assert streamer.poll() == 15
+        assert visited == ["inv-0", "inv-1", "inv-2"]
+        for index in range(3, 5):
+            drive_one_invocation(tracer, f"inv-{index}", float(index))
+        assert streamer.close() == 10
+        # The second poll built the two new timelines and touched no other.
+        assert visited == ["inv-0", "inv-1", "inv-2", "inv-3", "inv-4"]
+
     def test_poll_holds_the_provided_lock(self, tmp_path):
         lock = threading.Lock()
         tracer = InvocationTracer(enabled=True)

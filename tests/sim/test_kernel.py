@@ -398,3 +398,107 @@ class TestDefer:
         env.process(proc())
         env.run()
         assert stamps == [3.0]
+
+
+class TestTimeHooks:
+    """The hook contract: each advance once, as (old, new), before the
+    events at the new instant — whichever loop drives the kernel."""
+
+    @staticmethod
+    def schedule(env, log):
+        """Events at 0, 5 (several), 8, 12 (two) and a tombstone at 2."""
+
+        def note(label):
+            return lambda _event: log.append(("event", env.now, label))
+
+        def worker():
+            yield env.timeout(5.0)
+            log.append(("event", env.now, "worker@5"))
+            yield env.timeout(0.0)
+            log.append(("event", env.now, "worker@5+0"))
+            yield env.timeout(3.0)
+            log.append(("event", env.now, "worker@8"))
+            env.defer(lambda: log.append(("event", env.now, "deferred@8")))
+            return "done"
+
+        process = env.process(worker())
+        env.timeout(2.0).cancel()
+        for delay, label in ((5.0, "t@5"), (12.0, "t@12a"), (12.0, "t@12b")):
+            env.timeout(delay).callbacks.append(note(label))
+        return process
+
+    @staticmethod
+    def install(env, log):
+        def hook(old, new):
+            assert env.now == new  # the clock has already moved
+            log.append(("hook", old, new))
+
+        env.add_time_hook(hook)
+
+    @staticmethod
+    def check(log, start=0.0):
+        """Events fire only at the last reported instant; hooks chain."""
+        now = start
+        for entry in log:
+            if entry[0] == "hook":
+                assert entry[1] == now and entry[2] > now, entry
+                now = entry[2]
+            else:
+                assert entry[1] == now, entry
+        return [entry[1:] for entry in log if entry[0] == "hook"]
+
+    def test_run(self, env):
+        log = []
+        self.install(env, log)
+        self.schedule(env, log)
+        env.run()
+        assert self.check(log) == [(0.0, 5.0), (5.0, 8.0), (8.0, 12.0)]
+        assert [e[2] for e in log if e[0] == "event"] == [
+            "t@5", "worker@5", "worker@5+0", "worker@8", "deferred@8",
+            "t@12a", "t@12b"]
+
+    def test_run_until_reports_the_final_advance(self, env):
+        log = []
+        self.install(env, log)
+        self.schedule(env, log)
+        env.run(until=10.0)
+        assert self.check(log) == [(0.0, 5.0), (5.0, 8.0), (8.0, 10.0)]
+        env.run(until=20.0)
+        assert self.check(log) == [(0.0, 5.0), (5.0, 8.0), (8.0, 10.0),
+                                   (10.0, 12.0), (12.0, 20.0)]
+
+    def test_run_process(self, env):
+        log = []
+        self.install(env, log)
+        process = self.schedule(env, log)
+        assert env.run_process(process) == "done"
+        assert self.check(log) == [(0.0, 5.0), (5.0, 8.0)]
+        env.run()
+        assert self.check(log)[-1] == (8.0, 12.0)
+
+    def test_step(self, env):
+        log = []
+        self.install(env, log)
+        self.schedule(env, log)
+        while env.peek() != float("inf"):
+            env.step()
+        assert self.check(log) == [(0.0, 5.0), (5.0, 8.0), (8.0, 12.0)]
+
+    def test_every_loop_sees_the_same_events_as_a_hookless_run(self):
+        from repro.sim.kernel import Environment
+
+        def trace(hooked, drive):
+            env, log = Environment(), []
+            if hooked:
+                env.add_time_hook(lambda _old, _new: None)
+            process = self.schedule(env, log)
+            drive(env, process)
+            return log, env.events_processed, env.now
+
+        loops = {
+            "run": lambda env, _p: env.run(),
+            "run-until": lambda env, _p: env.run(until=9.0),
+            "run-process": lambda env, p: env.run_process(p),
+        }
+        for name, drive in loops.items():
+            assert trace(True, drive) == trace(False, drive), name

@@ -195,6 +195,15 @@ class TestAtomicWrites:
         assert report["config"]["invocations"] == 50_000
         assert "engine" not in report["runs"][0]
 
+    def test_committed_obs_row_is_a_pure_observer(self):
+        """Tracing + sampling leave the simulated run untouched."""
+        committed = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
+        rows = {row["scheduler"]: row
+                for row in load_report(str(committed))["runs"]}
+        plain, observed = rows["FaaSBatch"], rows["FaaSBatch+obs"]
+        for key in ("kernel_events", "sim_completion_ms", "invocations"):
+            assert observed[key] == plain[key], key
+
     def test_load_report_rejects_truncated_artifact(self, tmp_path):
         path = tmp_path / "BENCH_sim.json"
         report = self._report()
