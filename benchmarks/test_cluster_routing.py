@@ -1,10 +1,13 @@
 """Extension bench — FaaSBatch on a cluster: routing vs batching.
 
 The paper evaluates a single worker; this bench extends to 4 workers and
-measures how routing policy interacts with FaaSBatch's batching: function
+measures how routing policy interacts with FaaSBatch's batching.  Function
 affinity keeps each function's burst on one worker (big groups, few
-containers), while round-robin scatters it (one group fragment per worker
-per window).
+containers).  On this trace round-robin does too: function ids are dealt
+round-robin by arrival rank (8 functions, 4 workers), so round-robin sends
+``fib-k`` only to worker ``k mod 4``, and the two provision the same 30
+containers.  Affinity never spills here, so it behaves as hash-partition.
+Only least-loaded scatters a burst across workers (62 containers).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def test_cluster_routing(benchmark):
     for result in results.values():
         assert len(result.invocations) == TOTAL
 
-    # Affinity preserves grouping: fewer containers than scatter routing.
+    # Affinity preserves grouping: no more containers than the others.
     assert affinity.total_containers <= round_robin.total_containers
     assert affinity.total_containers <= least_loaded.total_containers
     # Round-robin balances load best; affinity trades balance for locality.

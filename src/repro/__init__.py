@@ -75,7 +75,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "build_scheduler", "registered_policies"),
     "repro.cluster": (
         "ClusterResult", "compare_balancers", "run_cluster_experiment"),
-    "repro.common.eventlog": ("EventKind", "EventLog"),
     "repro.core": (
         "FaaSBatchConfig", "FaaSBatchScheduler", "FunctionGroup",
         "InlineParallelProducer", "InvokeMapper", "SimResourceMultiplexer"),
@@ -96,8 +95,6 @@ __all__ = [
     "AzureTraceBuilder",
     "Calibration",
     "ClusterResult",
-    "EventKind",
-    "EventLog",
     "compare_balancers",
     "run_cluster_experiment",
     "DEFAULT_CALIBRATION",

@@ -66,10 +66,8 @@ from repro.baselines import (
 from repro.common.units import peak_rss_mb
 from repro.obs import Observability
 from repro.platformsim.experiment import run_experiment
-from repro.workload.azure import REPLAY_DURATION_MS, replay_minute_arrivals
-from repro.workload.durations import DurationSampler
-from repro.workload.generator import FIB_FUNCTION_ID, fib_family_specs
-from repro.workload.trace import Trace, TraceRecord
+from repro.workload.generator import fib_family_specs, tiled_fib_stream
+from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # the sharded runner loads only for cluster cells
     from repro.cluster.sharded import ShardedClusterConfig
@@ -122,27 +120,12 @@ def bench_trace(config: BenchConfig) -> Trace:
     Each tile draws a fresh bursty minute of ``config.tile_invocations``
     arrivals (deterministic per seed + tile index) offset by its minute
     boundary, so total volume scales without inflating peak concurrency
-    beyond one minute's burst levels.
+    beyond one minute's burst levels.  This is
+    :func:`~repro.workload.generator.tiled_fib_stream`, materialized.
     """
-    records: List[TraceRecord] = []
-    tile = 0
-    remaining = config.invocations
-    while remaining > 0:
-        count = min(config.tile_invocations, remaining)
-        arrivals = replay_minute_arrivals(seed=config.seed + tile,
-                                          total=count)
-        sampler = DurationSampler(seed=config.seed + 7919 * (tile + 1))
-        offset = tile * REPLAY_DURATION_MS
-        base = len(records)
-        for index, arrival in enumerate(arrivals):
-            function_id = (f"{FIB_FUNCTION_ID}-"
-                           f"{(base + index) % config.functions}")
-            records.append(TraceRecord(arrival_ms=offset + arrival,
-                                       function_id=function_id,
-                                       payload=sampler.sample_fib_n()))
-        remaining -= count
-        tile += 1
-    return Trace(records)
+    return tiled_fib_stream(config.invocations, config.functions,
+                            config.seed,
+                            config.tile_invocations).materialize()
 
 
 def _measure(scheduler_factory: Callable[[], object], trace: Trace, specs,

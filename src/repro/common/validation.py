@@ -28,10 +28,3 @@ def require_non_negative(name: str, value: T) -> T:
         raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
     return value
 
-
-def require_in_range(name: str, value: float, lo: float, hi: float) -> float:
-    """Return *value* if within [lo, hi], else raise ConfigurationError."""
-    if not lo <= value <= hi:
-        raise ConfigurationError(
-            f"{name} must be in [{lo}, {hi}], got {value!r}")
-    return value

@@ -22,7 +22,6 @@ from repro.common.errors import (
     OomKilled,
     TransientDispatchError,
 )
-from repro.common.eventlog import EventKind
 from repro.faults.plan import (
     ContainerCrashFault,
     FaultPlan,
@@ -127,11 +126,6 @@ class FaultInjector:
                 container_id=container.container_id, victims=victims)
             tracer.container_event(
                 container.container_id, "crashed", now, victims=victims)
-        if self.platform.event_log.enabled:
-            self.platform.event_log.record(
-                now, EventKind.CONTAINER_CRASHED,
-                container_id=container.container_id, victims=victims,
-                cause="injected-crash")
 
     def _slow_later(self, container: SimContainer, fault: StragglerFault):
         assert self.platform is not None
@@ -157,11 +151,6 @@ class FaultInjector:
             tracer.container_event(
                 container.container_id, "straggler-began", env.now,
                 cap=throttled)
-        if self.platform.event_log.enabled:
-            self.platform.event_log.record(
-                env.now, EventKind.FAULT_INJECTED,
-                fault="straggler", container_id=container.container_id,
-                cap=throttled, duration_ms=fault.duration_ms)
         yield env.timeout(fault.duration_ms)
         if cpu.has_group(group):  # it may have crashed/expired meanwhile
             cpu.set_group_cap(group, original_cap)
@@ -193,11 +182,6 @@ class FaultInjector:
                     self.platform.obs.tracer.annotation(
                         "fault-cold-start-failed", now,
                         function_id=function_id, ordinal=fault.ordinal)
-                if self.platform.event_log.enabled:
-                    self.platform.event_log.record(
-                        now, EventKind.FAULT_INJECTED,
-                        fault="cold-start-failure", function_id=function_id,
-                        ordinal=fault.ordinal)
                 return True
         return False
 
@@ -222,12 +206,6 @@ class FaultInjector:
                 if self.platform.obs.tracer.enabled:
                     self.platform.obs.tracer.annotation(
                         "fault-dispatch-error", now,
-                        invocation_id=invocation.invocation_id,
-                        ordinal=fault.ordinal)
-                if self.platform.event_log.enabled:
-                    self.platform.event_log.record(
-                        now, EventKind.FAULT_INJECTED,
-                        fault="dispatch-error",
                         invocation_id=invocation.invocation_id,
                         ordinal=fault.ordinal)
                 return TransientDispatchError(
@@ -291,8 +269,3 @@ class FaultInjector:
                 used_mb=memory.used_mb, threshold_mb=fault.threshold_mb)
             tracer.container_event(
                 victim.container_id, "oom-killed", env.now, victims=victims)
-        if self.platform.event_log.enabled:
-            self.platform.event_log.record(
-                env.now, EventKind.CONTAINER_CRASHED,
-                container_id=victim.container_id, victims=victims,
-                cause="oom-kill")

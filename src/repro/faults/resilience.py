@@ -24,7 +24,6 @@ from repro.common.errors import (
     InvocationTimeout,
     TransientError,
 )
-from repro.common.eventlog import EventKind
 from repro.model.function import FunctionSpec, Invocation
 
 if TYPE_CHECKING:  # runtime import would cycle through platformsim
@@ -245,12 +244,6 @@ class ResilienceManager:
                 failed_attempt=invocation.attempts,
                 delay_ms=delay,
                 error=type(error).__name__)
-        if self.platform.event_log.enabled:
-            self.platform.event_log.record(
-                now, EventKind.INVOCATION_RETRIED,
-                invocation_id=invocation.invocation_id,
-                failed_attempt=invocation.attempts,
-                delay_ms=delay, error=type(error).__name__)
         self.env.process(self._requeue_after(invocation, delay),
                          name=f"retry:{invocation.invocation_id}"
                               f"#a{invocation.attempts + 1}")
@@ -325,11 +318,6 @@ class ResilienceManager:
             tracer.annotation(
                 "hedge-launched", now,
                 invocation_id=invocation.invocation_id, attempt=attempt,
-                shadow_id=shadow.invocation_id)
-        if self.platform.event_log.enabled:
-            self.platform.event_log.record(
-                now, EventKind.INVOCATION_HEDGED,
-                invocation_id=invocation.invocation_id,
                 shadow_id=shadow.invocation_id)
         try:
             hedge_container, cold_ms = yield from \
@@ -428,10 +416,5 @@ class ResilienceManager:
         if self.platform.obs.tracer.enabled:
             self.platform.obs.tracer.annotation(
                 "breaker-transition", self.env.now,
-                function_id=function_id,
-                from_state=before.value, to_state=after.value)
-        if self.platform.event_log.enabled:
-            self.platform.event_log.record(
-                self.env.now, EventKind.BREAKER_TRANSITION,
                 function_id=function_id,
                 from_state=before.value, to_state=after.value)

@@ -3,7 +3,6 @@
 from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    "repro.common.eventlog": ("EventKind", "EventLog", "LogRecord"),
     "repro.platformsim.experiment": ("run_experiment",),
     "repro.platformsim.gateway": ("ReplayInjector", "start_replay"),
     "repro.platformsim.platform": ("ServerlessPlatform",),
@@ -12,10 +11,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
 })
 
 __all__ = [
-    "EventKind",
-    "EventLog",
     "ExperimentResult",
-    "LogRecord",
     "ReplayInjector",
     "ServerlessPlatform",
     "collect_window",

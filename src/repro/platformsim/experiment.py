@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.common.errors import SimulationError
-from repro.common.eventlog import EventLog
 from repro.common.units import HOUR
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -40,8 +39,7 @@ def run_experiment(scheduler: "Scheduler",
                    strict_memory: bool = True,
                    obs: Optional[Observability] = None,
                    fault_plan: Optional[FaultPlan] = None,
-                   resilience: Optional[ResiliencePolicy] = None,
-                   event_log: Optional[EventLog] = None
+                   resilience: Optional[ResiliencePolicy] = None
                    ) -> ExperimentResult:
     """Run *scheduler* over *trace* and return the measured result.
 
@@ -58,9 +56,7 @@ def run_experiment(scheduler: "Scheduler",
     ``fault_plan`` installs a fresh :class:`FaultInjector` executing the
     plan against this run; ``resilience`` turns on the recovery layer
     (retries/timeouts/hedging/circuit breaker).  Both default to off, and
-    an empty plan is bit-identical to no plan at all.  ``event_log``
-    supplies the platform's decision log (construct it with
-    ``enabled=True`` to capture the run's typed event stream).
+    an empty plan is bit-identical to no plan at all.
     """
     if timeout_ms is None:
         timeout_ms = trace.end_ms + 2.0 * HOUR
@@ -70,8 +66,7 @@ def run_experiment(scheduler: "Scheduler",
                       memory_gb=calibration.worker_memory_gb,
                       cpu=cpu, strict_memory=strict_memory)
     platform = ServerlessPlatform(env, machine, calibration, obs=obs,
-                                  resilience=resilience,
-                                  event_log=event_log)
+                                  resilience=resilience)
     if fault_plan is not None:
         FaultInjector(fault_plan).install(platform)
     for spec in functions:

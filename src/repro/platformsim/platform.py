@@ -25,7 +25,6 @@ from repro.common.errors import (
 from repro.common.ids import IdFactory
 from repro.faults.resilience import ResilienceManager, ResiliencePolicy
 from repro.core.multiplexer import SimResourceMultiplexer
-from repro.common.eventlog import EventKind, EventLog
 from repro.obs import DEFAULT_SIZE_EDGES, Observability
 from repro.obs.metrics import LazyMetrics
 from repro.model.calibration import Calibration
@@ -53,13 +52,10 @@ class ServerlessPlatform:
     def __init__(self, env: Environment, machine: Machine,
                  calibration: Calibration,
                  ids: Optional[IdFactory] = None,
-                 event_log: Optional[EventLog] = None,
                  obs: Optional[Observability] = None,
                  resilience: Optional[ResiliencePolicy] = None,
                  retain_completed: bool = True) -> None:
         self.env = env
-        #: Structured decision log (disabled by default; ``.enable()`` it).
-        self.event_log = event_log if event_log is not None else EventLog()
         #: Observability bundle: span tracer + sampler (off by default)
         #: + metrics.  Bound at the end of construction, once every
         #: telemetry probe below is registered.
@@ -166,9 +162,6 @@ class ServerlessPlatform:
         self._open_windows.dec()
 
     def _on_container_expired(self, container: SimContainer) -> None:
-        if self.event_log.enabled:
-            self.event_log.record(self.env.now, EventKind.CONTAINER_EXPIRED,
-                                  container_id=container.container_id)
         if self.obs.tracer.enabled:
             self.obs.tracer.container_event(container.container_id,
                                             "expired", self.env.now)
@@ -199,10 +192,6 @@ class ServerlessPlatform:
             payload=record.payload,
             arrival_ms=self.env.now)
         self.request_queue.put(invocation)
-        if self.event_log.enabled:
-            self.event_log.record(self.env.now, EventKind.REQUEST_ARRIVED,
-                                  invocation_id=invocation.invocation_id,
-                                  function_id=record.function_id)
         if self.obs.tracer.enabled:
             self.obs.tracer.invocation_arrived(
                 invocation.invocation_id, record.function_id, self.env.now)
@@ -218,11 +207,6 @@ class ServerlessPlatform:
         queue — under FaaSBatch/Kraken it groups with other queued work.
         """
         self.request_queue.put(invocation)
-        if self.event_log.enabled:
-            self.event_log.record(self.env.now, EventKind.REQUEST_ARRIVED,
-                                  invocation_id=invocation.invocation_id,
-                                  function_id=invocation.function.function_id,
-                                  attempt=invocation.attempts)
         if self.obs.tracer.enabled:
             self.obs.tracer.invocation_arrived(
                 invocation.trace_id, invocation.function.function_id,
@@ -243,17 +227,12 @@ class ServerlessPlatform:
         work = (self.calibration.scheduling_cpu_work_per_decision_ms
                 + self.calibration.scheduling_cpu_work_per_invocation_ms
                 * invocation_count)
-        if self.event_log.enabled:
-            self.event_log.record(self.env.now, EventKind.DISPATCH_DECISION,
-                                  invocation_count=invocation_count)
         self._m.dispatch_decisions.inc()
         self._m.dispatch_batch.observe(invocation_count)
         return self._platform_work(work, label="dispatch")
 
     def launch_work(self) -> Event:
         """Platform CPU work of one container-launch decision (docker API)."""
-        if self.event_log.enabled:
-            self.event_log.record(self.env.now, EventKind.LAUNCH_DECISION)
         self._m.launch_decisions.inc()
         return self._platform_work(
             self.calibration.scheduling_cpu_work_per_launch_ms,
@@ -281,12 +260,7 @@ class ServerlessPlatform:
         decide to cold-start, which is exactly how Vanilla ends up
         provisioning hundreds of containers (§V-B2).
         """
-        container = self.pool.acquire(function.function_id)
-        if container is not None and self.event_log.enabled:
-            self.event_log.record(self.env.now, EventKind.WARM_HIT,
-                                  container_id=container.container_id,
-                                  function_id=function.function_id)
-        return container
+        return self.pool.acquire(function.function_id)
 
     def cold_start(self, function: FunctionSpec,
                    concurrency_limit: Optional[int],
@@ -308,10 +282,6 @@ class ServerlessPlatform:
             function, concurrency_limit=concurrency_limit,
             multiplexer=multiplexer)
         tracer = self.obs.tracer
-        if self.event_log.enabled:
-            self.event_log.record(self.env.now, EventKind.COLD_START_BEGAN,
-                                  container_id=handle.id,
-                                  function_id=function.function_id)
         if tracer.enabled:
             tracer.container_event(handle.id, "cold-start-began",
                                    self.env.now,
@@ -333,10 +303,6 @@ class ServerlessPlatform:
                 f"{handle.id} died starting {function.function_id!r}")
         self.pool.register_started(handle.sim)
         cold_start_ms = float(cold_start_ms)
-        if self.event_log.enabled:
-            self.event_log.record(self.env.now, EventKind.COLD_START_ENDED,
-                                  container_id=handle.id,
-                                  cold_start_ms=cold_start_ms)
         if tracer.enabled:
             tracer.container_event(handle.id, "cold-start-ended",
                                    self.env.now, cold_start_ms=cold_start_ms)
@@ -371,9 +337,6 @@ class ServerlessPlatform:
                 tracer.container_event(container.container_id,
                                        "release-rejected", self.env.now)
             return
-        if self.event_log.enabled:
-            self.event_log.record(self.env.now, EventKind.CONTAINER_RELEASED,
-                                  container_id=container.container_id)
         if tracer.enabled:
             tracer.container_event(container.container_id, "released",
                                    self.env.now)
@@ -415,20 +378,14 @@ class ServerlessPlatform:
     def note_batch_started(self, container: SimContainer, batch_size: int,
                            function_id: Optional[str],
                            record_size: bool) -> None:
-        """Record a batch handed to *container*: log, trace, batch size."""
-        log, tracer = self.event_log, self.obs.tracer
-        if log.enabled or tracer.enabled:
-            now = self.env.now
+        """Record a batch handed to *container*: trace, batch size."""
+        tracer = self.obs.tracer
+        if tracer.enabled:
             extra = {} if function_id is None \
                 else {"function_id": function_id}
-            if log.enabled:
-                log.record(now, EventKind.BATCH_STARTED,
-                           container_id=container.container_id,
-                           batch_size=batch_size, **extra)
-            if tracer.enabled:
-                tracer.container_event(container.container_id,
-                                       "batch-started", now,
-                                       batch_size=batch_size, **extra)
+            tracer.container_event(container.container_id, "batch-started",
+                                   self.env.now, batch_size=batch_size,
+                                   **extra)
         if record_size:
             self._m.batch_size.observe(batch_size)
 
@@ -461,13 +418,6 @@ class ServerlessPlatform:
             self.result_sink.observe_invocation(invocation)
         if self.retain_completed:
             self.completed.append(invocation)
-        if self.event_log.enabled:
-            self.event_log.record(
-                self.env.now,
-                EventKind.INVOCATION_FAILED if failed
-                else EventKind.INVOCATION_COMPLETED,
-                invocation_id=invocation.invocation_id,
-                container_id=invocation.container_id)
         if self.obs.tracer.enabled:
             responded = invocation.responded_ms
             self.obs.tracer.invocation_responded(

@@ -12,7 +12,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "CpuDiscipline", "CpuService", "Machine", "ResourceSample",
         "build_cpu"),
     "repro.sim.memory": ("MemoryAccount", "MemorySample"),
-    "repro.sim.primitives": ("Gate", "Request", "Resource", "Store"),
+    "repro.sim.primitives": ("Request", "Resource", "Store"),
     "repro.sim.sfs_cpu": ("SfsCpu", "SfsTask"),
 })
 
@@ -29,7 +29,6 @@ __all__ = [
     "Environment",
     "Event",
     "FairShareCpu",
-    "Gate",
     "Machine",
     "MemoryAccount",
     "MemorySample",

@@ -1,4 +1,4 @@
-"""Waitable primitives built on the kernel: Resource, Store, Gate.
+"""Waitable primitives built on the kernel: Resource, Store.
 
 These are the coordination primitives the platform model is written against:
 
@@ -6,14 +6,12 @@ These are the coordination primitives the platform model is written against:
   starts"); FIFO grant order.
 * :class:`Store` — an unbounded FIFO queue of items with blocking ``get``;
   this is the request queue the gateway listens on.
-* :class:`Gate` — a reusable open/close barrier (used for keep-alive
-  expiry and shutdown signalling).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Generic, List, Optional, TypeVar
+from typing import Deque, Dict, Generic, List, Optional, TypeVar
 
 from repro.common.errors import SimulationError
 from repro.sim.kernel import Environment, Event
@@ -168,40 +166,3 @@ class Store(Generic[T]):
         self._items.clear()
         return items
 
-
-class Gate:
-    """A reusable open/closed barrier.
-
-    ``wait()`` returns an event that triggers immediately when the gate is
-    open, or when it next opens.  Re-closing resets the barrier.
-    """
-
-    __slots__ = ("env", "_open", "_waiters")
-
-    def __init__(self, env: Environment, open_: bool = False) -> None:
-        self.env = env
-        self._open = open_
-        self._waiters: List[Event] = []
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def wait(self) -> Event:
-        event = self.env.event()
-        if self._open:
-            event.succeed(None)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def open(self, value: Any = None) -> None:
-        """Open the gate, releasing all current waiters."""
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter.succeed(value)
-
-    def close(self) -> None:
-        """Close the gate; subsequent waiters block until next open()."""
-        self._open = False

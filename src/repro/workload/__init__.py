@@ -4,8 +4,7 @@ from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "repro.workload.arrivals": (
-        "Burst", "bursty_arrivals", "iter_poisson_arrivals",
-        "per_second_counts"),
+        "Burst", "bursty_arrivals", "per_second_counts"),
     "repro.workload.azure": (
         "IO_REPLAY_INVOCATIONS", "REPLAY_TOTAL_INVOCATIONS",
         "DailyPatternGenerator", "iter_tiled_replay_arrivals",
@@ -52,7 +51,6 @@ __all__ = [
     "iat_cdf",
     "io_function_spec",
     "io_workload_trace",
-    "iter_poisson_arrivals",
     "iter_tiled_replay_arrivals",
     "multi_function_trace",
     "per_second_counts",

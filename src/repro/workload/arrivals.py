@@ -1,4 +1,4 @@
-"""Arrival processes: Poisson background plus bursts.
+"""Arrival processes: bursts over a uniform background.
 
 The Azure traces show bursty arrival with tight temporal locality (Figs. 2
 and 10).  These generators produce arrival timestamp lists (milliseconds)
@@ -9,37 +9,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from repro.common.errors import WorkloadError
-
-
-def iter_poisson_arrivals(rate_per_second: float, duration_ms: float,
-                          rng: random.Random,
-                          start_ms: float = 0.0) -> Iterator[float]:
-    """Homogeneous Poisson arrivals over ``[start, start + duration)``,
-    yielded one at a time (O(1) memory, same RNG consumption order as the
-    materialized :func:`poisson_arrivals`)."""
-    if rate_per_second < 0:
-        raise WorkloadError(f"negative rate: {rate_per_second}")
-    if duration_ms <= 0:
-        raise WorkloadError(f"duration must be > 0, got {duration_ms}")
-    if rate_per_second == 0:
-        return
-    mean_gap_ms = 1000.0 / rate_per_second
-    t = start_ms
-    while True:
-        t += rng.expovariate(1.0 / mean_gap_ms) * 1.0
-        if t >= start_ms + duration_ms:
-            return
-        yield t
-
-
-def poisson_arrivals(rate_per_second: float, duration_ms: float,
-                     rng: random.Random, start_ms: float = 0.0) -> List[float]:
-    """Homogeneous Poisson arrivals over ``[start, start + duration)``."""
-    return list(iter_poisson_arrivals(rate_per_second, duration_ms, rng,
-                                      start_ms=start_ms))
 
 
 @dataclass(frozen=True)

@@ -126,12 +126,12 @@ def tiled_fib_stream(invocations: int,
                      ) -> TraceStream:
     """The scale scenario: bursty replay minutes tiled to *invocations*.
 
-    Byte-identical to the perf bench's pre-streaming ``bench_trace``
-    construction (tile *t*: arrivals seeded ``seed + t``, payloads from a
-    fresh ``DurationSampler(seed + 7919 * (t + 1))``, function ids round-
-    robined by global arrival rank), but O(one tile) in memory — this is
-    what lets the 1.98 M-invocation Azure replay stream through a shard
-    without ever existing as a list.
+    Tile *t* draws arrivals seeded ``seed + t`` and payloads from a fresh
+    ``DurationSampler(seed + 7919 * (t + 1))``; function ids are
+    round-robined by global arrival rank.  The stream is O(one tile) in
+    memory — this is what lets the 1.98 M-invocation Azure replay stream
+    through a shard without ever existing as a list; the perf bench's
+    ``bench_trace`` materializes it.
 
     With *function_ids* it yields only those functions' records, byte-
     identical to the full stream's; the others still draw their payload

@@ -16,7 +16,6 @@ from repro.common.units import (
     seconds,
 )
 from repro.common.validation import (
-    require_in_range,
     require_non_negative,
     require_positive,
 )
@@ -95,12 +94,6 @@ class TestValidation:
         assert require_non_negative("x", 0) == 0
         with pytest.raises(errors.ConfigurationError):
             require_non_negative("x", -1)
-
-    def test_require_in_range(self):
-        assert require_in_range("x", 0.5, 0.0, 1.0) == 0.5
-        with pytest.raises(errors.ConfigurationError):
-            require_in_range("x", 2.0, 0.0, 1.0)
-
 
 
 class TestErrorHierarchy:

@@ -7,7 +7,6 @@ import io
 import pytest
 
 from repro.baselines import VanillaScheduler
-from repro.common.eventlog import EventLog
 from repro.core import FaaSBatchScheduler
 from repro.faults.plan import FaultPlan, reference_plan
 from repro.faults.resilience import ResiliencePolicy
@@ -40,34 +39,29 @@ def trace_jsonl(result):
 
 
 def chaos_run(scheduler_factory, seed):
-    log = EventLog(enabled=True)
-    result = run_experiment(
+    return run_experiment(
         scheduler_factory(),
         io_workload_trace(total=30, seed=7), [io_function_spec()],
         obs=Observability(tracing=True),
         fault_plan=reference_plan(seed=seed),
         resilience=ResiliencePolicy(max_attempts=5, backoff_base_ms=50.0,
-                                    seed=seed),
-        event_log=log)
-    return result, log
+                                    seed=seed))
 
 
 class TestChaosDeterminism:
     @pytest.mark.parametrize("factory", [VanillaScheduler,
                                          FaaSBatchScheduler])
     def test_same_seed_is_byte_identical(self, factory):
-        first, first_log = chaos_run(factory, seed=11)
-        second, second_log = chaos_run(factory, seed=11)
+        first = chaos_run(factory, seed=11)
+        second = chaos_run(factory, seed=11)
         assert fingerprint(first) == fingerprint(second)
         assert trace_jsonl(first) == trace_jsonl(second)
-        assert [(r.time_ms, r.kind, r.details) for r in first_log] == \
-            [(r.time_ms, r.kind, r.details) for r in second_log]
         assert first.metrics_snapshot() == second.metrics_snapshot()
 
     def test_chaos_run_actually_retried(self):
         # Guard against this suite passing vacuously: the reference plan
         # must actually perturb the run it replays against.
-        result, _log = chaos_run(VanillaScheduler, seed=11)
+        result = chaos_run(VanillaScheduler, seed=11)
         assert result.retried_invocations()
 
 

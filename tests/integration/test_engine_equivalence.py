@@ -1,7 +1,7 @@
 """Golden digests: the simulator's byte-observable output, pinned.
 
-``tests/data/engine_goldens.json`` holds sha256 digests of the span trace,
-event log and metrics snapshot (plus completion time and invocation count)
+``tests/data/engine_goldens.json`` holds sha256 digests of the span trace
+and metrics snapshot (plus completion time and invocation count)
 of six seeded scenarios — four schedulers, two of them again under a fault
 plan with the resilience layer on.  Same seed ⇒ byte-identical artifacts:
 the fair-share engine, the SFS discipline and the dispatch pipeline may be
@@ -31,7 +31,6 @@ from repro.baselines.kraken import (
 )
 from repro.baselines.sfs import SfsScheduler
 from repro.baselines.vanilla import VanillaScheduler
-from repro.common.eventlog import EventLog
 from repro.core.config import FaaSBatchConfig
 from repro.core.scheduler import FaaSBatchScheduler
 from repro.faults import ResiliencePolicy, reference_plan
@@ -88,19 +87,17 @@ def _run_artifacts(key: str, kraken_parameters):
         (k, s, t, f) for k, s, t, f in SCENARIOS if k == key)
     trace = multi_function_trace(seed=seed, total=total, functions=FUNCTIONS)
     obs = Observability(tracing=True)
-    event_log = EventLog(enabled=True)
     kwargs = {}
     if faulty:
         kwargs.update(fault_plan=reference_plan(seed=5),
                       resilience=ResiliencePolicy())
     result = run_experiment(
         _make_scheduler(key, kraken_parameters), trace, _specs(),
-        window_ms=WINDOW_MS, obs=obs, event_log=event_log, **kwargs)
+        window_ms=WINDOW_MS, obs=obs, **kwargs)
     spans = io.StringIO()
     write_jsonl(spans, result.trace)
     return {
         "spans": spans.getvalue(),
-        "eventlog": event_log.to_csv(),
         "metrics": json.dumps(result.metrics.snapshot(), sort_keys=True),
         "completion_ms": result.completion_ms,
         "invocations": len(result.invocations),
@@ -112,8 +109,6 @@ def _digest(artifacts: dict) -> dict:
     return {
         "spans_sha256": hashlib.sha256(
             artifacts["spans"].encode()).hexdigest(),
-        "eventlog_sha256": hashlib.sha256(
-            artifacts["eventlog"].encode()).hexdigest(),
         "metrics_sha256": hashlib.sha256(
             artifacts["metrics"].encode()).hexdigest(),
         "completion_ms": artifacts["completion_ms"],

@@ -1,17 +1,18 @@
-"""Tests for the structured decision log."""
+"""The platform's lifecycle record: the span tracer plus the metrics.
+
+Every lifecycle step a run takes is held by the tracer (an invocation
+timeline, a container event or an annotation) or by a metric;
+``docs/observability.md`` lists which holds what.  These checks read both
+recorders on small runs and assert that they agree with the platform's
+own accounting.
+"""
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-
-import pytest
-
 from repro.baselines import VanillaScheduler
-from repro.common.eventlog import EventKind, EventLog, LogRecord
 from repro.core import FaaSBatchScheduler
 from repro.model.calibration import DEFAULT_CALIBRATION
+from repro.obs import Observability
 from repro.platformsim.experiment import run_experiment
 from repro.platformsim.gateway import start_replay
 from repro.platformsim.platform import ServerlessPlatform
@@ -20,85 +21,15 @@ from repro.sim.machine import Machine
 from repro.workload.generator import cpu_workload_trace, fib_function_spec
 
 
-class TestEventLogUnit:
-    def test_disabled_by_default(self):
-        log = EventLog()
-        log.record(0.0, EventKind.REQUEST_ARRIVED)
-        assert len(log) == 0
-
-    def test_enable_disable(self):
-        log = EventLog().enable()
-        log.record(1.0, EventKind.WARM_HIT, container_id="c-0")
-        log.disable()
-        log.record(2.0, EventKind.WARM_HIT)
-        assert len(log) == 1
-
-    def test_capacity_drops_oldest(self):
-        log = EventLog(enabled=True, capacity=3)
-        for i in range(5):
-            log.record(float(i), EventKind.REQUEST_ARRIVED, index=i)
-        assert len(log) == 3
-        assert log.dropped == 2
-        assert [r.get("index") for r in log] == [2, 3, 4]
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            EventLog(capacity=0)
-
-    def test_queries(self):
-        log = EventLog(enabled=True)
-        log.record(1.0, EventKind.REQUEST_ARRIVED, invocation_id="i0")
-        log.record(2.0, EventKind.WARM_HIT, container_id="c-1")
-        log.record(3.0, EventKind.INVOCATION_COMPLETED,
-                   invocation_id="i0", container_id="c-1")
-        assert log.count(EventKind.WARM_HIT) == 1
-        assert len(log.of_kind(EventKind.REQUEST_ARRIVED)) == 1
-        assert len(log.between(1.5, 3.5)) == 2
-        assert len(log.for_container("c-1")) == 2
-        assert len(log.for_invocation("i0")) == 2
-        with pytest.raises(ValueError):
-            log.between(5.0, 1.0)
-
-    def test_to_csv(self):
-        log = EventLog(enabled=True)
-        log.record(1.5, EventKind.LAUNCH_DECISION, reason="cold")
-        text = log.to_csv()
-        assert "launch-decision" in text
-        assert json.loads(next(csv.reader(io.StringIO(text.splitlines()[1])))
-                          [2]) == {"reason": "cold"}
-
-    def test_to_csv_details_survive_hostile_characters(self):
-        # Regression: the old key=value;key=value join produced unparseable
-        # rows for detail values containing ';' or '='.
-        log = EventLog(enabled=True)
-        log.record(2.0, EventKind.DISPATCH_DECISION,
-                   label="a=b;c=d", note='quoted "text", with commas')
-        rows = list(csv.reader(io.StringIO(log.to_csv())))
-        assert rows[0] == ["time_ms", "kind", "details"]
-        details = json.loads(rows[1][2])
-        assert details == {"label": "a=b;c=d",
-                           "note": 'quoted "text", with commas'}
-
-    def test_to_csv_non_serialisable_detail_stringified(self):
-        log = EventLog(enabled=True)
-        log.record(3.0, EventKind.WARM_HIT, error=ValueError("boom"))
-        details = json.loads(list(csv.reader(io.StringIO(log.to_csv())))[1][2])
-        assert details == {"error": "boom"}
-
-    def test_log_record_get_default(self):
-        record = LogRecord(0.0, EventKind.WARM_HIT, {})
-        assert record.get("missing", "fallback") == "fallback"
-
-
 class TestPlatformIntegration:
-    def run_with_log(self, scheduler, total=40):
-        """Run a small experiment on a platform with logging enabled."""
+    def run_traced(self, scheduler, total=40):
+        """Run a small experiment on a platform with tracing on."""
         trace = cpu_workload_trace(total=total)
         spec = fib_function_spec()
         env = Environment()
         machine = Machine(env)
         platform = ServerlessPlatform(env, machine, DEFAULT_CALIBRATION,
-                                      event_log=EventLog(enabled=True))
+                                      obs=Observability(tracing=True))
         platform.register_function(spec)
         done = platform.expect_invocations(len(trace))
         scheduler.start(platform)
@@ -110,32 +41,50 @@ class TestPlatformIntegration:
         env.run_process(env.process(waiter()))
         return platform
 
+    @staticmethod
+    def counter(platform, name):
+        # Metric handles are created on first use: an absent counter is 0.
+        return platform.obs.metrics.snapshot().get(name, {}).get("value", 0)
+
+    @staticmethod
+    def container_events(platform, kind):
+        return [event for event in platform.obs.tracer.container_events
+                if event.kind == kind]
+
     def test_every_request_logged(self):
-        platform = self.run_with_log(VanillaScheduler())
-        log = platform.event_log
-        assert log.count(EventKind.REQUEST_ARRIVED) == 40
-        assert log.count(EventKind.INVOCATION_COMPLETED) == 40
-        assert log.count(EventKind.INVOCATION_FAILED) == 0
+        # Every request has a timeline and a completion.
+        platform = self.run_traced(VanillaScheduler())
+        tracer = platform.obs.tracer
+        assert self.counter(platform, "platform.requests") == 40
+        assert self.counter(platform, "platform.completed") == 40
+        assert self.counter(platform, "platform.failed") == 0
+        assert len(platform.completed) == 40
+        for invocation in platform.completed:
+            timeline = tracer.timeline(invocation.invocation_id)
+            assert not timeline.failed
+        assert len(tracer.timelines()) == 40
 
     def test_cold_starts_bracketed(self):
-        platform = self.run_with_log(VanillaScheduler())
-        log = platform.event_log
-        began = log.count(EventKind.COLD_START_BEGAN)
-        ended = log.count(EventKind.COLD_START_ENDED)
+        platform = self.run_traced(VanillaScheduler())
+        began = len(self.container_events(platform, "cold-start-began"))
+        ended = len(self.container_events(platform, "cold-start-ended"))
         assert began == ended == platform.provisioned_containers()
         # Warm hits + cold starts cover every container acquisition.
-        assert log.count(EventKind.WARM_HIT) + began >= 40
+        assert self.counter(platform, "pool.warm_hits") + began >= 40
 
     def test_faasbatch_fewer_decisions_than_requests(self):
-        platform = self.run_with_log(FaaSBatchScheduler())
-        log = platform.event_log
-        assert log.count(EventKind.DISPATCH_DECISION) < \
-            log.count(EventKind.REQUEST_ARRIVED)
-        batches = log.of_kind(EventKind.BATCH_STARTED)
-        assert sum(int(r.get("batch_size")) for r in batches) == 40
+        platform = self.run_traced(FaaSBatchScheduler())
+        decisions = self.counter(platform, "platform.dispatch_decisions")
+        assert 0 < decisions < self.counter(platform, "platform.requests")
+        batches = self.container_events(platform, "batch-started")
+        assert sum(int(event.attrs["batch_size"]) for event in batches) == 40
 
     def test_experiment_runner_leaves_log_off_by_default(self):
         trace = cpu_workload_trace(total=20)
         result = run_experiment(VanillaScheduler(), trace,
                                 [fib_function_spec()])
-        assert len(result.invocations) == 20  # and no crash from logging
+        assert len(result.invocations) == 20
+        assert not result.trace.enabled
+        assert len(result.trace) == 0
+        assert not result.trace.container_events
+        assert not result.trace.annotations

@@ -1,11 +1,11 @@
-"""Off means off: a disabled tracer and event log are never entered.
+"""Off means off: a disabled tracer is never entered.
 
-Every recorder call site in the platform, the container model, the
+Every tracer call site in the platform, the container model, the
 schedulers and the fault layer tests ``enabled`` before it builds its
-arguments.  With tracing and the event log off, a full ``run_experiment``
-— faults, retries, timeouts and hedges included — must therefore never
-reach a recording method.  The same scenarios run once with both on,
-which shows that the off runs really pass every call site.
+arguments.  With tracing off, a full ``run_experiment`` — faults,
+retries, timeouts and hedges included — must therefore never reach a
+recording method.  The same scenarios run once with tracing on, which
+shows that the off runs really pass every call site.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import SfsScheduler, VanillaScheduler
-from repro.common.eventlog import EventLog
 from repro.core import FaaSBatchConfig, FaaSBatchScheduler
 from repro.faults import ResiliencePolicy, reference_plan
 from repro.faults.plan import FaultPlan, OomKillFault, StragglerFault
@@ -86,8 +85,7 @@ def _run(name, recording):
                                    kwargs.pop("trace"),
                                    kwargs.pop("functions"))
     return run_experiment(scheduler, trace, functions,
-                          obs=Observability(tracing=recording),
-                          event_log=EventLog(enabled=recording), **kwargs)
+                          obs=Observability(tracing=recording), **kwargs)
 
 
 def test_recording_runs_reach_every_kind_of_call_site():
@@ -110,6 +108,5 @@ def test_disabled_recorders_are_never_entered(name, monkeypatch):
 
     for method in RECORDERS:
         monkeypatch.setattr(InvocationTracer, method, refuse)
-    monkeypatch.setattr(EventLog, "record", refuse)
     result = _run(name, recording=False)
     assert result.invocations

@@ -1,11 +1,11 @@
-"""Tests for Resource, Store and Gate."""
+"""Tests for Resource and Store."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.primitives import Gate, Resource, Store
+from repro.sim.primitives import Resource, Store
 
 
 class TestResource:
@@ -129,41 +129,3 @@ class TestStore:
         assert store.drain() == [0, 1, 2, 3, 4]
         assert len(store) == 0
 
-
-class TestGate:
-    def test_open_gate_passes_immediately(self, env):
-        gate = Gate(env, open_=True)
-        passed = []
-
-        def proc():
-            yield gate.wait()
-            passed.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert passed == [0.0]
-
-    def test_closed_gate_blocks_until_open(self, env):
-        gate = Gate(env)
-        passed = []
-
-        def waiter():
-            yield gate.wait()
-            passed.append(env.now)
-
-        def opener():
-            yield env.timeout(12.0)
-            gate.open()
-
-        env.process(waiter())
-        env.process(opener())
-        env.run()
-        assert passed == [12.0]
-
-    def test_reclose_blocks_new_waiters(self, env):
-        gate = Gate(env, open_=True)
-        gate.close()
-        assert not gate.is_open
-        event = gate.wait()
-        env.run()
-        assert not event.triggered

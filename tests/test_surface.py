@@ -31,14 +31,7 @@ PACKAGE = ROOT / "src" / "repro"
 CORPUS = ("src", "benchmarks", "examples", "macrobench")
 
 #: ``module:name`` -> why the name stays although the corpus never uses it.
-ALLOWED: Dict[str, str] = {
-    "repro.common.validation:require_in_range":
-        "left for the next census pass (only its own test calls it)",
-    "repro.sim.primitives:Gate":
-        "left for the next census pass (only its own three tests use it)",
-    "repro.workload.arrivals:poisson_arrivals":
-        "left for the next census pass (only tests use it)",
-}
+ALLOWED: Dict[str, str] = {}
 
 
 class _Uses(NamedTuple):
