@@ -363,7 +363,10 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
         key = (scheduler, str(span["stage"]))
         groups.setdefault(key, SampleStats()).add(
             float(span["end_ms"]) - float(span["start_ms"]))
-        invocations.setdefault(scheduler, set()).add(span["invocation_id"])
+        # A retried attempt (``inv-3#a2``) or a hedged shadow (``inv-3~h1``)
+        # is another timeline of the same invocation.
+        base_id = str(span["invocation_id"]).split("#")[0].split("~")[0]
+        invocations.setdefault(scheduler, set()).add(base_id)
     rows = [[scheduler, stage, stats.count,
              round(stats.mean, 2), round(stats.median, 2),
              round(stats.percentile(98.0), 2), round(stats.total, 1)]

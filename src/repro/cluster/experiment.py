@@ -44,13 +44,12 @@ def _build_worker(env: Environment, scheduler: Scheduler,
                   obs: Optional[Observability] = None) -> ServerlessPlatform:
     """One started worker platform of the calibration's machine shape.
 
-    ``retain=False`` keeps neither the memory series nor the completed
-    invocation records: the regime of runs too long to hold them.
+    ``retain=False`` keeps no completed invocation records: the regime of
+    runs too long to hold them.
     """
     cores = calibration.worker_cores
     machine = Machine(env, cores=cores, memory_gb=calibration.worker_memory_gb,
-                      cpu=build_cpu(env, scheduler.cpu_discipline, cores),
-                      retain_memory_series=retain)
+                      cpu=build_cpu(env, scheduler.cpu_discipline, cores))
     platform = ServerlessPlatform(env, machine, calibration, obs=obs,
                                   retain_completed=retain)
     for spec in functions:

@@ -246,10 +246,7 @@ class FaultInjector:
         memory = self.platform.machine.memory
         if memory.used_mb < fault.threshold_mb:
             return  # usage dropped before the kill landed
-        candidates = [
-            c for c in self.platform.docker.containers.list(all=True)
-            if c.state in (ContainerState.WARM, ContainerState.ACTIVE)
-        ]
+        candidates = self.platform.docker.containers.list()
         if not candidates:
             return
         # Deterministic victim: the fattest container, ties by id.

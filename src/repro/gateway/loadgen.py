@@ -177,7 +177,7 @@ class LoadResult:
         wall = max(self.wall_seconds, 1e-9)
         degradation = self.gateway_stats.get("degradation", {})
         batches = self.gateway_stats.get("batches_dispatched", 0)
-        batched = self.gateway_stats.get("batched_requests", 0)
+        dispatched = self.gateway_stats.get("dispatched_requests", 0)
         return {
             "cell": self.label,
             "policy": self.policy,
@@ -205,7 +205,7 @@ class LoadResult:
             "mode_flips": list(degradation.get("flips", [])),
             "final_mode": degradation.get("mode"),
             "batches_dispatched": batches,
-            "mean_batch_size": (round(batched / batches, 3)
+            "mean_batch_size": (round(dispatched / batches, 3)
                                 if batches else 0.0),
         }
 

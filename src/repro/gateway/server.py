@@ -200,7 +200,10 @@ class Gateway:
         self.requests_total = 0
         self.responses_by_status: Dict[int, int] = {}
         self.batches_dispatched = 0
+        #: Requests that waited in a dispatch window (batch mode only).
         self.batched_requests = 0
+        #: Requests handed to the platform, windowed or not.
+        self.dispatched_requests = 0
         #: Wall-clock construction instant (epoch seconds) for /healthz
         #: and /stats; uptime is measured on the loop's monotonic clock.
         self.started_at = time.time()
@@ -354,6 +357,7 @@ class Gateway:
                 self._fail(request, error)
             return
         self.batches_dispatched += 1
+        self.dispatched_requests += len(requests)
 
     def _expire_due(self) -> None:
         """Answer 504 to every request whose budget ran out; re-arm."""
@@ -489,6 +493,7 @@ class Gateway:
                 in sorted(self.responses_by_status.items())},
             "batches_dispatched": self.batches_dispatched,
             "batched_requests": self.batched_requests,
+            "dispatched_requests": self.dispatched_requests,
             "queue_depths": {name: batcher.depth for name, batcher
                              in sorted(self._batchers.items())},
             "admission": self.admission.stats(),

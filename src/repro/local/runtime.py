@@ -20,6 +20,7 @@ effects on a laptop in milliseconds.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import queue
 import threading
@@ -140,6 +141,11 @@ class LocalPlatform:
         timeout = self.config.request_timeout_seconds
         self._watcher = (DeadlineWatcher(timeout, "local-deadlines")
                          if timeout is not None else None)
+        #: Backed-off retries, a ``(due, invocation id, invocation)`` heap
+        #: served by one thread while it is not empty.
+        self._retry_due: List[Tuple[float, str, LocalInvocation]] = []
+        self._retry_wake = threading.Condition()
+        self._retrier: Optional[threading.Thread] = None
         #: Warm pool: per function, ``(released_at, container)`` pairs.
         self._idle: Dict[str, List[Tuple[float, LocalContainer]]] = {}
         #: Every container not yet expired, busy ones included.
@@ -562,13 +568,35 @@ class LocalPlatform:
         invocation.reset_for_retry()
         retry_number = invocation.attempts - 1  # 1 for the first retry
         delay = self.config.retry_backoff_seconds * 2 ** (retry_number - 1)
-        if delay > 0:
-            timer = threading.Timer(delay, self._queue.put,
-                                    args=(invocation,))
-            timer.daemon = True
-            timer.start()
-        else:
+        if delay <= 0:
             self._queue.put(invocation)
+            return
+        with self._retry_wake:
+            heapq.heappush(self._retry_due, (time.monotonic() + delay,
+                                             invocation.invocation_id,
+                                             invocation))
+            if self._retrier is None:
+                self._retrier = threading.Thread(
+                    target=self._retry_loop, name="local-retries",
+                    daemon=True)
+                self._retrier.start()
+            self._retry_wake.notify()
+
+    def _retry_loop(self) -> None:
+        """Re-enqueue each backed-off retry once it falls due.
+
+        One thread serves every pending retry and exits when none is left;
+        ``drain`` waits for retries, so none outlives ``shutdown``.
+        """
+        due = self._retry_due
+        with self._retry_wake:
+            while due:
+                wait = due[0][0] - time.monotonic()
+                if wait > 0:
+                    self._retry_wake.wait(wait)
+                else:
+                    self._queue.put(heapq.heappop(due)[2])
+            self._retrier = None
 
     # -- warm pool ----------------------------------------------------------------------
 

@@ -22,7 +22,7 @@ A container in this model matches the paper's prototype containers:
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.common.errors import (
     ContainerStateError,
@@ -91,8 +91,6 @@ class SimContainer:
         self.invocations_failed = 0
         self.state = ContainerState.CREATED
         self.cold_start_ms: Optional[float] = None
-        self.started_at_ms: Optional[float] = None
-        self.stopped_at_ms: Optional[float] = None
         self.invocations_served = 0
         self.clients_created = 0
         self.active_invocations = 0
@@ -105,12 +103,12 @@ class SimContainer:
         self._executor: Optional[Resource] = None
         if concurrency_limit is not None:
             self._executor = Resource(env, capacity=concurrency_limit)
-        self._client_instances: List[ClientInstance] = []
         #: Live invocation processes by invocation id — the handles the
         #: fault/resilience layer uses to crash, time out or hedge them.
         self._inflight: Dict[str, Process] = {}
-        self.crash_error: Optional[BaseException] = None
-        self.invocations_superseded = 0
+        #: Called once the container is gone for good — after ``stop`` or
+        #: after a crash's teardown — so its owner can fold its counts.
+        self.on_retired: Optional[Callable[["SimContainer"], None]] = None
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -140,7 +138,6 @@ class SimContainer:
         if self.calibration.cold_start_latency_ms > 0:
             yield self.env.timeout(self.calibration.cold_start_latency_ms)
         self.cold_start_ms = self.env.now - began
-        self.started_at_ms = self.env.now
         self.state = ContainerState.WARM
         return self.cold_start_ms
 
@@ -164,7 +161,8 @@ class SimContainer:
             raise ContainerStateError(
                 f"{self.container_id} cannot stop while starting")
         self.state = ContainerState.STOPPED
-        self.stopped_at_ms = self.env.now
+        if self.on_retired is not None:
+            self.on_retired(self)
 
     @property
     def is_idle(self) -> bool:
@@ -207,7 +205,6 @@ class SimContainer:
             raise ContainerStateError(
                 f"{self.container_id} cannot crash from {self.state}")
         self.state = ContainerState.CRASHED
-        self.crash_error = error
         victims = [process for process in self._inflight.values()
                    if process.is_alive]
         for process in victims:
@@ -245,7 +242,8 @@ class SimContainer:
             self.machine.memory.free(self._memory_owner)
         if self.machine.memory.held_by(self._client_memory_owner):
             self.machine.memory.free(self._client_memory_owner)
-        self.stopped_at_ms = self.env.now
+        if self.on_retired is not None:
+            self.on_retired(self)
 
     # -- execution -------------------------------------------------------------------
 
@@ -334,11 +332,9 @@ class SimContainer:
             if isinstance(error, ProcessInterrupted) \
                     and isinstance(error.cause, BaseException):
                 cause = error.cause
-            if isinstance(cause, HedgeSuperseded):
-                # The hedged shadow already won and its result was adopted:
-                # this attempt stands down without failing the invocation.
-                self.invocations_superseded += 1
-            else:
+            # A superseded attempt stands down without failing the
+            # invocation: the hedged shadow won and its result was adopted.
+            if not isinstance(cause, HedgeSuperseded):
                 invocation.mark_failed(self.env.now, cause)
                 self.invocations_failed += 1
                 tracer = self.tracer
@@ -424,12 +420,10 @@ class SimContainer:
         self.machine.memory.allocate(self._client_memory_owner,
                                      self._cost_model.client_memory_mb)
         self.clients_created += 1
-        instance = ClientInstance(
+        return ClientInstance(
             factory=segment.factory, args_hash=segment.args_hash,
             created_at_ms=self.env.now,
             memory_mb=self._cost_model.client_memory_mb)
-        self._client_instances.append(instance)
-        return instance
 
     def __repr__(self) -> str:
         return (f"<SimContainer {self.container_id} fn="

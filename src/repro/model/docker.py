@@ -7,12 +7,15 @@ the original prototype and so tests can assert on the docker-level view
 (list, get, stop) independent of the scheduling layer.
 
 Only the parts of the docker-py API that the paper's system touches are
-implemented; anything else raises ``AttributeError`` naturally.
+implemented; anything else raises ``AttributeError`` naturally.  Containers
+behave as if started with ``--rm``: once one stops (or its crash teardown
+ends) the daemon forgets it, folding what results read into running totals,
+so a long run holds only the containers that are still up.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.common.errors import ContainerNotFound
 from repro.common.ids import IdFactory
@@ -107,10 +110,23 @@ class _ContainerCollection:
         return ContainerHandle(container, start_process=None)  # type: ignore[arg-type]
 
     def list(self, all: bool = False) -> List[SimContainer]:  # noqa: A002 - docker API
+        """Running containers; ``all=True`` adds those still starting."""
         containers = self._client._containers.values()
         if all:
             return list(containers)
         return [c for c in containers if c.state in WARM_STATES]
+
+
+def _fold(totals: Tuple[int, int, int],
+          containers: Iterable[SimContainer]) -> Tuple[int, int, int]:
+    clients, reuses, misses = totals
+    for container in containers:
+        clients += container.clients_created
+        if container.multiplexer is not None:
+            stats = container.multiplexer.stats
+            reuses += stats.hits + stats.in_flight_waits
+            misses += stats.misses
+    return clients, reuses, misses
 
 
 class SimDockerClient:
@@ -125,8 +141,11 @@ class SimDockerClient:
         self.calibration = calibration
         self.ids = ids if ids is not None else IdFactory()
         self.obs = obs
+        #: Containers not yet stopped or torn down, by id.
         self._containers: Dict[str, SimContainer] = {}
         self.containers = _ContainerCollection(self)
+        self._started = 0
+        self._retired = (0, 0, 0)  # totals() of the forgotten containers
         if obs is not None:  # handles created on first publish (see the pool)
             self._m = LazyMetrics(
                 obs.metrics,
@@ -135,10 +154,22 @@ class SimDockerClient:
 
     def _register(self, container: SimContainer) -> None:
         self._containers[container.container_id] = container
+        container.on_retired = self._retire
+        self._started += 1
+
+    def _retire(self, container: SimContainer) -> None:
+        """Fold a stopped or torn-down container's counts, then forget it."""
+        del self._containers[container.container_id]
+        self._retired = _fold(self._retired, [container])
 
     def started_count(self) -> int:
         """How many containers were ever created on this daemon."""
-        return len(self._containers)
+        return self._started
+
+    def totals(self) -> Tuple[int, int, int]:
+        """``(clients created, multiplexer hits + in-flight waits, misses)``
+        over every container ever started."""
+        return _fold(self._retired, self._containers.values())
 
     def running_count(self) -> int:
         return len([c for c in self._containers.values()

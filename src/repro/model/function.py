@@ -9,8 +9,8 @@ platform and containers stamp them as the invocation flows through.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 from repro.common.errors import SchedulingError
 from repro.model.workprofile import WorkProfile
@@ -57,7 +57,7 @@ class InvocationState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LatencyBreakdown:
     """The four latency components of §IV, all in milliseconds.
 
@@ -82,7 +82,7 @@ class LatencyBreakdown:
         return self.execution_ms + self.queuing_ms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttemptRecord:
     """Archived stamps of one failed attempt (preserved across retries)."""
 
@@ -95,19 +95,24 @@ class AttemptRecord:
     error: Optional[str]
 
 
-@dataclass
+@dataclass(slots=True)
 class Invocation:
-    """One function invocation flowing through the platform."""
+    """One function invocation flowing through the platform.
+
+    An invocation holds only its stamps: :attr:`latency` is derived from
+    them on read, so a finished run retains a few hundred bytes each.
+    """
 
     invocation_id: str
     function: FunctionSpec
     payload: object
     arrival_ms: float
     state: InvocationState = InvocationState.RECEIVED
-    latency: LatencyBreakdown = field(default_factory=LatencyBreakdown)
     container_id: Optional[str] = None
     #: Simulated timestamps stamped as the invocation progresses.
     dispatched_ms: Optional[float] = None
+    #: The cold start this attempt waited for before dispatch (0.0 warm).
+    cold_start_ms: float = 0.0
     execution_start_ms: Optional[float] = None
     completed_ms: Optional[float] = None
     #: When the response was returned to the caller.  Under the paper's
@@ -119,12 +124,27 @@ class Invocation:
     error: Optional[BaseException] = None
     #: Resilience bookkeeping: current attempt number (1 = first try),
     #: the original arrival (attempt 1's, never overwritten by retries)
-    #: and the archived stamps of every failed earlier attempt.
+    #: and the archived stamps of every failed earlier attempt (the shared
+    #: empty tuple until a retry, so a first try allocates nothing).
     attempts: int = 1
     first_arrival_ms: Optional[float] = None
-    attempt_history: List[AttemptRecord] = field(default_factory=list)
+    attempt_history: Tuple[AttemptRecord, ...] = ()
     #: True when a hedged shadow produced this invocation's result.
     hedged: bool = False
+
+    @property
+    def latency(self) -> LatencyBreakdown:
+        """This attempt's §IV breakdown, computed from its stamps (a
+        component whose stamps are not set yet reads 0.0)."""
+        dispatched, started = self.dispatched_ms, self.execution_start_ms
+        if dispatched is None:
+            return LatencyBreakdown()
+        return LatencyBreakdown(
+            (dispatched - self.arrival_ms) - self.cold_start_ms,
+            self.cold_start_ms,
+            0.0 if started is None else started - dispatched,
+            self.completed_ms - started  # type: ignore[operator]
+            if self.state is InvocationState.COMPLETED else 0.0)
 
     # -- stamping helpers (called by the platform/container) ---------------------
 
@@ -139,8 +159,7 @@ class Invocation:
                 f"{self.invocation_id}: cold start ({cold_start_ms} ms) "
                 f"exceeds elapsed scheduling time ({raw_scheduling} ms)")
         self.dispatched_ms = now_ms
-        self.latency.scheduling_ms = raw_scheduling - cold_start_ms
-        self.latency.cold_start_ms = cold_start_ms
+        self.cold_start_ms = cold_start_ms
         self.state = InvocationState.DISPATCHED
 
     def mark_execution_start(self, now_ms: float) -> None:
@@ -149,7 +168,6 @@ class Invocation:
             raise SchedulingError(
                 f"{self.invocation_id} started before dispatch")
         self.execution_start_ms = now_ms
-        self.latency.queuing_ms = now_ms - self.dispatched_ms
         self.state = InvocationState.RUNNING
 
     def mark_completed(self, now_ms: float) -> None:
@@ -157,7 +175,6 @@ class Invocation:
             raise SchedulingError(
                 f"{self.invocation_id} completed before starting")
         self.completed_ms = now_ms
-        self.latency.execution_ms = now_ms - self.execution_start_ms
         self.state = InvocationState.COMPLETED
 
     def mark_failed(self, now_ms: float, error: BaseException) -> None:
@@ -243,20 +260,20 @@ class Invocation:
                 f"{self.invocation_id} retried without a failure")
         if self.first_arrival_ms is None:
             self.first_arrival_ms = self.arrival_ms
-        self.attempt_history.append(AttemptRecord(
+        self.attempt_history += (AttemptRecord(
             attempt=self.attempts,
             arrival_ms=self.arrival_ms,
             latency=self.latency,
             dispatched_ms=self.dispatched_ms,
             completed_ms=self.completed_ms,
             container_id=self.container_id,
-            error=type(self.error).__name__))
+            error=type(self.error).__name__),)
         self.attempts += 1
         self.arrival_ms = now_ms
         self.state = InvocationState.RECEIVED
-        self.latency = LatencyBreakdown()
         self.container_id = None
         self.dispatched_ms = None
+        self.cold_start_ms = 0.0
         self.execution_start_ms = None
         self.completed_ms = None
         self.responded_ms = None
@@ -278,11 +295,6 @@ class Invocation:
                 f"hedge {shadow.invocation_id} did not complete cleanly")
         self.execution_start_ms = shadow.execution_start_ms
         self.completed_ms = shadow.completed_ms
-        if self.dispatched_ms is not None \
-                and shadow.execution_start_ms is not None:
-            self.latency.queuing_ms = \
-                shadow.execution_start_ms - self.dispatched_ms
-        self.latency.execution_ms = shadow.latency.execution_ms
         self.container_id = shadow.container_id
         self.error = None
         self.state = InvocationState.COMPLETED

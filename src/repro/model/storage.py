@@ -18,6 +18,7 @@ calibrated by two published points (c=1 and c=9).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.model.calibration import Calibration
@@ -32,7 +33,9 @@ class StorageClientCostModel:
     client_memory_mb: float
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def from_calibration(cls, calibration: Calibration) -> "StorageClientCostModel":
+        """The model of *calibration*, shared by every caller (immutable)."""
         return cls(base_work_ms=calibration.client_creation_work_ms,
                    contention_exponent=calibration.client_contention_exponent,
                    client_memory_mb=calibration.client_memory_mb)

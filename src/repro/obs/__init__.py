@@ -23,6 +23,7 @@ assert this).  Downstream, the sampled/traced run feeds the export layer:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
 from repro import _lazy_exports
@@ -100,6 +101,15 @@ class Observability:
         else:
             self.metrics.install(ClockGauge("sim.time_ms", env))
         self.sampler.install(env)
+
+    def unbind(self) -> None:
+        """Keep what was recorded but no path into the bound environment:
+        ``sim.time_ms`` freezes and the sampler drops its probes."""
+        env, self._bound_env = self._bound_env, None
+        gauge = self.metrics.get("sim.time_ms")
+        if isinstance(gauge, ClockGauge) and gauge.clock is env:
+            gauge.clock = SimpleNamespace(now=env.now)
+        self.sampler.uninstall()
 
     def telemetry(self) -> TelemetrySnapshot:
         """The bundle's mergeable telemetry digest (metrics + series).

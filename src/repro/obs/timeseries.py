@@ -202,6 +202,13 @@ class TimeSeriesSampler:
         self._sample(env.now)
         env.add_time_hook(self._on_advance)
 
+    def uninstall(self) -> None:
+        """Stop sampling and drop every probe; the recorded series stay."""
+        if self._env is not None:
+            self._env.remove_time_hook(self._on_advance)
+            self._env = None
+        self._probes.clear()
+
     def _on_advance(self, _old_ms: float, new_ms: float) -> None:
         boundary = self._boundary_ms
         if boundary > new_ms:  # most advances cross no boundary

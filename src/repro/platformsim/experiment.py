@@ -87,8 +87,12 @@ def run_experiment(scheduler: "Scheduler",
         raise SimulationError(
             f"expected {len(trace)} completions, got {completed_count}")
 
-    multiplexer_entries = sum(
-        misses for _cid, _hits, misses in platform.multiplexer_stats())
+    clients_created, _reuses, multiplexer_entries = platform.docker.totals()
+    # The result keeps no path back into env: no probes, no error frames.
+    platform.obs.unbind()
+    for invocation in platform.completed:
+        if invocation.error is not None:
+            invocation.error.__traceback__ = None
     return ExperimentResult(
         scheduler_name=scheduler.name,
         workload_label=workload_label,
@@ -96,7 +100,7 @@ def run_experiment(scheduler: "Scheduler",
         calibration=calibration,
         invocations=list(platform.completed),
         provisioned_containers=platform.provisioned_containers(),
-        clients_created=platform.clients_created(),
+        clients_created=clients_created,
         multiplexer_entries=multiplexer_entries,
         samples=machine.samples(),
         completion_ms=env.now,

@@ -15,7 +15,7 @@ and the request queue, and exposes the primitives schedulers compose:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.common.errors import (
     ColdStartFailed,
@@ -440,24 +440,3 @@ class ServerlessPlatform:
     def provisioned_containers(self) -> int:
         """Containers cold-started during the run (Figs. 13b/14b)."""
         return self.pool.provisioned_total
-
-    def clients_created(self) -> int:
-        """Storage client instances built across all containers."""
-        return sum(c.clients_created
-                   for c in self.docker.containers.list(all=True))
-
-    def total_client_memory_mb(self) -> float:
-        """Memory spent on client instances (live accounting)."""
-        return (self.clients_created()
-                * self.calibration.client_memory_mb)
-
-    def multiplexer_stats(self) -> List[Tuple[str, int, int]]:
-        """Per-container (id, hits+waits, misses) for multiplexed containers."""
-        out = []
-        for container in self.docker.containers.list(all=True):
-            if container.multiplexer is not None:
-                stats = container.multiplexer.stats
-                out.append((container.container_id,
-                            stats.hits + stats.in_flight_waits,
-                            stats.misses))
-        return out

@@ -11,7 +11,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "repro.sim.machine": (
         "CpuDiscipline", "CpuService", "Machine", "ResourceSample",
         "build_cpu"),
-    "repro.sim.memory": ("MemoryAccount", "MemorySample"),
+    "repro.sim.memory": ("MemoryAccount",),
     "repro.sim.primitives": ("Request", "Resource", "Store"),
     "repro.sim.sfs_cpu": ("SfsCpu", "SfsTask"),
 })
@@ -31,7 +31,6 @@ __all__ = [
     "FairShareCpu",
     "Machine",
     "MemoryAccount",
-    "MemorySample",
     "Process",
     "Request",
     "Resource",

@@ -584,7 +584,7 @@ class Environment:
 
     __slots__ = ("_now", "_urgent", "_immediate", "_future", "_sequence",
                  "_cancelled", "events_processed", "active_process",
-                 "_time_hooks")
+                 "_time_hooks", "__weakref__")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = initial_time

@@ -62,14 +62,12 @@ class Machine:
                  memory_gb: float = 64.0,
                  cpu: Optional[CpuService] = None,
                  sample_period_ms: float = SECOND,
-                 strict_memory: bool = True,
-                 retain_memory_series: bool = True) -> None:
+                 strict_memory: bool = True) -> None:
         self.env = env
         self.cores = cores
         self.cpu: CpuService = cpu if cpu is not None else FairShareCpu(env, cores)
         self.memory = MemoryAccount(env, capacity_mb=gigabytes(memory_gb),
-                                    strict=strict_memory,
-                                    retain_series=retain_memory_series)
+                                    strict=strict_memory)
         self.sample_period_ms = sample_period_ms
         self._samples: List[ResourceSample] = []
         self._sampling = False

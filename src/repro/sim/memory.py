@@ -2,7 +2,8 @@
 
 The paper reports total system memory (Figs. 13a/14a), per-client memory
 footprints (Fig. 14d) and container memory.  This module provides a simple
-allocate/free account with a time series of usage and peak tracking.  It does
+allocate/free account with current and peak usage (the 1 Hz usage series
+is the machine sampler's, :class:`~repro.sim.machine.ResourceSample`).  It does
 not model paging: exceeding physical capacity raises
 :class:`~repro.common.errors.CapacityExceeded`, which in the paper's own
 evaluation manifested as "worker VM downtime" under the full I/O burst —
@@ -11,42 +12,30 @@ our experiments size workloads the same way the paper did to stay below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro.common.errors import CapacityExceeded, SimulationError
 from repro.sim.kernel import Environment
 
 
-@dataclass(frozen=True, slots=True)
-class MemorySample:
-    """Memory usage (MB) observed at a simulated time (ms)."""
-
-    time_ms: float
-    used_mb: float
-
-
 class MemoryAccount:
     """Tracks named memory allocations on one machine.
 
-    ``retain_series=False`` drops the per-change usage series (peak and
-    current usage stay exact) — the million-invocation regime, where one
-    sample per allocate/free would grow without bound
-    (~4 samples/invocation; see ``docs/scale.md``).
+    Its state is O(live owners): the allocations, current usage and the
+    peak.  It keeps no per-change history, which would grow by ~4 samples
+    per invocation (see "Memory" in ``docs/performance.md``).
     """
 
     def __init__(self, env: Environment, capacity_mb: float,
-                 strict: bool = True, retain_series: bool = True) -> None:
+                 strict: bool = True) -> None:
         if capacity_mb <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity_mb}")
         self.env = env
         self.capacity_mb = capacity_mb
         self.strict = strict
-        self.retain_series = retain_series
         self._allocations: Dict[str, float] = {}
         self._used = 0.0
         self._peak = 0.0
-        self._series: List[MemorySample] = [MemorySample(env.now, 0.0)]
         #: Observers of usage changes, ``hook(used_mb)`` — the OOM-fault
         #: watch point.  None installed → zero overhead on the hot path.
         self._usage_hooks: List[Callable[[float], None]] = []
@@ -82,7 +71,7 @@ class MemoryAccount:
         self._allocations[owner] = self._allocations.get(owner, 0.0) + amount_mb
         self._used += amount_mb
         self._peak = max(self._peak, self._used)
-        self._record()
+        self._notify()
 
     def free(self, owner: str, amount_mb: float | None = None) -> None:
         """Release *amount_mb* from *owner* (all of it when None)."""
@@ -101,7 +90,7 @@ class MemoryAccount:
         else:
             self._allocations[owner] = remaining
         self._used -= amount_mb
-        self._record()
+        self._notify()
 
     def held_by(self, owner: str) -> float:
         return self._allocations.get(owner, 0.0)
@@ -110,15 +99,6 @@ class MemoryAccount:
         """Snapshot of current allocations by owner."""
         return dict(self._allocations)
 
-    def series(self) -> List[MemorySample]:
-        """The recorded usage series (one sample per change).
-
-        Only the initial sample when ``retain_series=False``.
-        """
-        return list(self._series)
-
-    def _record(self) -> None:
-        if self.retain_series:
-            self._series.append(MemorySample(self.env.now, self._used))
+    def _notify(self) -> None:
         for hook in self._usage_hooks:
             hook(self._used)

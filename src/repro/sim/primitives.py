@@ -57,7 +57,9 @@ class Resource:
         # Insertion-ordered holders; a dict gives O(1) release instead of a
         # list scan (grant order is unaffected: _waiting stays FIFO).
         self._granted: Dict[Request, None] = {}
-        self._waiting: Deque[Request] = deque()
+        #: FIFO of blocked requests, created on first contention: most
+        #: resources (a container's capacity-1 executor) never queue.
+        self._waiting: Optional[Deque[Request]] = None
 
     @property
     def in_use(self) -> int:
@@ -65,7 +67,7 @@ class Resource:
 
     @property
     def queued(self) -> int:
-        return len(self._waiting)
+        return len(self._waiting) if self._waiting is not None else 0
 
     def request(self) -> Request:
         """Create a pending acquisition (an event to yield on)."""
@@ -82,10 +84,8 @@ class Resource:
         if request in self._granted:
             self._on_release(request)
             return
-        try:
+        if self._waiting is not None and request in self._waiting:
             self._waiting.remove(request)
-        except ValueError:
-            pass
 
     # -- internal protocol -----------------------------------------------------
 
@@ -94,6 +94,8 @@ class Resource:
             self._granted[request] = None
             request.succeed(self)
         else:
+            if self._waiting is None:
+                self._waiting = deque()
             self._waiting.append(request)
 
     def _on_release(self, request: Request) -> None:

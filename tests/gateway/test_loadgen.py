@@ -95,6 +95,7 @@ def make_result(samples, duration=1.0) -> LoadResult:
                       wall_seconds=duration, gateway_stats={
                           "batches_dispatched": 2,
                           "batched_requests": len(samples),
+                          "dispatched_requests": len(samples),
                           "degradation": {"mode": "batch", "flips": []}})
 
 
@@ -171,6 +172,17 @@ class TestRunInproc:
         assert cell["goodput_ratio"] == 1.0
         assert cell["latency_ms"]["count"] == cell["requests"]
         assert result.gateway_stats["platform_state"] == "accepting"
+
+    def test_vanilla_cell_dispatches_batches_of_one(self):
+        from repro.gateway import CellSpec, run_cell
+
+        load = LoadgenConfig(rps=200.0, duration_seconds=0.25, seed=13,
+                             mix={"echo": 1.0})
+        spec = CellSpec(label="v", policy="vanilla", load=load,
+                        request_timeout_seconds=None)
+        cell = asyncio.run(run_cell(spec)).cell()
+        assert cell["batches_dispatched"] == cell["requests"] > 0
+        assert cell["mean_batch_size"] == 1.0
 
 
 class TestHttpPoolReconnect:

@@ -539,6 +539,42 @@ class TestGroupFailsOutsideAHandler:
             platform.shutdown(timeout=2)
 
 
+class TestDelayedRetries:
+    def test_pending_retries_cost_one_thread(self):
+        """200 invocations backing off at once wait on one thread."""
+        platform = LocalPlatform(LocalPlatformConfig(
+            policy="faasbatch", window_seconds=0.05, use_multiplexer=False,
+            cold_start_seconds=0.0, max_attempts=2,
+            retry_backoff_seconds=0.5))
+
+        def fail(payload, context):
+            raise RuntimeError(f"boom {payload}")
+
+        def threads_outside_pools():
+            """Live threads, less the runner and container worker pools
+            (their size follows how the group's members interleave)."""
+            return sum(1 for thread in threading.enumerate()
+                       if not thread.name.startswith(("local-runner",
+                                                      "container-")))
+
+        platform.register("fail", fail)
+        try:
+            before = threads_outside_pools()
+            burst = platform.submit_group("fail", list(range(200)))
+            most, deadline = before, time.monotonic() + 10.0
+            while not all(inv.future.done() for inv in burst) \
+                    and time.monotonic() < deadline:
+                most = max(most, threads_outside_pools())
+                time.sleep(0.01)
+            assert most <= before + 1
+            for invocation in burst:
+                assert isinstance(invocation.future.exception(timeout=5),
+                                  RuntimeError)
+                assert invocation.attempts == 2
+        finally:
+            platform.shutdown(timeout=5)
+
+
 class TestSharedStateIsLocked:
     def test_reuse_ratio_counts_busy_containers(self):
         release = threading.Event()

@@ -67,31 +67,11 @@ class TestAllocation:
         assert memory.owners() == {"a": 5.0, "b": 7.0}
 
 
-class TestSeries:
-    def test_series_records_each_change(self, env):
+class TestUsageHooks:
+    def test_usage_peak_and_hooks_stay_exact(self, env):
+        """No per-change history is kept, but usage, peak and every
+        hook call stay exact."""
         memory = MemoryAccount(env, capacity_mb=100.0)
-
-        def proc():
-            memory.allocate("a", 10.0)
-            yield env.timeout(5.0)
-            memory.allocate("b", 20.0)
-            yield env.timeout(5.0)
-            memory.free("a")
-
-        env.process(proc())
-        env.run()
-        series = memory.series()
-        assert [(s.time_ms, s.used_mb) for s in series] == [
-            (0.0, 0.0), (0.0, 10.0), (5.0, 30.0), (10.0, 20.0)]
-
-    def test_invalid_capacity_rejected(self, env):
-        with pytest.raises(ValueError):
-            MemoryAccount(env, capacity_mb=0.0)
-
-    def test_retain_series_false_keeps_peak_exact(self, env):
-        """The million-invocation regime: no per-change sample retention,
-        but usage, peak and hooks stay exact."""
-        memory = MemoryAccount(env, capacity_mb=100.0, retain_series=False)
         seen = []
         memory.add_usage_hook(seen.append)
         memory.allocate("a", 60.0)
@@ -100,5 +80,9 @@ class TestSeries:
         assert memory.used_mb == 10.0
         assert memory.peak_mb == 60.0
         assert seen == [60.0, 0.0, 10.0]
-        assert [(s.time_ms, s.used_mb) for s in memory.series()] \
-            == [(0.0, 0.0)]
+
+
+class TestSeries:
+    def test_invalid_capacity_rejected(self, env):
+        with pytest.raises(ValueError):
+            MemoryAccount(env, capacity_mb=0.0)

@@ -77,6 +77,20 @@ class TestSpanTracing:
             assert stage in out
         assert "FaaSBatch: 40" in out
 
+    def test_summarize_counts_a_retried_invocation_once(self, tmp_path,
+                                                        capsys):
+        """Each attempt (``inv-0#a2``) and hedged shadow (``inv-0~h1``)
+        has its own timeline, but they are one invocation."""
+        path = tmp_path / "retried.jsonl"
+        path.write_text("".join(
+            json.dumps({"type": "span", "invocation_id": trace_id,
+                        "stage": "queued", "start_ms": 0.0, "end_ms": 1.0,
+                        "scheduler": "X"}) + "\n"
+            for trace_id in ("inv-0", "inv-0#a2", "inv-0#a3", "inv-0~h1",
+                             "inv-1")))
+        assert main(["trace", "summarize", str(path)]) == 0
+        assert "5 spans over X: 2 invocations" in capsys.readouterr().out
+
     def test_sweep_exports_spans_per_window(self, tmp_path, capsys):
         spans_path = tmp_path / "sweep.jsonl"
         assert main(["sweep", "--workload", "io", "--total", "40",
