@@ -1,50 +1,51 @@
 #!/usr/bin/env python3
-"""FaaSBatch on a small cluster: routing policy vs batching locality.
+"""FaaSBatch on a small cluster: Vanilla vs FaaSBatch over four workers.
 
-The paper evaluates one worker; this example spreads the bursty workload
-over four and compares three routing policies.  Function-affinity routing
-keeps each function's burst on one worker (big groups, few containers) at
-the cost of balance.  On this trace round-robin keeps bursts whole too:
-function ids are dealt round-robin by arrival rank (8 functions, 4
-workers), so round-robin sends ``fib-k`` only to worker ``k mod 4``, and
-the two provision about the same number of containers.  Least-loaded
-routing is the one that scatters a burst across workers.
+The paper evaluates one worker; this example replays a bursty trace of
+eight functions over four.  Each function has one home worker (its id's
+stable hash modulo the worker count), so a function's burst stays on one
+machine and FaaSBatch groups it there as it would on a single worker.
 
 Run:  python examples/cluster_scheduling.py
 """
 
 from __future__ import annotations
 
-from repro import compare_balancers, FaaSBatchScheduler
-from repro.cluster import ClusterResult
+from repro.cluster import ShardedClusterConfig, run_sharded_cluster
 from repro.common.tables import render_table
-from repro.workload import fib_family_specs, multi_function_trace
 
 WORKERS = 4
 FUNCTIONS = 8
-TOTAL = 300
+TOTAL = 400
 
 
 def main() -> None:
-    trace = multi_function_trace(total=TOTAL, functions=FUNCTIONS)
-    specs = fib_family_specs(FUNCTIONS)
     print(f"Routing {TOTAL} invocations of {FUNCTIONS} functions across "
           f"{WORKERS} workers...\n")
-    results = compare_balancers(FaaSBatchScheduler, trace, specs,
-                                workers=WORKERS)
-    rows = [result.summary_row() for result in results.values()]
-    print(render_table(ClusterResult.SUMMARY_HEADERS, rows,
-                       title="FaaSBatch x 4 workers, per routing policy"))
+    rows = []
+    per_worker = {}
+    for name in ("Vanilla", "FaaSBatch"):
+        result = run_sharded_cluster(ShardedClusterConfig(
+            invocations=TOTAL, functions=FUNCTIONS, tile_invocations=TOTAL,
+            workers=WORKERS, shards=1, scheduler=name), isolate=False)
+        view = result.to_cluster_result()
+        per_worker[name] = view.per_worker_containers
+        rows.append([name, sum(view.per_worker_containers),
+                     round(sum(view.per_worker_memory_mb), 1),
+                     round(result.sink.latency_percentile(50.0), 1),
+                     round(result.sink.latency_percentile(98.0), 1),
+                     round(view.load_imbalance(), 2)])
+    print(render_table(["scheduler", "containers", "peak_mem_MB", "p50_ms",
+                        "p98_ms", "imbalance"], rows,
+                       title=f"{WORKERS} workers, per scheduler"))
 
-    for name, result in results.items():
-        per_worker = ", ".join(str(c) for c in result.per_worker_containers)
-        print(f"  {name:18s} containers per worker: [{per_worker}]")
+    for name, containers in per_worker.items():
+        listed = ", ".join(str(count) for count in containers)
+        print(f"  {name:10s} containers per worker: [{listed}]")
 
-    print("\nFunction-affinity keeps each function's burst on one worker, "
-          "preserving\nFaaSBatch's group sizes.  Round-robin does too on "
-          "this trace (function ids\nare dealt by arrival rank, so fib-k "
-          "reaches only worker k mod 4) and\nbalances load evenly; "
-          "least-loaded scatters bursts and provisions the most.")
+    print("\nEach worker batches its functions' bursts on its own, so "
+          "FaaSBatch\nprovisions a fraction of Vanilla's containers on "
+          "the same routed trace.")
 
 
 if __name__ == "__main__":

@@ -73,8 +73,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "KrakenConfig", "KrakenMode", "KrakenParameters", "KrakenScheduler",
         "Scheduler", "SchedulerBuild", "SfsScheduler", "VanillaScheduler",
         "build_scheduler", "registered_policies"),
-    "repro.cluster": (
-        "ClusterResult", "compare_balancers", "run_cluster_experiment"),
     "repro.core": (
         "FaaSBatchConfig", "FaaSBatchScheduler", "FunctionGroup",
         "InlineParallelProducer", "InvokeMapper", "SimResourceMultiplexer"),
@@ -94,9 +92,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
 __all__ = [
     "AzureTraceBuilder",
     "Calibration",
-    "ClusterResult",
-    "compare_balancers",
-    "run_cluster_experiment",
     "DEFAULT_CALIBRATION",
     "DEFAULT_SCHEDULERS",
     "DataDrivenScheduler",

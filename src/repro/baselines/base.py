@@ -109,12 +109,18 @@ def run_dispatch_pipeline(platform: "ServerlessPlatform",
         if container is None:
             container = platform.try_acquire_warm(function)
         yield platform.dispatch_work(len(invocations))
-        if container is None:
+    if container is not None and not container.is_warm:
+        # A fault crashed the warm container while the batch was being
+        # dispatched: the pool books the rejected release, and the batch
+        # takes the miss path.
+        platform.release_container(container)
+        container = None
+    if container is None:
+        if decision_work:
             # The launch decision (docker-py API marshalling) is platform
             # CPU work; the provisioning itself is dockerd + kernel work
             # contended with everything running on the host.
             yield platform.launch_work()
-    if container is None:
         try:
             if plan.acquire_on_miss:
                 container, cold_start_ms = \

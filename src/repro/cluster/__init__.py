@@ -1,26 +1,25 @@
-"""Cluster extension: multiple workers + routing policies (beyond §IV's scope)."""
+"""Cluster extension: one trace replayed over several workers (beyond §IV's
+scope), sharded across processes by :mod:`repro.cluster.sharded`."""
 
 from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    "repro.cluster.balancer": (
-        "BALANCERS", "Balancer", "FunctionAffinityBalancer",
-        "HashPartitionBalancer", "LeastLoadedBalancer", "RoundRobinBalancer",
-        "make_balancer", "stable_hash"),
-    "repro.cluster.experiment": (
-        "ClusterResult", "compare_balancers", "run_cluster_experiment"),
+    "repro.cluster.sharded": (
+        "ClusterResult", "PROGRESS_EVERY", "SHARD_SCHEDULERS", "ShardResult",
+        "ShardedClusterConfig", "ShardedClusterResult",
+        "merge_shard_results", "run_shard", "run_sharded_cluster",
+        "stable_hash"),
 })
 
 __all__ = [
-    "BALANCERS",
-    "Balancer",
     "ClusterResult",
-    "FunctionAffinityBalancer",
-    "HashPartitionBalancer",
-    "LeastLoadedBalancer",
-    "RoundRobinBalancer",
-    "compare_balancers",
-    "make_balancer",
-    "run_cluster_experiment",
+    "PROGRESS_EVERY",
+    "SHARD_SCHEDULERS",
+    "ShardResult",
+    "ShardedClusterConfig",
+    "ShardedClusterResult",
+    "merge_shard_results",
+    "run_shard",
+    "run_sharded_cluster",
     "stable_hash",
 ]

@@ -9,13 +9,14 @@ merges the results.  Workers are packed onto shards by load
 first over the closed-form per-worker invocation counts), so the slowest
 shard — which sets the wall clock — carries as little as the hash allows.
 
-Why this is exact, not approximate: the sharded mode requires the
-``hash-partition`` balancer, whose routing is a pure function of
-``(function_id, global worker count)`` — never of load.  Workers on a
-shared simulation environment are causally independent (each owns its
-machine, CPU, pool and scheduler), so simulating a subset of them with
-the other workers absent yields byte-identical per-worker results,
-whichever subset a shard owns.  Each shard streams only the records
+Why this is exact, not approximate: every function is routed to one home
+worker, ``stable_hash(function_id) % workers``
+(:attr:`ShardedClusterConfig.routes`), a pure function of the id and the
+global worker count — never of load.  Workers on a shared simulation
+environment are causally independent (each owns its machine, CPU, pool
+and scheduler), so simulating a subset of them with the other workers
+absent yields byte-identical per-worker results, whichever subset a
+shard owns.  Each shard streams only the records
 routed to workers it owns (the others are never built), publishes
 completions into a :class:`~repro.common.streaming.StreamingResultSink`,
 and ships the serialised sink — mergeable in any order, its reservoirs as
@@ -38,6 +39,7 @@ resident at the fork.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import queue
@@ -52,6 +54,7 @@ from functools import cached_property
 from typing import IO, Callable, Dict, List, Optional, Sequence
 
 from repro.baselines import (
+    Scheduler,
     SchedulerBuild,
     build_scheduler,
     registered_policies,
@@ -63,12 +66,13 @@ from repro.common.streaming import (
     TelemetrySnapshot,
 )
 from repro.common.units import HOUR, peak_rss_mb
-from repro.cluster.balancer import stable_hash
-from repro.cluster.experiment import ClusterResult, _build_worker
-from repro.model.calibration import DEFAULT_CALIBRATION
+from repro.model.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.model.function import FunctionSpec
 from repro.obs import Observability
 from repro.platformsim.gateway import ReplayInjector
+from repro.platformsim.platform import ServerlessPlatform
 from repro.sim.kernel import Environment
+from repro.sim.machine import Machine, build_cpu
 from repro.workload.generator import (
     fib_family_specs,
     tiled_fib_function_counts,
@@ -95,6 +99,11 @@ _STDERR_TAIL_CHARS = 4000
 #: side channel for them.)
 SHARD_SCHEDULERS = tuple(info.label for info in registered_policies()
                          if not info.needs_vanilla_profile)
+
+
+def stable_hash(text: str) -> int:
+    """Deterministic cross-run string hash (Python's ``hash`` is salted)."""
+    return int.from_bytes(hashlib.md5(text.encode()).digest()[:8], "big")
 
 
 @dataclass(frozen=True)
@@ -143,13 +152,13 @@ class ShardedClusterConfig:
 
     @cached_property
     def routes(self) -> Dict[str, int]:
-        """``{function_id: global worker}`` under hash-partition."""
+        """``{function_id: global worker}``: each function's home worker."""
         return {function_id: stable_hash(function_id) % self.workers
                 for function_id in tiled_fib_function_counts(
                     self.invocations, self.functions)}
 
     def worker_loads(self) -> List[int]:
-        """Invocations each global worker receives under hash-partition.
+        """Invocations each global worker receives.
 
         Computed from the closed-form per-function counts, never by
         walking the trace.
@@ -200,6 +209,53 @@ class ShardedClusterConfig:
     def scheduler_factory(self) -> Callable[[], object]:
         build = SchedulerBuild(window_ms=self.window_ms)
         return lambda: build_scheduler(self.scheduler, build)
+
+
+@dataclass
+class ClusterResult:
+    """Per-worker outcome of one cluster run, in global worker order."""
+
+    per_worker_invocations: List[int]
+    per_worker_containers: List[int]
+    per_worker_memory_mb: List[float]
+    completion_ms: float
+    sink: StreamingResultSink
+
+    def load_imbalance(self) -> float:
+        """max/mean of per-worker invocation counts (1.0 = perfect).
+
+        An all-idle cluster (no invocations routed — e.g. a shard that
+        owns no hot workers, or a scale-test warm-up window) is *balanced*,
+        not an error: returns 0.0 rather than raising.
+        """
+        counts = self.per_worker_invocations
+        if not counts:
+            return 0.0
+        mean = sum(counts) / len(counts)
+        if mean == 0:
+            return 0.0
+        return max(counts) / mean
+
+
+def _build_worker(env: Environment, scheduler: Scheduler,
+                  functions: Sequence[FunctionSpec],
+                  calibration: Calibration, sink: StreamingResultSink,
+                  obs: Observability) -> ServerlessPlatform:
+    """One started worker platform of the calibration's machine shape.
+
+    It keeps no completed invocation records: every completion flows
+    into *sink*.
+    """
+    cores = calibration.worker_cores
+    machine = Machine(env, cores=cores, memory_gb=calibration.worker_memory_gb,
+                      cpu=build_cpu(env, scheduler.cpu_discipline, cores))
+    platform = ServerlessPlatform(env, machine, calibration, obs=obs,
+                                  retain_completed=False)
+    for spec in functions:
+        platform.register_function(spec)
+    platform.result_sink = sink
+    scheduler.start(platform)
+    return platform
 
 
 @dataclass
@@ -308,9 +364,6 @@ class ShardedClusterResult:
                                      shard.per_worker_memory_mb):
                 memory[worker] = value
         return ClusterResult(
-            balancer_name="hash-partition",
-            workers=self.config.workers,
-            invocations=[],
             per_worker_invocations=self.per_worker_invocations(),
             per_worker_containers=containers,
             per_worker_memory_mb=memory,
@@ -323,7 +376,7 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
               ) -> ShardResult:
     """Simulate shard *shard_index*'s workers over their slice of the stream.
 
-    Every function is routed with the global hash partition; records owned
+    Every function is routed to its home worker; records owned
     by other shards are skipped without being realised.  Runs in the
     calling process — the forked child and the in-process test path both
     land here.
@@ -343,8 +396,7 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
     # shards and the coordinator can reconstruct the one-process picture.
     obs = Observability()
     platforms = {global_index: _build_worker(env, factory(), specs,
-                                             DEFAULT_CALIBRATION, sink,
-                                             retain=False, obs=obs)
+                                             DEFAULT_CALIBRATION, sink, obs)
                  for global_index in owned}
 
     submitted = [0]
@@ -629,6 +681,7 @@ def run_sharded_cluster(config: ShardedClusterConfig,
 
 
 __all__ = [
+    "ClusterResult",
     "PROGRESS_EVERY",
     "SHARD_SCHEDULERS",
     "ShardResult",
@@ -638,4 +691,5 @@ __all__ = [
     "peak_rss_mb",
     "run_shard",
     "run_sharded_cluster",
+    "stable_hash",
 ]

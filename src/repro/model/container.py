@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.common.errors import (
     ContainerStateError,
+    HedgeCancelled,
     HedgeSuperseded,
     ProcessInterrupted,
 )
@@ -57,6 +58,10 @@ class ContainerState(enum.Enum):
 #: frozenset: membership tests identity first, and hashing an enum member
 #: is a Python-level call.
 WARM_STATES = (ContainerState.WARM, ContainerState.ACTIVE)
+
+#: Why a hedge race stops one attempt.  They end that attempt alone, so a
+#: client build it abandons is not a failure for the invocations sharing it.
+_HEDGE_STAND_DOWNS = (HedgeSuperseded, HedgeCancelled)
 
 
 class SimContainer:
@@ -382,8 +387,20 @@ class SimContainer:
             yield from self._build_client(segment)
             return
         lookup = self.multiplexer.lookup(segment.factory, segment.args_hash)
-        if lookup.ready_event is not None:      # IN_FLIGHT: share the build
-            yield lookup.ready_event
+        while lookup.ready_event is not None:   # IN_FLIGHT: share the build
+            ready = lookup.ready_event
+            try:
+                yield ready
+            except ProcessInterrupted as error:
+                # The builder's own attempt stood down in a hedge race: the
+                # build was abandoned, not failed.  Look again, and build
+                # if nobody else has started to.
+                if not (ready.triggered and ready.value is error
+                        and isinstance(error.cause, _HEDGE_STAND_DOWNS)):
+                    raise
+                lookup = self.multiplexer.lookup(segment.factory,
+                                                 segment.args_hash)
+                continue
             yield self.env.timeout(self.calibration.multiplexer_hit_ms)
             return
         if lookup.instance is not None:          # HIT

@@ -18,9 +18,9 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "repro.workload.generator": (
         "FIB_FUNCTION_ID", "IO_FUNCTION_ID", "cpu_workload_trace",
         "fib_family_specs", "fib_function_spec", "io_function_spec",
-        "io_workload_trace", "multi_function_trace", "tiled_fib_stream"),
+        "io_workload_trace", "tiled_fib_stream"),
     "repro.workload.trace": (
-        "Trace", "TraceLike", "TraceRecord", "TraceStream"),
+        "Trace", "TraceRecord", "TraceStream"),
 })
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "IO_REPLAY_INVOCATIONS",
     "REPLAY_TOTAL_INVOCATIONS",
     "Trace",
-    "TraceLike",
     "TraceRecord",
     "TraceStream",
     "bucket_probabilities",
@@ -52,7 +51,6 @@ __all__ = [
     "io_function_spec",
     "io_workload_trace",
     "iter_tiled_replay_arrivals",
-    "multi_function_trace",
     "per_second_counts",
     "replay_minute_arrivals",
     "tiled_fib_stream",

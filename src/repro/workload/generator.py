@@ -89,27 +89,6 @@ def io_workload_trace(seed: int = 13,
                  for index, arrival in enumerate(arrivals))
 
 
-def multi_function_trace(seed: int = 13,
-                         total: int = REPLAY_TOTAL_INVOCATIONS,
-                         functions: int = 4) -> Trace:
-    """A variant spreading the replay across several fib-like functions.
-
-    Used by tests and examples to exercise the Invoke Mapper's per-function
-    grouping (Fig. 6's λ_A / λ_B scenario).
-    """
-    if functions < 1:
-        raise ValueError(f"functions must be >= 1, got {functions}")
-    arrivals = replay_minute_arrivals(seed=seed, total=total)
-    sampler = DurationSampler(seed=seed + 1)
-    records = []
-    for index, arrival in enumerate(arrivals):
-        function_id = f"{FIB_FUNCTION_ID}-{index % functions}"
-        records.append(TraceRecord(arrival_ms=arrival,
-                                   function_id=function_id,
-                                   payload=sampler.sample_fib_n()))
-    return Trace(records)
-
-
 # -- streaming synthesis -----------------------------------------------------
 #
 # The stream builds its RNG-bearing state (arrival synthesiser, duration
@@ -179,7 +158,7 @@ def tiled_fib_function_counts(invocations: int,
 
 def fib_family_specs(functions: int,
                      cpu_limit: Optional[float] = None) -> list:
-    """Function specs matching :func:`multi_function_trace`."""
+    """Specs for the ``fib-<i>`` functions of :func:`tiled_fib_stream`."""
 
     def make_spec(function_id: str) -> FunctionSpec:
         def profile(payload: object) -> WorkProfile:

@@ -14,8 +14,8 @@ shapes exist:
   rejected loudly — a generator silently yields nothing on its second
   consumption, exactly the bug class the factory contract exists to kill.
 
-Experiment runners only need ``len(trace)``, ``trace.end_ms`` and
-iteration, which both shapes provide (:data:`TraceLike`).
+Both shapes provide ``len(trace)``, ``trace.end_ms`` and iteration over
+time-ordered records, which is what a replay reads.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.common.errors import WorkloadError
 
@@ -217,8 +217,3 @@ class TraceStream:
     def materialize(self) -> Trace:
         """Realize the whole stream as a :class:`Trace` (small inputs only)."""
         return Trace(self)
-
-
-#: What experiment runners actually require of a trace: ``len()``,
-#: ``end_ms`` and iteration over time-ordered records.
-TraceLike = Union[Trace, TraceStream]

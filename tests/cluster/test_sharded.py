@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.cluster import run_cluster_experiment, sharded
-from repro.cluster.balancer import stable_hash
+from repro.cluster import sharded
 from repro.cluster.sharded import (
     SHARD_SCHEDULERS,
     ShardResult,
@@ -26,9 +25,10 @@ from repro.cluster.sharded import (
     merge_shard_results,
     run_shard,
     run_sharded_cluster,
+    stable_hash,
 )
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.workload.generator import fib_family_specs, tiled_fib_stream
+from repro.workload.generator import tiled_fib_stream
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -159,23 +159,15 @@ class TestShardIdentity:
 
     @pytest.fixture(scope="class")
     def single(self):
-        stream = tiled_fib_stream(invocations=SMALL.invocations,
-                                  functions=SMALL.functions,
-                                  seed=SMALL.seed,
-                                  tile_invocations=SMALL.tile_invocations)
-        return run_cluster_experiment(
-            SMALL.scheduler_factory(), stream,
-            fib_family_specs(SMALL.functions),
-            workers=SMALL.workers, balancer="hash-partition",
-            retain_invocations=False)
+        return run_sharded_cluster(dataclasses.replace(SMALL, shards=1),
+                                   isolate=False)
 
     def test_per_worker_counts_identical(self, sharded, single):
         assert sharded.per_worker_invocations() \
-            == single.per_worker_invocations
+            == single.per_worker_invocations()
         assert sharded.completed == SMALL.invocations
 
     def test_latency_percentiles_identical(self, sharded, single):
-        assert single.sink is not None
         for q in (50.0, 95.0, 99.0, 100.0):
             assert sharded.sink.latency_percentile(q) \
                 == single.sink.latency_percentile(q)
@@ -185,10 +177,10 @@ class TestShardIdentity:
 
     def test_cluster_result_view(self, sharded, single):
         view = sharded.to_cluster_result()
-        assert view.balancer_name == "hash-partition"
-        assert view.invocations == []
-        assert view.per_worker_invocations == single.per_worker_invocations
-        assert view.per_worker_containers == single.per_worker_containers
+        solo = single.to_cluster_result()
+        assert view.per_worker_invocations == solo.per_worker_invocations
+        assert view.per_worker_containers == solo.per_worker_containers
+        assert view.per_worker_memory_mb == solo.per_worker_memory_mb
 
     def test_one_shard_equals_unsharded(self):
         solo = dataclasses.replace(SMALL, invocations=1000, shards=1)

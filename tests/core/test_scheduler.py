@@ -19,8 +19,8 @@ from repro.workload.generator import (
     fib_function_spec,
     io_function_spec,
     io_workload_trace,
-    multi_function_trace,
 )
+from tests.traces import multi_function_trace
 
 
 class TestConfig:

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.baselines import VanillaScheduler
 from repro.common.errors import InvocationTimeout
-from repro.faults.plan import FaultPlan, StragglerFault
+from repro.core import FaaSBatchScheduler
+from repro.faults.plan import (
+    FaultPlan,
+    OomKillFault,
+    StragglerFault,
+    reference_plan,
+)
 from repro.faults.resilience import ResiliencePolicy
 from repro.model.function import FunctionKind, FunctionSpec
 from repro.model.workprofile import cpu_profile
 from repro.obs import Observability
 from repro.platformsim import run_experiment
+from repro.workload.generator import io_function_spec, io_workload_trace
 from repro.workload.trace import Trace, TraceRecord
 
 
@@ -91,3 +100,23 @@ class TestHedging:
         policy = ResiliencePolicy(max_attempts=1, hedge_after_ms=50.0)
         result = run_one(work_ms=2000.0, policy=policy, plan=self.STRAGGLE)
         assert result.hedged_count() == 1
+
+    @pytest.mark.parametrize("plan", [
+        reference_plan(),
+        FaultPlan(oom_kills=(OomKillFault(threshold_mb=2500.0,
+                                          max_kills=3),)),
+    ], ids=["reference", "oom"])
+    def test_batched_hedges_answer_every_invocation_once(self, plan):
+        """Regression: under FaaSBatch's batch return, a primary stood down
+        by a winning hedge abandoned the shared client build, and the
+        invocations waiting on it ended with neither a result nor an
+        error, so answering the batch raised ``SchedulingError``."""
+        result = run_experiment(
+            FaaSBatchScheduler(), io_workload_trace(seed=13, total=200),
+            [io_function_spec()], fault_plan=plan,
+            resilience=ResiliencePolicy(max_attempts=4, hedge_after_ms=100.0))
+        assert counter_value(result, "resilience.hedge_wins") > 0
+        assert sorted(i.invocation_id for i in result.invocations) \
+            == sorted(f"inv-{n}" for n in range(200))
+        assert all(i.responded_ms is not None for i in result.invocations)
+        assert result.goodput() == 1.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import VanillaScheduler
+from repro.baselines import SchedulerBuild, VanillaScheduler, build_scheduler
 from repro.common.errors import ColdStartFailed, ContainerCrashed, OomKilled
 from repro.core import FaaSBatchConfig, FaaSBatchScheduler
 from repro.faults.injector import FaultInjector
@@ -24,6 +24,7 @@ from repro.model.workprofile import cpu_profile, io_profile
 from repro.obs import Observability
 from repro.platformsim import run_experiment
 from repro.platformsim.platform import ServerlessPlatform
+from repro.workload.generator import io_function_spec, io_workload_trace
 from repro.workload.trace import Trace, TraceRecord
 
 
@@ -260,6 +261,25 @@ class TestOomKill:
                         if a.error == OomKilled.__name__]
         assert oom_failures
         assert "fault-oom-kill" in annotation_kinds(result)
+
+    @pytest.mark.parametrize("policy",
+                             ["Vanilla", "SFS", "Hiku", "DataDriven"])
+    def test_kill_between_warm_take_and_dispatch_takes_the_miss_path(
+            self, policy):
+        """Regression: a warm container taken from the pool can be killed
+        while its batch pays the dispatch work; executing on it raised
+        ``ContainerStateError`` out of the run."""
+        plan = FaultPlan(oom_kills=(
+            OomKillFault(threshold_mb=2500.0, max_kills=3),))
+        result = run_experiment(
+            build_scheduler(policy, SchedulerBuild()),
+            io_workload_trace(seed=13, total=200), [io_function_spec()],
+            fault_plan=plan)
+        assert counter_value(result, "faults.oom_kills") == 3
+        assert counter_value(result, "pool.rejected_releases") == 3
+        assert sorted(i.invocation_id for i in result.invocations) \
+            == sorted(f"inv-{n}" for n in range(200))
+        assert all(i.completed_ms is not None for i in result.invocations)
 
     def test_max_kills_bounds_the_damage(self):
         baseline = run(spec=io_spec(), n=6)

@@ -39,7 +39,8 @@ from repro.obs.trace import write_jsonl
 from repro.platformsim import experiment
 from repro.platformsim.experiment import run_experiment
 from repro.sim.kernel import Environment
-from repro.workload.generator import fib_family_specs, multi_function_trace
+from repro.workload.generator import fib_family_specs
+from tests.traces import multi_function_trace
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "engine_goldens.json"
 

@@ -21,8 +21,9 @@ from repro.model.workprofile import cpu_profile, io_profile
 from repro.obs import Observability
 from repro.obs.trace import InvocationTracer
 from repro.platformsim import run_experiment
-from repro.workload.generator import fib_family_specs, multi_function_trace
+from repro.workload.generator import fib_family_specs
 from repro.workload.trace import Trace, TraceRecord
+from tests.traces import multi_function_trace
 
 RECORDERS = ("invocation_arrived", "invocation_dispatched",
              "execution_started", "execution_completed", "execution_failed",

@@ -20,7 +20,8 @@ from repro.common.errors import ColdStartFailed
 from repro.faults import reference_plan
 from repro.platformsim import experiment
 from repro.sim.kernel import Environment
-from repro.workload.generator import fib_family_specs, multi_function_trace
+from repro.workload.generator import fib_family_specs
+from tests.traces import multi_function_trace
 
 #: Retained bytes per invocation.  Measured 382 B on CPython 3.11: the
 #: slotted Invocation, its id string and its stamp floats.  (3 170 B while

@@ -16,9 +16,9 @@ from repro.workload.generator import (
     fib_function_spec,
     io_function_spec,
     io_workload_trace,
-    multi_function_trace,
 )
 from repro.workload.trace import Trace, TraceRecord
+from tests.traces import multi_function_trace
 
 
 class TestTraceRecord:
