@@ -641,14 +641,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def serve() -> int:
         obs = Observability(tracing=args.trace is not None)
-        platform = demo_platform(LocalPlatformConfig(
-            policy="faasbatch" if args.policy != "vanilla" else "vanilla",
-            window_seconds=(0.0 if args.policy == "vanilla"
-                            else args.window_ms / 1000.0),
-            use_multiplexer=args.policy != "vanilla",
-            container_concurrency=(1 if args.policy == "vanilla" else None),
-            request_timeout_seconds=None),
-            obs=obs)
+        platform = demo_platform(
+            LocalPlatformConfig.vanilla() if args.policy == "vanilla"
+            else LocalPlatformConfig(), obs=obs)
         gateway = Gateway(platform, GatewayConfig(
             policy="vanilla" if args.policy == "vanilla" else "faasbatch",
             window_seconds=(0.0 if args.policy == "vanilla"

@@ -21,7 +21,7 @@ DES kernel's events.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.common.errors import MultiplexerError
@@ -76,7 +76,6 @@ class Lookup:
 class _CacheEntry:
     instance: Optional[object] = None
     ready: Optional[Event] = None  # pending build when instance is None
-    builds: int = field(default=0)
 
 
 class SimResourceMultiplexer:
@@ -113,7 +112,6 @@ class SimResourceMultiplexer:
         """Publish the freshly built *instance* under *key*."""
         entry = self._entry_being_built(key)
         entry.instance = instance
-        entry.builds += 1
         ready, entry.ready = entry.ready, None
         assert ready is not None
         ready.succeed(instance)
@@ -128,23 +126,6 @@ class SimResourceMultiplexer:
         # Defused: a crash that kills the builder usually kills the waiters
         # too, so the broadcast may legitimately find nobody listening.
         ready.fail(error).defuse()
-
-    # -- introspection -------------------------------------------------------------
-
-    def cached_instances(self) -> int:
-        """Number of live cached instances (one per distinct key built)."""
-        return sum(1 for e in self._cache.values() if e.instance is not None)
-
-    def has(self, factory: str, args_hash: Hashable) -> bool:
-        entry = self._cache.get(self._key(factory, args_hash))
-        return entry is not None and entry.instance is not None
-
-    def instance_for(self, factory: str, args_hash: Hashable) -> object:
-        entry = self._cache.get(self._key(factory, args_hash))
-        if entry is None or entry.instance is None:
-            raise MultiplexerError(
-                f"no cached instance for {factory}#{args_hash}")
-        return entry.instance
 
     # -- internals -----------------------------------------------------------------
 

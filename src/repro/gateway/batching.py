@@ -5,11 +5,11 @@ for a function opens a window timer; requests arriving inside the window
 join its pending list; when the timer fires the whole list is flushed as
 one group to the platform (one container, inline-parallel threads).
 
-Batching happens *here*, on the asyncio loop, not in the platform's
-dispatcher thread — the gateway calls
-:meth:`repro.local.LocalPlatform.submit_group`, which skips the
-platform's own window (the grouping decision is already made) but shares
-its warm pool, retries, timeouts and accounting.
+This is the live tier's only dispatch window: the gateway hands each
+closed window (or a request it dispatches alone) to
+:meth:`repro.local.LocalPlatform.submit_group`, and the platform keeps
+that grouping — warm pool, timeouts and accounting included, and retries
+too, which rerun a group's failed members as one group of their own.
 """
 
 from __future__ import annotations

@@ -79,17 +79,11 @@ class CellSpec:
 
 def platform_config_for(spec: CellSpec) -> LocalPlatformConfig:
     """The LocalPlatformConfig backing one cell's policy."""
-    if spec.policy == "vanilla":
-        return LocalPlatformConfig(
-            policy="vanilla", window_seconds=0.0,
-            container_concurrency=1, use_multiplexer=False,
-            cold_start_seconds=spec.cold_start_seconds,
-            request_timeout_seconds=spec.request_timeout_seconds,
-            max_attempts=spec.max_attempts)
+    vanilla = spec.policy == "vanilla"
     return LocalPlatformConfig(
-        policy="faasbatch", window_seconds=spec.window_seconds,
+        container_concurrency=1 if vanilla else None,
+        use_multiplexer=not vanilla,
         cold_start_seconds=spec.cold_start_seconds,
-        use_multiplexer=True,
         request_timeout_seconds=spec.request_timeout_seconds,
         max_attempts=spec.max_attempts)
 

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.stats import percentile
-from repro.gateway.server import Gateway, GatewayServer
+from repro.gateway.server import READ_CHUNK_BYTES, Gateway, GatewayServer
 
 DEFAULT_MIX: Mapping[str, float] = {"io": 0.6, "echo": 0.3, "fib": 0.1}
 
@@ -358,6 +358,7 @@ class HttpPool:
 
     async def _connect(self) -> _Connection:
         reader, writer = await asyncio.open_connection(self.host, self.port)
+        writer.transport.max_size = READ_CHUNK_BYTES  # type: ignore
         self._all.append(writer)
         return reader, writer
 

@@ -107,6 +107,16 @@ MAX_HEADER_LINES = 64
 MAX_LINE_BYTES = 8192
 MAX_BODY_BYTES = 1 << 20
 
+#: Most bytes one socket read asks for, on both ends of the gateway's
+#: connections.  asyncio's selector transports read up to 256 KiB into a
+#: fresh buffer each time; when that block sits at the top of the heap,
+#: freeing it hands the memory back to the OS, and the next read faults
+#: it in again.  Whether it sits there depends on the heap's layout, so
+#: keep-alive echo throughput flipped between two modes from build to
+#: build (4.4 page faults per request in the slow one, 0.4 in the fast).
+#: A 16 KiB block is never handed back that way.
+READ_CHUNK_BYTES = 16 * 1024
+
 
 class _BodyTooLarge(ValueError):
     """A declared ``Content-Length`` above :data:`MAX_BODY_BYTES`."""
@@ -618,6 +628,7 @@ class _Connection(asyncio.Protocol):
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport  # type: ignore[assignment]
+        transport.max_size = READ_CHUNK_BYTES  # type: ignore[attr-defined]
         self.server._connections.add(self)
         self.server._no_connections.clear()
         self.server.connections_served += 1

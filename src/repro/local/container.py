@@ -60,12 +60,12 @@ class LocalInvocation:
     error: Optional[BaseException] = None
     attempts: int = 1
     #: ``submitted_at`` of attempt 1 (``submitted_at`` is the current
-    #: attempt's re-enqueue time once retries happen).
+    #: attempt's restart time once retries happen).
     first_submitted_at: Optional[float] = None
-    #: Sequence number of the dispatch window whose batch this attempt ran
-    #: in (stamped by the platform).  Retried attempts re-enter the queue
-    #: and land in a strictly later window — the re-batching tests assert
-    #: monotonicity across :attr:`attempt_history`.
+    #: Sequence number of the group this attempt ran in (stamped by the
+    #: platform, fresh per started group).  A retried attempt runs in a
+    #: strictly later group — the re-batching tests assert monotonicity
+    #: across :attr:`attempt_history`.
     window_seq: Optional[int] = None
     #: Container the latest attempt ran in (stamped by the platform; None
     #: for an attempt that failed before it got one).
@@ -172,7 +172,7 @@ class LocalInvocation:
             callback(self)
 
     def reset_for_retry(self) -> None:
-        """Re-arm for another attempt (caller re-enqueues afterwards)."""
+        """Re-arm for another attempt (caller restarts it afterwards)."""
         if self.error is None:
             raise ContainerStateError(
                 f"{self.invocation_id} retried without a failure")

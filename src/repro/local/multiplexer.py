@@ -62,7 +62,6 @@ class MultiplexerMetrics:
     misses: int = 0
     in_flight_waits: int = 0
     failed_builds: int = 0
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -156,40 +155,6 @@ class ResourceMultiplexer:
 
         wrapper.__multiplexer__ = self  # type: ignore[attr-defined]
         return wrapper
-
-    # -- management -----------------------------------------------------------------
-
-    def invalidate(self, factory: Callable[..., Any], *args: Any,
-                   **kwargs: Any) -> bool:
-        """Drop one cached instance; True when something was evicted."""
-        key = self._key(factory, args, kwargs)
-        with self._lock:
-            entry = self._cache.pop(key, None)
-            if entry is not None:
-                self.metrics.evictions += 1
-            return entry is not None
-
-    def clear(self) -> int:
-        """Drop every cached instance; returns how many were evicted."""
-        with self._lock:
-            count = len(self._cache)
-            self._cache.clear()
-            self.metrics.evictions += count
-            return count
-
-    def cached_count(self) -> int:
-        """Number of completed cache entries."""
-        with self._lock:
-            return sum(1 for e in self._cache.values() if e.ready.is_set()
-                       and e.error is None)
-
-    def has(self, factory: Callable[..., Any], *args: Any,
-            **kwargs: Any) -> bool:
-        key = self._key(factory, args, kwargs)
-        with self._lock:
-            entry = self._cache.get(key)
-            return (entry is not None and entry.ready.is_set()
-                    and entry.error is None)
 
     # -- internals --------------------------------------------------------------------
 

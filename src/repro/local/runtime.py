@@ -2,8 +2,11 @@
 
 A miniature serverless platform that actually runs Python handlers:
 
-* requests enter a queue; a dispatcher thread gathers them in **dispatch
-  windows** and groups them per function (Invoke Mapper);
+* work enters as ready groups of one function through
+  :meth:`LocalPlatform.submit_group` — the caller (the gateway's
+  per-function dispatch windows, :mod:`repro.gateway.batching`) has
+  already made the Invoke Mapper's grouping decision, and the platform
+  keeps it, retries included;
 * each ready group is pulled by a parked **runner** thread, mapped onto a
   single warm-or-new container and expanded as parallel threads
   (Inline-Parallel Producer) — the runner itself runs the group's last
@@ -11,10 +14,9 @@ A miniature serverless platform that actually runs Python handlers:
 * each container owns a real :class:`ResourceMultiplexer`, so handlers that
   build storage clients via ``context.create_resource`` share them.
 
-Two policies ship for comparison: ``"faasbatch"`` (the above) and
-``"vanilla"`` (zero window, one single-invocation group per request, serial
-containers, no multiplexing) — enough to demonstrate the paper's headline
-effects on a laptop in milliseconds.
+:meth:`LocalPlatformConfig.vanilla` is the platform's half of the Vanilla
+baseline: serial containers and no multiplexing (the gateway's ``vanilla``
+policy supplies the other half, one request per group).
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import queue
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -43,8 +43,6 @@ from repro.local.container import (
     WorkerPool,
 )
 from repro.obs import DEFAULT_SIZE_EDGES, Observability
-
-_POLICIES = ("faasbatch", "vanilla")
 
 #: Lifecycle states of a :class:`LocalPlatform`.  ``accepting`` is the
 #: steady state; :meth:`LocalPlatform.shutdown` moves through ``draining``
@@ -68,8 +66,6 @@ _RUNNER_EXIT_GRACE_SECONDS = 0.25
 class LocalPlatformConfig:
     """Knobs of the local runtime (all durations in seconds)."""
 
-    policy: str = "faasbatch"
-    window_seconds: float = 0.02
     cold_start_seconds: float = 0.002
     #: In-container concurrency: None = unbounded threads (inline parallel).
     container_concurrency: Optional[int] = None
@@ -80,19 +76,13 @@ class LocalPlatformConfig:
     #: Wall-clock budget per handler call; overruns fail the attempt with
     #: :class:`~repro.common.errors.InvocationTimeout`.  None = unlimited.
     request_timeout_seconds: Optional[float] = None
-    #: Total attempts per invocation (1 = no retries).  Failed attempts are
-    #: re-enqueued through the dispatcher, so retried work re-batches.
+    #: Total attempts per invocation (1 = no retries).  The failed members
+    #: of a group retry together, as one new group.
     max_attempts: int = 1
-    #: Base delay before re-enqueueing a failed attempt; doubles per retry.
+    #: Base delay before restarting a failed group; doubles per retry.
     retry_backoff_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.policy not in _POLICIES:
-            raise ConfigurationError(
-                f"policy must be one of {_POLICIES}, got {self.policy!r}")
-        if self.window_seconds < 0:
-            raise ConfigurationError(
-                f"window_seconds must be >= 0, got {self.window_seconds}")
         if self.keep_alive_seconds is not None \
                 and self.keep_alive_seconds <= 0:
             raise ConfigurationError(
@@ -113,9 +103,8 @@ class LocalPlatformConfig:
 
     @classmethod
     def vanilla(cls) -> "LocalPlatformConfig":
-        """The Vanilla baseline: no batching, no sharing, no multiplexing."""
-        return cls(policy="vanilla", window_seconds=0.0,
-                   container_concurrency=1, use_multiplexer=False)
+        """The Vanilla baseline: no sharing, no multiplexing."""
+        return cls(container_concurrency=1, use_multiplexer=False)
 
 
 class LocalPlatform:
@@ -132,18 +121,16 @@ class LocalPlatform:
         self._obs_lock = threading.Lock()
         self._epoch = time.monotonic()
         self._handlers: Dict[str, Handler] = {}
-        #: Invocations waiting for a dispatch window; ``None`` stops the
-        #: dispatcher.
-        self._queue: "queue.Queue[Optional[LocalInvocation]]" = queue.Queue()
         #: Ready groups wait here for a runner: every thread that executes
         #: a group is a parked thread of this pool, never a new one.
         self._runners = WorkerPool("local-runner", self._run_group)
         timeout = self.config.request_timeout_seconds
         self._watcher = (DeadlineWatcher(timeout, "local-deadlines")
                          if timeout is not None else None)
-        #: Backed-off retries, a ``(due, invocation id, invocation)`` heap
-        #: served by one thread while it is not empty.
-        self._retry_due: List[Tuple[float, str, LocalInvocation]] = []
+        #: Backed-off retry groups, a ``(due, first member's id, group)``
+        #: heap served by one thread while it is not empty.
+        self._retry_due: List[Tuple[float, str,
+                                    List[LocalInvocation]]] = []
         self._retry_wake = threading.Condition()
         self._retrier: Optional[threading.Thread] = None
         #: Warm pool: per function, ``(released_at, container)`` pairs.
@@ -166,9 +153,6 @@ class LocalPlatform:
         self.retries_exhausted = 0
         self.completed: List[LocalInvocation] = []
         self._completed_lock = threading.Lock()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="local-dispatcher", daemon=True)
-        self._dispatcher.start()
         self._janitor: Optional[threading.Thread] = None
         if self.config.keep_alive_seconds is not None:
             self._janitor = threading.Thread(
@@ -182,21 +166,6 @@ class LocalPlatform:
         if name in self._handlers:
             raise ConfigurationError(f"function {name!r} already registered")
         self._handlers[name] = handler
-
-    def function(self, name: Optional[str] = None):
-        """Decorator form of :meth:`register`.
-
-        ::
-
-            @platform.function()
-            def resize(payload, context): ...
-        """
-
-        def decorate(handler: Handler) -> Handler:
-            self.register(name or handler.__name__, handler)
-            return handler
-
-        return decorate
 
     @property
     def state(self) -> str:
@@ -227,9 +196,6 @@ class LocalPlatform:
     def has_function(self, name: str) -> bool:
         return name in self._handlers
 
-    def registered_functions(self) -> List[str]:
-        return sorted(self._handlers)
-
     def _admit(self, count: int) -> None:
         """Count *count* new invocations in flight, or raise the typed
         lifecycle error.  The state check and the increment are one
@@ -244,55 +210,39 @@ class LocalPlatform:
             self._inflight += count
             self._inflight_zero.clear()
 
-    def _new_invocation(self, name: str, payload: Any) -> LocalInvocation:
-        return LocalInvocation(
-            invocation_id=f"inv-{next(self._counter)}",
-            function_name=name, payload=payload)
-
-    def invoke(self, name: str, payload: Any = None) -> Future:
-        """Fire one invocation; returns a Future with the handler's result."""
-        if name not in self._handlers:
-            raise FunctionNotRegistered(name)
-        invocation = self._new_invocation(name, payload)
-        future = invocation.future  # built before any thread can resolve it
-        self._admit(1)
-        self._queue.put(invocation)
-        return future
-
-    def invoke_many(self, name: str, payloads: List[Any]) -> List[Future]:
-        """Fire a burst of invocations."""
-        return [self.invoke(name, payload) for payload in payloads]
-
     def submit_group(self, name: str, payloads: List[Any],
                      on_resolved: Optional[OnResolved] = None
                      ) -> List[LocalInvocation]:
-        """Submit a pre-batched group of one function, bypassing the window.
+        """Submit one ready group of *name*: the only way work enters.
 
-        The async-bridge hook for the gateway: its event loop already
-        collected these requests in a dispatch window, so the group goes
-        straight onto the ready queue (fresh window sequence number) and
-        shares the runners, warm pool, retry, timeout and accounting
-        machinery with queued traffic.  ``on_resolved(position,
-        invocation)`` is called once per member, after it has been
-        accounted and published, on the platform thread that resolved it
-        — read ``invocation.result`` / ``.error`` there and hop back onto
-        the event loop; no ``Future`` is built for such a member.  Callers
-        that would rather block can still read ``invocation.future`` on
-        the returned :class:`LocalInvocation` objects at any time.
-        Retried attempts re-enter the normal dispatcher queue and
-        re-batch there.
+        The caller has made the grouping decision (the gateway's event
+        loop collected these requests in one dispatch window, or
+        dispatched one alone), so the group goes straight onto the ready
+        queue with a fresh window sequence number and runs in one
+        container.  ``on_resolved(position, invocation)`` is called once
+        per member, after it has been accounted and published, on the
+        platform thread that resolved it — read ``invocation.result`` /
+        ``.error`` there and hop back onto the event loop; no ``Future``
+        is built for such a member.  Callers that would rather block can
+        read ``invocation.future`` on the returned
+        :class:`LocalInvocation` objects at any time.  The members that
+        fail a retryable attempt retry together as one new group, so a
+        lone request retries alone and retries from different groups
+        never merge.
         """
         if not payloads:
             raise ValueError("empty group")
         if name not in self._handlers:
             raise FunctionNotRegistered(name)
-        group = [self._new_invocation(name, payload) for payload in payloads]
+        group = [LocalInvocation(invocation_id=f"inv-{next(self._counter)}",
+                                 function_name=name, payload=payload)
+                 for payload in payloads]
         if on_resolved is not None:
             for position, invocation in enumerate(group):
                 invocation.on_resolved = functools.partial(on_resolved,
                                                            position)
         self._admit(len(group))
-        self._start_groups([group])
+        self._start_group(group)
         return group
 
     def drain(self, timeout: float = 30.0) -> None:
@@ -305,9 +255,8 @@ class LocalPlatform:
         """Drain in-flight work and stop: accepting → draining → stopped.
 
         Idempotent.  Submissions that arrive while draining raise
-        :class:`~repro.common.errors.PlatformDraining`; after the
-        dispatcher stops they raise
-        :class:`~repro.common.errors.PlatformStopped`.  Every platform
+        :class:`~repro.common.errors.PlatformDraining`; once stopped they
+        raise :class:`~repro.common.errors.PlatformStopped`.  Every platform
         thread is woken rather than left to notice: an idle platform
         stops in well under a millisecond per thread.
         """
@@ -318,9 +267,8 @@ class LocalPlatform:
         self.drain(timeout)
         # Wake everything first, then join.
         self._shutdown.set()  # the janitor waits on it
-        self._queue.put(None)
         runners = self._runners.close()
-        stopping = [self._dispatcher]
+        stopping = []
         if self._janitor is not None:
             stopping.append(self._janitor)
         if self._watcher is not None:
@@ -342,10 +290,6 @@ class LocalPlatform:
 
     # -- metrics --------------------------------------------------------------------
 
-    def latencies_seconds(self) -> List[float]:
-        with self._completed_lock:
-            return [inv.latency_seconds for inv in self.completed]
-
     def multiplexer_reuse_ratio(self) -> float:
         """Aggregate reuse ratio over all live containers (0 when unused)."""
         lookups = 0
@@ -360,53 +304,18 @@ class LocalPlatform:
             reused += metrics.hits + metrics.in_flight_waits
         return reused / lookups if lookups else 0.0
 
-    # -- dispatcher ------------------------------------------------------------------
+    # -- groups ----------------------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        windowed = (self.config.policy == "faasbatch"
-                    and self.config.window_seconds > 0)
-        running = True
-        while running:
-            first = self._queue.get()
-            if first is None:
-                return
-            batch = [first]
-            if windowed:
-                deadline = time.monotonic() + self.config.window_seconds
-                while True:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        late = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                    if late is None:  # stop, once this window is served
-                        running = False
-                        break
-                    batch.append(late)
-            self._start_groups(self._form_groups(batch))
-
-    def _form_groups(self, batch: List[LocalInvocation]
-                     ) -> List[List[LocalInvocation]]:
-        if self.config.policy == "vanilla":
-            return [[invocation] for invocation in batch]
-        by_function: Dict[str, List[LocalInvocation]] = {}
-        for invocation in batch:
-            by_function.setdefault(invocation.function_name,
-                                   []).append(invocation)
-        return list(by_function.values())
-
-    def _start_groups(self, groups: List[List[LocalInvocation]]) -> None:
-        """Stamp one window's groups and put them on the ready queue."""
+    def _start_group(self, group: List[LocalInvocation]) -> None:
+        """Stamp *group* with a fresh window sequence number and put it on
+        the ready queue."""
         seq = next(self._window_counter)
-        for group in groups:
-            for invocation in group:
-                invocation.window_seq = seq
-            try:
-                self._runners.submit(group)
-            except Exception as error:  # "can't start new thread"
-                self._fail_group(group, None, False, error)
+        for invocation in group:
+            invocation.window_seq = seq
+        try:
+            self._runners.submit(group)
+        except Exception as error:  # "can't start new thread"
+            self._fail_group(group, None, False, error)
 
     def _run_group(self, group: List[LocalInvocation]) -> None:
         """Body of a runner thread: serve one ready group.
@@ -445,7 +354,7 @@ class LocalPlatform:
                       container: Optional[LocalContainer],
                       cold_started: bool) -> None:
         """Every member of *group* has an outcome: release, account,
-        publish, resolve — and re-enqueue what may be retried."""
+        publish, resolve — and retry what may be retried, as one group."""
         container_id = None
         if container is not None:
             self._release(container)
@@ -476,8 +385,8 @@ class LocalPlatform:
             self._inflight -= len(final)
             if self._inflight == 0:
                 self._inflight_zero.set()
-        for invocation in retry:
-            self._schedule_retry(invocation)
+        if retry:
+            self._schedule_retry(retry)
 
     # -- observability ---------------------------------------------------------------
 
@@ -558,23 +467,26 @@ class LocalPlatform:
         tracer.invocation_responded(
             invocation.invocation_id, self._ms(responded_at))
 
-    def _schedule_retry(self, invocation: LocalInvocation) -> None:
-        """Re-enqueue a failed attempt after its (exponential) backoff.
+    def _schedule_retry(self, group: List[LocalInvocation]) -> None:
+        """Restart a group's failed members, as one group, after the
+        (exponential) backoff — at once from this thread when there is
+        none.
 
-        The invocation stays in flight — ``drain`` keeps waiting — and
-        re-enters the dispatch queue, so a retry can batch with whatever
-        traffic is in the window when it lands.
+        The members stay in flight — ``drain`` keeps waiting — and keep
+        the grouping of the tier that admitted them: the retry runs in a
+        fresh window of its own, never merged with other traffic.  Members
+        of one group share their attempt count, so one delay serves all.
         """
-        invocation.reset_for_retry()
-        retry_number = invocation.attempts - 1  # 1 for the first retry
+        for invocation in group:
+            invocation.reset_for_retry()
+        retry_number = group[0].attempts - 1  # 1 for the first retry
         delay = self.config.retry_backoff_seconds * 2 ** (retry_number - 1)
         if delay <= 0:
-            self._queue.put(invocation)
+            self._start_group(group)
             return
         with self._retry_wake:
             heapq.heappush(self._retry_due, (time.monotonic() + delay,
-                                             invocation.invocation_id,
-                                             invocation))
+                                             group[0].invocation_id, group))
             if self._retrier is None:
                 self._retrier = threading.Thread(
                     target=self._retry_loop, name="local-retries",
@@ -583,7 +495,7 @@ class LocalPlatform:
             self._retry_wake.notify()
 
     def _retry_loop(self) -> None:
-        """Re-enqueue each backed-off retry once it falls due.
+        """Start each backed-off retry group once it falls due.
 
         One thread serves every pending retry and exits when none is left;
         ``drain`` waits for retries, so none outlives ``shutdown``.
@@ -595,7 +507,7 @@ class LocalPlatform:
                 if wait > 0:
                     self._retry_wake.wait(wait)
                 else:
-                    self._queue.put(heapq.heappop(due)[2])
+                    self._start_group(heapq.heappop(due)[2])
             self._retrier = None
 
     # -- warm pool ----------------------------------------------------------------------

@@ -85,22 +85,15 @@ class TestLookupProtocol:
 
 class TestIntrospection:
     def test_cached_instances_counts_completed_builds(self, multiplexer):
-        assert multiplexer.cached_instances() == 0
-        lookup = multiplexer.lookup("boto3", 1)
-        assert multiplexer.cached_instances() == 0  # still building
-        multiplexer.commit(lookup.key, "x")
-        assert multiplexer.cached_instances() == 1
-
-    def test_has_and_instance_for(self, multiplexer):
-        assert not multiplexer.has("boto3", 1)
-        lookup = multiplexer.lookup("boto3", 1)
-        multiplexer.commit(lookup.key, "x")
-        assert multiplexer.has("boto3", 1)
-        assert multiplexer.instance_for("boto3", 1) == "x"
-
-    def test_instance_for_missing_rejected(self, multiplexer):
-        with pytest.raises(MultiplexerError):
-            multiplexer.instance_for("boto3", 1)
+        """Only a committed build is cached: until then lookups wait."""
+        building = multiplexer.lookup("boto3", 1)
+        waiting = multiplexer.lookup("boto3", 1)
+        assert waiting.outcome is LookupOutcome.IN_FLIGHT
+        assert waiting.instance is None
+        multiplexer.commit(building.key, "x")
+        cached = multiplexer.lookup("boto3", 1)
+        assert (cached.outcome, cached.instance) == (LookupOutcome.HIT, "x")
+        assert multiplexer.stats.misses == 1
 
 
 class TestStats:

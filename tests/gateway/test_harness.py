@@ -32,15 +32,13 @@ class TestCellSpec:
     def test_vanilla_platform_is_serial_without_multiplexer(self):
         spec = CellSpec(label="v", policy="vanilla", load=SMALL_LOAD)
         config = platform_config_for(spec)
-        assert config.policy == "vanilla"
-        assert config.window_seconds == 0.0
         assert config.container_concurrency == 1
         assert not config.use_multiplexer
 
     def test_faasbatch_platform_keeps_multiplexer(self):
         spec = CellSpec(label="f", policy="faasbatch", load=SMALL_LOAD)
         config = platform_config_for(spec)
-        assert config.policy == "faasbatch"
+        assert config.container_concurrency is None
         assert config.use_multiplexer
 
     def test_adaptive_stack_enables_degradation(self):

@@ -15,7 +15,7 @@ import tracemalloc
 
 from repro.gateway import GatewayServer
 from repro.gateway.harness import CellSpec, build_stack
-from repro.gateway.loadgen import LoadgenConfig
+from repro.gateway.loadgen import HttpPool, LoadgenConfig
 from repro.gateway.server import STAGES
 from repro.local.container import LocalContainer
 from repro.obs.prom import render_gateway_stats
@@ -44,6 +44,38 @@ def run_echo_stack(scenario, policy="vanilla", window_seconds=0.0,
                 None, platform.shutdown)
 
     return asyncio.run(main())
+
+
+class TestReadBuffers:
+    def test_keep_alive_requests_allocate_no_large_read_buffer(self):
+        """Server and client read in small chunks.  asyncio's default read
+        size is 256 KiB, allocated fresh per read and freed at once: the
+        heap handed that block back to the OS and faulted it in again on
+        every request whenever it sat at the heap's top."""
+
+        async def scenario(platform, gateway):
+            server = GatewayServer(gateway, port=0)
+            await server.start()
+            pool = HttpPool(server.host, server.port, size=1)
+            await pool.start()
+            try:
+                for n in range(20):  # connection and caches warm
+                    await pool.request("/invoke/echo", {"n": n})
+                tracemalloc.start()
+                try:
+                    for n in range(20):
+                        status, _, _ = await pool.request("/invoke/echo",
+                                                          {"n": n})
+                        assert status == 200
+                    current, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            finally:
+                await pool.close()
+                await server.stop()
+            return peak - current
+
+        assert run_echo_stack(scenario) < 64 * 1024
 
 
 class TestRetainedPerRequest:

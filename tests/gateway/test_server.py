@@ -22,11 +22,8 @@ from repro.gateway.server import MAX_BODY_BYTES
 from repro.local import LocalPlatform, LocalPlatformConfig
 
 
-def fast_platform(**kwargs) -> LocalPlatform:
-    defaults = dict(policy="faasbatch", window_seconds=0.005,
-                    cold_start_seconds=0.0)
-    defaults.update(kwargs)
-    return demo_platform(LocalPlatformConfig(**defaults))
+def fast_platform() -> LocalPlatform:
+    return demo_platform(LocalPlatformConfig(cold_start_seconds=0.0))
 
 
 def make_gateway(platform: LocalPlatform, **kwargs) -> Gateway:
@@ -333,10 +330,7 @@ class TestObservabilityEndpoints:
     def run_with_server(self, scenario, obs=None, **gateway_kwargs):
         async def main():
             platform = demo_platform(
-                LocalPlatformConfig(policy="faasbatch",
-                                    window_seconds=0.005,
-                                    cold_start_seconds=0.0),
-                obs=obs)
+                LocalPlatformConfig(cold_start_seconds=0.0), obs=obs)
             gateway = make_gateway(platform, **gateway_kwargs)
             server = GatewayServer(gateway, port=0)
             await server.start()

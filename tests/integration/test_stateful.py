@@ -40,6 +40,7 @@ class MultiplexerMachine(RuleBasedStateMachine):
         self.multiplexer = ResourceMultiplexer()
         self.model = {}
         self.build_count = 0
+        self.calls = 0
 
         def factory(k):
             self.build_count += 1
@@ -58,30 +59,20 @@ class MultiplexerMachine(RuleBasedStateMachine):
     @rule(key=keys)
     def get_or_create(self, key):
         instance = self.multiplexer.get_or_create(self.factory, key)
+        self.calls += 1
         if key in self.model:
             assert instance is self.model[key]
         else:
             self.model[key] = instance
 
-    @rule(key=keys)
-    def invalidate(self, key):
-        evicted = self.multiplexer.invalidate(self.factory, key)
-        assert evicted == (key in self.model)
-        self.model.pop(key, None)
-
-    @rule()
-    def clear(self):
-        count = self.multiplexer.clear()
-        assert count == len(self.model)
-        self.model.clear()
+    @invariant()
+    def one_build_per_distinct_key(self):
+        assert self.build_count == self.multiplexer.metrics.misses \
+            == len(self.model)
 
     @invariant()
-    def cache_size_matches_model(self):
-        assert self.multiplexer.cached_count() == len(self.model)
-
-    @invariant()
-    def builds_equal_distinct_creations(self):
-        assert self.build_count == self.multiplexer.metrics.misses
+    def every_repeat_is_a_hit(self):
+        assert self.multiplexer.metrics.hits == self.calls - len(self.model)
 
 
 MultiplexerMachine.TestCase.settings = STATEFUL_SETTINGS

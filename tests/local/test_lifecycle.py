@@ -19,10 +19,11 @@ from repro.local.runtime import (
     LocalPlatform,
     LocalPlatformConfig,
 )
+from tests.local.helpers import call
 
 
 def make_platform(**kwargs) -> LocalPlatform:
-    defaults = dict(window_seconds=0.005, cold_start_seconds=0.0)
+    defaults = dict(cold_start_seconds=0.0)
     defaults.update(kwargs)
     platform = LocalPlatform(LocalPlatformConfig(**defaults))
     platform.register("echo", lambda payload, context: payload)
@@ -39,7 +40,7 @@ class TestLifecycle:
 
     def test_shutdown_reaches_stopped(self):
         platform = make_platform()
-        assert platform.invoke("echo", 1).result(timeout=5) == 1
+        assert call(platform, "echo", 1).result(timeout=5) == 1
         platform.shutdown()
         assert platform.state == STATE_STOPPED
 
@@ -47,7 +48,7 @@ class TestLifecycle:
         platform = make_platform()
         platform.shutdown()
         with pytest.raises(PlatformStopped):
-            platform.invoke("echo", 1)
+            call(platform, "echo", 1)
 
     def test_submit_group_after_stop_raises(self):
         platform = make_platform()
@@ -62,10 +63,9 @@ class TestLifecycle:
             release.wait(5)
             return payload
 
-        platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.001, cold_start_seconds=0.0))
+        platform = LocalPlatform(LocalPlatformConfig(cold_start_seconds=0.0))
         platform.register("gated", gated)
-        future = platform.invoke("gated", 1)
+        future = call(platform, "gated", 1)
         shutdown_thread = threading.Thread(target=platform.shutdown)
         time.sleep(0.05)  # let the invocation reach a container
         shutdown_thread.start()
@@ -74,7 +74,7 @@ class TestLifecycle:
             assert time.monotonic() < deadline, "never started draining"
             time.sleep(0.001)
         with pytest.raises(PlatformDraining):
-            platform.invoke("gated", 2)
+            call(platform, "gated", 2)
         release.set()
         shutdown_thread.join(timeout=5)
         assert not shutdown_thread.is_alive()
@@ -95,4 +95,4 @@ class TestLifecycle:
         platform = make_platform()
         platform.shutdown()
         assert platform.has_function("echo")
-        assert platform.registered_functions() == ["echo"]
+        assert not platform.has_function("ghost")

@@ -6,15 +6,16 @@ import threading
 
 from repro.local.runtime import LocalPlatform, LocalPlatformConfig
 from repro.obs import Observability
+from tests.local.helpers import call, call_group
 
 
 def run_burst(obs: Observability, total: int = 12, **config_kwargs):
-    defaults = dict(window_seconds=0.01, cold_start_seconds=0.0)
+    defaults = dict(cold_start_seconds=0.0)
     defaults.update(config_kwargs)
     platform = LocalPlatform(LocalPlatformConfig(**defaults), obs=obs)
     platform.register("echo", lambda payload, context: payload)
     try:
-        futures = platform.invoke_many("echo", list(range(total)))
+        futures = call_group(platform, "echo", list(range(total)))
         return [f.result(timeout=10) for f in futures]
     finally:
         platform.shutdown()
@@ -37,12 +38,12 @@ class TestLocalMetrics:
     def test_failures_and_retries_counted(self):
         obs = Observability()
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.005, cold_start_seconds=0.0,
+            cold_start_seconds=0.0,
             max_attempts=2, retry_backoff_seconds=0.0), obs=obs)
         platform.register("boom",
                           lambda payload, context: 1 / 0)
         try:
-            future = platform.invoke("boom", None)
+            future = call(platform, "boom", None)
             assert isinstance(future.exception(timeout=10),
                               ZeroDivisionError)
         finally:
@@ -63,7 +64,7 @@ class TestLocalMetrics:
         """
         obs = Observability()
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.0, cold_start_seconds=0.0), obs=obs)
+            cold_start_seconds=0.0), obs=obs)
         release = threading.Event()
         platform.register(
             "gate", lambda payload, context: release.wait(10) and payload)
@@ -102,7 +103,7 @@ class TestLocalTracing:
     def test_retried_invocation_traced_once_with_final_attempt(self):
         obs = Observability(tracing=True)
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.005, cold_start_seconds=0.0,
+            cold_start_seconds=0.0,
             max_attempts=3, retry_backoff_seconds=0.0), obs=obs)
         state = {"calls": 0}
 
@@ -114,7 +115,7 @@ class TestLocalTracing:
 
         platform.register("flaky", flaky)
         try:
-            assert platform.invoke("flaky", 7).result(timeout=10) == 7
+            assert call(platform, "flaky", 7).result(timeout=10) == 7
         finally:
             platform.shutdown()
         # One timeline for the invocation, not one per attempt.

@@ -136,26 +136,21 @@ class TestDecorator:
 
 
 class TestManagement:
-    def test_invalidate(self):
-        multiplexer = ResourceMultiplexer()
-        a = multiplexer.get_or_create(slow_factory, "x")
-        assert multiplexer.invalidate(slow_factory, "x")
-        b = multiplexer.get_or_create(slow_factory, "x")
-        assert a is not b
-        assert not multiplexer.invalidate(slow_factory, "never-built")
-
-    def test_clear(self):
-        multiplexer = ResourceMultiplexer()
-        multiplexer.get_or_create(slow_factory, "x")
-        multiplexer.get_or_create(slow_factory, "y")
-        assert multiplexer.clear() == 2
-        assert multiplexer.cached_count() == 0
-
     def test_has(self):
+        """A built key is held: later calls hit and build nothing."""
         multiplexer = ResourceMultiplexer()
-        assert not multiplexer.has(slow_factory, "x")
-        multiplexer.get_or_create(slow_factory, "x")
-        assert multiplexer.has(slow_factory, "x")
+        built = []
+
+        def factory(tag):
+            built.append(tag)
+            return object()
+
+        first = multiplexer.get_or_create(factory, "x")
+        assert all(multiplexer.get_or_create(factory, "x") is first
+                   for _ in range(3))
+        assert built == ["x"]
+        assert (multiplexer.metrics.misses, multiplexer.metrics.hits) \
+            == (1, 3)
 
     def test_metrics_reuse_ratio(self):
         multiplexer = ResourceMultiplexer()

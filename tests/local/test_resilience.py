@@ -10,6 +10,7 @@ import pytest
 from repro.common.errors import ConfigurationError, InvocationTimeout
 from repro.local.container import LocalContainer, LocalInvocation
 from repro.local.runtime import LocalPlatform, LocalPlatformConfig
+from tests.local.helpers import call
 
 
 def flaky_handler(failures: int):
@@ -41,19 +42,17 @@ class TestConfigValidation:
 
 class TestRetries:
     def test_flaky_handler_recovered(self):
-        platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.005, max_attempts=3))
+        platform = LocalPlatform(LocalPlatformConfig(max_attempts=3))
         platform.register("flaky", flaky_handler(failures=2))
-        assert platform.invoke("flaky", "ok").result(timeout=10) == "ok"
+        assert call(platform, "flaky", "ok").result(timeout=10) == "ok"
         assert platform.retries_scheduled == 2
         assert platform.retries_exhausted == 0
         platform.shutdown()
 
     def test_exhausted_retries_fail_the_future(self):
-        platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.005, max_attempts=2))
+        platform = LocalPlatform(LocalPlatformConfig(max_attempts=2))
         platform.register("flaky", flaky_handler(failures=10))
-        future = platform.invoke("flaky")
+        future = call(platform, "flaky")
         with pytest.raises(RuntimeError, match="flaky failure #2"):
             future.result(timeout=10)
         assert platform.retries_scheduled == 1
@@ -64,26 +63,24 @@ class TestRetries:
         platform = LocalPlatform()
         platform.register("flaky", flaky_handler(failures=1))
         with pytest.raises(RuntimeError, match="flaky failure #1"):
-            platform.invoke("flaky").result(timeout=10)
+            call(platform, "flaky").result(timeout=10)
         assert platform.retries_scheduled == 0
         platform.shutdown()
 
     def test_backoff_delays_the_retry(self):
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.005, max_attempts=2,
-            retry_backoff_seconds=0.2))
+            max_attempts=2, retry_backoff_seconds=0.2))
         platform.register("flaky", flaky_handler(failures=1))
         start = time.monotonic()
-        assert platform.invoke("flaky", 1).result(timeout=10) == 1
+        assert call(platform, "flaky", 1).result(timeout=10) == 1
         assert time.monotonic() - start >= 0.2
         platform.shutdown()
 
     def test_drain_waits_through_retries(self):
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.005, max_attempts=3,
-            retry_backoff_seconds=0.05))
+            max_attempts=3, retry_backoff_seconds=0.05))
         platform.register("flaky", flaky_handler(failures=2))
-        future = platform.invoke("flaky", "done")
+        future = call(platform, "flaky", "done")
         platform.drain(timeout=10)
         # After drain the future must already hold its final outcome.
         assert future.done()
@@ -94,27 +91,26 @@ class TestRetries:
 class TestTimeouts:
     def test_overrunning_handler_times_out(self):
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.005, request_timeout_seconds=0.05))
+            request_timeout_seconds=0.05))
         platform.register("slow", lambda p, c: time.sleep(5.0))
         with pytest.raises(InvocationTimeout):
-            platform.invoke("slow").result(timeout=10)
+            call(platform, "slow").result(timeout=10)
         platform.shutdown()
 
     def test_fast_handler_unaffected(self):
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.005, request_timeout_seconds=5.0))
+            request_timeout_seconds=5.0))
         platform.register("echo", lambda p, c: p)
-        assert platform.invoke("echo", 7).result(timeout=10) == 7
+        assert call(platform, "echo", 7).result(timeout=10) == 7
         platform.shutdown()
 
 
 class TestAttemptAccounting:
     def test_attempts_and_total_latency(self):
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.005, max_attempts=3,
-            retry_backoff_seconds=0.05))
+            max_attempts=3, retry_backoff_seconds=0.05))
         platform.register("flaky", flaky_handler(failures=1))
-        platform.invoke("flaky").result(timeout=10)
+        call(platform, "flaky").result(timeout=10)
         platform.drain(timeout=10)
         invocation = platform.completed[-1]
         assert invocation.attempts == 2

@@ -19,6 +19,7 @@ import pytest
 from repro.common.errors import ContainerStateError, InvocationTimeout
 from repro.local.container import LocalContainer, WorkerPool
 from repro.local.runtime import LocalPlatform, LocalPlatformConfig
+from tests.local.helpers import call, call_group
 
 
 def wait_until(predicate, timeout: float = 5.0) -> bool:
@@ -35,9 +36,8 @@ def all_parked(platform: LocalPlatform) -> bool:
 
 
 def vanilla_platform(**overrides) -> LocalPlatform:
-    """The gw-http-echo shape: no window, one request per group."""
-    knobs = dict(policy="vanilla", window_seconds=0.0,
-                 container_concurrency=1, use_multiplexer=False,
+    """The gw-http-echo shape: one request per group, serial containers."""
+    knobs = dict(container_concurrency=1, use_multiplexer=False,
                  cold_start_seconds=0.0, request_timeout_seconds=2.0)
     knobs.update(overrides)
     platform = LocalPlatform(LocalPlatformConfig(**knobs))
@@ -175,8 +175,7 @@ class TestUnderContention:
         """Handlers finish right around their budget: both sides race."""
         budget = 0.02
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.0, cold_start_seconds=0.0,
-            request_timeout_seconds=budget))
+            cold_start_seconds=0.0, request_timeout_seconds=budget))
         platform.register(
             "edge", lambda payload, context: time.sleep(payload) or payload)
         resolved = []
@@ -230,15 +229,21 @@ class TestRunnerPoolContract:
         finally:
             platform.shutdown()
 
-    def test_dispatcher_groups_start_no_threads(self, thread_starts):
-        platform = vanilla_platform()
+    def test_retried_groups_start_no_threads(self, thread_starts):
+        """The thread that finished a group restarts its retry on a
+        parked runner: retries start no thread either."""
+        platform = vanilla_platform(max_attempts=2)
+        platform.register("boom", lambda payload, context: 1 / 0)
         try:
             for n in range(20):
-                assert platform.invoke("echo", n).result(timeout=5) == n
+                assert isinstance(call(platform, "boom", n).exception(
+                    timeout=5), ZeroDivisionError)
             warm = len(thread_starts)
             for n in range(300):
-                assert platform.invoke("echo", n).result(timeout=5) == n
+                assert isinstance(call(platform, "boom", n).exception(
+                    timeout=5), ZeroDivisionError)
             assert len(thread_starts) - warm <= 4, thread_starts[warm:]
+            assert platform.retries_scheduled == 320
         finally:
             platform.shutdown()
 
@@ -291,8 +296,7 @@ class TestRunnerPoolContract:
         """One overrunning member must not hold its siblings' responses."""
         release = threading.Event()
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.0, cold_start_seconds=0.0,
-            request_timeout_seconds=0.05))
+            cold_start_seconds=0.0, request_timeout_seconds=0.05))
         platform.register(
             "mixed", lambda payload, context:
             release.wait(10) if payload == "slow" else payload)
@@ -348,9 +352,9 @@ class TestFutureSemantics:
         platform = vanilla_platform()
         platform.register("boom", lambda payload, context: 1 / 0)
         try:
-            assert platform.invoke("echo", 7).result(timeout=5) == 7
+            assert call(platform, "echo", 7).result(timeout=5) == 7
             with pytest.raises(ZeroDivisionError):
-                platform.invoke("boom").result(timeout=5)
+                call(platform, "boom").result(timeout=5)
         finally:
             platform.shutdown()
 
@@ -434,7 +438,7 @@ class TestGroupFailsOutsideAHandler:
 
         monkeypatch.setattr(platform, "_acquire", broken)
         try:
-            future = platform.invoke("echo", 1)
+            future = call(platform, "echo", 1)
             assert isinstance(future.exception(timeout=5), MemoryError)
             started = time.monotonic()
             platform.drain(timeout=2)
@@ -459,7 +463,7 @@ class TestGroupFailsOutsideAHandler:
 
         monkeypatch.setattr(platform, "_acquire", flaky)
         try:
-            assert platform.invoke("echo", 5).result(timeout=5) == 5
+            assert call(platform, "echo", 5).result(timeout=5) == 5
             assert platform.retries_scheduled == 1
             assert platform.retries_exhausted == 0
             (inv,) = platform.completed
@@ -491,8 +495,7 @@ class TestGroupFailsOutsideAHandler:
 
     def test_no_worker_thread_inside_a_batch(self, monkeypatch):
         """Members that got a thread run; the others fail; nothing hangs."""
-        platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.0, cold_start_seconds=0.0))
+        platform = LocalPlatform(LocalPlatformConfig(cold_start_seconds=0.0))
         platform.register("echo", lambda payload, context: payload)
         real_start = threading.Thread.start
 
@@ -518,7 +521,7 @@ class TestGroupFailsOutsideAHandler:
             self, monkeypatch):
         platform = vanilla_platform()
         try:
-            assert platform.invoke("echo", 0).result(timeout=5) == 0
+            assert call(platform, "echo", 0).result(timeout=5) == 0
             assert wait_until(lambda: all_parked(platform))
             threads_before = threading.active_count()
 
@@ -534,7 +537,7 @@ class TestGroupFailsOutsideAHandler:
             assert wait_until(lambda: all_parked(platform))
             assert threading.active_count() <= threads_before
             monkeypatch.undo()
-            assert platform.invoke("echo", 9).result(timeout=5) == 9
+            assert call(platform, "echo", 9).result(timeout=5) == 9
         finally:
             platform.shutdown(timeout=2)
 
@@ -543,8 +546,7 @@ class TestDelayedRetries:
     def test_pending_retries_cost_one_thread(self):
         """200 invocations backing off at once wait on one thread."""
         platform = LocalPlatform(LocalPlatformConfig(
-            policy="faasbatch", window_seconds=0.05, use_multiplexer=False,
-            cold_start_seconds=0.0, max_attempts=2,
+            use_multiplexer=False, cold_start_seconds=0.0, max_attempts=2,
             retry_backoff_seconds=0.5))
 
         def fail(payload, context):
@@ -579,8 +581,7 @@ class TestSharedStateIsLocked:
     def test_reuse_ratio_counts_busy_containers(self):
         release = threading.Event()
         looked_up = threading.Event()
-        platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.0, cold_start_seconds=0.0))
+        platform = LocalPlatform(LocalPlatformConfig(cold_start_seconds=0.0))
 
         def handler(payload, context):
             context.create_resource(str, payload)
@@ -599,8 +600,7 @@ class TestSharedStateIsLocked:
             platform.shutdown()
 
     def test_reuse_ratio_survives_concurrent_releases(self):
-        platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.0, cold_start_seconds=0.0))
+        platform = LocalPlatform(LocalPlatformConfig(cold_start_seconds=0.0))
         names = [f"fn{n}" for n in range(150)]
         for name in names:
             platform.register(name, lambda payload, context: payload)
@@ -655,8 +655,7 @@ class TestSharedStateIsLocked:
 
     def test_expired_containers_leave_no_bookkeeping(self):
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.0, cold_start_seconds=0.0,
-            keep_alive_seconds=0.05))
+            cold_start_seconds=0.0, keep_alive_seconds=0.05))
         platform.register("echo", lambda payload, context: payload)
         try:
             for n in range(5):
@@ -681,7 +680,7 @@ class TestPromptStop:
         took = []
         for _ in range(5):
             platform = vanilla_platform(keep_alive_seconds=30.0)
-            assert platform.invoke("echo", 1).result(timeout=5) == 1
+            assert call(platform, "echo", 1).result(timeout=5) == 1
             assert wait_until(lambda: all_parked(platform))
             started = time.perf_counter()
             platform.shutdown()
@@ -693,10 +692,10 @@ class TestPromptStop:
     def test_shutdown_joins_every_platform_thread(self):
         before = set(self.live_platform_threads())
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.002, cold_start_seconds=0.0,
+            cold_start_seconds=0.0,
             request_timeout_seconds=1.0, keep_alive_seconds=30.0))
         platform.register("echo", lambda payload, context: payload)
-        futures = platform.invoke_many("echo", list(range(40)))
+        futures = call_group(platform, "echo", list(range(40)))
         assert [f.result(timeout=5) for f in futures] == list(range(40))
         for n in range(10):
             platform.submit_group("echo", [n, n, n])
@@ -707,14 +706,3 @@ class TestPromptStop:
             lambda: not set(self.live_platform_threads()) - before,
             timeout=2), self.live_platform_threads()
 
-    def test_dispatcher_stops_mid_window_without_losing_the_window(self):
-        platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.2, cold_start_seconds=0.0))
-        platform.register("echo", lambda payload, context: payload)
-        future = platform.invoke("echo", 3)
-        time.sleep(0.01)  # the window is open and holds the request
-        platform._queue.put(None)
-        assert future.result(timeout=5) == 3
-        platform._dispatcher.join(2)
-        assert not platform._dispatcher.is_alive()
-        platform.shutdown()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 
@@ -13,9 +14,11 @@ from repro.common.errors import (
     FunctionNotRegistered,
     PlatformStopped,
 )
+from repro.gateway import Gateway, GatewayConfig
 from repro.local.clients import FakeS3Client, InMemoryBucketStore
 from repro.local.container import LocalContainer, LocalInvocation
 from repro.local.runtime import LocalPlatform, LocalPlatformConfig
+from tests.local.helpers import call, call_group
 
 
 def echo_handler(payload, context):
@@ -107,23 +110,13 @@ class TestLocalPlatform:
     def test_invoke_returns_result(self):
         platform = LocalPlatform()
         platform.register("echo", echo_handler)
-        assert platform.invoke("echo", 42).result(timeout=5) == 42
-        platform.shutdown()
-
-    def test_decorator_registration(self):
-        platform = LocalPlatform()
-
-        @platform.function()
-        def double(payload, context):
-            return payload * 2
-
-        assert platform.invoke("double", 21).result(timeout=5) == 42
+        assert call(platform, "echo", 42).result(timeout=5) == 42
         platform.shutdown()
 
     def test_unknown_function_rejected(self):
         platform = LocalPlatform()
         with pytest.raises(FunctionNotRegistered):
-            platform.invoke("ghost")
+            platform.submit_group("ghost", [None])
         platform.shutdown()
 
     def test_duplicate_registration_rejected(self):
@@ -134,42 +127,54 @@ class TestLocalPlatform:
         platform.shutdown()
 
     def test_burst_lands_in_few_containers(self):
-        platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.05, cold_start_seconds=0.0))
+        platform = LocalPlatform(LocalPlatformConfig(cold_start_seconds=0.0))
 
-        @platform.function()
         def work(payload, context):
             time.sleep(0.002)
             return payload
 
-        futures = platform.invoke_many("work", list(range(30)))
+        platform.register("work", work)
+        futures = call_group(platform, "work", list(range(30)))
         platform.drain()
         assert all(f.result(timeout=1) == i for i, f in enumerate(futures))
-        assert platform.containers_created <= 3
+        assert platform.containers_created == 1  # one group, one container
         platform.shutdown()
 
     def test_vanilla_uses_container_per_invocation_in_burst(self):
-        platform = LocalPlatform(LocalPlatformConfig.vanilla())
+        """Through a Vanilla gateway each request is its own group, and a
+        Vanilla container serves one at a time: ten blocked concurrent
+        requests hold ten containers."""
         gate = threading.Event()
 
-        @platform.function()
-        def blocked(payload, context):
-            gate.wait(1.0)
-            return payload
+        async def main():
+            platform = LocalPlatform(LocalPlatformConfig.vanilla())
+            platform.register(
+                "blocked", lambda payload, context: gate.wait(5) and payload)
+            gateway = Gateway(platform, GatewayConfig(policy="vanilla",
+                                                      window_seconds=0.0))
+            try:
+                pending = [asyncio.ensure_future(
+                    gateway.invoke("blocked", n)) for n in range(10)]
+                deadline = time.monotonic() + 5.0
+                while platform.containers_created < 10 \
+                        and time.monotonic() < deadline:
+                    await asyncio.sleep(0.005)
+                gate.set()
+                responses = await asyncio.gather(*pending)
+            finally:
+                gate.set()
+                await asyncio.get_running_loop().run_in_executor(
+                    None, platform.shutdown)
+            return platform, responses
 
-        futures = platform.invoke_many("blocked", list(range(10)))
-        time.sleep(0.3)  # let every invocation claim its container
-        gate.set()
-        platform.drain()
-        assert all(f.result(timeout=2) is not None or True for f in futures)
+        platform, responses = asyncio.run(main())
+        assert [r.body["result"] for r in responses] == list(range(10))
         assert platform.containers_created == 10
-        platform.shutdown()
 
     def test_multiplexer_shares_clients_within_platform(self):
         store = InMemoryBucketStore()
-        platform = LocalPlatform(LocalPlatformConfig(window_seconds=0.05))
+        platform = LocalPlatform()
 
-        @platform.function()
         def io_fn(payload, context):
             client = context.create_resource(
                 FakeS3Client, "AK", "SK", store=store,
@@ -177,7 +182,8 @@ class TestLocalPlatform:
             client.put_object(Bucket="b", Key=str(payload), Body=b"v")
             return id(client)
 
-        futures = platform.invoke_many("io_fn", list(range(20)))
+        platform.register("io_fn", io_fn)
+        futures = call_group(platform, "io_fn", list(range(20)))
         platform.drain()
         client_ids = {f.result(timeout=2) for f in futures}
         assert len(client_ids) <= platform.containers_created
@@ -188,11 +194,10 @@ class TestLocalPlatform:
     def test_latencies_recorded(self):
         platform = LocalPlatform()
         platform.register("echo", echo_handler)
-        platform.invoke("echo", 1).result(timeout=5)
+        call(platform, "echo", 1).result(timeout=5)
         platform.drain()
-        latencies = platform.latencies_seconds()
-        assert len(latencies) == 1
-        assert latencies[0] >= 0.0
+        (invocation,) = platform.completed
+        assert invocation.latency_seconds >= 0.0
         platform.shutdown()
 
     def test_invoke_after_shutdown_rejected(self):
@@ -200,20 +205,26 @@ class TestLocalPlatform:
         platform.register("echo", echo_handler)
         platform.shutdown()
         with pytest.raises(PlatformStopped):
-            platform.invoke("echo", 1)
+            platform.submit_group("echo", [1])
 
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LocalPlatformConfig(policy="magic")
+    def test_construction_starts_no_thread(self):
+        """Work enters only through ``submit_group``: an idle platform
+        has nothing to run and no window to hold, so it owns no thread."""
+        before = set(threading.enumerate())
+        platform = LocalPlatform()
+        try:
+            assert [thread.name for thread in threading.enumerate()
+                    if thread not in before] == []
+        finally:
+            platform.shutdown()
 
 
 class TestKeepAlive:
     def test_idle_containers_expire(self):
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.01, cold_start_seconds=0.0,
-            keep_alive_seconds=0.05))
+            cold_start_seconds=0.0, keep_alive_seconds=0.05))
         platform.register("echo", echo_handler)
-        platform.invoke("echo", 1).result(timeout=5)
+        call(platform, "echo", 1).result(timeout=5)
         platform.drain()
         assert platform.containers_created == 1
         deadline = time.monotonic() + 2.0
@@ -222,18 +233,17 @@ class TestKeepAlive:
             time.sleep(0.02)
         assert platform.containers_expired == 1
         # A new request after expiry cold-starts a fresh container.
-        platform.invoke("echo", 2).result(timeout=5)
+        call(platform, "echo", 2).result(timeout=5)
         platform.drain()
         assert platform.containers_created == 2
         platform.shutdown()
 
     def test_reuse_within_keep_alive_window(self):
         platform = LocalPlatform(LocalPlatformConfig(
-            window_seconds=0.01, cold_start_seconds=0.0,
-            keep_alive_seconds=5.0))
+            cold_start_seconds=0.0, keep_alive_seconds=5.0))
         platform.register("echo", echo_handler)
         for i in range(3):
-            platform.invoke("echo", i).result(timeout=5)
+            call(platform, "echo", i).result(timeout=5)
             platform.drain()
         assert platform.containers_created == 1
         assert platform.containers_expired == 0

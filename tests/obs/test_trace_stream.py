@@ -203,15 +203,13 @@ class TestWallClockTolerance:
     def test_live_platform_traces_validate_at_wall_tolerance(self):
         """Regression: gateway-tier traces must pass the wall tolerance."""
         obs = Observability(tracing=True)
-        platform = demo_platform(
-            LocalPlatformConfig(policy="faasbatch", window_seconds=0.005,
-                                cold_start_seconds=0.0),
-            obs=obs)
+        platform = demo_platform(LocalPlatformConfig(cold_start_seconds=0.0),
+                                 obs=obs)
         try:
-            futures = platform.invoke_many(
+            group = platform.submit_group(
                 "echo", [{"n": i} for i in range(6)])
-            for n, future in enumerate(futures):
-                assert future.result(timeout=10.0) == {"n": n}
+            for n, invocation in enumerate(group):
+                assert invocation.future.result(timeout=10.0) == {"n": n}
         finally:
             platform.shutdown()
         assert len(obs.tracer) == 6
