@@ -29,7 +29,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.stats import percentile
-from repro.gateway.server import READ_CHUNK_BYTES, Gateway, GatewayServer
+from repro.gateway.server import (READ_CHUNK_BYTES, Gateway, GatewayServer,
+                                  status_line, take_message)
 
 DEFAULT_MIX: Mapping[str, float] = {"io": 0.6, "echo": 0.3, "fib": 0.1}
 
@@ -337,8 +338,31 @@ async def _pace(loop: asyncio.AbstractEventLoop, schedule: List[Arrival],
         await asyncio.gather(*tasks)
 
 
-#: One keep-alive connection of an :class:`HttpPool`.
-_Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+class _PoolConnection(asyncio.Protocol):
+    """One keep-alive connection of an :class:`HttpPool`: one request in
+    flight, its answer framed straight out of the receive buffer."""
+
+    def __init__(self) -> None:
+        self.buffer = bytearray()
+        self.closed = asyncio.get_running_loop().create_future()
+        self.answer: Optional[asyncio.Future] = None  # the owed answer
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        try:
+            response = take_message(self.buffer, status_line)
+        except ValueError:
+            self.transport.abort()  # connection_lost fails the answer
+            return
+        answer = self.answer
+        if response is not None and answer is not None \
+                and not answer.done():
+            answer.set_result(response)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.closed.set_result(None)
+        if self.answer is not None and not self.answer.done():
+            self.answer.set_exception(ConnectionResetError("dropped"))
 
 
 class HttpPool:
@@ -349,30 +373,34 @@ class HttpPool:
         self.port = port
         self.size = size
         #: Idle connections; ``None`` is a slot whose connection dropped.
-        self._free: "asyncio.Queue[Optional[_Connection]]" = asyncio.Queue()
-        self._all: List[asyncio.StreamWriter] = []
+        self._free: "asyncio.Queue[Optional[_PoolConnection]]" = \
+            asyncio.Queue()
+        self._all: List[_PoolConnection] = []
+        #: Every request's headers but its ``Content-Length`` value.
+        self._headers = (f"Host: {host}:{port}\r\nContent-Type: "
+                         f"application/json\r\nConnection: keep-alive\r\n"
+                         f"Content-Length: ").encode("latin-1")
 
     async def start(self) -> None:
         for _ in range(self.size):
             self._free.put_nowait(await self._connect())
 
-    async def _connect(self) -> _Connection:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        writer.transport.max_size = READ_CHUNK_BYTES  # type: ignore
-        self._all.append(writer)
-        return reader, writer
+    async def _connect(self) -> _PoolConnection:
+        transport, connection = await asyncio.get_running_loop(
+            ).create_connection(_PoolConnection, self.host, self.port)
+        transport.max_size = READ_CHUNK_BYTES  # type: ignore[attr-defined]
+        connection.transport = transport
+        self._all.append(connection)
+        return connection
 
-    async def _discard(self, writer: asyncio.StreamWriter) -> None:
-        self._all.remove(writer)
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except OSError:  # the peer already reset it
-            pass
+    async def _discard(self, connection: _PoolConnection) -> None:
+        self._all.remove(connection)
+        connection.transport.close()
+        await connection.closed
 
     async def close(self) -> None:
-        for writer in list(self._all):
-            await self._discard(writer)
+        for connection in list(self._all):
+            await self._discard(connection)
 
     async def request(self, path: str, payload: Any
                       ) -> Tuple[int, Dict[str, str], bytes]:
@@ -383,42 +411,27 @@ class HttpPool:
         """
         body = b"" if payload is None else json.dumps(
             payload, separators=(",", ":")).encode("utf-8")
-        head = (f"POST {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: keep-alive\r\n\r\n").encode("latin-1")
         connection = await self._free.get()
         try:
             if connection is None:
                 connection = await self._connect()
-            reader, writer = connection
-            writer.write(head + body)
-            await writer.drain()
-            return await self._read_response(reader)
-        except (OSError, asyncio.IncompleteReadError):
+            if connection.closed.done():
+                raise ConnectionResetError("dropped while idle")
+            connection.answer = asyncio.get_running_loop().create_future()
+            connection.transport.write(b"POST %s HTTP/1.1\r\n%s%d\r\n\r\n%s"
+                                       % (path.encode("latin-1"),
+                                          self._headers, len(body), body))
+            return await connection.answer
+        except OSError:
             if connection is not None:
-                await self._discard(connection[1])
+                await self._discard(connection)
                 connection = None
             return 503, {}, b""
+        except asyncio.CancelledError:
+            if connection is not None:  # its late answer is no one's
+                self._all.remove(connection)
+                connection.transport.abort()
+                connection = None
+            raise
         finally:
             self._free.put_nowait(connection)
-
-    @staticmethod
-    async def _read_response(reader: asyncio.StreamReader
-                             ) -> Tuple[int, Dict[str, str], bytes]:
-        status_line = await reader.readline()
-        if not status_line:
-            raise asyncio.IncompleteReadError(b"", None)
-        parts = status_line.decode("latin-1").split(" ", 2)
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = line.decode("latin-1").partition(":")
-            headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        body = await reader.readexactly(length) if length else b""
-        return status, headers, body

@@ -563,13 +563,10 @@ def _encode_response(response: GatewayResponse, keep_alive: bool) -> bytes:
     return "".join(lines).encode("latin-1") + payload
 
 
-def _parse_request(buffer: bytearray):
-    """Take one whole request off the front of *buffer*.
-
-    Returns ``(method, path, headers, body, keep_alive)``, or ``None`` while
-    the request is still incomplete; raises ValueError → 400
-    (:class:`_BodyTooLarge` → 413).
-    """
+def take_message(buffer: bytearray, start_line: Callable[[str], Any]):
+    """Take one whole message off *buffer* (both ends frame with this):
+    ``(start_line(first line), lower-cased headers, body)``, ``None`` while
+    incomplete; ValueError if malformed (:class:`_BodyTooLarge`: 413)."""
     end = buffer.find(b"\n\r\n")
     bare = buffer.find(b"\n\n", 0, end if end >= 0 else len(buffer))
     if bare >= 0:
@@ -577,7 +574,7 @@ def _parse_request(buffer: bytearray):
     elif end >= 0:
         body_at = end + 3
     elif len(buffer) > MAX_LINE_BYTES * (MAX_HEADER_LINES + 1):
-        raise ValueError("request head too long")
+        raise ValueError("message head too long")
     else:
         return None
     lines = buffer[:end].decode("latin-1").split("\n")
@@ -585,15 +582,13 @@ def _parse_request(buffer: bytearray):
         raise ValueError("too many header lines")
     if end > MAX_LINE_BYTES and max(map(len, lines)) > MAX_LINE_BYTES:
         raise ValueError("header line too long")
-    parts = lines[0].rstrip("\r").split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise ValueError(f"malformed request line: {parts!r}")
+    start = start_line(lines[0].rstrip("\r"))
     headers: Dict[str, str] = {}
     for line in lines[1:]:
         key, _, value = line.partition(":")
         headers[key.strip().lower()] = value.strip()
     if "transfer-encoding" in headers:
-        # Without chunked decoding the chunks would be read as requests.
+        # Without chunked decoding the chunks would be read as messages.
         raise ValueError("Transfer-Encoding is not supported")
     length = int(headers.get("content-length", "0") or "0")
     if length < 0:
@@ -605,11 +600,40 @@ def _parse_request(buffer: bytearray):
         return None
     body = bytes(buffer[body_at:body_at + length])
     del buffer[:body_at + length]
+    return start, headers, body
+
+
+def _request_line(line: str) -> List[str]:
+    parts = line.split(" ")
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise ValueError(f"malformed request line: {parts!r}")
+    return parts
+
+
+def status_line(line: str) -> int:
+    """The status code of a response's first line."""
+    version, status, *_ = line.split(" ", 2)
+    if not version.startswith("HTTP/1.") or len(status) != 3:
+        raise ValueError(f"malformed status line: {line!r}")
+    return int(status)
+
+
+def _parse_request(buffer: bytearray):
+    """Take one whole request off the front of *buffer*.
+
+    Returns ``(method, path, headers, body, keep_alive)``, or ``None`` while
+    the request is still incomplete; raises ValueError → 400
+    (:class:`_BodyTooLarge` → 413).
+    """
+    message = take_message(buffer, _request_line)
+    if message is None:
+        return None
+    (method, path, version), headers, body = message
     tokens = {token.strip()
               for token in headers.get("connection", "").lower().split(",")}
-    keep_alive = ("keep-alive" in tokens if parts[2] == "HTTP/1.0"
+    keep_alive = ("keep-alive" in tokens if version == "HTTP/1.0"
                   else "close" not in tokens)
-    return parts[0], parts[1], headers, body, keep_alive
+    return method, path, headers, body, keep_alive
 
 
 class _Connection(asyncio.Protocol):
@@ -631,7 +655,6 @@ class _Connection(asyncio.Protocol):
         transport.max_size = READ_CHUNK_BYTES  # type: ignore[attr-defined]
         self.server._connections.add(self)
         self.server._no_connections.clear()
-        self.server.connections_served += 1
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.closing = True
@@ -727,7 +750,6 @@ class GatewayServer:
         self.gateway = gateway
         self.host = host
         self.port = port
-        self.connections_served = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()
         self._no_connections = asyncio.Event()

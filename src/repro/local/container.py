@@ -85,8 +85,8 @@ class LocalInvocation:
         """The caller-facing future, built on first use.
 
         A ``concurrent.futures.Future`` costs 1.3 KB (its ``Condition``)
-        and every completed invocation is retained for the metrics, so
-        only callers that ask for one pay for it.  Reading it after the
+        and the platform keeps its newest answered invocations, so only
+        callers that ask for one pay for it.  Reading it after the
         invocation resolved returns an already-settled future.
         """
         future = self._future

@@ -21,13 +21,14 @@ policy supplies the other half, one request per group).
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.common.errors import (
     ConfigurationError,
@@ -60,6 +61,50 @@ OnResolved = Callable[[int, LocalInvocation], None]
 #: has drained.  Parked runners leave at once; only one still inside a
 #: handler its timeout abandoned can outlast this (it is a daemon thread).
 _RUNNER_EXIT_GRACE_SECONDS = 0.25
+
+
+#: How many answered invocations :class:`CompletionLog` keeps: about
+#: 1.5 MB at ~360 B each, however long the platform serves.
+RETAINED = 4096
+
+
+class CompletionLog:
+    """Answered invocations, numbered in answer order: ``len()`` counts
+    every answer ever given; indexing, slicing (``log[len_before:]``) and
+    iteration reach the newest :data:`RETAINED` only."""
+
+    def __init__(self) -> None:
+        self._kept = collections.deque(maxlen=RETAINED)
+        self._total = 0
+        self._lock = threading.Lock()
+
+    def extend(self, invocations: List[LocalInvocation]) -> None:
+        with self._lock:
+            self._kept.extend(invocations)
+            self._total += len(invocations)
+
+    def __len__(self) -> int:
+        return self._total
+
+    def __iter__(self) -> Iterator[LocalInvocation]:
+        with self._lock:
+            return iter(list(self._kept))
+
+    def __getitem__(self, index):
+        with self._lock:
+            total, kept = self._total, list(self._kept)
+        first = total - len(kept)
+        numbers = range(total)[index]  # IndexError past either end
+        if isinstance(numbers, int):
+            if numbers < first:
+                raise IndexError(f"answer {index} is not retained")
+            return kept[numbers - first]
+        # A kept number is among the last len(kept) of an ascending slice
+        # and the first len(kept) of a descending one: look at those only.
+        numbers = (numbers[-len(kept):] if numbers.step > 0
+                   else numbers[:len(kept)])
+        return [kept[number - first] for number in numbers
+                if number >= first]
 
 
 @dataclass(frozen=True)
@@ -151,8 +196,8 @@ class LocalPlatform:
         self.containers_expired = 0
         self.retries_scheduled = 0
         self.retries_exhausted = 0
-        self.completed: List[LocalInvocation] = []
         self._completed_lock = threading.Lock()
+        self.completed = CompletionLog()
         self._janitor: Optional[threading.Thread] = None
         if self.config.keep_alive_seconds is not None:
             self._janitor = threading.Thread(
@@ -207,8 +252,9 @@ class LocalPlatform:
                 raise PlatformDraining("platform is draining; no new work")
             if self._state == STATE_STOPPED:
                 raise PlatformStopped("platform is stopped")
+            if self._inflight == 0:  # _finish_group sets it on n → 0
+                self._inflight_zero.clear()
             self._inflight += count
-            self._inflight_zero.clear()
 
     def submit_group(self, name: str, payloads: List[Any],
                      on_resolved: Optional[OnResolved] = None

@@ -1,7 +1,7 @@
 """The gateway's hot path: what a request costs, keeps and can explain.
 
-A completed request stays in ``platform.completed`` for the metrics, so
-whatever it still references is the serving tier's memory slope; the stage
+The newest completed requests stay in ``platform.completed``, so whatever
+one still references is what the serving tier holds per request; the stage
 histograms split its latency along the loop → runner → handler → loop path
 from timestamps both tiers take anyway.
 """

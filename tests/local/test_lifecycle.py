@@ -81,6 +81,34 @@ class TestLifecycle:
         assert platform.state == STATE_STOPPED
         assert future.result(timeout=1) == 1  # drained, not dropped
 
+    def test_drain_waits_for_a_group_submitted_while_another_runs(self):
+        """The in-flight event is cleared on 0 → n only: a second group
+        admitted while the first runs must still hold ``drain`` once the
+        first has finished, and so must one admitted after a drain."""
+        gates = {name: threading.Event() for name in "abc"}
+        platform = LocalPlatform(LocalPlatformConfig(cold_start_seconds=0.0))
+        platform.register("gated", lambda name, context: gates[name].wait(5))
+        try:
+            (first,) = platform.submit_group("gated", ["a"])
+            (second,) = platform.submit_group("gated", ["b"])
+            gates["a"].set()
+            assert first.future.result(timeout=5) is True
+            with pytest.raises(TimeoutError):
+                platform.drain(timeout=0.05)
+            gates["b"].set()
+            platform.drain(timeout=5)
+            assert second.future.result(timeout=0) is True
+            (third,) = platform.submit_group("gated", ["c"])
+            with pytest.raises(TimeoutError):
+                platform.drain(timeout=0.05)
+            gates["c"].set()
+            platform.drain(timeout=5)
+            assert third.resolved
+        finally:
+            for gate in gates.values():
+                gate.set()
+            platform.shutdown()
+
     def test_lifecycle_errors_share_a_base_type(self):
         assert issubclass(PlatformDraining, PlatformStateError)
         assert issubclass(PlatformStopped, PlatformStateError)
