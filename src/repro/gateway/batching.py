@@ -21,7 +21,7 @@ from typing import Any, Callable, List, Optional
 from repro.core.windowing import WindowPolicy
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRequest:
     """One live request parked in (or dispatched from) a window queue."""
 

@@ -22,15 +22,15 @@ latency CDFs and goodput-over-time panels.
 from __future__ import annotations
 
 import asyncio
-import json
+import collections
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.stats import percentile
 from repro.gateway.server import (READ_CHUNK_BYTES, Gateway, GatewayServer,
-                                  status_line, take_message)
+                                  encode_json, status_line, take_message)
 
 DEFAULT_MIX: Mapping[str, float] = {"io": 0.6, "echo": 0.3, "fib": 0.1}
 
@@ -373,8 +373,9 @@ class HttpPool:
         self.port = port
         self.size = size
         #: Idle connections; ``None`` is a slot whose connection dropped.
-        self._free: "asyncio.Queue[Optional[_PoolConnection]]" = \
-            asyncio.Queue()
+        self._free: Deque[Optional[_PoolConnection]] = collections.deque()
+        #: Requests waiting for a slot, first come first served.
+        self._waiting: Deque[asyncio.Future] = collections.deque()
         self._all: List[_PoolConnection] = []
         #: Every request's headers but its ``Content-Length`` value.
         self._headers = (f"Host: {host}:{port}\r\nContent-Type: "
@@ -383,7 +384,27 @@ class HttpPool:
 
     async def start(self) -> None:
         for _ in range(self.size):
-            self._free.put_nowait(await self._connect())
+            self._put(await self._connect())
+
+    def _put(self, connection: Optional[_PoolConnection]) -> None:
+        """Hand a slot to the first live waiter, or park it."""
+        while self._waiting:
+            waiter = self._waiting.popleft()
+            if not waiter.done():
+                waiter.set_result(connection)
+                return
+        self._free.append(connection)
+
+    async def _wait(self) -> Optional[_PoolConnection]:
+        """Wait for a slot (none is idle)."""
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiting.append(waiter)
+        try:
+            return await waiter
+        except asyncio.CancelledError:
+            if waiter.done() and not waiter.cancelled():
+                self._put(waiter.result())  # handed over as it was cancelled
+            raise
 
     async def _connect(self) -> _PoolConnection:
         transport, connection = await asyncio.get_running_loop(
@@ -409,9 +430,9 @@ class HttpPool:
         A dropped or refused connection is a transport-level 503; the slot
         reconnects on its next request.
         """
-        body = b"" if payload is None else json.dumps(
-            payload, separators=(",", ":")).encode("utf-8")
-        connection = await self._free.get()
+        body = b"" if payload is None else encode_json(payload).encode()
+        connection = (self._free.popleft() if self._free
+                      else await self._wait())
         try:
             if connection is None:
                 connection = await self._connect()
@@ -434,4 +455,4 @@ class HttpPool:
                 connection = None
             raise
         finally:
-            self._free.put_nowait(connection)
+            self._put(connection)

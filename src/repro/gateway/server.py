@@ -6,8 +6,9 @@ the :class:`~repro.gateway.admission.AdmissionController`, and the
 :class:`~repro.gateway.degradation.DegradationMonitor`.  Its one request
 path is ``submit(function, payload, on_response)``: admission, dispatch
 onto :class:`~repro.local.LocalPlatform` runner threads via
-``submit_group(on_resolved=...)`` + ``call_soon_threadsafe``, and a
-settle step that calls ``on_response`` exactly once, on the event loop.
+``submit_group(on_resolved=...)``, one report per finished group woken
+onto the loop with ``call_soon_threadsafe``, and a settle step that calls
+``on_response`` exactly once, on the event loop.
 ``invoke`` awaits that core (the in-proc load generator's path).  Every
 request has the same deadline budget, so deadlines fall due in arrival
 order: one FIFO and one ``call_at`` timer for its head answer 504.
@@ -60,6 +61,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.common.errors import (
@@ -174,7 +176,7 @@ class GatewayConfig:
                 f"deadline_seconds must be > 0, got {self.deadline_seconds}")
 
 
-@dataclass
+@dataclass(slots=True)
 class GatewayResponse:
     """Transport-independent outcome of one request."""
 
@@ -354,14 +356,10 @@ class Gateway:
         now = self.loop.time()
         for request in requests:
             request.dispatched_at = now
-
-        def on_resolved(position: int, invocation: LocalInvocation) -> None:
-            self._on_platform_done(requests[position], invocation)
-
         try:
             self.platform.submit_group(
                 function, [request.payload for request in requests],
-                on_resolved)
+                functools.partial(self._on_platform_done, requests))
         except Exception as error:
             for request in requests:
                 self._fail(request, error)
@@ -429,11 +427,12 @@ class Gateway:
                 "message": f"answering {request.request_id} raised",
                 "exception": error})
 
-    def _on_platform_done(self, request: PendingRequest,
-                          invocation: LocalInvocation) -> None:
-        # Runs on a platform thread: buffer, wake the loop once.
+    def _on_platform_done(self, requests: List[PendingRequest],
+                          invocations: List[LocalInvocation]) -> None:
+        # Runs on a platform thread, once per finished group: buffer it,
+        # wake the loop once.
         with self._done_lock:
-            self._done_buffer.append((request, invocation))
+            self._done_buffer.append((requests, invocations))
             schedule = not self._drain_scheduled
             if schedule:
                 self._drain_scheduled = True
@@ -448,8 +447,9 @@ class Gateway:
             buffer, self._done_buffer = self._done_buffer, []
             self._drain_scheduled = False
         now = self.loop.time()
-        for request, invocation in buffer:
-            self._complete(request, invocation, now)
+        for requests, invocations in buffer:
+            for invocation in invocations:
+                self._complete(requests[invocation.position], invocation, now)
 
     def _complete(self, request: PendingRequest,
                   invocation: LocalInvocation, now: float) -> None:
@@ -526,7 +526,34 @@ def _answer(future: "asyncio.Future[GatewayResponse]",
         future.set_result(response)
 
 
-_ENCODE_JSON = json.JSONEncoder(separators=(",", ":")).encode
+#: What ``json.dumps(obj, separators=(",", ":"))`` runs, built once:
+#: ``dumps`` builds an encoder per call.  It checks no circular reference,
+#: so a cycle raises RecursionError instead of ValueError.
+_ENCODE_CHUNKS = c_make_encoder(None, json.JSONEncoder().default,
+                                encode_basestring_ascii, None, ":", ",",
+                                False, False, True)
+
+
+def encode_json(obj: Any) -> str:
+    """*obj* as compact JSON, as ``json.dumps`` writes it."""
+    return "".join(_ENCODE_CHUNKS(obj, 0))
+
+
+_SCAN_JSON = json.JSONDecoder().scan_once
+
+
+def decode_json(body: bytes) -> Any:
+    """``json.loads(body)``, straight to the C scanner when *body* is UTF-8
+    JSON with nothing around it; anything else goes to ``json.loads``
+    itself, so every value and every error is its own."""
+    try:
+        text = body.decode()
+        value, end = _SCAN_JSON(text, 0)
+        if end == len(text):
+            return value
+    except Exception:  # StopIteration, UnicodeDecodeError, RecursionError
+        pass
+    return json.loads(body)
 
 
 def _head(status: int, content_type: str) -> str:
@@ -546,21 +573,19 @@ def _encode_response(response: GatewayResponse, keep_alive: bool) -> bytes:
         payload = response.text.encode("utf-8")
         head = _head(response.status, response.content_type or "text/plain")
     else:
-        payload = _ENCODE_JSON(response.body).encode("utf-8")
+        payload = encode_json(response.body).encode()  # ASCII
         head = (_JSON_HEADS.get(response.status)
                 or _head(response.status, "application/json"))
-    lines = [head, str(len(payload)),
-             "\r\nConnection: keep-alive\r\n" if keep_alive
-             else "\r\nConnection: close\r\n"]
+    head = (f"{head}{len(payload)}\r\nConnection: "
+            f"{'keep-alive' if keep_alive else 'close'}\r\n")
     if response.request_id is not None:
-        lines.append(f"X-Request-Id: {response.request_id}\r\n")
+        head += f"X-Request-Id: {response.request_id}\r\n"
     if response.mode is not None:
-        lines.append(f"X-Dispatch-Mode: {response.mode}\r\n")
+        head += f"X-Dispatch-Mode: {response.mode}\r\n"
     if response.retry_after_seconds is not None:
-        lines.append(f"Retry-After: "
-                     f"{max(response.retry_after_seconds, 0.001):.3f}\r\n")
-    lines.append("\r\n")
-    return "".join(lines).encode("latin-1") + payload
+        head += (f"Retry-After: "
+                 f"{max(response.retry_after_seconds, 0.001):.3f}\r\n")
+    return (head + "\r\n").encode("latin-1") + payload
 
 
 def take_message(buffer: bytearray, start_line: Callable[[str], Any]):
@@ -808,7 +833,7 @@ class GatewayServer:
         if method == "POST" and path.startswith("/invoke/"):
             if body:
                 try:
-                    payload = json.loads(body)
+                    payload = decode_json(body)
                 except (ValueError, RecursionError) as error:
                     return GatewayResponse(
                         400, {"error": "invalid JSON body",

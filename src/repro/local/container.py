@@ -6,17 +6,20 @@ execute as parallel threads inside it (the paper's inline parallelism),
 optionally gated to a fixed concurrency, and share the container's
 :class:`~repro.local.multiplexer.ResourceMultiplexer`.
 
-Every thread that runs a handler is a parked thread of a
+A batch runs on *lanes*: at most ``concurrency`` threads, each taking the
+batch's next member until none is left, so a serial container runs its
+batch in order on the calling thread and starts no thread at all.  Every
+other thread that runs a handler is a parked thread of a
 :class:`WorkerPool` — the one parked-thread implementation of
-``repro.local``.  A container owns a pool for the members a batch expands
-into; :class:`~repro.local.runtime.LocalPlatform` owns another whose
-*runners* pull ready groups and run each group's last member themselves.
-A pool starts a thread only when none is parked, so once the pools have
-seen their peak concurrency, serving constructs no thread: not per
-request, not per group, and not per timeout — the per-handler budget is
-enforced by one :class:`DeadlineWatcher` thread, not by a second thread
-per call.  (At gateway rates per-request ``Thread()`` construction was
-the throughput ceiling, twice.)
+``repro.local``.  A container owns a pool for its extra lanes;
+:class:`~repro.local.runtime.LocalPlatform` owns another whose *runners*
+pull ready groups and run one lane of each group themselves.  A pool
+starts a thread only when none is parked, so once the pools have seen
+their peak concurrency, serving constructs no thread: not per request,
+not per group, and not per timeout — the per-handler budget is enforced
+by one :class:`DeadlineWatcher` thread, not by a second thread per call.
+(At gateway rates per-request ``Thread()`` construction was the
+throughput ceiling, twice.)
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.common.errors import ContainerStateError, InvocationTimeout
 from repro.local.multiplexer import ResourceMultiplexer
@@ -70,9 +73,13 @@ class LocalInvocation:
     #: Container the latest attempt ran in (stamped by the platform; None
     #: for an attempt that failed before it got one).
     container_id: Optional[str] = None
-    #: Called once with the invocation when it resolves, then dropped —
-    #: a completed invocation must not pin its caller's request state.
-    on_resolved: Optional[Callable[["LocalInvocation"], None]] = None
+    #: Index of this invocation in the group it was submitted with (a
+    #: retry keeps it), so a caller can match outcomes to its requests.
+    position: int = 0
+    #: Called with a list of resolved invocations, this one among them,
+    #: then dropped — a completed invocation must not pin its caller's
+    #: request state.
+    on_resolved: Optional[Callable[[List["LocalInvocation"]], None]] = None
     resolved: bool = field(default=False, init=False)
     #: Records of the attempts :meth:`reset_for_retry` archived; None
     #: until there is a retry — most invocations never allocate one.
@@ -162,14 +169,21 @@ class LocalInvocation:
 
     def resolve(self) -> None:
         """Publish the recorded outcome to the caller (idempotent)."""
+        callback = self.mark_resolved()
+        if callback is not None:
+            callback([self])
+
+    def mark_resolved(self) -> Optional[Callable[..., None]]:
+        """Mark the outcome published, settle the future if one was asked
+        for, and hand back the ``on_resolved`` hook for the caller to run:
+        dropped from the invocation, and ``None`` the second time."""
         if self.resolved:
-            return
+            return None
         self.resolved = True  # before reading _future: see ``future``
         if self._future is not None:
             self._copy_outcome(self._future)
         callback, self.on_resolved = self.on_resolved, None
-        if callback is not None:
-            callback(self)
+        return callback
 
     def reset_for_retry(self) -> None:
         """Re-arm for another attempt (caller restarts it afterwards)."""
@@ -300,33 +314,51 @@ class WorkerPool:
 
 
 class DeadlineWatcher:
-    """One thread that expires calls which outlive a constant budget.
+    """One thread that expires handler calls which outlive a constant budget.
 
     Every watched call has the same budget, so deadlines arrive (near
     enough) in order and a FIFO replaces a heap: ``watch`` is one
-    ``deque.append`` — no lock, no wake-up.  The thread sweeps the due
-    head of the FIFO at most ``SWEEPS_PER_BUDGET`` times per budget (an
-    overrun is noticed within budget/20 of its deadline, whatever the
-    request rate), and sleeps a whole budget when nothing is pending:
-    nothing appended meanwhile can be due sooner.  Calls that finish in
-    time are not cancelled: ``expire(*args)`` runs for every entry once
-    its deadline passed and must be a no-op for a call that has settled.
+    ``deque.append``, with no lock and no wake-up.  Calls that settle in
+    time leave the FIFO's head as they settle (:meth:`forget_settled`), so
+    it holds about the calls in flight rather than every call of the last
+    budget.  The thread sweeps the due head at most ``SWEEPS_PER_BUDGET``
+    times per budget (an overrun is noticed within budget/20 of its
+    deadline, whatever the request rate), and sleeps a whole budget when
+    nothing is pending: nothing appended meanwhile can be due sooner.
+    ``expire(invocation, attempt, context)`` runs for each call still
+    unsettled at its deadline.
     """
 
     SWEEPS_PER_BUDGET = 20
 
     def __init__(self, budget_seconds: float, name: str) -> None:
         self.budget_seconds = budget_seconds
-        self._pending: Deque[Tuple[float, Callable[..., None], tuple]] = (
-            collections.deque())
+        #: ``(deadline, invocation, attempt, expire, context)`` in watch
+        #: order.  ``watch`` appends without the lock; it serialises the
+        #: threads that pop.
+        self._pending: Deque[tuple] = collections.deque()
+        self._lock = threading.Lock()
         self._stopped = threading.Event()
         self.thread = threading.Thread(target=self._loop, name=name,
                                        daemon=True)
         self.thread.start()
 
-    def watch(self, started_at: float, expire: Callable[..., None],
-              *args: Any) -> None:
-        self._pending.append((started_at + self.budget_seconds, expire, args))
+    def watch(self, started_at: float, invocation: LocalInvocation,
+              attempt: int, expire: Callable[..., None],
+              context: Any) -> None:
+        self._pending.append((started_at + self.budget_seconds, invocation,
+                              attempt, expire, context))
+
+    def forget_settled(self) -> None:
+        """Drop the settled calls at the head of the FIFO."""
+        pending = self._pending
+        with self._lock:
+            while pending:
+                _, invocation, attempt, _, _ = pending[0]
+                if invocation.completed_at is None \
+                        and invocation.attempts == attempt:
+                    return
+                pending.popleft()
 
     def stop(self) -> None:
         self._stopped.set()
@@ -337,25 +369,32 @@ class DeadlineWatcher:
         nap = self.budget_seconds
         while not self._stopped.wait(nap):
             nap = self.budget_seconds
-            while pending:
-                remaining = pending[0][0] - time.monotonic()
-                if remaining > 0:
-                    nap = max(remaining, shortest_nap)
-                    break
-                _, expire, args = pending.popleft()
+            due = []
+            now = time.monotonic()
+            with self._lock:
+                while pending:
+                    remaining = pending[0][0] - now
+                    if remaining > 0:
+                        nap = max(remaining, shortest_nap)
+                        break
+                    due.append(pending.popleft())
+            for _, invocation, attempt, expire, context in due:
                 try:
-                    expire(*args)
+                    expire(invocation, attempt, context)
                 except Exception:  # one bad entry must not end all timeouts
                     _report_thread_error()
 
 
 class _Batch:
-    """Countdown of one ``execute_batch`` call's unsettled members."""
+    """One ``execute_batch`` call: the members no lane has taken yet, and
+    the countdown of its unsettled members."""
 
-    __slots__ = ("remaining", "on_done")
+    __slots__ = ("queued", "remaining", "on_done")
 
-    def __init__(self, remaining: int, on_done: Callable[[], None]) -> None:
-        self.remaining = remaining
+    def __init__(self, invocations: List[LocalInvocation],
+                 on_done: Callable[[], None]) -> None:
+        self.queued: Deque[LocalInvocation] = collections.deque(invocations)
+        self.remaining = len(invocations)
         self.on_done: Optional[Callable[[], None]] = on_done
 
 
@@ -399,11 +438,11 @@ class LocalContainer:
         self._context = InvocationContext(
             container_id=container_id, function_name=function_name,
             multiplexer=self.multiplexer)
-        self._slots = (threading.Semaphore(concurrency)
-                       if concurrency is not None else None)
+        #: Most members of one batch running at once (None: all of them).
+        self.concurrency = concurrency
         self._active = 0
         self._lock = threading.Lock()
-        self._workers = WorkerPool(f"{container_id}:worker", self._run_one)
+        self._workers = WorkerPool(f"{container_id}:worker", self._run_lane)
         self.invocations_served = 0
         self.invocations_timed_out = 0
         self.stopped = False
@@ -439,13 +478,16 @@ class LocalContainer:
         """Run *invocations* inside this container.
 
         Mirrors §III-C step 3: one request expands the whole batch as
-        threads.  Without *on_done* every member runs on a pooled worker
-        and the call blocks until all of them settled.  With *on_done* the
-        caller says it is itself a pooled thread that a timeout may
-        abandon: it runs the batch's last member (for a single-member
-        batch there is no hand-off at all), the call returns when that
-        member's handler does, and ``on_done()`` fires exactly once, on
-        whichever thread settles the batch's last unsettled member.
+        threads — as many *lanes* as the container's concurrency allows,
+        each running the batch's next member until none is left, so a
+        member waits for a lane, never for a lock.  Without *on_done*
+        every lane is a pooled worker and the call blocks until all
+        members settled.  With *on_done* the caller says it is itself a
+        pooled thread that a timeout may abandon: it runs one lane (all of
+        a serial container's batch, and the whole of a single-member
+        batch, with no hand-off), the call returns when that lane does,
+        and ``on_done()`` fires exactly once, on whichever thread settles
+        the batch's last unsettled member.
         """
         if self.stopped:
             raise ContainerStateError(f"{self.container_id} is stopped")
@@ -455,56 +497,98 @@ class LocalContainer:
         if on_done is None:
             done = threading.Event()
             on_done = done.set
-            handed, inline = invocations, None
-        else:
-            handed, inline = invocations[:-1], invocations[-1]
-        batch = _Batch(len(invocations), on_done)
+        batch = _Batch(invocations, on_done)
         with self._lock:
             self._active += len(invocations)
-        for invocation in handed:
-            invocation.dispatched_at = time.monotonic()
-            try:
-                self._workers.submit(invocation, batch)
-            except Exception as error:  # "can't start new thread"
-                self._settle(invocation, invocation.attempts, batch,
-                             None, error)
-        if inline is not None:
-            inline.dispatched_at = time.monotonic()
-            self._run_one(inline, batch)
+        dispatched_at = time.monotonic()
+        for invocation in invocations:
+            invocation.dispatched_at = dispatched_at
+        lanes = len(invocations)
+        if self.concurrency is not None:
+            lanes = min(lanes, self.concurrency)
+        if done is None:
+            if lanes > 1:
+                self._add_lanes(batch, lanes - 1, running=True)
+            self._run_lane(batch)
         else:
+            self._add_lanes(batch, lanes, running=False)
             done.wait()
 
-    def _run_one(self, invocation: LocalInvocation, batch: _Batch) -> None:
+    def _add_lanes(self, batch: _Batch, count: int, running: bool) -> None:
+        """Start *count* lanes on pooled workers; *running* says whether
+        another lane is already serving *batch*.
+
+        A lane that cannot start ("can't start new thread") fails the
+        member it would have taken, and when no lane serves the batch at
+        all, every member still queued fails with it.
+        """
+        error = None
+        for _ in range(count):
+            try:
+                self._workers.submit(batch)
+                running = True
+            except Exception as failure:
+                error = failure
+                self._fail_next(batch, error)
+        if error is not None and not running:
+            while self._fail_next(batch, error):
+                pass
+
+    def _fail_next(self, batch: _Batch, error: BaseException) -> bool:
+        """Settle the batch's next queued member with *error*, if any."""
+        try:
+            invocation = batch.queued.popleft()
+        except IndexError:
+            return False
+        self._settle(invocation, invocation.attempts, batch, None, error)
+        return True
+
+    def _run_lane(self, batch: _Batch) -> None:
+        """Run the batch's queued members one after another; stop when
+        none is left, or when the deadline abandoned the member this lane
+        ran (a fresh lane has taken over the rest)."""
+        queued = batch.queued
+        while True:
+            try:
+                invocation = queued.popleft()
+            except IndexError:
+                return
+            if not self._run_one(invocation, batch):
+                return
+
+    def _run_one(self, invocation: LocalInvocation, batch: _Batch) -> bool:
+        """Run one member; False when its deadline got there first."""
         attempt = invocation.attempts
-        if self._slots is not None:
-            self._slots.acquire()
         invocation.started_at = started = time.monotonic()
         if self._watcher is not None:
-            self._watcher.watch(started, self._expire, invocation, attempt,
+            self._watcher.watch(started, invocation, attempt, self._expire,
                                 batch)
         try:
             result, error = self.handler(invocation.payload,
                                          self._context), None
         except BaseException as failure:  # handler failure -> recorded
             result, error = None, failure
-        self._settle(invocation, attempt, batch, result, error)
+        return self._settle(invocation, attempt, batch, result, error)
 
     def _expire(self, invocation: LocalInvocation, attempt: int,
                 batch: _Batch) -> None:
         """Deadline of one handler call (runs on the watcher thread)."""
         if invocation.completed_at is not None \
                 or invocation.attempts != attempt:
-            return  # the common case: it finished within its budget
-        self._settle(invocation, attempt, batch, None, InvocationTimeout(
-            f"{invocation.invocation_id} exceeded "
-            f"{self.timeout_seconds}s on {self.container_id} "
-            f"(attempt {attempt})"), timed_out=True)
+            return  # it finished within its budget
+        if self._settle(invocation, attempt, batch, None, InvocationTimeout(
+                f"{invocation.invocation_id} exceeded "
+                f"{self.timeout_seconds}s on {self.container_id} "
+                f"(attempt {attempt})"), timed_out=True) and batch.queued:
+            # The abandoned lane's thread is stuck in the handler: the
+            # members queued behind it continue on a fresh lane.
+            self._add_lanes(batch, 1, running=False)
 
     def _settle(self, invocation: LocalInvocation, attempt: int,
                 batch: _Batch, result: Any,
                 error: Optional[BaseException],
-                timed_out: bool = False) -> None:
-        """Record one member's outcome — once.
+                timed_out: bool = False) -> bool:
+        """Record one member's outcome — once; True if this call did.
 
         A handler's own thread and the deadline watcher race to settle a
         member.  The first wins; the loser (an overrunning handler that
@@ -515,20 +599,20 @@ class LocalContainer:
         with self._lock:
             if invocation.attempts != attempt \
                     or invocation.completed_at is not None:
-                return
-            started = invocation.started_at is not None
+                return False
             invocation.record(result, error)
             self._active -= 1
             self.invocations_served += 1
             self.invocations_timed_out += timed_out
             batch.remaining -= 1
             last = batch.remaining == 0
-        if started and self._slots is not None:
-            self._slots.release()
+        if self._watcher is not None:
+            self._watcher.forget_settled()
         if not self.defer_resolution:
             invocation.resolve()
         if last:
-            # Deadline entries outlive the batch by up to one budget: do
-            # not let them pin the group through its callback.
+            # A deadline entry queued behind an unsettled head outlives the
+            # batch: do not let it pin the group through its callback.
             on_done, batch.on_done = batch.on_done, None
             on_done()
+        return True

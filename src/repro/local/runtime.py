@@ -9,8 +9,8 @@ A miniature serverless platform that actually runs Python handlers:
   keeps it, retries included;
 * each ready group is pulled by a parked **runner** thread, mapped onto a
   single warm-or-new container and expanded as parallel threads
-  (Inline-Parallel Producer) — the runner itself runs the group's last
-  member, so a single-request group costs one thread hop, not three;
+  (Inline-Parallel Producer) — the runner itself runs one lane of the
+  group, so a single-request group costs one thread hop, not three;
 * each container owns a real :class:`ResourceMultiplexer`, so handlers that
   build storage clients via ``context.create_resource`` share them.
 
@@ -53,9 +53,10 @@ STATE_ACCEPTING = "accepting"
 STATE_DRAINING = "draining"
 STATE_STOPPED = "stopped"
 
-#: ``submit_group``'s per-member completion hook: ``(position in the
-#: submitted group, the resolved invocation)``.
-OnResolved = Callable[[int, LocalInvocation], None]
+#: ``submit_group``'s completion hook: called once per finished attempt of
+#: a group with the members it resolved, in submission order (each knows
+#: its ``position`` in the submitted group).
+OnResolved = Callable[[List[LocalInvocation]], None]
 
 #: How long ``shutdown`` waits for runner threads to exit once everything
 #: has drained.  Parked runners leave at once; only one still inside a
@@ -71,17 +72,19 @@ RETAINED = 4096
 class CompletionLog:
     """Answered invocations, numbered in answer order: ``len()`` counts
     every answer ever given; indexing, slicing (``log[len_before:]``) and
-    iteration reach the newest :data:`RETAINED` only."""
+    iteration reach the newest :data:`RETAINED` only.  It shares its
+    owner's *lock*: the owner extends it inside its own critical section
+    and readers take the lock."""
 
-    def __init__(self) -> None:
+    def __init__(self, lock: threading.Lock) -> None:
         self._kept = collections.deque(maxlen=RETAINED)
         self._total = 0
-        self._lock = threading.Lock()
+        self._lock = lock
 
     def extend(self, invocations: List[LocalInvocation]) -> None:
-        with self._lock:
-            self._kept.extend(invocations)
-            self._total += len(invocations)
+        """Append answers; the caller holds the lock."""
+        self._kept.extend(invocations)
+        self._total += len(invocations)
 
     def __len__(self) -> int:
         return self._total
@@ -178,26 +181,30 @@ class LocalPlatform:
                                     List[LocalInvocation]]] = []
         self._retry_wake = threading.Condition()
         self._retrier: Optional[threading.Thread] = None
+        #: Guards the warm pool, the lifecycle state, the in-flight count,
+        #: the counters and the completion log: a finished group takes it
+        #: once for its container, log and counters, and once more to
+        #: count itself out after its callers heard.
+        self._lock = threading.Lock()
         #: Warm pool: per function, ``(released_at, container)`` pairs.
         self._idle: Dict[str, List[Tuple[float, LocalContainer]]] = {}
         #: Every container not yet expired, busy ones included.
         self._containers: Set[LocalContainer] = set()
-        self._pool_lock = threading.Lock()
         self._counter = itertools.count()
         self._container_counter = itertools.count()
         self._window_counter = itertools.count()
         self._shutdown = threading.Event()
         self._state = STATE_ACCEPTING
         self._inflight = 0
-        self._inflight_lock = threading.Lock()
-        self._inflight_zero = threading.Event()
-        self._inflight_zero.set()
+        #: Signalled when the in-flight count reaches zero, and only while
+        #: :meth:`drain` callers (counted here) wait on it.
+        self._drained = threading.Condition(self._lock)
+        self._drainers = 0
         self.containers_created = 0
         self.containers_expired = 0
         self.retries_scheduled = 0
         self.retries_exhausted = 0
-        self._completed_lock = threading.Lock()
-        self.completed = CompletionLog()
+        self.completed = CompletionLog(self._lock)
         self._janitor: Optional[threading.Thread] = None
         if self.config.keep_alive_seconds is not None:
             self._janitor = threading.Thread(
@@ -215,7 +222,7 @@ class LocalPlatform:
     @property
     def state(self) -> str:
         """Current lifecycle state: accepting, draining or stopped."""
-        with self._inflight_lock:
+        with self._lock:
             return self._state
 
     @property
@@ -247,13 +254,11 @@ class LocalPlatform:
         critical section so a submission can never race past a concurrent
         :meth:`shutdown`.
         """
-        with self._inflight_lock:
+        with self._lock:
             if self._state == STATE_DRAINING:
                 raise PlatformDraining("platform is draining; no new work")
             if self._state == STATE_STOPPED:
                 raise PlatformStopped("platform is stopped")
-            if self._inflight == 0:  # _finish_group sets it on n → 0
-                self._inflight_zero.clear()
             self._inflight += count
 
     def submit_group(self, name: str, payloads: List[Any],
@@ -265,11 +270,13 @@ class LocalPlatform:
         loop collected these requests in one dispatch window, or
         dispatched one alone), so the group goes straight onto the ready
         queue with a fresh window sequence number and runs in one
-        container.  ``on_resolved(position, invocation)`` is called once
-        per member, after it has been accounted and published, on the
-        platform thread that resolved it — read ``invocation.result`` /
-        ``.error`` there and hop back onto the event loop; no ``Future``
-        is built for such a member.  Callers that would rather block can
+        container.  ``on_resolved(invocations)`` is called once per
+        finished attempt of the group, with the members it resolved in
+        submission order, after they have been accounted and published,
+        on the platform thread that finished it — read each
+        ``invocation.position`` / ``.result`` / ``.error`` there and hop
+        back onto the event loop; no ``Future`` is built for such a
+        member.  Callers that would rather block can
         read ``invocation.future`` on the returned
         :class:`LocalInvocation` objects at any time.  The members that
         fail a retryable attempt retry together as one new group, so a
@@ -280,20 +287,26 @@ class LocalPlatform:
             raise ValueError("empty group")
         if name not in self._handlers:
             raise FunctionNotRegistered(name)
-        group = [LocalInvocation(invocation_id=f"inv-{next(self._counter)}",
-                                 function_name=name, payload=payload)
-                 for payload in payloads]
-        if on_resolved is not None:
-            for position, invocation in enumerate(group):
-                invocation.on_resolved = functools.partial(on_resolved,
-                                                           position)
+        now = time.monotonic()
+        counter = self._counter
+        group = [LocalInvocation(f"inv-{next(counter)}", name, payload, now,
+                                 position=position, on_resolved=on_resolved)
+                 for position, payload in enumerate(payloads)]
         self._admit(len(group))
         self._start_group(group)
         return group
 
     def drain(self, timeout: float = 30.0) -> None:
-        """Block until every submitted invocation has completed."""
-        if not self._inflight_zero.wait(timeout):
+        """Block until every submitted invocation has completed and its
+        caller has heard."""
+        with self._lock:
+            self._drainers += 1
+            try:
+                drained = self._drained.wait_for(
+                    lambda: self._inflight == 0, timeout)
+            finally:
+                self._drainers -= 1
+        if not drained:
             raise TimeoutError(
                 f"invocations still in flight after {timeout}s")
 
@@ -306,7 +319,7 @@ class LocalPlatform:
         thread is woken rather than left to notice: an idle platform
         stops in well under a millisecond per thread.
         """
-        with self._inflight_lock:
+        with self._lock:
             if self._state == STATE_STOPPED:
                 return
             self._state = STATE_DRAINING
@@ -320,7 +333,7 @@ class LocalPlatform:
         if self._watcher is not None:
             self._watcher.stop()
             stopping.append(self._watcher.thread)
-        with self._pool_lock:
+        with self._lock:
             containers, self._idle = list(self._containers), {}
         for container in containers:
             if container.is_idle:
@@ -331,7 +344,7 @@ class LocalPlatform:
                                             _RUNNER_EXIT_GRACE_SECONDS)
         for runner in runners:
             runner.join(max(0.0, grace_ends - time.monotonic()))
-        with self._inflight_lock:
+        with self._lock:
             self._state = STATE_STOPPED
 
     # -- metrics --------------------------------------------------------------------
@@ -340,7 +353,7 @@ class LocalPlatform:
         """Aggregate reuse ratio over all live containers (0 when unused)."""
         lookups = 0
         reused = 0
-        with self._pool_lock:
+        with self._lock:
             containers = list(self._containers)
         for container in containers:
             if container.multiplexer is None:
@@ -401,10 +414,7 @@ class LocalPlatform:
                       cold_started: bool) -> None:
         """Every member of *group* has an outcome: release, account,
         publish, resolve — and retry what may be retried, as one group."""
-        container_id = None
-        if container is not None:
-            self._release(container)
-            container_id = container.container_id
+        container_id = None if container is None else container.container_id
         final, retry = [], []
         for invocation in group:
             invocation.container_id = container_id
@@ -416,21 +426,28 @@ class LocalPlatform:
         # Account, publish, then resolve: a client holding its response
         # must never observe a platform that has not yet counted it.
         responded_at = time.monotonic()
-        with self._completed_lock:
+        with self._lock:
+            if container is not None:
+                self._idle.setdefault(container.function_name, []).append(
+                    (responded_at, container))
             self.completed.extend(final)
             self.retries_scheduled += len(retry)
             self.retries_exhausted += sum(
                 1 for invocation in final if invocation.error is not None)
         self._publish_group(group, final, len(retry), container_id,
                             cold_started, responded_at)
-        for invocation in final:
-            invocation.resolve()
-        with self._inflight_lock:
-            # Retried invocations never decrement here, so reaching
-            # zero means nothing is queued, running, or backing off.
-            self._inflight -= len(final)
-            if self._inflight == 0:
-                self._inflight_zero.set()
+        if final:
+            report = None  # every member carries its group's hook
+            for invocation in final:
+                report = invocation.mark_resolved() or report
+            if report is not None:
+                report(final)
+            with self._lock:
+                # Retried invocations never count out here, so reaching
+                # zero means nothing is queued, running, or backing off.
+                self._inflight -= len(final)
+                if self._inflight == 0 and self._drainers:
+                    self._drained.notify_all()
         if retry:
             self._schedule_retry(retry)
 
@@ -564,7 +581,7 @@ class LocalPlatform:
         Returns ``(container, cold_started)`` so callers can attribute the
         cold-start cost to the invocations that waited on it.
         """
-        with self._pool_lock:
+        with self._lock:
             idle = self._idle.get(name)
             if idle:
                 return idle.pop()[1], False
@@ -578,15 +595,10 @@ class LocalPlatform:
             timeout_seconds=self.config.request_timeout_seconds,
             defer_resolution=True,
             watcher=self._watcher)
-        with self._pool_lock:
+        with self._lock:
             self.containers_created += 1
             self._containers.add(container)
         return container, True
-
-    def _release(self, container: LocalContainer) -> None:
-        with self._pool_lock:
-            self._idle.setdefault(container.function_name, []).append(
-                (time.monotonic(), container))
 
     def _janitor_loop(self) -> None:
         """Reclaim idle warm containers past their keep-alive window."""
@@ -594,7 +606,7 @@ class LocalPlatform:
         assert keep_alive is not None
         while not self._shutdown.wait(min(keep_alive / 4.0, 0.5)):
             deadline = time.monotonic() - keep_alive
-            with self._pool_lock:
+            with self._lock:
                 for name, idle in self._idle.items():
                     survivors = []
                     for released_at, container in idle:

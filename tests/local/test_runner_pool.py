@@ -181,9 +181,9 @@ class TestUnderContention:
         resolved = []
         lock = threading.Lock()
 
-        def on_resolved(position, inv):
+        def on_resolved(invocations):
             with lock:
-                resolved.append(inv.invocation_id)
+                resolved.extend(inv.invocation_id for inv in invocations)
 
         try:
             submitted = []
@@ -200,11 +200,50 @@ class TestUnderContention:
                 timed_out = isinstance(inv.error, InvocationTimeout)
                 assert timed_out or inv.result == inv.payload
             assert wait_until(lambda: all_parked(platform), timeout=10)
-            with platform._pool_lock:
+            with platform._lock:
                 containers = list(platform._containers)
             assert all(c.active_invocations == 0 for c in containers)
             assert sum(c.invocations_served for c in containers) \
                 == len(submitted)
+        finally:
+            platform.shutdown()
+
+    def test_lanes_and_deadlines_run_each_member_once(self, eager_switching):
+        """Fewer lanes than members, handlers right around their budget:
+        lanes race for the queue and the watcher hands abandoned lanes'
+        members on, and every member still runs and settles once."""
+        budget = 0.02
+        platform = LocalPlatform(LocalPlatformConfig(
+            cold_start_seconds=0.0, request_timeout_seconds=budget,
+            container_concurrency=2))
+        calls = []
+        lock = threading.Lock()
+
+        def edge(payload, context):
+            with lock:
+                calls.append(payload)
+            time.sleep(budget * (0.6 + 0.1 * (payload % 8)))
+            return payload
+
+        platform.register("edge", edge)
+        resolved = []
+        try:
+            submitted = []
+            for round_ in range(10):
+                submitted += platform.submit_group(
+                    "edge", list(range(round_ * 6, round_ * 6 + 6)),
+                    lambda invocations: resolved.extend(invocations))
+            platform.drain(timeout=30)
+            assert sorted(calls) == list(range(60))
+            assert sorted(inv.invocation_id for inv in resolved) == \
+                sorted(inv.invocation_id for inv in submitted)
+            for inv in submitted:
+                timed_out = isinstance(inv.error, InvocationTimeout)
+                assert timed_out or inv.result == inv.payload
+            with platform._lock:
+                containers = list(platform._containers)
+            assert all(c.active_invocations == 0 for c in containers)
+            assert sum(c.invocations_served for c in containers) == 60
         finally:
             platform.shutdown()
 
@@ -221,7 +260,7 @@ class TestRunnerPoolContract:
             for n in range(2000):
                 resolved.clear()
                 platform.submit_group(
-                    "echo", [n], lambda _position, _inv: resolved.set())
+                    "echo", [n], lambda _invocations: resolved.set())
                 assert resolved.wait(5)
             assert len(thread_starts) - warm <= 4, thread_starts[warm:]
             assert platform.runners_started <= 4
@@ -317,6 +356,33 @@ class TestRunnerPoolContract:
             release.set()
             platform.shutdown()
 
+    @pytest.mark.parametrize("slow_at", [0, 1, 2])
+    def test_timeout_inside_a_serial_batch_finishes_the_group(self, slow_at):
+        """A serial container runs its batch in order on the runner; the
+        members behind an overrunning one go on on one pooled worker."""
+        release = threading.Event()
+        platform = vanilla_platform(request_timeout_seconds=0.05)
+        platform.register(
+            "mixed", lambda payload, context:
+            release.wait(10) if payload == "slow" else payload)
+        try:
+            payloads = ["a", "b", "c"]
+            payloads[slow_at] = "slow"
+            group = platform.submit_group("mixed", payloads)
+            for position, inv in enumerate(group):
+                if position == slow_at:
+                    assert isinstance(inv.future.exception(timeout=5),
+                                      InvocationTimeout)
+                else:
+                    assert inv.future.result(timeout=5) == payloads[position]
+            platform.drain(timeout=5)
+            (container,) = platform._containers
+            # Only members queued behind the abandoned one needed a lane.
+            assert container._workers.started == (slow_at < 2)
+        finally:
+            release.set()
+            platform.shutdown()
+
     def test_a_late_return_cannot_settle_the_retry(self):
         """Attempt 1's abandoned handler returns while attempt 2 runs."""
         first_may_return = threading.Event()
@@ -344,6 +410,102 @@ class TestRunnerPoolContract:
                 == ["InvocationTimeout", None]
         finally:
             first_may_return.set()
+            platform.shutdown()
+
+
+class TestSerialContainers:
+    def test_a_serial_container_starts_no_thread(self):
+        """At concurrency 1 a batch runs in order on its runner: a burst
+        of a few hundred members starts no container worker."""
+        platform = vanilla_platform()
+        order = []
+        platform.register("log", lambda payload, context:
+                          order.append(payload) or payload)
+        try:
+            groups = [platform.submit_group(
+                "log", list(range(start, start + 64)))
+                for start in range(0, 320, 64)]
+            platform.drain(timeout=10)
+            for group in groups:
+                assert [inv.result for inv in group] == \
+                    [inv.payload for inv in group]
+            # Each group ran in submission order.
+            for start in range(0, 320, 64):
+                members = [n for n in order if start <= n < start + 64]
+                assert members == list(range(start, start + 64))
+            with platform._lock:
+                containers = list(platform._containers)
+            assert containers
+            assert [c._workers.started for c in containers] == \
+                [0] * len(containers)
+        finally:
+            platform.shutdown()
+
+    def test_a_bounded_container_runs_at_most_its_concurrency(self):
+        """More members than lanes: never more than ``concurrency`` run
+        at once, and the container starts ``concurrency - 1`` workers."""
+        running = []
+        most = []
+        lock = threading.Lock()
+
+        def tracked(payload, context):
+            with lock:
+                running.append(payload)
+                most.append(len(running))
+            time.sleep(0.002)
+            with lock:
+                running.remove(payload)
+            return payload
+
+        platform = LocalPlatform(LocalPlatformConfig(
+            cold_start_seconds=0.0, container_concurrency=3))
+        platform.register("tracked", tracked)
+        try:
+            group = platform.submit_group("tracked", list(range(30)))
+            platform.drain(timeout=10)
+            assert [inv.result for inv in group] == list(range(30))
+            assert max(most) <= 3
+            (container,) = platform._containers
+            assert container._workers.started <= 2
+        finally:
+            platform.shutdown()
+
+
+class TestDeadlineWatcher:
+    def test_holds_only_calls_in_flight(self):
+        """Calls that settle in time leave the watcher's FIFO as they
+        settle, not a whole budget later."""
+        platform = vanilla_platform(request_timeout_seconds=2.0)
+        try:
+            resolved = threading.Event()
+            for n in range(400):  # closed loop: one call in flight
+                resolved.clear()
+                platform.submit_group(
+                    "echo", [n], lambda _invocations: resolved.set())
+                assert resolved.wait(5)
+            platform.drain(timeout=5)
+            assert len(platform._watcher._pending) <= 2
+        finally:
+            platform.shutdown()
+
+    def test_an_unsettled_head_still_expires(self):
+        release = threading.Event()
+        platform = LocalPlatform(LocalPlatformConfig(
+            cold_start_seconds=0.0, request_timeout_seconds=0.05))
+        platform.register("stuck", lambda payload, context: release.wait(10))
+        platform.register("echo", lambda payload, context: payload)
+        try:
+            (stuck,) = platform.submit_group("stuck", [None])
+            quick = [platform.submit_group("echo", [n])[0]
+                     for n in range(50)]
+            assert [inv.future.result(timeout=5) for inv in quick] == \
+                list(range(50))
+            assert isinstance(stuck.future.exception(timeout=5),
+                              InvocationTimeout)
+            platform.drain(timeout=5)
+            assert wait_until(lambda: not platform._watcher._pending)
+        finally:
+            release.set()
             platform.shutdown()
 
 
@@ -396,7 +558,8 @@ class TestFutureSemantics:
         try:
             group = platform.submit_group(
                 "echo", [1, 2, 3],
-                lambda position, inv: seen.append((position, inv.result)))
+                lambda invocations: seen.extend(
+                    (inv.position, inv.result) for inv in invocations))
             platform.drain(timeout=5)
             assert sorted(seen) == [(0, 1), (1, 2), (2, 3)]
             assert all(inv.on_resolved is None for inv in group)
@@ -663,7 +826,7 @@ class TestSharedStateIsLocked:
                 assert inv.future.result(timeout=5) == n
             assert wait_until(lambda: platform.containers_expired
                               == platform.containers_created, timeout=3)
-            with platform._pool_lock:
+            with platform._lock:
                 assert not platform._containers
                 assert all(not idle for idle in platform._idle.values())
             assert platform.multiplexer_reuse_ratio() == 0.0
