@@ -169,12 +169,11 @@ def attempt_latency_table(results: Sequence[ExperimentResult]):
             (inv.first_attempt_end_to_end_ms
              for inv in result.invocations)
             if latency is not None)
-        final = SampleStats(inv.end_to_end_ms
-                            for inv in result.successful_invocations())
+        final = result.latency_stats()
         total = result.total_response_stats()
         rows.append([
             result.scheduler_name,
-            len(result.invocations),
+            len(result.columns),
             round(result.goodput() * 100.0, 2),
             len(result.retried_invocations()),
             round(result.retry_amplification(), 3),

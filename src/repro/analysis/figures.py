@@ -92,7 +92,7 @@ def client_footprint_table(results: Sequence[ExperimentResult]
         rows.append([
             result.scheduler_name,
             result.clients_created,
-            len(result.invocations),
+            len(result.columns),
             round(result.client_memory_footprint_mb(), 3),
         ])
     return headers, rows

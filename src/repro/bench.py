@@ -143,7 +143,7 @@ def _measure(scheduler_factory: Callable[[], object], trace: Trace, specs,
                             workload_label="bench", strict_memory=False,
                             obs=obs)
     wall_clock_s = time.perf_counter() - started
-    invocations = len(result.invocations)
+    invocations = len(result.columns)
     return result, {
         "scheduler": label if label is not None else result.scheduler_name,
         "invocations": invocations,

@@ -54,7 +54,6 @@ from functools import cached_property
 from typing import IO, Callable, Dict, List, Optional, Sequence
 
 from repro.baselines import (
-    Scheduler,
     SchedulerBuild,
     build_scheduler,
     registered_policies,
@@ -66,13 +65,8 @@ from repro.common.streaming import (
     TelemetrySnapshot,
 )
 from repro.common.units import HOUR, peak_rss_mb
-from repro.model.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.model.function import FunctionSpec
 from repro.obs import Observability
-from repro.platformsim.gateway import ReplayInjector
-from repro.platformsim.platform import ServerlessPlatform
-from repro.sim.kernel import Environment
-from repro.sim.machine import Machine, build_cpu
+from repro.platformsim.experiment import run_workers
 from repro.workload.generator import (
     fib_family_specs,
     tiled_fib_function_counts,
@@ -237,27 +231,6 @@ class ClusterResult:
         return max(counts) / mean
 
 
-def _build_worker(env: Environment, scheduler: Scheduler,
-                  functions: Sequence[FunctionSpec],
-                  calibration: Calibration, sink: StreamingResultSink,
-                  obs: Observability) -> ServerlessPlatform:
-    """One started worker platform of the calibration's machine shape.
-
-    It keeps no completed invocation records: every completion flows
-    into *sink*.
-    """
-    cores = calibration.worker_cores
-    machine = Machine(env, cores=cores, memory_gb=calibration.worker_memory_gb,
-                      cpu=build_cpu(env, scheduler.cpu_discipline, cores))
-    platform = ServerlessPlatform(env, machine, calibration, obs=obs,
-                                  retain_completed=False)
-    for spec in functions:
-        platform.register_function(spec)
-    platform.result_sink = sink
-    scheduler.start(platform)
-    return platform
-
-
 @dataclass
 class ShardResult:
     """One shard's summary: mergeable stats, never invocation records."""
@@ -379,83 +352,50 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
     Every function is routed to its home worker; records owned
     by other shards are skipped without being realised.  Runs in the
     calling process — the forked child and the in-process test path both
-    land here.
+    land here.  Workers are strict-memory and unsampled.
     """
     started = time.perf_counter()
     owned = config.worker_indices(shard_index)
     routes = config.routes
     stream = config.shard_stream(shard_index)
-    specs = fib_family_specs(config.functions)
     factory = config.scheduler_factory()
     sink = StreamingResultSink(reservoir_capacity=config.reservoir_capacity,
                                seed=config.seed + shard_index)
-    env = Environment()
+
+    def on_complete(invocation) -> None:
+        sink.observe_invocation(invocation)
+        if progress is not None:
+            done = sink.completed + sink.failed
+            if done % PROGRESS_EVERY == 0:
+                progress(done)
+
     # One shared Observability per shard: every worker platform on this
     # shard publishes into the same registry (as a single-process run
     # would), so shard-final counter/gauge values sum exactly across
     # shards and the coordinator can reconstruct the one-process picture.
     obs = Observability()
-    platforms = {global_index: _build_worker(env, factory(), specs,
-                                             DEFAULT_CALIBRATION, sink, obs)
-                 for global_index in owned}
-
-    submitted = [0]
-    done_submitting = [False]
-    completed = [0]
-    all_done = env.event()
-
-    def maybe_finish() -> None:
-        if done_submitting[0] and completed[0] == submitted[0] \
-                and not all_done.triggered:
-            all_done.succeed(completed[0])
-
-    def on_complete(_invocation) -> None:
-        completed[0] += 1
-        if progress is not None and completed[0] % PROGRESS_EVERY == 0:
-            progress(completed[0])
-        maybe_finish()
-
-    for platform in platforms.values():
-        platform.completion_listeners.append(on_complete)
-
-    def submit_owned(record) -> None:
-        submitted[0] += 1
-        platforms[routes[record.function_id]].submit(record)
-
-    def finished_submitting() -> None:
-        done_submitting[0] = True
-        maybe_finish()
-
-    ReplayInjector(env, () if stream is None else stream, submit_owned,
-                   finished_submitting)
-
-    def waiter():
-        yield all_done
-
-    env.run_process(env.process(waiter(),
-                                name=f"shard-{shard_index}-waiter"),
-                    until=None if stream is None
-                    else stream.end_ms + 2.0 * HOUR)
-    if completed[0] != submitted[0]:
-        raise SimulationError(
-            f"shard {shard_index} timed out: {completed[0]} of "
-            f"{submitted[0]} submitted invocations completed")
-
-    return ShardResult(
-        shard_index=shard_index,
-        worker_indices=owned,
-        per_worker_invocations=[platforms[w].completed_count for w in owned],
-        per_worker_containers=[platforms[w].provisioned_containers()
-                               for w in owned],
-        per_worker_memory_mb=[platforms[w].machine.memory.peak_mb
-                              for w in owned],
-        submitted=submitted[0],
-        completion_ms=env.now,
-        wall_clock_s=round(time.perf_counter() - started, 3),
-        peak_rss_mb=round(peak_rss_mb(), 1),
-        kernel_events=env.events_processed,
-        sink=sink,
-        obs=obs.telemetry())
+    with run_workers({worker: factory() for worker in owned},
+                     () if stream is None else stream,
+                     lambda record: routes[record.function_id],
+                     fib_family_specs(config.functions), on_complete,
+                     until_ms=(None if stream is None
+                               else stream.end_ms + 2.0 * HOUR),
+                     obs=obs) as run:
+        return ShardResult(
+            shard_index=shard_index,
+            worker_indices=owned,
+            per_worker_invocations=[run.completed[w] for w in owned],
+            per_worker_containers=[
+                run.platforms[w].provisioned_containers() for w in owned],
+            per_worker_memory_mb=[run.platforms[w].machine.memory.peak_mb
+                                  for w in owned],
+            submitted=run.submitted,
+            completion_ms=run.env.now,
+            wall_clock_s=round(time.perf_counter() - started, 3),
+            peak_rss_mb=round(peak_rss_mb(), 1),
+            kernel_events=run.env.events_processed,
+            sink=sink,
+            obs=obs.telemetry())
 
 
 def merge_shard_results(config: ShardedClusterConfig,

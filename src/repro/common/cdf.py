@@ -49,7 +49,14 @@ class EmpiricalCdf:
         return rank / len(self._samples)
 
     def quantile(self, p: float) -> float:
-        """Return the smallest sample x with ``F(x) >= p`` (p in (0, 1])."""
+        """Return the smallest sample x with ``F(x) >= p`` (p in (0, 1]).
+
+        Nearest rank, no interpolation: the rule of the Fig. 11/12 CDF
+        CSVs (:func:`repro.analysis.figures.cdf_comparison_table`), the
+        seed-sensitivity CSV and the figure tests' p98 orderings.  Tables,
+        summaries, ``BENCH_*.json`` and ``macrobench/expected`` interpolate
+        instead (:func:`repro.common.stats.percentile`).
+        """
         if not 0.0 < p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {p}")
         index = max(0, min(len(self._samples) - 1,

@@ -159,10 +159,15 @@ def mean(values: Sequence[float]) -> float:
 def percentile(values: Sequence[float], q: float) -> float:
     """One-shot exact percentile of a non-empty sequence.
 
-    The repository's one percentile rule, for the simulator and the live
-    gateway alike: :meth:`SampleStats.percentile`'s linear interpolation
-    between the closest ranks (rank ``q/100 * (n - 1)`` of the sorted
-    sample), the rule every figure CSV and ``macrobench/expected`` use.
+    :meth:`SampleStats.percentile`'s linear interpolation between the
+    closest ranks (rank ``q/100 * (n - 1)`` of the sorted sample).  This
+    rule serves the breakdown and attempt tables, ``repro compare``'s
+    summary rows, the headline reductions, the sink's exact summaries (so
+    every ``BENCH_*.json`` latency), ``macrobench/expected`` and the live
+    tier (``loadgen``, the degradation monitor).  It is one of two exact
+    rules: the Fig. 11/12 CDF CSVs, the seed-sensitivity CSV and the
+    figure tests' p98 orderings use nearest rank instead
+    (:meth:`repro.common.cdf.EmpiricalCdf.quantile`).
     """
     stats = SampleStats(values)
     return stats.percentile(q)

@@ -1,11 +1,11 @@
 """Bounded-memory result accounting for million-invocation runs.
 
-The paper's full Azure trace carries ~1.98 M invocations; holding one
-``Invocation`` record per arrival (as :class:`ExperimentResult` and the
-original ``ClusterResult`` did) caps the bench near 50 k.  This module
-provides the *online* alternative: experiments publish each completion
-into a :class:`StreamingResultSink` and drop the record, so memory stays
-flat no matter how long the replay runs.
+The paper's full Azure trace carries ~1.98 M invocations; holding even a
+few columns per arrival (as :class:`ExperimentResult` does) grows with the
+replay.  This module provides the *online* alternative: a shard's
+completion listener publishes each completion into a
+:class:`StreamingResultSink` and drops the record, so memory stays flat no
+matter how long the replay runs.
 
 Three mergeable primitives back the sink, each folding a float column
 in order (``observe(v)`` is a one-element fold):

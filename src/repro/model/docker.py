@@ -143,7 +143,6 @@ class SimDockerClient:
         self.obs = obs
         #: Containers not yet stopped or torn down, by id.
         self._containers: Dict[str, SimContainer] = {}
-        self.containers = _ContainerCollection(self)
         self._started = 0
         self._retired = (0, 0, 0)  # totals() of the forgotten containers
         if obs is not None:  # handles created on first publish (see the pool)
@@ -161,6 +160,17 @@ class SimDockerClient:
         """Fold a stopped or torn-down container's counts, then forget it."""
         del self._containers[container.container_id]
         self._retired = _fold(self._retired, [container])
+
+    @property
+    def containers(self) -> _ContainerCollection:
+        """``docker.client.containers``; built per use, since it refers
+        back to this client."""
+        return _ContainerCollection(self)
+
+    def dismantle(self) -> None:
+        """Cut each live container's callback into this client (a cycle)."""
+        for container in self._containers.values():
+            container.on_retired = None
 
     def started_count(self) -> int:
         """How many containers were ever created on this daemon."""

@@ -116,8 +116,8 @@ class ContainerPool:
                          name=f"expire:{container.container_id}")
         return True
 
-    def set_expiry_callback(self,
-                            callback: Callable[[SimContainer], None]) -> None:
+    def set_expiry_callback(
+            self, callback: Optional[Callable[[SimContainer], None]]) -> None:
         """Invoke *callback* whenever a container is reclaimed."""
         self._on_expire = callback
 

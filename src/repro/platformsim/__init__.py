@@ -4,7 +4,7 @@ from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "repro.platformsim.experiment": ("run_experiment",),
-    "repro.platformsim.gateway": ("ReplayInjector", "start_replay"),
+    "repro.platformsim.gateway": ("ReplayInjector",),
     "repro.platformsim.platform": ("ServerlessPlatform",),
     "repro.platformsim.results": ("ExperimentResult",),
     "repro.platformsim.windows": ("collect_window",),
@@ -16,5 +16,4 @@ __all__ = [
     "ServerlessPlatform",
     "collect_window",
     "run_experiment",
-    "start_replay",
 ]

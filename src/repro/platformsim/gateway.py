@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional
 
-from repro.platformsim.platform import ServerlessPlatform
 from repro.sim.kernel import Environment, Event, Timeout
-from repro.workload.trace import Trace
 
 
 class ReplayInjector:
@@ -90,8 +88,3 @@ class ReplayInjector:
                 return
             submit(record)
             record = None
-
-
-def start_replay(platform: ServerlessPlatform, trace: Trace) -> ReplayInjector:
-    """Start the replay; requests hit the platform on schedule."""
-    return ReplayInjector(platform.env, trace, platform.submit)

@@ -10,7 +10,8 @@ and the request queue, and exposes the primitives schedulers compose:
   Vanilla's scheduling latency collapse under bursts, Figs. 11a/12a);
 * ``acquire_container`` — warm-pool hit or cold start;
 * ``release_container`` — return a container to the keep-alive pool;
-* ``note_completed`` — completion bookkeeping and the all-done event.
+* ``note_completed`` — completion bookkeeping, then the completion
+  listeners.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ class ServerlessPlatform:
                  calibration: Calibration,
                  ids: Optional[IdFactory] = None,
                  obs: Optional[Observability] = None,
-                 resilience: Optional[ResiliencePolicy] = None,
-                 retain_completed: bool = True) -> None:
+                 resilience: Optional[ResiliencePolicy] = None) -> None:
         self.env = env
         #: Observability bundle: span tracer + sampler (off by default)
         #: + metrics.  Bound at the end of construction, once every
@@ -69,22 +69,7 @@ class ServerlessPlatform:
                                   metrics=self.obs.metrics)
         self.request_queue: Store[Invocation] = Store(env)
         self.functions: Dict[str, FunctionSpec] = {}
-        #: Retained Invocation records (only when ``retain_completed``;
-        #: million-invocation replays run with it off and publish into
-        #: ``result_sink`` instead, keeping completion accounting O(1)).
-        self.retain_completed = retain_completed
-        self.completed: List[Invocation] = []
-        #: Final-outcome count — the source of truth for progress/all-done
-        #: accounting; equals ``len(completed)`` when retaining.
-        self.completed_count: int = 0
-        #: Optional online accounting sink (``StreamingResultSink``); when
-        #: set, every final outcome is published before being dropped or
-        #: retained.  Assigned by experiment runners, duck-typed so the
-        #: platform keeps zero dependency on the accounting layer.
-        self.result_sink = None
-        self.expected_invocations: Optional[int] = None
-        self._all_done: Event = env.event()
-        #: Callbacks invoked on every completion (cluster coordination).
+        #: Called with every final outcome; the platform keeps none.
         self.completion_listeners: List = []
         # The platform process: one GIL (decisions serialise) and a CPU
         # group capped at a single core's worth of execution.
@@ -173,13 +158,6 @@ class ServerlessPlatform:
             raise SchedulingError(
                 f"function {spec.function_id!r} registered twice")
         self.functions[spec.function_id] = spec
-
-    def expect_invocations(self, count: int) -> Event:
-        """Declare the run size; returns the event fired at full completion."""
-        if count <= 0:
-            raise SchedulingError(f"expected count must be > 0, got {count}")
-        self.expected_invocations = count
-        return self._all_done
 
     def submit(self, record: TraceRecord) -> Invocation:
         """A request arrives at the platform (stamped with the current time)."""
@@ -409,15 +387,10 @@ class ServerlessPlatform:
         if failed and self.resilience is not None \
                 and self.resilience.should_retry(invocation):
             # Intercepted: the attempt is archived and the invocation
-            # re-enqueued after backoff.  Only *final* outcomes reach
-            # ``completed`` (and the all-done accounting below).
+            # re-enqueued after backoff.  Only *final* outcomes reach the
+            # completion listeners.
             self.resilience.schedule_retry(invocation)
             return
-        self.completed_count += 1
-        if self.result_sink is not None:
-            self.result_sink.observe_invocation(invocation)
-        if self.retain_completed:
-            self.completed.append(invocation)
         if self.obs.tracer.enabled:
             responded = invocation.responded_ms
             self.obs.tracer.invocation_responded(
@@ -431,9 +404,14 @@ class ServerlessPlatform:
                 self._m.e2e.observe(invocation.end_to_end_ms)
         for listener in self.completion_listeners:
             listener(invocation)
-        if (self.expected_invocations is not None
-                and self.completed_count == self.expected_invocations):
-            self._all_done.succeed(self.completed_count)
+
+    def dismantle(self) -> None:
+        """Cut the reference cycles through this platform once its run is
+        over; it cannot run afterwards."""
+        self.pool.set_expiry_callback(None)
+        self.faults = self.resilience = None
+        self.docker.dismantle()
+        self.machine.cpu.dismantle()
 
     # -- metrics helpers ----------------------------------------------------------------
 

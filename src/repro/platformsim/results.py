@@ -1,4 +1,4 @@
-"""Experiment results: per-invocation latency series and resource costs.
+"""Experiment results: per-invocation columns and resource costs.
 
 :class:`ExperimentResult` is the unit every benchmark consumes.  It exposes
 exactly the paper's metrics:
@@ -6,21 +6,104 @@ exactly the paper's metrics:
 * the four latency components as empirical CDFs (Figs. 11/12);
 * total memory usage, provisioned containers and CPU cost (Figs. 13/14);
 * the per-invocation storage-client memory footprint (Fig. 14d).
+
+A finished run keeps its invocations as :class:`InvocationColumns`, arrays
+in completion order, so a result costs tens of bytes per invocation rather
+than one object each.  Readers that want objects get
+:class:`~repro.model.function.Invocation` rows built from the columns on
+read.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from itertools import compress
+from math import isnan, nan
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.common.cdf import EmpiricalCdf
 from repro.common.stats import SampleStats
 from repro.model.calibration import Calibration
-from repro.model.function import Invocation, InvocationState
+from repro.model.function import FunctionSpec, Invocation, InvocationState
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.trace import InvocationTracer
 from repro.sim.machine import ResourceSample
+
+
+class InvocationColumns:
+    """Final invocation outcomes as columns, in completion order.
+
+    ``stamps`` holds six floats per invocation, the sink's layout: arrival,
+    dispatch, execution start, completion, response (NaN while unset) and
+    the cold start waited for.  ``codes`` holds four integers: the
+    invocation's and its container's ``IdFactory`` numbers (-1 for no
+    container), the function's index and 1 if it completed (0 if it
+    failed); ``payloads`` keeps each payload.  An invocation that failed,
+    was retried or won by a hedge is also kept whole in ``exceptional``,
+    so its error and attempt history stay readable.
+    """
+
+    STAMPS = ("arrival_ms", "dispatched_ms", "execution_start_ms",
+              "completed_ms", "responded_ms", "cold_start_ms")
+
+    def __init__(self, functions: Sequence[FunctionSpec]) -> None:
+        self.functions = list(functions)
+        self._index = {spec.function_id: index
+                       for index, spec in enumerate(self.functions)}
+        self.stamps = array("d")
+        self.codes = array("i")
+        self.payloads: List[object] = []
+        self.exceptional: Dict[int, Invocation] = {}
+
+    def __len__(self) -> int:
+        return len(self.payloads)
+
+    def append(self, inv: Invocation) -> None:
+        """Record one final outcome (a platform completion listener)."""
+        if inv.error is not None or inv.attempts > 1 or inv.hedged:
+            if inv.error is not None:  # keep no frames of the simulation
+                inv.error.__traceback__ = None
+            self.exceptional[len(self)] = inv
+        stamps = (inv.arrival_ms, inv.dispatched_ms, inv.execution_start_ms,
+                  inv.completed_ms, inv.responded_ms, inv.cold_start_ms)
+        if None in stamps:
+            stamps = tuple(nan if stamp is None else stamp
+                           for stamp in stamps)
+        self.stamps.extend(stamps)
+        container = inv.container_id  # "container-<n>", as row() rebuilds
+        self.codes.extend((
+            int(inv.invocation_id[4:]),  # "inv-<n>"
+            -1 if container is None else int(container[10:]),
+            self._index[inv.function.function_id],
+            inv.state is InvocationState.COMPLETED))
+        self.payloads.append(inv.payload)
+
+    def column(self, name: str) -> array:
+        return self.stamps[self.STAMPS.index(name)::len(self.STAMPS)]
+
+    @property
+    def succeeded(self) -> array:
+        return self.codes[3::4]
+
+    def row(self, index: int) -> Invocation:
+        """Invocation *index* (in completion order), built from the columns."""
+        kept = self.exceptional.get(index)
+        if kept is not None:
+            return kept
+        stamps = [None if isnan(stamp) else stamp
+                  for stamp in self.stamps[6 * index:6 * index + 6]]
+        number, container, function, ok = self.codes[4 * index:4 * index + 4]
+        return Invocation(
+            f"inv-{number}", self.functions[function], self.payloads[index],
+            arrival_ms=stamps[0],
+            state=(InvocationState.COMPLETED if ok
+                   else InvocationState.FAILED),
+            container_id=None if container < 0 else f"container-{container}",
+            dispatched_ms=stamps[1], cold_start_ms=stamps[5],
+            execution_start_ms=stamps[2], completed_ms=stamps[3],
+            responded_ms=stamps[4])
 
 
 @dataclass
@@ -31,7 +114,7 @@ class ExperimentResult:
     workload_label: str
     window_ms: Optional[float]
     calibration: Calibration
-    invocations: List[Invocation]
+    columns: InvocationColumns
     provisioned_containers: int
     clients_created: int
     multiplexer_entries: int
@@ -56,16 +139,26 @@ class ExperimentResult:
     #: falls back to the last sample for legacy/deserialised results.
     final_busy_core_ms: Optional[float] = None
 
+    @property
+    def invocations(self) -> List[Invocation]:
+        """Every final outcome, in completion order, built on read."""
+        return list(map(self.columns.row, range(len(self.columns))))
+
+    def _completed(self, *names: str) -> Iterable[tuple]:
+        """The named stamp columns, row by row, of completed invocations."""
+        return compress(zip(*map(self.columns.column, names)),
+                        self.columns.succeeded)
+
     # -- success / failure -----------------------------------------------------
 
     def successful_invocations(self) -> List[Invocation]:
         """Invocations that completed normally (latency series use these)."""
-        return [inv for inv in self.invocations
-                if inv.state is InvocationState.COMPLETED]
+        return list(map(self.columns.row, compress(
+            range(len(self.columns)), self.columns.succeeded)))
 
     def failed_invocations(self) -> List[Invocation]:
         """Invocations whose handler raised (isolated per-invocation)."""
-        return [inv for inv in self.invocations
+        return [inv for inv in self.columns.exceptional.values()
                 if inv.state is InvocationState.FAILED]
 
     @property
@@ -76,26 +169,29 @@ class ExperimentResult:
 
     def goodput(self) -> float:
         """Fraction of invocations that ultimately succeeded, in [0, 1]."""
-        if not self.invocations:
+        if not len(self.columns):
             raise ValueError("no invocations")
-        return len(self.successful_invocations()) / len(self.invocations)
+        return sum(self.columns.succeeded) / len(self.columns)
 
     def total_attempts(self) -> int:
         """Execution attempts across all invocations (retries included)."""
-        return sum(inv.attempts for inv in self.invocations)
+        return len(self.columns) + sum(
+            inv.attempts - 1 for inv in self.columns.exceptional.values())
 
     def retry_amplification(self) -> float:
         """Attempts per invocation: 1.0 means no retries were needed."""
-        if not self.invocations:
+        if not len(self.columns):
             raise ValueError("no invocations")
-        return self.total_attempts() / len(self.invocations)
+        return self.total_attempts() / len(self.columns)
 
     def retried_invocations(self) -> List[Invocation]:
-        return [inv for inv in self.invocations if inv.attempts > 1]
+        return [inv for inv in self.columns.exceptional.values()
+                if inv.attempts > 1]
 
     def hedged_count(self) -> int:
         """Invocations whose result came from a hedged shadow."""
-        return sum(1 for inv in self.invocations if inv.hedged)
+        return sum(1 for inv in self.columns.exceptional.values()
+                   if inv.hedged)
 
     def total_response_stats(self) -> SampleStats:
         """First-arrival-to-response latency (retries + backoffs included)."""
@@ -107,30 +203,40 @@ class ExperimentResult:
                             for inv in self.successful_invocations())
 
     # -- latency series (Figs. 11 / 12) ---------------------------------------
+    # Each reads the stamp columns with the float arithmetic of
+    # :attr:`Invocation.latency` and :attr:`Invocation.end_to_end_ms`.
 
     def scheduling_cdf(self) -> EmpiricalCdf:
         return EmpiricalCdf(
-            inv.latency.scheduling_ms
-            for inv in self.successful_invocations())
+            (dispatched - arrival) - cold for arrival, dispatched, cold
+            in self._completed("arrival_ms", "dispatched_ms",
+                               "cold_start_ms"))
 
     def cold_start_cdf(self) -> EmpiricalCdf:
-        return EmpiricalCdf(
-            inv.latency.cold_start_ms
-            for inv in self.successful_invocations())
+        return EmpiricalCdf(cold for (cold,)
+                            in self._completed("cold_start_ms"))
 
     def execution_cdf(self) -> EmpiricalCdf:
-        return EmpiricalCdf(
-            inv.latency.execution_ms
-            for inv in self.successful_invocations())
+        return EmpiricalCdf(completed - started for started, completed
+                            in self._completed("execution_start_ms",
+                                               "completed_ms"))
+
+    def _queuing(self) -> Iterator[float]:
+        return (started - dispatched for dispatched, started
+                in self._completed("dispatched_ms", "execution_start_ms"))
 
     def execution_plus_queuing_cdf(self) -> EmpiricalCdf:
         return EmpiricalCdf(
-            inv.latency.execution_plus_queuing_ms
-            for inv in self.successful_invocations())
+            (completed - started) + (started - dispatched)
+            for dispatched, started, completed in self._completed(
+                "dispatched_ms", "execution_start_ms", "completed_ms"))
+
+    def _end_to_end(self) -> Iterator[float]:
+        return (completed - arrival for arrival, completed
+                in self._completed("arrival_ms", "completed_ms"))
 
     def end_to_end_cdf(self) -> EmpiricalCdf:
-        return EmpiricalCdf(inv.end_to_end_ms
-                            for inv in self.successful_invocations())
+        return EmpiricalCdf(self._end_to_end())
 
     def response_latency_cdf(self) -> EmpiricalCdf:
         """Arrival-to-response latency — what callers experience.
@@ -139,16 +245,14 @@ class ExperimentResult:
         response waits for the whole group unless the early-return
         extension is on.
         """
-        return EmpiricalCdf(inv.response_latency_ms
-                            for inv in self.successful_invocations())
+        return EmpiricalCdf(responded - arrival for arrival, responded
+                            in self._completed("arrival_ms", "responded_ms"))
 
     def latency_stats(self) -> SampleStats:
-        return SampleStats(inv.end_to_end_ms
-                           for inv in self.successful_invocations())
+        return SampleStats(self._end_to_end())
 
     def total_queuing_ms(self) -> float:
-        return sum(inv.latency.queuing_ms
-                   for inv in self.successful_invocations())
+        return sum(self._queuing())
 
     # -- resource costs (Figs. 13 / 14) ------------------------------------------
 
@@ -180,18 +284,18 @@ class ExperimentResult:
 
     def client_memory_footprint_mb(self) -> float:
         """Average client-creation memory charged per invocation (Fig. 14d)."""
-        if not self.invocations:
+        if not len(self.columns):
             raise ValueError("no invocations")
         total_mb = (self.clients_created * self.calibration.client_memory_mb
                     + self.multiplexer_entries
                     * self.calibration.multiplexer_entry_mb)
-        return total_mb / len(self.invocations)
+        return total_mb / len(self.columns)
 
     def invocations_per_container(self) -> float:
         """How many invocations one provisioned container served on average."""
         if self.provisioned_containers == 0:
             raise ValueError("no containers provisioned")
-        return len(self.invocations) / self.provisioned_containers
+        return len(self.columns) / self.provisioned_containers
 
     # -- export ----------------------------------------------------------------------
 
@@ -200,12 +304,7 @@ class ExperimentResult:
         return self.metrics.snapshot() if self.metrics is not None else {}
 
     def to_dict(self) -> dict:
-        """A JSON-serialisable archive of the run (per-invocation rows).
-
-        Round-trips through :meth:`summary_from_dict` for comparisons
-        against pinned artefacts; the full Invocation objects are not
-        reconstructed (they reference live FunctionSpecs).
-        """
+        """A JSON-serialisable archive of the run (per-invocation rows)."""
         return {
             "scheduler": self.scheduler_name,
             "workload": self.workload_label,
@@ -248,7 +347,7 @@ class ExperimentResult:
         stats = self.latency_stats()
         return [
             self.scheduler_name,
-            len(self.invocations),
+            len(self.columns),
             self.provisioned_containers,
             round(self.average_memory_mb(), 1),
             round(self.average_cpu_utilization() * 100.0, 2),

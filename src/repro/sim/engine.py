@@ -214,6 +214,14 @@ class CpuEngineBase:
         self._groups[name] = group
         return group
 
+    def dismantle(self) -> None:
+        """Cut this engine's reference cycles once its run is over: work
+        still running refers to its group, which holds it."""
+        for group in self._groups.values():
+            group.tasks.clear()
+            group.heap.clear()
+            group.per_task = None
+
     def remove_group(self, name: str) -> None:
         """Remove an (empty) group when its container is torn down."""
         if name == self.HOST_GROUP:

@@ -69,6 +69,7 @@ Example
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
 from typing import (
@@ -443,16 +444,18 @@ class AnyOf(Event):
     The value is ``(child, child_value)`` of the winner.
     """
 
-    __slots__ = ("_children",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._children = list(events)
-        done = next((c for c in self._children if c.processed), None)
+        # The children are not kept: the losers still point here through
+        # their callbacks, and keeping them would make that a cycle.
+        children = list(events)
+        done = next((c for c in children if c.processed), None)
         if done is not None:
             self._settle(done)
             return
-        for child in self._children:
+        for child in children:
             child._attach(self._on_child)
 
     def _settle(self, child: Event) -> None:
@@ -735,6 +738,37 @@ class Environment:
         event._ok = True
         event._callbacks = lambda _event: callback()
         self._urgent.append(event)
+
+    def close(self) -> None:
+        """Take a finished simulation apart: close every live process and
+        drop every pending event with its callbacks.
+
+        What is left waiting at the end of a run — parked loops, keep-alive
+        timers, condition events — refers back to this environment through
+        cycles that only the cyclic collector would free.  The live
+        processes are found in the collector's list of tracked objects, so
+        the kernel keeps no registry of them while it runs.  Afterwards the
+        environment cannot run again.
+        """
+        processes = [obj for obj in gc.get_objects()
+                     if type(obj) is Process and obj.env is self
+                     and obj._ok is None]
+        pending: List[Event] = []
+        for process in processes:
+            waited, process._waiting_on = process._waiting_on, None
+            if waited is not None:
+                pending.append(waited)
+                pending += getattr(waited, "_children", ())
+            process._generator.close()
+        pending += [entry[2] for entry in self._future._heap]
+        pending += self._urgent
+        pending += self._immediate
+        self._future._heap.clear()
+        self._urgent.clear()
+        self._immediate.clear()
+        self._time_hooks.clear()
+        for event in pending:
+            event._callbacks = None
 
     def _note_cancelled(self) -> None:
         self._cancelled += 1

@@ -106,6 +106,13 @@ class SfsCpu(CpuEngineBase):
         self._core_machines: List[_SfsCore] = [
             _SfsCore(self) for _ in range(self.cores)]
 
+    def dismantle(self) -> None:
+        """Forget the cores: each refers back here, and an idle one waits
+        on the signal store through its callback."""
+        super().dismantle()
+        self._core_machines.clear()
+        self._signal = None  # type: ignore[assignment]
+
     # -- CpuEngine interface ----------------------------------------------------
 
     def set_group_cap(self, name: str, cap: Optional[float]) -> None:

@@ -117,48 +117,39 @@ class TestEarlyReturnSemantics:
 class TestEarlyReturnBookkeeping:
     def run_with_listener(self):
         """Run the mixed burst with early return, counting note_completed."""
-        from repro.model.calibration import DEFAULT_CALIBRATION
-        from repro.platformsim.gateway import start_replay
-        from repro.platformsim.platform import ServerlessPlatform
-        from repro.sim.kernel import Environment
-        from repro.sim.machine import Machine
+        from repro.platformsim.experiment import run_workers
 
         trace = mixed_duration_trace()
-        env = Environment()
-        machine = Machine(env)
-        platform = ServerlessPlatform(env, machine, DEFAULT_CALIBRATION)
-        platform.register_function(mixed_spec())
+        completed: list = []
         completions: dict = {}
-        platform.completion_listeners.append(
-            lambda inv: completions.update(
-                {inv.invocation_id: completions.get(inv.invocation_id, 0) + 1}))
-        done = platform.expect_invocations(len(trace))
-        FaaSBatchScheduler(
-            FaaSBatchConfig(early_return=True)).start(platform)
-        start_replay(platform, trace)
 
-        def waiter():
-            yield done
+        def listener(inv):
+            completed.append(inv)
+            completions[inv.invocation_id] = \
+                completions.get(inv.invocation_id, 0) + 1
 
-        env.run_process(env.process(waiter()))
-        return platform, completions, len(trace)
+        with run_workers({0: FaaSBatchScheduler(
+                FaaSBatchConfig(early_return=True))}, trace,
+                lambda _record: 0, [mixed_spec()], listener, until_ms=None):
+            pass
+        return completed, completions, len(trace)
 
     def test_note_completed_fires_exactly_once_per_invocation(self):
-        platform, completions, total = self.run_with_listener()
+        completed, completions, total = self.run_with_listener()
         assert len(completions) == total
         assert all(count == 1 for count in completions.values())
-        assert len(platform.completed) == total
+        assert len(completed) == total
 
     def test_response_times_differ_from_batch_completion(self):
-        platform, _completions, _total = self.run_with_listener()
-        batch_end = max(inv.completed_ms for inv in platform.completed)
-        shorts = [inv for inv in platform.completed if inv.payload == 10.0]
+        completed, _completions, _total = self.run_with_listener()
+        batch_end = max(inv.completed_ms for inv in completed)
+        shorts = [inv for inv in completed if inv.payload == 10.0]
         # Under early return each member responds at its own completion,
         # not at the group barrier: the shorts' response instants precede
         # the straggler-dominated batch completion.
         assert all(inv.responded_ms < batch_end for inv in shorts)
         assert all(inv.responded_ms == pytest.approx(inv.completed_ms)
-                   for inv in platform.completed)
+                   for inv in completed)
 
 
 class TestWarmReuseKeepsMultiplexerCaches:

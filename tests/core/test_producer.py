@@ -44,12 +44,14 @@ class TestExecuteGroup:
     def test_cold_path_counts_and_completes(self, env, platform):
         spec = make_spec()
         platform.register_function(spec)
+        completed = []
+        platform.completion_listeners.append(completed.append)
         producer = InlineParallelProducer()
         group = make_group(spec, 5)
         self.run_group(env, platform, producer, group)
         assert producer.groups_executed == 1
         assert producer.invocations_executed == 5
-        assert len(platform.completed) == 5
+        assert len(completed) == 5
         for invocation in group.invocations:
             assert invocation.latency.cold_start_ms > 0.0
 

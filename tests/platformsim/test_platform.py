@@ -115,17 +115,13 @@ class TestContainers:
 
 
 class TestCompletion:
-    def test_all_done_event(self, env, platform):
+    def test_listeners_see_each_final_outcome(self, platform):
         platform.register_function(make_spec())
-        done = platform.expect_invocations(2)
+        seen = []
+        platform.completion_listeners.append(seen.append)
         inv1 = platform.submit(TraceRecord(0.0, "f"))
         inv2 = platform.submit(TraceRecord(0.0, "f"))
         platform.note_completed(inv1)
-        assert not done.triggered
+        assert seen == [inv1]
         platform.note_completed(inv2)
-        assert done.triggered
-        assert done.value == 2
-
-    def test_expect_requires_positive(self, platform):
-        with pytest.raises(SchedulingError):
-            platform.expect_invocations(0)
+        assert seen == [inv1, inv2]

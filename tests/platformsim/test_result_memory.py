@@ -14,19 +14,23 @@ import weakref
 
 import pytest
 
-from repro.baselines import VanillaScheduler
+from repro.baselines import SchedulerBuild, VanillaScheduler, build_scheduler
+from repro.cluster.sharded import ShardedClusterConfig, run_shard
 from repro.bench import BenchConfig, bench_trace
 from repro.common.errors import ColdStartFailed
-from repro.faults import reference_plan
+from repro.faults import ResiliencePolicy, reference_plan
+from repro.obs import Observability
 from repro.platformsim import experiment
 from repro.sim.kernel import Environment
 from repro.workload.generator import fib_family_specs
 from tests.traces import multi_function_trace
 
-#: Retained bytes per invocation.  Measured 382 B on CPython 3.11: the
-#: slotted Invocation, its id string and its stamp floats.  (3 170 B while
-#: the result still reached the whole simulation through sampler probes.)
-RETAINED_BYTES_PER_INVOCATION = 450
+#: Retained bytes per invocation.  Measured 88 B on CPython 3.11: six stamp
+#: floats and four 32-bit codes in the result's columns, a payload
+#: reference, and the run's samples and metrics spread over 4 000.  (382 B
+#: while the result kept one Invocation object each, 3 170 B while it
+#: still reached the whole simulation through sampler probes.)
+RETAINED_BYTES_PER_INVOCATION = 100
 
 
 def recording(environments):
@@ -93,5 +97,45 @@ def test_failed_invocations_keep_no_frames(monkeypatch):
     assert ColdStartFailed in {type(inv.error)
                                for inv in result.failed_invocations()}
     gc.collect()
+    (environment,) = environments
+    assert environment() is None
+
+
+@pytest.fixture
+def collector_off():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("policy", ["vanilla", "sfs", "faasbatch", "hiku"])
+def test_finished_world_is_freed_without_the_cyclic_collector(
+        monkeypatch, collector_off, policy):
+    """Reference counting alone frees a finished run, even one that leaves
+    warm containers, parked loops and pending timers behind."""
+    environments = []
+    monkeypatch.setattr(experiment, "Environment", recording(environments))
+    result = experiment.run_experiment(
+        build_scheduler(policy, SchedulerBuild(window_ms=200.0)),
+        multi_function_trace(seed=42, total=120, functions=3),
+        fib_family_specs(3), fault_plan=reference_plan(),
+        resilience=ResiliencePolicy(max_attempts=3, hedge_after_ms=300.0),
+        obs=Observability(tracing=True, sampling=True))
+    assert len(result.invocations) == 120
+    (environment,) = environments
+    assert environment() is None
+
+
+def test_finished_shard_is_freed_without_the_cyclic_collector(
+        monkeypatch, collector_off):
+    environments = []
+    monkeypatch.setattr(experiment, "Environment", recording(environments))
+    shard = run_shard(ShardedClusterConfig(
+        invocations=400, functions=4, tile_invocations=400, workers=2,
+        shards=1), 0)
+    assert shard.sink.completed == 400
     (environment,) = environments
     assert environment() is None

@@ -8,7 +8,7 @@ from repro.core.windowing import FixedWindow, WindowPolicy
 from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.model.function import FunctionKind, FunctionSpec
 from repro.model.workprofile import cpu_profile
-from repro.platformsim.gateway import start_replay
+from repro.platformsim.gateway import ReplayInjector
 from repro.platformsim.platform import ServerlessPlatform
 from repro.platformsim.windows import collect_window
 from repro.sim.primitives import Store
@@ -118,7 +118,7 @@ class TestGateway:
             profile_factory=lambda p: cpu_profile(1.0)))
         trace = Trace([TraceRecord(10.0, "f"), TraceRecord(250.0, "f"),
                        TraceRecord(250.0, "f")])
-        start_replay(platform, trace)
+        ReplayInjector(env, trace, platform.submit)
         env.run()
         assert len(platform.request_queue) == 3
         arrivals = [platform.request_queue.get_nowait().arrival_ms
