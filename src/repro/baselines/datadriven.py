@@ -121,8 +121,3 @@ class DataDrivenScheduler(Scheduler):
             estimator = self._estimates[function_id] = \
                 Ewma(alpha=self.ewma_alpha)
         estimator.observe(execution_ms)
-
-    def describe(self) -> str:
-        """One-line summary used by reports."""
-        suffix = f"[executors={self.executors}]" if self.executors else ""
-        return f"{self.name}{suffix}"

@@ -60,8 +60,3 @@ class HikuScheduler(Scheduler):
             # *is* the pull model's backpressure.
             yield from run_dispatch_pipeline(
                 platform, [invocation], SERIAL_DISPATCH_PLAN)
-
-    def describe(self) -> str:
-        """One-line summary used by reports."""
-        suffix = f"[pullers={self.pullers}]" if self.pullers else ""
-        return f"{self.name}{suffix}"

@@ -41,7 +41,6 @@ from repro.common.errors import (
     SchedulingError,
 )
 from repro.common.stats import Ewma, SampleStats
-from repro.core.windowing import FixedWindow
 from repro.model.function import Invocation
 from repro.obs.metrics import DEFAULT_SIZE_EDGES as SIZE_EDGES
 from repro.platformsim.windows import collect_window
@@ -147,13 +146,13 @@ class KrakenScheduler(Scheduler):
 
     def _serve(self, platform: "ServerlessPlatform"):
         env = platform.env
-        window = FixedWindow(self.config.window_ms)
+        window_ms = float(self.config.window_ms)
         while True:
             if self.config.mode is KrakenMode.EWMA:
                 self._prewarm(platform)
             # All requests within the interval count as concurrent (§IV).
             batch, _opened = yield from collect_window(
-                env, platform.request_queue, window,
+                env, platform.request_queue, window_ms,
                 on_open=platform.window_opened,
                 on_close=platform.window_closed)
             self._dispatch_window(platform, batch)

@@ -8,10 +8,10 @@ class and a factory — and every surface discovers it here, selecting
 subsets with ``--schedulers``.
 
 A factory receives a :class:`SchedulerBuild` carrying the run-wide knobs
-a policy may consume (dispatch window, window-sizing policy, Kraken's
-profiled parameters) and returns a *fresh* scheduler instance; scheduler
-objects hold per-run state, so one build context can safely construct a
-scheduler per experiment.
+a policy may consume (dispatch window, Kraken's profiled parameters) and
+returns a *fresh* scheduler instance; scheduler objects hold per-run
+state, so one build context can safely construct a scheduler per
+experiment.
 
 Kraken is special: its parameters come from a prior Vanilla profiling
 run ("we take the 98-percentile latency of each function obtained by the
@@ -63,8 +63,6 @@ class SchedulerBuild:
 
     #: Dispatch window for the windowed policies (FaaSBatch, Kraken).
     window_ms: float = DEFAULT_WINDOW_MS
-    #: Window-sizing policy for FaaSBatch ("fixed" | "adaptive").
-    window_policy: str = "fixed"
     #: Parameters learned from a Vanilla profiling run (Kraken only).
     kraken_parameters: Optional[KrakenParameters] = None
 
@@ -169,8 +167,7 @@ def _build_kraken(build: SchedulerBuild) -> Scheduler:
 
 
 def _build_faasbatch(build: SchedulerBuild) -> Scheduler:
-    return FaaSBatchScheduler(FaaSBatchConfig(
-        window_ms=build.window_ms, window_policy=build.window_policy))
+    return FaaSBatchScheduler(FaaSBatchConfig(window_ms=build.window_ms))
 
 
 register_policy(PolicyInfo(

@@ -85,11 +85,6 @@ OBS_RUN_LABEL = "FaaSBatch+obs"
 #: concurrently runnable, which is where CPU-engine cost dominates.
 TILE_INVOCATIONS = 4000
 
-#: Window-sizing policies a ``window_cells`` comparison measures, in row
-#: order: the paper's fixed window first, then the adaptive policy.
-WINDOW_CELL_POLICIES = ("fixed", "adaptive")
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     """Scenario knobs for one bench report."""
@@ -160,8 +155,7 @@ def _measure(scheduler_factory: Callable[[], object], trace: Trace, specs,
 
 
 def _scheduler_factory(name: str, config: BenchConfig,
-                       kraken_params: Optional[Dict[str, Dict[str, float]]],
-                       window_policy: str = "fixed"
+                       kraken_params: Optional[Dict[str, Dict[str, float]]]
                        ) -> Callable[[], object]:
     """Registry-backed factory for one bench cell's scheduler.
 
@@ -178,7 +172,6 @@ def _scheduler_factory(name: str, config: BenchConfig,
     if info.needs_vanilla_profile and params is None:
         raise ValueError("Kraken cell needs kraken_params")
     build = SchedulerBuild(window_ms=config.window_ms,
-                           window_policy=window_policy,
                            kraken_parameters=params)
     return lambda: build_scheduler(info.name, build)
 
@@ -186,15 +179,11 @@ def _scheduler_factory(name: str, config: BenchConfig,
 def _cell_spec(config: BenchConfig, scheduler: str,
                obs: bool = False, label: Optional[str] = None,
                kraken_params: Optional[Dict] = None,
-               want_kraken_params: bool = False,
-               window_policy: str = "fixed",
-               want_latency: bool = False) -> Dict[str, object]:
+               want_kraken_params: bool = False) -> Dict[str, object]:
     return {"config": config.to_dict(), "scheduler": scheduler,
             "obs": obs, "label": label,
             "kraken_params": kraken_params,
-            "want_kraken_params": want_kraken_params,
-            "window_policy": window_policy,
-            "want_latency": want_latency}
+            "want_kraken_params": want_kraken_params}
 
 
 def _run_cell_inline(spec: Dict[str, object]) -> Dict[str, object]:
@@ -204,23 +193,11 @@ def _run_cell_inline(spec: Dict[str, object]) -> Dict[str, object]:
     specs = fib_family_specs(config.functions)
     factory = _scheduler_factory(
         str(spec["scheduler"]), config,
-        spec.get("kraken_params"),  # type: ignore[arg-type]
-        window_policy=str(spec.get("window_policy") or "fixed"))
+        spec.get("kraken_params"))  # type: ignore[arg-type]
     obs = (Observability(tracing=True, sampling=True)
            if spec.get("obs") else None)
     result, row = _measure(factory, trace, specs, obs=obs,
                            label=spec.get("label"))  # type: ignore[arg-type]
-    if spec.get("want_latency"):
-        stats = result.latency_stats()
-        row["latency_ms"] = {
-            "count": stats.count,
-            "mean": round(stats.mean, 3),
-            "p50": round(stats.median, 3),
-            "p95": round(stats.percentile(95), 3),
-            "p99": round(stats.percentile(99), 3),
-        }
-        row["containers"] = result.provisioned_containers
-        row["goodput"] = round(result.goodput(), 4)
     out: Dict[str, object] = {"row": row}
     if spec.get("want_kraken_params"):
         params = KrakenParameters.from_invocations(
@@ -396,47 +373,6 @@ def run_bench(config: BenchConfig,
         "isolation": "subprocess" if isolate else "inline",
         "runs": runs,
         "obs_overhead": obs_overhead,
-    }
-
-
-# -- window-sizing cells ----------------------------------------------------------
-
-
-def run_window_cells(config: BenchConfig,
-                     log: Optional[Callable[[str], None]] = None,
-                     isolate: bool = True,
-                     parallel: int = 1) -> List[Dict[str, object]]:
-    """FaaSBatch fixed-vs-adaptive window cells at the identical load.
-
-    Runs the same scenario once per policy in
-    :data:`WINDOW_CELL_POLICIES` — the paper's fixed 0.2 s window against
-    the arrival-rate-driven :class:`~repro.core.windowing.AdaptiveWindow`
-    — and records end-to-end latency percentiles, goodput and container
-    footprint per cell, so a committed report shows which window sizing
-    wins at that load.
-    """
-    emit = log if log is not None else (lambda _msg: None)
-    cell_specs = [
-        _cell_spec(config, "FaaSBatch",
-                   label=f"FaaSBatch[{policy}-window]",
-                   window_policy=policy, want_latency=True)
-        for policy in WINDOW_CELL_POLICIES
-    ]
-    outputs = _run_cells(cell_specs, isolate, parallel, emit)
-    return [dict(out["row"], cell=policy, window_policy=policy,  # type: ignore[call-overload]
-                 rss_isolated=bool(isolate))
-            for policy, out in zip(WINDOW_CELL_POLICIES, outputs)]
-
-
-def window_report(config: BenchConfig,
-                  cell_rows: List[Dict[str, object]]) -> Dict[str, object]:
-    """Wrap window-sizing cells as a standalone report."""
-    if not cell_rows:
-        raise ValueError("need at least one window cell row")
-    return {
-        "schema": BENCH_SCHEMA,
-        "config": config.to_dict(),
-        "window_cells": cell_rows,
     }
 
 
@@ -616,18 +552,9 @@ _REPORT: Dict[str, object] = {
         "latency_ms": _LATENCY,
         "slo": _SLO,
     }],
-    "window_cells": [{
-        "cell": WINDOW_CELL_POLICIES,
-        "scheduler": str,
-        **_non_negative("invocations", "wall_clock_s", "sim_completion_ms",
-                        "kernel_events", "containers"),
-        "goodput": _UNIT,
-        "latency_ms": _LATENCY,
-        "slo": _SLO,
-    }],
 }
 #: The row sections; a report carries any non-empty combination of them.
-_SECTIONS = ("runs", "cluster_cells", "gateway_cells", "window_cells")
+_SECTIONS = ("runs", "cluster_cells", "gateway_cells")
 #: Fields that may be absent or null wherever the table names them.
 _OPTIONAL = _SECTIONS + ("schedulers", "obs", "slo")
 #: Top-level fields a report with a ``runs`` section must also carry.
@@ -674,9 +601,9 @@ def validate_report(report: Dict[str, object]) -> None:
     Every reader and writer goes through this (:func:`load_report`,
     :func:`write_report`).  A report carries ``runs`` (one row per scheduler
     cell), ``cluster_cells`` (sharded replays), ``gateway_cells``
-    (live-serving load cells), ``window_cells`` (fixed-vs-adaptive window
-    sizing), or any combination.  Shapes are the :data:`_REPORT` table; the
-    code below adds the rules that relate two fields to each other.
+    (live-serving load cells), or any combination.  Shapes are the
+    :data:`_REPORT` table; the code below adds the rules that relate two
+    fields to each other.
     """
     if report.get("schema") != BENCH_SCHEMA:
         raise ValueError(f"schema must be {BENCH_SCHEMA!r}, "
@@ -684,12 +611,7 @@ def validate_report(report: Dict[str, object]) -> None:
     _check("", report, _REPORT)
     if not any(report.get(section) for section in _SECTIONS):
         raise ValueError("report needs a non-empty 'runs', "
-                         "'cluster_cells', 'gateway_cells' or "
-                         "'window_cells' section")
-    for row in report.get("window_cells") or ():  # type: ignore[attr-defined]
-        if row.get("window_policy") != row["cell"]:
-            raise ValueError(f"window_cells[{row['cell']!r}].window_policy "
-                             "must match cell")
+                         "'cluster_cells' or 'gateway_cells' section")
     for row in report.get("cluster_cells") or ():  # type: ignore[attr-defined]
         histograms = (row.get("obs") or {}).get("histograms", {})
         for name, hist in histograms.items():
@@ -773,7 +695,6 @@ def load_report(path: str) -> Dict[str, object]:
 __all__ = [
     "BENCH_SCHEMA",
     "OBS_RUN_LABEL",
-    "WINDOW_CELL_POLICIES",
     "BenchConfig",
     "bench_trace",
     "cluster_cell_configs",
@@ -782,9 +703,7 @@ __all__ = [
     "load_report",
     "run_bench",
     "run_cluster_cell",
-    "run_window_cells",
     "validate_report",
-    "window_report",
     "write_report",
 ]
 

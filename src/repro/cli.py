@@ -112,8 +112,7 @@ def _selected_schedulers(args: argparse.Namespace) -> Tuple[str, ...]:
 def _run_schedulers(names: Sequence[str], trace, specs, window_ms: float,
                     label: str, tracing: bool = False,
                     fault_plan: Optional[FaultPlan] = None,
-                    resilience: Optional[ResiliencePolicy] = None,
-                    window_policy: str = "fixed"
+                    resilience: Optional[ResiliencePolicy] = None
                     ) -> List[ExperimentResult]:
     """Run the selected registry policies, in order, over one workload.
 
@@ -136,7 +135,7 @@ def _run_schedulers(names: Sequence[str], trace, specs, window_ms: float,
                               obs=_obs(tracing), fault_plan=fault_plan,
                               resilience=resilience)
 
-    build = SchedulerBuild(window_ms=window_ms, window_policy=window_policy)
+    build = SchedulerBuild(window_ms=window_ms)
     results: List[ExperimentResult] = []
     profile: Optional[ExperimentResult] = None
 
@@ -228,8 +227,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
           f"{args.workload} invocations (window {args.window} ms)...")
     results = _run_schedulers(names, trace, specs, args.window,
                               args.workload,
-                              tracing=args.trace is not None,
-                              window_policy=args.window_policy)
+                              tracing=args.trace is not None)
     if args.trace is not None:
         lines = _export_span_traces(args.trace, _labeled_runs(results))
         print(f"Wrote {lines} span/event/series records to {args.trace}")
@@ -511,33 +509,6 @@ def _cmd_bench_cell(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_windows(args: argparse.Namespace, config) -> int:
-    """``repro bench --window-cells``: fixed-vs-adaptive FaaSBatch cells."""
-    from repro.bench import run_window_cells, window_report, write_report
-    from repro.common.tables import render_table
-
-    rows = run_window_cells(config, log=print, isolate=not args.inline,
-                            parallel=args.parallel)
-    write_report(window_report(config, rows), args.out)
-    headers = ["window_policy", "inv", "goodput", "p50_ms", "p95_ms",
-               "p99_ms", "containers", "sim_completion_ms"]
-    table = [[r["cell"], r["invocations"], r["goodput"],
-              r["latency_ms"]["p50"], r["latency_ms"]["p95"],
-              r["latency_ms"]["p99"], r["containers"],
-              r["sim_completion_ms"]] for r in rows]
-    print(render_table(headers, table,
-                       title="FaaSBatch window sizing (fixed vs adaptive)"))
-    by_cell = {r["cell"]: r for r in rows}
-    if {"fixed", "adaptive"} <= by_cell.keys():
-        fixed_p99 = by_cell["fixed"]["latency_ms"]["p99"]
-        adaptive_p99 = by_cell["adaptive"]["latency_ms"]["p99"]
-        delta = (fixed_p99 - adaptive_p99) / fixed_p99 * 100.0
-        print(f"Adaptive p99 vs fixed: {adaptive_p99:g} ms vs "
-              f"{fixed_p99:g} ms ({delta:+.1f}% lower)")
-    print(f"Wrote {args.out}")
-    return 0
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import BenchConfig, run_bench, write_report
     from repro.common.errors import ConfigurationError
@@ -549,8 +520,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                          functions=args.functions,
                          seed=args.seed, window_ms=args.window,
                          tile_invocations=args.tile_invocations)
-    if args.window_cells:
-        return _cmd_bench_windows(args, config)
     try:
         report = run_bench(config, log=print,
                            isolate=not args.inline, parallel=args.parallel,
@@ -920,10 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="invocation count (default: paper sizes)")
     compare.add_argument("--window", type=float, default=200.0,
                          help="dispatch window in ms")
-    compare.add_argument("--window-policy", choices=("fixed", "adaptive"),
-                         default="fixed",
-                         help="FaaSBatch window sizing (adaptive shrinks "
-                              "the window with the arrival rate)")
     compare.add_argument("--cdfs", action="store_true",
                          help="print the latency CDF panels too")
     add_common(compare)
@@ -1031,9 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--inline", action="store_true",
                        help="run cells in-process (RSS becomes a "
                             "process-wide high-water mark)")
-    bench.add_argument("--window-cells", action="store_true",
-                       help="measure FaaSBatch fixed-vs-adaptive window "
-                            "sizing instead of the scheduler grid")
     bench.add_argument("--report", default=None, metavar="PATH",
                        help="with --cell: also write an HTML report with "
                             "the merged cluster telemetry panel")

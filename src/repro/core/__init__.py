@@ -4,23 +4,19 @@ from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "repro.core.config": (
-        "DEFAULT_WINDOW_MS", "SWEEP_WINDOWS_MS", "WINDOW_POLICIES",
-        "FaaSBatchConfig"),
+        "DEFAULT_WINDOW_MS", "SWEEP_WINDOWS_MS", "FaaSBatchConfig"),
     "repro.core.mapper": ("FunctionGroup", "InvokeMapper"),
     "repro.core.multiplexer": (
         "Lookup", "LookupOutcome", "MultiplexerStats",
         "SimResourceMultiplexer"),
     "repro.core.producer": ("InlineParallelProducer",),
     "repro.core.scheduler": ("FaaSBatchScheduler",),
-    "repro.core.windowing": ("AdaptiveWindow", "FixedWindow", "WindowPolicy"),
 })
 
 __all__ = [
-    "AdaptiveWindow",
     "DEFAULT_WINDOW_MS",
     "FaaSBatchConfig",
     "FaaSBatchScheduler",
-    "FixedWindow",
     "FunctionGroup",
     "InlineParallelProducer",
     "InvokeMapper",
@@ -29,6 +25,4 @@ __all__ = [
     "MultiplexerStats",
     "SWEEP_WINDOWS_MS",
     "SimResourceMultiplexer",
-    "WINDOW_POLICIES",
-    "WindowPolicy",
 ]

@@ -7,7 +7,7 @@ study (inline parallelism on/off, resource multiplexing on/off).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
 
@@ -19,23 +19,14 @@ DEFAULT_WINDOW_MS = 200.0
 #: 0.01 s to 0.5 s" (§IV).
 SWEEP_WINDOWS_MS = (10.0, 100.0, 200.0, 500.0)
 
-#: Recognised window-sizing policies (see :mod:`repro.core.windowing`).
-WINDOW_POLICIES = ("fixed", "adaptive")
-
 
 @dataclass(frozen=True)
 class FaaSBatchConfig:
     """Configuration of the FaaSBatch scheduler."""
 
     #: Dispatch window: requests arriving within it are treated as
-    #: concurrent and batched into one group per function.  Under the
-    #: adaptive policy this is the *maximum* window (and the SLO budget);
-    #: the observed arrival rate can only shrink it.
+    #: concurrent and batched into one group per function.
     window_ms: float = DEFAULT_WINDOW_MS
-    #: Window-sizing policy: ``"fixed"`` reproduces the paper's constant
-    #: interval; ``"adaptive"`` sizes each window from the observed
-    #: arrival rate (see :class:`repro.core.windowing.AdaptiveWindow`).
-    window_policy: str = "fixed"
     #: Expand batched invocations in parallel inside the container
     #: (§III-C).  Disabling this degrades a group to a serial queue —
     #: the Kraken-style execution used for the ablation benchmark.
@@ -54,15 +45,3 @@ class FaaSBatchConfig:
         if self.window_ms < 0:
             raise ConfigurationError(
                 f"window_ms must be >= 0, got {self.window_ms}")
-        if self.window_policy not in WINDOW_POLICIES:
-            raise ConfigurationError(
-                f"window_policy must be one of {WINDOW_POLICIES}, "
-                f"got {self.window_policy!r}")
-        if self.window_policy == "adaptive" and self.window_ms <= 0:
-            raise ConfigurationError(
-                "the adaptive window policy needs a positive window_ms "
-                "to use as its maximum window / SLO budget")
-
-    def with_window(self, window_ms: float) -> "FaaSBatchConfig":
-        """Copy with a different dispatch interval (for the sweeps)."""
-        return replace(self, window_ms=window_ms)

@@ -10,9 +10,8 @@ destined for a *single* container.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.windowing import FixedWindow, WindowPolicy
 from repro.model.function import FunctionSpec, Invocation
 from repro.platformsim.windows import collect_window
 from repro.sim.kernel import Environment
@@ -58,20 +57,15 @@ class FunctionGroup:
 class InvokeMapper:
     """Batches a dispatch window of requests into function groups.
 
-    Window length is delegated to a :class:`WindowPolicy`; by default a
-    :class:`FixedWindow` of ``window_ms`` reproduces the paper's constant
-    interval.  The mapper drains one multi-function queue, so the policy is
-    consulted with ``key=None`` (a single aggregate arrival estimator).
+    Every window stays open for the same ``window_ms``, the paper's
+    constant interval.  The mapper drains one multi-function queue, so one
+    window collects every function's arrivals.
     """
 
-    def __init__(self, window_ms: float,
-                 policy: Optional[WindowPolicy] = None) -> None:
+    def __init__(self, window_ms: float) -> None:
         if window_ms < 0:
             raise ValueError(f"negative window: {window_ms}")
-        self.window_ms = window_ms
-        self.policy = policy if policy is not None else FixedWindow(window_ms)
-        self.windows_formed = 0
-        self.groups_formed = 0
+        self.window_ms = float(window_ms)
 
     def collect_groups(self, env: Environment,
                        queue: Store[Invocation],
@@ -88,12 +82,9 @@ class InvokeMapper:
         pure observers of the window boundaries (telemetry only).
         """
         batch, window_start = yield from collect_window(
-            env, queue, self.policy, on_open=on_open, on_close=on_close)
-        groups = self.group_invocations(batch, window_start_ms=window_start,
-                                        window_end_ms=env.now)
-        self.windows_formed += 1
-        self.groups_formed += len(groups)
-        return groups
+            env, queue, self.window_ms, on_open=on_open, on_close=on_close)
+        return self.group_invocations(batch, window_start_ms=window_start,
+                                      window_end_ms=env.now)
 
     @staticmethod
     def group_invocations(invocations: List[Invocation],

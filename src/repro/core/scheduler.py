@@ -24,28 +24,10 @@ from repro.baselines.base import CpuDiscipline, Scheduler
 from repro.core.config import FaaSBatchConfig
 from repro.core.mapper import FunctionGroup, InvokeMapper
 from repro.core.producer import InlineParallelProducer
-from repro.core.windowing import AdaptiveWindow, WindowPolicy
 from repro.obs.metrics import DEFAULT_SIZE_EDGES as SIZE_EDGES, LazyMetrics
 
 if TYPE_CHECKING:
     from repro.platformsim.platform import ServerlessPlatform
-
-
-def build_window_policy(config: FaaSBatchConfig) -> WindowPolicy | None:
-    """Window policy for *config*, or ``None`` for the paper's fixed path.
-
-    Returning ``None`` (rather than a :class:`FixedWindow`) lets the mapper
-    build its own fixed policy, keeping this helper purely about the
-    adaptive variant.  The adaptive policy treats ``config.window_ms`` as
-    both the maximum window and the SLO budget, with a floor of 1/20th of
-    it, so bursts shrink the window but a quiet stream behaves exactly like
-    the fixed policy.
-    """
-    if config.window_policy != "adaptive":
-        return None
-    return AdaptiveWindow(min_ms=config.window_ms / 20.0,
-                          max_ms=config.window_ms,
-                          slo_budget_ms=config.window_ms)
 
 
 class FaaSBatchScheduler(Scheduler):
@@ -56,8 +38,7 @@ class FaaSBatchScheduler(Scheduler):
 
     def __init__(self, config: FaaSBatchConfig | None = None) -> None:
         self.config = config if config is not None else FaaSBatchConfig()
-        self.mapper = InvokeMapper(window_ms=self.config.window_ms,
-                                   policy=build_window_policy(self.config))
+        self.mapper = InvokeMapper(window_ms=self.config.window_ms)
         self.producer = InlineParallelProducer(
             inline_parallel=self.config.inline_parallel,
             multiplex_resources=self.config.multiplex_resources,
@@ -94,21 +75,5 @@ class FaaSBatchScheduler(Scheduler):
         # shared pipeline with its parallel-expansion plan.
         yield from self.producer.run_group(platform, group)
 
-    # -- introspection -------------------------------------------------------------
 
-    def describe(self) -> str:
-        """One-line summary used by reports."""
-        flags = []
-        if self.config.window_policy != "fixed":
-            flags.append(f"{self.config.window_policy}-window")
-        if not self.config.inline_parallel:
-            flags.append("serial")
-        if not self.config.multiplex_resources:
-            flags.append("no-multiplex")
-        if self.config.early_return:
-            flags.append("early-return")
-        suffix = f" ({', '.join(flags)})" if flags else ""
-        return (f"{self.name}[window={self.config.window_ms:g}ms]{suffix}")
-
-
-__all__ = ["FaaSBatchScheduler", "FunctionGroup", "build_window_policy"]
+__all__ = ["FaaSBatchScheduler", "FunctionGroup"]

@@ -18,8 +18,6 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
-from repro.core.windowing import WindowPolicy
-
 
 @dataclass(slots=True)
 class PendingRequest:
@@ -50,36 +48,18 @@ class FunctionBatcher:
     window_seconds: float
     dispatch: DispatchFn
     loop: asyncio.AbstractEventLoop
-    #: Optional shared window-sizing policy (see
-    #: :mod:`repro.core.windowing`).  ``None`` keeps the historical
-    #: constant ``window_seconds``; with a policy, each arrival is
-    #: observed (keyed by function name) and the window opening now is
-    #: sized by ``policy.window_ms(function)``.  The same policy object is
-    #: shared across all of a gateway's batchers, mirroring how the
-    #: simulator shares one policy across windows.
-    policy: Optional[WindowPolicy] = None
     pending: List[PendingRequest] = field(default_factory=list)
-    windows_flushed: int = 0
     _timer: Optional[asyncio.TimerHandle] = None
 
     @property
     def depth(self) -> int:
         return len(self.pending)
 
-    def current_window_seconds(self) -> float:
-        """Length of the window that would open now (policy-aware)."""
-        if self.policy is None:
-            return self.window_seconds
-        return self.policy.window_ms(self.function) / 1000.0
-
     def enqueue(self, request: PendingRequest) -> None:
         """Park *request*; the first arrival opens the window timer."""
-        if self.policy is not None:
-            self.policy.observe_arrival(self.function,
-                                        self.loop.time() * 1000.0)
         self.pending.append(request)
         if self._timer is None:
-            self._timer = self.loop.call_later(self.current_window_seconds(),
+            self._timer = self.loop.call_later(self.window_seconds,
                                                self.flush)
 
     def evict_oldest(self) -> PendingRequest:
@@ -96,7 +76,6 @@ class FunctionBatcher:
         if not self.pending:
             return
         batch, self.pending = self.pending, []
-        self.windows_flushed += 1
         self.dispatch(self.function, batch)
 
     def close(self) -> None:

@@ -77,8 +77,6 @@ from repro.gateway.admission import (
     AdmissionConfig,
     AdmissionController,
 )
-from repro.core.config import WINDOW_POLICIES
-from repro.core.windowing import AdaptiveWindow, WindowPolicy
 from repro.gateway.batching import FunctionBatcher, PendingRequest
 from repro.gateway.degradation import (
     MODE_BATCH,
@@ -143,12 +141,7 @@ class GatewayConfig:
     #: seeded run hands out the same ids in the same order every time.
     seed: int = 0
     #: The live dispatch window (seconds).  0 disables holding entirely.
-    #: Under the adaptive policy this is the maximum window / SLO budget.
     window_seconds: float = 0.02
-    #: Window-sizing policy ("fixed" | "adaptive") — the same
-    #: :mod:`repro.core.windowing` policies the simulator uses, keyed per
-    #: function on the gateway.
-    window_policy: str = "fixed"
     #: End-to-end budget per request as seen by the caller.
     deadline_seconds: float = 10.0
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
@@ -163,14 +156,6 @@ class GatewayConfig:
         if self.window_seconds < 0:
             raise ConfigurationError(
                 f"window_seconds must be >= 0, got {self.window_seconds}")
-        if self.window_policy not in WINDOW_POLICIES:
-            raise ConfigurationError(
-                f"window_policy must be one of {WINDOW_POLICIES}, "
-                f"got {self.window_policy!r}")
-        if self.window_policy == "adaptive" and self.window_seconds <= 0:
-            raise ConfigurationError(
-                "the adaptive window policy needs a positive window_seconds "
-                "to use as its maximum window / SLO budget")
         if self.deadline_seconds <= 0:
             raise ConfigurationError(
                 f"deadline_seconds must be > 0, got {self.deadline_seconds}")
@@ -232,14 +217,6 @@ class Gateway:
         self._request_ids = itertools.count()
         self._id_prefix = f"req-{self.config.seed:x}"
         self._batchers: Dict[str, FunctionBatcher] = {}
-        # One shared window policy for every function's batcher (keyed by
-        # function name), mirroring the simulator's single policy object.
-        self._window_policy: Optional[WindowPolicy] = None
-        if (self.config.window_policy == "adaptive"
-                and self.config.window_seconds > 0):
-            max_ms = self.config.window_seconds * 1000.0
-            self._window_policy = AdaptiveWindow(
-                min_ms=max_ms / 20.0, max_ms=max_ms, slo_budget_ms=max_ms)
         # Completions arrive on platform runner threads; they are buffered
         # and drained with ONE call_soon_threadsafe per wakeup instead of
         # one per invocation — at 10k+ RPS the per-request loop wakeups
@@ -345,8 +322,7 @@ class Gateway:
             batcher = FunctionBatcher(
                 function=function,
                 window_seconds=self.config.window_seconds,
-                dispatch=self._dispatch, loop=self.loop,
-                policy=self._window_policy)
+                dispatch=self._dispatch, loop=self.loop)
             self._batchers[function] = batcher
         return batcher
 
@@ -494,7 +470,6 @@ class Gateway:
         return {
             "policy": self.config.policy,
             "window_seconds": self.config.window_seconds,
-            "window_policy": self.config.window_policy,
             "started_at": self.started_at,
             "uptime_s": self.uptime_s,
             "requests_total": self.requests_total,

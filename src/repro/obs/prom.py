@@ -181,9 +181,9 @@ def _scalar(lines: List[str], name: str, kind: str, help_text: str,
 def render_gateway_stats(stats: Mapping[str, object]) -> str:
     """Render ``Gateway.stats()`` (admission + degradation included).
 
-    String-valued facts (policy, window policy, platform state, dispatch
-    mode) collapse into one ``gateway_info`` series with value 1, the
-    standard Prometheus idiom for build/config metadata.  The page ends
+    String-valued facts (policy, platform state, dispatch mode) collapse
+    into one ``gateway_info`` series with value 1, the standard
+    Prometheus idiom for build/config metadata.  The page ends
     with the runner-pool gauges and the per-request stage histograms
     (``stats["stages"]``, a registry snapshot).
     """
@@ -192,7 +192,6 @@ def render_gateway_stats(stats: Mapping[str, object]) -> str:
         "mode": (stats.get("degradation") or {}).get("mode"),
         "platform_state": stats.get("platform_state"),
         "policy": stats.get("policy"),
-        "window_policy": stats.get("window_policy"),
     }
     pairs = ",".join(f'{key}="{_label(value)}"'
                      for key, value in sorted(info.items())

@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.common.errors import ConfigurationError
 
 #: Sections of a bench artifact a spec can target.
-SLO_SECTIONS = ("gateway_cells", "cluster_cells", "window_cells", "runs")
+SLO_SECTIONS = ("gateway_cells", "cluster_cells", "runs")
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,6 @@ def default_specs() -> List[SloSpec]:
                 events_per_sec_floor=2_000.0),
         SloSpec(name="cluster-goodput", applies_to="cluster_cells",
                 goodput_floor=0.999),
-        SloSpec(name="window-goodput", applies_to="window_cells",
-                goodput_floor=0.999),
     ]
 
 
@@ -185,8 +183,6 @@ def _matches(spec: SloSpec, row: dict) -> bool:
 def _cell_goodput(section: str, row: dict) -> Optional[float]:
     if section == "gateway_cells":
         value = row.get("goodput_ratio")
-    elif section == "window_cells":
-        value = row.get("goodput")
     elif section == "cluster_cells":
         completed = row.get("completed")
         failed = row.get("failed")

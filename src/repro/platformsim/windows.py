@@ -4,9 +4,8 @@ Both FaaSBatch's Invoke Mapper and the ported Kraken gather "all invocation
 requests within this time interval" (§III-B) from the platform's request
 queue and treat them as concurrent.  :func:`collect_window` implements that
 once, with careful handling of the race between the window timer and a
-request arriving at the very same simulated instant.  How long the window
-stays open is decided by a :class:`~repro.core.windowing.WindowPolicy` (the
-paper's constant window is a :class:`~repro.core.windowing.FixedWindow`).
+request arriving at the very same simulated instant.  Every window stays
+open for the same fixed interval (the paper's 0.2 s by default).
 
 ``on_open`` / ``on_close`` are optional *pure observer* callbacks fired when
 the window opens (first item taken) and when its batch is returned; the
@@ -16,13 +15,10 @@ gauge.  They must not schedule events or touch the queue.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, TypeVar
+from typing import Callable, List, Optional, TypeVar
 
 from repro.sim.kernel import Environment
 from repro.sim.primitives import Store
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.windowing import WindowPolicy
 
 T = TypeVar("T")
 
@@ -30,25 +26,18 @@ T = TypeVar("T")
 WindowObserver = Callable[[float], None]
 
 
-def collect_window(env: Environment, queue: Store[T], policy: WindowPolicy,
-                   key: Optional[str] = None,
+def collect_window(env: Environment, queue: Store[T], window_ms: float,
                    on_open: Optional[WindowObserver] = None,
                    on_close: Optional[WindowObserver] = None):
     """Generator: wait for the first item, then drain one dispatch window.
 
     The window opens when the first item is taken — the wait for it,
     arbitrarily long on sparse workloads, is not part of the window — and
-    closes ``policy.window_ms(key)`` later, read exactly once at open.
-    Every arrival is reported to ``policy.observe_arrival(key, now)`` so
-    adaptive policies can track the arrival rate.  Returns ``(batch,
-    window_open_ms)``, the batch holding at least one item.
+    closes ``window_ms`` later.  Returns ``(batch, window_open_ms)``, the
+    batch holding at least one item.
     """
     first: T = yield queue.get()
     window_open = env.now
-    policy.observe_arrival(key, window_open)
-    window_ms = policy.window_ms(key)
-    if window_ms < 0:
-        raise ValueError(f"negative window: {window_ms}")
     if on_open is not None:
         on_open(window_open)
     batch: List[T] = [first]
@@ -58,14 +47,12 @@ def collect_window(env: Environment, queue: Store[T], policy: WindowPolicy,
         timer = env.timeout(window_end - env.now)
         winner, value = yield (get_event | timer)
         if winner is get_event:
-            policy.observe_arrival(key, env.now)
             batch.append(value)
             continue
         # The timer won.  The pending getter must be withdrawn so it does
         # not silently swallow a future request — unless an item raced in
         # at this exact instant, in which case we must keep it.
         if get_event.triggered:
-            policy.observe_arrival(key, env.now)
             batch.append(get_event.value)
         else:
             queue.cancel_get(get_event)

@@ -94,25 +94,3 @@ class Machine:
     def samples(self) -> List[ResourceSample]:
         """The recorded 1 Hz observations."""
         return list(self._samples)
-
-    # -- convenience metrics ----------------------------------------------------
-
-    def average_memory_mb(self) -> float:
-        """Mean of the sampled memory series (paper's 'total memory usage')."""
-        if not self._samples:
-            raise ValueError("no samples recorded; call start_sampler()")
-        return sum(s.memory_mb for s in self._samples) / len(self._samples)
-
-    def average_cpu_utilization(self) -> float:
-        """Mean of the sampled utilisation series."""
-        if not self._samples:
-            raise ValueError("no samples recorded; call start_sampler()")
-        return (sum(s.cpu_utilization for s in self._samples)
-                / len(self._samples))
-
-    def peak_memory_mb(self) -> float:
-        return self.memory.peak_mb
-
-    def total_cpu_core_ms(self) -> float:
-        """Total computation completed on this machine."""
-        return self.cpu.busy_core_ms()

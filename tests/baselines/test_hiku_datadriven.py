@@ -50,10 +50,6 @@ class TestHiku:
         with pytest.raises(ConfigurationError):
             HikuScheduler(pullers=0)
 
-    def test_describe(self):
-        assert HikuScheduler().describe() == "Hiku"
-        assert HikuScheduler(pullers=2).describe() == "Hiku[pullers=2]"
-
 
 class TestDataDriven:
     def test_serves_everything(self, io_setup):
@@ -96,8 +92,3 @@ class TestDataDriven:
             DataDrivenScheduler(executors=0)
         with pytest.raises(ConfigurationError):
             DataDrivenScheduler(default_estimate_ms=0.0)
-
-    def test_describe(self):
-        assert DataDrivenScheduler().describe() == "DataDriven"
-        assert DataDrivenScheduler(executors=3).describe() == \
-            "DataDriven[executors=3]"

@@ -109,10 +109,9 @@ class TestFactories:
             assert isinstance(build_scheduler(name), cls)
 
     def test_faasbatch_inherits_build_knobs(self):
-        scheduler = build_scheduler("faasbatch", SchedulerBuild(
-            window_ms=50.0, window_policy="adaptive"))
+        scheduler = build_scheduler("faasbatch",
+                                    SchedulerBuild(window_ms=50.0))
         assert scheduler.config.window_ms == 50.0
-        assert scheduler.config.window_policy == "adaptive"
 
     def test_kraken_without_parameters_raises(self):
         with pytest.raises(ConfigurationError,

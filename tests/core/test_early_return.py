@@ -109,10 +109,6 @@ class TestEarlyReturnSemantics:
         assert early.response_latency_cdf().quantile(0.5) <= \
             held.response_latency_cdf().quantile(0.5) + 1e-6
 
-    def test_describe_flags_early_return(self):
-        scheduler = FaaSBatchScheduler(FaaSBatchConfig(early_return=True))
-        assert "early-return" in scheduler.describe()
-
 
 class TestEarlyReturnBookkeeping:
     def run_with_listener(self):

@@ -83,23 +83,21 @@ class TestWindowCollection:
         env.process(feeder())
         env.process(collector())
         env.run()
-        return mapper, collected
+        return collected
 
     def test_single_window_batches_concurrent_arrivals(self, env):
         arrivals = [(0.0, make_invocation(SPEC_A, 0)),
                     (50.0, make_invocation(SPEC_A, 1)),
                     (150.0, make_invocation(SPEC_B, 0))]
-        mapper, collected = self.run_mapper(env, 200.0, arrivals)
+        collected = self.run_mapper(env, 200.0, arrivals)
         end_time, groups = collected[0]
         assert end_time == pytest.approx(200.0)
-        assert {g.function_id for g in groups} == {"a", "b"}
-        assert mapper.windows_formed == 1
-        assert mapper.groups_formed == 2
+        assert sorted(g.function_id for g in groups) == ["a", "b"]
 
     def test_window_starts_at_first_arrival(self, env):
         arrivals = [(300.0, make_invocation(SPEC_A, 0)),
                     (450.0, make_invocation(SPEC_A, 1))]
-        _mapper, collected = self.run_mapper(env, 200.0, arrivals)
+        collected = self.run_mapper(env, 200.0, arrivals)
         end_time, groups = collected[0]
         assert end_time == pytest.approx(500.0)
         assert groups[0].size == 2
@@ -113,7 +111,7 @@ class TestWindowCollection:
         # rather than when the burst actually began.
         arrivals = [(5_000.0, make_invocation(SPEC_A, 0)),
                     (5_050.0, make_invocation(SPEC_A, 1))]
-        _mapper, collected = self.run_mapper(env, 200.0, arrivals)
+        collected = self.run_mapper(env, 200.0, arrivals)
         _end, groups = collected[0]
         assert groups[0].window_start_ms == pytest.approx(5_000.0)
         assert groups[0].window_end_ms == pytest.approx(5_200.0)
@@ -121,14 +119,14 @@ class TestWindowCollection:
     def test_late_arrival_left_for_next_window(self, env):
         arrivals = [(0.0, make_invocation(SPEC_A, 0)),
                     (250.0, make_invocation(SPEC_A, 1))]
-        _mapper, collected = self.run_mapper(env, 200.0, arrivals)
+        collected = self.run_mapper(env, 200.0, arrivals)
         _end, groups = collected[0]
         assert groups[0].size == 1  # the 250 ms arrival missed the window
 
     def test_zero_window_takes_single_invocation(self, env):
         arrivals = [(0.0, make_invocation(SPEC_A, 0)),
                     (1.0, make_invocation(SPEC_A, 1))]
-        _mapper, collected = self.run_mapper(env, 0.0, arrivals)
+        collected = self.run_mapper(env, 0.0, arrivals)
         _end, groups = collected[0]
         assert groups[0].size == 1
 

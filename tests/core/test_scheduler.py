@@ -38,14 +38,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             FaaSBatchConfig(window_ms=-1.0)
 
-    def test_with_window_preserves_flags(self):
-        config = FaaSBatchConfig(inline_parallel=False,
-                                 multiplex_resources=False)
-        other = config.with_window(500.0)
-        assert other.window_ms == 500.0
-        assert not other.inline_parallel
-        assert not other.multiplex_resources
-
 
 class TestProducer:
     def test_concurrency_limit_inline(self):
@@ -99,12 +91,3 @@ class TestEndToEnd:
             trace, [fib_function_spec()])
         assert parallel.total_queuing_ms() == pytest.approx(0.0)
         assert serial.total_queuing_ms() > 1_000.0
-
-    def test_describe_mentions_ablation_flags(self):
-        scheduler = FaaSBatchScheduler(
-            FaaSBatchConfig(inline_parallel=False,
-                            multiplex_resources=False))
-        description = scheduler.describe()
-        assert "serial" in description
-        assert "no-multiplex" in description
-        assert "200" in description

@@ -40,7 +40,6 @@ class TestFunctionBatcher:
         assert name == "echo"
         assert [r.payload for r in batch] == [0, 1, 2, 3]
         assert batcher.depth == 0
-        assert batcher.windows_flushed == 1
 
     def test_requests_after_flush_open_new_window(self):
         async def scenario():
@@ -80,11 +79,9 @@ class TestFunctionBatcher:
             batcher.enqueue(make_request(loop, 0))
             batcher.evict_oldest()
             await asyncio.sleep(0.05)
-            return dispatched, batcher
+            return dispatched
 
-        dispatched, batcher = asyncio.run(scenario())
-        assert dispatched == []
-        assert batcher.windows_flushed == 0
+        assert asyncio.run(scenario()) == []
 
     def test_close_flushes_pending_immediately(self):
         async def scenario():
@@ -98,43 +95,3 @@ class TestFunctionBatcher:
         dispatched = asyncio.run(scenario())
         assert [len(batch) for _, batch in dispatched] == [1]
 
-
-class TestBatcherWindowPolicy:
-    def test_policy_sizes_the_window_per_function(self):
-        from repro.core.windowing import AdaptiveWindow, FixedWindow
-
-        async def scenario():
-            loop = asyncio.get_event_loop()
-            dispatched = []
-            policy = AdaptiveWindow(min_ms=1.0, max_ms=50.0)
-            batcher = FunctionBatcher(
-                function="echo", window_seconds=0.05, policy=policy,
-                dispatch=lambda name, batch: dispatched.append(batch),
-                loop=loop)
-            # Unseen key: the policy starts at its max window.
-            assert batcher.current_window_seconds() == 0.05
-            for index in range(6):
-                batcher.enqueue(make_request(loop, index))
-            # The burst taught the policy a near-zero inter-arrival gap,
-            # so the next window would be the floor, not the max.
-            assert batcher.current_window_seconds() < 0.05
-            fixed = FunctionBatcher(
-                function="echo", window_seconds=0.05,
-                policy=FixedWindow(20.0),
-                dispatch=lambda name, batch: None, loop=loop)
-            assert fixed.current_window_seconds() == 0.02
-            await asyncio.sleep(0.1)
-            return dispatched
-
-        dispatched = asyncio.run(scenario())
-        assert [r.payload for batch in dispatched for r in batch] \
-            == [0, 1, 2, 3, 4, 5]
-
-    def test_no_policy_keeps_static_window(self):
-        async def scenario():
-            loop = asyncio.get_event_loop()
-            batcher = make_batcher(loop, [], window_seconds=0.03)
-            assert batcher.current_window_seconds() == 0.03
-            return True
-
-        assert asyncio.run(scenario())

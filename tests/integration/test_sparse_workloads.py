@@ -34,7 +34,7 @@ class TestSparseNeutrality:
     def test_groups_degenerate_to_singletons(self):
         scheduler = FaaSBatchScheduler()
         result = run_experiment(scheduler, sparse_trace(), [rare_spec()])
-        assert scheduler.mapper.groups_formed == 20
+        assert result.metrics_snapshot()["faasbatch.groups"]["value"] == 20
         assert scheduler.producer.invocations_executed == 20
         # Every group carried exactly one invocation.
         assert scheduler.producer.groups_executed == 20

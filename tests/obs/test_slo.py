@@ -25,8 +25,7 @@ from repro.obs.slo import (
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-COMMITTED = ("BENCH_sim.json", "BENCH_gateway.json", "BENCH_cluster.json",
-             "BENCH_windows.json")
+COMMITTED = ("BENCH_sim.json", "BENCH_gateway.json", "BENCH_cluster.json")
 #: Keys only retired features ever wrote (and anything the deleted
 #: ``--profile`` mode embedded); a re-recorded artifact has none.
 RETIRED_KEYS = {"engine", "engines", "speedup", "baseline", "queue"}

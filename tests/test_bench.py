@@ -10,7 +10,6 @@ import pytest
 from repro.bench import (
     BENCH_SCHEMA,
     OBS_RUN_LABEL,
-    WINDOW_CELL_POLICIES,
     BenchConfig,
     TILE_INVOCATIONS,
     bench_trace,
@@ -20,9 +19,7 @@ from repro.bench import (
     load_report,
     run_bench,
     run_cluster_cell,
-    run_window_cells,
     validate_report,
-    window_report,
     write_report,
 )
 from repro.common.errors import ConfigurationError
@@ -427,55 +424,4 @@ class TestSchedulerSelection:
                                   "obs_wall_clock_s": 1.0,
                                   "wall_clock_ratio": 1.0}
         with pytest.raises(ValueError, match="obs_overhead must be null"):
-            validate_report(report)
-
-
-class TestWindowCells:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return run_window_cells(BenchConfig(invocations=60, functions=2),
-                                isolate=False)
-
-    def test_one_row_per_policy(self, rows):
-        assert [r["cell"] for r in rows] == list(WINDOW_CELL_POLICIES)
-        for row in rows:
-            assert row["scheduler"].startswith("FaaSBatch[")
-            assert row["window_policy"] == row["cell"]
-            assert row["latency_ms"]["count"] == row["invocations"]
-            assert row["containers"] > 0
-            assert 0 <= row["goodput"] <= 1
-
-    def test_window_report_round_trips(self, rows, tmp_path):
-        config = BenchConfig(invocations=60, functions=2)
-        report = window_report(config, rows)
-        validate_report(report)
-        path = tmp_path / "BENCH_windows.json"
-        write_report(report, str(path))
-        assert load_report(str(path)) == report
-
-    def test_adaptive_differs_from_fixed_under_load(self):
-        # Dense enough that the adaptive policy actually shrinks the
-        # window (at sparse load it sits at max_ms and ties with fixed).
-        rows = run_window_cells(BenchConfig(invocations=400, functions=4),
-                                isolate=False)
-        by_cell = {r["cell"]: r for r in rows}
-        assert by_cell["adaptive"]["latency_ms"] \
-            != by_cell["fixed"]["latency_ms"]
-
-    def test_requires_at_least_one_row(self):
-        with pytest.raises(ValueError, match="at least one"):
-            window_report(BenchConfig(invocations=60, functions=2), [])
-
-    def test_validator_rejects_malformed_cells(self, rows):
-        config = BenchConfig(invocations=60, functions=2)
-        report = window_report(config, [dict(rows[0], cell="magic")])
-        with pytest.raises(ValueError, match=r"window_cells\['magic'\]\.cell"):
-            validate_report(report)
-        report = window_report(config, [dict(rows[0],
-                                             window_policy="adaptive")])
-        with pytest.raises(ValueError, match="must match"):
-            validate_report(report)
-        report = window_report(config, [{k: v for k, v in rows[0].items()
-                                         if k != "latency_ms"}])
-        with pytest.raises(ValueError, match="latency_ms"):
             validate_report(report)

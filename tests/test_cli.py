@@ -280,30 +280,11 @@ class TestSchedulerSelection:
         assert "unknown scheduler 'bogus'" in err
         assert "registered policies:" in err
 
-    def test_compare_adaptive_window_policy(self, capsys):
-        assert main(["compare", "--workload", "io", "--total", "60",
-                     "--schedulers", "faasbatch",
-                     "--window-policy", "adaptive"]) == 0
-        out = capsys.readouterr().out
-        assert "FaaSBatch" in out
-
     def test_chaos_with_selection(self, capsys):
         assert main(["chaos", "--workload", "io", "--total", "40",
                      "--schedulers", "vanilla,hiku"]) == 0
         out = capsys.readouterr().out
         assert "Hiku" in out and "Vanilla" in out
-
-    def test_bench_window_cells(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_windows.json"
-        assert main(["bench", "--invocations", "120", "--functions", "2",
-                     "--window-cells", "--inline",
-                     "--out", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "window sizing" in out
-        assert "adaptive" in out
-        report = json.loads(out_path.read_text())
-        assert [row["cell"] for row in report["window_cells"]] \
-            == ["fixed", "adaptive"]
 
     def test_bench_selection_error_exits_2(self, capsys):
         assert main(["bench", "--invocations", "40", "--inline",

@@ -38,7 +38,7 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 #: below it, and the live tier skips the simulator's layers.
 LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("common", ("repro.common",)),
-    ("shared", ("repro.obs", "repro.core.config", "repro.core.windowing")),
+    ("shared", ("repro.obs",)),
     ("sim-kernel", ("repro.sim",)),
     ("sim-model", ("repro.model", "repro.core.multiplexer")),
     ("sim-inputs", ("repro.workload", "repro.faults")),
@@ -87,8 +87,9 @@ class TestClosures:
     def test_gateway_server_loads_no_simulator(self):
         modules = ours(loaded("import repro.gateway.server"))
         assert under(modules, SIMULATOR) == []
+        assert under(modules, ("core",)) == []
         assert not modules & {"repro.obs.trace", "repro.obs.timeseries"}
-        assert len(modules) <= 30, sorted(modules)
+        assert len(modules) <= 16, sorted(modules)
 
     def test_run_experiment_loads_no_live_tier(self):
         modules = loaded("from repro.platformsim import run_experiment")
