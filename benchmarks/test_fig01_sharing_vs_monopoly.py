@@ -30,7 +30,7 @@ def run_mapping(concurrency: int, containers: int) -> float:
     completions = []
 
     def task(group):
-        yield cpu.submit(WORK_MS, group=group, max_share=1.0)
+        yield cpu.submit(WORK_MS, group=group)
         completions.append(env.now)
 
     for index in range(concurrency):

@@ -81,9 +81,7 @@ SERIAL_DISPATCH_PLAN = DispatchPlan()
 def run_dispatch_pipeline(platform: "ServerlessPlatform",
                           invocations: List[Invocation],
                           plan: DispatchPlan,
-                          function: Optional[FunctionSpec] = None,
-                          warm_container: Optional[SimContainer] = None,
-                          decision_work: bool = True):
+                          function: Optional[FunctionSpec] = None):
     """Generator: drive *invocations* through the full dispatch path.
 
     Checks the warm pool the instant the batch is picked up (the
@@ -93,22 +91,14 @@ def run_dispatch_pipeline(platform: "ServerlessPlatform",
     as host CPU work, obtains the container, then executes via
     :func:`execute_on_container`.
 
-    ``warm_container`` lets a caller pass a container it already took from
-    the keep-alive pool; ``decision_work=False`` skips the warm check and
-    the dispatch/launch CPU work for callers that already paid it (or are
-    deliberately bypassing it, like the resilience hedger's direct path).
-
     Returns the number of invocations dispatched and completed through the
     container (0 when the cold start failed or nothing was accepted).
     """
     if function is None:
         function = invocations[0].function
-    container = warm_container
+    container = platform.try_acquire_warm(function)
     cold_start_ms = 0.0
-    if decision_work:
-        if container is None:
-            container = platform.try_acquire_warm(function)
-        yield platform.dispatch_work(len(invocations))
+    yield platform.dispatch_work(len(invocations))
     if container is not None and not container.is_warm:
         # A fault crashed the warm container while the batch was being
         # dispatched: the pool books the rejected release, and the batch
@@ -116,11 +106,10 @@ def run_dispatch_pipeline(platform: "ServerlessPlatform",
         platform.release_container(container)
         container = None
     if container is None:
-        if decision_work:
-            # The launch decision (docker-py API marshalling) is platform
-            # CPU work; the provisioning itself is dockerd + kernel work
-            # contended with everything running on the host.
-            yield platform.launch_work()
+        # The launch decision (docker-py API marshalling) is platform CPU
+        # work; the provisioning itself is dockerd + kernel work contended
+        # with everything running on the host.
+        yield platform.launch_work()
         try:
             if plan.acquire_on_miss:
                 container, cold_start_ms = \

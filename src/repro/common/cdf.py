@@ -81,12 +81,6 @@ class EmpiricalCdf:
             out.append(CdfPoint(x=self.quantile(p), probability=p))
         return out
 
-    def fraction_within(self, lo: float, hi: float) -> float:
-        """Return ``P(lo < X <= hi)``."""
-        if hi < lo:
-            raise ValueError("hi < lo")
-        return self.probability_at(hi) - self.probability_at(lo)
-
     def samples(self) -> Sequence[float]:
         """Sorted samples (read-only view)."""
         return tuple(self._samples)

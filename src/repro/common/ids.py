@@ -28,7 +28,3 @@ class IdFactory:
     def count(self, prefix: str) -> int:
         """Return how many identifiers have been issued for *prefix*."""
         return self._counters[prefix]
-
-    def reset(self) -> None:
-        """Forget all counters (used between independent runs)."""
-        self._counters.clear()

@@ -67,17 +67,6 @@ class SampleStats:
         self._require_samples()
         return max(self._values)
 
-    @property
-    def variance(self) -> float:
-        """Population variance."""
-        self._require_samples()
-        mu = self.mean
-        return sum((v - mu) ** 2 for v in self._values) / len(self._values)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
     def percentile(self, q: float) -> float:
         """Exact percentile with linear interpolation, q in [0, 100]."""
         self._require_samples()

@@ -97,14 +97,6 @@ class OnlineStats:
             raise ValueError("no samples recorded")
         return self.total / self.count
 
-    @property
-    def variance(self) -> float:
-        """Population variance (may wiggle in the last ulp across merges)."""
-        if self.count == 0:
-            raise ValueError("no samples recorded")
-        mu = self.mean
-        return max(0.0, self.sum_squares / self.count - mu * mu)
-
     def merge(self, other: "OnlineStats") -> None:
         self.count += other.count
         self.total += other.total

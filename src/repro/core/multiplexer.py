@@ -49,13 +49,6 @@ class MultiplexerStats:
     def lookups(self) -> int:
         return self.hits + self.in_flight_waits + self.misses
 
-    @property
-    def reuse_ratio(self) -> float:
-        """Fraction of lookups served without a fresh build."""
-        if self.lookups == 0:
-            return 0.0
-        return (self.hits + self.in_flight_waits) / self.lookups
-
 
 @dataclass
 class Lookup:

@@ -72,24 +72,6 @@ class InlineParallelProducer:
         count = yield from run_dispatch_pipeline(
             platform, list(group.invocations), self.dispatch_plan(group),
             function=group.function)
-        self._account(count)
-
-    def execute_group(self, platform: "ServerlessPlatform",
-                      group: FunctionGroup, warm_container=None):
-        """Generator: run one function group to completion (steps 2 + 3).
-
-        ``warm_container`` lets the scheduler pass a container it already
-        took from the keep-alive pool at decision time; otherwise one is
-        obtained here (warm hit or cold start).  The decision CPU work is
-        assumed already paid by the caller.
-        """
-        count = yield from run_dispatch_pipeline(
-            platform, list(group.invocations), self.dispatch_plan(group),
-            function=group.function, warm_container=warm_container,
-            decision_work=False)
-        self._account(count)
-
-    def _account(self, count: int) -> None:
         if count:
             self.groups_executed += 1
             self.invocations_executed += count

@@ -150,11 +150,6 @@ class FaultPlan:
             if not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
 
-    @property
-    def is_empty(self) -> bool:
-        """True when the plan injects nothing (installing it is a no-op)."""
-        return not any(getattr(self, name) for name, _cls in _SECTIONS)
-
     def fault_count(self) -> int:
         return sum(len(getattr(self, name)) for name, _cls in _SECTIONS)
 

@@ -379,9 +379,6 @@ class ResilienceManager:
             self._breakers[function_id] = breaker
         return breaker
 
-    def breaker_state(self, function_id: str) -> BreakerState:
-        return self._breaker(function_id).state
-
     def check_cold_start_allowed(self, function: FunctionSpec) -> None:
         """Raise :class:`ColdStartRefused` while the image is quarantined."""
         breaker = self._breakers.get(function.function_id)

@@ -72,10 +72,6 @@ class AdmissionController:
         self.admitted = 0
         self.shed = {SHED_INFLIGHT: 0, SHED_QUEUE_DEPTH: 0}
 
-    @property
-    def total_shed(self) -> int:
-        return sum(self.shed.values())
-
     def over_inflight(self) -> bool:
         return self.inflight >= self.config.max_inflight
 

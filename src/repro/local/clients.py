@@ -38,10 +38,6 @@ class InMemoryBucketStore:
             except KeyError:
                 raise ReproError(f"no object named {key!r}") from None
 
-    def delete(self, key: str) -> None:
-        with self._lock:
-            self._objects.pop(key, None)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._objects)
@@ -69,13 +65,8 @@ class FakeS3Client:
         self._store = store if store is not None else DEFAULT_STORE
         self.created_at = time.monotonic()
 
-    # -- the CRUD surface of Listing 1 ------------------------------------------
+    # -- the call Listing 1 makes ----------------------------------------------
 
     def put_object(self, Bucket: str, Key: str, Body: bytes) -> None:  # noqa: N803
         self._store.put(f"{Bucket}/{Key}", Body)
 
-    def get_object(self, Bucket: str, Key: str) -> bytes:  # noqa: N803
-        return self._store.get(f"{Bucket}/{Key}")
-
-    def delete_object(self, Bucket: str, Key: str) -> None:  # noqa: N803
-        self._store.delete(f"{Bucket}/{Key}")

@@ -29,7 +29,6 @@ import queue
 import sys
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, List, Optional
 
@@ -38,12 +37,6 @@ from repro.local.multiplexer import ResourceMultiplexer
 
 #: A function handler: ``handler(payload, context) -> result``.
 Handler = Callable[[Any, "InvocationContext"], Any]
-
-#: Two first readers of :attr:`LocalInvocation.future` must get the same
-#: object.  Module-wide because only that first read ever takes it (the
-#: gateway's ``on_resolved`` path never does), and never held while a
-#: future is settled — done-callbacks run there.
-_FUTURE_LOCK = threading.Lock()
 
 
 @dataclass(slots=True)
@@ -85,37 +78,6 @@ class LocalInvocation:
     #: until there is a retry — most invocations never allocate one.
     _failed_attempts: Optional[List[dict]] = field(
         default=None, init=False, repr=False)
-    _future: Optional[Future] = field(default=None, init=False, repr=False)
-
-    @property
-    def future(self) -> Future:
-        """The caller-facing future, built on first use.
-
-        A ``concurrent.futures.Future`` costs 1.3 KB (its ``Condition``)
-        and the platform keeps its newest answered invocations, so only
-        callers that ask for one pay for it.  Reading it after the
-        invocation resolved returns an already-settled future.
-        """
-        future = self._future
-        if future is None:
-            with _FUTURE_LOCK:
-                future = self._future
-                if future is None:
-                    future = self._future = Future()
-            if self.resolved:
-                self._copy_outcome(future)
-        return future
-
-    def _copy_outcome(self, future: Future) -> None:
-        """Copy the outcome into *future*; a late first reader and
-        :meth:`resolve` may both get here, and the first one wins."""
-        try:
-            if self.error is not None:
-                future.set_exception(self.error)
-            else:
-                future.set_result(self.result)
-        except InvalidStateError:
-            pass
 
     @property
     def attempt_history(self) -> List[dict]:
@@ -150,17 +112,6 @@ class LocalInvocation:
                 f"{self.invocation_id} has not completed")
         return self.completed_at - self.started_at
 
-    @property
-    def total_latency_seconds(self) -> float:
-        """First submission to final completion, retries + backoffs included."""
-        if self.completed_at is None:
-            raise ContainerStateError(
-                f"{self.invocation_id} has not completed")
-        origin = (self.first_submitted_at
-                  if self.first_submitted_at is not None
-                  else self.submitted_at)
-        return self.completed_at - origin
-
     def record(self, result: Any, error: Optional[BaseException]) -> None:
         """Record this attempt's outcome; ``completed_at`` marks it settled."""
         self.result = result
@@ -174,14 +125,12 @@ class LocalInvocation:
             callback([self])
 
     def mark_resolved(self) -> Optional[Callable[..., None]]:
-        """Mark the outcome published, settle the future if one was asked
-        for, and hand back the ``on_resolved`` hook for the caller to run:
-        dropped from the invocation, and ``None`` the second time."""
+        """Mark the outcome published and hand back the ``on_resolved`` hook
+        for the caller to run: dropped from the invocation, and ``None`` the
+        second time."""
         if self.resolved:
             return None
-        self.resolved = True  # before reading _future: see ``future``
-        if self._future is not None:
-            self._copy_outcome(self._future)
+        self.resolved = True
         callback, self.on_resolved = self.on_resolved, None
         return callback
 

@@ -67,12 +67,6 @@ class MultiplexerMetrics:
     def lookups(self) -> int:
         return self.hits + self.misses + self.in_flight_waits
 
-    @property
-    def reuse_ratio(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return (self.hits + self.in_flight_waits) / self.lookups
-
 
 @dataclass
 class _Entry:

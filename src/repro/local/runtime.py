@@ -275,10 +275,7 @@ class LocalPlatform:
         submission order, after they have been accounted and published,
         on the platform thread that finished it — read each
         ``invocation.position`` / ``.result`` / ``.error`` there and hop
-        back onto the event loop; no ``Future`` is built for such a
-        member.  Callers that would rather block can
-        read ``invocation.future`` on the returned
-        :class:`LocalInvocation` objects at any time.  The members that
+        back onto the event loop.  The members that
         fail a retryable attempt retry together as one new group, so a
         lone request retries alone and retries from different groups
         never merge.

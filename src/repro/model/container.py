@@ -138,8 +138,7 @@ class SimContainer:
         if self.calibration.cold_start_cpu_work_ms > 0:
             yield self.machine.cpu.submit(
                 self.calibration.cold_start_cpu_work_ms,
-                group=self.machine.cpu.HOST_GROUP,
-                label=f"coldstart:{self.container_id}")
+                group=self.machine.cpu.HOST_GROUP)
         if self.calibration.cold_start_latency_ms > 0:
             yield self.env.timeout(self.calibration.cold_start_latency_ms)
         self.cold_start_ms = self.env.now - began
@@ -366,12 +365,12 @@ class SimContainer:
         if self.calibration.invocation_overhead_work_ms > 0:
             yield self.machine.cpu.submit(
                 self.calibration.invocation_overhead_work_ms,
-                group=self._group_name, label="overhead")
+                group=self._group_name)
         for segment in profile:
             if isinstance(segment, CpuWork):
                 if segment.core_ms > 0:
                     yield self.machine.cpu.submit(
-                        segment.core_ms, group=self._group_name, label="cpu")
+                        segment.core_ms, group=self._group_name)
             elif isinstance(segment, IoWait):
                 if segment.wait_ms > 0:
                     yield self.env.timeout(segment.wait_ms)
@@ -429,9 +428,7 @@ class SimContainer:
             self._sdk_imported = True
             work += self.calibration.sdk_import_work_ms
         try:
-            yield self.machine.cpu.submit(
-                work, group=self._group_name,
-                label=f"client:{segment.factory}")
+            yield self.machine.cpu.submit(work, group=self._group_name)
         finally:
             self._creations_in_flight -= 1
         self.machine.memory.allocate(self._client_memory_owner,

@@ -143,7 +143,6 @@ class SimDockerClient:
         self.obs = obs
         #: Containers not yet stopped or torn down, by id.
         self._containers: Dict[str, SimContainer] = {}
-        self._started = 0
         self._retired = (0, 0, 0)  # totals() of the forgotten containers
         if obs is not None:  # handles created on first publish (see the pool)
             self._m = LazyMetrics(
@@ -154,7 +153,6 @@ class SimDockerClient:
     def _register(self, container: SimContainer) -> None:
         self._containers[container.container_id] = container
         container.on_retired = self._retire
-        self._started += 1
 
     def _retire(self, container: SimContainer) -> None:
         """Fold a stopped or torn-down container's counts, then forget it."""
@@ -171,10 +169,6 @@ class SimDockerClient:
         """Cut each live container's callback into this client (a cycle)."""
         for container in self._containers.values():
             container.on_retired = None
-
-    def started_count(self) -> int:
-        """How many containers were ever created on this daemon."""
-        return self._started
 
     def totals(self) -> Tuple[int, int, int]:
         """``(clients created, multiplexer hits + in-flight waits, misses)``

@@ -76,11 +76,6 @@ class LatencyBreakdown:
         return (self.scheduling_ms + self.cold_start_ms
                 + self.queuing_ms + self.execution_ms)
 
-    @property
-    def execution_plus_queuing_ms(self) -> float:
-        """The paper's "Exec+Queue" series (Kraken's penalty, Figs 11c/12c)."""
-        return self.execution_ms + self.queuing_ms
-
 
 @dataclass(frozen=True, slots=True)
 class AttemptRecord:

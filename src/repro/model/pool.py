@@ -128,9 +128,6 @@ class ContainerPool:
             return len(self._idle.get(function_id, []))
         return sum(len(v) for v in self._idle.values())
 
-    def idle_containers(self) -> List[SimContainer]:
-        return [c for lst in self._idle.values() for c in lst]
-
     def drain(self) -> List[SimContainer]:
         """Stop and remove every idle container (end-of-run cleanup)."""
         drained: List[SimContainer] = []

@@ -56,10 +56,6 @@ class ClientCreation:
     factory: str
     args_hash: int
 
-    def cache_key(self) -> Tuple[str, int]:
-        """The resource-multiplexer mapping key: factory -> Hash(args)."""
-        return (self.factory, self.args_hash)
-
 
 Segment = Union[CpuWork, IoWait, ClientCreation]
 
@@ -75,29 +71,11 @@ class WorkProfile:
                 raise TypeError(f"unknown segment type: {segment!r}")
         self._segments: Tuple[Segment, ...] = tuple(segments)
 
-    @property
-    def segments(self) -> Tuple[Segment, ...]:
-        return self._segments
-
     def __iter__(self):
         return iter(self._segments)
 
     def __len__(self) -> int:
         return len(self._segments)
-
-    @property
-    def total_cpu_work_ms(self) -> float:
-        """Sum of plain CPU work (excludes client creations and IO)."""
-        return sum(s.core_ms for s in self._segments if isinstance(s, CpuWork))
-
-    @property
-    def total_io_wait_ms(self) -> float:
-        return sum(s.wait_ms for s in self._segments if isinstance(s, IoWait))
-
-    @property
-    def client_creations(self) -> Tuple[ClientCreation, ...]:
-        return tuple(s for s in self._segments
-                     if isinstance(s, ClientCreation))
 
     def __repr__(self) -> str:
         return f"WorkProfile({list(self._segments)!r})"

@@ -18,7 +18,6 @@ orders everything by metric name.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union,
 )
@@ -204,15 +203,6 @@ class Histogram:
 Metric = Union[Counter, Gauge, Histogram]
 
 
-@dataclass(frozen=True)
-class MetricRow:
-    """One row of the registry's tabular snapshot."""
-
-    name: str
-    kind: str
-    value: float
-
-
 class MetricsRegistry:
     """Create-or-get registry of named metrics.
 
@@ -305,26 +295,6 @@ class MetricsRegistry:
                 kind = "counter" if isinstance(metric, Counter) else "gauge"
                 out[name] = {"type": kind, "value": metric.value}
         return out
-
-    def rows(self) -> List[MetricRow]:
-        """Scalar table rows (histograms reduce to their count and mean)."""
-        rows: List[MetricRow] = []
-        for name in self.names():
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):
-                rows.append(MetricRow(f"{name}.count", "histogram",
-                                      float(metric.count)))
-                if metric.count:
-                    rows.append(MetricRow(f"{name}.mean", "histogram",
-                                          metric.mean))
-            else:
-                kind = "counter" if isinstance(metric, Counter) else "gauge"
-                rows.append(MetricRow(name, kind, metric.value))
-        return rows
-
-    def merge_rows(self) -> List[List[object]]:
-        """``[name, kind, value]`` rows for :func:`repro.common.tables`."""
-        return [[r.name, r.kind, round(r.value, 4)] for r in self.rows()]
 
 
 class LazyMetrics:

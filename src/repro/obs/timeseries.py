@@ -179,10 +179,6 @@ class TimeSeriesSampler:
             self._series[name] = Series(name, self.interval_ms,
                                         self.max_points)
 
-    def register_gauge(self, name: str, gauge) -> None:
-        """Convenience: sample a :class:`~repro.obs.metrics.Gauge`."""
-        self.register_probe(name, lambda: float(gauge.value))
-
     # -- installation ------------------------------------------------------------
 
     def install(self, env: Environment) -> None:

@@ -22,8 +22,8 @@ monotone and gap-free, the first four stages sum to the invocation's
 end-to-end latency and all five to its response latency, within 1e-6 ms.
 
 The tracer also records **container events** (cold-start begin/end, batch
-start, release, expiry, stale eviction) so a per-container timeline can be
-reconstructed with :meth:`InvocationTracer.container_timeline`.
+start, release, expiry, stale eviction) in ``container_events``, beside the
+spans each container served.
 
 Tracing is purely observational: recording never creates simulation events,
 so a run with tracing enabled is byte-identical to one without.  Recording
@@ -329,10 +329,6 @@ class InvocationTracer:
         self.enabled = True
         return self
 
-    def disable(self) -> "InvocationTracer":
-        self.enabled = False
-        return self
-
     # -- recording (called by platform / container / pool) ----------------------
 
     def invocation_arrived(self, invocation_id: str, function_id: str,
@@ -433,11 +429,6 @@ class InvocationTracer:
         return len(self._closed)
 
     @property
-    def open_count(self) -> int:
-        """Invocations arrived but not yet responded (0 after a clean run)."""
-        return len(self._open)
-
-    @property
     def container_events(self) -> List[ContainerEvent]:
         """Every container event in recording order (read-only)."""
         return _built(self._events, self._event_objects, ContainerEvent)
@@ -455,11 +446,6 @@ class InvocationTracer:
                 _build_timeline(invocation_id, entry)
         return entry  # type: ignore[return-value]
 
-    def timeline(self, invocation_id: str) -> InvocationTimeline:
-        if invocation_id not in self._closed:
-            raise KeyError(f"no completed timeline for {invocation_id!r}")
-        return self._timeline(invocation_id)
-
     def timelines(self) -> List[InvocationTimeline]:
         """All completed timelines, in completion order (deterministic)."""
         return self._timelines_from(0)
@@ -473,27 +459,6 @@ class InvocationTracer:
         return [span for timeline in self.timelines()
                 for span in timeline.spans]
 
-    def container_timeline(self, container_id: str
-                           ) -> List[Tuple[float, str, object]]:
-        """Merged ``(time_ms, kind, payload)`` view of one container's life.
-
-        Interleaves the container's point events with the execution spans it
-        served, ordered by time (events before spans at equal times, then
-        insertion order — deterministic).
-        """
-        entries: List[Tuple[float, int, int, str, object]] = []
-        for index, event in enumerate(self.container_events):
-            if event.container_id == container_id:
-                entries.append((event.time_ms, 0, index, event.kind, event))
-        for index, span in enumerate(self.spans()):
-            if span.container_id == container_id \
-                    and span.stage is Stage.EXECUTING:
-                entries.append((span.start_ms, 1, index,
-                                f"span:{span.stage.value}", span))
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        return [(time_ms, kind, payload)
-                for time_ms, _group, _index, kind, payload in entries]
-
     def validate_all(self,
                      tolerance_ms: float = TIME_TOLERANCE_MS) -> List[str]:
         """Invariant violations across every completed, successful timeline."""
@@ -505,14 +470,6 @@ class InvocationTracer:
         return problems
 
     # -- export ------------------------------------------------------------------
-
-    def to_jsonl(self, path, extra: Optional[Mapping[str, object]] = None
-                 ) -> int:
-        """Write spans + container events as JSON Lines; returns line count."""
-        written = 0
-        with open(path, "w") as handle:
-            written += write_jsonl(handle, self, extra=extra)
-        return written
 
 
 def tracer_records(tracer: InvocationTracer,

@@ -223,8 +223,7 @@ class ServerlessPlatform:
             token = self._gil.request()
             yield token
             try:
-                yield self.machine.cpu.submit(
-                    work, group=self.PLATFORM_GROUP, label=label)
+                yield self.machine.cpu.submit(work, group=self.PLATFORM_GROUP)
             finally:
                 token.release()
 

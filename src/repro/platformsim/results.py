@@ -198,10 +198,6 @@ class ExperimentResult:
         return SampleStats(inv.total_response_latency_ms
                            for inv in self.successful_invocations())
 
-    def total_response_cdf(self) -> EmpiricalCdf:
-        return EmpiricalCdf(inv.total_response_latency_ms
-                            for inv in self.successful_invocations())
-
     # -- latency series (Figs. 11 / 12) ---------------------------------------
     # Each reads the stamp columns with the float arithmetic of
     # :attr:`Invocation.latency` and :attr:`Invocation.end_to_end_ms`.
@@ -267,9 +263,6 @@ class ExperimentResult:
         """Mean sampled system memory (Figs. 13a/14a)."""
         active = self._active_samples()
         return sum(s.memory_mb for s in active) / len(active)
-
-    def peak_memory_mb(self) -> float:
-        return max(s.memory_mb for s in self._active_samples())
 
     def average_cpu_utilization(self) -> float:
         """Mean sampled CPU utilisation in [0, 1] (Figs. 13c/14c)."""

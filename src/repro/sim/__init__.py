@@ -4,7 +4,7 @@ from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "repro.sim.engine": (
-        "CpuEngine", "CpuEngineBase", "CpuGroup", "CpuTask", "waterfill"),
+        "CpuEngine", "CpuEngineBase", "CpuGroup", "CpuTask"),
     "repro.sim.fair_share": ("FairShareCpu",),
     "repro.sim.kernel": (
         "AllOf", "AnyOf", "Environment", "Event", "Process", "Timeout"),
@@ -39,5 +39,4 @@ __all__ = [
     "SfsTask",
     "Store",
     "Timeout",
-    "waterfill",
 ]

@@ -27,47 +27,38 @@ from repro.sim.kernel import Environment, Event
 
 
 class CpuTask:
-    """One unit of computation being serviced by the CPU.
+    """One thread of computation being serviced by the CPU.
 
-    A task carries no remaining-work or rate field: its group's service
-    clock and finish-tag heap do (see :class:`CpuGroup`).
+    A task uses at most one core.  It carries no remaining-work or rate
+    field: its group's service clock and finish-tag heap do (see
+    :class:`CpuGroup`).
     """
 
-    __slots__ = ("work_total", "max_share", "group", "done", "started_at",
-                 "finished_at", "label", "seq")
+    __slots__ = ("group", "done", "started_at", "seq")
 
-    def __init__(self, work: float, max_share: float, group: "CpuGroup",
-                 done: Event, started_at: float, label: str) -> None:
-        self.work_total = work
-        self.max_share = max_share
+    def __init__(self, group: "CpuGroup", done: Event,
+                 started_at: float, seq: int) -> None:
         self.group = group
         self.done = done
         self.started_at = started_at
-        self.finished_at: Optional[float] = None
-        self.label = label
         #: Global submission rank: same-instant completions fire in this
         #: order no matter which group's heap they came off.
-        self.seq = 0
-
-    def __repr__(self) -> str:
-        return f"<CpuTask {self.label} work={self.work_total:.3f}>"
+        self.seq = seq
 
 
 class CpuGroup:
     """A set of tasks sharing a cap (a container, or the uncapped host).
 
-    The fair-share engine runs one **service clock** per group: while every
-    member has the same ``max_share`` (``share``) they all run at one
-    ``rate``, so ``served`` — the work delivered to each member since the
-    group last became runnable — advances for all of them at once and the
-    earliest finisher is the top of ``heap``, a min-heap of
-    ``(finish tag, submission rank, task)``.  A group whose members'
-    shares differ falls back to ``per_task`` (task → ``[remaining, rate]``)
-    until it empties.  Other engines never read these fields.
+    The fair-share engine runs one **service clock** per group: every
+    member is one thread and they all run at one ``rate``, so ``served`` —
+    the work delivered to each member since the group last became runnable
+    — advances for all of them at once and the earliest finisher is the
+    top of ``heap``, a min-heap of ``(finish tag, submission rank, task)``.
+    Other engines never read these fields.
     """
 
-    __slots__ = ("name", "cap", "tasks", "_seq", "share", "size", "demand",
-                 "full_rate", "served", "rate", "heap", "per_task")
+    __slots__ = ("name", "cap", "tasks", "_seq", "size", "demand",
+                 "full_rate", "served", "rate", "heap")
 
     def __init__(self, name: str, cap: Optional[float]) -> None:
         if cap is not None and cap <= 0:
@@ -82,7 +73,6 @@ class CpuGroup:
         #: visited in creation order (the group-level waterfill's float
         #: results are order-sensitive).
         self._seq = 0
-        self.share = 1.0
         #: Task count, aggregate core demand bounded by ``cap``, and the
         #: member rate when all of that is granted; kept current by the
         #: fair-share engine on every membership change.
@@ -92,7 +82,6 @@ class CpuGroup:
         self.served = 0.0
         self.rate = 0.0
         self.heap: List[Tuple[float, int, CpuTask]] = []
-        self.per_task: Optional[Dict[CpuTask, List[float]]] = None
 
     def __repr__(self) -> str:
         return f"<CpuGroup {self.name} cap={self.cap} tasks={len(self.tasks)}>"
@@ -132,12 +121,6 @@ def water_level(capacity: float,
     return bound, 0.0
 
 
-def waterfill(capacity: float, demands: List[float]) -> List[float]:
-    """Per-entity allocation of :func:`water_level`."""
-    bound, level = water_level(capacity, demands)
-    return [d if d <= bound else level for d in demands]
-
-
 @runtime_checkable
 class CpuEngine(Protocol):
     """The interface a worker machine requires of its CPU service.
@@ -162,11 +145,7 @@ class CpuEngine(Protocol):
 
     def abort_group_tasks(self, name: str) -> int: ...
 
-    def submit(self, work: float, group: str = ...,
-               max_share: float = ..., label: str = ...) -> Event: ...
-
-    @property
-    def active_tasks(self) -> int: ...
+    def submit(self, work: float, group: str = ...) -> Event: ...
 
     def busy_core_ms(self) -> float: ...
 
@@ -193,7 +172,6 @@ class CpuEngineBase:
         self._groups: Dict[str, CpuGroup] = {
             self.HOST_GROUP: CpuGroup(self.HOST_GROUP, cap=None)}
         self._group_sequence = 0  # the host group holds rank 0
-        self._task_sequence = 0
         self._busy_core_ms = 0.0
 
     # -- groups ----------------------------------------------------------------
@@ -220,18 +198,16 @@ class CpuEngineBase:
         for group in self._groups.values():
             group.tasks.clear()
             group.heap.clear()
-            group.per_task = None
 
     def remove_group(self, name: str) -> None:
         """Remove an (empty) group when its container is torn down."""
         if name == self.HOST_GROUP:
             raise SimulationError("cannot remove the host group")
-        group = self._groups.pop(name, None)
-        if group is None:
-            raise SimulationError(f"unknown CPU group {name!r}")
+        group = self.group(name)
         if group.tasks:
             raise SimulationError(
                 f"CPU group {name!r} still has {len(group.tasks)} tasks")
+        del self._groups[name]
 
     def group(self, name: str) -> CpuGroup:
         try:

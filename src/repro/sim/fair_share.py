@@ -4,14 +4,14 @@ This is the substrate that makes the paper's latency effects emerge:
 
 * The worker VM has ``cores`` physical cores.
 * Every running computation is a :class:`CpuTask` with an amount of *work*
-  in core-milliseconds and a per-task cap (``max_share``, normally 1.0
-  because one thread can use at most one core).
+  in core-milliseconds.  A task is one thread, so it uses at most one core
+  (the paper expands a batch into threads, §III-C).
 * Tasks belong to a :class:`CpuGroup` (a container, or the host group for
   platform work).  A group can be capped (``cpuset_cpus`` / ``cpu_count`` in
   the paper's prototype).
 * Capacity is divided by **two-level water-filling**: max-min fairness across
-  groups (each group's demand is the sum of its tasks' caps, bounded by the
-  group cap), then max-min fairness across the tasks inside each group.
+  groups (each group's demand is its task count, bounded by the group
+  cap), then an equal split across the tasks inside each group.
 
 This approximates Linux CFS with cgroup cpusets closely enough to reproduce
 the paper's observations: e.g. when Vanilla launches hundreds of containers,
@@ -25,8 +25,8 @@ The model is work-conserving: as long as total demand >= capacity, exactly
 
 Service clocks
 --------------
-Tasks of one group with one ``max_share`` all run at one rate, so the engine
-keeps the processor-sharing state per *group*, not per task (the textbook
+Tasks of one group all run at one rate, so the engine keeps the
+processor-sharing state per *group*, not per task (the textbook
 formulation: a service clock per share class, a finish tag per task):
 
 * ``group.served`` is the work delivered to each member since the group
@@ -51,8 +51,6 @@ where a per-task formulation pays O(running tasks): a reallocation on the
 dense Vanilla minute sees 15.1 runnable groups and 391 tasks on average,
 under FaaSBatch 32.0 groups.  At those sizes the constant factor per group
 is the cost, not the O(groups) bound, so a reallocation walks them twice.
-A group that receives a differing ``max_share`` (no product code does)
-falls back to per-task remaining/rate pairs until it empties.
 
 The kernel-event skeleton
 -------------------------
@@ -79,34 +77,30 @@ from __future__ import annotations
 import bisect
 import math
 from heapq import heappop, heappush
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.units import TIME_EPSILON
-from repro.sim.engine import (CpuEngineBase, CpuGroup, CpuTask, water_level,
-                              waterfill)
+from repro.sim.engine import CpuEngineBase, CpuGroup, CpuTask, water_level
 from repro.sim.kernel import Environment, Event, Timeout
 
 
 _FINE_CLOCK = 2.0 ** 21  # ms; below it four ulps of the clock < TIME_EPSILON
 
 _by_demand = attrgetter("demand")
-_by_label = attrgetter("label")
-_by_seq = attrgetter("seq")  # global submission rank of a task ...
-_by_rank = itemgetter(1)  # ... and of a (tag, rank, task) heap entry
+_by_seq = attrgetter("seq")  # global submission rank of a task
 
 
 def _member_rate(group: CpuGroup, alloc: float) -> float:
-    """A uniform group's member rate: *alloc* split equally, up to the share.
+    """A group's member rate: *alloc* split equally, at most one core.
 
-    For share 1.0 that is waterfill's result bit for bit (an uncapped
-    group's demand is n exactly, and n / n == 1.0); else within an ulp.
+    An uncapped group's demand is n exactly, and n / n == 1.0.
     """
     if alloc <= TIME_EPSILON:
         return 0.0
     split = alloc / group.size
-    return group.share if group.share <= split else split
+    return 1.0 if 1.0 <= split else split
 
 
 class FairShareCpu(CpuEngineBase):
@@ -122,6 +116,7 @@ class FairShareCpu(CpuEngineBase):
             raise ValueError(f"cores must be > 0, got {cores}")
         super().__init__(env, float(cores))
         self._running = 0
+        self._task_sequence = 0
         self._last_update = env.now
         self._wake_timer: Optional[Timeout] = None
         #: Runnable (non-empty) groups in creation order, creation ranks
@@ -191,43 +186,27 @@ class FairShareCpu(CpuEngineBase):
 
     # -- work submission ---------------------------------------------------------
 
-    def submit(self, work: float, group: str = CpuEngineBase.HOST_GROUP,
-               max_share: float = 1.0, label: str = "") -> Event:
-        """Execute *work* core-ms in *group*; the event fires on completion.
-
-        ``max_share`` caps how many cores this task can use at once (1.0 for
-        a single thread).  Zero work completes after a zero-delay event.
+    def submit(self, work: float,
+               group: str = CpuEngineBase.HOST_GROUP) -> Event:
+        """Execute *work* core-ms as one thread in *group*; the event fires
+        on completion.  Zero work completes after a zero-delay event.
         """
         self._validate_work(work)
-        if max_share <= 0:
-            raise ValueError(f"max_share must be > 0, got {max_share}")
         if work == 0.0:
             return self._completed_event()
         self._settle_elapsed()
         self._task_sequence += 1
         owner = self.group(group)
-        task = CpuTask(work=work, max_share=max_share, group=owner,
-                       done=self.env.event(), started_at=self.env.now,
-                       label=label or f"task-{self._task_sequence}")
-        task.seq = self._task_sequence
+        task = CpuTask(owner, self.env.event(), self.env.now,
+                       self._task_sequence)
         if not owner.tasks:
             # (Re)activation restarts the group's service clock.
-            owner.share = max_share
             owner.served = owner.rate = 0.0
             pos = bisect.bisect_left(self._active_seqs, owner._seq)
             self._active_seqs.insert(pos, owner._seq)
             self._active.insert(pos, owner)
-        elif owner.per_task is None and max_share != owner.share:
-            # Mixed shares: one clock no longer fits; go per task.
-            owner.per_task = {
-                entry[2]: [entry[0] - owner.served, owner.rate]
-                for entry in sorted(owner.heap, key=_by_rank)}
-            owner.heap.clear()
         owner.tasks[task] = None
-        if owner.per_task is None:
-            heappush(owner.heap, (work + owner.served, task.seq, task))
-        else:
-            owner.per_task[task] = [work, 0.0]
+        heappush(owner.heap, (work + owner.served, task.seq, task))
         self._running += 1
         self._refresh_demand(owner)
         if self._needs_scan or work <= TIME_EPSILON:
@@ -243,10 +222,6 @@ class FairShareCpu(CpuEngineBase):
 
     # -- accounting ----------------------------------------------------------------
 
-    @property
-    def active_tasks(self) -> int:
-        return self._running
-
     def busy_core_ms(self) -> float:
         """Total core-milliseconds of work completed so far."""
         self._settle_elapsed()
@@ -255,9 +230,8 @@ class FairShareCpu(CpuEngineBase):
     def current_rate(self) -> float:
         """Aggregate core usage right now (cores being consumed)."""
         self._flush_if_pending()
-        return sum((group.rate * len(group.tasks) if group.per_task is None
-                    else sum(rate for _, rate in group.per_task.values())
-                    for group in self._active), 0.0)
+        return sum((group.rate * len(group.tasks) for group in self._active),
+                   0.0)
 
     # -- internals ----------------------------------------------------------------
 
@@ -282,18 +256,6 @@ class FairShareCpu(CpuEngineBase):
         busy = self._busy_core_ms
         finished: List[CpuTask] = []
         for group in self._active:
-            per_task = group.per_task
-            if per_task is not None:
-                for state in per_task.values():
-                    step = state[1] * dt
-                    state[0] -= step
-                    busy += step
-                if scan:
-                    finished += [
-                        task for task, (left, rate) in per_task.items()
-                        if left <= eps
-                        or (rate > 0.0 and left / rate <= resolution)]
-                continue
             rate = group.rate
             step = rate * dt
             served = group.served + step
@@ -317,33 +279,22 @@ class FairShareCpu(CpuEngineBase):
             if not group.tasks:
                 self._deactivate(group)
             else:
-                if group.per_task is not None:
-                    del group.per_task[task]
                 self._refresh_demand(group)
-            task.finished_at = now
             task.done.succeed(now - task.started_at)
         return bool(finished)
 
     def _refresh_demand(self, group: CpuGroup) -> None:
         """Recompute *group*'s demand after a membership or cap change."""
         self._stale = True
-        if group.per_task is None:
-            # A left-to-right sum of n equal floats; for max_share == 1.0
-            # every partial sum is an exact small integer, so no walk.
-            share = group.share
-            group.size = n = len(group.tasks)
-            total = float(n) if share == 1.0 else sum([share] * n)
-        else:
-            total = sum(task.max_share for task in group.tasks)
+        group.size = n = len(group.tasks)
+        total = float(n)  # one core per thread
         cap = group.cap
         group.demand = total if cap is None or cap >= total else cap
-        if group.per_task is None:
-            group.full_rate = _member_rate(group, group.demand)
+        group.full_rate = _member_rate(group, group.demand)
 
     def _deactivate(self, group: CpuGroup) -> None:
         """Drop the now-empty *group* from the runnable index."""
         self._stale = True
-        group.per_task = None
         pos = bisect.bisect_left(self._active_seqs, group._seq)
         del self._active_seqs[pos]
         del self._active[pos]
@@ -433,20 +384,6 @@ class FairShareCpu(CpuEngineBase):
                 self.cores, list(map(_by_demand, active)))
         horizon = min_rate = math.inf
         for group in active:
-            per_task = group.per_task
-            if per_task is not None:
-                if stale:
-                    alloc = group.demand
-                    tasks = sorted(per_task, key=_by_label)
-                    shares = [task.max_share for task in tasks]
-                    for task, rate in zip(tasks, waterfill(
-                            alloc if alloc <= bound else level, shares)):
-                        per_task[task][1] = rate
-                for left, rate in per_task.values():
-                    if rate > 0.0:
-                        min_rate = min(min_rate, rate)
-                        horizon = min(horizon, left / rate)
-                continue
             if stale:
                 group.rate = rate = (group.full_rate if group.demand <= bound
                                      else _member_rate(group, level))

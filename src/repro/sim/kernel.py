@@ -788,15 +788,6 @@ class Environment:
                     immediate.extend(live)
                     self._cancelled -= dropped
 
-    def peek(self) -> float:
-        """Time of the next scheduled *live* event, or +inf when idle."""
-        if self._urgent:
-            return self._now  # urgent events are never cancellable
-        for event in self._immediate:
-            if not event.cancelled:
-                return self._now
-        return self._future.min_when()
-
     def step(self) -> None:
         """Process exactly one live event (advancing time to it).
 

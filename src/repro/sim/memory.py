@@ -56,10 +56,6 @@ class MemoryAccount:
     def peak_mb(self) -> float:
         return self._peak
 
-    @property
-    def free_mb(self) -> float:
-        return self.capacity_mb - self._used
-
     def allocate(self, owner: str, amount_mb: float) -> None:
         """Charge *amount_mb* to *owner* (amounts accumulate per owner)."""
         if amount_mb < 0:
@@ -94,10 +90,6 @@ class MemoryAccount:
 
     def held_by(self, owner: str) -> float:
         return self._allocations.get(owner, 0.0)
-
-    def owners(self) -> Dict[str, float]:
-        """Snapshot of current allocations by owner."""
-        return dict(self._allocations)
 
     def _notify(self) -> None:
         for hook in self._usage_hooks:

@@ -62,10 +62,6 @@ class Resource:
         self._waiting: Optional[Deque[Request]] = None
 
     @property
-    def in_use(self) -> int:
-        return len(self._granted)
-
-    @property
     def queued(self) -> int:
         return len(self._waiting) if self._waiting is not None else 0
 
@@ -124,10 +120,6 @@ class Store(Generic[T]):
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)
-
     def put(self, item: T) -> None:
         """Add *item*; wakes the oldest waiting getter if any."""
         if self._getters:
@@ -155,12 +147,6 @@ class Store(Generic[T]):
             self._getters.remove(event)
         except ValueError:
             pass
-
-    def get_nowait(self) -> Optional[T]:
-        """Pop the next item immediately, or return None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
 
     def drain(self) -> List[T]:
         """Remove and return all queued items (does not wake getters)."""

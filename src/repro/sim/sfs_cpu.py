@@ -47,23 +47,17 @@ from repro.sim.primitives import Store
 class SfsTask:
     """A task moving through the SFS foreground/background queues."""
 
-    __slots__ = ("work_total", "remaining", "served", "done", "label",
-                 "started_at", "arrived_at", "group_name", "aborted")
+    __slots__ = ("remaining", "served", "done", "arrived_at", "group_name",
+                 "aborted")
 
-    def __init__(self, work: float, done: Event, label: str,
-                 arrived_at: float, group_name: str) -> None:
-        self.work_total = work
+    def __init__(self, work: float, done: Event, arrived_at: float,
+                 group_name: str) -> None:
         self.remaining = work
         self.served = 0.0
         self.done = done
-        self.label = label
-        self.started_at: Optional[float] = None
         self.arrived_at = arrived_at
         self.group_name = group_name
         self.aborted = False
-
-    def __repr__(self) -> str:
-        return f"<SfsTask {self.label} remaining={self.remaining:.3f}>"
 
 
 class SfsCpu(CpuEngineBase):
@@ -152,8 +146,8 @@ class SfsCpu(CpuEngineBase):
                 dropped += 1
         return dropped
 
-    def submit(self, work: float, group: str = CpuEngineBase.HOST_GROUP,
-               max_share: float = 1.0, label: str = "") -> Event:
+    def submit(self, work: float,
+               group: str = CpuEngineBase.HOST_GROUP) -> Event:
         """Enqueue *work* core-ms; the returned event fires on completion."""
         self._validate_work(work)
         if group not in self._groups:
@@ -161,19 +155,11 @@ class SfsCpu(CpuEngineBase):
         if work == 0.0:
             return self._completed_event()
         self._observe_arrival()
-        self._task_sequence += 1
         task = SfsTask(work=work, done=self.env.event(),
-                       label=label or f"sfs-task-{self._task_sequence}",
                        arrived_at=self.env.now, group_name=group)
         self._foreground.append(task)
         self._signal.put(1)
         return task.done
-
-    @property
-    def active_tasks(self) -> int:
-        running = sum(1 for core in self._core_machines
-                      if core.task is not None)
-        return len(self._foreground) + len(self._background) + running
 
     def runnable_group_count(self) -> int:
         """Distinct groups with a queued or running task."""
@@ -189,11 +175,6 @@ class SfsCpu(CpuEngineBase):
         """Cores currently executing a task."""
         return float(sum(1 for core in self._core_machines
                          if core.task is not None))
-
-    @property
-    def current_slice_ms(self) -> float:
-        """The adaptive foreground time slice currently in force."""
-        return self._slice
 
     # -- internals -----------------------------------------------------------
 
@@ -322,8 +303,6 @@ class _SfsCore:
         task = self.task
         quantum = self.quantum
         now = env._now
-        if task.started_at is None:
-            task.started_at = now
         fire = now + quantum
         slices = None
         if (cpu._coalesce

@@ -25,7 +25,7 @@ import json
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.common.errors import WorkloadError
 
@@ -77,15 +77,6 @@ class Trace:
         """Absolute timestamp of the last arrival (replay runs until here)."""
         return self._records[-1].arrival_ms
 
-    @property
-    def function_ids(self) -> List[str]:
-        """Distinct function ids, in first-appearance order."""
-        seen: List[str] = []
-        for record in self._records:
-            if record.function_id not in seen:
-                seen.append(record.function_id)
-        return seen
-
     def head(self, count: int) -> "Trace":
         """The first *count* records (the paper's "first 400 invocations")."""
         if count <= 0:
@@ -105,24 +96,6 @@ class Trace:
             for record in self._records:
                 writer.writerow([record.arrival_ms, record.function_id,
                                  json.dumps(record.payload)])
-
-    @classmethod
-    def from_csv(cls, path: Path | str) -> "Trace":
-        """Read a trace previously written by :meth:`to_csv`."""
-        records: List[TraceRecord] = []
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["arrival_ms", "function_id", "payload_json"]:
-                raise WorkloadError(f"unrecognised trace header: {header}")
-            for row in reader:
-                if len(row) != 3:
-                    raise WorkloadError(f"malformed trace row: {row}")
-                records.append(TraceRecord(
-                    arrival_ms=float(row[0]),
-                    function_id=row[1],
-                    payload=json.loads(row[2])))
-        return cls(records)
 
 
 class TraceStream:

@@ -35,12 +35,6 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError):
             cdf.quantile(1.5)
 
-    def test_fraction_within(self):
-        cdf = EmpiricalCdf([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert cdf.fraction_within(1.0, 3.0) == pytest.approx(0.4)
-        with pytest.raises(ValueError):
-            cdf.fraction_within(3.0, 1.0)
-
     def test_series_covers_unit_interval(self):
         cdf = EmpiricalCdf(range(100))
         series = cdf.series(points=10)

@@ -47,12 +47,6 @@ class TestIdFactory:
         assert ids.next("container") == "container-0"
         assert ids.count("inv") == 2
 
-    def test_reset(self):
-        ids = IdFactory()
-        ids.next("x")
-        ids.reset()
-        assert ids.next("x") == "x-0"
-
     def test_two_factories_are_independent(self):
         a, b = IdFactory(), IdFactory()
         a.next("p")

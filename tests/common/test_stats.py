@@ -26,11 +26,6 @@ class TestSampleStats:
         assert stats.total == 10.0
         assert stats.median == pytest.approx(2.5)
 
-    def test_variance_and_stddev(self):
-        stats = SampleStats([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert stats.variance == pytest.approx(4.0)
-        assert stats.stddev == pytest.approx(2.0)
-
     def test_percentile_interpolates(self):
         stats = SampleStats([0.0, 10.0])
         assert stats.percentile(50.0) == pytest.approx(5.0)

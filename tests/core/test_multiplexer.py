@@ -107,7 +107,3 @@ class TestStats:
         assert stats.in_flight_waits == 1
         assert stats.hits == 1
         assert stats.lookups == 3
-        assert stats.reuse_ratio == pytest.approx(2.0 / 3.0)
-
-    def test_reuse_ratio_empty(self, multiplexer):
-        assert multiplexer.stats.reuse_ratio == 0.0

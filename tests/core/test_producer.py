@@ -36,10 +36,8 @@ def platform(env):
 
 
 class TestExecuteGroup:
-    def run_group(self, env, platform, producer, group, warm=None):
-        process = env.process(
-            producer.execute_group(platform, group, warm_container=warm))
-        env.run_process(process)
+    def run_group(self, env, platform, producer, group):
+        env.run_process(env.process(producer.run_group(platform, group)))
 
     def test_cold_path_counts_and_completes(self, env, platform):
         spec = make_spec()
@@ -62,10 +60,8 @@ class TestExecuteGroup:
         # First group cold-starts; second reuses the released container.
         first = make_group(spec, 2)
         self.run_group(env, platform, producer, first)
-        warm = platform.try_acquire_warm(spec)
-        assert warm is not None
         second = make_group(spec, 3, arrival_ms=env.now)
-        self.run_group(env, platform, producer, second, warm=warm)
+        self.run_group(env, platform, producer, second)
         for invocation in second.invocations:
             assert invocation.latency.cold_start_ms == 0.0
         assert platform.provisioned_containers() == 1

@@ -26,6 +26,7 @@ from repro.platformsim import run_experiment
 from repro.platformsim.platform import ServerlessPlatform
 from repro.workload.generator import io_function_spec, io_workload_trace
 from repro.workload.trace import Trace, TraceRecord
+from tests.traces import peak_memory_mb
 
 
 def cpu_spec(work_ms=50.0):
@@ -249,7 +250,7 @@ class TestDispatchError:
 class TestOomKill:
     def test_oom_kills_fattest_container_and_recovers(self):
         baseline = run(spec=io_spec(), n=6)
-        peak = baseline.peak_memory_mb()
+        peak = peak_memory_mb(baseline)
         plan = FaultPlan(oom_kills=(
             OomKillFault(threshold_mb=peak * 0.7, max_kills=1),))
         result = run(plan=plan, spec=io_spec(), n=6,
@@ -284,7 +285,7 @@ class TestOomKill:
     def test_max_kills_bounds_the_damage(self):
         baseline = run(spec=io_spec(), n=6)
         plan = FaultPlan(oom_kills=(
-            OomKillFault(threshold_mb=baseline.peak_memory_mb() * 0.5,
+            OomKillFault(threshold_mb=peak_memory_mb(baseline) * 0.5,
                          max_kills=1),))
         result = run(plan=plan, spec=io_spec(), n=6,
                      policy=ResiliencePolicy(max_attempts=5))

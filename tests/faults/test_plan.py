@@ -52,7 +52,6 @@ class TestValidation:
 class TestPlan:
     def test_empty_plan(self):
         plan = FaultPlan()
-        assert plan.is_empty
         assert plan.fault_count() == 0
 
     def test_fault_count(self):
@@ -60,7 +59,6 @@ class TestPlan:
             crashes=(ContainerCrashFault(ordinal=1, after_start_ms=5.0),),
             dispatch_errors=(DispatchErrorFault(ordinal=2),
                              DispatchErrorFault(ordinal=4)))
-        assert not plan.is_empty
         assert plan.fault_count() == 3
 
     def test_lists_coerced_to_tuples(self):

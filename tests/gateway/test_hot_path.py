@@ -119,8 +119,7 @@ class TestRetainedPerRequest:
 
         completed = run_echo_stack(scenario)
         assert len(completed) == 50
-        assert all(inv.on_resolved is None and inv._future is None
-                   for inv in completed)
+        assert all(inv.on_resolved is None for inv in completed)
         # The caller has its answer, so neither side of it is kept.
         assert all(inv.payload is None and inv.result is None
                    for inv in completed)

@@ -24,6 +24,7 @@ from repro.model.function import FunctionKind, FunctionSpec
 from repro.model.workprofile import cpu_profile
 from repro.platformsim import run_experiment
 from repro.workload.trace import Trace, TraceRecord
+from tests.traces import cpu_work_ms
 
 SETTINGS = settings(max_examples=12, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -157,7 +158,7 @@ class TestCrossSchedulerConservation:
                    run_experiment(FaaSBatchScheduler(), trace, specs)]
         # Sum of declared profile work is a floor for measured busy time.
         floor_core_ms = sum(
-            spec.build_profile(None).total_cpu_work_ms
+            cpu_work_ms(spec.build_profile(None))
             * sum(1 for r in trace if r.function_id == spec.function_id)
             for spec in specs)
         for result in results:

@@ -96,14 +96,6 @@ class StoreMachine(RuleBasedStateMachine):
         self.counter += 1
 
     @rule()
-    def get_nowait(self):
-        value = self.store.get_nowait()
-        if self.model:
-            assert value == self.model.pop(0)
-        else:
-            assert value is None
-
-    @rule()
     def get_via_event(self):
         event = self.store.get()
         if self.model:

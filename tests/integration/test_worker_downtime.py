@@ -23,6 +23,7 @@ from repro.core import FaaSBatchScheduler
 from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.platformsim import run_experiment
 from repro.workload import io_function_spec, io_workload_trace
+from tests.traces import peak_memory_mb
 
 #: A worker small enough that Vanilla's container accumulation overruns it
 #: under the full burst, the way the paper's 64 GB worker did at 800.
@@ -44,7 +45,7 @@ class TestWorkerDowntime:
                                 calibration=SMALL_WORKER)
         assert len(result.invocations) == FULL_BURST
         assert result.failure_count == 0
-        assert result.peak_memory_mb() < 8.0 * 1024.0
+        assert peak_memory_mb(result) < 8.0 * 1024.0
 
     def test_nonstrict_accounting_records_the_overcommit(self):
         """With strict accounting off (the default machine is strict), the
@@ -55,4 +56,4 @@ class TestWorkerDowntime:
                                 [io_function_spec()],
                                 calibration=SMALL_WORKER,
                                 strict_memory=False)
-        assert result.peak_memory_mb() > 8.0 * 1024.0
+        assert peak_memory_mb(result) > 8.0 * 1024.0

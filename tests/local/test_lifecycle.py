@@ -89,15 +89,15 @@ class TestLifecycle:
         platform = LocalPlatform(LocalPlatformConfig(cold_start_seconds=0.0))
         platform.register("gated", lambda name, context: gates[name].wait(5))
         try:
-            (first,) = platform.submit_group("gated", ["a"])
-            (second,) = platform.submit_group("gated", ["b"])
+            first = call(platform, "gated", "a")
+            second = call(platform, "gated", "b")
             gates["a"].set()
-            assert first.future.result(timeout=5) is True
+            assert first.result(timeout=5) is True
             with pytest.raises(TimeoutError):
                 platform.drain(timeout=0.05)
             gates["b"].set()
             platform.drain(timeout=5)
-            assert second.future.result(timeout=0) is True
+            assert second.result(timeout=0) is True
             (third,) = platform.submit_group("gated", ["c"])
             with pytest.raises(TimeoutError):
                 platform.drain(timeout=0.05)

@@ -6,7 +6,7 @@ import threading
 
 from repro.local.runtime import LocalPlatform, LocalPlatformConfig
 from repro.obs import Observability
-from tests.local.helpers import call, call_group
+from tests.local.helpers import call, call_group, submit
 
 
 def run_burst(obs: Observability, total: int = 12, **config_kwargs):
@@ -78,10 +78,10 @@ class TestLocalMetrics:
             seen["counted"] = counter["value"]
 
         try:
-            (invocation,) = platform.submit_group("gate", [7])
-            invocation.future.add_done_callback(at_resolution)
+            (invocation,), (future,) = submit(platform, "gate", [7])
+            future.add_done_callback(at_resolution)
             release.set()
-            assert invocation.future.result(timeout=10) == 7
+            assert future.result(timeout=10) == 7
         finally:
             platform.shutdown()
         assert seen == {"completed": True, "counted": 1}
@@ -93,7 +93,6 @@ class TestLocalTracing:
         run_burst(obs, total=8)
         timelines = obs.tracer.timelines()
         assert len(timelines) == 8
-        assert obs.tracer.open_count == 0
 
     def test_timelines_pass_invariant_validation(self):
         obs = Observability(tracing=True)

@@ -153,12 +153,15 @@ class TestManagement:
             == (1, 3)
 
     def test_metrics_reuse_ratio(self):
+        # LocalPlatform.multiplexer_reuse_ratio divides these two counts.
         multiplexer = ResourceMultiplexer()
-        assert multiplexer.metrics.reuse_ratio == 0.0
+        assert multiplexer.metrics.lookups == 0
         multiplexer.get_or_create(slow_factory, "x")
         multiplexer.get_or_create(slow_factory, "x")
         multiplexer.get_or_create(slow_factory, "x")
-        assert multiplexer.metrics.reuse_ratio == pytest.approx(2.0 / 3.0)
+        metrics = multiplexer.metrics
+        assert (metrics.hits + metrics.in_flight_waits, metrics.lookups) \
+            == (2, 3)
 
 
 class TestHashArguments:

@@ -16,6 +16,7 @@ import threading
 
 from repro.gateway import Gateway, GatewayConfig
 from repro.local.runtime import LocalPlatform, LocalPlatformConfig
+from tests.local.helpers import submit
 
 
 class FlakyOnce:
@@ -42,14 +43,12 @@ class TestRetryRebatching:
         platform = LocalPlatform(LocalPlatformConfig(**defaults))
         platform.register("flaky", FlakyOnce())
         try:
-            invocations = platform.submit_group(
-                "flaky", list(range(total // 2)))
-            others = platform.submit_group(
-                "flaky", list(range(total // 2, total)))
-            results = sorted(inv.future.result(timeout=10)
-                             for inv in invocations)
-            results += sorted(inv.future.result(timeout=10)
-                              for inv in others)
+            invocations, futures = submit(
+                platform, "flaky", list(range(total // 2)))
+            _, others = submit(
+                platform, "flaky", list(range(total // 2, total)))
+            results = sorted(future.result(timeout=10) for future in futures)
+            results += sorted(future.result(timeout=10) for future in others)
             return invocations, results
         finally:
             platform.shutdown()
@@ -98,8 +97,8 @@ class TestRetryKeepsTheAdmittedGrouping:
             "odd", lambda payload, context:
             flaky(payload, context) if payload % 2 else payload)
         try:
-            group = platform.submit_group("odd", list(range(10)))
-            assert [inv.future.result(timeout=10) for inv in group] \
+            group, futures = submit(platform, "odd", list(range(10)))
+            assert [future.result(timeout=10) for future in futures] \
                 == list(range(10))
         finally:
             platform.shutdown()

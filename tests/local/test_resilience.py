@@ -10,7 +10,7 @@ import pytest
 from repro.common.errors import ConfigurationError, InvocationTimeout
 from repro.local.container import LocalContainer, LocalInvocation
 from repro.local.runtime import LocalPlatform, LocalPlatformConfig
-from tests.local.helpers import call
+from tests.local.helpers import call, watch
 
 
 def flaky_handler(failures: int):
@@ -116,8 +116,9 @@ class TestAttemptAccounting:
         assert invocation.attempts == 2
         # Total latency spans from first submission, so it includes the
         # backoff; the per-attempt latency does not.
-        assert invocation.total_latency_seconds >= 0.05
-        assert invocation.total_latency_seconds > invocation.latency_seconds
+        total = invocation.completed_at - invocation.first_submitted_at
+        assert total >= 0.05
+        assert total > invocation.latency_seconds
 
 
 class TestStandaloneContainer:
@@ -127,8 +128,9 @@ class TestStandaloneContainer:
         container = LocalContainer("c-0", "echo", lambda p, c: p)
         invocation = LocalInvocation("i0", "echo", 5)
         invocation.submitted_at = time.monotonic()
+        future = watch(invocation)
         container.execute_batch([invocation])
-        assert invocation.future.result(timeout=5) == 5
+        assert future.result(timeout=5) == 5
         container.stop()
 
     def test_invalid_timeout_rejected(self):

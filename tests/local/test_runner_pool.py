@@ -19,7 +19,7 @@ import pytest
 from repro.common.errors import ContainerStateError, InvocationTimeout
 from repro.local.container import LocalContainer, WorkerPool
 from repro.local.runtime import LocalPlatform, LocalPlatformConfig
-from tests.local.helpers import call, call_group
+from tests.local.helpers import call, call_group, submit
 
 
 def wait_until(predicate, timeout: float = 5.0) -> bool:
@@ -253,8 +253,7 @@ class TestRunnerPoolContract:
         platform = vanilla_platform()
         try:
             for n in range(20):  # warm-up: pool and container come up
-                (inv,) = platform.submit_group("echo", [n])
-                assert inv.future.result(timeout=5) == n
+                assert call(platform, "echo", n).result(timeout=5) == n
             warm = len(thread_starts)
             resolved = threading.Event()
             for n in range(2000):
@@ -294,10 +293,9 @@ class TestRunnerPoolContract:
         platform.register(
             "meet", lambda payload, context: barrier.wait(20) >= 0)
         try:
-            invocations = [platform.submit_group("meet", [n])[0]
-                           for n in range(groups)]
-            assert all(inv.future.result(timeout=30) is True
-                       for inv in invocations)
+            futures = [call(platform, "meet", n) for n in range(groups)]
+            assert all(future.result(timeout=30) is True
+                       for future in futures)
             assert platform.runners_started >= groups
         finally:
             platform.shutdown()
@@ -307,22 +305,20 @@ class TestRunnerPoolContract:
         platform = vanilla_platform(request_timeout_seconds=0.05)
         platform.register("stuck", lambda payload, context: release.wait(10))
         try:
-            (stuck,) = platform.submit_group("stuck", [None])
-            error = stuck.future.exception(timeout=5)
+            (stuck,), (stuck_future,) = submit(platform, "stuck", [None])
+            error = stuck_future.exception(timeout=5)
             assert isinstance(error, InvocationTimeout)
             assert "exceeded 0.05s" in str(error) and "attempt 1" in str(error)
             # The handler is still running on its runner; the platform
             # keeps serving on others meanwhile.
             for n in range(20):
-                (inv,) = platform.submit_group("echo", [n])
-                assert inv.future.result(timeout=5) == n
+                assert call(platform, "echo", n).result(timeout=5) == n
             assert not all_parked(platform)
             started = platform.runners_started
             release.set()
             assert wait_until(lambda: all_parked(platform))
             for n in range(20):
-                (inv,) = platform.submit_group("echo", [n])
-                assert inv.future.result(timeout=5) == n
+                assert call(platform, "echo", n).result(timeout=5) == n
             assert platform.runners_started == started
             # The late return changed nothing about the settled outcome.
             assert isinstance(stuck.error, InvocationTimeout)
@@ -343,13 +339,13 @@ class TestRunnerPoolContract:
             for slow_at in (0, 2):  # on a container worker, on the runner
                 payloads = ["a", "b", "c"]
                 payloads[slow_at] = "slow"
-                group = platform.submit_group("mixed", payloads)
-                for position, inv in enumerate(group):
+                futures = call_group(platform, "mixed", payloads)
+                for position, future in enumerate(futures):
                     if position == slow_at:
-                        assert isinstance(inv.future.exception(timeout=5),
+                        assert isinstance(future.exception(timeout=5),
                                           InvocationTimeout)
                     else:
-                        assert inv.future.result(timeout=5) \
+                        assert future.result(timeout=5) \
                             == payloads[position]
             platform.drain(timeout=5)
         finally:
@@ -368,13 +364,13 @@ class TestRunnerPoolContract:
         try:
             payloads = ["a", "b", "c"]
             payloads[slow_at] = "slow"
-            group = platform.submit_group("mixed", payloads)
-            for position, inv in enumerate(group):
+            futures = call_group(platform, "mixed", payloads)
+            for position, future in enumerate(futures):
                 if position == slow_at:
-                    assert isinstance(inv.future.exception(timeout=5),
+                    assert isinstance(future.exception(timeout=5),
                                       InvocationTimeout)
                 else:
-                    assert inv.future.result(timeout=5) == payloads[position]
+                    assert future.result(timeout=5) == payloads[position]
             platform.drain(timeout=5)
             (container,) = platform._containers
             # Only members queued behind the abandoned one needed a lane.
@@ -402,10 +398,10 @@ class TestRunnerPoolContract:
                                     max_attempts=2)
         platform.register("twice", handler)
         try:
-            (inv,) = platform.submit_group("twice", [None])
+            (inv,), (future,) = submit(platform, "twice", [None])
             assert second_started.wait(5)
             first_may_return.set()
-            assert inv.future.result(timeout=5) == "fresh"
+            assert future.result(timeout=5) == "fresh"
             assert [record["error"] for record in inv.attempt_history] \
                 == ["InvocationTimeout", None]
         finally:
@@ -495,13 +491,11 @@ class TestDeadlineWatcher:
         platform.register("stuck", lambda payload, context: release.wait(10))
         platform.register("echo", lambda payload, context: payload)
         try:
-            (stuck,) = platform.submit_group("stuck", [None])
-            quick = [platform.submit_group("echo", [n])[0]
-                     for n in range(50)]
-            assert [inv.future.result(timeout=5) for inv in quick] == \
+            stuck = call(platform, "stuck")
+            quick = [call(platform, "echo", n) for n in range(50)]
+            assert [future.result(timeout=5) for future in quick] == \
                 list(range(50))
-            assert isinstance(stuck.future.exception(timeout=5),
-                              InvocationTimeout)
+            assert isinstance(stuck.exception(timeout=5), InvocationTimeout)
             platform.drain(timeout=5)
             assert wait_until(lambda: not platform._watcher._pending)
         finally:
@@ -517,24 +511,6 @@ class TestFutureSemantics:
             assert call(platform, "echo", 7).result(timeout=5) == 7
             with pytest.raises(ZeroDivisionError):
                 call(platform, "boom").result(timeout=5)
-        finally:
-            platform.shutdown()
-
-    def test_future_read_after_completion_is_already_settled(self):
-        platform = vanilla_platform()
-        platform.register("boom", lambda payload, context: 1 / 0)
-        try:
-            (ok,) = platform.submit_group("echo", [7])
-            (bad,) = platform.submit_group("boom", [None])
-            platform.drain(timeout=5)
-            assert ok.resolved and bad.resolved
-            assert ok.future.done() and ok.future.result(timeout=0) == 7
-            assert isinstance(bad.future.exception(timeout=0),
-                              ZeroDivisionError)
-            assert ok.future is ok.future
-            seen = []
-            ok.future.add_done_callback(seen.append)
-            assert seen == [ok.future]
         finally:
             platform.shutdown()
 
@@ -581,9 +557,9 @@ class TestGroupFailsOutsideAHandler:
         monkeypatch.setattr(LocalContainer, "execute_batch", broken)
         platform = vanilla_platform()
         try:
-            group = platform.submit_group("echo", [1, 2, 3])
-            for inv in group:
-                error = inv.future.exception(timeout=5)
+            group, futures = submit(platform, "echo", [1, 2, 3])
+            for future in futures:
+                error = future.exception(timeout=5)
                 assert isinstance(error, RuntimeError)
                 assert "can't start new thread" in str(error)
             platform.drain(timeout=2)
@@ -646,12 +622,10 @@ class TestGroupFailsOutsideAHandler:
 
         monkeypatch.setattr(threading.Thread, "start", no_threads)
         try:
-            (inv,) = platform.submit_group("echo", [1])
-            assert isinstance(inv.future.exception(timeout=5), RuntimeError)
+            assert isinstance(call(platform, "echo", 1).exception(timeout=5), RuntimeError)
             platform.drain(timeout=2)
             monkeypatch.setattr(threading.Thread, "start", real_start)
-            (inv,) = platform.submit_group("echo", [2])
-            assert inv.future.result(timeout=5) == 2
+            assert call(platform, "echo", 2).result(timeout=5) == 2
         finally:
             monkeypatch.setattr(threading.Thread, "start", real_start)
             platform.shutdown(timeout=2)
@@ -669,12 +643,10 @@ class TestGroupFailsOutsideAHandler:
 
         monkeypatch.setattr(threading.Thread, "start", no_workers)
         try:
-            group = platform.submit_group("echo", [1, 2, 3])
-            assert isinstance(group[0].future.exception(timeout=5),
-                              RuntimeError)
-            assert isinstance(group[1].future.exception(timeout=5),
-                              RuntimeError)
-            assert group[2].future.result(timeout=5) == 3  # the runner's
+            futures = call_group(platform, "echo", [1, 2, 3])
+            assert isinstance(futures[0].exception(timeout=5), RuntimeError)
+            assert isinstance(futures[1].exception(timeout=5), RuntimeError)
+            assert futures[2].result(timeout=5) == 3  # the runner's
             platform.drain(timeout=2)
         finally:
             monkeypatch.setattr(threading.Thread, "start", real_start)
@@ -693,8 +665,7 @@ class TestGroupFailsOutsideAHandler:
 
             monkeypatch.setattr(LocalContainer, "execute_batch", broken)
             for n in range(50):
-                (inv,) = platform.submit_group("echo", [n])
-                assert isinstance(inv.future.exception(timeout=5),
+                assert isinstance(call(platform, "echo", n).exception(timeout=5),
                                   RuntimeError)
             platform.drain(timeout=2)
             assert wait_until(lambda: all_parked(platform))
@@ -725,16 +696,15 @@ class TestDelayedRetries:
         platform.register("fail", fail)
         try:
             before = threads_outside_pools()
-            burst = platform.submit_group("fail", list(range(200)))
+            burst, futures = submit(platform, "fail", list(range(200)))
             most, deadline = before, time.monotonic() + 10.0
-            while not all(inv.future.done() for inv in burst) \
+            while not all(future.done() for future in futures) \
                     and time.monotonic() < deadline:
                 most = max(most, threads_outside_pools())
                 time.sleep(0.01)
             assert most <= before + 1
-            for invocation in burst:
-                assert isinstance(invocation.future.exception(timeout=5),
-                                  RuntimeError)
+            for invocation, future in zip(burst, futures):
+                assert isinstance(future.exception(timeout=5), RuntimeError)
                 assert invocation.attempts == 2
         finally:
             platform.shutdown(timeout=5)
@@ -822,8 +792,7 @@ class TestSharedStateIsLocked:
         platform.register("echo", lambda payload, context: payload)
         try:
             for n in range(5):
-                (inv,) = platform.submit_group("echo", [n])
-                assert inv.future.result(timeout=5) == n
+                assert call(platform, "echo", n).result(timeout=5) == n
             assert wait_until(lambda: platform.containers_expired
                               == platform.containers_created, timeout=3)
             with platform._lock:

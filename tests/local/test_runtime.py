@@ -18,7 +18,7 @@ from repro.gateway import Gateway, GatewayConfig
 from repro.local.clients import FakeS3Client, InMemoryBucketStore
 from repro.local.container import LocalContainer, LocalInvocation
 from repro.local.runtime import LocalPlatform, LocalPlatformConfig
-from tests.local.helpers import call, call_group
+from tests.local.helpers import call, call_group, watch
 
 
 def echo_handler(payload, context):
@@ -34,8 +34,9 @@ class TestLocalContainer:
         container = self.make()
         invocations = [LocalInvocation(f"i{i}", "echo", i)
                        for i in range(5)]
+        futures = [watch(invocation) for invocation in invocations]
         container.execute_batch(invocations)
-        assert [inv.future.result(timeout=1) for inv in invocations] == \
+        assert [future.result(timeout=1) for future in futures] == \
             list(range(5))
         assert container.invocations_served == 5
         assert container.is_idle
@@ -46,9 +47,10 @@ class TestLocalContainer:
 
         container = LocalContainer("c-0", "boom", boom)
         invocation = LocalInvocation("i0", "boom", None)
+        future = watch(invocation)
         container.execute_batch([invocation])
         with pytest.raises(ValueError, match="nope"):
-            invocation.future.result(timeout=1)
+            future.result(timeout=1)
 
     def test_concurrency_limit_serialises(self):
         active = []

@@ -64,4 +64,3 @@ class TestListGetStop:
         client.containers.get(handle.id).stop()
         assert handle.status == "exited"
         assert client.running_count() == 0
-        assert client.started_count() == 1

@@ -12,7 +12,7 @@ from repro.model.function import (
     InvocationState,
     LatencyBreakdown,
 )
-from repro.model.workprofile import cpu_profile
+from repro.model.workprofile import CpuWork, cpu_profile
 
 
 @pytest.fixture
@@ -32,7 +32,6 @@ class TestLatencyBreakdown:
         latency = LatencyBreakdown(scheduling_ms=1.0, cold_start_ms=2.0,
                                    queuing_ms=3.0, execution_ms=4.0)
         assert latency.total_ms == 10.0
-        assert latency.execution_plus_queuing_ms == 7.0
 
 
 class TestStamping:
@@ -87,7 +86,7 @@ class TestStamping:
 class TestFunctionSpec:
     def test_build_profile_delegates_to_factory(self, spec):
         profile = spec.build_profile(payload=None)
-        assert profile.total_cpu_work_ms == 10.0
+        assert list(profile) == [CpuWork(10.0)]
 
     def test_payload_reaches_factory(self):
         received = []

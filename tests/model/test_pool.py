@@ -105,9 +105,8 @@ class TestStaleEviction:
         for container in (stale, fresh):
             pool.register_started(container)
             pool.release(container)
-        fresh_first = pool.idle_containers()  # LIFO pop order: last released
-        assert fresh_first[-1] is fresh
-        fresh.active_invocations = 1  # the LIFO head goes stale
+        # LIFO pop order: fresh, released last, is the head ...
+        fresh.active_invocations = 1  # ... and goes stale
         assert pool.acquire("f") is stale
         assert pool.stale_evictions == 1
         assert pool.warm_hits == 1

@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.model.workprofile import (
-    ClientCreation,
     CpuWork,
     IoWait,
     WorkProfile,
     cpu_profile,
     io_profile,
 )
+from tests.traces import cpu_work_ms
 
 
 class TestSegments:
@@ -22,10 +22,6 @@ class TestSegments:
     def test_negative_io_wait_rejected(self):
         with pytest.raises(ValueError):
             IoWait(-0.5)
-
-    def test_client_creation_cache_key(self):
-        segment = ClientCreation(factory="boto3.client", args_hash=42)
-        assert segment.cache_key() == ("boto3.client", 42)
 
     def test_segments_are_immutable(self):
         segment = CpuWork(5.0)
@@ -42,18 +38,6 @@ class TestWorkProfile:
         with pytest.raises(TypeError):
             WorkProfile(["not a segment"])  # type: ignore[list-item]
 
-    def test_aggregates(self):
-        profile = WorkProfile([
-            CpuWork(10.0),
-            IoWait(5.0),
-            ClientCreation("f", 1),
-            CpuWork(2.0),
-        ])
-        assert profile.total_cpu_work_ms == 12.0
-        assert profile.total_io_wait_ms == 5.0
-        assert len(profile.client_creations) == 1
-        assert len(profile) == 4
-
     def test_iteration_preserves_order(self):
         segments = [CpuWork(1.0), IoWait(2.0)]
         profile = WorkProfile(segments)
@@ -63,12 +47,11 @@ class TestWorkProfile:
 class TestBuilders:
     def test_cpu_profile(self):
         profile = cpu_profile(100.0)
-        assert profile.total_cpu_work_ms == 100.0
-        assert not profile.client_creations
+        assert list(profile) == [CpuWork(100.0)]
 
     def test_cpu_profile_with_overhead(self):
         profile = cpu_profile(100.0, overhead_ms=5.0)
-        assert profile.total_cpu_work_ms == 105.0
+        assert cpu_work_ms(profile) == 105.0
         assert len(profile) == 2
 
     def test_io_profile_shape(self):
@@ -76,7 +59,7 @@ class TestBuilders:
                              blob_wait_ms=15.0)
         kinds = [type(s).__name__ for s in profile]
         assert kinds == ["ClientCreation", "IoWait", "CpuWork"]
-        assert profile.total_io_wait_ms == 15.0
-        creation = profile.client_creations[0]
+        creation, wait, _work = profile
+        assert wait == IoWait(15.0)
         assert creation.factory == "boto3.client"
         assert creation.args_hash == 7

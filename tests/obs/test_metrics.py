@@ -157,10 +157,3 @@ class TestRegistry:
 
         assert json.dumps(build()) == json.dumps(build())
 
-    def test_rows_reduce_histograms(self):
-        registry = MetricsRegistry()
-        registry.histogram("h").observe(10.0)
-        registry.counter("c").inc()
-        names = [row.name for row in registry.rows()]
-        assert names == ["c", "h.count", "h.mean"]
-        assert registry.merge_rows()[0] == ["c", "counter", 1.0]

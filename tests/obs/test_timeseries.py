@@ -163,7 +163,7 @@ class TestSampler:
         sampler = TimeSeriesSampler(interval_ms=1000.0, enabled=True)
         gauge = Gauge("g")
         gauge.set(4.0)
-        sampler.register_gauge("g", gauge)
+        sampler.register_probe("g", lambda: gauge.value)
         sampler.install(env)
         gauge.set(9.0)
         _advance(env, 1000.0, 1000.0)

@@ -34,7 +34,7 @@ class TestTimelineConstruction:
     def test_stage_boundaries_from_stamps(self):
         tracer = InvocationTracer(enabled=True)
         record_one(tracer)
-        timeline = tracer.timeline("inv-0")
+        (timeline,) = tracer.timelines()
         assert [s.stage for s in timeline.spans] == list(STAGE_ORDER)
         bounds = [(s.start_ms, s.end_ms) for s in timeline.spans]
         # QUEUED/COLD_START split retroactively at dispatched - cold.
@@ -44,12 +44,11 @@ class TestTimelineConstruction:
         assert timeline.response_latency_ms == pytest.approx(220.0)
         assert timeline.container_id == "c-0"
         assert timeline.validate() == []
-        assert tracer.open_count == 0
 
     def test_stage_durations_sum_to_latencies(self):
         tracer = InvocationTracer(enabled=True)
         record_one(tracer)
-        timeline = tracer.timeline("inv-0")
+        (timeline,) = tracer.timelines()
         component_sum = sum(timeline.duration_of(stage)
                             for stage in STAGE_ORDER[:-1])
         assert component_sum == pytest.approx(timeline.end_to_end_ms,
@@ -60,7 +59,7 @@ class TestTimelineConstruction:
     def test_warm_hit_has_zero_cold_span(self):
         tracer = InvocationTracer(enabled=True)
         record_one(tracer, cold=0.0)
-        timeline = tracer.timeline("inv-0")
+        (timeline,) = tracer.timelines()
         assert timeline.duration_of(Stage.COLD_START) == pytest.approx(0.0)
         assert timeline.validate() == []
 
@@ -71,7 +70,7 @@ class TestTimelineConstruction:
         tracer.execution_started("inv-0", 10.0, "c-0")
         tracer.execution_failed("inv-0", 20.0, ValueError("boom"))
         tracer.invocation_responded("inv-0", 20.0)
-        timeline = tracer.timeline("inv-0")
+        (timeline,) = tracer.timelines()
         assert timeline.failed
         executing = timeline.spans[3]
         assert executing.attrs == {"error": "ValueError"}
@@ -94,7 +93,6 @@ class TestRecorderGuards:
         record_one(tracer)
         tracer.container_event("c-0", "released", 5.0)
         assert len(tracer) == 0
-        assert tracer.open_count == 0
         assert tracer.container_events == []
 
     def test_duplicate_arrival_rejected(self):
@@ -111,16 +109,12 @@ class TestRecorderGuards:
         tracer.invocation_responded("ghost", 2.0)
         assert len(tracer) == 0
 
-    def test_missing_timeline_raises(self):
-        with pytest.raises(KeyError):
-            InvocationTracer(enabled=True).timeline("nope")
-
 
 class TestValidation:
     def test_gap_detected(self):
         timeline = InvocationTracer(enabled=True)
         record_one(timeline)
-        good = timeline.timeline("inv-0")
+        (good,) = timeline.timelines()
         spans = list(good.spans)
         spans[2] = Span("inv-0", Stage.DISPATCHED, 151.0, 160.0)
         broken = type(good)(invocation_id="inv-0", function_id="f",
@@ -131,25 +125,11 @@ class TestValidation:
     def test_wrong_stage_order_detected(self):
         tracer = InvocationTracer(enabled=True)
         record_one(tracer)
-        good = tracer.timeline("inv-0")
+        (good,) = tracer.timelines()
         reordered = type(good)(invocation_id="inv-0", function_id="f",
                                arrival_ms=0.0,
                                spans=tuple(reversed(good.spans)))
         assert any("canonical order" in p for p in reordered.validate())
-
-
-class TestContainerTimeline:
-    def test_merged_events_and_spans(self):
-        tracer = InvocationTracer(enabled=True)
-        tracer.container_event("c-0", "cold-start-began", 50.0)
-        tracer.container_event("c-0", "cold-start-ended", 150.0)
-        record_one(tracer)
-        tracer.container_event("c-0", "released", 220.0)
-        tracer.container_event("c-1", "cold-start-began", 0.0)
-        merged = tracer.container_timeline("c-0")
-        assert [(t, kind) for t, kind, _payload in merged] == [
-            (50.0, "cold-start-began"), (150.0, "cold-start-ended"),
-            (160.0, "span:executing"), (220.0, "released")]
 
 
 class TestJsonlRoundTrip:
@@ -168,13 +148,6 @@ class TestJsonlRoundTrip:
         assert all(r["scheduler"] == "FaaSBatch" for r in records)
         assert spans[0]["function_id"] == "f"
         assert {r["type"] for r in records} == {"span", "container-event"}
-
-    def test_to_jsonl_writes_file(self, tmp_path):
-        tracer = InvocationTracer(enabled=True)
-        record_one(tracer)
-        path = tmp_path / "out.jsonl"
-        assert tracer.to_jsonl(path) == 5
-        assert len(read_jsonl(path)) == 5
 
 
 class TestJsonlHardening:

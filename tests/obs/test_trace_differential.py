@@ -13,7 +13,7 @@ and reconstruct the same timelines.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,17 +180,6 @@ class EagerTracer:
     def __len__(self) -> int:
         return len(self._timelines)
 
-    @property
-    def open_count(self) -> int:
-        """Invocations arrived but not yet responded (0 after a clean run)."""
-        return len(self._open)
-
-    def timeline(self, invocation_id: str) -> InvocationTimeline:
-        timeline = self._timelines.get(invocation_id)
-        if timeline is None:
-            raise KeyError(f"no completed timeline for {invocation_id!r}")
-        return timeline
-
     def timelines(self) -> List[InvocationTimeline]:
         """All completed timelines, in completion order (deterministic)."""
         return [self._timelines[i] for i in self._order]
@@ -198,27 +187,6 @@ class EagerTracer:
     def spans(self) -> List[Span]:
         return [span for timeline in self.timelines()
                 for span in timeline.spans]
-
-    def container_timeline(self, container_id: str
-                           ) -> List[Tuple[float, str, object]]:
-        """Merged ``(time_ms, kind, payload)`` view of one container's life.
-
-        Interleaves the container's point events with the execution spans it
-        served, ordered by time (events before spans at equal times, then
-        insertion order — deterministic).
-        """
-        entries: List[Tuple[float, int, int, str, object]] = []
-        for index, event in enumerate(self.container_events):
-            if event.container_id == container_id:
-                entries.append((event.time_ms, 0, index, event.kind, event))
-        for index, span in enumerate(self.spans()):
-            if span.container_id == container_id \
-                    and span.stage is Stage.EXECUTING:
-                entries.append((span.start_ms, 1, index,
-                                f"span:{span.stage.value}", span))
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        return [(time_ms, kind, payload)
-                for time_ms, _group, _index, kind, payload in entries]
 
     def validate_all(self,
                      tolerance_ms: float = TIME_TOLERANCE_MS) -> List[str]:
@@ -321,10 +289,7 @@ def _observed(tracer) -> Dict[str, object]:
         "timelines": tracer.timelines(),
         "validate": tracer.validate_all(),
         "validate_loose": tracer.validate_all(TIME_TOLERANCE_MS * 1e6),
-        "open_count": tracer.open_count,
         "len": len(tracer),
-        "container_timelines": [tracer.container_timeline(container)
-                                for container in CONTAINERS],
         "events": list(tracer.container_events),
         "annotations": list(tracer.annotations),
     }
@@ -337,8 +302,6 @@ def test_stamp_tracer_matches_eager_tracer(calls):
     for call in calls:
         assert _apply(eager, call) == _apply(lazy, call)
     assert _observed(lazy) == _observed(eager)
-    for timeline in eager.timelines():
-        assert lazy.timeline(timeline.invocation_id) == timeline
 
 
 def test_timelines_are_built_once_and_cached():
@@ -352,4 +315,3 @@ def test_timelines_are_built_once_and_cached():
         tracer.invocation_responded(invocation_id, 9.0)
     first = tracer.timelines()
     assert all(a is b for a, b in zip(first, tracer.timelines()))
-    assert tracer.timeline("inv-1") is first[1]

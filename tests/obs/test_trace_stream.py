@@ -208,8 +208,9 @@ class TestWallClockTolerance:
         try:
             group = platform.submit_group(
                 "echo", [{"n": i} for i in range(6)])
-            for n, invocation in enumerate(group):
-                assert invocation.future.result(timeout=10.0) == {"n": n}
+            platform.drain(timeout=10.0)
+            assert [invocation.result for invocation in group] \
+                == [{"n": n} for n in range(6)]
         finally:
             platform.shutdown()
         assert len(obs.tracer) == 6

@@ -41,10 +41,11 @@ class TestPlatformIntegration:
         assert self.counter(result, "platform.completed") == 40
         assert self.counter(result, "platform.failed") == 0
         assert len(result.invocations) == 40
+        timelines = {timeline.invocation_id: timeline
+                     for timeline in tracer.timelines()}
         for invocation in result.invocations:
-            timeline = tracer.timeline(invocation.invocation_id)
-            assert not timeline.failed
-        assert len(tracer.timelines()) == 40
+            assert not timelines[invocation.invocation_id].failed
+        assert len(timelines) == 40
 
     def test_cold_starts_bracketed(self):
         result = self.run_traced(VanillaScheduler())

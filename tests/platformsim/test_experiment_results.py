@@ -14,6 +14,7 @@ from repro.workload.generator import (
     io_function_spec,
     io_workload_trace,
 )
+from tests.traces import peak_memory_mb
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,7 @@ class TestResultMetrics:
 
     def test_average_memory_positive(self, small_result):
         assert small_result.average_memory_mb() > 0.0
-        assert small_result.peak_memory_mb() >= \
+        assert peak_memory_mb(small_result) >= \
             small_result.average_memory_mb()
 
     def test_cpu_utilization_in_unit_interval(self, small_result):

@@ -23,7 +23,7 @@ from repro.obs.trace import InvocationTracer
 from repro.platformsim import run_experiment
 from repro.workload.generator import fib_family_specs
 from repro.workload.trace import Trace, TraceRecord
-from tests.traces import multi_function_trace
+from tests.traces import multi_function_trace, peak_memory_mb
 
 RECORDERS = ("invocation_arrived", "invocation_dispatched",
              "execution_started", "execution_completed", "execution_failed",
@@ -73,8 +73,8 @@ SCENARIOS = {
     "vanilla+oom": lambda: dict(
         scheduler=VanillaScheduler(), trace=_burst(6), functions=IO_SPEC,
         fault_plan=FaultPlan(oom_kills=(OomKillFault(
-            threshold_mb=0.7 * run_experiment(
-                VanillaScheduler(), _burst(6), IO_SPEC).peak_memory_mb(),
+            threshold_mb=0.7 * peak_memory_mb(run_experiment(
+                VanillaScheduler(), _burst(6), IO_SPEC)),
             max_kills=1),)),
         resilience=ResiliencePolicy(max_attempts=4)),
 }

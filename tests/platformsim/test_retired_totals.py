@@ -78,4 +78,4 @@ def test_totals_count_retired_containers(name, platforms):
     docker = platform.docker
     assert docker.totals() == (clients, reuses, misses)
     # The folded path ran: some containers were forgotten.
-    assert len(docker.containers.list(all=True)) < docker.started_count()
+    assert len(docker.containers.list(all=True)) < provisioned

@@ -10,29 +10,35 @@ from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
 from repro.common.units import TIME_EPSILON
-from repro.sim.engine import water_level, waterfill
+from repro.sim.engine import water_level
 from repro.sim.fair_share import FairShareCpu
 from repro.sim.kernel import Environment
 
 
 def run_tasks(env, cpu, specs):
-    """Submit (work, group, max_share) specs; return dict label -> finish time."""
+    """Submit (work, group) specs; return dict name -> finish time."""
     finished = {}
 
-    def worker(label, work, group, max_share):
-        yield cpu.submit(work, group=group, max_share=max_share, label=label)
-        finished[label] = env.now
+    def worker(name, work, group):
+        yield cpu.submit(work, group=group)
+        finished[name] = env.now
 
-    for index, (work, group, max_share) in enumerate(specs):
-        env.process(worker(f"t{index}", work, group, max_share))
+    for index, (work, group) in enumerate(specs):
+        env.process(worker(f"t{index}", work, group))
     env.run()
     return finished
+
+
+def waterfill(capacity, demands):
+    """Per-entity allocation of :func:`water_level`."""
+    bound, level = water_level(capacity, demands)
+    return [d if d <= bound else level for d in demands]
 
 
 def progressive_filling(capacity, demands):
     """The progressive-filling loop ``water_level`` replaced, kept verbatim.
 
-    ``waterfill`` must reproduce it bit for bit: the engine's float results
+    ``water_level`` must reproduce it bit for bit: the engine's float results
     (and with them every golden digest) were recorded through it.
     """
     n = len(demands)
@@ -177,25 +183,20 @@ class TestWaterfill:
 class TestFairShareCpu:
     def test_single_task_runs_at_full_core(self, env):
         cpu = FairShareCpu(env, cores=4)
-        finished = run_tasks(env, cpu, [(100.0, "host", 1.0)])
+        finished = run_tasks(env, cpu, [(100.0, "host")])
         assert finished["t0"] == pytest.approx(100.0)
 
     def test_sharing_is_work_conserving(self, env):
         cpu = FairShareCpu(env, cores=2)
-        finished = run_tasks(env, cpu, [(100.0, "host", 1.0)] * 4)
+        finished = run_tasks(env, cpu, [(100.0, "host")] * 4)
         # 400 core-ms on 2 cores, all equal -> all finish at 200.
         assert all(t == pytest.approx(200.0) for t in finished.values())
         assert cpu.busy_core_ms() == pytest.approx(400.0)
 
-    def test_max_share_caps_single_task(self, env):
-        cpu = FairShareCpu(env, cores=8)
-        finished = run_tasks(env, cpu, [(100.0, "host", 0.5)])
-        assert finished["t0"] == pytest.approx(200.0)
-
     def test_group_cap_enforced(self, env):
         cpu = FairShareCpu(env, cores=8)
         cpu.create_group("limited", cap=1.0)
-        finished = run_tasks(env, cpu, [(100.0, "limited", 1.0)] * 2)
+        finished = run_tasks(env, cpu, [(100.0, "limited")] * 2)
         # Two tasks share the group's single core: 200 core-ms / 1 core.
         assert all(t == pytest.approx(200.0) for t in finished.values())
 
@@ -207,8 +208,8 @@ class TestFairShareCpu:
         # each group 1 core, so b's task finishes in 100 ms while a's three
         # tasks share one core.
         finished = run_tasks(env, cpu, [
-            (100.0, "a", 1.0), (100.0, "a", 1.0), (100.0, "a", 1.0),
-            (100.0, "b", 1.0),
+            (100.0, "a"), (100.0, "a"), (100.0, "a"),
+            (100.0, "b"),
         ])
         assert finished["t3"] == pytest.approx(100.0)
         # Group a had 1 core until t=100 (33.3 core-ms done per task), then
@@ -221,7 +222,7 @@ class TestFairShareCpu:
         cores = 8
         cpu = FairShareCpu(env, cores=cores)
         cpu.create_group("shared", cap=None)
-        shared = run_tasks(env, cpu, [(100.0, "shared", 1.0)] * 16)
+        shared = run_tasks(env, cpu, [(100.0, "shared")] * 16)
 
         env2 = Environment()
         cpu2 = FairShareCpu(env2, cores=cores)
@@ -229,9 +230,9 @@ class TestFairShareCpu:
             cpu2.create_group(f"mono-{i}", cap=None)
         finished2 = {}
 
-        def worker(label, group):
-            yield cpu2.submit(100.0, group=group, label=label)
-            finished2[label] = env2.now
+        def worker(name, group):
+            yield cpu2.submit(100.0, group=group)
+            finished2[name] = env2.now
 
         for i in range(16):
             env2.process(worker(f"t{i}", f"mono-{i}"))
@@ -244,12 +245,12 @@ class TestFairShareCpu:
         finished = {}
 
         def first():
-            yield cpu.submit(100.0, label="first")
+            yield cpu.submit(100.0)
             finished["first"] = env.now
 
         def second():
             yield env.timeout(50.0)
-            yield cpu.submit(50.0, label="second")
+            yield cpu.submit(50.0)
             finished["second"] = env.now
 
         env.process(first())
@@ -289,6 +290,21 @@ class TestFairShareCpu:
         with pytest.raises(SimulationError):
             cpu.remove_group("g")
 
+    def test_refused_remove_keeps_the_group_registered(self, env):
+        cpu = FairShareCpu(env, cores=1)
+        cpu.create_group("g", cap=1.0)
+        done = cpu.submit(100.0, group="g")
+        with pytest.raises(SimulationError):
+            cpu.remove_group("g")
+        # Still the one live group under that name, and it still runs.
+        assert cpu.has_group("g")
+        with pytest.raises(SimulationError):
+            cpu.create_group("g", cap=1.0)
+        env.run()
+        assert done.triggered and env.now == 100.0
+        cpu.remove_group("g")
+        assert not cpu.has_group("g")
+
     def test_remove_host_group_rejected(self, env):
         cpu = FairShareCpu(env, cores=1)
         with pytest.raises(SimulationError):
@@ -307,12 +323,12 @@ class TestFairShareCpu:
     def test_total_busy_equals_total_work(self, works, cores):
         env = Environment()
         cpu = FairShareCpu(env, cores=cores)
-        for index, work in enumerate(works):
-            cpu.submit(work, label=f"w{index}")
+        for work in works:
+            cpu.submit(work)
         env.run()
         assert math.isclose(cpu.busy_core_ms(), sum(works),
                             rel_tol=1e-6, abs_tol=1e-3)
-        assert cpu.active_tasks == 0
+        assert cpu.runnable_group_count() == 0
 
     @settings(max_examples=30, deadline=None)
     @given(works=st.lists(st.floats(1.0, 300.0), min_size=2, max_size=10))
@@ -321,8 +337,8 @@ class TestFairShareCpu:
         env = Environment()
         cores = 2
         cpu = FairShareCpu(env, cores=cores)
-        for index, work in enumerate(works):
-            cpu.submit(work, label=f"w{index}")
+        for work in works:
+            cpu.submit(work)
         env.run()
         lower = max(max(works), sum(works) / cores)
         assert env.now >= lower - 1e-6

@@ -2,14 +2,14 @@
 
 :class:`NaiveCpu` below is the fair-share discipline written the obvious
 way — on every submit, cap change, abort and wake-up it settles every task,
-re-waterfills every group and every task, and scans every task for
-completion.  It shares no code with the engine (it carries its own
+re-waterfills every group, splits each group's allocation equally among
+its tasks, and scans every task for completion.  It shares no code with the engine (it carries its own
 progressive-filling loop), never defers, never elides a scan, and leaves
 superseded timers to fire as no-ops.  :class:`FairShareCpu` must complete
 the same tasks in the same order at the same instants (1e-9 relative; the
 two accumulate floats in different orders) for any sequence of operations.
 
-Work, shares and caps are drawn from a coarse grid, so completion instants
+Work and caps are drawn from a coarse grid, so completion instants
 either tie exactly or lie far apart: two completions within 1e-9 ms of each
 other are legitimately order-ambiguous.  The driver's time advances are
 multiples of different square roots, incommensurate with that grid and with
@@ -71,9 +71,9 @@ class NaiveCpu:
         self.tasks = [t for t in self.tasks if t.group != name]
         self._reallocate()
 
-    def submit(self, work, group="host", max_share=1.0, label=""):
-        task = SimpleNamespace(left=work, rate=0.0, share=max_share, label=label,
-                               group=group, done=self.env.event(), since=self.env.now)
+    def submit(self, work, group="host"):
+        task = SimpleNamespace(left=work, rate=0.0, group=group,
+                               done=self.env.event(), since=self.env.now)
         self.tasks.append(task)
         self._reallocate()
         return task.done
@@ -98,16 +98,16 @@ class NaiveCpu:
                     task.rate > 0 and task.left / task.rate <= resolution):
                 self.tasks.remove(task)
                 task.done.succeed(now - task.since)
-        members = {name: sorted((t for t in self.tasks if t.group == name),
-                                key=lambda t: t.label) for name in self.caps}
+        members = {name: [t for t in self.tasks if t.group == name]
+                   for name in self.caps}
         runnable = [name for name in self.caps if members[name]]
-        demands = [min(sum(t.share for t in members[name]), self.caps[name])
+        demands = [min(float(len(members[name])), self.caps[name])
                    for name in runnable]
         for name, alloc in zip(runnable,
                                naive_waterfill(self.cores, demands)):
-            shares = [t.share for t in members[name]]
+            threads = [1.0] * len(members[name])  # a task uses one core
             for task, rate in zip(members[name],
-                                  naive_waterfill(alloc, shares)):
+                                  naive_waterfill(alloc, threads)):
                 task.rate = rate
         self.version = version = self.version + 1
         horizons = [t.left / t.rate for t in self.tasks if t.rate > 0]
@@ -120,10 +120,9 @@ class NaiveCpu:
 
 GROUPS = ("host", "capped", "open", "churn")
 WORKS = st.sampled_from([1e-10, 0.25, 0.5, 1.0, 2.0, 3.0, 7.5, 20.0])
-SHARES = st.sampled_from([1.0, 1.0, 1.0, 0.5, 2.0])
 CAPS = st.sampled_from([None, 0.5, 1.0, 2.0, 3.0])
 OPS = st.one_of(
-    st.tuples(st.just("submit"), st.sampled_from(GROUPS), WORKS, SHARES),
+    st.tuples(st.just("submit"), st.sampled_from(GROUPS), WORKS),
     st.tuples(st.just("burst"), st.sampled_from(GROUPS), WORKS,
               st.integers(2, 6)),
     st.tuples(st.just("advance"), st.sampled_from(
@@ -134,12 +133,13 @@ OPS = st.one_of(
 )
 
 
-def replay(make_cpu, cores, ops, until=None, before_abort=None):
+def replay(make_cpu, cores, ops, until=None, before_abort=None, works=None):
     """Run *ops* against a fresh engine, to quiescence or to *until*.
 
     Returns the engine and its completions as ``(label, instant, work)``.
     ``before_abort(cpu, group)`` runs right before tasks are dropped, so a
-    caller can account for work that is about to vanish.
+    caller can account for work that is about to vanish.  *works*, when
+    given, receives each task's work under its done event.
     """
     env = Environment()
     cpu = make_cpu(env, cores)
@@ -149,12 +149,11 @@ def replay(make_cpu, cores, ops, until=None, before_abort=None):
     completions = []
     counter = iter(range(10 ** 6))
 
-    def submit(group, work, share):
-        # Labels sort differently from submission order on purpose: the
-        # task-level waterfill assigns in label order.
-        index = next(counter)
-        label = f"t{-index % 7}-{index}"
-        done = cpu.submit(work, group=group, max_share=share, label=label)
+    def submit(group, work):
+        label = f"t{next(counter)}"
+        done = cpu.submit(work, group=group)
+        if works is not None:
+            works[done] = work
         done.callbacks.append(
             lambda _event: completions.append((label, env.now, work)))
 
@@ -170,7 +169,7 @@ def replay(make_cpu, cores, ops, until=None, before_abort=None):
                 submit(*op[1:])
             elif kind == "burst":
                 for _ in range(op[3]):
-                    submit(op[1], op[2], 1.0)
+                    submit(op[1], op[2])
             elif kind == "advance":
                 yield env.timeout(op[1])
             elif kind == "cap":
@@ -203,13 +202,10 @@ def test_same_completions_as_the_naive_model(cores, ops):
     assert close(cpu.busy_core_ms(), naive.busy_core_ms())
 
 
-def delivered(cpu, name):
+def delivered(cpu, name, works):
     """Work *name*'s in-flight tasks have received, as of the last settle."""
     group = cpu.group(name)
-    if group.per_task is not None:
-        return sum(task.work_total - left
-                   for task, (left, _rate) in group.per_task.items())
-    return sum(task.work_total - (tag - group.served)
+    return sum(works[task.done] - (tag - group.served)
                for tag, _seq, task in group.heap)
 
 
@@ -223,16 +219,16 @@ def test_work_is_conserved(cores, ops, until):
     (Plus what aborted tasks had received when they were dropped.)  Checked
     mid-run as well as at quiescence.
     """
-    lost = []
+    lost, works = [], {}
 
     def before_abort(cpu, name):
         cpu.busy_core_ms()  # settles, so `delivered` is current
-        lost.append(delivered(cpu, name))
+        lost.append(delivered(cpu, name, works))
 
     cpu, completions = replay(FairShareCpu, cores, ops, until=until,
-                              before_abort=before_abort)
+                              before_abort=before_abort, works=works)
     busy = cpu.busy_core_ms()
-    in_flight = sum(delivered(cpu, name) for name in GROUPS)
+    in_flight = sum(delivered(cpu, name, works) for name in GROUPS)
     completed = sum(work for _, _, work in completions)
     # A task completes with up to TIME_EPSILON of its work undelivered (a
     # sub-epsilon task with all of it), hence the absolute allowance.
@@ -240,7 +236,7 @@ def test_work_is_conserved(cores, ops, until):
                         rel_tol=REL_TOL,
                         abs_tol=TIME_EPSILON * (1 + len(completions)))
     if until is None:
-        assert cpu.active_tasks == 0 and in_flight == 0.0
+        assert cpu.runnable_group_count() == 0 and in_flight == 0.0
 
 
 def test_clock_restarts_when_a_group_becomes_runnable_again():
@@ -260,19 +256,3 @@ def test_clock_restarts_when_a_group_becomes_runnable_again():
     env.run()
     assert env.now == 8.0 + (0.1 + 0.2)
 
-
-def test_mixed_shares_fall_back_to_per_task_state_until_the_group_empties():
-    env = Environment()
-    cpu = FairShareCpu(env, cores=4)
-    group = cpu.group("host")
-    cpu.submit(4.0, label="a")
-    env.run(until=1.0)
-    cpu.submit(4.0, max_share=0.5, label="b")
-    assert group.per_task is not None and not group.heap
-    assert [left for left, _rate in group.per_task.values()] == [3.0, 4.0]
-    assert cpu.current_rate() == 1.5
-    env.run()
-    assert env.now == 9.0  # b: 4 core-ms at half a core, from t=1
-    assert group.per_task is None and not group.tasks
-    cpu.submit(1.0, label="c")
-    assert group.per_task is None and len(group.heap) == 1

@@ -42,7 +42,7 @@ class TestCoalescing:
         cpu = FairShareCpu(env, cores=4)
         calls = _count_recomputes(cpu)
         for i in range(10):
-            cpu.submit(100.0, label=f"t{i}")
+            cpu.submit(100.0)
         # The first submit reallocates eagerly (the initial scan is armed);
         # the other nine mark the group dirty and share a single deferred
         # flush instead of nine full reallocation passes.
@@ -58,17 +58,17 @@ class TestCoalescing:
     def test_flush_on_read_sees_final_rates(self, env):
         cpu = FairShareCpu(env, cores=4)
         for i in range(8):
-            cpu.submit(100.0, label=f"t{i}")
-        # 8 tasks x max_share 1.0 on 4 cores: fully utilized, 0.5 each.
+            cpu.submit(100.0)
+        # 8 one-thread tasks on 4 cores: fully utilized, 0.5 each.
         assert cpu.utilization() == pytest.approx(1.0)
         assert cpu.current_rate() == pytest.approx(4.0)
 
     def test_deferred_flush_completes_work_exactly(self, env):
         cpu = FairShareCpu(env, cores=2)
-        done = [cpu.submit(10.0, label=f"t{i}") for i in range(4)]
+        done = [cpu.submit(10.0) for i in range(4)]
         env.run()
         assert all(event.triggered for event in done)
-        assert cpu.active_tasks == 0
+        assert cpu.runnable_group_count() == 0
         assert cpu.busy_core_ms() == pytest.approx(40.0)
         # 4 x 10 core-ms on 2 cores, equal shares -> everyone ends at t=20.
         assert env.now == pytest.approx(20.0)
@@ -79,7 +79,7 @@ class TestCoalescing:
 
         def driver():
             for i in range(3):
-                cpu.submit(50.0, label=f"t{i}")
+                cpu.submit(50.0)
                 yield env.timeout(5.0)
 
         env.process(driver())
@@ -101,15 +101,19 @@ class TestHeapBounded:
 
         def driver():
             for i in range(total):
-                cpu.submit(1.5, label=f"churn-{i}")
+                cpu.submit(1.5)
                 yield env.timeout(1.0)
 
         env.process(driver())
         max_heap = 0
-        while env.peek() != float("inf"):
+
+        def watch(_old: float, _new: float) -> None:
+            nonlocal max_heap
             max_heap = max(max_heap, len(env._future))
-            env.step()
-        assert cpu.active_tasks == 0
+
+        env.add_time_hook(watch)
+        env.run()
+        assert cpu.runnable_group_count() == 0
         assert cpu.busy_core_ms() == pytest.approx(total * 1.5)
         assert max_heap <= 2 * Environment.COMPACT_THRESHOLD
 

@@ -298,14 +298,6 @@ class TestDeterminism:
         env.run()
         assert env.now == 100.0
 
-    def test_peek_reports_next_event_time(self, env):
-        env.timeout(42.0)
-        assert env.peek() == 42.0
-
-    def test_peek_empty_queue_is_infinite(self, env):
-        env.run()
-        assert env.peek() == float("inf")
-
     def test_step_on_empty_queue_rejected(self, env):
         with pytest.raises(SimulationError):
             env.step()
@@ -341,12 +333,6 @@ class TestTimeoutCancellation:
         timer.cancel()
         timer.cancel()
         assert env._cancelled == 1
-
-    def test_peek_skips_cancelled_head(self, env):
-        first = env.timeout(1.0)
-        env.timeout(3.0)
-        first.cancel()
-        assert env.peek() == 3.0
 
     def test_run_terminates_when_only_cancelled_events_remain(self, env):
         for _ in range(5):
@@ -480,8 +466,9 @@ class TestTimeHooks:
         log = []
         self.install(env, log)
         self.schedule(env, log)
-        while env.peek() != float("inf"):
-            env.step()
+        with pytest.raises(SimulationError):  # step() on a drained queue
+            while True:
+                env.step()
         assert self.check(log) == [(0.0, 5.0), (5.0, 8.0), (8.0, 12.0)]
 
     def test_every_loop_sees_the_same_events_as_a_hookless_run(self):

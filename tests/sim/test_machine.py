@@ -20,7 +20,7 @@ class TestMachine:
         machine.start_sampler(horizon_ms=5_000.0)
 
         def load():
-            yield machine.cpu.submit(3_000.0, max_share=1.0)
+            yield machine.cpu.submit(3_000.0)
 
         env.process(load())
         env.run()

@@ -17,7 +17,6 @@ class TestAllocation:
     def test_allocate_and_free(self, memory):
         memory.allocate("a", 30.0)
         assert memory.used_mb == 30.0
-        assert memory.free_mb == 70.0
         memory.free("a")
         assert memory.used_mb == 0.0
 
@@ -60,11 +59,6 @@ class TestAllocation:
     def test_negative_allocation_rejected(self, memory):
         with pytest.raises(ValueError):
             memory.allocate("a", -1.0)
-
-    def test_owners_snapshot(self, memory):
-        memory.allocate("a", 5.0)
-        memory.allocate("b", 7.0)
-        assert memory.owners() == {"a": 5.0, "b": 7.0}
 
 
 class TestUsageHooks:

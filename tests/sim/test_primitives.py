@@ -21,7 +21,6 @@ class TestResource:
         env.run()
         assert first.triggered and second.triggered
         assert not third.triggered
-        assert resource.in_use == 2
         assert resource.queued == 1
 
     def test_release_wakes_fifo_waiter(self, env):
@@ -97,22 +96,14 @@ class TestStore:
         env.run()
         assert got == [("first", 1), ("second", 2)]
 
-    def test_get_nowait(self, env):
-        store: Store[int] = Store(env)
-        assert store.get_nowait() is None
-        store.put(5)
-        assert store.get_nowait() == 5
-        assert len(store) == 0
-
     def test_cancel_get_withdraws_waiter(self, env):
         store: Store[int] = Store(env)
         event = store.get()
-        assert store.waiting_getters == 1
         store.cancel_get(event)
-        assert store.waiting_getters == 0
         store.put(1)
         # The cancelled getter must not have swallowed the item.
-        assert store.get_nowait() == 1
+        assert not event.triggered
+        assert len(store) == 1
 
     def test_cancel_get_after_delivery_is_noop(self, env):
         store: Store[int] = Store(env)

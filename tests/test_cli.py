@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.workload.trace import Trace
+from tests.traces import read_trace_csv
 
 
 class TestCompare:
@@ -41,8 +41,7 @@ class TestTrace:
         out_path = tmp_path / "trace.csv"
         assert main(["trace", "--workload", "cpu", "--total", "50",
                      "--out", str(out_path)]) == 0
-        trace = Trace.from_csv(out_path)
-        assert len(trace) == 50
+        assert len(read_trace_csv(out_path)) == 50
 
     def test_trace_without_out_errors(self, capsys):
         assert main(["trace", "--workload", "cpu"]) == 2

@@ -1,9 +1,10 @@
-"""Surface census: every public top-level name in ``src/repro`` has a user.
+"""Surface census: every public name in ``src/repro`` has a user.
 
 The census parses every module of the corpus, lists each public top-level
-name (function, class or module constant) of the package with the files
-that use it, and fails on any name nothing uses.  These rules decide what
-counts as a use:
+name (function, class or module constant) of the package and each public
+method and property of a public class (``module:Class.method``) with the
+files that use it, and fails on any name nothing uses.  These rules decide
+what counts as a use:
 
 * The corpus is ``src/``, ``benchmarks/``, ``examples/`` and
   ``macrobench/``.  ``tests/`` is not in it: code that only its own tests
@@ -12,17 +13,23 @@ counts as a use:
   or comment does not count, and neither does an import that nothing
   reads.  A bare ``Name`` counts in the defining module; elsewhere the
   file must import the name (from its module or a package above it) or
-  read it as an attribute.
+  read it as an attribute.  A method is used by an ``Attribute`` read of
+  its name.
 * Liveness is transitive.  A use counts when it comes from outside
   ``src/``, from module-level code of a ``src/`` module (decorators
-  included), or from inside a top-level definition (public or private)
-  that is itself live.  So a chain of names that only each other use is
-  dead from its head to its tail.
+  included), or from inside a definition that is itself live: a top-level
+  definition (public or private), or a public method.  Code in a class
+  body outside its public methods (private methods and dunders included)
+  belongs to the class.  A method is live only while its class is.  So a
+  chain of names that only each other use is dead from its head to its
+  tail.
 * Re-exports in package ``__init__.py`` files and ``__all__`` entries do
   not count: they are imports and strings, not reads.
 
-Attribute reads are matched by name alone, so a method or module attribute
-that shares a public name keeps it alive: the census errs towards keeping.
+Attribute reads are matched by name alone, so any attribute that shares a
+public name keeps it alive: the census errs towards keeping.  What a
+framework calls by name (an asyncio ``Protocol`` callback, ``Thread.run``)
+has no reader in the corpus and is listed in ``ALLOWED``.
 
 Print the whole census with ``python tests/test_surface.py``.
 """
@@ -37,11 +44,13 @@ from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tupl
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ("src", "benchmarks", "examples", "macrobench")
 
-#: ``module:name`` -> why the name stays although the corpus never uses it.
+#: ``module:name`` or ``module:Class.method`` -> why the name stays
+#: although the corpus never uses it (a framework calls it by name).
 ALLOWED: Dict[str, str] = {}
 
-#: The top-level definitions a use sits in; ``None`` for code that runs
-#: whatever else is used (module level, or a file outside ``src/``).
+#: The definitions a use sits in (top-level names, or ``Class.method``);
+#: ``None`` for code that runs whatever else is used (module level, or a
+#: file outside ``src/``).
 Owners = Optional[FrozenSet[str]]
 
 
@@ -82,6 +91,15 @@ def public_names(tree: ast.Module) -> Iterator[str]:
         yield from (name for name in names if not name.startswith("_"))
 
 
+def public_methods(node: ast.stmt) -> Iterator[ast.stmt]:
+    """Public methods and properties of a public top-level class."""
+    if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+        yield from (child for child in node.body
+                    if isinstance(child, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                    and not child.name.startswith("_"))
+
+
 def _reads(node: ast.AST) -> Iterator[Tuple[str, str]]:
     """``("name" | "attr", identifier)`` for every read under *node*."""
     for child in ast.walk(node):
@@ -90,6 +108,18 @@ def _reads(node: ast.AST) -> Iterator[Tuple[str, str]]:
         elif isinstance(child, ast.Attribute) and isinstance(child.ctx,
                                                              ast.Load):
             yield "attr", child.attr
+
+
+def _body_reads(node: ast.AST) -> Iterator[Tuple[ast.AST, str, str]]:
+    """``(child, kind, identifier)`` for every read under *node* outside
+    its decorators, with the direct child of *node* it sits in."""
+    for field, value in ast.iter_fields(node):
+        if field == "decorator_list":
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from ((child, kind, ident)
+                            for kind, ident in _reads(child))
 
 
 def _owned_reads(tree: ast.Module, in_src: bool
@@ -103,18 +133,23 @@ def _owned_reads(tree: ast.Module, in_src: bool
         for decorator in getattr(node, "decorator_list", []):
             yield from ((None, kind, ident)
                         for kind, ident in _reads(decorator))
-        for field, value in ast.iter_fields(node):
-            if field == "decorator_list":
-                continue
-            for child in value if isinstance(value, list) else [value]:
-                if isinstance(child, ast.AST):
-                    yield from ((owners, kind, ident)
-                                for kind, ident in _reads(child))
+        methods = list(public_methods(node))
+        for child, kind, ident in _body_reads(node):
+            if child not in methods:
+                yield owners, kind, ident
+        for method in methods:
+            for decorator in method.decorator_list:
+                yield from ((owners, kind, ident)
+                            for kind, ident in _reads(decorator))
+            key = frozenset([f"{node.name}.{method.name}"])
+            yield from ((key, kind, ident)
+                        for _child, kind, ident in _body_reads(method))
 
 
 def census(corpus: Mapping[str, str]) -> Dict[str, List[str]]:
-    """``module:name`` -> files whose live code uses it, for every public
-    name of the ``src/`` modules of *corpus* (``relative path -> source``).
+    """``module:name`` / ``module:Class.method`` -> files whose live code
+    uses it, for every public name of the ``src/`` modules of *corpus*
+    (``relative path -> source``).
     """
     trees = {path: ast.parse(source) for path, source in corpus.items()}
     modules = {path: _module_name(path) for path in trees
@@ -135,10 +170,13 @@ def census(corpus: Mapping[str, str]) -> Dict[str, List[str]]:
             else:
                 name_reads[(path, ident)].append(owners)
 
-    # Every read of each top-level definition, as (file, owners) sites.
+    # Every read of each definition, as (file, owners) sites; each method
+    # with the class it belongs to.
     sites: Dict[str, List[Tuple[str, Owners]]] = {}
+    methods_of: Dict[str, List[str]] = defaultdict(list)
+    parent: Dict[str, str] = {}
     for path, module in modules.items():
-        for names, _node in _definitions(trees[path]):
+        for names, node in _definitions(trees[path]):
             for name in names:
                 found = list(attr_reads.get(name, ()))
                 found += [(path, owners)
@@ -149,36 +187,56 @@ def census(corpus: Mapping[str, str]) -> Dict[str, List[str]]:
                         found += [(user, owners) for owners
                                   in name_reads.get((user, alias), ())]
                 sites[f"{module}:{name}"] = found
+            for method in public_methods(node):
+                key = f"{module}:{node.name}.{method.name}"
+                sites[key] = list(attr_reads.get(method.name, ()))
+                parent[key] = f"{module}:{node.name}"
+                methods_of[parent[key]].append(key)
 
     def owner_keys(path: str, owners: FrozenSet[str]) -> List[str]:
         return [f"{modules[path]}:{owner}" for owner in owners]
 
-    live: Set[str] = {key for key, found in sites.items()
-                      if any(owners is None for _path, owners in found)}
+    live: Set[str] = set()
+
+    def counts(path: str, owners: Owners) -> bool:
+        return owners is None or any(owner in live for owner
+                                     in owner_keys(path, owners))
+
     users_of: Dict[str, Set[str]] = defaultdict(set)
     for key, found in sites.items():
         for path, owners in found:
             if owners is not None:
                 for owner in owner_keys(path, owners):
                     users_of[owner].add(key)
-    frontier = list(live)
+    frontier = list(sites)
     while frontier:
-        for key in users_of.get(frontier.pop(), ()):
-            if key not in live:
-                live.add(key)
-                frontier.append(key)
+        key = frontier.pop()
+        cls = parent.get(key)
+        if key in live or (cls is not None and cls not in live):
+            continue
+        if any(counts(path, owners) for path, owners in sites[key]):
+            live.add(key)
+            frontier += users_of.get(key, ())
+            frontier += methods_of.get(key, ())
 
-    return {f"{module}:{name}": sorted({
-                path for path, owners in sites[f"{module}:{name}"]
-                if owners is None
-                or any(owner in live for owner in owner_keys(path, owners))})
-            for path, module in modules.items()
-            for name in public_names(trees[path])}
+    table = {f"{module}:{name}": sites[f"{module}:{name}"]
+             for path, module in modules.items()
+             for name in public_names(trees[path])}
+    table.update((key, sites[key]) for key in parent)
+    return {key: sorted({path for path, owners in found
+                         if counts(path, owners)})
+            for key, found in table.items()}
+
+
+def unused_names(table: Mapping[str, List[str]],
+                 allowed: Mapping[str, str] = ALLOWED) -> List[str]:
+    """The names of a census *table* nothing uses, less the *allowed*."""
+    return sorted(key for key, users in table.items()
+                  if not users and key not in allowed)
 
 
 def test_every_public_name_has_a_user_outside_tests():
-    unused = sorted(key for key, users in census(read_corpus()).items()
-                    if not users and key not in ALLOWED)
+    unused = unused_names(census(read_corpus()))
     assert not unused, (
         "public names that no live code in src/, benchmarks/, examples/ "
         "or macrobench/ uses (delete them, make them private, or "
@@ -204,6 +262,38 @@ def test_a_use_from_a_dead_name_does_not_count():
     corpus["examples/run.py"] = "from pkg.b import unused\n\nunused()\n"
     assert census(corpus) == {"pkg.a:helper": ["src/pkg/b.py"],
                               "pkg.b:unused": ["examples/run.py"]}
+
+
+
+def test_a_method_only_tests_read_is_reported(tmp_path):
+    files = {
+        "src/pkg/__init__.py": "",
+        "src/pkg/box.py": (
+            "import asyncio\n\n\n"
+            "class Box(asyncio.Protocol):\n"
+            "    def used(self):\n        return 1\n\n"
+            "    def tested(self):\n        return self.via_tested()\n\n"
+            "    def via_tested(self):\n        return 2\n\n"
+            "    def data_received(self, data):\n        return data\n"),
+        "src/pkg/main.py": ("from pkg.box import Box\n\n\n"
+                            "def main():\n    return Box().used()\n"),
+        "examples/run.py": "from pkg.main import main\n\nmain()\n",
+        "tests/test_box.py": ("from pkg.box import Box\n\n\n"
+                              "def test_box():\n"
+                              "    assert Box().tested() == 2\n"),
+    }
+    for path, source in files.items():
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(source)
+    table = census(read_corpus(tmp_path))
+    assert table["pkg.box:Box.used"] == ["src/pkg/main.py"]
+    assert table["pkg.box:Box.tested"] == []
+    assert table["pkg.box:Box.via_tested"] == []  # read by a dead method
+    callback = "pkg.box:Box.data_received"
+    assert unused_names(table, {}) == [
+        callback, "pkg.box:Box.tested", "pkg.box:Box.via_tested"]
+    assert unused_names(table, {callback: "asyncio calls it"}) == [
+        "pkg.box:Box.tested", "pkg.box:Box.via_tested"]
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from repro.workload.azurefile import (
     read_invocations_csv,
     write_sample_files,
 )
+from tests.traces import cpu_work_ms, function_ids
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +113,7 @@ class TestBuilder:
         expected = sum(builder._invocations[key].daily_total
                        for key in hottest)
         assert len(trace) == expected
-        assert set(trace.function_ids) <= set(hottest)
+        assert set(function_ids(trace)) <= set(hottest)
 
     def test_build_trace_deterministic(self, sample_files):
         a = AzureTraceBuilder.from_files(*sample_files, seed=7)
@@ -140,7 +141,7 @@ class TestBuilder:
             maximum = durations_row.percentiles[-1][1]
             for _ in range(50):
                 profile = spec.build_profile(None)
-                assert minimum - 1e-6 <= profile.total_cpu_work_ms \
+                assert minimum - 1e-6 <= cpu_work_ms(profile) \
                     <= maximum + 1e-6
 
     def test_specs_require_duration_rows(self, builder):
