@@ -41,9 +41,10 @@ from repro.common.errors import (
     SchedulingError,
 )
 from repro.common.stats import Ewma, SampleStats
+from repro.common.window import DispatchWindow, WindowGroup
 from repro.model.function import Invocation
 from repro.obs.metrics import DEFAULT_SIZE_EDGES as SIZE_EDGES
-from repro.platformsim.windows import collect_window
+from repro.platformsim.windows import collect_window, function_id_of
 
 if TYPE_CHECKING:
     from repro.platformsim.platform import ServerlessPlatform
@@ -145,27 +146,22 @@ class KrakenScheduler(Scheduler):
     # -- the window loop ---------------------------------------------------------
 
     def _serve(self, platform: "ServerlessPlatform"):
-        env = platform.env
-        window_ms = float(self.config.window_ms)
+        window = DispatchWindow(self.config.window_ms)
         while True:
             if self.config.mode is KrakenMode.EWMA:
                 self._prewarm(platform)
             # All requests within the interval count as concurrent (§IV).
-            batch, _opened = yield from collect_window(
-                env, platform.request_queue, window_ms,
+            groups = yield from collect_window(
+                platform.env, platform.request_queue, window, function_id_of,
                 on_open=platform.window_opened,
                 on_close=platform.window_closed)
-            self._dispatch_window(platform, batch)
+            self._dispatch_window(platform, groups)
 
     def _dispatch_window(self, platform: "ServerlessPlatform",
-                         batch: List[Invocation]) -> None:
+                         groups: List[WindowGroup]) -> None:
         metrics = platform.obs.metrics
         metrics.counter("kraken.windows").inc()
-        groups: Dict[str, List[Invocation]] = {}
-        for invocation in batch:
-            groups.setdefault(invocation.function.function_id,
-                              []).append(invocation)
-        for function_id, invocations in groups.items():
+        for function_id, invocations, _opened, _closed in groups:
             batch_size = self.config.parameters.batch_size(function_id)
             containers_needed = math.ceil(len(invocations) / batch_size)
             self.window_container_counts.append(containers_needed)

@@ -24,7 +24,3 @@ class IdFactory:
         value = self._counters[prefix]
         self._counters[prefix] = value + 1
         return f"{prefix}-{value}"
-
-    def count(self, prefix: str) -> int:
-        """Return how many identifiers have been issued for *prefix*."""
-        return self._counters[prefix]

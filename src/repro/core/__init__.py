@@ -6,9 +6,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "repro.core.config": (
         "DEFAULT_WINDOW_MS", "SWEEP_WINDOWS_MS", "FaaSBatchConfig"),
     "repro.core.mapper": ("FunctionGroup", "InvokeMapper"),
-    "repro.core.multiplexer": (
-        "Lookup", "LookupOutcome", "MultiplexerStats",
-        "SimResourceMultiplexer"),
+    "repro.core.multiplexer": ("Lookup", "SimResourceMultiplexer"),
     "repro.core.producer": ("InlineParallelProducer",),
     "repro.core.scheduler": ("FaaSBatchScheduler",),
 })
@@ -21,8 +19,6 @@ __all__ = [
     "InlineParallelProducer",
     "InvokeMapper",
     "Lookup",
-    "LookupOutcome",
-    "MultiplexerStats",
     "SWEEP_WINDOWS_MS",
     "SimResourceMultiplexer",
 ]

@@ -10,10 +10,11 @@ destined for a *single* container.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
+from repro.common.window import DispatchWindow
 from repro.model.function import FunctionSpec, Invocation
-from repro.platformsim.windows import collect_window
+from repro.platformsim.windows import collect_window, function_id_of
 from repro.sim.kernel import Environment
 from repro.sim.primitives import Store
 
@@ -63,9 +64,7 @@ class InvokeMapper:
     """
 
     def __init__(self, window_ms: float) -> None:
-        if window_ms < 0:
-            raise ValueError(f"negative window: {window_ms}")
-        self.window_ms = float(window_ms)
+        self.window: DispatchWindow[Invocation] = DispatchWindow(window_ms)
 
     def collect_groups(self, env: Environment,
                        queue: Store[Invocation],
@@ -73,7 +72,8 @@ class InvokeMapper:
         """Generator: wait out one dispatch window, return its groups.
 
         Usage: ``groups = yield from mapper.collect_groups(env, queue)``.
-        Groups preserve arrival order within each function.
+        Groups come in the order of each function's first arrival, and
+        preserve arrival order within each function.
 
         The window opens at the *first arrival*, not when the mapper starts
         waiting: on sparse workloads the mapper can idle for seconds before
@@ -81,22 +81,11 @@ class InvokeMapper:
         ``on_open``/``on_close`` are forwarded to the window collector —
         pure observers of the window boundaries (telemetry only).
         """
-        batch, window_start = yield from collect_window(
-            env, queue, self.window_ms, on_open=on_open, on_close=on_close)
-        return self.group_invocations(batch, window_start_ms=window_start,
-                                      window_end_ms=env.now)
-
-    @staticmethod
-    def group_invocations(invocations: List[Invocation],
-                          window_start_ms: float,
-                          window_end_ms: float) -> List[FunctionGroup]:
-        """Classify *invocations* by function (pure, order-preserving)."""
-        by_function: Dict[str, List[Invocation]] = {}
-        for invocation in invocations:
-            by_function.setdefault(invocation.function.function_id,
-                                   []).append(invocation)
-        return [FunctionGroup(function=members[0].function,
-                              invocations=tuple(members),
-                              window_start_ms=window_start_ms,
-                              window_end_ms=window_end_ms)
-                for members in by_function.values()]
+        groups = yield from collect_window(
+            env, queue, self.window, function_id_of, on_open=on_open,
+            on_close=on_close)
+        return [FunctionGroup(function=group.members[0].function,
+                              invocations=tuple(group.members),
+                              window_start_ms=group.opened_at,
+                              window_end_ms=group.closed_at)
+                for group in groups]

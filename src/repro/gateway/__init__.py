@@ -15,7 +15,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "repro.gateway.admission": (
         "SHED_INFLIGHT", "SHED_QUEUE_DEPTH", "AdmissionConfig",
         "AdmissionController"),
-    "repro.gateway.batching": ("FunctionBatcher", "PendingRequest"),
     "repro.gateway.degradation": (
         "MODE_BATCH", "MODE_VANILLA", "DegradationConfig",
         "DegradationMonitor"),
@@ -29,7 +28,8 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "Arrival", "HttpPool", "LoadgenConfig", "LoadResult", "RequestSample",
         "build_phased_schedule", "build_schedule", "run_http", "run_inproc"),
     "repro.gateway.server": (
-        "Gateway", "GatewayConfig", "GatewayResponse", "GatewayServer"),
+        "Gateway", "GatewayConfig", "GatewayResponse", "GatewayServer",
+        "PendingRequest"),
 })
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "DEMO_FUNCTIONS",
     "DegradationConfig",
     "DegradationMonitor",
-    "FunctionBatcher",
     "Gateway",
     "GatewayConfig",
     "GatewayResponse",

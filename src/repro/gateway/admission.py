@@ -6,11 +6,11 @@ unbounded queue and every request times out (congestive collapse).  Two
 bounds keep the served system stable:
 
 * a **global in-flight cap** — requests admitted but not yet responded;
-* a **per-function queue depth bound** — requests waiting in one
-  function's dispatch window.
+* a **per-function queue depth bound** — one function's requests waiting
+  in the open dispatch window (its group there).
 
 Requests over either bound are shed with HTTP 429 + ``Retry-After``.
-``shed_policy`` picks the victim when a window queue is full:
+``shed_policy`` picks the victim when a function's group is full:
 ``"newest"`` rejects the arriving request (classic tail drop),
 ``"oldest"`` evicts the head of the queue — the request that has already
 waited longest and is most likely to blow its deadline anyway — and

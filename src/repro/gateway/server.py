@@ -1,11 +1,14 @@
 """The gateway core and its asyncio HTTP/1.1 front end.
 
 :class:`Gateway` is the transport-independent serving brain: it owns the
-per-function :class:`~repro.gateway.batching.FunctionBatcher` windows,
-the :class:`~repro.gateway.admission.AdmissionController`, and the
+dispatch window (the paper's one global window, a
+:class:`~repro.common.window.DispatchWindow` closed by one ``call_at``
+timer into per-function groups), the
+:class:`~repro.gateway.admission.AdmissionController`, and the
 :class:`~repro.gateway.degradation.DegradationMonitor`.  Its one request
-path is ``submit(function, payload, on_response)``: admission, dispatch
-onto :class:`~repro.local.LocalPlatform` runner threads via
+path is ``submit(function, payload, on_response)``: admission, the
+window, dispatch onto :class:`~repro.local.LocalPlatform` runner threads
+via
 ``submit_group(on_resolved=...)``, one report per finished group woken
 onto the loop with ``call_soon_threadsafe``, and a settle step that calls
 ``on_response`` exactly once, on the event loop.
@@ -71,13 +74,13 @@ from repro.common.errors import (
     InvocationTimeout,
     PlatformStateError,
 )
+from repro.common.window import DispatchWindow
 from repro.gateway.admission import (
     SHED_INFLIGHT,
     SHED_QUEUE_DEPTH,
     AdmissionConfig,
     AdmissionController,
 )
-from repro.gateway.batching import FunctionBatcher, PendingRequest
 from repro.gateway.degradation import (
     MODE_BATCH,
     MODE_VANILLA,
@@ -140,7 +143,7 @@ class GatewayConfig:
     #: Request-id seed: ids are ``req-<seed hex>-<arrival index>``, so a
     #: seeded run hands out the same ids in the same order every time.
     seed: int = 0
-    #: The live dispatch window (seconds).  0 disables holding entirely.
+    #: The live dispatch window (seconds).  0 dispatches at enqueue.
     window_seconds: float = 0.02
     #: End-to-end budget per request as seen by the caller.
     deadline_seconds: float = 10.0
@@ -159,6 +162,23 @@ class GatewayConfig:
         if self.deadline_seconds <= 0:
             raise ConfigurationError(
                 f"deadline_seconds must be > 0, got {self.deadline_seconds}")
+
+
+@dataclass(slots=True)
+class PendingRequest:
+    """One admitted request, from its arrival to its answer."""
+
+    request_id: str
+    function: str
+    payload: Any
+    #: Receives the request's one ``GatewayResponse``; cleared once it has,
+    #: so ``None`` marks a settled request.
+    on_response: Optional[Callable[[Any], None]]
+    enqueued_at: float
+    #: Dispatch mode the degradation monitor chose ("batch" | "vanilla").
+    mode: str = "batch"
+    #: Wall-clock the group was handed to the platform (loop time).
+    dispatched_at: Optional[float] = None
 
 
 @dataclass(slots=True)
@@ -216,7 +236,11 @@ class Gateway:
             for stage in STAGES)
         self._request_ids = itertools.count()
         self._id_prefix = f"req-{self.config.seed:x}"
-        self._batchers: Dict[str, FunctionBatcher] = {}
+        #: One window over every function (§III-B); batch-mode requests
+        #: wait in it, and its one timer closes it into per-function groups.
+        self._window: DispatchWindow[PendingRequest] = DispatchWindow(
+            self.config.window_seconds)
+        self._window_timer: Optional[asyncio.TimerHandle] = None
         # Completions arrive on platform runner threads; they are buffered
         # and drained with ONE call_soon_threadsafe per wakeup instead of
         # one per invocation — at 10k+ RPS the per-request loop wakeups
@@ -270,11 +294,18 @@ class Gateway:
         if self._deadline_timer is None:
             self._deadline_timer = self.loop.call_at(
                 start + self.config.deadline_seconds, self._expire_due)
-        if mode == MODE_BATCH and self.config.window_seconds > 0:
-            self._batcher(function).enqueue(request)
-            self.batched_requests += 1
-        else:
+        if mode != MODE_BATCH:
             self._dispatch(function, [request])
+            return
+        self.batched_requests += 1
+        close_at = self._window.arrive(request, function, start)
+        if close_at is None:
+            return
+        if close_at > start:
+            self._window_timer = self.loop.call_at(close_at,
+                                                   self._close_window)
+        else:  # a zero window dispatches at enqueue
+            self._close_window()
 
     async def invoke(self, function: str,
                      payload: Any = None) -> GatewayResponse:
@@ -299,36 +330,31 @@ class Gateway:
             return GatewayResponse(
                 429, {"error": "shed", "cause": SHED_INFLIGHT}, mode=mode,
                 retry_after_seconds=retry_after)
-        if mode == MODE_BATCH and self.config.window_seconds > 0:
-            batcher = self._batcher(function)
-            if self.admission.queue_full(batcher.depth):
-                if self.config.admission.shed_policy == "newest":
-                    self.admission.record_shed(SHED_QUEUE_DEPTH)
-                    return GatewayResponse(
-                        429, {"error": "shed", "cause": SHED_QUEUE_DEPTH},
-                        mode=mode, retry_after_seconds=retry_after)
-                victim = batcher.evict_oldest()
-                # Answered on the next turn, not inside this admission:
-                # the victim's connection may go on to its next request.
-                self.loop.call_soon(self._fail, victim, GatewayOverloaded(
-                    f"{victim.request_id} evicted (oldest-first shed)",
-                    retry_after_seconds=retry_after))
+        if mode == MODE_BATCH and self.admission.queue_full(
+                self._window.depth(function)):
+            if self.config.admission.shed_policy == "newest":
+                self.admission.record_shed(SHED_QUEUE_DEPTH)
+                return GatewayResponse(
+                    429, {"error": "shed", "cause": SHED_QUEUE_DEPTH},
+                    mode=mode, retry_after_seconds=retry_after)
+            victim = self._window.evict_oldest(function)
+            # Answered on the next turn, not inside this admission: the
+            # victim's connection may go on to its next request.
+            self.loop.call_soon(self._fail, victim, GatewayOverloaded(
+                f"{victim.request_id} evicted (oldest-first shed)",
+                retry_after_seconds=retry_after))
         self.admission.admit()
         return None
 
-    def _batcher(self, function: str) -> FunctionBatcher:
-        batcher = self._batchers.get(function)
-        if batcher is None:
-            batcher = FunctionBatcher(
-                function=function,
-                window_seconds=self.config.window_seconds,
-                dispatch=self._dispatch, loop=self.loop)
-            self._batchers[function] = batcher
-        return batcher
+    def _close_window(self) -> None:
+        """Dispatch each function's group of the window, in arrival order."""
+        self._window_timer = None
+        for group in self._window.close(self.loop.time()):
+            self._dispatch(group.function, group.members)
 
     def _dispatch(self, function: str,
                   requests: List[PendingRequest]) -> None:
-        """Hand a closed window (or a vanilla singleton) to the platform."""
+        """Hand a window's group (or a vanilla singleton) to the platform."""
         now = self.loop.time()
         for request in requests:
             request.dispatched_at = now
@@ -479,8 +505,8 @@ class Gateway:
             "batches_dispatched": self.batches_dispatched,
             "batched_requests": self.batched_requests,
             "dispatched_requests": self.dispatched_requests,
-            "queue_depths": {name: batcher.depth for name, batcher
-                             in sorted(self._batchers.items())},
+            "queue_depths": {name: self._window.depth(name)
+                             for name in self.platform.functions},
             "admission": self.admission.stats(),
             "degradation": degradation,
             "platform_state": self.platform.state,
@@ -490,9 +516,10 @@ class Gateway:
         }
 
     def close(self) -> None:
-        """Flush every open window (pending requests still complete)."""
-        for batcher in self._batchers.values():
-            batcher.close()
+        """Close the open window now (its requests still complete)."""
+        if self._window_timer is not None:
+            self._window_timer.cancel()
+            self._close_window()
 
 
 def _answer(future: "asyncio.Future[GatewayResponse]",

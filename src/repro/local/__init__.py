@@ -7,8 +7,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "DEFAULT_STORE", "FakeS3Client", "InMemoryBucketStore"),
     "repro.local.container": (
         "Handler", "InvocationContext", "LocalContainer", "LocalInvocation"),
-    "repro.local.multiplexer": (
-        "MultiplexerMetrics", "ResourceMultiplexer", "hash_arguments"),
+    "repro.common.multiplexer": ("ResourceMultiplexer",),
     "repro.local.runtime": ("LocalPlatform", "LocalPlatformConfig"),
 })
 
@@ -22,7 +21,5 @@ __all__ = [
     "LocalInvocation",
     "LocalPlatform",
     "LocalPlatformConfig",
-    "MultiplexerMetrics",
     "ResourceMultiplexer",
-    "hash_arguments",
 ]

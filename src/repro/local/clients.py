@@ -31,13 +31,6 @@ class InMemoryBucketStore:
         with self._lock:
             self._objects[key] = data
 
-    def get(self, key: str) -> bytes:
-        with self._lock:
-            try:
-                return self._objects[key]
-            except KeyError:
-                raise ReproError(f"no object named {key!r}") from None
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._objects)

@@ -4,7 +4,7 @@
 :class:`repro.model.container.SimContainer`: invocations of one function
 execute as parallel threads inside it (the paper's inline parallelism),
 optionally gated to a fixed concurrency, and share the container's
-:class:`~repro.local.multiplexer.ResourceMultiplexer`.
+:class:`~repro.common.multiplexer.ResourceMultiplexer`.
 
 A batch runs on *lanes*: at most ``concurrency`` threads, each taking the
 batch's next member until none is left, so a serial container runs its
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, List, Optional
 
 from repro.common.errors import ContainerStateError, InvocationTimeout
-from repro.local.multiplexer import ResourceMultiplexer
+from repro.common.multiplexer import ResourceMultiplexer
 
 #: A function handler: ``handler(payload, context) -> result``.
 Handler = Callable[[Any, "InvocationContext"], Any]

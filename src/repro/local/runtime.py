@@ -4,9 +4,9 @@ A miniature serverless platform that actually runs Python handlers:
 
 * work enters as ready groups of one function through
   :meth:`LocalPlatform.submit_group` — the caller (the gateway's
-  per-function dispatch windows, :mod:`repro.gateway.batching`) has
-  already made the Invoke Mapper's grouping decision, and the platform
-  keeps it, retries included;
+  dispatch window, one per-function group at each close) has already
+  made the Invoke Mapper's grouping decision, and the platform keeps it,
+  retries included;
 * each ready group is pulled by a parked **runner** thread, mapped onto a
   single warm-or-new container and expanded as parallel threads
   (Inline-Parallel Producer) — the runner itself runs one lane of the
@@ -248,6 +248,11 @@ class LocalPlatform:
     def has_function(self, name: str) -> bool:
         return name in self._handlers
 
+    @property
+    def functions(self) -> List[str]:
+        """The registered function names, sorted."""
+        return sorted(self._handlers)
+
     def _admit(self, count: int) -> None:
         """Count *count* new invocations in flight, or raise the typed
         lifecycle error.  The state check and the increment are one
@@ -355,9 +360,9 @@ class LocalPlatform:
         for container in containers:
             if container.multiplexer is None:
                 continue
-            metrics = container.multiplexer.metrics
-            lookups += metrics.lookups
-            reused += metrics.hits + metrics.in_flight_waits
+            stats = container.multiplexer.stats
+            lookups += stats.lookups
+            reused += stats.hits + stats.in_flight_waits
         return reused / lookups if lookups else 0.0
 
     # -- groups ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ class TestIdFactory:
         assert ids.next("inv") == "inv-0"
         assert ids.next("inv") == "inv-1"
         assert ids.next("container") == "container-0"
-        assert ids.count("inv") == 2
+        assert ids.next("inv") == "inv-2"
 
     def test_two_factories_are_independent(self):
         a, b = IdFactory(), IdFactory()

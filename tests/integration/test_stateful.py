@@ -18,7 +18,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.local.multiplexer import ResourceMultiplexer
+from repro.common.multiplexer import ResourceMultiplexer
 from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.model.container import SimContainer
 from repro.model.function import FunctionKind, FunctionSpec
@@ -67,12 +67,12 @@ class MultiplexerMachine(RuleBasedStateMachine):
 
     @invariant()
     def one_build_per_distinct_key(self):
-        assert self.build_count == self.multiplexer.metrics.misses \
+        assert self.build_count == self.multiplexer.stats.misses \
             == len(self.model)
 
     @invariant()
     def every_repeat_is_a_hit(self):
-        assert self.multiplexer.metrics.hits == self.calls - len(self.model)
+        assert self.multiplexer.stats.hits == self.calls - len(self.model)
 
 
 MultiplexerMachine.TestCase.settings = STATEFUL_SETTINGS

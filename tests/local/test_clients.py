@@ -17,12 +17,8 @@ class TestInMemoryBucketStore:
     def test_round_trip(self):
         store = InMemoryBucketStore()
         store.put("k", b"v")
-        assert store.get("k") == b"v"
+        assert store._objects == {"k": b"v"}
         assert len(store) == 1
-
-    def test_missing_key_raises(self):
-        with pytest.raises(ReproError):
-            InMemoryBucketStore().get("missing")
 
 
 class TestFakeS3Client:
@@ -41,9 +37,7 @@ class TestFakeS3Client:
         client = FakeS3Client("AK", "SK", store=store,
                               construction_seconds=0.0)
         client.put_object(Bucket="b", Key="k", Body=b"data")
-        assert store.get("b/k") == b"data"
-        with pytest.raises(ReproError):
-            store.get("b/other")
+        assert store._objects == {"b/k": b"data"}
 
     def test_clients_share_backing_store(self):
         store = InMemoryBucketStore()
@@ -53,5 +47,5 @@ class TestFakeS3Client:
                               construction_seconds=0.0)
         writer.put_object(Bucket="b", Key="k", Body=b"shared")
         reader.put_object(Bucket="b", Key="j", Body=b"also")
-        assert (store.get("b/k"), store.get("b/j")) == (b"shared", b"also")
+        assert store._objects == {"b/k": b"shared", "b/j": b"also"}
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import MultiplexerError
-from repro.local.multiplexer import ResourceMultiplexer, hash_arguments
+from repro.common.multiplexer import ResourceMultiplexer, hash_arguments
 
 
 def slow_factory(tag, delay=0.01):
@@ -24,15 +24,15 @@ class TestBasics:
         a = multiplexer.get_or_create(slow_factory, "x")
         b = multiplexer.get_or_create(slow_factory, "x")
         assert a is b
-        assert multiplexer.metrics.misses == 1
-        assert multiplexer.metrics.hits == 1
+        assert multiplexer.stats.misses == 1
+        assert multiplexer.stats.hits == 1
 
     def test_different_args_build_separately(self):
         multiplexer = ResourceMultiplexer()
         a = multiplexer.get_or_create(slow_factory, "x")
         b = multiplexer.get_or_create(slow_factory, "y")
         assert a is not b
-        assert multiplexer.metrics.misses == 2
+        assert multiplexer.stats.misses == 2
 
     def test_different_factories_do_not_collide(self):
         multiplexer = ResourceMultiplexer()
@@ -83,7 +83,7 @@ class TestConcurrency:
             thread.join()
         assert build_count[0] == 1
         assert len({id(r) for r in results}) == 1
-        metrics = multiplexer.metrics
+        metrics = multiplexer.stats
         assert metrics.misses == 1
         assert metrics.hits + metrics.in_flight_waits == 15
 
@@ -117,22 +117,7 @@ class TestConcurrency:
         assert errors
         # ...but the key was evicted, so a retry succeeds.
         assert multiplexer.get_or_create(flaky_factory) == "recovered"
-        assert multiplexer.metrics.failed_builds == 1
-
-
-class TestDecorator:
-    def test_multiplexed_decorator(self):
-        multiplexer = ResourceMultiplexer()
-
-        @multiplexer.multiplexed
-        def make_client(endpoint):
-            return {"endpoint": endpoint, "marker": object()}
-
-        a = make_client("https://s3")
-        b = make_client("https://s3")
-        assert a is b
-        assert make_client.__name__ == "make_client"
-        assert make_client.__multiplexer__ is multiplexer
+        assert multiplexer.stats.failed_builds == 1
 
 
 class TestManagement:
@@ -149,17 +134,17 @@ class TestManagement:
         assert all(multiplexer.get_or_create(factory, "x") is first
                    for _ in range(3))
         assert built == ["x"]
-        assert (multiplexer.metrics.misses, multiplexer.metrics.hits) \
+        assert (multiplexer.stats.misses, multiplexer.stats.hits) \
             == (1, 3)
 
     def test_metrics_reuse_ratio(self):
         # LocalPlatform.multiplexer_reuse_ratio divides these two counts.
         multiplexer = ResourceMultiplexer()
-        assert multiplexer.metrics.lookups == 0
+        assert multiplexer.stats.lookups == 0
         multiplexer.get_or_create(slow_factory, "x")
         multiplexer.get_or_create(slow_factory, "x")
         multiplexer.get_or_create(slow_factory, "x")
-        metrics = multiplexer.metrics
+        metrics = multiplexer.stats
         assert (metrics.hits + metrics.in_flight_waits, metrics.lookups) \
             == (2, 3)
 

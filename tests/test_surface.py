@@ -15,6 +15,11 @@ what counts as a use:
   file must import the name (from its module or a package above it) or
   read it as an attribute.  A method is used by an ``Attribute`` read of
   its name.
+* A method whose name is also a ``dict``, ``list``, ``set`` or ``str``
+  method is read only in a file that also names its class or imports its
+  module, and an attribute of a display or a string (``(payload or
+  {}).get``) is never a read: ``self.cache.get(key)`` in some other module
+  does not keep a ``get`` of some class alive.
 * Liveness is transitive.  A use counts when it comes from outside
   ``src/``, from module-level code of a ``src/`` module (decorators
   included), or from inside a definition that is itself live: a top-level
@@ -26,8 +31,11 @@ what counts as a use:
 * Re-exports in package ``__init__.py`` files and ``__all__`` entries do
   not count: they are imports and strings, not reads.
 
-Attribute reads are matched by name alone, so any attribute that shares a
-public name keeps it alive: the census errs towards keeping.  What a
+Other attribute reads are matched by name alone, so an attribute read that
+shares a public name keeps it alive: the census errs towards keeping.  The
+same rule for names two ``src/`` classes share would report duck-typed
+families (the CPU engines, ``Trace``/``TraceStream``, the streaming
+sinks), whose readers name neither class.  What a
 framework calls by name (an asyncio ``Protocol`` callback, ``Thread.run``)
 has no reader in the corpus and is listed in ``ALLOWED``.
 
@@ -47,6 +55,12 @@ CORPUS = ("src", "benchmarks", "examples", "macrobench")
 #: ``module:name`` or ``module:Class.method`` -> why the name stays
 #: although the corpus never uses it (a framework calls it by name).
 ALLOWED: Dict[str, str] = {}
+
+#: Names an attribute read may mean whatever the receiver is: a method
+#: that shares one needs its class or module named where it is read.
+BUILTIN_METHODS: FrozenSet[str] = frozenset(
+    name for kind in (dict, list, set, str) for name in dir(kind)
+    if not name.startswith("_"))
 
 #: The definitions a use sits in (top-level names, or ``Class.method``);
 #: ``None`` for code that runs whatever else is used (module level, or a
@@ -100,13 +114,49 @@ def public_methods(node: ast.stmt) -> Iterator[ast.stmt]:
                     and not child.name.startswith("_"))
 
 
+def _named(tree: ast.Module) -> Tuple[Set[str], Set[str]]:
+    """``(identifiers, imported modules)`` of one file: every name, attribute
+    and import alias it mentions, and every module it imports from."""
+    identifiers: Set[str] = set()
+    imported: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            identifiers.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            identifiers.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            identifiers.add(node.name)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            for alias in node.names:
+                identifiers.add(alias.name)
+                imported.add(f"{node.module}.{alias.name}")
+    return identifiers, imported
+
+
+_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.Tuple, ast.JoinedStr,
+             ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _builtin_receiver(node: ast.expr) -> bool:
+    """Whether *node* is plainly a builtin: a display, a string, or
+    ``x or <display>``."""
+    if isinstance(node, ast.BoolOp):
+        return _builtin_receiver(node.values[-1])
+    return isinstance(node, _DISPLAYS) or (
+        isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
 def _reads(node: ast.AST) -> Iterator[Tuple[str, str]]:
-    """``("name" | "attr", identifier)`` for every read under *node*."""
+    """``("name" | "attr", identifier)`` for every read under *node*; an
+    attribute of a plain builtin (``(payload or {}).get``) is not one."""
     for child in ast.walk(node):
         if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
             yield "name", child.id
-        elif isinstance(child, ast.Attribute) and isinstance(child.ctx,
-                                                             ast.Load):
+        elif isinstance(child, ast.Attribute) and isinstance(
+                child.ctx, ast.Load) and not _builtin_receiver(child.value):
             yield "attr", child.attr
 
 
@@ -170,6 +220,14 @@ def census(corpus: Mapping[str, str]) -> Dict[str, List[str]]:
             else:
                 name_reads[(path, ident)].append(owners)
 
+    named = {path: _named(tree) for path, tree in trees.items()}
+
+    def reads_it(path: str, module: str, cls: str, method: str) -> bool:
+        """Whether a read of *method* in *path* may be *cls*'s."""
+        identifiers, imported = named[path]
+        return (method not in BUILTIN_METHODS or module in imported
+                or modules.get(path) == module or cls in identifiers)
+
     # Every read of each definition, as (file, owners) sites; each method
     # with the class it belongs to.
     sites: Dict[str, List[Tuple[str, Owners]]] = {}
@@ -189,7 +247,10 @@ def census(corpus: Mapping[str, str]) -> Dict[str, List[str]]:
                 sites[f"{module}:{name}"] = found
             for method in public_methods(node):
                 key = f"{module}:{node.name}.{method.name}"
-                sites[key] = list(attr_reads.get(method.name, ()))
+                sites[key] = [
+                    (user, owners) for user, owners
+                    in attr_reads.get(method.name, ())
+                    if reads_it(user, module, node.name, method.name)]
                 parent[key] = f"{module}:{node.name}"
                 methods_of[parent[key]].append(key)
 
@@ -274,13 +335,22 @@ def test_a_method_only_tests_read_is_reported(tmp_path):
             "    def used(self):\n        return 1\n\n"
             "    def tested(self):\n        return self.via_tested()\n\n"
             "    def via_tested(self):\n        return 2\n\n"
+            "    def get(self, key):\n        return key\n\n"
             "    def data_received(self, data):\n        return data\n"),
-        "src/pkg/main.py": ("from pkg.box import Box\n\n\n"
-                            "def main():\n    return Box().used()\n"),
+        # ``.get`` reads of dicts: one in a file that never names Box, one
+        # on a display in a file that does.
+        "src/pkg/util.py": ("def lookup(mapping):\n"
+                            "    return mapping.get('k')\n"),
+        "src/pkg/main.py": ("from pkg.box import Box\n"
+                            "from pkg.util import lookup\n\n\n"
+                            "def main(options=None):\n"
+                            "    lookup((options or {}).get('k', {}))\n"
+                            "    return Box().used()\n"),
         "examples/run.py": "from pkg.main import main\n\nmain()\n",
         "tests/test_box.py": ("from pkg.box import Box\n\n\n"
                               "def test_box():\n"
-                              "    assert Box().tested() == 2\n"),
+                              "    assert Box().tested() == 2\n"
+                              "    assert Box().get(1) == 1\n"),
     }
     for path, source in files.items():
         (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
@@ -289,11 +359,13 @@ def test_a_method_only_tests_read_is_reported(tmp_path):
     assert table["pkg.box:Box.used"] == ["src/pkg/main.py"]
     assert table["pkg.box:Box.tested"] == []
     assert table["pkg.box:Box.via_tested"] == []  # read by a dead method
+    assert table["pkg.box:Box.get"] == []  # only dicts' get is read
     callback = "pkg.box:Box.data_received"
     assert unused_names(table, {}) == [
-        callback, "pkg.box:Box.tested", "pkg.box:Box.via_tested"]
+        callback, "pkg.box:Box.get", "pkg.box:Box.tested",
+        "pkg.box:Box.via_tested"]
     assert unused_names(table, {callback: "asyncio calls it"}) == [
-        "pkg.box:Box.tested", "pkg.box:Box.via_tested"]
+        "pkg.box:Box.get", "pkg.box:Box.tested", "pkg.box:Box.via_tested"]
 
 
 if __name__ == "__main__":
