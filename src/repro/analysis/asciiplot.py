@@ -28,22 +28,21 @@ def _log_position(value: float, lo: float, hi: float, width: int) -> int:
     return min(width - 1, max(0, int(round(fraction * (width - 1)))))
 
 
-def render_cdf_plot(cdfs: Dict[str, EmpiricalCdf],
-                    width: int = 72,
-                    height: int = 18,
-                    unit: str = "ms",
-                    title: str = "") -> str:
+#: Plot area in characters (columns x rows).
+PLOT_WIDTH, PLOT_HEIGHT = 72, 18
+
+
+def render_cdf_plot(cdfs: Dict[str, EmpiricalCdf], title: str = "") -> str:
     """Draw CDFs on a log-x / linear-y character grid.
 
     Each series is one mark character; the legend maps marks to names.
     Values <= 0 are clamped to the smallest positive sample.
     """
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     if not cdfs:
         raise ReproError("no CDFs to plot")
     if len(cdfs) > len(SERIES_MARKS):
         raise ReproError(f"at most {len(SERIES_MARKS)} series supported")
-    if width < 20 or height < 5:
-        raise ReproError("plot area too small")
 
     positive_minimums = []
     maximums = []
@@ -86,7 +85,7 @@ def render_cdf_plot(cdfs: Dict[str, EmpiricalCdf],
         for offset, char in enumerate(label):
             if column + offset < width:
                 axis[column + offset] = char
-    lines.append("      " + "".join(axis) + f" ({unit}, log scale)")
+    lines.append("      " + "".join(axis) + " (ms, log scale)")
     legend = "   ".join(f"{SERIES_MARKS[i]} {name}"
                         for i, name in enumerate(cdfs))
     lines.append("     legend: " + legend)

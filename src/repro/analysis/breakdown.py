@@ -159,7 +159,7 @@ def attempt_latency_table(results: Sequence[ExperimentResult]):
     latency cost — the final column quantifies the retry tax.
     """
     headers = ["scheduler", "invocations", "goodput_%", "retried",
-               "attempts_per_inv", "hedged",
+               "attempts_per_inv",
                "first_attempt_p50_ms", "first_attempt_p99_ms",
                "final_p50_ms", "final_p99_ms", "total_response_p99_ms"]
     rows: List[List[object]] = []
@@ -177,7 +177,6 @@ def attempt_latency_table(results: Sequence[ExperimentResult]):
             round(result.goodput() * 100.0, 2),
             len(result.retried_invocations()),
             round(result.retry_amplification(), 3),
-            result.hedged_count(),
             round(first.median, 1) if first.count else None,
             round(first.percentile(99.0), 1) if first.count else None,
             round(final.median, 1) if final.count else None,

@@ -58,8 +58,11 @@ STANDARD_METRICS: Sequence[MetricDefinition] = (
 class SchedulerComparison:
     """Holds one result per scheduler and answers reduction queries."""
 
-    def __init__(self, results: Sequence[ExperimentResult],
-                 reference: str = "FaaSBatch") -> None:
+    #: The scheduler every reduction is measured for.
+    REFERENCE = "FaaSBatch"
+
+    def __init__(self, results: Sequence[ExperimentResult]) -> None:
+        reference = self.REFERENCE
         self._results: Dict[str, ExperimentResult] = {}
         for result in results:
             if result.scheduler_name in self._results:
@@ -87,12 +90,11 @@ class SchedulerComparison:
         improved = metric.extract(self.result(self.reference))
         return reduction_percent(baseline, improved)
 
-    def reduction_table(self,
-                        metrics: Sequence[MetricDefinition] = STANDARD_METRICS,
-                        ) -> List[List[object]]:
-        """Rows of ``[metric, baseline, base_value, ref_value, reduction%]``."""
+    def reduction_table(self) -> List[List[object]]:
+        """Rows of ``[metric, baseline, base_value, ref_value, reduction%]``
+        over the standard metrics."""
         rows: List[List[object]] = []
-        for metric in metrics:
+        for metric in STANDARD_METRICS:
             for scheduler in self.schedulers():
                 if scheduler == self.reference:
                     continue

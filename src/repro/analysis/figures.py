@@ -20,15 +20,13 @@ Rows = List[List[object]]
 CDF_PROBABILITIES = (0.10, 0.25, 0.40, 0.50, 0.75, 0.90, 0.96, 0.98, 1.00)
 
 
-def cdf_comparison_table(cdfs: Dict[str, EmpiricalCdf],
-                         unit: str = "ms",
-                         probabilities: Sequence[float] = CDF_PROBABILITIES,
+def cdf_comparison_table(cdfs: Dict[str, EmpiricalCdf]
                          ) -> Tuple[Headers, Rows]:
     """One row per probability, one column per scheduler (Figs. 3/11/12)."""
     names = list(cdfs)
-    headers = ["P"] + [f"{name} ({unit})" for name in names]
+    headers = ["P"] + [f"{name} (ms)" for name in names]
     rows: Rows = []
-    for p in probabilities:
+    for p in CDF_PROBABILITIES:
         rows.append([f"{p:.2f}"]
                     + [round(cdfs[name].quantile(p), 2) for name in names])
     return headers, rows

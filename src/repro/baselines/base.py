@@ -13,8 +13,8 @@ The dispatch pipeline
 ---------------------
 All four policies (Vanilla, SFS, Kraken, FaaSBatch) ultimately do the same
 thing with a batch of invocations: check the warm pool, pay the platform's
-dispatch/launch CPU work, obtain a container, stamp dispatch (faults +
-resilience watchdogs included), execute, respond, and return the container
+dispatch/launch CPU work, obtain a container, stamp dispatch (injected
+dispatch faults included), execute, respond, and return the container
 to the keep-alive pool.  :func:`run_dispatch_pipeline` is that one code
 path; a :class:`DispatchPlan` captures the policy-specific choices:
 
@@ -141,7 +141,7 @@ def execute_on_container(platform: "ServerlessPlatform",
     as §IV prescribes), runs the batch, notes completions, and returns
     the container to the keep-alive pool.  Dispatch goes through
     :meth:`ServerlessPlatform.begin_dispatch`, so injected dispatch
-    faults and resilience watchdogs apply uniformly to every policy.
+    faults apply uniformly to every policy.
     Returns the number of invocations that completed via the container.
     """
     invocations = platform.begin_dispatch(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.baselines.base import (
     SERIAL_DISPATCH_PLAN,
@@ -32,7 +32,6 @@ from repro.baselines.base import (
     Scheduler,
     run_dispatch_pipeline,
 )
-from repro.common.errors import ConfigurationError
 from repro.common.stats import Ewma
 from repro.model.function import Invocation
 
@@ -41,6 +40,8 @@ if TYPE_CHECKING:
 
 #: Estimate assigned to a function with no completion history yet (ms).
 DEFAULT_ESTIMATE_MS = 100.0
+#: Weight of the newest runtime sample in a function's estimate.
+EWMA_ALPHA = 0.3
 
 
 class DataDrivenScheduler(Scheduler):
@@ -49,20 +50,8 @@ class DataDrivenScheduler(Scheduler):
     name = "DataDriven"
     cpu_discipline = CpuDiscipline.FAIR_SHARE
 
-    def __init__(self, executors: Optional[int] = None,
-                 ewma_alpha: float = 0.3,
-                 default_estimate_ms: float = DEFAULT_ESTIMATE_MS) -> None:
-        """``executors`` bounds concurrent dispatches; default = worker cores."""
-        if executors is not None and executors < 1:
-            raise ConfigurationError(
-                f"executors must be >= 1, got {executors}")
-        if default_estimate_ms <= 0:
-            raise ConfigurationError(
-                f"default_estimate_ms must be positive, "
-                f"got {default_estimate_ms}")
-        self.executors = executors
-        self.ewma_alpha = ewma_alpha
-        self.default_estimate_ms = default_estimate_ms
+    def __init__(self) -> None:
+        """One executor per worker core bounds concurrent dispatches."""
         self._estimates: Dict[str, Ewma] = {}
         self._pending: List[Tuple[float, int, Invocation]] = []
         self._sequence = itertools.count()
@@ -72,14 +61,12 @@ class DataDrivenScheduler(Scheduler):
         """Current runtime estimate for *function_id* (ms)."""
         estimator = self._estimates.get(function_id)
         if estimator is None or not estimator.initialized:
-            return self.default_estimate_ms
+            return DEFAULT_ESTIMATE_MS
         return estimator.value
 
     def start(self, platform: "ServerlessPlatform") -> None:
         platform.env.process(self._intake(platform), name="datadriven-intake")
-        count = self.executors if self.executors is not None \
-            else platform.machine.cores
-        for index in range(count):
+        for index in range(platform.machine.cores):
             platform.env.process(self._executor(platform),
                                  name=f"datadriven-executor:{index}")
 
@@ -119,5 +106,5 @@ class DataDrivenScheduler(Scheduler):
         estimator = self._estimates.get(function_id)
         if estimator is None:
             estimator = self._estimates[function_id] = \
-                Ewma(alpha=self.ewma_alpha)
+                Ewma(alpha=EWMA_ALPHA)
         estimator.observe(execution_ms)

@@ -10,7 +10,7 @@ latency in Figs. 11(a)/12(a).  The price is queueing: requests wait for a
 free puller instead of contending for the CPU immediately.
 
 Each puller drives the shared serial dispatch pipeline, so warm-pool
-reuse, injected faults, resilience watchdogs and observability all apply
+reuse, injected faults, retries and observability all apply
 exactly as they do to every other policy.
 """
 
@@ -24,11 +24,14 @@ from repro.baselines.base import (
     Scheduler,
     run_dispatch_pipeline,
 )
-from repro.common.errors import ConfigurationError
 from repro.model.function import Invocation
 
 if TYPE_CHECKING:
     from repro.platformsim.platform import ServerlessPlatform
+
+
+#: Concurrent pullers; None = one per worker core.
+PULLERS: Optional[int] = None
 
 
 class HikuScheduler(Scheduler):
@@ -37,16 +40,9 @@ class HikuScheduler(Scheduler):
     name = "Hiku"
     cpu_discipline = CpuDiscipline.FAIR_SHARE
 
-    def __init__(self, pullers: Optional[int] = None) -> None:
-        """``pullers`` bounds concurrent dispatches; default = worker cores."""
-        if pullers is not None and pullers < 1:
-            raise ConfigurationError(
-                f"pullers must be >= 1, got {pullers}")
-        self.pullers = pullers
-
     def start(self, platform: "ServerlessPlatform") -> None:
-        count = self.pullers if self.pullers is not None \
-            else platform.machine.cores
+        """Start :data:`PULLERS` pullers: they bound concurrent dispatches."""
+        count = PULLERS if PULLERS is not None else platform.machine.cores
         for index in range(count):
             platform.env.process(self._pull_loop(platform),
                                  name=f"hiku-puller:{index}")

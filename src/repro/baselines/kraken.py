@@ -57,6 +57,12 @@ class KrakenMode(enum.Enum):
     EWMA = "ewma"        # the original forecast + pre-warm behaviour
 
 
+#: The Vanilla latency percentile taken as each function's SLO (§V-A).
+SLO_PERCENTILE = 98.0
+#: Weight of the newest window's arrival count in the EWMA forecast.
+EWMA_ALPHA = 0.3
+
+
 @dataclass
 class KrakenParameters:
     """Per-function knowledge Kraken is given (from a Vanilla profiling run).
@@ -78,8 +84,8 @@ class KrakenParameters:
                         f"{name}[{function_id!r}] must be > 0, got {value}")
 
     @classmethod
-    def from_invocations(cls, invocations: Iterable[Invocation],
-                         slo_percentile: float = 98.0) -> "KrakenParameters":
+    def from_invocations(cls, invocations: Iterable[Invocation]
+                         ) -> "KrakenParameters":
         """Derive parameters from a completed (Vanilla) run.
 
         This is exactly the paper's porting procedure: "we take the
@@ -97,7 +103,7 @@ class KrakenParameters:
         if not latency:
             raise ConfigurationError("no completed invocations to learn from")
         return cls(
-            slo_ms={fid: stats.percentile(slo_percentile)
+            slo_ms={fid: stats.percentile(SLO_PERCENTILE)
                     for fid, stats in latency.items()},
             mean_execution_ms={fid: max(stats.mean, 1e-6)
                                for fid, stats in execution.items()})
@@ -120,7 +126,6 @@ class KrakenConfig:
     parameters: KrakenParameters
     window_ms: float = 200.0
     mode: KrakenMode = KrakenMode.PERFECT
-    ewma_alpha: float = 0.3
 
     def __post_init__(self) -> None:
         if self.window_ms <= 0:
@@ -188,7 +193,7 @@ class KrakenScheduler(Scheduler):
 
     def _observe(self, function_id: str, count: int) -> None:
         predictor = self._predictors.setdefault(
-            function_id, Ewma(alpha=self.config.ewma_alpha))
+            function_id, Ewma(alpha=EWMA_ALPHA))
         predictor.observe(count)
 
     def _prewarm(self, platform: "ServerlessPlatform") -> None:

@@ -64,9 +64,9 @@ from repro.common.streaming import (
     StreamingResultSink,
     TelemetrySnapshot,
 )
-from repro.common.units import HOUR, peak_rss_mb
+from repro.common.units import peak_rss_mb
 from repro.obs import Observability
-from repro.platformsim.experiment import run_workers
+from repro.platformsim.experiment import DRAIN_MS, run_workers
 from repro.workload.generator import (
     fib_family_specs,
     tiled_fib_function_counts,
@@ -379,7 +379,7 @@ def run_shard(config: ShardedClusterConfig, shard_index: int,
                      lambda record: routes[record.function_id],
                      fib_family_specs(config.functions), on_complete,
                      until_ms=(None if stream is None
-                               else stream.end_ms + 2.0 * HOUR),
+                               else stream.end_ms + DRAIN_MS),
                      obs=obs) as run:
         return ShardResult(
             shard_index=shard_index,

@@ -36,10 +36,6 @@ class EmpiricalCdf:
         return len(self._samples)
 
     @property
-    def minimum(self) -> float:
-        return self._samples[0]
-
-    @property
     def maximum(self) -> float:
         return self._samples[-1]
 

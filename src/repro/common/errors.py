@@ -107,18 +107,6 @@ class InvocationTimeout(TransientError):
     """The invocation exceeded its per-attempt timeout and was aborted."""
 
 
-class HedgeSuperseded(ReproError):
-    """A hedged shadow won the race; the primary attempt is cancelled.
-
-    Deliberately *not* transient: the invocation already succeeded via its
-    hedge, so the aborted primary must not trigger a retry.
-    """
-
-
-class HedgeCancelled(ReproError):
-    """The primary finished first; the hedged shadow is cancelled."""
-
-
 class PlatformStateError(ReproError):
     """An operation hit a platform in an incompatible lifecycle state."""
 

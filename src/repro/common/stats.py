@@ -113,11 +113,11 @@ class Ewma:
     ``value = alpha * sample + (1 - alpha) * value``.
     """
 
-    def __init__(self, alpha: float = 0.3, initial: float | None = None) -> None:
+    def __init__(self, alpha: float = 0.3) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
-        self._value = initial
+        self._value: float | None = None
 
     @property
     def value(self) -> float:

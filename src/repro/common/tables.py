@@ -13,26 +13,30 @@ import io
 from typing import List, Sequence
 
 
-def format_cell(value: object, float_format: str = "{:.2f}") -> str:
-    """Render one cell: floats via *float_format*, everything else via str."""
+#: How a float cell is rendered.
+FLOAT_FORMAT = "{:.2f}"
+
+
+def format_cell(value: object) -> str:
+    """Render one cell: floats via :data:`FLOAT_FORMAT`, everything else
+    via str."""
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, float):
-        return float_format.format(value)
+        return FLOAT_FORMAT.format(value)
     return str(value)
 
 
 def render_table(headers: Sequence[str],
                  rows: Sequence[Sequence[object]],
-                 title: str | None = None,
-                 float_format: str = "{:.2f}") -> str:
+                 title: str | None = None) -> str:
     """Render an aligned ASCII table.
 
     Numeric columns are right-aligned, text columns left-aligned.  The result
     ends with a newline so it can be printed directly.
     """
     text_rows: List[List[str]] = [
-        [format_cell(cell, float_format) for cell in row] for row in rows
+        [format_cell(cell) for cell in row] for row in rows
     ]
     for row in text_rows:
         if len(row) != len(headers):

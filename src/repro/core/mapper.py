@@ -49,11 +49,6 @@ class FunctionGroup:
     def function_id(self) -> str:
         return self.function.function_id
 
-    @property
-    def cpu_limit(self):
-        """The customer resource limit forwarded to the producer."""
-        return self.function.cpu_limit
-
 
 class InvokeMapper:
     """Batches a dispatch window of requests into function groups.

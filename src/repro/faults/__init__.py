@@ -8,8 +8,8 @@ Two halves, usable independently:
   slowdowns, transient dispatch errors, OOM kills);
 * :mod:`repro.faults.resilience` — the :class:`ResiliencePolicy` recovery
   layer the platform consults (bounded retries with exponential backoff and
-  seeded jitter, per-invocation timeouts, hedged re-dispatch, a per-function
-  circuit breaker for repeated cold-start failures).
+  seeded jitter, and a per-function circuit breaker for repeated cold-start
+  failures).
 
 Everything is deterministic: the same seed replays the same faults and the
 same jitter.  With no plan and no policy installed, the platform behaves

@@ -28,6 +28,7 @@ from repro.faults.plan import (
     OomKillFault,
     StragglerFault,
 )
+from repro.model import container as container_module
 from repro.model.container import ContainerState, SimContainer
 from repro.model.function import FunctionSpec, Invocation
 
@@ -135,7 +136,7 @@ class FaultInjector:
         group = container.cpu_group_name
         if not cpu.has_group(group):
             return  # container already gone
-        original_cap = container.function.cpu_limit
+        original_cap = container_module.CPU_LIMIT
         full = original_cap if original_cap is not None \
             else float(self.platform.machine.cores)
         throttled = max(full * fault.cpu_scale, 1e-6)

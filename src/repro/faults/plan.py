@@ -67,7 +67,7 @@ class StragglerFault:
     ``cpu_scale`` multiplies the container's cap (an uncapped container is
     treated as owning all worker cores) between ``after_start_ms`` and
     ``after_start_ms + duration_ms`` after it starts, then the original cap
-    is restored — the classic slow-node straggler that hedging addresses.
+    is restored — the classic slow-node straggler.
     """
 
     ordinal: int

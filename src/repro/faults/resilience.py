@@ -1,4 +1,4 @@
-"""Recovery policies: retries, timeouts, hedging, circuit breaking.
+"""Recovery policies: retries with backoff, and circuit breaking.
 
 :class:`ResiliencePolicy` is pure configuration; :class:`ResilienceManager`
 is the live object the platform consults.  Recovery is scheduler-agnostic:
@@ -17,40 +17,34 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, TYPE_CHECKING
 
-from repro.common.errors import (
-    ColdStartRefused,
-    HedgeCancelled,
-    HedgeSuperseded,
-    InvocationTimeout,
-    TransientError,
-)
+from repro.common.errors import ColdStartRefused, TransientError
 from repro.model.function import FunctionSpec, Invocation
 
 if TYPE_CHECKING:  # runtime import would cycle through platformsim
-    from repro.model.container import SimContainer
     from repro.platformsim.platform import ServerlessPlatform
+
+
+#: Each retry waits this many times longer than the one before ...
+BACKOFF_FACTOR = 2.0
+#: ... up to this delay (ms), before jitter.
+BACKOFF_CAP_MS = 2000.0
+#: Jitter stretches a delay by a seeded share in ``[0, JITTER_RATIO)``.
+JITTER_RATIO = 0.1
+#: Consecutive cold-start failures that open a function's breaker.
+BREAKER_FAILURE_THRESHOLD = 3
+#: How long (ms) an open breaker refuses before it admits a probe.
+BREAKER_COOLDOWN_MS = 5000.0
 
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """Knobs of the recovery layer (all deterministic given ``seed``).
 
-    ``timeout_ms`` and ``hedge_after_ms`` default to off (None): timeouts
-    abort and retry slow attempts, hedging races a duplicate instead —
-    enabling both makes sense only with ``timeout_ms`` comfortably larger.
+    Only :class:`TransientError` failures are retried.
     """
 
     max_attempts: int = 3
     backoff_base_ms: float = 50.0
-    backoff_factor: float = 2.0
-    backoff_cap_ms: float = 2000.0
-    jitter_ratio: float = 0.1
-    timeout_ms: Optional[float] = None
-    hedge_after_ms: Optional[float] = None
-    breaker_failure_threshold: int = 3
-    breaker_cooldown_ms: float = 5000.0
-    #: Retry every failure, not just :class:`TransientError` subclasses.
-    retry_all_errors: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -60,23 +54,10 @@ class ResiliencePolicy:
         if self.backoff_base_ms < 0:
             raise ValueError(
                 f"backoff_base_ms must be >= 0, got {self.backoff_base_ms}")
-        if self.backoff_factor < 1.0:
+        if self.backoff_base_ms > BACKOFF_CAP_MS:
             raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if self.backoff_cap_ms < self.backoff_base_ms:
-            raise ValueError("backoff_cap_ms must be >= backoff_base_ms")
-        if not 0.0 <= self.jitter_ratio <= 1.0:
-            raise ValueError(
-                f"jitter_ratio must be in [0, 1], got {self.jitter_ratio}")
-        if self.timeout_ms is not None and self.timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be > 0, got {self.timeout_ms}")
-        if self.hedge_after_ms is not None and self.hedge_after_ms <= 0:
-            raise ValueError(
-                f"hedge_after_ms must be > 0, got {self.hedge_after_ms}")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be >= 1")
-        if self.breaker_cooldown_ms <= 0:
-            raise ValueError("breaker_cooldown_ms must be > 0")
+                f"backoff_base_ms must be <= {BACKOFF_CAP_MS}, "
+                f"got {self.backoff_base_ms}")
 
 
 class BackoffSchedule:
@@ -90,20 +71,17 @@ class BackoffSchedule:
 
         ``attempt`` is the attempt that just failed (1-based), so the first
         retry waits ``backoff_base_ms``, the second twice that, and so on,
-        capped at ``backoff_cap_ms``.
+        capped at :data:`BACKOFF_CAP_MS`.
         """
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
-        policy = self.policy
-        raw = policy.backoff_base_ms * policy.backoff_factor ** (attempt - 1)
-        return min(raw, policy.backoff_cap_ms)
+        raw = self.policy.backoff_base_ms * BACKOFF_FACTOR ** (attempt - 1)
+        return min(raw, BACKOFF_CAP_MS)
 
     def delay_ms(self, attempt: int, rng: random.Random) -> float:
         """Backoff with jitter drawn from *rng* (full determinism per seed)."""
-        base = self.base_delay_ms(attempt)
-        if self.policy.jitter_ratio == 0.0:
-            return base
-        return base * (1.0 + self.policy.jitter_ratio * rng.random())
+        return self.base_delay_ms(attempt) * (
+            1.0 + JITTER_RATIO * rng.random())
 
 
 class BreakerState(enum.Enum):
@@ -191,22 +169,13 @@ class ResilienceManager:
         self._breakers: Dict[str, CircuitBreaker] = {}
         self.retries_scheduled = 0
         self.retries_exhausted = 0
-        self.timeouts_fired = 0
-        self.hedges_launched = 0
-        self.hedges_won = 0
 
     # -- retry ---------------------------------------------------------------------
-
-    def _is_retryable(self, error: BaseException) -> bool:
-        if isinstance(error, (HedgeSuperseded, HedgeCancelled)):
-            return False
-        return self.policy.retry_all_errors \
-            or isinstance(error, TransientError)
 
     def should_retry(self, invocation: Invocation) -> bool:
         """Platform asks: intercept this failed completion for a retry?"""
         error = invocation.error
-        if error is None or not self._is_retryable(error):
+        if not isinstance(error, TransientError):
             return False
         if invocation.attempts >= self.policy.max_attempts:
             self.retries_exhausted += 1
@@ -254,128 +223,13 @@ class ResilienceManager:
         invocation.reset_for_retry(self.env.now)
         self.platform.requeue(invocation)
 
-    # -- timeout / hedging watchdogs ---------------------------------------------
-
-    def watch(self, invocation: Invocation,
-              container: "SimContainer") -> None:
-        """Arm the per-attempt watchdogs for a just-dispatched invocation."""
-        if self.policy.timeout_ms is not None:
-            self.env.process(
-                self._watchdog(invocation, container, invocation.attempts),
-                name=f"timeout:{invocation.trace_id}")
-        if self.policy.hedge_after_ms is not None:
-            self.env.process(
-                self._hedger(invocation, container, invocation.attempts),
-                name=f"hedge:{invocation.trace_id}")
-
-    def _attempt_live(self, invocation: Invocation, attempt: int) -> bool:
-        return (invocation.attempts == attempt
-                and invocation.completed_ms is None
-                and invocation.error is None)
-
-    def _watchdog(self, invocation: Invocation, container: "SimContainer",
-                  attempt: int):
-        assert self.policy.timeout_ms is not None
-        yield self.env.timeout(self.policy.timeout_ms)
-        if not self._attempt_live(invocation, attempt):
-            return
-        error = InvocationTimeout(
-            f"{invocation.invocation_id} attempt {attempt} exceeded "
-            f"{self.policy.timeout_ms} ms")
-        if container.abort_invocation(invocation.invocation_id, error):
-            self.timeouts_fired += 1
-            self.platform.obs.metrics.counter("resilience.timeouts").inc()
-            if self.platform.obs.tracer.enabled:
-                self.platform.obs.tracer.annotation(
-                    "invocation-timeout", self.env.now,
-                    invocation_id=invocation.invocation_id, attempt=attempt,
-                    timeout_ms=self.policy.timeout_ms,
-                    container_id=container.container_id)
-
-    def _hedger(self, invocation: Invocation, container: "SimContainer",
-                attempt: int):
-        """Race a shadow copy on another container; first result wins."""
-        assert self.policy.hedge_after_ms is not None
-        yield self.env.timeout(self.policy.hedge_after_ms)
-        if not self._attempt_live(invocation, attempt):
-            return
-        primary = container.inflight_process(invocation.invocation_id)
-        if primary is None:
-            return
-        now = self.env.now
-        # The shadow's arrival is stamped *before* the (possibly cold)
-        # acquisition, so mark_dispatched's elapsed >= cold-start invariant
-        # holds by construction.
-        shadow = Invocation(
-            invocation_id=f"{invocation.invocation_id}~h{attempt}",
-            function=invocation.function,
-            payload=invocation.payload,
-            arrival_ms=now)
-        self.hedges_launched += 1
-        self.platform.obs.metrics.counter("resilience.hedges").inc()
-        tracer = self.platform.obs.tracer
-        if tracer.enabled:
-            tracer.annotation(
-                "hedge-launched", now,
-                invocation_id=invocation.invocation_id, attempt=attempt,
-                shadow_id=shadow.invocation_id)
-        try:
-            hedge_container, cold_ms = yield from \
-                self.platform.acquire_container(
-                    invocation.function, concurrency_limit=None,
-                    with_multiplexer=False)
-        except TransientError:
-            return  # no spare capacity for the hedge; primary carries on
-        shadow.mark_dispatched(self.env.now, cold_ms)
-        if tracer.enabled:
-            tracer.invocation_arrived(
-                shadow.invocation_id, invocation.function.function_id,
-                shadow.arrival_ms)
-            tracer.invocation_dispatched(
-                shadow.trace_id, self.env.now, cold_ms,
-                hedge_container.container_id)
-        shadow_proc = hedge_container.execute_invocations([shadow])[0]
-        if primary.is_alive:
-            winner, _value = yield self.env.any_of([primary, shadow_proc])
-        else:
-            winner = primary
-        if winner is shadow_proc and shadow.error is None \
-                and shadow.completed_ms is not None \
-                and self._attempt_live(invocation, attempt):
-            invocation.adopt_hedge_result(shadow)
-            container.abort_invocation(
-                invocation.invocation_id,
-                HedgeSuperseded(
-                    f"{shadow.invocation_id} beat "
-                    f"{invocation.invocation_id} attempt {attempt}"))
-            self.hedges_won += 1
-            self.platform.obs.metrics.counter("resilience.hedge_wins").inc()
-            if tracer.enabled:
-                tracer.annotation(
-                    "hedge-won", self.env.now,
-                    invocation_id=invocation.invocation_id,
-                    shadow_id=shadow.invocation_id)
-        elif shadow_proc.is_alive:
-            hedge_container.abort_invocation(
-                shadow.invocation_id,
-                HedgeCancelled(
-                    f"{invocation.invocation_id} attempt {attempt} "
-                    f"finished first"))
-        if shadow_proc.is_alive:
-            yield shadow_proc
-        if tracer.enabled:
-            tracer.invocation_responded(shadow.trace_id, self.env.now)
-        if hedge_container.is_idle:
-            self.platform.release_container(hedge_container)
-
     # -- circuit breaker ----------------------------------------------------------
 
     def _breaker(self, function_id: str) -> CircuitBreaker:
         breaker = self._breakers.get(function_id)
         if breaker is None:
-            breaker = CircuitBreaker(
-                self.policy.breaker_failure_threshold,
-                self.policy.breaker_cooldown_ms)
+            breaker = CircuitBreaker(BREAKER_FAILURE_THRESHOLD,
+                                     BREAKER_COOLDOWN_MS)
             self._breakers[function_id] = breaker
         return breaker
 

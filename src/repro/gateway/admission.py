@@ -33,6 +33,10 @@ SHED_INFLIGHT = "inflight-cap"
 SHED_QUEUE_DEPTH = "queue-depth"
 
 
+#: ``Retry-After`` hint handed to shed callers, in seconds.
+RETRY_AFTER_SECONDS = 0.05
+
+
 @dataclass(frozen=True)
 class AdmissionConfig:
     """Bounds of the gateway waiting room."""
@@ -41,8 +45,6 @@ class AdmissionConfig:
     max_queue_depth: int = 256
     #: Maximum requests admitted and not yet responded, across functions.
     max_inflight: int = 2048
-    #: ``Retry-After`` hint handed to shed callers, in seconds.
-    retry_after_seconds: float = 0.05
     #: Victim selection when a window queue is full: "newest" | "oldest".
     shed_policy: str = "newest"
 
@@ -53,10 +55,6 @@ class AdmissionConfig:
         if self.max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.retry_after_seconds < 0:
-            raise ConfigurationError(
-                f"retry_after_seconds must be >= 0, "
-                f"got {self.retry_after_seconds}")
         if self.shed_policy not in _SHED_POLICIES:
             raise ConfigurationError(
                 f"shed_policy must be one of {_SHED_POLICIES}, "

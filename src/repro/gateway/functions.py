@@ -39,11 +39,9 @@ def fib(n: int) -> int:
     return a
 
 
-def make_handlers(store: Optional[InMemoryBucketStore] = None,
-                  client_cost_seconds: float = DEFAULT_CLIENT_COST_SECONDS
-                  ) -> dict:
+def make_handlers() -> dict:
     """The demo handler set, closed over one shared bucket store."""
-    bucket = store if store is not None else InMemoryBucketStore()
+    bucket = InMemoryBucketStore()
 
     def echo_handler(payload, context):
         return payload
@@ -62,7 +60,7 @@ def make_handlers(store: Optional[InMemoryBucketStore] = None,
         key = str((payload or {}).get("key", "object"))
         client = context.create_resource(
             FakeS3Client, "AKDEMO", "SECRET", store=bucket,
-            construction_seconds=client_cost_seconds)
+            construction_seconds=DEFAULT_CLIENT_COST_SECONDS)
         client.put_object(Bucket="demo", Key=key, Body=b"x" * 64)
         return {"stored": key}
 
@@ -75,12 +73,9 @@ def make_handlers(store: Optional[InMemoryBucketStore] = None,
 
 
 def demo_platform(config: Optional[LocalPlatformConfig] = None,
-                  obs: Optional[Observability] = None,
-                  client_cost_seconds: float = DEFAULT_CLIENT_COST_SECONDS
-                  ) -> LocalPlatform:
+                  obs: Optional[Observability] = None) -> LocalPlatform:
     """A LocalPlatform with the demo handler set registered."""
     platform = LocalPlatform(config, obs=obs)
-    for name, handler in make_handlers(
-            client_cost_seconds=client_cost_seconds).items():
+    for name, handler in make_handlers().items():
         platform.register(name, handler)
     return platform

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.gateway.degradation import DegradationConfig
-from repro.gateway.functions import DEFAULT_CLIENT_COST_SECONDS, demo_platform
+from repro.gateway.functions import demo_platform
 from repro.gateway.loadgen import (
     LoadgenConfig,
     LoadResult,
@@ -43,6 +43,11 @@ from repro.obs import Observability
 POLICY_CELLS = ("faasbatch", "vanilla", "adaptive")
 _TRANSPORTS = ("inproc", "http")
 
+#: Every cell's containers cold-start in this long (seconds) ...
+COLD_START_SECONDS = 0.002
+#: ... and every request gets this many attempts.
+MAX_ATTEMPTS = 2
+
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -52,20 +57,15 @@ class CellSpec:
     policy: str
     load: LoadgenConfig
     #: Optional multi-phase traffic: when non-empty the schedule is the
-    #: concatenation of these configs (``load`` still supplies bucketing
-    #: and connection-pool knobs).  Shape-shifting traffic is what makes
+    #: concatenation of these configs (``load`` still supplies the
+    #: connection pool's size).  Shape-shifting traffic is what makes
     #: the degradation monitor flip and recover.
     phases: Tuple[LoadgenConfig, ...] = ()
     transport: str = "inproc"
     window_seconds: float = 0.02
     deadline_seconds: float = 5.0
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    degradation: DegradationConfig = field(
-        default_factory=lambda: DegradationConfig(enabled=False))
-    cold_start_seconds: float = 0.002
-    client_cost_seconds: float = DEFAULT_CLIENT_COST_SECONDS
     request_timeout_seconds: Optional[float] = 2.0
-    max_attempts: int = 2
 
     def __post_init__(self) -> None:
         if self.policy not in POLICY_CELLS:
@@ -83,34 +83,25 @@ def platform_config_for(spec: CellSpec) -> LocalPlatformConfig:
     return LocalPlatformConfig(
         container_concurrency=1 if vanilla else None,
         use_multiplexer=not vanilla,
-        cold_start_seconds=spec.cold_start_seconds,
+        cold_start_seconds=COLD_START_SECONDS,
         request_timeout_seconds=spec.request_timeout_seconds,
-        max_attempts=spec.max_attempts)
+        max_attempts=MAX_ATTEMPTS)
 
 
 def build_stack(spec: CellSpec,
                 obs: Optional[Observability] = None
                 ) -> Tuple[LocalPlatform, Gateway]:
-    """Fresh demo platform + gateway wired for *spec* (loop must exist)."""
-    platform = demo_platform(
-        platform_config_for(spec), obs=obs,
-        client_cost_seconds=spec.client_cost_seconds)
+    """Fresh demo platform + gateway wired for *spec* (loop must exist).
+    Only the ``adaptive`` policy runs the degradation monitor."""
+    platform = demo_platform(platform_config_for(spec), obs=obs)
     gateway_policy = "vanilla" if spec.policy == "vanilla" else "faasbatch"
-    degradation = (DegradationConfig(
-        enabled=True,
-        window_size=spec.degradation.window_size,
-        min_samples=spec.degradation.min_samples,
-        probe_every=spec.degradation.probe_every,
-        margin=spec.degradation.margin,
-        cooldown=spec.degradation.cooldown)
-        if spec.policy == "adaptive" else spec.degradation)
     config = GatewayConfig(
         policy=gateway_policy,
         window_seconds=(0.0 if spec.policy == "vanilla"
                         else spec.window_seconds),
         deadline_seconds=spec.deadline_seconds,
         admission=spec.admission,
-        degradation=degradation)
+        degradation=DegradationConfig(enabled=spec.policy == "adaptive"))
     return platform, Gateway(platform, config)
 
 

@@ -35,6 +35,12 @@ from repro.gateway.server import (READ_CHUNK_BYTES, Gateway, GatewayServer,
 DEFAULT_MIX: Mapping[str, float] = {"io": 0.6, "echo": 0.3, "fib": 0.1}
 
 
+#: Goodput-over-time bucketing for the report series (seconds).
+BUCKET_SECONDS = 0.25
+#: About how many points a cell's latency CDF keeps.
+CDF_POINTS = 128
+
+
 @dataclass(frozen=True)
 class LoadgenConfig:
     """One load cell: Poisson arrivals at a rate, for a duration, over a
@@ -45,8 +51,6 @@ class LoadgenConfig:
     seed: int = 13
     mix: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_MIX))
-    #: Goodput-over-time bucketing for the report series.
-    bucket_seconds: float = 0.25
     #: HTTP transport: size of the keep-alive connection pool.
     max_connections: int = 32
 
@@ -58,9 +62,6 @@ class LoadgenConfig:
                 f"duration_seconds must be > 0, got {self.duration_seconds}")
         if not self.mix or any(w <= 0 for w in self.mix.values()):
             raise ConfigurationError("mix needs positive weights")
-        if self.bucket_seconds <= 0:
-            raise ConfigurationError(
-                f"bucket_seconds must be > 0, got {self.bucket_seconds}")
         if self.max_connections < 1:
             raise ConfigurationError(
                 f"max_connections must be >= 1, got {self.max_connections}")
@@ -210,13 +211,14 @@ class LoadResult:
                                 if batches else 0.0),
         }
 
-    def cdf_points(self, max_points: int = 128) -> List[List[float]]:
-        """Downsampled empirical CDF of successful-response latency."""
+    def cdf_points(self) -> List[List[float]]:
+        """Empirical CDF of successful-response latency, downsampled to
+        about :data:`CDF_POINTS` points."""
         ordered = sorted(s.latency_ms for s in self._ok())
         if not ordered:
             return []
         n = len(ordered)
-        step = max(1, n // max_points)
+        step = max(1, n // CDF_POINTS)
         points = [[round(ordered[i], 3), round((i + 1) / n, 5)]
                   for i in range(0, n, step)]
         if points[-1][1] != 1.0:
@@ -225,7 +227,7 @@ class LoadResult:
 
     def goodput_series(self) -> Dict[str, List[List[float]]]:
         """Per-bucket offered/goodput/shed rates over the run."""
-        bucket = self.config.bucket_seconds
+        bucket = BUCKET_SECONDS
         buckets: Dict[int, Dict[str, int]] = {}
         for sample in self.samples:
             index = int(sample.offset_seconds / bucket)

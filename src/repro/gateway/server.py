@@ -80,6 +80,7 @@ from repro.gateway.admission import (
     SHED_QUEUE_DEPTH,
     AdmissionConfig,
     AdmissionController,
+    RETRY_AFTER_SECONDS,
 )
 from repro.gateway.degradation import (
     MODE_BATCH,
@@ -207,11 +208,11 @@ class Gateway:
     """Batching + admission + degradation over one LocalPlatform."""
 
     def __init__(self, platform: LocalPlatform,
-                 config: Optional[GatewayConfig] = None,
-                 loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
+                 config: Optional[GatewayConfig] = None) -> None:
+        """The gateway serves on the current event loop."""
         self.platform = platform
         self.config = config if config is not None else GatewayConfig()
-        self.loop = loop if loop is not None else asyncio.get_event_loop()
+        self.loop = asyncio.get_event_loop()
         self.admission = AdmissionController(self.config.admission)
         self.monitor = DegradationMonitor(self.config.degradation)
         self.requests_total = 0
@@ -324,7 +325,7 @@ class Gateway:
     def _admit(self, function: str,
                mode: str) -> Optional[GatewayResponse]:
         """Apply the bounds; returns a 429 response when shedding."""
-        retry_after = self.config.admission.retry_after_seconds
+        retry_after = RETRY_AFTER_SECONDS
         if self.admission.over_inflight():
             self.admission.record_shed(SHED_INFLIGHT)
             return GatewayResponse(

@@ -44,7 +44,6 @@ class FakeS3Client:
     """A boto3-like client whose construction is deliberately expensive."""
 
     def __init__(self, access_key: str, secret_key: str,
-                 session_token: str = "",
                  store: Optional[InMemoryBucketStore] = None,
                  construction_seconds: float = DEFAULT_CONSTRUCTION_SECONDS,
                  ) -> None:

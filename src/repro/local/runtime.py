@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import heapq
 import itertools
 import threading
 import time
@@ -62,6 +61,10 @@ OnResolved = Callable[[List[LocalInvocation]], None]
 #: has drained.  Parked runners leave at once; only one still inside a
 #: handler its timeout abandoned can outlast this (it is a daemon thread).
 _RUNNER_EXIT_GRACE_SECONDS = 0.25
+
+#: How long ``shutdown`` waits for in-flight work to drain, and for each
+#: platform thread to exit.
+SHUTDOWN_TIMEOUT_SECONDS = 30.0
 
 
 #: How many answered invocations :class:`CompletionLog` keeps: about
@@ -112,30 +115,21 @@ class CompletionLog:
 
 @dataclass(frozen=True)
 class LocalPlatformConfig:
-    """Knobs of the local runtime (all durations in seconds)."""
+    """Knobs of the local runtime (all durations in seconds).  Warm
+    containers are kept for the platform's lifetime."""
 
     cold_start_seconds: float = 0.002
     #: In-container concurrency: None = unbounded threads (inline parallel).
     container_concurrency: Optional[int] = None
     use_multiplexer: bool = True
-    #: Idle warm containers are reclaimed after this long; None keeps them
-    #: forever (the default: examples/tests are short-lived).
-    keep_alive_seconds: Optional[float] = None
     #: Wall-clock budget per handler call; overruns fail the attempt with
     #: :class:`~repro.common.errors.InvocationTimeout`.  None = unlimited.
     request_timeout_seconds: Optional[float] = None
     #: Total attempts per invocation (1 = no retries).  The failed members
-    #: of a group retry together, as one new group.
+    #: of a group retry together, as one new group, at once.
     max_attempts: int = 1
-    #: Base delay before restarting a failed group; doubles per retry.
-    retry_backoff_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.keep_alive_seconds is not None \
-                and self.keep_alive_seconds <= 0:
-            raise ConfigurationError(
-                f"keep_alive_seconds must be > 0 or None, "
-                f"got {self.keep_alive_seconds}")
         if self.request_timeout_seconds is not None \
                 and self.request_timeout_seconds <= 0:
             raise ConfigurationError(
@@ -144,10 +138,6 @@ class LocalPlatformConfig:
         if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.retry_backoff_seconds < 0:
-            raise ConfigurationError(
-                f"retry_backoff_seconds must be >= 0, "
-                f"got {self.retry_backoff_seconds}")
 
     @classmethod
     def vanilla(cls) -> "LocalPlatformConfig":
@@ -175,25 +165,18 @@ class LocalPlatform:
         timeout = self.config.request_timeout_seconds
         self._watcher = (DeadlineWatcher(timeout, "local-deadlines")
                          if timeout is not None else None)
-        #: Backed-off retry groups, a ``(due, first member's id, group)``
-        #: heap served by one thread while it is not empty.
-        self._retry_due: List[Tuple[float, str,
-                                    List[LocalInvocation]]] = []
-        self._retry_wake = threading.Condition()
-        self._retrier: Optional[threading.Thread] = None
         #: Guards the warm pool, the lifecycle state, the in-flight count,
         #: the counters and the completion log: a finished group takes it
         #: once for its container, log and counters, and once more to
         #: count itself out after its callers heard.
         self._lock = threading.Lock()
-        #: Warm pool: per function, ``(released_at, container)`` pairs.
-        self._idle: Dict[str, List[Tuple[float, LocalContainer]]] = {}
-        #: Every container not yet expired, busy ones included.
+        #: Warm pool: per function, its idle containers.
+        self._idle: Dict[str, List[LocalContainer]] = {}
+        #: Every container, busy ones included.
         self._containers: Set[LocalContainer] = set()
         self._counter = itertools.count()
         self._container_counter = itertools.count()
         self._window_counter = itertools.count()
-        self._shutdown = threading.Event()
         self._state = STATE_ACCEPTING
         self._inflight = 0
         #: Signalled when the in-flight count reaches zero, and only while
@@ -201,15 +184,9 @@ class LocalPlatform:
         self._drained = threading.Condition(self._lock)
         self._drainers = 0
         self.containers_created = 0
-        self.containers_expired = 0
         self.retries_scheduled = 0
         self.retries_exhausted = 0
         self.completed = CompletionLog(self._lock)
-        self._janitor: Optional[threading.Thread] = None
-        if self.config.keep_alive_seconds is not None:
-            self._janitor = threading.Thread(
-                target=self._janitor_loop, name="local-janitor", daemon=True)
-            self._janitor.start()
 
     # -- public API --------------------------------------------------------------
 
@@ -312,36 +289,33 @@ class LocalPlatform:
             raise TimeoutError(
                 f"invocations still in flight after {timeout}s")
 
-    def shutdown(self, timeout: float = 30.0) -> None:
+    def shutdown(self) -> None:
         """Drain in-flight work and stop: accepting → draining → stopped.
 
         Idempotent.  Submissions that arrive while draining raise
         :class:`~repro.common.errors.PlatformDraining`; once stopped they
         raise :class:`~repro.common.errors.PlatformStopped`.  Every platform
         thread is woken rather than left to notice: an idle platform
-        stops in well under a millisecond per thread.
+        stops in well under a millisecond per thread.  Draining, and each
+        thread's exit, wait up to :data:`SHUTDOWN_TIMEOUT_SECONDS`.
         """
+        timeout = SHUTDOWN_TIMEOUT_SECONDS
         with self._lock:
             if self._state == STATE_STOPPED:
                 return
             self._state = STATE_DRAINING
         self.drain(timeout)
         # Wake everything first, then join.
-        self._shutdown.set()  # the janitor waits on it
         runners = self._runners.close()
-        stopping = []
-        if self._janitor is not None:
-            stopping.append(self._janitor)
         if self._watcher is not None:
             self._watcher.stop()
-            stopping.append(self._watcher.thread)
         with self._lock:
             containers, self._idle = list(self._containers), {}
         for container in containers:
             if container.is_idle:
                 container.stop()  # retires its parked workers
-        for thread in stopping:
-            thread.join(timeout)
+        if self._watcher is not None:
+            self._watcher.thread.join(timeout)
         grace_ends = time.monotonic() + min(timeout,
                                             _RUNNER_EXIT_GRACE_SECONDS)
         for runner in runners:
@@ -430,8 +404,8 @@ class LocalPlatform:
         responded_at = time.monotonic()
         with self._lock:
             if container is not None:
-                self._idle.setdefault(container.function_name, []).append(
-                    (responded_at, container))
+                self._idle.setdefault(container.function_name,
+                                      []).append(container)
             self.completed.extend(final)
             self.retries_scheduled += len(retry)
             self.retries_exhausted += sum(
@@ -446,12 +420,12 @@ class LocalPlatform:
                 report(final)
             with self._lock:
                 # Retried invocations never count out here, so reaching
-                # zero means nothing is queued, running, or backing off.
+                # zero means nothing is queued or running.
                 self._inflight -= len(final)
                 if self._inflight == 0 and self._drainers:
                     self._drained.notify_all()
         if retry:
-            self._schedule_retry(retry)
+            self._restart(retry)
 
     # -- observability ---------------------------------------------------------------
 
@@ -532,48 +506,16 @@ class LocalPlatform:
         tracer.invocation_responded(
             invocation.invocation_id, self._ms(responded_at))
 
-    def _schedule_retry(self, group: List[LocalInvocation]) -> None:
-        """Restart a group's failed members, as one group, after the
-        (exponential) backoff — at once from this thread when there is
-        none.
+    def _restart(self, group: List[LocalInvocation]) -> None:
+        """Restart a group's failed members at once, as one group.
 
         The members stay in flight — ``drain`` keeps waiting — and keep
         the grouping of the tier that admitted them: the retry runs in a
-        fresh window of its own, never merged with other traffic.  Members
-        of one group share their attempt count, so one delay serves all.
+        fresh window of its own, never merged with other traffic.
         """
         for invocation in group:
             invocation.reset_for_retry()
-        retry_number = group[0].attempts - 1  # 1 for the first retry
-        delay = self.config.retry_backoff_seconds * 2 ** (retry_number - 1)
-        if delay <= 0:
-            self._start_group(group)
-            return
-        with self._retry_wake:
-            heapq.heappush(self._retry_due, (time.monotonic() + delay,
-                                             group[0].invocation_id, group))
-            if self._retrier is None:
-                self._retrier = threading.Thread(
-                    target=self._retry_loop, name="local-retries",
-                    daemon=True)
-                self._retrier.start()
-            self._retry_wake.notify()
-
-    def _retry_loop(self) -> None:
-        """Start each backed-off retry group once it falls due.
-
-        One thread serves every pending retry and exits when none is left;
-        ``drain`` waits for retries, so none outlives ``shutdown``.
-        """
-        due = self._retry_due
-        with self._retry_wake:
-            while due:
-                wait = due[0][0] - time.monotonic()
-                if wait > 0:
-                    self._retry_wake.wait(wait)
-                else:
-                    self._start_group(heapq.heappop(due)[2])
-            self._retrier = None
+        self._start_group(group)
 
     # -- warm pool ----------------------------------------------------------------------
 
@@ -586,7 +528,7 @@ class LocalPlatform:
         with self._lock:
             idle = self._idle.get(name)
             if idle:
-                return idle.pop()[1], False
+                return idle.pop(), False
         container = LocalContainer(
             container_id=f"container-{next(self._container_counter)}",
             function_name=name,
@@ -601,21 +543,3 @@ class LocalPlatform:
             self.containers_created += 1
             self._containers.add(container)
         return container, True
-
-    def _janitor_loop(self) -> None:
-        """Reclaim idle warm containers past their keep-alive window."""
-        keep_alive = self.config.keep_alive_seconds
-        assert keep_alive is not None
-        while not self._shutdown.wait(min(keep_alive / 4.0, 0.5)):
-            deadline = time.monotonic() - keep_alive
-            with self._lock:
-                for name, idle in self._idle.items():
-                    survivors = []
-                    for released_at, container in idle:
-                        if released_at < deadline and container.is_idle:
-                            container.stop()
-                            self._containers.remove(container)
-                            self.containers_expired += 1
-                        else:
-                            survivors.append((released_at, container))
-                    self._idle[name] = survivors

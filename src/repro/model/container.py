@@ -24,12 +24,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.common.errors import (
-    ContainerStateError,
-    HedgeCancelled,
-    HedgeSuperseded,
-    ProcessInterrupted,
-)
+from repro.common.errors import ContainerStateError, ProcessInterrupted
 from repro.model.calibration import Calibration
 from repro.model.function import FunctionSpec, Invocation
 from repro.model.storage import ClientInstance, StorageClientCostModel
@@ -59,9 +54,11 @@ class ContainerState(enum.Enum):
 #: is a Python-level call.
 WARM_STATES = (ContainerState.WARM, ContainerState.ACTIVE)
 
-#: Why a hedge race stops one attempt.  They end that attempt alone, so a
-#: client build it abandons is not a failure for the invocations sharing it.
-_HEDGE_STAND_DOWNS = (HedgeSuperseded, HedgeCancelled)
+#: Extra per-container memory for a function's code and deps (MB).
+CODE_MEMORY_MB = 0.0
+#: CPU cores the customer's resource limit grants a container (docker
+#: ``cpu_count`` / ``cpuset_cpus`` in §III-C); None leaves it uncapped.
+CPU_LIMIT: Optional[float] = None
 
 
 class SimContainer:
@@ -75,13 +72,12 @@ class SimContainer:
                  calibration: Calibration,
                  concurrency_limit: Optional[int] = None,
                  multiplexer: Optional["SimResourceMultiplexer"] = None,
-                 isolate_failures: bool = True,
                  tracer: Optional["InvocationTracer"] = None) -> None:
-        """``isolate_failures`` mirrors real platforms: a handler exception
+        """Failures are isolated, as on real platforms: a handler exception
         fails *that invocation* (an error response to the caller) without
-        crashing the container or the rest of the batch.  Tests can set it
-        to False to let failures propagate.  ``tracer`` (optional) receives
-        the execution-stage span boundaries of every invocation served."""
+        crashing the container or the rest of the batch.  ``tracer``
+        (optional) receives the execution-stage span boundaries of every
+        invocation served."""
         if concurrency_limit is not None and concurrency_limit < 1:
             raise ValueError(
                 f"concurrency_limit must be >= 1 or None, got {concurrency_limit}")
@@ -91,7 +87,6 @@ class SimContainer:
         self.function = function
         self.calibration = calibration
         self.multiplexer = multiplexer
-        self.isolate_failures = isolate_failures
         self.tracer = tracer
         self.invocations_failed = 0
         self.state = ContainerState.CREATED
@@ -109,7 +104,7 @@ class SimContainer:
         if concurrency_limit is not None:
             self._executor = Resource(env, capacity=concurrency_limit)
         #: Live invocation processes by invocation id — the handles the
-        #: fault/resilience layer uses to crash, time out or hedge them.
+        #: fault layer uses to crash them.
         self._inflight: Dict[str, Process] = {}
         #: Called once the container is gone for good — after ``stop`` or
         #: after a crash's teardown — so its owner can fold its counts.
@@ -132,9 +127,8 @@ class SimContainer:
         began = self.env.now
         self.machine.memory.allocate(
             self._memory_owner,
-            self.calibration.container_memory_mb + self.function.code_memory_mb)
-        self.machine.cpu.create_group(self._group_name,
-                                      cap=self.function.cpu_limit)
+            self.calibration.container_memory_mb + CODE_MEMORY_MB)
+        self.machine.cpu.create_group(self._group_name, cap=CPU_LIMIT)
         if self.calibration.cold_start_cpu_work_ms > 0:
             yield self.machine.cpu.submit(
                 self.calibration.cold_start_cpu_work_ms,
@@ -216,26 +210,6 @@ class SimContainer:
         self.env.process(self._teardown_after_crash(),
                          name=f"crash:{self.container_id}")
         return len(victims)
-
-    def inflight_process(self, invocation_id: str) -> Optional[Process]:
-        """The live process running *invocation_id* here, if any."""
-        process = self._inflight.get(invocation_id)
-        if process is None or not process.is_alive:
-            return None
-        return process
-
-    def abort_invocation(self, invocation_id: str,
-                         error: BaseException) -> bool:
-        """Interrupt one in-flight invocation (timeout / hedge cancel).
-
-        Returns False when the invocation is not running here anymore (it
-        finished this very instant, or was never dispatched to us).
-        """
-        process = self._inflight.get(invocation_id)
-        if process is None or not process.is_alive:
-            return False
-        process.interrupt(error)
-        return True
 
     def _teardown_after_crash(self):
         yield self.env.timeout(0.0)
@@ -330,23 +304,18 @@ class SimContainer:
                 tracer.execution_completed(
                     invocation.trace_id, self.env.now)
         except BaseException as error:
-            # An interrupt (crash / timeout / hedge cancel) arrives wrapped;
-            # the invocation's recorded error is the underlying cause.
+            # A crash's interrupt arrives wrapped; the invocation's
+            # recorded error is the underlying cause.
             cause: BaseException = error
             if isinstance(error, ProcessInterrupted) \
                     and isinstance(error.cause, BaseException):
                 cause = error.cause
-            # A superseded attempt stands down without failing the
-            # invocation: the hedged shadow won and its result was adopted.
-            if not isinstance(cause, HedgeSuperseded):
-                invocation.mark_failed(self.env.now, cause)
-                self.invocations_failed += 1
-                tracer = self.tracer
-                if tracer is not None and tracer.enabled:
-                    tracer.execution_failed(
-                        invocation.trace_id, self.env.now, cause)
-            if not self.isolate_failures:
-                raise
+            invocation.mark_failed(self.env.now, cause)
+            self.invocations_failed += 1
+            tracer = self.tracer
+            if tracer is not None and tracer.enabled:
+                tracer.execution_failed(
+                    invocation.trace_id, self.env.now, cause)
         finally:
             self._inflight.pop(invocation.invocation_id, None)
             if slot is not None:
@@ -386,20 +355,8 @@ class SimContainer:
             yield from self._build_client(segment)
             return
         lookup = self.multiplexer.lookup(segment.factory, segment.args_hash)
-        while lookup.ready_event is not None:   # IN_FLIGHT: share the build
-            ready = lookup.ready_event
-            try:
-                yield ready
-            except ProcessInterrupted as error:
-                # The builder's own attempt stood down in a hedge race: the
-                # build was abandoned, not failed.  Look again, and build
-                # if nobody else has started to.
-                if not (ready.triggered and ready.value is error
-                        and isinstance(error.cause, _HEDGE_STAND_DOWNS)):
-                    raise
-                lookup = self.multiplexer.lookup(segment.factory,
-                                                 segment.args_hash)
-                continue
+        if lookup.ready_event is not None:   # IN_FLIGHT: share the build
+            yield lookup.ready_event
             yield self.env.timeout(self.calibration.multiplexer_hit_ms)
             return
         if lookup.instance is not None:          # HIT

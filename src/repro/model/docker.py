@@ -82,7 +82,8 @@ class _ContainerCollection:
 
         The returned handle's ``started`` process completes when the cold
         start finishes; schedulers yield it before dispatching work.
-        ``function.cpu_limit`` plays the role of docker's ``cpu_count``.
+        :data:`repro.model.container.CPU_LIMIT` plays the role of docker's
+        ``cpu_count``.
         """
         client = self._client
         container = SimContainer(

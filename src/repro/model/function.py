@@ -35,11 +35,6 @@ class FunctionSpec:
     function_id: str
     kind: FunctionKind
     profile_factory: Callable[[object], WorkProfile]
-    #: CPU cores the customer's resource limit grants a container of this
-    #: function (docker ``cpu_count`` / ``cpuset_cpus`` in §III-C).
-    cpu_limit: Optional[float] = None
-    #: Extra per-container memory for this function's code and deps.
-    code_memory_mb: float = 0.0
 
     def build_profile(self, payload: object) -> WorkProfile:
         """Materialise the work profile for one invocation."""
@@ -70,11 +65,6 @@ class LatencyBreakdown:
     cold_start_ms: float = 0.0
     queuing_ms: float = 0.0
     execution_ms: float = 0.0
-
-    @property
-    def total_ms(self) -> float:
-        return (self.scheduling_ms + self.cold_start_ms
-                + self.queuing_ms + self.execution_ms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,8 +114,6 @@ class Invocation:
     attempts: int = 1
     first_arrival_ms: Optional[float] = None
     attempt_history: Tuple[AttemptRecord, ...] = ()
-    #: True when a hedged shadow produced this invocation's result.
-    hedged: bool = False
 
     @property
     def latency(self) -> LatencyBreakdown:
@@ -204,7 +192,7 @@ class Invocation:
             raise SchedulingError(f"{self.invocation_id} not completed")
         return self.completed_ms - self.arrival_ms
 
-    # -- retry / hedge support (the resilience layer, repro.faults) --------------
+    # -- retry support (the resilience layer, repro.faults) ---------------------
 
     @property
     def trace_id(self) -> str:
@@ -273,24 +261,3 @@ class Invocation:
         self.completed_ms = None
         self.responded_ms = None
         self.error = None
-
-    def adopt_hedge_result(self, shadow: "Invocation") -> None:
-        """Take a winning hedged shadow's outcome as this attempt's result.
-
-        The shadow ran on another container with its own absolute stamps;
-        adopting them keeps the breakdown sum-consistent: everything between
-        this attempt's dispatch and the shadow's execution start counts as
-        queuing (the price of hedging late), execution is the shadow's.
-        """
-        if self.completed_ms is not None:
-            raise SchedulingError(
-                f"{self.invocation_id} already completed; cannot adopt hedge")
-        if shadow.completed_ms is None or shadow.error is not None:
-            raise SchedulingError(
-                f"hedge {shadow.invocation_id} did not complete cleanly")
-        self.execution_start_ms = shadow.execution_start_ms
-        self.completed_ms = shadow.completed_ms
-        self.container_id = shadow.container_id
-        self.error = None
-        self.state = InvocationState.COMPLETED
-        self.hedged = True

@@ -128,19 +128,6 @@ class ContainerPool:
             return len(self._idle.get(function_id, []))
         return sum(len(v) for v in self._idle.values())
 
-    def drain(self) -> List[SimContainer]:
-        """Stop and remove every idle container (end-of-run cleanup)."""
-        drained: List[SimContainer] = []
-        for function_id in list(self._idle):
-            for container in self._idle.pop(function_id):
-                self._bump(container)
-                if container.state not in (ContainerState.STOPPED,
-                                           ContainerState.CRASHED):
-                    container.stop()
-                drained.append(container)
-        self._publish_idle_gauge()
-        return drained
-
     # -- internals ----------------------------------------------------------------
 
     def _bump(self, container: SimContainer) -> int:

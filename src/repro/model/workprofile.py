@@ -81,24 +81,28 @@ class WorkProfile:
         return f"WorkProfile({list(self._segments)!r})"
 
 
-def cpu_profile(core_ms: float, overhead_ms: float = 0.0) -> WorkProfile:
-    """A pure CPU-bound profile (the paper's ``fib`` functions)."""
+#: CPU work (core-ms) a CPU-bound handler spends before its own work.
+CPU_OVERHEAD_MS = 0.0
+#: The I/O handler's own marshalling work after the storage round trip.
+IO_POST_CPU_MS = 1.0
+
+
+def cpu_profile(core_ms: float) -> WorkProfile:
+    """A pure CPU-bound profile (the paper's ``fib`` functions), after
+    :data:`CPU_OVERHEAD_MS` of overhead."""
     segments: list = []
-    if overhead_ms > 0:
-        segments.append(CpuWork(overhead_ms))
+    if CPU_OVERHEAD_MS > 0:
+        segments.append(CpuWork(CPU_OVERHEAD_MS))
     segments.append(CpuWork(core_ms))
     return WorkProfile(segments)
 
 
-def io_profile(factory: str, args_hash: int, blob_wait_ms: float,
-               post_cpu_ms: float = 1.0) -> WorkProfile:
-    """The paper's I/O function: create an S3 client, then one blob op.
-
-    ``post_cpu_ms`` models the handler's own marshalling work after the
-    storage round trip.
-    """
+def io_profile(factory: str, args_hash: int,
+               blob_wait_ms: float) -> WorkProfile:
+    """The paper's I/O function: create an S3 client, then one blob op,
+    then :data:`IO_POST_CPU_MS` of marshalling."""
     return WorkProfile([
         ClientCreation(factory=factory, args_hash=args_hash),
         IoWait(blob_wait_ms),
-        CpuWork(post_cpu_ms),
+        CpuWork(IO_POST_CPU_MS),
     ])

@@ -64,23 +64,14 @@ class Observability:
     """
 
     def __init__(self, tracing: bool = False,
-                 sampling: bool = False,
-                 metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[InvocationTracer] = None,
-                 sampler: Optional[TimeSeriesSampler] = None) -> None:
+                 sampling: bool = False) -> None:
         # The span tracer and the sampler load only when a bundle is built,
         # so a process that never builds one never loads them.
         from repro.obs import timeseries, trace
 
-        self.tracer = tracer if tracer is not None \
-            else trace.InvocationTracer(enabled=tracing)
-        if tracing:
-            self.tracer.enable()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.sampler = sampler if sampler is not None \
-            else timeseries.TimeSeriesSampler(enabled=sampling)
-        if sampling:
-            self.sampler.enable()
+        self.tracer = trace.InvocationTracer(enabled=tracing)
+        self.metrics = MetricsRegistry()
+        self.sampler = timeseries.TimeSeriesSampler(enabled=sampling)
         self._bound_env: Optional[Environment] = None
 
     def bind(self, env: Environment) -> None:

@@ -66,8 +66,8 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+    def dec(self) -> None:
+        self.value -= 1.0
 
 
 class ClockGauge(Gauge):

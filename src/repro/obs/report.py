@@ -23,7 +23,7 @@ so it renders identically from a live run or a trace file on disk.
 from __future__ import annotations
 
 import html
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.common.cdf import EmpiricalCdf
 from repro.obs.critical_path import STAGE_KEYS, analyze
@@ -134,8 +134,7 @@ def _svg(parts: Iterable[str]) -> str:
 
 
 def line_chart(series: Mapping[str, Sequence[Tuple[float, float]]],
-               x_label: str, y_label: str,
-               y_floor: Optional[float] = 0.0) -> str:
+               x_label: str, y_label: str) -> str:
     """Multi-line chart; one polyline per (sorted) series key."""
     labels = sorted(series)
     points = [p for label in labels for p in series[label]]
@@ -144,7 +143,7 @@ def line_chart(series: Mapping[str, Sequence[Tuple[float, float]]],
                      'font-size="12" fill="#777">no data</text>'])
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    y_lo = min(ys) if y_floor is None else min(y_floor, min(ys))
+    y_lo = min(0.0, min(ys))
     y_hi = max(ys) if max(ys) > y_lo else y_lo + 1.0
     x = _Scale(min(xs), max(xs) if max(xs) > min(xs) else min(xs) + 1.0,
                _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT)

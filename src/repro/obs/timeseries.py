@@ -146,13 +146,9 @@ class TimeSeriesSampler:
     the sampler is a pure observer by construction.
     """
 
-    def __init__(self, interval_ms: float = DEFAULT_INTERVAL_MS,
-                 max_points: int = DEFAULT_MAX_POINTS,
-                 enabled: bool = False) -> None:
-        if interval_ms <= 0:
-            raise ValueError(f"interval_ms must be > 0, got {interval_ms}")
-        self.interval_ms = float(interval_ms)
-        self.max_points = max_points
+    def __init__(self, enabled: bool = False) -> None:
+        self.interval_ms = DEFAULT_INTERVAL_MS
+        self.max_points = DEFAULT_MAX_POINTS
         self.enabled = enabled
         self._probes: Dict[str, Probe] = {}
         self._series: Dict[str, Series] = {}
@@ -160,10 +156,6 @@ class TimeSeriesSampler:
         self._origin_ms = 0.0
         self._next_tick = 1  # boundary index: origin + tick * interval
         self._boundary_ms = self.interval_ms  # origin + next_tick * interval
-
-    def enable(self) -> "TimeSeriesSampler":
-        self.enabled = True
-        return self
 
     # -- registration ------------------------------------------------------------
 

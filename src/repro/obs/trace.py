@@ -325,10 +325,6 @@ class InvocationTracer:
         self._annotations: List[tuple] = []
         self._annotation_objects: List[Annotation] = []
 
-    def enable(self) -> "InvocationTracer":
-        self.enabled = True
-        return self
-
     # -- recording (called by platform / container / pool) ----------------------
 
     def invocation_arrived(self, invocation_id: str, function_id: str,
@@ -576,16 +572,10 @@ class RotatingJsonlWriter:
     trailing line :func:`load_jsonl` already tolerates.
     """
 
-    def __init__(self, path,
-                 max_bytes: int = DEFAULT_TRACE_MAX_BYTES,
-                 backups: int = DEFAULT_TRACE_BACKUPS) -> None:
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
-        if backups < 0:
-            raise ValueError(f"backups must be >= 0, got {backups}")
+    def __init__(self, path) -> None:
         self.path = os.fspath(path)
-        self.max_bytes = max_bytes
-        self.backups = backups
+        self.max_bytes = DEFAULT_TRACE_MAX_BYTES
+        self.backups = DEFAULT_TRACE_BACKUPS
         self.lines_written = 0
         self.rotations = 0
         self._handle = open(self.path, "w")

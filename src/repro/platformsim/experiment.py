@@ -25,7 +25,7 @@ from repro.common.units import HOUR
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.resilience import ResiliencePolicy
-from repro.model.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.model.function import FunctionSpec, Invocation
 from repro.obs import Observability
 from repro.platformsim.gateway import ReplayInjector
@@ -37,6 +37,10 @@ from repro.workload.trace import Trace, TraceRecord
 
 if TYPE_CHECKING:  # the scheduler type lives in baselines; avoid a cycle
     from repro.baselines.base import Scheduler
+
+#: Simulated time a run may take past its last arrival before it counts as
+#: stuck (a scheduling deadlock or a pathological configuration).
+DRAIN_MS = 2.0 * HOUR
 
 
 @dataclass
@@ -58,7 +62,6 @@ def run_workers(schedulers: Mapping[int, "Scheduler"],
                 functions: Sequence[FunctionSpec],
                 on_complete: Callable[[Invocation], None],
                 until_ms: Optional[float],
-                calibration: Calibration = DEFAULT_CALIBRATION,
                 strict_memory: bool = True,
                 sample_resources: bool = False,
                 obs: Optional[Observability] = None,
@@ -72,13 +75,15 @@ def run_workers(schedulers: Mapping[int, "Scheduler"],
     when None), takes the fault plan and resilience policy if given, and
     runs the 1 Hz resource sampler up to ``until_ms`` when
     ``sample_resources`` is set.  Simulated time past ``until_ms`` raises
-    :class:`~repro.common.errors.SimulationError`.
+    :class:`~repro.common.errors.SimulationError`.  Every worker is the
+    default calibration's machine.
 
     The block reads the finished :class:`Workers`.  On leaving it the
     world is taken apart, so reference counting frees it at once: nothing
     built here may be read afterwards.
     """
     env = Environment()
+    calibration = DEFAULT_CALIBRATION
     obs = obs if obs is not None else Observability()
     platforms: Dict[int, ServerlessPlatform] = {}
     completed = dict.fromkeys(schedulers, 0)
@@ -155,10 +160,8 @@ def _dismantle(env: Environment, platforms: Iterable[ServerlessPlatform],
 def run_experiment(scheduler: "Scheduler",
                    trace: Trace,
                    functions: Sequence[FunctionSpec],
-                   calibration: Calibration = DEFAULT_CALIBRATION,
                    workload_label: str = "workload",
                    window_ms: Optional[float] = None,
-                   timeout_ms: Optional[float] = None,
                    strict_memory: bool = True,
                    obs: Optional[Observability] = None,
                    fault_plan: Optional[FaultPlan] = None,
@@ -168,26 +171,22 @@ def run_experiment(scheduler: "Scheduler",
 
     ``window_ms`` is only a label (the scheduler object already carries its
     interval); it flows into the result so sweep tables can index rows.
-    ``timeout_ms`` bounds simulated (not wall-clock) time: exceeding it
-    raises :class:`SimulationError`, which in practice means a scheduling
-    deadlock or a pathological configuration.  By default it is the trace's
-    last absolute arrival plus two hours of drain time.  ``obs`` supplies
+    Simulated time past the trace's last arrival plus :data:`DRAIN_MS`
+    raises :class:`SimulationError`.  ``obs`` supplies
     the run's observability bundle (pass ``Observability(tracing=True)``
     to record per-invocation span timelines); tracing and metrics are pure
     observers, so results are identical with or without them.
 
     ``fault_plan`` installs a fresh :class:`FaultInjector` executing the
     plan against this run; ``resilience`` turns on the recovery layer
-    (retries/timeouts/hedging/circuit breaker).  Both default to off, and
+    (retries and the circuit breaker).  Both default to off, and
     an empty plan is bit-identical to no plan at all.  The 1 Hz resource
     sampler (Figs. 13/14) always runs.
     """
-    if timeout_ms is None:
-        timeout_ms = trace.end_ms + 2.0 * HOUR
     columns = InvocationColumns(functions)
     with run_workers({0: scheduler}, trace, lambda _record: 0, functions,
-                     columns.append, until_ms=timeout_ms,
-                     calibration=calibration, strict_memory=strict_memory,
+                     columns.append, until_ms=trace.end_ms + DRAIN_MS,
+                     strict_memory=strict_memory,
                      sample_resources=True, obs=obs, fault_plan=fault_plan,
                      resilience=resilience) as run:
         platform = run.platforms[0]
@@ -196,7 +195,7 @@ def run_experiment(scheduler: "Scheduler",
             scheduler_name=scheduler.name,
             workload_label=workload_label,
             window_ms=window_ms,
-            calibration=calibration,
+            calibration=platform.calibration,
             columns=columns,
             provisioned_containers=platform.provisioned_containers(),
             clients_created=clients_created,

@@ -52,7 +52,6 @@ class ServerlessPlatform:
 
     def __init__(self, env: Environment, machine: Machine,
                  calibration: Calibration,
-                 ids: Optional[IdFactory] = None,
                  obs: Optional[Observability] = None,
                  resilience: Optional[ResiliencePolicy] = None) -> None:
         self.env = env
@@ -62,7 +61,7 @@ class ServerlessPlatform:
         self.obs = obs if obs is not None else Observability()
         self.machine = machine
         self.calibration = calibration
-        self.ids = ids if ids is not None else IdFactory()
+        self.ids = IdFactory()
         self.docker = SimDockerClient(env, machine, calibration, ids=self.ids,
                                       obs=self.obs)
         self.pool = ContainerPool(env, keep_alive_ms=calibration.keep_alive_ms,
@@ -79,7 +78,7 @@ class ServerlessPlatform:
         #: Fault injector, set by :meth:`FaultInjector.install` (None = no
         #: faults; every hook below is guarded so the off path is free).
         self.faults: Optional["FaultInjector"] = None
-        #: Recovery engine (retries/timeouts/hedging/breaker), or None.
+        #: Recovery engine (retries and the breaker), or None.
         self.resilience: Optional[ResilienceManager] = (
             ResilienceManager(self, resilience)
             if resilience is not None else None)
@@ -328,7 +327,7 @@ class ServerlessPlatform:
         The single dispatch point shared by every scheduler: injected
         dispatch faults divert their invocations straight into the normal
         completion path (where the retry logic sees them), everything else
-        is stamped, traced and armed with the resilience watchdogs.  With
+        is stamped and traced.  With
         no faults and no policy this reduces exactly to the old inline
         ``mark_dispatched`` + tracer loop.
         """
@@ -347,8 +346,6 @@ class ServerlessPlatform:
                 tracer.invocation_dispatched(
                     invocation.trace_id, now, cold_start_ms,
                     container.container_id)
-            if self.resilience is not None:
-                self.resilience.watch(invocation, container)
             accepted.append(invocation)
         return accepted
 

@@ -40,9 +40,9 @@ class InvocationColumns:
     the cold start waited for.  ``codes`` holds four integers: the
     invocation's and its container's ``IdFactory`` numbers (-1 for no
     container), the function's index and 1 if it completed (0 if it
-    failed); ``payloads`` keeps each payload.  An invocation that failed,
-    was retried or won by a hedge is also kept whole in ``exceptional``,
-    so its error and attempt history stay readable.
+    failed); ``payloads`` keeps each payload.  An invocation that failed
+    or was retried is also kept whole in ``exceptional``, so its error and
+    attempt history stay readable.
     """
 
     STAMPS = ("arrival_ms", "dispatched_ms", "execution_start_ms",
@@ -62,7 +62,7 @@ class InvocationColumns:
 
     def append(self, inv: Invocation) -> None:
         """Record one final outcome (a platform completion listener)."""
-        if inv.error is not None or inv.attempts > 1 or inv.hedged:
+        if inv.error is not None or inv.attempts > 1:
             if inv.error is not None:  # keep no frames of the simulation
                 inv.error.__traceback__ = None
             self.exceptional[len(self)] = inv
@@ -187,11 +187,6 @@ class ExperimentResult:
     def retried_invocations(self) -> List[Invocation]:
         return [inv for inv in self.columns.exceptional.values()
                 if inv.attempts > 1]
-
-    def hedged_count(self) -> int:
-        """Invocations whose result came from a hedged shadow."""
-        return sum(1 for inv in self.columns.exceptional.values()
-                   if inv.hedged)
 
     def total_response_stats(self) -> SampleStats:
         """First-arrival-to-response latency (retries + backoffs included)."""
@@ -326,12 +321,6 @@ class ExperimentResult:
                 for s in self.samples
             ],
         }
-
-    def to_json(self, path) -> None:
-        """Write :meth:`to_dict` to *path* as JSON."""
-        import json
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
 
     # -- summary row -----------------------------------------------------------------
 

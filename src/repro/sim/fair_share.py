@@ -223,9 +223,18 @@ class FairShareCpu(CpuEngineBase):
     # -- accounting ----------------------------------------------------------------
 
     def busy_core_ms(self) -> float:
-        """Total core-milliseconds of work completed so far."""
-        self._settle_elapsed()
-        return self._busy_core_ms
+        """Total core-milliseconds of work delivered so far.
+
+        A pure read: the work delivered since the last settle is added up
+        here, not folded into the groups' clocks, so a sampler that reads
+        it leaves every later float exactly as an unobserved run has it.
+        """
+        dt = self.env.now - self._last_update
+        busy = self._busy_core_ms
+        if dt > 0:
+            for group in self._active:
+                busy += group.rate * dt * group.size
+        return busy
 
     def current_rate(self) -> float:
         """Aggregate core usage right now (cores being consumed)."""

@@ -232,12 +232,12 @@ class Timeout(Event):
 
     __slots__ = ("delay", "cancelled")
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
+    def __init__(self, env: "Environment", delay: float) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         self.env = env
         self._callbacks: Any = _NO_WAITERS
-        self._value = value
+        self._value = None
         self._ok = True
         self._defused = False
         self.delay = delay
@@ -589,8 +589,8 @@ class Environment:
                  "_cancelled", "events_processed", "active_process",
                  "_time_hooks", "__weakref__")
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = initial_time
+    def __init__(self) -> None:
+        self._now = 0.0
         #: Current-instant deques: urgent (process starts, interrupts,
         #: deferred callbacks) fires before immediate (normal triggers).
         self._urgent: deque = deque()
@@ -646,11 +646,11 @@ class Environment:
         """Create a pending one-shot event (trigger with succeed/fail)."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that triggers after *delay* ms."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
-    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+    def timeout_at(self, when: float) -> Timeout:
         """Create an event that triggers at absolute time *when* (>= now).
 
         Unlike ``timeout(when - now)``, the firing time is *when* exactly —
@@ -664,7 +664,7 @@ class Environment:
         timeout = Timeout.__new__(Timeout)
         timeout.env = self
         timeout._callbacks = _NO_WAITERS
-        timeout._value = value
+        timeout._value = None
         timeout._ok = True
         timeout._defused = False
         timeout.delay = when - self._now
@@ -683,9 +683,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- batch-arrival fast path -------------------------------------------------
 

@@ -44,6 +44,10 @@ def build_cpu(env: Environment, discipline: "CpuDiscipline",
     return FairShareCpu(env, cores)
 
 
+#: The resource sampler's period: the paper samples at 1 Hz.
+SAMPLE_PERIOD_MS = SECOND
+
+
 @dataclass(frozen=True)
 class ResourceSample:
     """One periodic host observation (the paper samples at 1 Hz)."""
@@ -61,14 +65,12 @@ class Machine:
                  cores: int = 32,
                  memory_gb: float = 64.0,
                  cpu: Optional[CpuService] = None,
-                 sample_period_ms: float = SECOND,
                  strict_memory: bool = True) -> None:
         self.env = env
         self.cores = cores
         self.cpu: CpuService = cpu if cpu is not None else FairShareCpu(env, cores)
         self.memory = MemoryAccount(env, capacity_mb=gigabytes(memory_gb),
                                     strict=strict_memory)
-        self.sample_period_ms = sample_period_ms
         self._samples: List[ResourceSample] = []
         self._sampling = False
 
@@ -89,7 +91,7 @@ class Machine:
                 memory_mb=self.memory.used_mb,
                 cpu_utilization=self.cpu.utilization(),
                 cpu_busy_core_ms=self.cpu.busy_core_ms()))
-            yield self.env.timeout(self.sample_period_ms)
+            yield self.env.timeout(SAMPLE_PERIOD_MS)
 
     def samples(self) -> List[ResourceSample]:
         """The recorded 1 Hz observations."""

@@ -11,7 +11,7 @@ These are the coordination primitives the platform model is written against:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generic, List, Optional, TypeVar
+from typing import Deque, Dict, Generic, Optional, TypeVar
 
 from repro.common.errors import SimulationError
 from repro.sim.kernel import Environment, Event
@@ -60,10 +60,6 @@ class Resource:
         #: FIFO of blocked requests, created on first contention: most
         #: resources (a container's capacity-1 executor) never queue.
         self._waiting: Optional[Deque[Request]] = None
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiting) if self._waiting is not None else 0
 
     def request(self) -> Request:
         """Create a pending acquisition (an event to yield on)."""
@@ -147,10 +143,4 @@ class Store(Generic[T]):
             self._getters.remove(event)
         except ValueError:
             pass
-
-    def drain(self) -> List[T]:
-        """Remove and return all queued items (does not wake getters)."""
-        items = list(self._items)
-        self._items.clear()
-        return items
 

@@ -60,6 +60,18 @@ class SfsTask:
         self.aborted = False
 
 
+#: Bounds (ms) of the adaptive foreground slice, and where it starts.
+MIN_SLICE_MS = 1.0
+MAX_SLICE_MS = 50.0
+INITIAL_SLICE_MS = 5.0
+#: CPU time (ms) after which a task is demoted to the background queue.
+PROMOTION_THRESHOLD_MS = 100.0
+#: A background slice is this many foreground slices long.
+BACKGROUND_SLICE_FACTOR = 10.0
+#: Weight of the newest inter-arrival time in the slice's estimate.
+IAT_ALPHA = 0.3
+
+
 class SfsCpu(CpuEngineBase):
     """Worker CPU scheduled by the SFS discipline (see module docstring).
 
@@ -69,28 +81,20 @@ class SfsCpu(CpuEngineBase):
     """
 
     def __init__(self, env: Environment, cores: int,
-                 min_slice_ms: float = 1.0,
-                 max_slice_ms: float = 50.0,
-                 initial_slice_ms: float = 5.0,
-                 promotion_threshold_ms: float = 100.0,
-                 background_slice_factor: float = 10.0,
-                 iat_alpha: float = 0.3,
                  coalesce: bool = True) -> None:
         if cores < 1:
             raise ValueError(f"cores must be >= 1, got {cores}")
-        if min_slice_ms <= 0 or max_slice_ms < min_slice_ms:
-            raise ValueError("invalid slice bounds")
         super().__init__(env, int(cores))
         #: Elide provably-unobservable kernel events (see _core_loop); the
         #: flag exists so the regression tests can run the uncoalesced
         #: discipline side by side and assert identical schedules.
         self._coalesce = coalesce
-        self.min_slice_ms = min_slice_ms
-        self.max_slice_ms = max_slice_ms
-        self.promotion_threshold_ms = promotion_threshold_ms
-        self.background_slice_factor = background_slice_factor
-        self._slice = clamp(initial_slice_ms, min_slice_ms, max_slice_ms)
-        self._iat = Ewma(alpha=iat_alpha)
+        self.min_slice_ms = MIN_SLICE_MS
+        self.max_slice_ms = MAX_SLICE_MS
+        self.promotion_threshold_ms = PROMOTION_THRESHOLD_MS
+        self.background_slice_factor = BACKGROUND_SLICE_FACTOR
+        self._slice = clamp(INITIAL_SLICE_MS, MIN_SLICE_MS, MAX_SLICE_MS)
+        self._iat = Ewma(alpha=IAT_ALPHA)
         self._last_arrival: Optional[float] = None
         self._foreground: Deque[SfsTask] = deque()
         self._background: Deque[SfsTask] = deque()

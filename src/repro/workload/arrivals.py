@@ -32,9 +32,9 @@ class Burst:
 def bursty_arrivals(duration_ms: float,
                     total: int,
                     bursts: Sequence[Burst],
-                    rng: random.Random,
-                    start_ms: float = 0.0) -> List[float]:
-    """Bursts plus a uniform background, renormalised to exactly *total*.
+                    rng: random.Random) -> List[float]:
+    """Bursts plus a uniform background over ``[0, duration_ms)``,
+    renormalised to exactly *total*.
 
     The background fills whatever the bursts do not account for; if the
     bursts already exceed *total*, a random subset of burst arrivals is
@@ -44,29 +44,28 @@ def bursty_arrivals(duration_ms: float,
         raise WorkloadError(f"negative total: {total}")
     arrivals: List[float] = []
     for burst in bursts:
-        if not start_ms <= burst.start_ms < start_ms + duration_ms:
+        if not 0.0 <= burst.start_ms < duration_ms:
             raise WorkloadError(f"burst outside window: {burst}")
         arrivals.extend(burst.sample(rng))
     if len(arrivals) > total:
         arrivals = rng.sample(arrivals, total)
     background = total - len(arrivals)
     for _ in range(background):
-        arrivals.append(start_ms + rng.random() * duration_ms)
+        arrivals.append(rng.random() * duration_ms)
     arrivals.sort()
     return arrivals
 
 
 def per_second_counts(arrivals_ms: Sequence[float],
-                      duration_ms: float,
-                      start_ms: float = 0.0) -> List[int]:
-    """Bucket arrivals into per-second counts (the Fig. 10 series)."""
+                      duration_ms: float) -> List[int]:
+    """Bucket arrivals in ``[0, duration_ms)`` into per-second counts (the
+    Fig. 10 series)."""
     seconds = int(duration_ms // 1000) + (1 if duration_ms % 1000 else 0)
     counts = [0] * seconds
     for arrival in arrivals_ms:
-        index = int((arrival - start_ms) // 1000)
+        index = int(arrival // 1000)
         if not 0 <= index < seconds:
             raise WorkloadError(
-                f"arrival {arrival} outside [{start_ms}, "
-                f"{start_ms + duration_ms})")
+                f"arrival {arrival} outside [0, {duration_ms})")
         counts[index] += 1
     return counts

@@ -35,7 +35,6 @@ IO_REPLAY_INVOCATIONS = 400
 
 def replay_minute_arrivals(seed: int = 13,
                            total: int = REPLAY_TOTAL_INVOCATIONS,
-                           duration_ms: float = REPLAY_DURATION_MS,
                            ) -> List[float]:
     """Synthesise the Fig. 10 replay minute: bursty, *total* arrivals.
 
@@ -47,6 +46,7 @@ def replay_minute_arrivals(seed: int = 13,
     if total <= 0:
         raise WorkloadError(f"total must be > 0, got {total}")
     rng = random.Random(seed)
+    duration_ms = REPLAY_DURATION_MS
     burst_count = 5
     burst_volume = int(total * 0.85)
     base, remainder = divmod(burst_volume, burst_count)
@@ -64,7 +64,6 @@ def replay_minute_arrivals(seed: int = 13,
 def iter_tiled_replay_arrivals(total: int,
                                tile_invocations: int,
                                seed: int = 13,
-                               duration_ms: float = REPLAY_DURATION_MS,
                                ) -> Iterator[Tuple[int, float]]:
     """Tile bursty replay minutes end to end, streaming ``(index, arrival)``.
 
@@ -86,9 +85,8 @@ def iter_tiled_replay_arrivals(total: int,
     remaining = total
     while remaining > 0:
         count = min(tile_invocations, remaining)
-        offset = tile * duration_ms
-        for arrival in replay_minute_arrivals(seed=seed + tile, total=count,
-                                              duration_ms=duration_ms):
+        offset = tile * REPLAY_DURATION_MS
+        for arrival in replay_minute_arrivals(seed=seed + tile, total=count):
             yield index, offset + arrival
             index += 1
         remaining -= count

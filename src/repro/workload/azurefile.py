@@ -230,8 +230,7 @@ class AzureTraceBuilder:
             raise WorkloadError("selected range contains no invocations")
         return Trace(records)
 
-    def build_specs(self, function_keys: Sequence[str],
-                    cpu_limit: Optional[float] = None) -> List[FunctionSpec]:
+    def build_specs(self, function_keys: Sequence[str]) -> List[FunctionSpec]:
         """Function specs whose durations follow the percentile fits.
 
         Each spec samples a fresh duration per invocation from the
@@ -253,8 +252,7 @@ class AzureTraceBuilder:
 
             specs.append(FunctionSpec(function_id=key,
                                       kind=FunctionKind.CPU,
-                                      profile_factory=profile,
-                                      cpu_limit=cpu_limit))
+                                      profile_factory=profile))
         return specs
 
 

@@ -78,8 +78,13 @@ def combined_model() -> BlobIatModel:
     return BlobIatModel(*weights)
 
 
-def day_model(day: int, seed: int = 3) -> BlobIatModel:
+#: Seeds every day's perturbation of the nominal mixture.
+DAY_MODEL_SEED = 3
+
+
+def day_model(day: int) -> BlobIatModel:
     """One day's model with slightly perturbed weights (grey curves)."""
+    seed = DAY_MODEL_SEED
     if not 1 <= day <= TRACE_DAYS:
         raise WorkloadError(f"day must be in [1, {TRACE_DAYS}], got {day}")
     rng = random.Random(f"{seed}:{day}")

@@ -78,10 +78,6 @@ class DurationSampler:
                 return self._rng.choice(bucket[3])
         return DURATION_BUCKETS[-1][3][-1]  # float guard
 
-    def sample_duration_ms(self) -> float:
-        """Draw one duration (the runtime of a sampled fib input)."""
-        return fib_duration_ms(self.sample_fib_n())
-
     def sample_many(self, count: int) -> List[int]:
         """Draw *count* fib inputs."""
         if count < 0:

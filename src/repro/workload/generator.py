@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Collection, Dict, Iterator, Optional
 
-from repro.model.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.model.function import FunctionKind, FunctionSpec
 from repro.model.workprofile import WorkProfile, cpu_profile, io_profile
 from repro.workload.azure import (
@@ -36,7 +36,7 @@ FIB_FUNCTION_ID = "fib"
 IO_FUNCTION_ID = "s3-io"
 
 
-def fib_function_spec(cpu_limit: Optional[float] = None) -> FunctionSpec:
+def fib_function_spec() -> FunctionSpec:
     """The CPU-intensive benchmark function: ``fib(N)``.
 
     The payload of each invocation is its input ``N``; the profile burns the
@@ -47,20 +47,20 @@ def fib_function_spec(cpu_limit: Optional[float] = None) -> FunctionSpec:
         return cpu_profile(fib_duration_ms(int(payload)))  # type: ignore[arg-type]
 
     return FunctionSpec(function_id=FIB_FUNCTION_ID, kind=FunctionKind.CPU,
-                        profile_factory=profile, cpu_limit=cpu_limit)
+                        profile_factory=profile)
 
 
-def io_function_spec(calibration: Calibration = DEFAULT_CALIBRATION,
-                     cpu_limit: Optional[float] = None) -> FunctionSpec:
+def io_function_spec() -> FunctionSpec:
     """The I/O benchmark function: create an S3 client, do one blob op."""
+    blob_wait_ms = DEFAULT_CALIBRATION.blob_operation_wait_ms
 
     def profile(payload: object) -> WorkProfile:
         return io_profile(factory=S3_FACTORY,
                           args_hash=S3_CREDENTIALS_HASH,
-                          blob_wait_ms=calibration.blob_operation_wait_ms)
+                          blob_wait_ms=blob_wait_ms)
 
     return FunctionSpec(function_id=IO_FUNCTION_ID, kind=FunctionKind.IO,
-                        profile_factory=profile, cpu_limit=cpu_limit)
+                        profile_factory=profile)
 
 
 def cpu_workload_trace(seed: int = 13,
@@ -156,14 +156,13 @@ def tiled_fib_function_counts(invocations: int,
             for index in range(functions)}
 
 
-def fib_family_specs(functions: int,
-                     cpu_limit: Optional[float] = None) -> list:
+def fib_family_specs(functions: int) -> list:
     """Specs for the ``fib-<i>`` functions of :func:`tiled_fib_stream`."""
 
     def make_spec(function_id: str) -> FunctionSpec:
         def profile(payload: object) -> WorkProfile:
             return cpu_profile(fib_duration_ms(int(payload)))  # type: ignore[arg-type]
         return FunctionSpec(function_id=function_id, kind=FunctionKind.CPU,
-                            profile_factory=profile, cpu_limit=cpu_limit)
+                            profile_factory=profile)
 
     return [make_spec(f"{FIB_FUNCTION_ID}-{i}") for i in range(functions)]

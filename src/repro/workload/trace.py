@@ -112,7 +112,7 @@ class TraceStream:
     """
 
     def __init__(self, factory: Callable[[], Iterator[TraceRecord]],
-                 count: int, end_ms: float, start_ms: float = 0.0) -> None:
+                 count: int, end_ms: float) -> None:
         if not callable(factory):
             raise WorkloadError(
                 "TraceStream needs a generator *factory* (a callable "
@@ -122,12 +122,10 @@ class TraceStream:
         if count < 1:
             raise WorkloadError(f"a trace needs at least one record, "
                                 f"got count={count}")
-        if end_ms < start_ms:
-            raise WorkloadError(
-                f"end_ms {end_ms} precedes start_ms {start_ms}")
+        if end_ms < 0.0:
+            raise WorkloadError(f"end_ms {end_ms} precedes the start, 0")
         self._factory = factory
         self._count = count
-        self._start_ms = start_ms
         self._end_ms = end_ms
         self._last_iterator: Optional[weakref.ref] = None
 
@@ -175,8 +173,8 @@ class TraceStream:
 
     @property
     def start_ms(self) -> float:
-        """Synthesis-declared start bound (replay begins here)."""
-        return self._start_ms
+        """Synthesis-declared start bound: replay begins at 0."""
+        return 0.0
 
     @property
     def end_ms(self) -> float:
@@ -185,7 +183,7 @@ class TraceStream:
 
     @property
     def duration_ms(self) -> float:
-        return self._end_ms - self._start_ms
+        return self._end_ms
 
     def materialize(self) -> Trace:
         """Realize the whole stream as a :class:`Trace` (small inputs only)."""

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.baselines import DataDrivenScheduler, HikuScheduler
-from repro.common.errors import ConfigurationError
+from repro.baselines import hiku
+from repro.baselines.datadriven import DEFAULT_ESTIMATE_MS
 from repro.platformsim import run_experiment
 from repro.workload import (
     cpu_workload_trace,
@@ -36,19 +37,17 @@ class TestHiku:
         assert first.latency_stats().percentile(98) == \
             second.latency_stats().percentile(98)
 
-    def test_puller_count_bounds_concurrency(self, io_setup):
+    def test_puller_count_bounds_concurrency(self, io_setup, monkeypatch):
         trace, specs = io_setup
-        narrow = run_experiment(HikuScheduler(pullers=1), trace, specs,
+        monkeypatch.setattr(hiku, "PULLERS", 1)
+        narrow = run_experiment(HikuScheduler(), trace, specs,
                                 workload_label="io")
-        wide = run_experiment(HikuScheduler(pullers=8), trace, specs,
+        monkeypatch.setattr(hiku, "PULLERS", 8)
+        wide = run_experiment(HikuScheduler(), trace, specs,
                               workload_label="io")
         # One puller serialises the run; more pullers finish sooner.
         assert narrow.completion_ms > wide.completion_ms
         assert narrow.provisioned_containers <= wide.provisioned_containers
-
-    def test_bad_puller_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HikuScheduler(pullers=0)
 
 
 class TestDataDriven:
@@ -71,11 +70,11 @@ class TestDataDriven:
         trace, specs = io_setup
         scheduler = DataDrivenScheduler()
         assert scheduler.estimate_ms(specs[0].function_id) == \
-            scheduler.default_estimate_ms
+            DEFAULT_ESTIMATE_MS
         result = run_experiment(scheduler, trace, specs,
                                 workload_label="io")
         learned = scheduler.estimate_ms(specs[0].function_id)
-        assert learned != scheduler.default_estimate_ms
+        assert learned != DEFAULT_ESTIMATE_MS
         executed = [inv.latency.execution_ms
                     for inv in result.successful_invocations()]
         assert min(executed) <= learned <= max(executed)
@@ -86,9 +85,3 @@ class TestDataDriven:
                                 [fib_function_spec()],
                                 workload_label="cpu")
         assert len(result.successful_invocations()) == len(trace)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            DataDrivenScheduler(executors=0)
-        with pytest.raises(ConfigurationError):
-            DataDrivenScheduler(default_estimate_ms=0.0)

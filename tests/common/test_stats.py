@@ -73,7 +73,8 @@ class TestEwma:
         assert ewma.initialized
 
     def test_update_rule(self):
-        ewma = Ewma(alpha=0.5, initial=0.0)
+        ewma = Ewma(alpha=0.5)
+        ewma.observe(0.0)
         assert ewma.observe(10.0) == pytest.approx(5.0)
         assert ewma.observe(10.0) == pytest.approx(7.5)
 

@@ -72,7 +72,6 @@ class TestFunctionGroup:
                               window_start_ms=0.0, window_end_ms=200.0)
         assert group.size == 3
         assert group.function_id == "a"
-        assert group.cpu_limit is None
 
 
 class TestGrouping:

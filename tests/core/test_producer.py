@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.mapper import FunctionGroup
 from repro.core.producer import InlineParallelProducer
+from repro.model import container as container_module
 from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.model.function import FunctionKind, FunctionSpec, Invocation
 from repro.model.workprofile import cpu_profile
@@ -13,10 +14,9 @@ from repro.platformsim.platform import ServerlessPlatform
 from repro.sim.machine import Machine
 
 
-def make_spec(cpu_limit=None):
+def make_spec():
     return FunctionSpec(function_id="f", kind=FunctionKind.CPU,
-                        profile_factory=lambda p: cpu_profile(20.0),
-                        cpu_limit=cpu_limit)
+                        profile_factory=lambda p: cpu_profile(20.0))
 
 
 def make_group(spec, size, arrival_ms=0.0):
@@ -83,8 +83,10 @@ class TestExecuteGroup:
         assert queuing[0] == pytest.approx(0.0)
         assert queuing[-1] > 0.0
 
-    def test_cpu_limit_flows_to_container_group(self, env, platform):
-        spec = make_spec(cpu_limit=2.0)
+    def test_cpu_limit_flows_to_container_group(self, env, platform,
+                                                monkeypatch):
+        monkeypatch.setattr(container_module, "CPU_LIMIT", 2.0)
+        spec = make_spec()
         platform.register_function(spec)
         producer = InlineParallelProducer()
         group = make_group(spec, 1)

@@ -21,7 +21,7 @@ def fingerprint(result):
     return (
         result.provisioned_containers,
         result.completion_ms,
-        tuple((i.invocation_id, i.attempts, i.hedged,
+        tuple((i.invocation_id, i.attempts,
                i.completed_ms, i.responded_ms,
                type(i.error).__name__ if i.error is not None else None,
                tuple((a.attempt, a.dispatched_ms, a.completed_ms, a.error)
@@ -79,7 +79,7 @@ class TestEmptyPlanIsInert:
 
     def test_policy_without_faults_is_inert(self):
         # A resilience layer with nothing to recover from must not change
-        # the run either (no timeouts/hedging configured).
+        # the run either.
         trace = io_workload_trace(total=30, seed=7)
         spec = io_function_spec()
         bare = run_experiment(VanillaScheduler(), trace, [spec],

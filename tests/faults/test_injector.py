@@ -16,6 +16,7 @@ from repro.faults.plan import (
     OomKillFault,
     StragglerFault,
 )
+from repro.faults import resilience
 from repro.faults.resilience import ResiliencePolicy
 from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.model.container import ContainerState, SimContainer
@@ -177,13 +178,12 @@ class TestColdStartFailure:
         assert len(failed) == 1
         assert isinstance(failed[0].error, ColdStartFailed)
 
-    def test_breaker_quarantines_repeated_failures(self):
+    def test_breaker_quarantines_repeated_failures(self, monkeypatch):
         plan = FaultPlan(cold_start_failures=tuple(
             ColdStartFailureFault(ordinal=k) for k in (1, 2, 3)))
-        policy = ResiliencePolicy(max_attempts=10, backoff_base_ms=300.0,
-                                  backoff_cap_ms=1000.0,
-                                  breaker_failure_threshold=3,
-                                  breaker_cooldown_ms=3000.0)
+        monkeypatch.setattr(resilience, "BACKOFF_CAP_MS", 1000.0)
+        monkeypatch.setattr(resilience, "BREAKER_COOLDOWN_MS", 3000.0)
+        policy = ResiliencePolicy(max_attempts=10, backoff_base_ms=300.0)
         result = run(plan=plan, policy=policy, n=1)
         assert result.goodput() == 1.0
         # closed -> open, open -> half-open, half-open -> closed.

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.faults import resilience
 from repro.faults.resilience import (
     BackoffSchedule,
     BreakerState,
@@ -21,13 +22,13 @@ class TestPolicyValidation:
     @pytest.mark.parametrize("kwargs", [
         {"max_attempts": 0},
         {"backoff_base_ms": -1.0},
-        {"backoff_factor": 0.5},
-        {"backoff_base_ms": 100.0, "backoff_cap_ms": 50.0},
-        {"jitter_ratio": 1.5},
-        {"timeout_ms": 0.0},
-        {"hedge_after_ms": -5.0},
-        {"breaker_failure_threshold": 0},
-        {"breaker_cooldown_ms": 0.0},
+        {"max_attempts": -1},
+        {"backoff_base_ms": 2000.5},
+        {"backoff_base_ms": -0.001},
+        {"max_attempts": 0, "backoff_base_ms": 10.0},
+        {"max_attempts": 1, "backoff_base_ms": -5.0},
+        {"max_attempts": 2, "backoff_base_ms": 4000.0},
+        {"backoff_base_ms": float("inf")},
     ])
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -35,18 +36,17 @@ class TestPolicyValidation:
 
 
 class TestBackoffSchedule:
-    def test_exponential_growth(self):
-        schedule = BackoffSchedule(ResiliencePolicy(
-            backoff_base_ms=10.0, backoff_factor=2.0,
-            backoff_cap_ms=1000.0))
+    def test_exponential_growth(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BACKOFF_CAP_MS", 1000.0)
+        schedule = BackoffSchedule(ResiliencePolicy(backoff_base_ms=10.0))
         assert schedule.base_delay_ms(1) == 10.0
         assert schedule.base_delay_ms(2) == 20.0
         assert schedule.base_delay_ms(3) == 40.0
 
-    def test_cap_applies(self):
-        schedule = BackoffSchedule(ResiliencePolicy(
-            backoff_base_ms=10.0, backoff_factor=10.0,
-            backoff_cap_ms=500.0))
+    def test_cap_applies(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BACKOFF_FACTOR", 10.0)
+        monkeypatch.setattr(resilience, "BACKOFF_CAP_MS", 500.0)
+        schedule = BackoffSchedule(ResiliencePolicy(backoff_base_ms=10.0))
         assert schedule.base_delay_ms(3) == 500.0
         assert schedule.base_delay_ms(10) == 500.0
 
@@ -55,23 +55,26 @@ class TestBackoffSchedule:
         with pytest.raises(ValueError):
             schedule.base_delay_ms(0)
 
-    def test_jitter_bounds(self):
-        policy = ResiliencePolicy(backoff_base_ms=100.0, jitter_ratio=0.2,
-                                  backoff_factor=1.0)
+    def test_jitter_bounds(self, monkeypatch):
+        monkeypatch.setattr(resilience, "JITTER_RATIO", 0.2)
+        monkeypatch.setattr(resilience, "BACKOFF_FACTOR", 1.0)
+        policy = ResiliencePolicy(backoff_base_ms=100.0)
         schedule = BackoffSchedule(policy)
         rng = random.Random(5)
         for _ in range(50):
             delay = schedule.delay_ms(1, rng)
             assert 100.0 <= delay <= 120.0
 
-    def test_jitter_deterministic_per_seed(self):
-        schedule = BackoffSchedule(ResiliencePolicy(jitter_ratio=0.3))
+    def test_jitter_deterministic_per_seed(self, monkeypatch):
+        monkeypatch.setattr(resilience, "JITTER_RATIO", 0.3)
+        schedule = BackoffSchedule(ResiliencePolicy())
         first = [schedule.delay_ms(a, random.Random(9)) for a in (1, 2, 3)]
         second = [schedule.delay_ms(a, random.Random(9)) for a in (1, 2, 3)]
         assert first == second
 
-    def test_zero_jitter_is_exact(self):
-        schedule = BackoffSchedule(ResiliencePolicy(jitter_ratio=0.0))
+    def test_zero_jitter_is_exact(self, monkeypatch):
+        monkeypatch.setattr(resilience, "JITTER_RATIO", 0.0)
+        schedule = BackoffSchedule(ResiliencePolicy())
         assert schedule.delay_ms(1, random.Random(1)) == \
             schedule.base_delay_ms(1)
 

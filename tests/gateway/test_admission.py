@@ -22,7 +22,7 @@ class TestAdmissionConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_queue_depth": 0},
         {"max_inflight": 0},
-        {"retry_after_seconds": -0.1},
+        {"max_inflight": -1},
         {"shed_policy": "random"},
     ])
     def test_rejects_bad_values(self, kwargs):

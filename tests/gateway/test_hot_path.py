@@ -13,7 +13,9 @@ import gc
 import json
 import tracemalloc
 
-from repro.gateway import GatewayServer
+import pytest
+
+from repro.gateway import GatewayServer, harness
 from repro.gateway.harness import CellSpec, build_stack
 from repro.gateway.loadgen import HttpPool, LoadgenConfig
 from repro.gateway.server import STAGES
@@ -27,15 +29,15 @@ STAGE_NAMES = [f"gateway.stage.{stage}_ms" for stage in STAGES]
 
 
 def run_echo_stack(scenario, policy="vanilla", window_seconds=0.0,
-                   **spec_kwargs):
-    """Run async *scenario(platform, gateway)* on the gw-http-echo stack."""
+                   max_attempts=harness.MAX_ATTEMPTS, **spec_kwargs):
+    """Run async *scenario(platform, gateway)* on the gw-http-echo stack,
+    with containers that cold-start at once."""
 
     async def main():
         platform, gateway = build_stack(CellSpec(
             label="hot-path", policy=policy,
             load=LoadgenConfig(rps=100.0, duration_seconds=1.0, seed=1),
-            window_seconds=window_seconds, cold_start_seconds=0.0,
-            **spec_kwargs))
+            window_seconds=window_seconds, **spec_kwargs))
         try:
             return await scenario(platform, gateway)
         finally:
@@ -43,7 +45,10 @@ def run_echo_stack(scenario, policy="vanilla", window_seconds=0.0,
             await asyncio.get_event_loop().run_in_executor(
                 None, platform.shutdown)
 
-    return asyncio.run(main())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "COLD_START_SECONDS", 0.0)
+        patch.setattr(harness, "MAX_ATTEMPTS", max_attempts)
+        return asyncio.run(main())
 
 
 class TestReadBuffers:

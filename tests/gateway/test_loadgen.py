@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.gateway import loadgen
 from repro.gateway.loadgen import (
     HttpPool,
     LoadgenConfig,
@@ -27,7 +28,7 @@ class TestLoadgenConfig:
         {"duration_seconds": 0.0},
         {"mix": {}},
         {"mix": {"echo": -1.0}},
-        {"bucket_seconds": 0.0},
+        {"rps": -1.0},
         {"max_connections": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -89,8 +90,7 @@ class TestBuildSchedule:
 
 def make_result(samples, duration=1.0) -> LoadResult:
     config = LoadgenConfig(rps=float(len(samples)),
-                           duration_seconds=duration,
-                           bucket_seconds=0.5)
+                           duration_seconds=duration)
     return LoadResult("cell", "faasbatch", "inproc", config, samples,
                       wall_seconds=duration, gateway_stats={
                           "batches_dispatched": 2,
@@ -120,21 +120,23 @@ class TestLoadResult:
         assert cell["latency_ms"]["p50"] == pytest.approx(13.5)
         assert cell["mean_batch_size"] == 5.0
 
-    def test_cdf_is_monotone_and_complete(self):
+    def test_cdf_is_monotone_and_complete(self, monkeypatch):
+        monkeypatch.setattr(loadgen, "CDF_POINTS", 10)
         samples = [sample(0.0, 200, float(latency))
                    for latency in range(100, 0, -1)]
-        points = make_result(samples).cdf_points(max_points=10)
+        points = make_result(samples).cdf_points()
         xs = [p[0] for p in points]
         fracs = [p[1] for p in points]
         assert xs == sorted(xs)
         assert fracs == sorted(fracs)
         assert fracs[-1] == 1.0
 
-    def test_goodput_series_buckets(self):
+    def test_goodput_series_buckets(self, monkeypatch):
+        monkeypatch.setattr(loadgen, "BUCKET_SECONDS", 0.5)
         samples = [sample(0.1, 200, 1.0), sample(0.2, 200, 1.0),
                    sample(0.6, 429, 0.1), sample(0.7, 200, 1.0)]
         series = make_result(samples).goodput_series()
-        # bucket_seconds=0.5: bucket 0 holds two OKs, bucket 1 one OK +
+        # BUCKET_SECONDS=0.5: bucket 0 holds two OKs, bucket 1 one OK +
         # one shed.
         assert series["goodput_rps"] == [[0.25, 4.0], [0.75, 2.0]]
         assert series["shed_rps"] == [[0.25, 0.0], [0.75, 2.0]]

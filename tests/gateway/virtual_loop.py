@@ -90,9 +90,12 @@ def virtual_gateway(window_seconds: float, functions: Iterable[str] = ("echo",),
     loop = VirtualTimeLoop()
     platform = RecordingPlatform(functions=list(functions), loop=loop)
     config.setdefault("degradation", DegradationConfig(enabled=False))
-    gateway = Gateway(platform, GatewayConfig(  # type: ignore[arg-type]
-        policy="faasbatch", window_seconds=window_seconds, **config),
-        loop=loop)
+
+    async def build() -> Gateway:  # the gateway serves on the running loop
+        return Gateway(platform, GatewayConfig(  # type: ignore[arg-type]
+            policy="faasbatch", window_seconds=window_seconds, **config))
+
+    gateway = loop.run_until_complete(build())
     try:
         yield loop, gateway, platform
     finally:

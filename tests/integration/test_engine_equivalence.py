@@ -140,8 +140,8 @@ class _HookedEnvironment(Environment):
 
     __slots__ = ()
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        super().__init__(initial_time)
+    def __init__(self) -> None:
+        super().__init__()
         self.add_time_hook(lambda _old, _new: None)
 
 

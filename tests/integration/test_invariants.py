@@ -86,7 +86,8 @@ def check_invariants(result, trace):
         assert invocation.completed_ms <= invocation.responded_ms
         # Breakdown sums to the end-to-end latency.
         assert invocation.end_to_end_ms == pytest.approx(
-            latency.total_ms, abs=1e-6)
+            latency.scheduling_ms + latency.cold_start_ms
+            + latency.queuing_ms + latency.execution_ms, abs=1e-6)
 
     # Containers: at least one, at most one per invocation.
     assert 1 <= result.provisioned_containers <= len(trace)

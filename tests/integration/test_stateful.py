@@ -105,11 +105,6 @@ class StoreMachine(RuleBasedStateMachine):
             # No item: the getter must wait, then receive the NEXT put.
             self.store.cancel_get(event)
 
-    @rule()
-    def drain(self):
-        assert self.store.drain() == self.model
-        self.model.clear()
-
     @invariant()
     def length_matches(self):
         assert len(self.store) == len(self.model)
@@ -157,13 +152,6 @@ class PoolMachine(RuleBasedStateMachine):
             assert container is self.idle_model.pop()  # LIFO reuse
         else:
             assert container is None
-
-    @rule()
-    def drain(self):
-        drained = self.pool.drain()
-        assert sorted(c.container_id for c in drained) == \
-            sorted(c.container_id for c in self.idle_model)
-        self.idle_model.clear()
 
     @invariant()
     def idle_count_matches(self):

@@ -21,7 +21,7 @@ from repro.baselines import VanillaScheduler
 from repro.common.errors import CapacityExceeded
 from repro.core import FaaSBatchScheduler
 from repro.model.calibration import DEFAULT_CALIBRATION
-from repro.platformsim import run_experiment
+from repro.platformsim import experiment, run_experiment
 from repro.workload import io_function_spec, io_workload_trace
 from tests.traces import peak_memory_mb
 
@@ -31,18 +31,22 @@ SMALL_WORKER = DEFAULT_CALIBRATION.with_overrides(worker_memory_gb=8.0)
 FULL_BURST = 400
 
 
+@pytest.fixture(autouse=True)
+def small_worker(monkeypatch):
+    """Every run below simulates the small worker."""
+    monkeypatch.setattr(experiment, "DEFAULT_CALIBRATION", SMALL_WORKER)
+
+
 class TestWorkerDowntime:
     def test_vanilla_overruns_a_constrained_worker(self):
         trace = io_workload_trace(total=FULL_BURST)
         with pytest.raises(CapacityExceeded):
-            run_experiment(VanillaScheduler(), trace, [io_function_spec()],
-                           calibration=SMALL_WORKER)
+            run_experiment(VanillaScheduler(), trace, [io_function_spec()])
 
     def test_faasbatch_survives_the_same_burst(self):
         trace = io_workload_trace(total=FULL_BURST)
         result = run_experiment(FaaSBatchScheduler(), trace,
-                                [io_function_spec()],
-                                calibration=SMALL_WORKER)
+                                [io_function_spec()])
         assert len(result.invocations) == FULL_BURST
         assert result.failure_count == 0
         assert peak_memory_mb(result) < 8.0 * 1024.0
@@ -54,6 +58,5 @@ class TestWorkerDowntime:
         trace = io_workload_trace(total=FULL_BURST)
         result = run_experiment(VanillaScheduler(), trace,
                                 [io_function_spec()],
-                                calibration=SMALL_WORKER,
                                 strict_memory=False)
         assert peak_memory_mb(result) > 8.0 * 1024.0

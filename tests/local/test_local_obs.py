@@ -39,7 +39,7 @@ class TestLocalMetrics:
         obs = Observability()
         platform = LocalPlatform(LocalPlatformConfig(
             cold_start_seconds=0.0,
-            max_attempts=2, retry_backoff_seconds=0.0), obs=obs)
+            max_attempts=2), obs=obs)
         platform.register("boom",
                           lambda payload, context: 1 / 0)
         try:
@@ -103,7 +103,7 @@ class TestLocalTracing:
         obs = Observability(tracing=True)
         platform = LocalPlatform(LocalPlatformConfig(
             cold_start_seconds=0.0,
-            max_attempts=3, retry_backoff_seconds=0.0), obs=obs)
+            max_attempts=3), obs=obs)
         state = {"calls": 0}
 
         def flaky(payload, context):

@@ -37,8 +37,7 @@ class FlakyOnce:
 
 class TestRetryRebatching:
     def run_flaky_burst(self, total=24, **config_kwargs):
-        defaults = dict(cold_start_seconds=0.0, max_attempts=3,
-                        retry_backoff_seconds=0.0)
+        defaults = dict(cold_start_seconds=0.0, max_attempts=3)
         defaults.update(config_kwargs)
         platform = LocalPlatform(LocalPlatformConfig(**defaults))
         platform.register("flaky", FlakyOnce())
@@ -80,8 +79,7 @@ class TestRetryRebatching:
 
     def test_concurrent_retries_share_later_windows(self):
         """A group's failed members retry together, not one-by-one."""
-        invocations, _ = self.run_flaky_burst(total=32,
-                                              retry_backoff_seconds=0.02)
+        invocations, _ = self.run_flaky_burst(total=32)
         retry_windows = {invocation.attempt_history[1]["window_seq"]
                          for invocation in invocations}
         assert len(retry_windows) == 1

@@ -567,7 +567,7 @@ class TestGroupFailsOutsideAHandler:
             assert [inv.attempt_history[-1]["error"] for inv in group] \
                 == ["RuntimeError"] * 3
         finally:
-            platform.shutdown(timeout=2)
+            platform.shutdown()
 
     def test_acquire_failure_resolves_and_drains(self, monkeypatch):
         platform = vanilla_platform()
@@ -587,7 +587,7 @@ class TestGroupFailsOutsideAHandler:
                 "attempt": 1, "window_seq": inv.window_seq,
                 "container_id": None, "error": "MemoryError"}]
         finally:
-            platform.shutdown(timeout=2)
+            platform.shutdown()
 
     def test_failure_takes_the_retry_path(self, monkeypatch):
         platform = vanilla_platform(max_attempts=2)
@@ -609,7 +609,7 @@ class TestGroupFailsOutsideAHandler:
             assert [record["error"] for record in inv.attempt_history] \
                 == ["OSError", None]
         finally:
-            platform.shutdown(timeout=2)
+            platform.shutdown()
 
     def test_no_runner_thread_to_be_had(self, monkeypatch):
         platform = vanilla_platform()
@@ -628,7 +628,7 @@ class TestGroupFailsOutsideAHandler:
             assert call(platform, "echo", 2).result(timeout=5) == 2
         finally:
             monkeypatch.setattr(threading.Thread, "start", real_start)
-            platform.shutdown(timeout=2)
+            platform.shutdown()
 
     def test_no_worker_thread_inside_a_batch(self, monkeypatch):
         """Members that got a thread run; the others fail; nothing hangs."""
@@ -650,7 +650,7 @@ class TestGroupFailsOutsideAHandler:
             platform.drain(timeout=2)
         finally:
             monkeypatch.setattr(threading.Thread, "start", real_start)
-            platform.shutdown(timeout=2)
+            platform.shutdown()
 
     def test_fifty_failures_leave_threads_and_drain_healthy(
             self, monkeypatch):
@@ -673,41 +673,7 @@ class TestGroupFailsOutsideAHandler:
             monkeypatch.undo()
             assert call(platform, "echo", 9).result(timeout=5) == 9
         finally:
-            platform.shutdown(timeout=2)
-
-
-class TestDelayedRetries:
-    def test_pending_retries_cost_one_thread(self):
-        """200 invocations backing off at once wait on one thread."""
-        platform = LocalPlatform(LocalPlatformConfig(
-            use_multiplexer=False, cold_start_seconds=0.0, max_attempts=2,
-            retry_backoff_seconds=0.5))
-
-        def fail(payload, context):
-            raise RuntimeError(f"boom {payload}")
-
-        def threads_outside_pools():
-            """Live threads, less the runner and container worker pools
-            (their size follows how the group's members interleave)."""
-            return sum(1 for thread in threading.enumerate()
-                       if not thread.name.startswith(("local-runner",
-                                                      "container-")))
-
-        platform.register("fail", fail)
-        try:
-            before = threads_outside_pools()
-            burst, futures = submit(platform, "fail", list(range(200)))
-            most, deadline = before, time.monotonic() + 10.0
-            while not all(future.done() for future in futures) \
-                    and time.monotonic() < deadline:
-                most = max(most, threads_outside_pools())
-                time.sleep(0.01)
-            assert most <= before + 1
-            for invocation, future in zip(burst, futures):
-                assert isinstance(future.exception(timeout=5), RuntimeError)
-                assert invocation.attempts == 2
-        finally:
-            platform.shutdown(timeout=5)
+            platform.shutdown()
 
 
 class TestSharedStateIsLocked:
@@ -786,22 +752,6 @@ class TestSharedStateIsLocked:
         finally:
             platform.shutdown()
 
-    def test_expired_containers_leave_no_bookkeeping(self):
-        platform = LocalPlatform(LocalPlatformConfig(
-            cold_start_seconds=0.0, keep_alive_seconds=0.05))
-        platform.register("echo", lambda payload, context: payload)
-        try:
-            for n in range(5):
-                assert call(platform, "echo", n).result(timeout=5) == n
-            assert wait_until(lambda: platform.containers_expired
-                              == platform.containers_created, timeout=3)
-            with platform._lock:
-                assert not platform._containers
-                assert all(not idle for idle in platform._idle.values())
-            assert platform.multiplexer_reuse_ratio() == 0.0
-        finally:
-            platform.shutdown()
-
 
 class TestPromptStop:
     def live_platform_threads(self):
@@ -811,7 +761,7 @@ class TestPromptStop:
     def test_idle_platform_stops_within_five_milliseconds(self):
         took = []
         for _ in range(5):
-            platform = vanilla_platform(keep_alive_seconds=30.0)
+            platform = vanilla_platform()
             assert call(platform, "echo", 1).result(timeout=5) == 1
             assert wait_until(lambda: all_parked(platform))
             started = time.perf_counter()
@@ -825,7 +775,7 @@ class TestPromptStop:
         before = set(self.live_platform_threads())
         platform = LocalPlatform(LocalPlatformConfig(
             cold_start_seconds=0.0,
-            request_timeout_seconds=1.0, keep_alive_seconds=30.0))
+            request_timeout_seconds=1.0))
         platform.register("echo", lambda payload, context: payload)
         futures = call_group(platform, "echo", list(range(40)))
         assert [f.result(timeout=5) for f in futures] == list(range(40))

@@ -222,35 +222,11 @@ class TestLocalPlatform:
 
 
 class TestKeepAlive:
-    def test_idle_containers_expire(self):
-        platform = LocalPlatform(LocalPlatformConfig(
-            cold_start_seconds=0.0, keep_alive_seconds=0.05))
-        platform.register("echo", echo_handler)
-        call(platform, "echo", 1).result(timeout=5)
-        platform.drain()
-        assert platform.containers_created == 1
-        deadline = time.monotonic() + 2.0
-        while platform.containers_expired == 0 and \
-                time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert platform.containers_expired == 1
-        # A new request after expiry cold-starts a fresh container.
-        call(platform, "echo", 2).result(timeout=5)
-        platform.drain()
-        assert platform.containers_created == 2
-        platform.shutdown()
-
     def test_reuse_within_keep_alive_window(self):
-        platform = LocalPlatform(LocalPlatformConfig(
-            cold_start_seconds=0.0, keep_alive_seconds=5.0))
+        platform = LocalPlatform(LocalPlatformConfig(cold_start_seconds=0.0))
         platform.register("echo", echo_handler)
         for i in range(3):
             call(platform, "echo", i).result(timeout=5)
             platform.drain()
         assert platform.containers_created == 1
-        assert platform.containers_expired == 0
         platform.shutdown()
-
-    def test_invalid_keep_alive_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LocalPlatformConfig(keep_alive_seconds=0.0)

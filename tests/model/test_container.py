@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import ContainerStateError
 from repro.core.multiplexer import SimResourceMultiplexer
 from repro.model.calibration import DEFAULT_CALIBRATION
+from repro.model import container as container_module
 from repro.model.container import ContainerState, SimContainer
 from repro.model.function import FunctionKind, FunctionSpec, Invocation
 from repro.model.workprofile import cpu_profile, io_profile
@@ -16,10 +17,9 @@ from repro.sim.machine import Machine
 CAL = DEFAULT_CALIBRATION
 
 
-def make_spec(function_id="f", work_ms=50.0, cpu_limit=None):
+def make_spec(function_id="f", work_ms=50.0):
     return FunctionSpec(function_id=function_id, kind=FunctionKind.CPU,
-                        profile_factory=lambda payload: cpu_profile(work_ms),
-                        cpu_limit=cpu_limit)
+                        profile_factory=lambda payload: cpu_profile(work_ms))
 
 
 def make_io_spec(function_id="io"):
@@ -60,10 +60,10 @@ class TestLifecycle:
         assert machine.memory.used_mb == pytest.approx(
             CAL.container_memory_mb)
 
-    def test_code_memory_added(self, env, machine):
+    def test_code_memory_added(self, env, machine, monkeypatch):
+        monkeypatch.setattr(container_module, "CODE_MEMORY_MB", 100.0)
         spec = FunctionSpec(function_id="f", kind=FunctionKind.CPU,
-                            profile_factory=lambda p: cpu_profile(1.0),
-                            code_memory_mb=100.0)
+                            profile_factory=lambda p: cpu_profile(1.0))
         container = make_container(env, machine, spec)
         start_container(env, container)
         assert machine.memory.used_mb == pytest.approx(
@@ -142,8 +142,9 @@ class TestExecution:
         assert queuing[1] == pytest.approx(51.0)
         assert queuing[2] == pytest.approx(102.0)
 
-    def test_cpu_limit_slows_batch(self, env, machine):
-        spec = make_spec(work_ms=50.0, cpu_limit=1.0)
+    def test_cpu_limit_slows_batch(self, env, machine, monkeypatch):
+        monkeypatch.setattr(container_module, "CPU_LIMIT", 1.0)
+        spec = make_spec(work_ms=50.0)
         invocations = [make_invocation(spec, index=i) for i in range(2)]
         self.run_batch(env, machine, spec, invocations)
         # Two 51 core-ms tasks sharing the container's single core.
@@ -193,22 +194,6 @@ class TestExecution:
         assert container.invocations_failed == 1
         assert container.invocations_served == 1
         assert container.is_idle
-
-    def test_handler_failure_propagates_when_not_isolated(self, env, machine):
-        def broken(payload):
-            raise RuntimeError("bad profile")
-
-        spec = FunctionSpec(function_id="f", kind=FunctionKind.CPU,
-                            profile_factory=broken)
-        invocation = make_invocation(spec)
-        container = make_container(env, machine, spec,
-                                   isolate_failures=False)
-        start_container(env, container)
-        invocation.mark_dispatched(env.now, container.cold_start_ms)
-        container.execute_batch([invocation])
-        with pytest.raises(RuntimeError):
-            env.run()
-        assert invocation.error is not None
 
 
 class TestClientCreation:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ContainerNotFound
+from repro.model import container as container_module
 from repro.model.calibration import DEFAULT_CALIBRATION
 from repro.model.docker import SimDockerClient
 from repro.model.function import FunctionKind, FunctionSpec
@@ -16,10 +17,9 @@ def client(env, machine):
     return SimDockerClient(env, machine, DEFAULT_CALIBRATION)
 
 
-def make_spec(function_id="f", cpu_limit=None):
+def make_spec(function_id="f"):
     return FunctionSpec(function_id=function_id, kind=FunctionKind.CPU,
-                        profile_factory=lambda p: cpu_profile(10.0),
-                        cpu_limit=cpu_limit)
+                        profile_factory=lambda p: cpu_profile(10.0))
 
 
 class TestRun:
@@ -34,8 +34,10 @@ class TestRun:
         assert cold_ms > 0
         assert handle.status == "running"
 
-    def test_cpu_limit_creates_capped_group(self, env, client, machine):
-        handle = client.containers.run(make_spec(cpu_limit=2.0))
+    def test_cpu_limit_creates_capped_group(self, env, client, machine,
+                                            monkeypatch):
+        monkeypatch.setattr(container_module, "CPU_LIMIT", 2.0)
+        handle = client.containers.run(make_spec())
         env.run_process(handle.started)
         group = machine.cpu.group(f"cgroup:{handle.id}")
         assert group.cap == 2.0

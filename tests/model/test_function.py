@@ -10,7 +10,6 @@ from repro.model.function import (
     FunctionSpec,
     Invocation,
     InvocationState,
-    LatencyBreakdown,
 )
 from repro.model.workprofile import CpuWork, cpu_profile
 
@@ -25,13 +24,6 @@ def spec():
 def invocation(spec):
     return Invocation(invocation_id="inv-0", function=spec, payload=None,
                       arrival_ms=100.0)
-
-
-class TestLatencyBreakdown:
-    def test_total_is_sum_of_components(self):
-        latency = LatencyBreakdown(scheduling_ms=1.0, cold_start_ms=2.0,
-                                   queuing_ms=3.0, execution_ms=4.0)
-        assert latency.total_ms == 10.0
 
 
 class TestStamping:
@@ -51,8 +43,10 @@ class TestStamping:
         assert invocation.end_to_end_ms == pytest.approx(150.0)
         assert invocation.state is InvocationState.COMPLETED
         # Consistency: end-to-end equals the component sum.
+        latency = invocation.latency
         assert invocation.end_to_end_ms == pytest.approx(
-            invocation.latency.total_ms)
+            latency.scheduling_ms + latency.cold_start_ms
+            + latency.queuing_ms + latency.execution_ms)
 
     def test_double_dispatch_rejected(self, invocation):
         invocation.mark_dispatched(150.0, 0.0)

@@ -156,20 +156,6 @@ class TestKeepAliveExpiry:
         env.run()
         assert expired == ["c-0"]
 
-    def test_drain_stops_idle_containers(self, env, machine):
-        pool = ContainerPool(env, keep_alive_ms=10_000.0)
-        containers = []
-        for i in range(2):
-            container = started_container(env, machine, make_spec(), f"c-{i}")
-            pool.register_started(container)
-            pool.release(container)
-            containers.append(container)
-        drained = pool.drain()
-        assert len(drained) == 2
-        assert pool.idle_count() == 0
-        env.run()  # pending expiry processes must be harmless no-ops
-        assert pool.expired_total == 0
-
 
 class TestRejectedReleases:
     """Regression: a crashed container must never re-enter the idle list.

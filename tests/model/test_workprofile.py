@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.model import workprofile
 from repro.model.workprofile import (
     CpuWork,
     IoWait,
@@ -49,8 +50,9 @@ class TestBuilders:
         profile = cpu_profile(100.0)
         assert list(profile) == [CpuWork(100.0)]
 
-    def test_cpu_profile_with_overhead(self):
-        profile = cpu_profile(100.0, overhead_ms=5.0)
+    def test_cpu_profile_with_overhead(self, monkeypatch):
+        monkeypatch.setattr(workprofile, "CPU_OVERHEAD_MS", 5.0)
+        profile = cpu_profile(100.0)
         assert cpu_work_ms(profile) == 105.0
         assert len(profile) == 2
 

@@ -32,7 +32,8 @@ class TestGauge:
         gauge = Gauge("g")
         gauge.set(5.0)
         gauge.inc()
-        gauge.dec(3.0)
+        for _ in range(3):
+            gauge.dec()
         assert gauge.value == pytest.approx(3.0)
 
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.obs import timeseries
 from repro.obs.metrics import Gauge
 from repro.obs.timeseries import (
     DEFAULT_INTERVAL_MS,
@@ -96,7 +97,7 @@ class TestSeries:
 class TestSampler:
     def test_samples_at_install_and_boundaries(self):
         env = Environment()
-        sampler = TimeSeriesSampler(interval_ms=1000.0, enabled=True)
+        sampler = TimeSeriesSampler(enabled=True)
         clock = {"value": 0.0}
         sampler.register_probe("v", lambda: clock["value"])
         sampler.install(env)
@@ -109,7 +110,7 @@ class TestSampler:
 
     def test_boundaries_crossed_in_one_jump_all_sampled(self):
         env = Environment()
-        sampler = TimeSeriesSampler(interval_ms=1000.0, enabled=True)
+        sampler = TimeSeriesSampler(enabled=True)
         sampler.register_probe("v", lambda: 1.0)
         sampler.install(env)
         _advance(env, 3500.0, 3500.0)  # one event jumps the clock 3.5 s
@@ -126,10 +127,12 @@ class TestSampler:
             return env.events_processed
         assert run(True) == run(False)
 
-    def test_deterministic_snapshots(self):
+    def test_deterministic_snapshots(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "DEFAULT_INTERVAL_MS", 100.0)
+
         def run() -> str:
             env = Environment()
-            sampler = TimeSeriesSampler(interval_ms=100.0, enabled=True)
+            sampler = TimeSeriesSampler(enabled=True)
             state = {"value": 0.0}
             sampler.register_probe("v", lambda: state["value"])
             sampler.install(env)
@@ -151,7 +154,7 @@ class TestSampler:
 
     def test_probe_replacement_keeps_series(self):
         env = Environment()
-        sampler = TimeSeriesSampler(interval_ms=1000.0, enabled=True)
+        sampler = TimeSeriesSampler(enabled=True)
         sampler.register_probe("v", lambda: 1.0)
         sampler.install(env)
         sampler.register_probe("v", lambda: 2.0)  # fresh platform, same name
@@ -160,7 +163,7 @@ class TestSampler:
 
     def test_register_gauge_reads_live_value(self):
         env = Environment()
-        sampler = TimeSeriesSampler(interval_ms=1000.0, enabled=True)
+        sampler = TimeSeriesSampler(enabled=True)
         gauge = Gauge("g")
         gauge.set(4.0)
         sampler.register_probe("g", lambda: gauge.value)
@@ -173,10 +176,6 @@ class TestSampler:
         with pytest.raises(KeyError):
             TimeSeriesSampler().series("nope")
 
-    def test_validates_interval(self):
-        with pytest.raises(ValueError):
-            TimeSeriesSampler(interval_ms=0.0)
-
     def test_default_interval_is_one_second(self):
         assert DEFAULT_INTERVAL_MS == 1000.0
 
@@ -184,7 +183,7 @@ class TestSampler:
 class TestSeriesRecords:
     def test_records_decorated_and_filtered(self):
         env = Environment()
-        sampler = TimeSeriesSampler(interval_ms=1000.0, enabled=True)
+        sampler = TimeSeriesSampler(enabled=True)
         sampler.register_probe("busy", lambda: 2.0)
         sampler.register_probe("idle", lambda: 0.0)
         sampler.install(env)

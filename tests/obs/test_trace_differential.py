@@ -220,7 +220,7 @@ CALLS = st.one_of(
     st.tuples(st.just("container_event"), st.sampled_from(CONTAINERS),
               st.sampled_from(("released", "batch-started")), TIMES, ATTRS),
     st.tuples(st.just("annotation"),
-              st.sampled_from(("retry-scheduled", "hedge-won")), TIMES,
+              st.sampled_from(("retry-scheduled", "retries-exhausted")), TIMES,
               ATTRS),
     st.tuples(st.just("read")),
     st.tuples(st.just("toggle")),

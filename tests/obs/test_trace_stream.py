@@ -6,12 +6,10 @@ import json
 import os
 import threading
 
-import pytest
-
 from repro.analysis.breakdown import check_trace_invariants
 from repro.gateway import demo_platform
 from repro.local import LocalPlatformConfig
-from repro.obs import Observability
+from repro.obs import Observability, trace
 from repro.obs.trace import (
     TIME_TOLERANCE_MS,
     WALL_TIME_TOLERANCE_MS,
@@ -29,6 +27,13 @@ def record(n: int) -> dict:
     return {"type": "annotation", "kind": "tick", "n": n}
 
 
+def bounded_writer(monkeypatch, path, max_bytes, backups):
+    """A writer rotating past *max_bytes* and keeping *backups*."""
+    monkeypatch.setattr(trace, "DEFAULT_TRACE_MAX_BYTES", max_bytes)
+    monkeypatch.setattr(trace, "DEFAULT_TRACE_BACKUPS", backups)
+    return RotatingJsonlWriter(path)
+
+
 class TestRotatingJsonlWriter:
     def test_appends_and_counts_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -40,12 +45,11 @@ class TestRotatingJsonlWriter:
         records = read_jsonl(path)
         assert [r["n"] for r in records] == list(range(5))
 
-    def test_rotates_and_shifts_backups(self, tmp_path):
+    def test_rotates_and_shifts_backups(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.jsonl"
         line_bytes = len(json.dumps(record(0), sort_keys=True)) + 1
         # Room for exactly two lines per generation.
-        with RotatingJsonlWriter(path, max_bytes=2 * line_bytes,
-                                 backups=2) as writer:
+        with bounded_writer(monkeypatch, path, 2 * line_bytes, 2) as writer:
             for n in range(7):
                 writer.write(record(n))
             assert writer.rotations == 3
@@ -56,35 +60,27 @@ class TestRotatingJsonlWriter:
         assert [r["n"] for r in read_jsonl(f"{path}.2")] == [2, 3]
         assert not os.path.exists(f"{path}.3")
 
-    def test_zero_backups_truncates_in_place(self, tmp_path):
+    def test_zero_backups_truncates_in_place(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.jsonl"
         line_bytes = len(json.dumps(record(0), sort_keys=True)) + 1
-        with RotatingJsonlWriter(path, max_bytes=2 * line_bytes,
-                                 backups=0) as writer:
+        with bounded_writer(monkeypatch, path, 2 * line_bytes, 0) as writer:
             for n in range(5):
                 writer.write(record(n))
             assert writer.rotations == 2
         assert [r["n"] for r in read_jsonl(path)] == [4]
         assert not os.path.exists(f"{path}.1")
 
-    def test_single_oversized_line_still_writes(self, tmp_path):
+    def test_single_oversized_line_still_writes(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.jsonl"
-        with RotatingJsonlWriter(path, max_bytes=8, backups=1) as writer:
+        with bounded_writer(monkeypatch, path, 8, 1) as writer:
             writer.write({"big": "x" * 64})
             # An empty file never rotates, however large the line.
             assert writer.rotations == 0
 
-    def test_rejects_bad_bounds(self, tmp_path):
-        with pytest.raises(ValueError, match="max_bytes"):
-            RotatingJsonlWriter(tmp_path / "t.jsonl", max_bytes=0)
-        with pytest.raises(ValueError, match="backups"):
-            RotatingJsonlWriter(tmp_path / "t.jsonl", backups=-1)
-
-    def test_each_generation_is_self_contained_jsonl(self, tmp_path):
+    def test_each_generation_is_self_contained_jsonl(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.jsonl"
         line_bytes = len(json.dumps(record(0), sort_keys=True)) + 1
-        with RotatingJsonlWriter(path, max_bytes=3 * line_bytes,
-                                 backups=3) as writer:
+        with bounded_writer(monkeypatch, path, 3 * line_bytes, 3) as writer:
             for n in range(8):
                 writer.write(record(n))
         for generation in (str(path), f"{path}.1", f"{path}.2"):

@@ -7,7 +7,7 @@ import pytest
 from repro.baselines.vanilla import VanillaScheduler
 from repro.common.errors import SimulationError
 from repro.core.scheduler import FaaSBatchScheduler
-from repro.platformsim.experiment import run_experiment
+from repro.platformsim.experiment import run_experiment, run_workers
 from repro.workload.generator import (
     cpu_workload_trace,
     fib_function_spec,
@@ -37,8 +37,10 @@ class TestRunner:
 
     def test_breakdown_sums_to_end_to_end(self, small_result):
         for invocation in small_result.invocations:
+            latency = invocation.latency
             assert invocation.end_to_end_ms == pytest.approx(
-                invocation.latency.total_ms, abs=1e-6)
+                latency.scheduling_ms + latency.cold_start_ms
+                + latency.queuing_ms + latency.execution_ms, abs=1e-6)
 
     def test_samples_collected_at_one_hertz(self, small_result):
         times = [s.time_ms for s in small_result.samples]
@@ -49,8 +51,10 @@ class TestRunner:
     def test_timeout_raises(self):
         trace = cpu_workload_trace(total=30)
         with pytest.raises(SimulationError):
-            run_experiment(VanillaScheduler(), trace, [fib_function_spec()],
-                           timeout_ms=10.0)
+            with run_workers({0: VanillaScheduler()}, trace, lambda _r: 0,
+                             [fib_function_spec()], lambda _inv: None,
+                             until_ms=10.0):
+                pass
 
 
 
@@ -101,12 +105,3 @@ class TestExport:
         assert data["failures"] == 0
         assert all(row["execution_ms"] > 0 for row in data["invocations"])
         assert data["samples"][0]["time_ms"] == 0.0
-
-    def test_to_json_writes_file(self, small_result, tmp_path):
-        import json
-        path = tmp_path / "result.json"
-        small_result.to_json(path)
-        loaded = json.loads(path.read_text())
-        assert loaded["provisioned_containers"] == \
-            small_result.provisioned_containers
-        assert len(loaded["invocations"]) == 60

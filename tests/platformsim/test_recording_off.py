@@ -2,8 +2,8 @@
 
 Every tracer call site in the platform, the container model, the
 schedulers and the fault layer tests ``enabled`` before it builds its
-arguments.  With tracing off, a full ``run_experiment`` — faults,
-retries, timeouts and hedges included — must therefore never reach a
+arguments.  With tracing off, a full ``run_experiment`` — faults and
+retries included — must therefore never reach a
 recording method.  The same scenarios run once with tracing on, which
 shows that the off runs really pass every call site.
 """
@@ -15,9 +15,9 @@ import pytest
 from repro.baselines import SfsScheduler, VanillaScheduler
 from repro.core import FaaSBatchConfig, FaaSBatchScheduler
 from repro.faults import ResiliencePolicy, reference_plan
-from repro.faults.plan import FaultPlan, OomKillFault, StragglerFault
+from repro.faults.plan import FaultPlan, OomKillFault
 from repro.model.function import FunctionKind, FunctionSpec
-from repro.model.workprofile import cpu_profile, io_profile
+from repro.model.workprofile import io_profile
 from repro.obs import Observability
 from repro.obs.trace import InvocationTracer
 from repro.platformsim import run_experiment
@@ -28,11 +28,6 @@ from tests.traces import multi_function_trace, peak_memory_mb
 RECORDERS = ("invocation_arrived", "invocation_dispatched",
              "execution_started", "execution_completed", "execution_failed",
              "invocation_responded", "container_event", "annotation")
-
-
-def _spec(profile):
-    return [FunctionSpec(function_id="f", kind=FunctionKind.CPU,
-                         profile_factory=lambda _payload: profile)]
 
 
 def _burst(count):
@@ -60,16 +55,6 @@ SCENARIOS = {
         scheduler=SfsScheduler(),
         trace=multi_function_trace(seed=3, total=60, functions=3),
         functions=fib_family_specs(3)),
-    # A throttled primary: the hedge launches and wins, a later attempt
-    # times out.
-    "vanilla+hedge": lambda: dict(
-        scheduler=VanillaScheduler(), trace=_burst(2),
-        functions=_spec(cpu_profile(2000.0)),
-        fault_plan=FaultPlan(stragglers=(StragglerFault(
-            ordinal=1, after_start_ms=0.0, duration_ms=600000.0,
-            cpu_scale=0.001),)),
-        resilience=ResiliencePolicy(max_attempts=2, hedge_after_ms=50.0,
-                                    timeout_ms=30000.0)),
     "vanilla+oom": lambda: dict(
         scheduler=VanillaScheduler(), trace=_burst(6), functions=IO_SPEC,
         fault_plan=FaultPlan(oom_kills=(OomKillFault(
@@ -98,8 +83,8 @@ def test_recording_runs_reach_every_kind_of_call_site():
         kinds.update(e.kind for e in result.trace.container_events)
     assert {"fault-container-crashed", "fault-cold-start-failed",
             "fault-dispatch-error", "fault-straggler-began",
-            "fault-oom-kill", "retry-scheduled", "hedge-launched",
-            "hedge-won", "batch-started", "released"} <= kinds
+            "fault-oom-kill", "retry-scheduled", "batch-started",
+            "released"} <= kinds
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))

@@ -122,7 +122,7 @@ def test_finished_world_is_freed_without_the_cyclic_collector(
         build_scheduler(policy, SchedulerBuild(window_ms=200.0)),
         multi_function_trace(seed=42, total=120, functions=3),
         fib_family_specs(3), fault_plan=reference_plan(),
-        resilience=ResiliencePolicy(max_attempts=3, hedge_after_ms=300.0),
+        resilience=ResiliencePolicy(max_attempts=3),
         obs=Observability(tracing=True, sampling=True))
     assert len(result.invocations) == 120
     (environment,) = environments

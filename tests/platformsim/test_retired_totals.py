@@ -19,7 +19,7 @@ from repro.core import FaaSBatchConfig, FaaSBatchScheduler
 from repro.faults import ResiliencePolicy
 from repro.faults.plan import ContainerCrashFault, FaultPlan, OomKillFault
 from repro.model.calibration import DEFAULT_CALIBRATION
-from repro.platformsim import run_experiment
+from repro.platformsim import experiment, run_experiment
 from repro.platformsim.platform import ServerlessPlatform
 from repro.workload.generator import io_function_spec, io_workload_trace
 
@@ -63,13 +63,13 @@ def platforms(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_totals_count_retired_containers(name, platforms):
+def test_totals_count_retired_containers(name, platforms, monkeypatch):
+    monkeypatch.setattr(experiment, "DEFAULT_CALIBRATION", SHORT_KEEP_ALIVE)
     make_scheduler, plan, resilience, expected = SCENARIOS[name]
     provisioned, clients, reuses, misses = expected
     result = run_experiment(
         make_scheduler(), io_workload_trace(seed=13, total=400),
-        [io_function_spec(SHORT_KEEP_ALIVE)], calibration=SHORT_KEEP_ALIVE,
-        fault_plan=plan, resilience=resilience)
+        [io_function_spec()], fault_plan=plan, resilience=resilience)
     assert result.failure_count == 0
     assert result.provisioned_containers == provisioned
     assert result.clients_created == clients

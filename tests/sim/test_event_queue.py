@@ -214,11 +214,12 @@ class TestKernelFiringOrder:
         def worker(tag: int):
             for step in range(rng.randrange(1, 5)):
                 delay = rng.choice([0.0, 0.125, 1.0, 3.5, 1e7])
-                timeout = env.timeout(delay, value=(tag, step))
+                timeout = env.timeout(delay)
                 created.append((env.now + delay, len(created), (tag, step)))
                 if rng.random() < 0.2:
                     env.timeout(delay + 1.0).cancel()
-                fired.append((yield timeout))
+                yield timeout
+                fired.append((tag, step))
 
         workers = 12
         for tag in range(workers):

@@ -74,17 +74,6 @@ class TestTimeout:
         with pytest.raises(ValueError):
             env.timeout(-1.0)
 
-    def test_timeout_carries_value(self, env):
-        got = []
-
-        def proc():
-            value = yield env.timeout(1.0, value="payload")
-            got.append(value)
-
-        env.process(proc())
-        env.run()
-        assert got == ["payload"]
-
 
 class TestProcess:
     def test_return_value_becomes_process_value(self, env):
@@ -220,12 +209,20 @@ class TestInterrupt:
             process.interrupt()
 
 
+def after(env, delay, value):
+    """A process that returns *value* after *delay* ms."""
+    def wait():
+        yield env.timeout(delay)
+        return value
+    return env.process(wait())
+
+
 class TestComposites:
     def test_all_of_waits_for_every_child(self, env):
         results = []
 
         def proc():
-            values = yield env.timeout(5.0, "a") & env.timeout(10.0, "b")
+            values = yield after(env, 5.0, "a") & after(env, 10.0, "b")
             results.append((env.now, values))
 
         env.process(proc())
@@ -236,7 +233,7 @@ class TestComposites:
         results = []
 
         def proc():
-            winner, value = yield env.timeout(5.0, "fast") | env.timeout(9.0)
+            winner, value = yield after(env, 5.0, "fast") | env.timeout(9.0)
             results.append((env.now, value))
 
         env.process(proc())
@@ -265,7 +262,7 @@ class TestComposites:
 
     def test_all_of_on_already_processed_children(self, env):
         def proc():
-            first = env.timeout(1.0, "x")
+            first = after(env, 1.0, "x")
             yield first
             values = yield env.all_of([first])
             return values

@@ -99,10 +99,10 @@ class TestPriorityKeyComposition:
 
 class TestTimeoutAt:
     def test_fires_at_exact_time(self, env):
-        timer = env.timeout_at(7.25, value="x")
+        timer = env.timeout_at(7.25)
         assert isinstance(timer, Timeout)
         env.run()
-        assert env.now == 7.25 and timer.value == "x"
+        assert env.now == 7.25 and timer.processed
 
     def test_rejects_past_time(self):
         env = Environment()

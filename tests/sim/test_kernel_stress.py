@@ -86,7 +86,7 @@ class TestRandomProcessTrees:
             env.process(worker())
         env.run()
         assert peak[0] <= capacity
-        assert resource.queued == 0
+        assert not resource._waiting  # nobody left waiting
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), events=st.integers(2, 40))

@@ -21,7 +21,7 @@ class TestResource:
         env.run()
         assert first.triggered and second.triggered
         assert not third.triggered
-        assert resource.queued == 1
+        assert len(resource._waiting) == 1
 
     def test_release_wakes_fifo_waiter(self, env):
         resource = Resource(env, capacity=1)
@@ -112,11 +112,4 @@ class TestStore:
         assert event.triggered
         store.cancel_get(event)
         assert event.value == 3
-
-    def test_drain_empties_queue(self, env):
-        store: Store[int] = Store(env)
-        for i in range(5):
-            store.put(i)
-        assert store.drain() == [0, 1, 2, 3, 4]
-        assert len(store) == 0
 

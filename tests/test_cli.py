@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import selectors
+import signal
+import subprocess
+import sys
+import time
+import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from tests.traces import read_trace_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestCompare:
@@ -78,17 +89,16 @@ class TestSpanTracing:
 
     def test_summarize_counts_a_retried_invocation_once(self, tmp_path,
                                                         capsys):
-        """Each attempt (``inv-0#a2``) and hedged shadow (``inv-0~h1``)
-        has its own timeline, but they are one invocation."""
+        """Each attempt (``inv-0#a2``) has its own timeline, but they are
+        one invocation."""
         path = tmp_path / "retried.jsonl"
         path.write_text("".join(
             json.dumps({"type": "span", "invocation_id": trace_id,
                         "stage": "queued", "start_ms": 0.0, "end_ms": 1.0,
                         "scheduler": "X"}) + "\n"
-            for trace_id in ("inv-0", "inv-0#a2", "inv-0#a3", "inv-0~h1",
-                             "inv-1")))
+            for trace_id in ("inv-0", "inv-0#a2", "inv-0#a3", "inv-1")))
         assert main(["trace", "summarize", str(path)]) == 0
-        assert "5 spans over X: 2 invocations" in capsys.readouterr().out
+        assert "4 spans over X: 2 invocations" in capsys.readouterr().out
 
     def test_sweep_exports_spans_per_window(self, tmp_path, capsys):
         spans_path = tmp_path / "sweep.jsonl"
@@ -289,3 +299,45 @@ class TestSchedulerSelection:
         assert main(["bench", "--invocations", "40", "--inline",
                      "--schedulers", "kraken"]) == 2
         assert "add vanilla" in capsys.readouterr().err
+
+
+class TestServe:
+    def test_serve_answers_then_stops_on_sigint(self):
+        """``repro serve`` in its own process: one invocation, /stats, and
+        a Ctrl-C that stops it cleanly."""
+        env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env)
+        try:
+            address = None
+            with selectors.DefaultSelector() as selector:
+                selector.register(server.stdout, selectors.EVENT_READ)
+                deadline = time.monotonic() + 30.0
+                while address is None and time.monotonic() < deadline:
+                    if not selector.select(deadline - time.monotonic()):
+                        break
+                    line = server.stdout.readline()
+                    if not line:
+                        break
+                    found = re.search(r"Serving .* on (http://\S+:\d+)",
+                                      line)
+                    address = found and found.group(1)
+            assert address, "the server never said where it serves"
+            request = urllib.request.Request(
+                f"{address}/invoke/echo", data=b'{"n": 1}', method="POST")
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert response.status == 200
+                assert json.loads(response.read()) == {"result": {"n": 1}}
+            with urllib.request.urlopen(f"{address}/stats",
+                                        timeout=10) as response:
+                assert json.loads(response.read())["requests_total"] == 1
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=30) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()

@@ -1,4 +1,5 @@
-"""Surface census: every public name in ``src/repro`` has a user.
+"""Surface census: every public name and every knob in ``src/repro`` has a
+user outside ``tests/``.
 
 The census parses every module of the corpus, lists each public top-level
 name (function, class or module constant) of the package and each public
@@ -39,7 +40,28 @@ sinks), whose readers name neither class.  What a
 framework calls by name (an asyncio ``Protocol`` callback, ``Thread.run``)
 has no reader in the corpus and is listed in ``ALLOWED``.
 
-Print the whole census with ``python tests/test_surface.py``.
+The knob census applies the same rule to settable values.  A knob is a
+defaulted field of a ``src`` dataclass whose name ends in ``Config``,
+``Policy`` or ``Spec`` (``module:Class.field``), or a defaulted parameter
+of a public function, method or constructor (``module:function(param)``,
+``module:Class.method(param)``, ``module:Class(param)``).  A knob is set
+only where a corpus file passes it:
+
+* by keyword or by position in a call of its callable, resolved by name
+  as methods are (``cls(...)`` in a class body names that class, an
+  imported alias names what it imports, and a call of one of
+  :data:`BINDERS` calls its first argument with the rest);
+* through ``**mapping`` or ``*sequence`` unpacking, which may set any
+  keyword or any position from its own on;
+* for a dataclass field, through ``dataclasses.replace``.
+
+A knob only tests set is a constant with extra steps: it becomes a module
+constant or goes, with what only it switches on.  ``ALLOWED`` keeps one
+only for a deployment setting (a path, host, port or argv), a reference
+implementation a test compares against, or a value a committed artifact
+or an input format carries.
+
+Print both censuses with ``python tests/test_surface.py``.
 """
 
 from __future__ import annotations
@@ -52,9 +74,27 @@ from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tupl
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ("src", "benchmarks", "examples", "macrobench")
 
-#: ``module:name`` or ``module:Class.method`` -> why the name stays
-#: although the corpus never uses it (a framework calls it by name).
-ALLOWED: Dict[str, str] = {}
+#: A name (``module:name``, ``module:Class.method``) or a knob -> why it
+#: stays although the corpus never uses or sets it.
+ALLOWED: Dict[str, str] = {
+    "repro.analysis.report:emit_lines(output_dir)":
+        "deployment path: where the report lines are written",
+    "repro.cluster.sharded:ShardedClusterConfig.reservoir_capacity":
+        "artifact value: BENCH_cluster.json records it in each cell's "
+        "config, which CI rebuilds with ShardedClusterConfig(**config)",
+    "repro.sim.sfs_cpu:SfsCpu(coalesce)":
+        "reference implementation: tests/sim/test_sfs_cpu.py runs the "
+        "uncoalesced discipline beside it and expects identical schedules",
+    "repro.baselines.kraken:KrakenConfig.mode":
+        "reference implementation: the EWMA port, compared against the "
+        "perfect-knowledge default in tests/baselines/test_kraken.py and "
+        "kept for ROADMAP item 6(c)",
+    **{f"repro.gateway.degradation:DegradationConfig.{field}":
+       "reference implementation: the degradation monitor's tuning, "
+       "which ROADMAP item 5 decides by a committed adaptive cell"
+       for field in ("window_size", "min_samples", "probe_every", "margin",
+                     "cooldown")},
+}
 
 #: Names an attribute read may mean whatever the receiver is: a method
 #: that shares one needs its class or module named where it is read.
@@ -296,6 +336,179 @@ def unused_names(table: Mapping[str, List[str]],
                   if not users and key not in allowed)
 
 
+# -- knobs -------------------------------------------------------------------
+
+#: A ``src`` dataclass whose name ends in one of these is configuration:
+#: each of its defaulted fields is a knob.
+KNOB_CLASSES = ("Config", "Policy", "Spec")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) \
+            else decorator
+        name = target.attr if isinstance(target, ast.Attribute) \
+            else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(node: ast.ClassDef) -> Iterator[Tuple[int, str, bool]]:
+    """``(position, field, has a default)`` for each init field."""
+    position = 0
+    for child in node.body:
+        if not (isinstance(child, ast.AnnAssign)
+                and isinstance(child.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(child.annotation):
+            continue
+        yield position, child.target.id, child.value is not None
+        position += 1
+
+
+def _defaulted(function: ast.FunctionDef, skip_first: bool
+               ) -> Iterator[Tuple[Optional[int], str]]:
+    """``(position or None for keyword-only, parameter)`` for each
+    parameter of *function* that has a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    offset = 1 if skip_first else 0
+    for index, arg in enumerate(positional):
+        if index >= first_default:
+            yield index - offset, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+#: ``(key, callee name, position or None, parameter, is a dataclass field)``
+Knob = Tuple[str, str, Optional[int], str, bool]
+
+
+def knobs_of(tree: ast.Module, module: str) -> Iterator[Knob]:
+    """Every knob one ``src`` module defines: the defaulted fields of its
+    configuration dataclasses, and the defaulted parameters of its public
+    functions, methods and constructors."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and not node.name.startswith("_"):
+            for position, param in _defaulted(node, skip_first=False):
+                yield (f"{module}:{node.name}({param})", node.name,
+                       position, param, False)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if _is_dataclass(node) and node.name.endswith(KNOB_CLASSES):
+            for position, field, default in _dataclass_fields(node):
+                if default:
+                    yield (f"{module}:{node.name}.{field}", node.name,
+                           position, field, True)
+        for child in node.body:
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if child.name == "__init__":
+                callee, key = node.name, f"{module}:{node.name}"
+            elif child.name.startswith("_"):
+                continue
+            else:
+                callee, key = child.name, f"{module}:{node.name}.{child.name}"
+            decorators = {ast.unparse(d) for d in child.decorator_list}
+            if "property" in decorators:
+                continue
+            bound = "staticmethod" not in decorators
+            for position, param in _defaulted(child, skip_first=bound):
+                yield f"{key}({param})", callee, position, param, False
+
+
+#: Calls that call their first argument with the rest of theirs.
+BINDERS = ("partial", "create_resource")
+
+
+def _callee(call: ast.Call, cls: Optional[str]
+            ) -> Tuple[Optional[str], List[ast.expr], List[ast.keyword]]:
+    """The name a call is resolved by, with its arguments: ``cls(...)``
+    inside class *cls* is a call of that class, an imported alias is
+    resolved in :func:`knob_sets`, and a call of one of the
+    :data:`BINDERS` is a call of the callable it is handed."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) \
+        else getattr(func, "id", None)
+    if name == "cls" and cls is not None:
+        name = cls
+    if name in BINDERS and call.args:
+        return _callee(ast.Call(func=call.args[0], args=call.args[1:],
+                                keywords=call.keywords), cls)
+    return name, call.args, call.keywords
+
+
+def _calls(tree: ast.AST, cls: Optional[str] = None
+           ) -> Iterator[Tuple[ast.Call, Optional[str]]]:
+    """Every call under *tree* with the class whose body it is in."""
+    for child in ast.iter_child_nodes(tree):
+        inner = child.name if isinstance(child, ast.ClassDef) else cls
+        if isinstance(child, ast.Call):
+            yield child, cls
+        yield from _calls(child, inner)
+
+
+def knob_sets(corpus: Mapping[str, str]
+              ) -> Dict[Tuple[str, object], List[str]]:
+    """``(callee, parameter or position) -> files`` for every argument a
+    call in *corpus* passes; ``("replace", field)`` for each field a
+    ``dataclasses.replace`` sets, ``(callee, ("*", n))`` for a call that
+    unpacks positional arguments from position *n* on, and
+    ``(callee, "**")`` for one that unpacks keyword arguments."""
+    found: Dict[Tuple[str, object], Set[str]] = defaultdict(set)
+    for path, source in corpus.items():
+        tree = ast.parse(source)
+        aliases = {alias.asname: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.asname}
+        for node, cls in _calls(tree):
+            name, args, keywords = _callee(node, cls)
+            if name is None:
+                continue
+            name = aliases.get(name, name)
+            if name == "replace":
+                args = args[1:]
+            for position, arg in enumerate(args):
+                if isinstance(arg, ast.Starred):
+                    found[(name, ("*", position))].add(path)
+                    break
+                found[(name, position)].add(path)
+            for keyword in keywords:
+                found[(name, keyword.arg or "**")].add(path)
+    return {key: sorted(paths) for key, paths in found.items()}
+
+
+def knob_census(corpus: Mapping[str, str]) -> Dict[str, List[str]]:
+    """``knob -> files that set it`` for every knob of the ``src/`` modules
+    of *corpus*, by the rules in the module docstring."""
+    sets = knob_sets(corpus)
+    # callee -> (first unpacked position, files) for each ``*`` call
+    unpacked: Dict[str, List[Tuple[int, List[str]]]] = defaultdict(list)
+    for (callee, mark), paths in sets.items():
+        if isinstance(mark, tuple):
+            unpacked[callee].append((mark[1], paths))
+    table: Dict[str, List[str]] = {}
+    for path, source in corpus.items():
+        if not path.startswith("src/"):
+            continue
+        for key, callee, position, param, field in knobs_of(
+                ast.parse(source), _module_name(path)):
+            users = set(sets.get((callee, param), ()))
+            users.update(sets.get((callee, "**"), ()))
+            if position is not None:
+                users.update(sets.get((callee, position), ()))
+                users.update(user for start, paths in unpacked[callee]
+                             if start <= position for user in paths)
+            if field:
+                users.update(sets.get(("replace", param), ()))
+            table[key] = sorted(users)
+    return table
+
+
 def test_every_public_name_has_a_user_outside_tests():
     unused = unused_names(census(read_corpus()))
     assert not unused, (
@@ -304,8 +517,18 @@ def test_every_public_name_has_a_user_outside_tests():
         "allowlist them with a reason):\n  " + "\n  ".join(unused))
 
 
+def test_every_knob_is_set_outside_tests():
+    unset = unused_names(knob_census(read_corpus()))
+    assert not unset, (
+        "knobs that nothing in src/, benchmarks/, examples/ or macrobench/ "
+        "sets (make them module constants, delete them with what they "
+        "switch on, or allowlist them with a reason):\n  "
+        + "\n  ".join(unset))
+
+
 def test_allowlist_entries_are_needed_and_explained():
-    table = census(read_corpus())
+    corpus = read_corpus()
+    table = {**census(corpus), **knob_census(corpus)}
     for key, reason in ALLOWED.items():
         assert reason.strip(), f"{key}: allowlist entry without a reason"
         assert key in table, f"{key}: allowlisted name no longer exists"
@@ -346,11 +569,33 @@ def test_a_method_only_tests_read_is_reported(tmp_path):
                             "def main(options=None):\n"
                             "    lookup((options or {}).get('k', {}))\n"
                             "    return Box().used()\n"),
-        "examples/run.py": "from pkg.main import main\n\nmain()\n",
+        "examples/run.py": ("from pkg.config import start\n"
+                            "from pkg.main import main\n\n"
+                            "main()\nstart()\n"),
         "tests/test_box.py": ("from pkg.box import Box\n\n\n"
                               "def test_box():\n"
                               "    assert Box().tested() == 2\n"
                               "    assert Box().get(1) == 1\n"),
+        # Knobs: a field only a test sets, one src sets by keyword, one
+        # only replace() sets, and parameters set by position or by none.
+        "src/pkg/config.py": (
+            "from dataclasses import dataclass, replace\n\n\n"
+            "@dataclass\n"
+            "class FooConfig:\n"
+            "    size: int\n"
+            "    tested: int = 1\n"
+            "    used: int = 2\n"
+            "    replaced: int = 3\n\n\n"
+            "def build(rate=1.0, burst=2, *, label='x'):\n"
+            "    config = FooConfig(4, used=5)\n"
+            "    return replace(config, replaced=rate)\n\n\n"
+            "def start():\n"
+            "    return build(0.5)\n"),
+        "tests/test_config.py": ("from pkg.config import FooConfig, build\n"
+                                 "\n\n"
+                                 "def test_config():\n"
+                                 "    assert FooConfig(1, tested=2)\n"
+                                 "    assert build(burst=3, label='y')\n"),
     }
     for path, source in files.items():
         (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
@@ -366,8 +611,25 @@ def test_a_method_only_tests_read_is_reported(tmp_path):
         "pkg.box:Box.via_tested"]
     assert unused_names(table, {callback: "asyncio calls it"}) == [
         "pkg.box:Box.get", "pkg.box:Box.tested", "pkg.box:Box.via_tested"]
+    knobs = knob_census(read_corpus(tmp_path))
+    assert knobs == {
+        "pkg.config:FooConfig.tested": [],
+        "pkg.config:FooConfig.used": ["src/pkg/config.py"],
+        "pkg.config:FooConfig.replaced": ["src/pkg/config.py"],
+        "pkg.config:build(rate)": ["src/pkg/config.py"],
+        "pkg.config:build(burst)": [],
+        "pkg.config:build(label)": [],
+        "pkg.main:main(options)": [],
+    }
+    assert unused_names(knobs, {"pkg.config:build(label)": "argv"}) == [
+        "pkg.config:FooConfig.tested", "pkg.config:build(burst)",
+        "pkg.main:main(options)"]
 
 
 if __name__ == "__main__":
-    for key, users in census(read_corpus()).items():
-        print(f"{key}\t{len(users)}\t{' '.join(users)}")
+    corpus = read_corpus()
+    for table in (census(corpus), knob_census(corpus)):
+        for key, users in table.items():
+            print(f"{key}\t{len(users)}\t{' '.join(users)}")
+    for key, reason in ALLOWED.items():
+        print(f"ALLOWED\t{key}\t{reason}")

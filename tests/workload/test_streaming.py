@@ -84,7 +84,7 @@ class TestTraceStreamContract:
         with pytest.raises(WorkloadError):
             TraceStream(factory, count=0, end_ms=1.0)
         with pytest.raises(WorkloadError):
-            TraceStream(factory, count=1, end_ms=-1.0, start_ms=0.0)
+            TraceStream(factory, count=1, end_ms=-1.0)
 
     def test_materialize_round_trip(self):
         trace = self._stream(4).materialize()
